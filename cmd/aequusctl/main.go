@@ -335,6 +335,10 @@ func cmdFcs(c *httpapi.Client) error {
 		fmt.Fprintf(tw, "  segments rebuilt/shared\t%d / %d\n",
 			s.FCSMaterializedSegments, s.FCSSharedSegments)
 	}
+	fmt.Fprintf(tw, "  project/drift\t%.3f / %.3fms\n", s.FCSProjectSeconds*1000, s.FCSDriftSeconds*1000)
+	if s.FCSUsageReference != nil {
+		fmt.Fprintf(tw, "usage scale\t%.9g (sums at %s)\n", s.FCSUsageScale, s.FCSUsageReference.Format(time.RFC3339))
+	}
 	fmt.Fprintf(tw, "snapshot computed\t%s\n", s.FCSComputedAt.Format(time.RFC3339))
 	fmt.Fprintf(tw, "drift max/mean\t%.4f / %.4f\n", s.DriftMax, s.DriftMean)
 	if s.FCSLastRefreshError != "" {

@@ -46,7 +46,7 @@ func main() {
 		contribute    = flag.Bool("contribute", true, "serve usage records to peers")
 		useGlobal     = flag.Bool("use-global", true, "consider global usage for prioritization")
 		projection    = flag.String("projection", "percental", "vector projection: dictionary|bitwise|percental")
-		halfLife      = flag.Duration("half-life", 7*24*time.Hour, "usage decay half-life (0 disables decay, keeping usage deltas sparse so steady-state refreshes run incrementally)")
+		halfLife      = flag.Duration("half-life", 7*24*time.Hour, "usage decay half-life (0 disables decay)")
 		binWidth      = flag.Duration("bin-width", time.Hour, "usage histogram interval")
 		exchangeEvery = flag.Duration("exchange-interval", time.Minute, "peer usage exchange period")
 		refreshEvery  = flag.Duration("refresh-interval", time.Minute, "fairshare pre-calculation period")
@@ -116,11 +116,9 @@ func main() {
 	if *traceBuffer > 0 {
 		spans = span.NewRecorder(span.Config{Capacity: *traceBuffer, SampleEvery: *traceSample})
 	}
-	// Half-life 0 means no decay at all. Beyond being a sensible reading of
-	// the flag, it is the mode where only users with fresh completions move
-	// between UMS pulls, so the FCS's incremental recalc path can engage;
-	// under exponential decay every total changes every pull and refreshes
-	// are always full rebuilds.
+	// Half-life 0 means no decay at all. (Either way steady-state refreshes
+	// are incremental: the pipeline carries usage sums at a reference
+	// instant, which only move when a user's usage does.)
 	var decay usage.Decay = usage.ExponentialHalfLife{HalfLife: *halfLife}
 	if *halfLife <= 0 {
 		decay = usage.None{}

@@ -163,19 +163,13 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		Durable:     cfg.Durable,
 	})
 
-	source := ums.SourceFunc(func(now time.Time, d usage.Decay) (map[string]float64, error) {
-		if cfg.UseGlobal {
-			return u.GlobalTotals(now, d), nil
-		}
-		return u.LocalTotals(now, d), nil
-	})
 	m := ums.New(ums.Config{
 		Decay:    cfg.Decay,
 		CacheTTL: cfg.UMSCacheTTL,
 		Clock:    cfg.Clock,
 		Metrics:  cfg.Metrics,
 		Spans:    cfg.Spans,
-	}, source)
+	}, u.View(cfg.UseGlobal))
 
 	f := fcs.New(fcs.Config{
 		Fairshare:          cfg.Fairshare,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -155,5 +156,93 @@ func TestExplicitMappingsViaIRS(t *testing.T) {
 	}
 	if v <= 0 {
 		t.Errorf("priority = %g", v)
+	}
+}
+
+// TestSitesAgreeAcrossReferenceInstants: every site carries usage sums at
+// its own reference instant — here two and a half days apart — yet once the
+// federation is quiescent all sites publish the same priorities, because the
+// calculation only reads usage as ratios and each site's scale cancels.
+func TestSitesAgreeAcrossReferenceInstants(t *testing.T) {
+	clock := simclock.NewSim(t0)
+	decay := usage.ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour}
+	users := map[string]float64{"alice": 0.4, "bob": 0.3, "carol": 0.2, "dave": 0.1}
+	names := []string{"alice", "bob", "carol", "dave"}
+	var sites []*Site
+	for _, name := range []string{"a", "b"} {
+		p, err := policy.FromShares(users)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewSite(SiteConfig{Name: name, Policy: p, Clock: clock, BinWidth: time.Hour,
+			Decay: decay, Contribute: true, UseGlobal: true, UMSCacheTTL: time.Minute, FCSCacheTTL: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sites = append(sites, s)
+	}
+	FullMesh(sites)
+	work := func(s *Site, seed int) {
+		for i, u := range names {
+			// Completed just now: the exchange only re-pulls open bins.
+			dur := time.Duration(20+7*((seed+i)%5)) * time.Minute
+			s.USS.ReportJob(u, clock.Now().Add(-dur), dur, 1+(seed+i)%3)
+		}
+	}
+	round := func(refresh ...*Site) {
+		for pass := 0; pass < 2; pass++ {
+			for _, s := range sites {
+				if err := s.Exchange(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, s := range refresh {
+			if err := s.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	// Site a publishes from the start; site b's first refresh (which fixes
+	// its reference instant) comes two and a half days later.
+	for step := 0; step < 5; step++ {
+		work(sites[0], step)
+		work(sites[1], step+2)
+		round(sites[0])
+		clock.Advance(12 * time.Hour)
+	}
+	for step := 0; step < 6; step++ {
+		work(sites[step%2], step)
+		clock.Advance(17 * time.Minute)
+		round(sites...)
+
+		ra, rb := sites[0].FCS.LastRefresh(), sites[1].FCS.LastRefresh()
+		if !ra.UsageReference.Equal(t0) || !rb.UsageReference.Equal(t0.Add(60*time.Hour+17*time.Minute)) {
+			t.Fatalf("step %d: reference instants %v and %v", step, ra.UsageReference, rb.UsageReference)
+		}
+		if step > 0 && (ra.Mode != "incremental" || rb.Mode != "incremental") {
+			t.Fatalf("step %d: refresh modes %s/%s, want incremental on both sites", step, ra.Mode, rb.Mode)
+		}
+		ta, err := sites[0].FCS.Table()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := sites[1].FCS.Table()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ea := range ta.Entries {
+			eb := tb.Entries[i]
+			if ea.User != eb.User || math.Abs(ea.Value-eb.Value) > 1e-9 || math.Abs(ea.Priority-eb.Priority) > 1e-9 {
+				t.Fatalf("step %d: site a says %s %v/%v, site b says %s %v/%v", step,
+					ea.User, ea.Value, ea.Priority, eb.User, eb.Value, eb.Priority)
+			}
+		}
+		for _, s := range sites {
+			if err := s.FCS.VerifySnapshot(); err != nil {
+				t.Fatalf("step %d: %s: %v", step, s.Name, err)
+			}
+		}
 	}
 }

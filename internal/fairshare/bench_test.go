@@ -85,13 +85,17 @@ var benchScales = []struct {
 	{"1M", 1000, 1000},
 }
 
-// benchDirtyFracs are the dirty-user ratios per Apply.
+// benchDirtyFracs are the dirty-user ratios per Apply. The 25 % and 50 %
+// rows bracket the share at which Apply stops beating
+// BenchmarkRecalcFullBaseline — the numbers behind usage.DeltaPays.
 var benchDirtyFracs = []struct {
 	name string
 	frac float64
 }{
 	{"dirty0.01pct", 0.0001},
 	{"dirty1pct", 0.01},
+	{"dirty25pct", 0.25},
+	{"dirty50pct", 0.5},
 	{"dirty100pct", 1},
 }
 

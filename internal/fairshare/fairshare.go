@@ -62,7 +62,12 @@ type Node struct {
 	Name string
 	// Share is the normalized target share within the sibling group.
 	Share float64
-	// Usage is the decayed historical usage of the subtree (core-seconds).
+	// Usage is the historical usage of the subtree, in whatever common
+	// scale Compute's usage map was in: decayed core-seconds, or — what the
+	// FCS feeds it under a decay that factors through time — sums at a
+	// reference instant, which differ from decayed core-seconds by one
+	// factor shared by every node (fcs.RefreshInfo.UsageScale). Only ratios
+	// within a sibling group enter the scores, so the scale cancels.
 	Usage float64
 	// UsageShare is the subtree's fraction of its sibling group's usage.
 	UsageShare float64
@@ -95,8 +100,8 @@ type Tree struct {
 // goroutine setup would dominate the arithmetic.
 const parallelComputeThreshold = 4096
 
-// Compute builds the fairshare tree for a policy and decayed per-user usage
-// (keyed by leaf user name). This is the pre-calculation the FCS performs
+// Compute builds the fairshare tree for a policy and per-user usage (keyed by
+// leaf user name; any common scale, see Node.Usage). This is the pre-calculation the FCS performs
 // periodically so that "no real-time calculations need to take place when
 // new jobs arrive". Large policies are scored in parallel across the root's
 // sibling subtrees — each sibling group is independent once its parent's

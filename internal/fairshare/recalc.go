@@ -250,7 +250,14 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 		// n is the cloned dirty leaf.
 		n.Usage = d.val
 	}
-	r.spineBuf = spine
+	// Keep the capacity for the next pass but not the pointers: the sort
+	// below moves the root clone to the end, where a later, shorter spine
+	// would not overwrite it, and one stale root pins a whole superseded
+	// generation of the tree.
+	defer func() {
+		clear(spine)
+		r.spineBuf = spine[:0]
+	}()
 
 	// Phase 3: re-sum cloned internals' subtree usage bottom-up, folding
 	// children left-to-right exactly like the full build (adding deltas to
@@ -526,9 +533,19 @@ func (r *Recalc) scoreGroupCOW(n *Node, cfg Config, st *RecalcStats) {
 			continue
 		}
 		if buf == nil {
-			// At most the remaining siblings can need cloning, so buf never
-			// reallocates and the pointers handed out below stay valid.
-			buf = make([]Node, 0, len(n.Children)-i)
+			// At most the remaining siblings that are not already this
+			// pass's clones can need cloning, so buf never reallocates and
+			// the pointers handed out below stay valid. (Counting them
+			// matters when much of a group is dirty: slots reserved for
+			// nodes that have their own clone are dead weight for as long
+			// as the arena lives.)
+			need := 0
+			for _, rc := range n.Children[i:] {
+				if rc.gen != r.gen {
+					need++
+				}
+			}
+			buf = make([]Node, 0, need)
 		}
 		buf = append(buf, *c)
 		nc := &buf[len(buf)-1]

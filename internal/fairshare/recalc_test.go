@@ -326,3 +326,30 @@ func TestRecalcLargeTreeParallelBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestRecalcScratchKeepsNoNodes: the spine scratch is reused for its
+// capacity only. A pointer left behind in it (the root clone ends up last
+// after the depth sort, where a shorter later spine never overwrites it)
+// would pin a whole superseded generation of the tree.
+func TestRecalcScratchKeepsNoNodes(t *testing.T) {
+	p, usage, users := buildWideDirect(8, 8)
+	tree := Compute(p, usage, DefaultConfig())
+	r := NewRecalc(tree, NewIndex(tree))
+	wide := map[string]float64{}
+	for i := 0; i < len(users); i += 3 {
+		wide[users[i]] = float64(1000 + i)
+	}
+	for _, delta := range []map[string]float64{wide, {users[1]: 7}} {
+		if _, _, _, err := r.Apply(delta); err != nil {
+			t.Fatal(err)
+		}
+		for i, sn := range r.spineBuf[:cap(r.spineBuf)] {
+			if sn.n != nil {
+				t.Fatalf("spine scratch slot %d still points at node %q", i, sn.n.Name)
+			}
+		}
+	}
+	if cap(r.spineBuf) == 0 {
+		t.Fatal("spine scratch lost its capacity")
+	}
+}

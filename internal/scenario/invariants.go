@@ -113,10 +113,11 @@ func (c *ConservationChecker) Check(h *Harness, now time.Time) []Violation {
 // SnapshotTwinChecker verifies the incremental-recalc guarantee: every
 // published FCS snapshot — whether it came from a full rebuild or from the
 // copy-on-write delta engine — must be bit-identical to a from-scratch
-// recomputation of the same policy and usage (tree scores, index entry
+// recomputation of the same policy and usage sums (tree scores, index entry
 // vectors, projected priorities and drift alike). Under churn and share
 // edits this catches any divergence structural sharing could accumulate
-// across refresh chains.
+// across refresh chains — with decay on as with decay off, since the sums
+// the sites carry only move when a user's usage does.
 type SnapshotTwinChecker struct{}
 
 // Name implements Checker.

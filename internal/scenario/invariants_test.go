@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -167,37 +168,45 @@ func (r *refreshModeRecorder) Check(h *Harness, now time.Time) []Violation {
 	return nil
 }
 
-// TestIncrementalSnapshotTwinUnderChurn drives a full multi-site scenario
-// with decay off (so usage deltas stay sparse and the FCS runs its
-// copy-on-write incremental engine in steady state) across a mid-run share
-// edit, and requires (a) the snapshot-twin invariant to hold at every check
-// event — every published snapshot bit-identical to a full recompute — and
-// (b) the incremental path to have demonstrably run.
+// TestIncrementalSnapshotTwinUnderChurn drives a full multi-site scenario,
+// under the default exponential decay and with decay off, across a mid-run
+// share edit, and requires (a) the snapshot-twin invariant to hold at every
+// check event — every published snapshot bit-identical to a full recompute
+// over the same usage sums — and (b) the copy-on-write incremental engine to
+// be what ran in steady state: the sites carry sums at a reference instant,
+// so decay no longer makes every refresh a rebuild.
 func TestIncrementalSnapshotTwinUnderChurn(t *testing.T) {
-	spec := Generate(7)
-	spec.NoDecay = true
-	// Force a mid-run share edit so the refresh chain crosses a policy
-	// version bump (a full-rebuild fallback) and must re-anchor the
-	// incremental chain on the other side.
-	u := spec.Users[0]
-	path := u.Name
-	if u.Project != "" {
-		path = u.Project + "/" + u.Name
-	}
-	spec.Edits = append(spec.Edits, ShareEdit{At: spec.Duration / 2, Path: path, NewShare: u.Share * 1.5})
+	for _, noDecay := range []bool{false, true} {
+		noDecay := noDecay
+		t.Run(fmt.Sprintf("noDecay=%v", noDecay), func(t *testing.T) {
+			spec := Generate(7)
+			spec.NoDecay = noDecay
+			spec.Restarts = nil // bit-identical recovery is only defined without decay
+			// Force a mid-run share edit so the refresh chain crosses a
+			// policy version bump (a full-rebuild fallback) and must
+			// re-anchor the incremental chain on the other side.
+			u := spec.Users[0]
+			path := u.Name
+			if u.Project != "" {
+				path = u.Project + "/" + u.Name
+			}
+			spec.Edits = append(spec.Edits, ShareEdit{At: spec.Duration / 2, Path: path, NewShare: u.Share * 1.5})
 
-	rec := &refreshModeRecorder{}
-	res, err := Run(spec, Options{Checkers: append(DefaultCheckers(), rec)})
-	if err != nil {
-		t.Fatal(err)
+			rec := &refreshModeRecorder{}
+			res, err := Run(spec, Options{Checkers: append(DefaultCheckers(), rec)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Failed() {
+				t.Fatalf("violations:\n%v\n%s", res.Violations, res.TraceDump)
+			}
+			incr, full := rec.modes[fcs.RefreshIncremental], rec.modes[fcs.RefreshFull]
+			if incr <= 4*full {
+				t.Fatalf("incremental refreshes are not the steady state (modes sampled: %v)", rec.modes)
+			}
+			t.Logf("refresh modes sampled at check events: %v", rec.modes)
+		})
 	}
-	if res.Failed() {
-		t.Fatalf("violations:\n%v\n%s", res.Violations, res.TraceDump)
-	}
-	if rec.modes[fcs.RefreshIncremental] == 0 {
-		t.Fatalf("incremental refresh never observed (modes sampled: %v)", rec.modes)
-	}
-	t.Logf("refresh modes sampled at check events: %v", rec.modes)
 }
 
 // TestConvergenceCoverage guards against generator drift silencing the

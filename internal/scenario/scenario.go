@@ -146,10 +146,10 @@ type Spec struct {
 	DistanceWeight float64
 
 	// NoDecay runs the sites with usage.None instead of the exponential
-	// half-life decay. Under decay every user's total changes bitwise at
-	// every UMS pull, so the delta log degenerates to all-full sets; with
-	// decay off, only users with fresh completions move between pulls and
-	// the FCS's incremental recalc path is actually exercised.
+	// half-life decay. Either way the sites carry usage sums at a
+	// reference instant, so only users with fresh completions move between
+	// pulls and the FCS refreshes incrementally; decay off is what makes
+	// recovery from a crash exactly reproducible (see Restarts).
 	NoDecay bool
 
 	// Restarts kill and recover individual sites' service stacks mid-run.
@@ -327,9 +327,9 @@ func Generate(seed int64) *Spec {
 
 	s.generateJobs(rng)
 
-	// A quarter of the scenarios run without usage decay so the FCS's
-	// incremental refresh path (and its snapshot-twin invariant) gets
-	// continuous fuzz coverage too.
+	// A quarter of the scenarios run without usage decay: the plain-sum
+	// side of the usage pipeline, and the only setting in which restarts
+	// are drawn.
 	s.NoDecay = rng.Intn(4) == 0
 
 	// Half of the NoDecay scenarios also get one organic crash-and-restart,

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/services/fcs"
 	"repro/internal/testbed"
 )
 
@@ -70,11 +71,18 @@ func TestScenarioFuzz(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			t.Parallel()
 			spec := Generate(seed)
-			res, err := Run(spec, Options{FailFast: true})
+			rec := &refreshModeRecorder{}
+			res, err := Run(spec, Options{FailFast: true, Checkers: append(DefaultCheckers(), rec)})
 			if err != nil {
 				t.Fatalf("seed %d: run error: %v", seed, err)
 			}
 			if !res.Failed() {
+				// The snapshot-twin checker has only proven something about
+				// the incremental engine if that is what refreshed — under
+				// the default decay (three seeds in four) as without it.
+				if rec.modes[fcs.RefreshIncremental] == 0 {
+					t.Errorf("seed %d (noDecay=%v): no incremental refresh sampled: %v", seed, spec.NoDecay, rec.modes)
+				}
 				return
 			}
 			events, small, runs, serr := Shrink(spec, Options{})

@@ -10,8 +10,11 @@ import (
 
 	"repro/internal/fairshare"
 	"repro/internal/policy"
+	"repro/internal/services/ums"
+	"repro/internal/services/uss"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
+	"repro/internal/usage"
 	"repro/internal/vector"
 	"repro/internal/wire"
 )
@@ -172,7 +175,10 @@ var benchDeltaSeq int64
 // BenchmarkRefreshIncremental measures an end-to-end incremental refresh —
 // delta fetch, Recalc engine apply, projection, publication — at varying
 // scale and dirty ratio. Compare against BenchmarkRefreshFull at the same
-// scale for the incremental speedup.
+// scale for the incremental speedup. The dirtyN cases script the deltas;
+// the exp-uss case is the default configuration end to end: a real USS
+// under the 7-day half-life whose change cursor feeds a real UMS, a minute
+// of decay and 0.01 % of the users completing a job between refreshes.
 func BenchmarkRefreshIncremental(b *testing.B) {
 	fracs := []struct {
 		name string
@@ -223,7 +229,50 @@ func BenchmarkRefreshIncremental(b *testing.B) {
 					}
 				})
 			}
+			b.Run("exp-uss-dirty0.01pct", func(b *testing.B) {
+				benchRefreshOverUSS(b, p, users, max(n/10000, 1))
+			})
 		})
+	}
+}
+
+// benchRefreshOverUSS times Site.Refresh's two halves (the UMS pass over
+// the USS's change cursor, then the FCS refresh) with k completions and one
+// minute of decay between iterations.
+func benchRefreshOverUSS(b *testing.B, p *policy.Tree, users []string, k int) {
+	clock := simclock.NewSim(time.Date(2024, 1, 15, 0, 0, 0, 0, time.UTC))
+	src := uss.New(uss.Config{Site: "s", BinWidth: time.Hour, Contribute: true, Clock: clock, Metrics: telemetry.NewRegistry()})
+	history := make([]uss.JobReport, len(users))
+	for i, u := range users {
+		history[i] = uss.JobReport{User: u, Start: clock.Now().Add(-time.Duration(2+i%300) * time.Hour), Duration: time.Hour, Procs: 1 + i%8}
+	}
+	src.ReportJobBatch(history)
+	m := ums.New(ums.Config{Clock: clock, CacheTTL: time.Minute, Metrics: telemetry.NewRegistry(),
+		Decay: usage.ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour}}, src.View(true))
+	svc := New(Config{Clock: clock, CacheTTL: 24 * time.Hour, Metrics: telemetry.NewRegistry()}, newVersionedPDS(p), m)
+	if err := svc.Refresh(); err != nil { // full anchor refresh
+		b.Fatal(err)
+	}
+	jobs := make([]uss.JobReport, k)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		clock.Advance(time.Minute)
+		for j := range jobs {
+			benchDeltaSeq++
+			jobs[j] = uss.JobReport{User: users[int(benchDeltaSeq)*7919%len(users)], Start: clock.Now().Add(-10 * time.Minute), Duration: 10 * time.Minute, Procs: 4}
+		}
+		src.ReportJobBatch(jobs)
+		b.StartTimer()
+		m.Invalidate()
+		if err := svc.Refresh(); err != nil {
+			b.Fatal(err)
+		}
+		// Dirty: this round's users plus those still clamped in the open bin.
+		if ri := svc.LastRefresh(); ri.Mode != RefreshIncremental || ri.DirtyUsers == 0 || ri.DirtyUsers > k*(i+1) {
+			b.Fatalf("%s refresh of %d users, want incremental of at most %d", ri.Mode, ri.DirtyUsers, k*(i+1))
+		}
 	}
 }
 

@@ -13,9 +13,11 @@
 // surfaced through telemetry and LastRefreshError (wired into /readyz).
 //
 // Refreshes are incremental when the sources cooperate: a usage source that
-// implements DeltaUsageSource hands the FCS just the users whose decayed
-// totals changed since the last pull, and a policy source that reports a
-// Version lets the FCS prove the tree shape is unchanged. When both hold,
+// implements DeltaUsageSource hands the FCS just the users whose usage
+// changed since the last pull — as sums at a reference instant, which decay
+// does not touch, plus the one scale that turns them back into decayed
+// core-seconds — and a policy source that reports a Version lets the FCS
+// prove the tree shape is unchanged. When both hold,
 // the refresh drives a persistent fairshare.Recalc engine — O(dirty·depth)
 // tree work with copy-on-write structural sharing instead of a full
 // O(users) rebuild — and the published snapshot is bit-identical to what a
@@ -66,10 +68,11 @@ type UsageSource interface {
 }
 
 // DeltaUsageSource is optionally implemented by a UsageSource that can
-// report which users' totals changed since a version watermark. When the
+// report which users' usage changed since a version watermark. When the
 // usage source supports it, steady-state refreshes recompute only the dirty
-// fraction of the fairshare tree. The returned set's maps are read-only
-// (see usage.DeltaSet).
+// fraction of the fairshare tree. The set's values may be in a scale of
+// their own, which the snapshot records; its maps are read-only (see
+// usage.DeltaSet).
 type DeltaUsageSource interface {
 	UsageDeltas(since uint64) (usage.DeltaSet, error)
 }
@@ -144,6 +147,12 @@ type snapshot struct {
 	prior      []float64
 	projName   string
 	computedAt time.Time
+	// usageScale turns the tree's Usage fields into decayed core-seconds at
+	// computedAt: a delta-capable usage source hands over sums at a
+	// reference instant (usageRef), which the calculation can use as they
+	// are because it reads usage only as ratios within sibling groups.
+	usageScale float64
+	usageRef   time.Time
 	// table is the wire view, assembled on first Table() call.
 	tableOnce sync.Once
 	table     wire.FairshareTableResponse
@@ -177,6 +186,18 @@ type RefreshInfo struct {
 	// copies (zero on a full refresh).
 	MaterializedSegments int
 	SharedSegments       int
+	// ProjectDuration/DriftDuration break the publish step into projecting
+	// every entry to a priority and computing the drift summary — both
+	// still O(users) per refresh (zero when a no-op delta republished the
+	// previous snapshot).
+	ProjectDuration time.Duration
+	DriftDuration   time.Duration
+	// UsageScale is what the snapshot tree's Usage fields must be
+	// multiplied by to read as decayed core-seconds at At; UsageReference
+	// is the instant they are sums at (1 and zero when the usage source
+	// deals in decayed totals). See usage.DeltaSet.
+	UsageScale     float64
+	UsageReference time.Time
 	// At is when the refreshed snapshot was published (service clock).
 	At time.Time
 }
@@ -324,7 +345,9 @@ func (s *Service) SetProjection(p vector.Projection) {
 	if sn == nil {
 		return
 	}
-	s.snap.Store(s.buildSnapshot(sn.tree, sn.index, sn.pol, sn.computedAt))
+	next, _ := s.buildSnapshot(sn.tree, sn.index, sn.pol, sn.computedAt)
+	next.usageScale, next.usageRef = sn.usageScale, sn.usageRef
+	s.snap.Store(next)
 }
 
 // Refresh forces recomputation of the fairshare snapshot.
@@ -452,6 +475,7 @@ func (s *Service) rebuildLocked() error {
 	_, pub := span.Start(ctx, "fcs.publish")
 	now := s.cfg.Clock.Now()
 	var sn *snapshot
+	var cost publishCost
 	if incremental && dirty == 0 && prev != nil {
 		// Bitwise no-op delta: the engine handed back the previous
 		// tree/index, so republish the previous snapshot's projections and
@@ -462,10 +486,17 @@ func (s *Service) rebuildLocked() error {
 			drift: prev.drift, driftMax: prev.driftMax, driftMean: prev.driftMean,
 		}
 	} else {
-		sn = s.buildSnapshot(tree, ix, pol, now)
+		sn, cost = s.buildSnapshot(tree, ix, pol, now)
 	}
+	scale := ds.Scale
+	if scale == 0 {
+		scale = 1 // a source that deals in decayed totals
+	}
+	sn.usageScale, sn.usageRef = scale, ds.Reference
 	s.snap.Store(sn)
 	pub.SetAttrInt("users", int64(sn.index.Len()))
+	pub.SetAttrInt("project_us", cost.project.Microseconds())
+	pub.SetAttrInt("drift_us", cost.drift.Microseconds())
 	pub.End()
 
 	// Re-anchor or advance the incremental engine. On the incremental path
@@ -495,6 +526,10 @@ func (s *Service) rebuildLocked() error {
 		MaterializeDuration:  stats.MaterializeDuration,
 		MaterializedSegments: stats.MaterializedSegments,
 		SharedSegments:       stats.SharedSegments,
+		ProjectDuration:      cost.project,
+		DriftDuration:        cost.drift,
+		UsageScale:           scale,
+		UsageReference:       ds.Reference,
 	})
 	s.lastErr.Store(&refreshOutcome{nil})
 	s.mRecalcs.Inc()
@@ -522,10 +557,15 @@ func (s *Service) failLocked(root *span.Span, err error) error {
 	return err
 }
 
+// publishCost is the wall time of buildSnapshot's two population-wide
+// passes.
+type publishCost struct{ project, drift time.Duration }
+
 // buildSnapshot projects the tree into a per-position priority slice and
 // computes the drift summary; refreshMu must be held (it reads
 // cfg.Projection). The wire table is deferred to the first Table() call.
-func (s *Service) buildSnapshot(tree *fairshare.Tree, ix *fairshare.Index, pol *policy.Tree, at time.Time) *snapshot {
+func (s *Service) buildSnapshot(tree *fairshare.Tree, ix *fairshare.Index, pol *policy.Tree, at time.Time) (*snapshot, publishCost) {
+	started := time.Now()
 	n := ix.Len()
 	prior := make([]float64, n)
 	if pp, ok := s.cfg.Projection.(vector.PointwiseProjection); ok {
@@ -538,6 +578,7 @@ func (s *Service) buildSnapshot(tree *fairshare.Tree, ix *fairshare.Index, pol *
 			prior[i] = m[ix.At(i).User]
 		}
 	}
+	projected := time.Now()
 	k := s.cfg.DriftTopK
 	if k == 0 {
 		k = DefaultDriftTopK
@@ -549,7 +590,7 @@ func (s *Service) buildSnapshot(tree *fairshare.Tree, ix *fairshare.Index, pol *
 		tree: tree, index: ix, pol: pol, prior: prior,
 		projName: s.cfg.Projection.Name(), computedAt: at,
 		drift: drift, driftMax: driftMax, driftMean: driftMean,
-	}
+	}, publishCost{project: projected.Sub(started), drift: time.Since(projected)}
 }
 
 // projectParallelThreshold is the population at which per-entry projection

@@ -15,6 +15,25 @@ import (
 // totals, rebuilds from scratch, re-anchors the engine, and the published
 // snapshot verifies against its full-recompute twin.
 func TestEngineErrorFallsBackToFullRecompute(t *testing.T) {
+	t.Run("scripted deltas", func(t *testing.T) {
+		ums := newDeltaUMS(map[string]float64{"a": 10, "b": 20, "c": 30, "d": 40})
+		next := 100.0
+		testEngineErrorFallback(t, ums, func(user string) {
+			next++
+			ums.apply(map[string]float64{user: next})
+		})
+	})
+	// The same chain over the real pipeline under decay: sums at a
+	// reference instant from the USS's change cursor, through the UMS.
+	t.Run("uss under decay", func(t *testing.T) {
+		rig := newUSSRig(t, "a", "b", "c", "d")
+		testEngineErrorFallback(t, rig.ums, rig.bump)
+	})
+}
+
+// testEngineErrorFallback runs the fallback scenario; bump changes one
+// user's usage at the source.
+func testEngineErrorFallback(t *testing.T, ums UsageSource, bump func(user string)) {
 	p := policy.NewTree()
 	for _, g := range []struct {
 		name  string
@@ -34,7 +53,6 @@ func TestEngineErrorFallsBackToFullRecompute(t *testing.T) {
 		}
 	}
 	pds := newVersionedPDS(p)
-	ums := newDeltaUMS(map[string]float64{"a": 10, "b": 20, "c": 30, "d": 40})
 	reg := telemetry.NewRegistry()
 	svc := New(Config{Clock: simclock.NewSim(t0), CacheTTL: -1,
 		SynchronousRefresh: true, Metrics: reg}, pds, ums)
@@ -43,7 +61,7 @@ func TestEngineErrorFallsBackToFullRecompute(t *testing.T) {
 	if err := svc.Refresh(); err != nil {
 		t.Fatalf("anchor refresh: %v", err)
 	}
-	ums.apply(map[string]float64{"a": 15})
+	bump("a")
 	if err := svc.Refresh(); err != nil {
 		t.Fatalf("incremental refresh: %v", err)
 	}
@@ -63,7 +81,7 @@ func TestEngineErrorFallsBackToFullRecompute(t *testing.T) {
 	g0 := root.Children[0]
 	g0.Children = g0.Children[:1]
 
-	ums.apply(map[string]float64{"a": 25})
+	bump("a")
 	if err := svc.Refresh(); err != nil {
 		t.Fatalf("refresh with corrupted engine: %v (want silent full fallback)", err)
 	}
@@ -83,7 +101,7 @@ func TestEngineErrorFallsBackToFullRecompute(t *testing.T) {
 	}
 
 	// The fallback re-anchored the engine: the chain resumes incrementally.
-	ums.apply(map[string]float64{"b": 99})
+	bump("b")
 	if err := svc.Refresh(); err != nil {
 		t.Fatalf("refresh after re-anchor: %v", err)
 	}

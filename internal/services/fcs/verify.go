@@ -28,7 +28,7 @@ func (s *Service) VerifySnapshot() error {
 	totals := sn.tree.UsageByLeaf()
 	twinTree := fairshare.Compute(sn.pol, totals, s.cfg.Fairshare)
 	twinIx := fairshare.NewIndex(twinTree)
-	twin := s.buildSnapshot(twinTree, twinIx, sn.pol, sn.computedAt)
+	twin, _ := s.buildSnapshot(twinTree, twinIx, sn.pol, sn.computedAt)
 	return compareSnapshots(sn, twin)
 }
 

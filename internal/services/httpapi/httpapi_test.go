@@ -393,3 +393,57 @@ func TestHealthz(t *testing.T) {
 		t.Errorf("healthz = %d", resp.StatusCode)
 	}
 }
+
+// TestUsageTreeServesDecayedTotals: with the USS's delta view behind the
+// UMS the pipeline carries sums at a reference instant, but /usage/tree
+// (and UMS.UsageTotals behind it) still answers in decayed core-seconds at
+// the instant it was computed.
+func TestUsageTreeServesDecayedTotals(t *testing.T) {
+	clock := simclock.NewSim(t0)
+	decay := usage.ExponentialHalfLife{HalfLife: 6 * time.Hour}
+	pol, err := policy.FromShares(map[string]float64{"alice": 0.5, "bob": 0.3, "carol": 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	u := uss.New(uss.Config{Site: "s", BinWidth: time.Hour, Contribute: true, Clock: clock})
+	m := ums.New(ums.Config{Clock: clock, CacheTTL: time.Minute, Decay: decay}, u.View(true))
+	f := fcs.New(fcs.Config{Clock: clock, CacheTTL: time.Minute, Fairshare: fairshare.DefaultConfig()}, pds.New(pol, nil), m)
+	srv := httptest.NewServer(NewServer(pds.New(pol, nil), u, m, f, irs.New()))
+	defer srv.Close()
+
+	u.ReportJob("alice", t0.Add(-30*time.Hour), 2*time.Hour, 4)
+	u.ReportJob("bob", t0.Add(-9*time.Hour), time.Hour, 8)
+	if err := f.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 3; step++ {
+		clock.Advance(5 * time.Hour) // the reference stays, the scale shrinks
+		u.ReportJob("carol", clock.Now().Add(-time.Hour), time.Hour, 2)
+		m.Invalidate()
+		if err := f.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		var tree wire.UsageTreeResponse
+		resp, err := http.Get(srv.URL + "/usage/tree")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.ReadJSON(resp.Body, &tree); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		want := u.GlobalTotals(clock.Now(), decay)
+		if len(tree.Totals) != len(want) || !tree.ComputedAt.Equal(clock.Now()) {
+			t.Fatalf("step %d: tree %v at %v, want %v at %v", step, tree.Totals, tree.ComputedAt, want, clock.Now())
+		}
+		for user, w := range want {
+			if got := tree.Totals[user]; math.Abs(got-w) > 1e-9*w {
+				t.Fatalf("step %d: /usage/tree says %s used %v, decayed total is %v", step, user, got, w)
+			}
+		}
+		ri := f.LastRefresh()
+		if ri.Mode != fcs.RefreshIncremental || !ri.UsageReference.Equal(t0) || !(ri.UsageScale < 1) {
+			t.Fatalf("step %d: refresh %+v, want incremental over sums at %v", step, ri, t0)
+		}
+	}
+}

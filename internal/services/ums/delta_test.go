@@ -95,24 +95,30 @@ func TestUsageDeltasIncrementalChain(t *testing.T) {
 }
 
 func TestUsageDeltasMajorityChangeIsFullMarker(t *testing.T) {
-	src := &mutableSource{totals: map[string]float64{"a": 1, "b": 2, "c": 3}}
+	// Large enough for the dirty share to apply (see usage.DeltaPays).
+	const n = 6000
+	src := &mutableSource{totals: map[string]float64{}}
+	for i := 0; i < n; i++ {
+		src.totals[fmt.Sprintf("u%04d", i)] = 1
+	}
 	s := New(Config{Clock: simclock.NewSim(t0), CacheTTL: time.Hour}, src)
 	first, err := s.UsageDeltas(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.totals["a"] = 10
-	src.totals["b"] = 20 // 2 of 3 users: past the half-population threshold
+	for i := 0; i < 2*n/3; i++ { // past the half-population threshold
+		src.totals[fmt.Sprintf("u%04d", i)] = 10
+	}
 	s.Invalidate()
 	ds, err := s.UsageDeltas(first.Version)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ds.Full {
-		t.Fatalf("majority change not Full: %+v", ds)
+		t.Fatalf("majority change not Full: %d changed of %d", len(ds.Changed), n)
 	}
-	if ds.Totals["a"] != 10 || ds.Totals["b"] != 20 || ds.Totals["c"] != 3 {
-		t.Fatalf("totals = %v", ds.Totals)
+	if ds.Totals["u0000"] != 10 || ds.Totals["u5999"] != 1 || len(ds.Totals) != n {
+		t.Fatalf("totals: u0000=%v u5999=%v of %d", ds.Totals["u0000"], ds.Totals["u5999"], len(ds.Totals))
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"time"
 
@@ -20,8 +21,27 @@ import (
 // Source provides decayed usage totals — the USS, via either its local-only
 // or combined local+global view.
 type Source interface {
-	// Totals returns per-user decayed core-seconds at `now`.
+	// Totals returns per-user decayed core-seconds at `now`. The returned
+	// map becomes the caller's: the source neither keeps nor modifies it.
 	Totals(now time.Time, d usage.Decay) (map[string]float64, error)
+}
+
+// DeltaSource is optionally implemented by a Source that keeps track of
+// which users' usage changed (the USS's change cursor). A UMS with exactly
+// one such source, under a decay that factors through time, builds its
+// generations from those change sets instead of fetching and diffing
+// complete totals; values are then sums at the source's reference instant,
+// not decayed totals (see usage.DeltaSet).
+type DeltaSource interface {
+	Source
+	// Changes moves the source's cursor to `now` and returns what changed
+	// since the previous call; ok is false when d does not factor through
+	// time (the caller falls back to Totals).
+	Changes(now time.Time, d usage.Decay) (ds usage.DeltaSet, ok bool)
+	// Sums returns complete per-user sums in the scale of the last Changes
+	// pass, evaluated at `now`; ok is false when that scale no longer
+	// holds and the next Changes will be Full.
+	Sums(now time.Time) (ds usage.DeltaSet, ok bool)
 }
 
 // SourceFunc adapts a function to the Source interface.
@@ -54,30 +74,40 @@ type Service struct {
 	sources []Source
 
 	// mu guards the cache fields and the in-flight latch. It is never held
-	// across a source fetch: recomputation runs outside the lock, so
+	// across a source call: recomputation runs outside the lock, so
 	// ComputedAt (and therefore /readyz) stays responsive while a slow or
 	// hanging USS is being queried.
 	mu       sync.Mutex
-	cached   map[string]float64
 	cachedAt time.Time
 	valid    bool
-	// inflight is non-nil while one recompute runs; it is closed when that
-	// recompute finishes. Concurrent stale readers wait on it and adopt
-	// the flight's outcome instead of launching duplicate fetches
-	// (single-flight, mirroring the FCS refresh discipline).
+	// inflight is non-nil while one source pass or one materialisation of
+	// complete totals runs; it is closed when that finishes. Concurrent
+	// readers that need its outcome wait on it instead of launching
+	// duplicates (single-flight, mirroring the FCS refresh discipline).
 	inflight    chan struct{}
 	inflightErr error // outcome of the last finished flight, for waiters
-	// gen is bumped by Invalidate; a flight that started before the bump
-	// must not publish its (pre-invalidation) result as valid.
+	// gen is bumped by Invalidate; a pass that started before the bump
+	// publishes its generation but leaves the cache invalid.
 	gen uint64
 
-	// version is the delta watermark: it advances whenever a recompute
-	// publishes totals that differ (bitwise) from the previous valid ones.
-	// deltaLog holds the most recent generations (oldest first, versions
-	// consecutive); everValid marks that a first valid publish happened.
-	version   uint64
-	deltaLog  []deltaGen
-	everValid bool
+	// version is the delta watermark: it advances whenever a pass publishes
+	// values that differ (bitwise) from the previous ones; 0 until the
+	// first publish. deltaLog holds the most recent generations (oldest
+	// first, versions consecutive).
+	version  uint64
+	deltaLog []deltaGen
+	// full is the complete per-user map of `version`. With plain sources it
+	// is the last fetch. With a delta source it is materialised when a
+	// consumer needs complete totals and dropped when the next generation
+	// lands, so no population-sized map outlives the refresh that asked
+	// for it.
+	full map[string]float64
+	// sums is the delta source behind the current generation (nil with
+	// plain sources); scale and reference describe its values as in
+	// usage.DeltaSet.
+	sums      DeltaSource
+	scale     float64
+	reference time.Time
 
 	mRecomputes   *telemetry.Counter
 	mRecomputeDur *telemetry.Histogram
@@ -87,18 +117,19 @@ type Service struct {
 // deltaGen is one published generation in the bounded delta log.
 type deltaGen struct {
 	version uint64
-	// changed maps users whose totals changed in this generation to their
-	// new absolute values. Nil marks a "full" generation — more than half
-	// the population moved (or the first publish), where shipping a delta
-	// would not pay off — which forces consumers whose watermark predates
-	// it to a full rebuild.
+	// changed maps users whose values changed in this generation to their
+	// new absolute values. Nil marks a "full" generation — the first
+	// publish, a source whose cursor was reset, or a change too large for a
+	// delta to pay off — which forces consumers whose watermark predates it
+	// to a full rebuild.
 	changed map[string]float64
 }
 
 // maxDeltaGens bounds the delta log: a consumer whose watermark has fallen
 // further behind than this many publishes gets a full set instead. Eight
 // generations cover several missed refresh intervals without letting a
-// stalled consumer pin unbounded per-generation maps.
+// stalled consumer pin unbounded per-generation maps (publishLocked also
+// bounds the log's total entries).
 const maxDeltaGens = 8
 
 // New creates a UMS reading from the given sources.
@@ -129,55 +160,103 @@ func (s *Service) AddSource(src Source) {
 	s.sources = append(s.sources, src)
 }
 
-// UsageTotals returns the pre-computed per-user decayed usage, recomputing
-// when the cache has expired. The returned map is a copy.
+// UsageTotals returns the pre-computed per-user decayed usage — decayed
+// core-seconds at the returned instant, whatever scale the pipeline carries
+// internally — recomputing when the cache has expired. The returned map is
+// a copy.
 //
 // Recomputation is single-flight and runs outside the service mutex: of any
-// number of concurrent stale readers, exactly one fans out to the sources
+// number of concurrent stale readers, exactly one goes to the sources
 // (concurrently, one goroutine per source) while the rest wait for that
 // flight and adopt its result — a slow source delays only the callers that
 // need fresh data, never ComputedAt or cache hits.
 func (s *Service) UsageTotals() (map[string]float64, time.Time, error) {
+	ds, at, err := s.deltas(0)
+	if err != nil {
+		return nil, time.Time{}, err
+	}
+	out := make(map[string]float64, len(ds.Totals))
+	for u, v := range ds.Totals {
+		out[u] = v * ds.Scale
+	}
+	return out, at, nil
+}
+
+// UsageDeltas returns the set of users whose usage changed since the given
+// version watermark, recomputing first when the cache is stale (same TTL
+// and single-flight discipline as UsageTotals). Pass since=0 (or any
+// uncovered watermark) to receive complete totals with Full set: that never
+// costs another source pass, a repeated call is served from the same map,
+// and it leaves every other consumer's watermark alone. Values are in the
+// set's Scale (see usage.DeltaSet); the returned maps reference internal
+// state and must be treated as read-only.
+func (s *Service) UsageDeltas(since uint64) (usage.DeltaSet, error) {
+	ds, _, err := s.deltas(since)
+	return ds, err
+}
+
+// deltas serves UsageDeltas and also reports the instant of the generation
+// it served.
+func (s *Service) deltas(since uint64) (usage.DeltaSet, time.Time, error) {
 	for {
 		now := s.cfg.Clock.Now()
 		s.mu.Lock()
-		if s.valid && now.Sub(s.cachedAt) < s.cfg.CacheTTL {
-			cp, at := copyTotals(s.cached), s.cachedAt
-			s.mu.Unlock()
-			return cp, at, nil
-		}
-		if ch := s.inflight; ch != nil {
-			s.mu.Unlock()
-			<-ch
-			s.mu.Lock()
-			err, valid := s.inflightErr, s.valid
-			cp, at := copyTotals(s.cached), s.cachedAt
-			s.mu.Unlock()
-			if err != nil {
-				return nil, time.Time{}, err
+		if !s.valid || now.Sub(s.cachedAt) >= s.cfg.CacheTTL {
+			if s.inflight != nil {
+				// Adopt the flight's publish even when it is already at
+				// the TTL edge (e.g. CacheTTL=0): it was computed while we
+				// waited, which is as fresh as a pass of our own.
+				before := s.cachedAt
+				if err := s.awaitFlightLocked(); err != nil {
+					s.mu.Unlock()
+					return usage.DeltaSet{}, time.Time{}, err
+				}
+				if !s.valid || s.cachedAt.Equal(before) {
+					s.mu.Unlock()
+					continue // invalidated under us, or not a source pass
+				}
+			} else if err := s.recomputeLocked(now); err != nil {
+				s.mu.Unlock()
+				return usage.DeltaSet{}, time.Time{}, err
 			}
-			if valid {
-				// Serve the flight's result even when it is already at
-				// the TTL edge (e.g. CacheTTL=0): it was computed while
-				// we waited, which is as fresh as a recompute of our own.
-				return cp, at, nil
+			// The owner of a pass is served its own generation even when
+			// an Invalidate raced it; later readers recompute.
+		}
+		ds := s.deltasLocked(since)
+		if ds.Full && s.full == nil {
+			if s.inflight != nil {
+				_ = s.awaitFlightLocked()
+				s.mu.Unlock()
+				continue
 			}
-			continue // flight was invalidated under us; retry
+			if !s.materializeLocked() {
+				s.mu.Unlock()
+				continue
+			}
 		}
-		combined, err := s.recompute(now) // releases mu
-		if err != nil {
-			return nil, time.Time{}, err
+		if ds.Full {
+			ds.Totals = s.full
 		}
-		return copyTotals(combined), now, nil
+		at := s.cachedAt
+		s.mu.Unlock()
+		return ds, at, nil
 	}
 }
 
-// recompute runs one single-flight recomputation over all sources. It must
-// be called with mu held and no flight in progress; it returns with mu
-// released. The flight's combined totals are returned to the owner even
-// when an Invalidate raced the fetch (waiters and later readers retry
-// instead).
-func (s *Service) recompute(now time.Time) (map[string]float64, error) {
+// awaitFlightLocked waits for the flight in progress and returns its error.
+// mu is held on entry and on return, released in between.
+func (s *Service) awaitFlightLocked() error {
+	ch := s.inflight
+	s.mu.Unlock()
+	<-ch
+	s.mu.Lock()
+	return s.inflightErr
+}
+
+// recomputeLocked runs one single-flight pass over the sources and
+// publishes its generation. It must be called with mu held and no flight in
+// progress; mu is released during the pass and held again on return.
+func (s *Service) recomputeLocked(now time.Time) error {
 	ch := make(chan struct{})
 	s.inflight = ch
 	sources := append([]Source(nil), s.sources...)
@@ -188,8 +267,17 @@ func (s *Service) recompute(now time.Time) (map[string]float64, error) {
 	sctx, sp := span.Start(span.WithRecorder(context.Background(), s.cfg.Spans),
 		"ums.totals")
 	sp.SetAttrInt("sources", int64(len(sources)))
-	combined, err := fetchSources(sctx, sources, now, s.cfg.Decay)
-	sp.SetAttrInt("users", int64(len(combined)))
+	got, sums, err := fetch(sctx, sources, now, s.cfg.Decay)
+	sp.SetAttrInt("users", int64(got.Users))
+	if err == nil {
+		if !got.Full {
+			sp.SetAttrInt("changed", int64(len(got.Changed)))
+		}
+		sp.SetAttr("scale", strconv.FormatFloat(got.Scale, 'g', -1, 64))
+		if !got.Reference.IsZero() {
+			sp.SetAttr("reference", got.Reference.UTC().Format(time.RFC3339))
+		}
+	}
 	sp.SetErr(err)
 	sp.End()
 
@@ -197,48 +285,84 @@ func (s *Service) recompute(now time.Time) (map[string]float64, error) {
 	s.inflight = nil
 	s.inflightErr = err
 	if err == nil {
-		// An Invalidate that arrived mid-flight wins: the result is served
-		// to the callers that asked for it but not published — the cache,
-		// the delta watermark and the delta log only ever advance on valid
-		// generations, keeping the version chain consistent.
-		if gen == s.gen {
-			s.publishLocked(combined, now)
-		} else {
-			s.valid = false
-		}
+		// The generation is published even when an Invalidate arrived
+		// mid-flight — a source's change cursor has moved past it, so
+		// dropping it would lose those changes — but the cache stays
+		// invalid and the next reader runs another pass.
+		s.publishLocked(got, sums, now)
+		s.valid = gen == s.gen
 	}
-	s.mu.Unlock()
 	close(ch)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.mRecomputes.Inc()
 	s.mRecomputeDur.Observe(time.Since(started).Seconds())
-	s.mUsers.Set(float64(len(combined)))
-	return combined, nil
+	s.mUsers.Set(float64(got.Users))
+	return nil
 }
 
-// publishLocked installs a valid recompute result and records its delta
-// generation. Caller holds mu.
-func (s *Service) publishLocked(combined map[string]float64, now time.Time) {
-	changed := diffTotals(s.cached, combined)
-	if !s.everValid || len(changed) > 0 {
+// fetch is one pass over the sources. A single delta source under a decay
+// that factors through time is asked for its change set; anything else is
+// asked for complete decayed totals, returned as a Full set in scale 1.
+func fetch(ctx context.Context, sources []Source, now time.Time, d usage.Decay) (usage.DeltaSet, DeltaSource, error) {
+	if len(sources) == 1 {
+		if ds, ok := sources[0].(DeltaSource); ok {
+			if got, ok := ds.Changes(now, d); ok {
+				if got.Scale == 0 {
+					got.Scale = 1
+				}
+				return got, ds, nil
+			}
+		}
+	}
+	totals, err := fetchSources(ctx, sources, now, d)
+	if err != nil {
+		return usage.DeltaSet{}, nil, err
+	}
+	if totals == nil {
+		totals = map[string]float64{}
+	}
+	return usage.DeltaSet{Full: true, Totals: totals, Scale: 1, Users: len(totals)}, nil, nil
+}
+
+// publishLocked records the generation a pass produced. Caller holds mu.
+func (s *Service) publishLocked(got usage.DeltaSet, sums DeltaSource, now time.Time) {
+	changed, full := got.Changed, got.Full || s.version == 0
+	if got.Totals != nil && s.full != nil && s.version > 0 {
+		// Complete totals from plain sources (or under linear/step decay,
+		// where every total moves with time anyway): the change set is
+		// their difference from the previous fetch.
+		changed, full = diffTotals(s.full, got.Totals), false
+	}
+	if full || len(changed) > 0 {
 		s.version++
 		g := deltaGen{version: s.version}
-		// A first publish or a majority change is recorded as a full
-		// marker: consumers behind it rebuild from complete totals.
-		if s.everValid && len(changed)*2 <= len(combined) {
+		if !full && usage.DeltaPays(len(changed), got.Users) {
 			g.changed = changed
 		}
 		s.deltaLog = append(s.deltaLog, g)
-		if len(s.deltaLog) > maxDeltaGens {
-			s.deltaLog = append(s.deltaLog[:0:0], s.deltaLog[len(s.deltaLog)-maxDeltaGens:]...)
+		// Besides the generation bound, the log keeps no more entries than
+		// a merged delta may have and still pay off: a consumer further
+		// behind than that is better served by a full set anyway.
+		entries := 0
+		for _, g := range s.deltaLog {
+			entries += len(g.changed)
 		}
+		drop := 0
+		for n := len(s.deltaLog); n-drop > maxDeltaGens || (n-drop > 1 && !usage.DeltaPays(entries, got.Users)); drop++ {
+			entries -= len(s.deltaLog[drop].changed)
+		}
+		if drop > 0 {
+			s.deltaLog = append(s.deltaLog[:0:0], s.deltaLog[drop:]...)
+		}
+		s.full = nil
 	}
-	s.cached = combined
+	if got.Totals != nil {
+		s.full = got.Totals
+	}
+	s.sums, s.scale, s.reference = sums, got.Scale, got.Reference
 	s.cachedAt = now
-	s.valid = true
-	s.everValid = true
 }
 
 // diffTotals returns the bitwise-changed users between two totals maps, with
@@ -258,82 +382,69 @@ func diffTotals(old, new map[string]float64) map[string]float64 {
 	return changed
 }
 
-// UsageDeltas returns the set of users whose decayed totals changed since
-// the given version watermark, recomputing first when the cache is stale
-// (same TTL and single-flight discipline as UsageTotals). Pass since=0 (or
-// any uncovered watermark) to receive complete totals with Full set. The
-// returned maps reference internal state and must be treated as read-only.
-func (s *Service) UsageDeltas(since uint64) (usage.DeltaSet, error) {
-	for {
-		now := s.cfg.Clock.Now()
-		s.mu.Lock()
-		if s.valid && now.Sub(s.cachedAt) < s.cfg.CacheTTL {
-			ds := s.deltasLocked(since)
-			s.mu.Unlock()
-			return ds, nil
-		}
-		if ch := s.inflight; ch != nil {
-			s.mu.Unlock()
-			<-ch
-			s.mu.Lock()
-			err := s.inflightErr
-			s.mu.Unlock()
-			if err != nil {
-				return usage.DeltaSet{}, err
-			}
-			continue // re-evaluate freshness (or become the next flight)
-		}
-		if _, err := s.recompute(now); err != nil { // releases mu
-			return usage.DeltaSet{}, err
-		}
-		s.mu.Lock()
-		if s.valid {
-			// Serve straight from the publish our own flight just made —
-			// re-checking the TTL would spin forever at CacheTTL=0.
-			ds := s.deltasLocked(since)
-			s.mu.Unlock()
-			return ds, nil
-		}
-		s.mu.Unlock()
-		// Our flight was invalidated mid-fetch; retry.
+// materializeLocked asks the delta source for the complete sums of the
+// current generation, as its own flight. It must be called with mu held and
+// no flight in progress; mu is released while the source is read and held
+// again on return. False means the source's scale moved since the pass: the
+// cache is invalidated and the caller runs another one.
+func (s *Service) materializeLocked() bool {
+	ch := make(chan struct{})
+	s.inflight = ch
+	src, at := s.sums, s.cachedAt
+	s.mu.Unlock()
+
+	_, sp := span.Start(span.WithRecorder(context.Background(), s.cfg.Spans), "ums.full_totals")
+	got, ok := src.Sums(at)
+	sp.SetAttrInt("users", int64(len(got.Totals)))
+	sp.End()
+
+	s.mu.Lock()
+	s.inflight = nil
+	s.inflightErr = nil
+	close(ch)
+	// No pass can have run meanwhile (it needs the latch), so the map
+	// belongs to the current version.
+	if ok {
+		s.full = got.Totals
+	} else {
+		s.valid = false
 	}
+	return ok
 }
 
-// deltasLocked assembles the delta between `since` and the current version.
-// Caller holds mu with s.valid true.
+// deltasLocked assembles the delta between `since` and the current version;
+// a Full result carries no Totals yet. Caller holds mu.
 func (s *Service) deltasLocked(since uint64) usage.DeltaSet {
-	ds := usage.DeltaSet{Version: s.version}
+	ds := usage.DeltaSet{Version: s.version, Scale: s.scale, Reference: s.reference}
 	if since == s.version {
 		return ds // bitwise unchanged since the consumer's watermark
-	}
-	if since == 0 || since > s.version {
-		ds.Full = true
-		ds.Totals = s.cached
-		return ds
 	}
 	// The consumer needs generations (since, version]. Versions in the log
 	// are consecutive, so coverage only requires the oldest retained entry
 	// to reach back to since+1.
-	if len(s.deltaLog) == 0 || s.deltaLog[0].version > since+1 {
+	if since == 0 || since > s.version || len(s.deltaLog) == 0 || s.deltaLog[0].version > since+1 {
 		ds.Full = true
-		ds.Totals = s.cached
 		return ds
 	}
-	merged := make(map[string]float64)
-	for _, g := range s.deltaLog {
+	for i, g := range s.deltaLog {
 		if g.version <= since {
 			continue
 		}
 		if g.changed == nil { // full-generation marker
-			ds.Full = true
-			ds.Totals = s.cached
+			ds.Full, ds.Changed = true, nil
 			return ds
 		}
+		if ds.Changed == nil {
+			if i == len(s.deltaLog)-1 {
+				ds.Changed = g.changed // one generation behind: no copy
+				break
+			}
+			ds.Changed = make(map[string]float64, len(g.changed))
+		}
 		for u, v := range g.changed {
-			merged[u] = v // later generations win
+			ds.Changed[u] = v // later generations win
 		}
 	}
-	ds.Changed = merged
 	return ds
 }
 
@@ -354,15 +465,8 @@ func fetchSources(ctx context.Context, sources []Source, now time.Time, d usage.
 	case 0:
 		return map[string]float64{}, nil
 	case 1:
-		totals, err := fetchOne(0, sources[0])
-		if err != nil {
-			return nil, err
-		}
-		combined := make(map[string]float64, len(totals))
-		for u, v := range totals {
-			combined[u] += v
-		}
-		return combined, nil
+		// The map is ours by the Source contract: no copy.
+		return fetchOne(0, sources[0])
 	}
 	results := make([]map[string]float64, len(sources))
 	errs := make([]error, len(sources))
@@ -375,7 +479,11 @@ func fetchSources(ctx context.Context, sources []Source, now time.Time, d usage.
 		}(i, src)
 	}
 	wg.Wait()
-	combined := map[string]float64{}
+	users := 0
+	for _, r := range results {
+		users = max(users, len(r))
+	}
+	combined := make(map[string]float64, users)
 	for i := range sources {
 		if errs[i] != nil {
 			return nil, errs[i]
@@ -398,9 +506,9 @@ func (s *Service) ComputedAt() time.Time {
 	return s.cachedAt
 }
 
-// Invalidate drops the cache so the next read recomputes. A recompute
-// already in flight still completes and is served to its waiters, but its
-// result is not cached as valid.
+// Invalidate drops the cache so the next read recomputes. A pass already in
+// flight still completes and is served to its owner, but its result is not
+// cached as valid.
 func (s *Service) Invalidate() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -410,11 +518,3 @@ func (s *Service) Invalidate() {
 
 // Decay exposes the configured decay function.
 func (s *Service) Decay() usage.Decay { return s.cfg.Decay }
-
-func copyTotals(in map[string]float64) map[string]float64 {
-	out := make(map[string]float64, len(in))
-	for k, v := range in {
-		out[k] = v
-	}
-	return out
-}

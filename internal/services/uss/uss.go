@@ -84,6 +84,9 @@ type Service struct {
 	// peerState tracks per-peer exchange health (last success, last error,
 	// consecutive failures) — the inputs of /readyz's peer staleness view.
 	peerState map[string]*peerState
+	// cursor is the change cursor of the site's UMS over the histograms
+	// (see View).
+	cursor usage.Cursor
 
 	// breakers holds the per-peer circuit breakers (nil when disabled).
 	breakers *resilience.BreakerSet
@@ -535,7 +538,8 @@ func (s *Service) PeerStatuses() []PeerStatus {
 	return out
 }
 
-// LocalTotals returns decayed per-user totals of locally executed jobs.
+// LocalTotals returns decayed per-user totals of locally executed jobs. The
+// map is the caller's.
 func (s *Service) LocalTotals(now time.Time, d usage.Decay) map[string]float64 {
 	return s.local.DecayedTotals(now, d)
 }
@@ -545,26 +549,75 @@ func (s *Service) LocalTotals(now time.Time, d usage.Decay) map[string]float64 {
 // adds straight into the result map (no intermediate per-site maps), and
 // all sites share one memoized weight table — the bins of every site are
 // aligned to the same width, so each distinct bin start is weighed once for
-// the whole federation.
+// the whole federation. The map is the caller's. Like LocalTotals it is a
+// plain read: it does not move the change cursor.
 func (s *Service) GlobalTotals(now time.Time, d usage.Decay) map[string]float64 {
+	// Sized for the local population: at scale, growing the map entry by
+	// entry costs more than the sums (remote-only users still grow it).
+	out := make(map[string]float64, s.local.UserCount())
+	wt := usage.NewWeightTable(d, now, s.cfg.BinWidth)
+	for _, h := range s.histograms(true) {
+		h.AccumulateDecayed(out, now, d, wt)
+	}
+	return out
+}
+
+// histograms returns the local histogram followed, for the global view, by
+// the remote mirrors in site-name order — the fixed order that keeps float
+// sums over them reproducible.
+func (s *Service) histograms(global bool) []*usage.Histogram {
+	out := []*usage.Histogram{s.local}
+	if !global {
+		return out
+	}
 	s.mu.Lock()
 	siteNames := make([]string, 0, len(s.remote))
 	for name := range s.remote {
 		siteNames = append(siteNames, name)
 	}
-	sort.Strings(siteNames) // fixed order for bit-identical float sums
-	remotes := make([]*usage.Histogram, 0, len(siteNames))
+	sort.Strings(siteNames)
 	for _, name := range siteNames {
-		remotes = append(remotes, s.remote[name])
+		out = append(out, s.remote[name])
 	}
 	s.mu.Unlock()
-	out := map[string]float64{}
-	wt := usage.NewWeightTable(d, now, s.cfg.BinWidth)
-	s.local.AccumulateDecayed(out, now, d, wt)
-	for _, h := range remotes {
-		h.AccumulateDecayed(out, now, d, wt)
-	}
 	return out
+}
+
+// View is the usage a UMS reads from this USS: locally executed jobs only
+// or, with global, local and exchanged usage — the partial-participation
+// knob. Beside complete decayed totals it offers the delta view: the site's
+// change cursor, which has one consumer (the site's UMS, always through the
+// same view). A View satisfies ums.DeltaSource.
+type View struct {
+	s      *Service
+	global bool
+}
+
+// View returns the local-only or the global usage view.
+func (s *Service) View(global bool) View { return View{s, global} }
+
+// Totals returns decayed per-user totals at `now` (LocalTotals or
+// GlobalTotals). It does not move the change cursor.
+func (v View) Totals(now time.Time, d usage.Decay) (map[string]float64, error) {
+	if v.global {
+		return v.s.GlobalTotals(now, d), nil
+	}
+	return v.s.LocalTotals(now, d), nil
+}
+
+// Changes moves the change cursor to `now` and returns the users whose
+// usage sum at the cursor's reference instant changed since the previous
+// call (see usage.Cursor.Advance for the set's contents and for what makes
+// it Full). ok is false for decays that do not factor through time.
+func (v View) Changes(now time.Time, d usage.Decay) (usage.DeltaSet, bool) {
+	return v.s.cursor.Advance(v.s.histograms(v.global), now, d)
+}
+
+// Sums returns every user's sum in the scale of the last Changes pass,
+// evaluated at `now`, without moving the cursor; ok is false when the next
+// pass will be Full anyway (see usage.Cursor.Sums).
+func (v View) Sums(now time.Time) (usage.DeltaSet, bool) {
+	return v.s.cursor.Sums(v.s.histograms(v.global), now)
 }
 
 // LocalHistogram exposes a copy of the local histogram (for the UMS).

@@ -42,6 +42,9 @@ type userBins struct {
 	// exp is per-tracker incremental decayed state, index-aligned with
 	// Histogram.trackers (see incremental.go).
 	exp []expState
+	// marked is set while the user sits in its stripe's change list, so a
+	// user mutated many times between two cursor passes is listed once.
+	marked bool
 }
 
 // lastStart returns the newest bin start (only valid when bins is non-empty).
@@ -61,6 +64,12 @@ func (u *userBins) recomputeTotal() {
 type stripe struct {
 	mu    sync.RWMutex
 	users map[string]*userBins
+	// changed lists the users whose bins really changed since the change
+	// cursor last passed; clamped lists those whose newest bin midpoint was
+	// still ahead of that pass's `now` (see cursor.go). Both stay empty
+	// until a cursor attaches.
+	changed []string
+	clamped []string
 }
 
 // Histogram accumulates per-user usage into fixed-width time bins. It is
@@ -86,6 +95,14 @@ type Histogram struct {
 	// eviction and is only touched under all stripe write locks.
 	trackers   []*expTracker
 	genCounter uint64
+
+	// Change-cursor state (cursor.go), under the same locking protocol as
+	// trackers: cursorOn starts mutations recording changed users,
+	// cursorTr is the tracker whose sums the cursor reads (nil without
+	// decay), cursorNow the instant of its last pass in unix nanoseconds.
+	cursorOn  bool
+	cursorTr  *expTracker
+	cursorNow int64
 }
 
 // NewHistogram creates a histogram with the given bin width (the "per-user
@@ -217,7 +234,7 @@ func (h *Histogram) addBinLocked(st *stripe, user string, start int64, v float64
 		u.bins[i] = bin{start, v}
 	}
 	u.total += v
-	h.trackersAdd(u, start, v)
+	h.trackersAdd(st, user, u, start, v)
 }
 
 // setBinLocked replaces user's bin at start with v (≤0 removes the bin).
@@ -235,7 +252,7 @@ func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64
 		old := u.bins[i].v
 		u.bins = append(u.bins[:i], u.bins[i+1:]...)
 		u.recomputeTotal()
-		h.trackersAdd(u, start, -old)
+		h.trackersAdd(st, user, u, start, -old)
 		if len(u.bins) == 0 {
 			delete(st.users, user)
 		}
@@ -243,6 +260,11 @@ func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64
 	}
 	if ok {
 		delta := v - u.bins[i].v
+		if delta == 0 {
+			// Every exchange re-pulls the open and the previous bin; an
+			// overwrite with the value already stored is not a change.
+			return
+		}
 		u.bins[i].v = v
 		if delta >= 0 {
 			u.total += delta
@@ -251,14 +273,14 @@ func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64
 			// never accumulates cancellation drift.
 			u.recomputeTotal()
 		}
-		h.trackersAdd(u, start, delta)
+		h.trackersAdd(st, user, u, start, delta)
 		return
 	}
 	u.bins = append(u.bins, bin{})
 	copy(u.bins[i+1:], u.bins[i:])
 	u.bins[i] = bin{start, v}
 	u.total += v
-	h.trackersAdd(u, start, v)
+	h.trackersAdd(st, user, u, start, v)
 }
 
 // Add accumulates coreSeconds of usage for user at the bin containing `at`.
@@ -450,14 +472,14 @@ func (h *Histogram) DecayedTotal(user string, now time.Time, d Decay) float64 {
 func (h *Histogram) DecayedTotals(now time.Time, d Decay) map[string]float64 {
 	// Pre-size to the current user count: at scale, growing the result map
 	// incrementally costs more than the weighted sums themselves.
-	out := make(map[string]float64, h.userCount())
+	out := make(map[string]float64, h.UserCount())
 	h.AccumulateDecayed(out, now, d, nil)
 	return out
 }
 
-// userCount returns the number of users with recorded usage. Stripes are
+// UserCount returns the number of users with recorded usage. Stripes are
 // sampled one lock at a time — callers use it only as a sizing hint.
-func (h *Histogram) userCount() int {
+func (h *Histogram) UserCount() int {
 	n := 0
 	for i := range h.stripes {
 		st := &h.stripes[i]

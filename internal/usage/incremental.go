@@ -28,7 +28,11 @@ import (
 //     stored magnitude within 2^±rebaseHalfLives of its true scale; a
 //     mutation that cannot be represented that way (a far-future bin, or a
 //     value decrease whose cancellation could compound) marks the user
-//     dirty, and the next totals pass recomputes that user from its bins.
+//     dirty, and the next pass re-seeds that user's sum from its bins.
+//
+// The per-user sums are also what the change cursor (cursor.go) hands down
+// the pipeline in place of decayed totals; a cursor pins its tracker's
+// reference instant and notices when a totals pass moved it.
 //
 // The equivalence property tests in equivalence_test.go pin this path to
 // ≤1e-9 relative error against the naive per-bin sum.
@@ -72,11 +76,15 @@ func (tr *expTracker) weightAtRef(mid time.Time) (float64, bool) {
 }
 
 // trackersAdd folds a bin delta into every registered tracker's per-user
-// sum. The owning stripe's write lock must be held. Negative deltas (bin
-// overwritten downward or removed) poison the running sum with potential
-// cancellation, so they mark the user dirty instead; exchange overwrites
-// are monotone in the common case, keeping this rare.
-func (h *Histogram) trackersAdd(u *userBins, start int64, delta float64) {
+// sum and, once a change cursor is attached, lists the user as changed. The
+// owning stripe's write lock must be held and delta must be non-zero.
+// Negative deltas (bin overwritten downward or removed) poison the running
+// sum with potential cancellation, so they mark the user dirty instead;
+// exchange overwrites are monotone in the common case, keeping this rare.
+func (h *Histogram) trackersAdd(st *stripe, name string, u *userBins, start int64, delta float64) {
+	if h.cursorOn {
+		h.markChanged(st, name, u)
+	}
 	if len(h.trackers) == 0 {
 		return
 	}
@@ -99,39 +107,49 @@ func (h *Histogram) trackersAdd(u *userBins, start int64, delta float64) {
 	}
 }
 
-// trackerFor finds or registers the tracker for halfLife. All stripe write
-// locks must be held. Registration walks every bin once to seed the
-// per-user sums at ref=now; eviction removes the least-recently-used
-// tracker's column from every user.
-func (h *Histogram) trackerFor(halfLife time.Duration, now time.Time) *expTracker {
+// trackerFor finds the tracker for halfLife, registering it at reference
+// instant ref when there is none; fresh reports a registration. All stripe
+// write locks must be held. Registration walks every bin once to seed the
+// per-user sums; eviction removes the least-recently-used tracker's column
+// from every user.
+func (h *Histogram) trackerFor(halfLife time.Duration, ref time.Time) (tr *expTracker, idx int, fresh bool) {
 	h.genCounter++
-	for _, tr := range h.trackers {
-		if tr.halfLife == halfLife {
-			tr.lastUse = h.genCounter
-			return tr
+	for i, t := range h.trackers {
+		if t.halfLife == halfLife {
+			t.lastUse = h.genCounter
+			return t, i, false
 		}
 	}
 	if len(h.trackers) >= maxTrackers {
 		h.evictLRU()
 	}
-	tr := &expTracker{halfLife: halfLife, ref: now, lastUse: h.genCounter}
-	idx := len(h.trackers)
+	tr = &expTracker{halfLife: halfLife, ref: ref, lastUse: h.genCounter}
+	idx = len(h.trackers)
 	h.trackers = append(h.trackers, tr)
 	for i := range h.stripes {
 		for _, u := range h.stripes[i].users {
 			u.exp = append(u.exp, expState{})
-			es := &u.exp[idx]
-			for _, b := range u.bins {
-				w, ok := tr.weightAtRef(h.midTime(b.start))
-				if !ok {
-					es.dirty = true
-					break
-				}
-				es.sum += b.v * w
-			}
+			h.reseed(u, idx, tr)
 		}
 	}
-	return tr
+	return tr, idx, true
+}
+
+// reseed recomputes one user's sum under tracker idx from its bins, at the
+// tracker's reference instant. A bin too far ahead of the reference to be
+// represented leaves the user dirty. The owning stripe's write lock must be
+// held.
+func (h *Histogram) reseed(u *userBins, idx int, tr *expTracker) {
+	es := &u.exp[idx]
+	es.sum, es.dirty = 0, false
+	for _, b := range u.bins {
+		w, ok := tr.weightAtRef(h.midTime(b.start))
+		if !ok {
+			es.dirty = true
+			return
+		}
+		es.sum += b.v * w
+	}
 }
 
 // evictLRU drops the least-recently-used tracker and its column of per-user
@@ -151,64 +169,73 @@ func (h *Histogram) evictLRU() {
 	}
 }
 
+// rebase moves tracker idx's reference instant to `to`, advancing every
+// clean sum with one scalar multiply (dirty sums are recomputed from their
+// bins when next read). All stripe write locks must be held.
+func (h *Histogram) rebase(tr *expTracker, idx int, to time.Time) {
+	f := math.Exp2(-float64(to.Sub(tr.ref)) / float64(tr.halfLife))
+	for i := range h.stripes {
+		for _, u := range h.stripes[i].users {
+			if !u.exp[idx].dirty {
+				u.exp[idx].sum *= f
+			}
+		}
+	}
+	tr.ref = to
+}
+
+// future reports whether u's newest bin midpoint lies ahead of nowNs (unix
+// nanoseconds): the per-bin definition clamps that bin's age to zero, which
+// no reference-instant sum can express. Kept on int64 arithmetic because a
+// totals pass evaluates it once per user.
+func (h *Histogram) future(u *userBins, nowNs int64) bool {
+	return len(u.bins) > 0 && u.lastStart()*int64(time.Second)+int64(h.half) > nowNs
+}
+
+// clampedSum is the exact per-bin half-life total of u at `now`, ages
+// clamped at zero; hl is the half-life in nanoseconds.
+func (h *Histogram) clampedSum(u *userBins, now time.Time, hl float64) float64 {
+	var sum float64
+	for _, b := range u.bins {
+		age := now.Sub(h.midTime(b.start))
+		if age < 0 {
+			age = 0
+		}
+		sum += b.v * math.Exp2(-float64(age)/hl)
+	}
+	return sum
+}
+
 // accumExp adds exponential-half-life totals via the incremental
 // accumulators. All stripe write locks must be held.
 func (h *Histogram) accumExp(dst map[string]float64, now time.Time, d ExponentialHalfLife) {
-	tr := h.trackerFor(d.HalfLife, now)
-	idx := 0
-	for i, t := range h.trackers {
-		if t == tr {
-			idx = i
-			break
-		}
-	}
+	tr, idx, _ := h.trackerFor(d.HalfLife, now)
 	hl := float64(d.HalfLife)
 	drift := float64(now.Sub(tr.ref)) / hl
 	if math.Abs(drift) > rebaseHalfLives {
-		// Rebase: advance every clean sum to the new reference in one
-		// scalar multiply. Dirty sums are recomputed below anyway.
-		f := math.Exp2(-drift)
-		for i := range h.stripes {
-			for _, u := range h.stripes[i].users {
-				if !u.exp[idx].dirty {
-					u.exp[idx].sum *= f
-				}
-			}
-		}
-		tr.ref = now
+		h.rebase(tr, idx, now)
 		drift = 0
 	}
 	factor := math.Exp2(-drift)
-	// The clean-user fast path runs once per user per pass: keep it on
-	// int64 arithmetic (a bin midpoint in nanoseconds is start·1e9 + half).
 	nowNs := now.UnixNano()
-	halfNs := int64(h.half)
 	for i := range h.stripes {
-		for name, u := range h.stripes[i].users {
+		st := &h.stripes[i]
+		for name, u := range st.users {
 			es := &u.exp[idx]
-			future := len(u.bins) > 0 && u.lastStart()*int64(time.Second)+halfNs > nowNs
-			if !es.dirty && !future {
-				dst[name] += es.sum * factor
+			fut := h.future(u, nowNs)
+			if es.dirty && !fut {
+				// The re-seed rewrites a persisted sum: a change cursor
+				// reading this tracker has to see the user again.
+				h.reseed(u, idx, tr)
+				if h.cursorTr == tr {
+					h.markChanged(st, name, u)
+				}
+			}
+			if fut || es.dirty {
+				dst[name] += h.clampedSum(u, now, hl)
 				continue
 			}
-			// Exact per-bin walk (age-clamped), for users with future
-			// bins or an unreliable incremental sum.
-			var sum float64
-			for _, b := range u.bins {
-				age := now.Sub(h.midTime(b.start))
-				if age < 0 {
-					age = 0
-				}
-				sum += b.v * math.Exp2(-float64(age)/hl)
-			}
-			dst[name] += sum
-			if !future {
-				// Persist the cleaned sum, re-expressed at ref. factor
-				// is within 2^±rebaseHalfLives (see rebase above), so
-				// the division is well conditioned.
-				es.sum = sum / factor
-				es.dirty = false
-			}
+			dst[name] += es.sum * factor
 		}
 	}
 }

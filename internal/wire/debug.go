@@ -79,9 +79,19 @@ type DebugSummary struct {
 	// FCSMaterializedSegments/FCSSharedSegments report how many
 	// top-level-subtree segments the last incremental refresh rebuilt vs
 	// re-published as pointer copies.
-	FCSMaterializedSegments int          `json:"fcs_materialized_segments"`
-	FCSSharedSegments       int          `json:"fcs_shared_segments"`
-	DriftMax                float64      `json:"drift_max"`
-	DriftMean               float64      `json:"drift_mean"`
-	Peers                   []PeerStatus `json:"peers,omitempty"`
+	FCSMaterializedSegments int `json:"fcs_materialized_segments"`
+	FCSSharedSegments       int `json:"fcs_shared_segments"`
+	// FCSProjectSeconds/FCSDriftSeconds break the publish step of the last
+	// refresh into its two population-wide passes.
+	FCSProjectSeconds float64 `json:"fcs_project_seconds"`
+	FCSDriftSeconds   float64 `json:"fcs_drift_seconds"`
+	// FCSUsageScale is what the usage values in the fairshare tree must be
+	// multiplied by to read as decayed core-seconds; FCSUsageReference is
+	// the instant they are sums at (absent when they already are decayed
+	// totals).
+	FCSUsageScale     float64      `json:"fcs_usage_scale"`
+	FCSUsageReference *time.Time   `json:"fcs_usage_reference,omitempty"`
+	DriftMax          float64      `json:"drift_max"`
+	DriftMean         float64      `json:"drift_mean"`
+	Peers             []PeerStatus `json:"peers,omitempty"`
 }
