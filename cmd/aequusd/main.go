@@ -37,6 +37,28 @@ import (
 	"repro/internal/vector"
 )
 
+// Server-side timeouts of the API and -pprof listeners. There is
+// deliberately no ReadTimeout: it would cut a large /usage/batch body.
+const (
+	// readHeaderTimeout bounds how long a client may take over its request
+	// headers; without it a connection that never finishes them holds a
+	// goroutine and a descriptor for as long as the peer likes.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections nobody is using; libaequus
+	// and peer clients redial transparently.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer is an http.Server with the timeouts above.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		site          = flag.String("site", "local", "site name")
@@ -55,7 +77,6 @@ func main() {
 		resolution    = flag.Float64("resolution", 10000, "fairshare value resolution")
 		logFormat     = flag.String("log-format", "text", "log output format: text|json")
 		logLevel      = flag.String("log-level", "info", "log level: debug|info|warn|error")
-		readyStale    = flag.Duration("ready-max-stale", 0, "max pre-computation age before /readyz reports 503 (default 3x refresh-interval)")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
 
 		dataDir      = flag.String("data-dir", "", "directory for the usage WAL and snapshots (empty = in-memory only; state is lost on restart)")
@@ -63,8 +84,6 @@ func main() {
 		snapInterval = flag.Duration("snapshot-interval", 15*time.Minute, "how often to compact the WAL into a snapshot (0 disables periodic snapshots)")
 
 		retryMax      = flag.Int("retry-max", 3, "max attempts for idempotent remote calls (1 disables retries)")
-		retryBase     = flag.Duration("retry-base", 100*time.Millisecond, "initial retry backoff delay")
-		retryMaxDelay = flag.Duration("retry-max-delay", 5*time.Second, "retry backoff delay cap")
 		breakThresh   = flag.Int("breaker-threshold", 5, "consecutive failures that open a peer's circuit (0 disables breaking)")
 		breakCooldown = flag.Duration("breaker-cooldown", 30*time.Second, "how long an open circuit waits before a half-open probe")
 		peerTimeout   = flag.Duration("peer-timeout", 5*time.Second, "per-peer pull timeout inside an exchange round")
@@ -106,11 +125,9 @@ func main() {
 		fatal("unknown projection", errors.New(*projection))
 	}
 
-	retry := resilience.RetryPolicy{
-		MaxAttempts: *retryMax,
-		BaseDelay:   *retryBase,
-		MaxDelay:    *retryMaxDelay,
-	}
+	// Backoff starts at resilience.DefaultBaseDelay and doubles up to
+	// resilience.DefaultMaxDelay: one value in use everywhere, so not flags.
+	retry := resilience.RetryPolicy{MaxAttempts: *retryMax}
 	telemetry.RegisterRuntimeMetrics(nil)
 	var spans *span.Recorder
 	if *traceBuffer > 0 {
@@ -212,7 +229,7 @@ func main() {
 		// runs on its own mux, so profiling stays off the public port.
 		go func() {
 			logger.Info("pprof listening", slog.String("addr", *pprofAddr))
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			if err := newHTTPServer(*pprofAddr, nil).ListenAndServe(); err != nil {
 				logger.Warn("pprof server", "err", err)
 			}
 		}()
@@ -235,10 +252,9 @@ func main() {
 		}
 	})
 
-	maxStale := *readyStale
-	if maxStale == 0 {
-		maxStale = 3 * *refreshEvery
-	}
+	// A pre-computation three refresh periods old means two ticks were
+	// missed: /readyz reports 503 from there.
+	maxStale := 3 * *refreshEvery
 	srv := httpapi.NewServerWith(s.PDS, s.USS, s.UMS, s.FCS, s.IRS, httpapi.ServerOptions{
 		Log:           logger,
 		ReadyMaxStale: maxStale,
@@ -252,7 +268,7 @@ func main() {
 		slog.String("projection", proj.Name()),
 		slog.Duration("ready_max_stale", maxStale))
 
-	hs := &http.Server{Addr: *listen, Handler: srv}
+	hs := newHTTPServer(*listen, srv)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {

@@ -55,8 +55,7 @@ func ledgerBinStart(t time.Time, width time.Duration) int64 {
 // completion time, and every bin is weighted by the decay of its midpoint
 // age at `now`. The result is what the site's USS LocalTotals must equal
 // (within float tolerance) if the whole accounting pipeline — batch
-// ingestion, lock striping, incremental exponential trackers, memoized
-// weight tables — is honest.
+// ingestion, lock striping, the incremental half-life tracker — is honest.
 func (l *Ledger) Totals(site int, binWidth time.Duration, now time.Time, d usage.Decay) map[string]float64 {
 	if d == nil {
 		d = usage.None{}

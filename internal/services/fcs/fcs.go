@@ -12,12 +12,12 @@
 // serving the previous snapshot; errors from the background refresh are
 // surfaced through telemetry and LastRefreshError (wired into /readyz).
 //
-// Refreshes are incremental when the sources cooperate: a usage source that
-// implements DeltaUsageSource hands the FCS just the users whose usage
-// changed since the last pull — as sums at a reference instant, which decay
-// does not touch, plus the one scale that turns them back into decayed
-// core-seconds — and a policy source that reports a Version lets the FCS
-// prove the tree shape is unchanged. When both hold,
+// Refreshes are incremental when the sources cooperate: the usage source
+// hands the FCS just the users whose usage changed since the last pull — as
+// sums at a reference instant, which decay does not touch, plus the one
+// scale that turns them back into decayed core-seconds — and a policy
+// source that reports a Version lets the FCS prove the tree shape is
+// unchanged. When both hold,
 // the refresh drives a persistent fairshare.Recalc engine — O(dirty·depth)
 // tree work with copy-on-write structural sharing instead of a full
 // O(users) rebuild — and the published snapshot is bit-identical to what a
@@ -58,22 +58,18 @@ type versioned interface {
 	Version() uint64
 }
 
-// UsageSource provides pre-computed per-user decayed usage (the UMS).
+// UsageSource provides pre-computed per-user usage (the UMS).
 // Implementations must not block unrelated callers while recomputing: the
 // UMS recomputes single-flight outside its lock, so FCS snapshot rebuilds
 // waiting on a slow USS never stall the UMS's own readiness probes, and
-// concurrent rebuild retries coalesce onto one source fan-out.
+// concurrent rebuild retries coalesce onto one source pass.
 type UsageSource interface {
-	UsageTotals() (map[string]float64, time.Time, error)
-}
-
-// DeltaUsageSource is optionally implemented by a UsageSource that can
-// report which users' usage changed since a version watermark. When the
-// usage source supports it, steady-state refreshes recompute only the dirty
-// fraction of the fairshare tree. The set's values may be in a scale of
-// their own, which the snapshot records; its maps are read-only (see
-// usage.DeltaSet).
-type DeltaUsageSource interface {
+	// UsageDeltas reports which users' usage changed since a version
+	// watermark, so steady-state refreshes recompute only the dirty
+	// fraction of the fairshare tree; since=0, or a watermark the source no
+	// longer covers, yields a Full set with complete values. The values are
+	// in the set's own scale, which the snapshot records; its maps are
+	// read-only (see usage.DeltaSet).
 	UsageDeltas(since uint64) (usage.DeltaSet, error)
 }
 
@@ -194,8 +190,8 @@ type RefreshInfo struct {
 	DriftDuration   time.Duration
 	// UsageScale is what the snapshot tree's Usage fields must be
 	// multiplied by to read as decayed core-seconds at At; UsageReference
-	// is the instant they are sums at (1 and zero when the usage source
-	// deals in decayed totals). See usage.DeltaSet.
+	// is the instant they are sums at (1 and zero without decay). See
+	// usage.DeltaSet.
 	UsageScale     float64
 	UsageReference time.Time
 	// At is when the refreshed snapshot was published (service clock).
@@ -233,9 +229,8 @@ type Service struct {
 	policyVer     uint64
 	havePolicyVer bool
 	// usageVersion is the delta watermark of the last refresh's usage state
-	// (valid only when haveUsageVersion). Guarded by refreshMu.
-	usageVersion     uint64
-	haveUsageVersion bool
+	// (0 before the first). Guarded by refreshMu.
+	usageVersion uint64
 
 	mRecalcs     *telemetry.Counter
 	mIncr        *telemetry.Counter
@@ -391,47 +386,16 @@ func (s *Service) rebuildLocked() error {
 
 	prev := s.snap.Load()
 	pol, polChanged := s.policyLocked()
-	dsrc, hasDeltas := s.ums.(DeltaUsageSource)
-	canIncr := hasDeltas && prev != nil && s.engine != nil &&
-		!polChanged && s.haveUsageVersion
-
-	_, fetch := span.Start(ctx, "fcs.fetch_usage")
-	var (
-		ds     usage.DeltaSet
-		totals map[string]float64
-		err    error
-	)
-	if hasDeltas {
-		since := uint64(0)
-		if canIncr {
-			since = s.usageVersion
-		}
-		err = s.cfg.SourceRetry.Do(ctx, func(context.Context) error {
-			var e error
-			ds, e = dsrc.UsageDeltas(since)
-			return e
-		})
-		if canIncr && !ds.Full {
-			fetch.SetAttrInt("dirty_users", int64(len(ds.Changed)))
-		} else {
-			totals = ds.Totals
-			fetch.SetAttrInt("users", int64(len(totals)))
-		}
-	} else {
-		err = s.cfg.SourceRetry.Do(ctx, func(context.Context) error {
-			t, _, e := s.ums.UsageTotals()
-			totals = t
-			return e
-		})
-		fetch.SetAttrInt("users", int64(len(totals)))
+	since := uint64(0)
+	if prev != nil && s.engine != nil && !polChanged {
+		since = s.usageVersion
 	}
-	fetch.SetErr(err)
-	fetch.End()
+	ds, err := s.fetchUsage(ctx, since)
 	if err != nil {
 		return s.failLocked(root, err)
 	}
 
-	incremental := canIncr && !ds.Full
+	incremental := since != 0 && !ds.Full
 	dirty := 0
 	var tree *fairshare.Tree
 	var ix *fairshare.Index
@@ -453,20 +417,18 @@ func (s *Service) rebuildLocked() error {
 			comp.SetAttrInt("materialize_us", stats.MaterializeDuration.Microseconds())
 		} else {
 			// The engine refused the delta (anchor mismatch); refetch the
-			// complete totals and rebuild from scratch.
+			// complete values and rebuild from scratch.
 			comp.SetAttr("fallback", aerr.Error())
 			incremental = false
-			fds, ferr := dsrc.UsageDeltas(0)
-			if ferr != nil {
-				comp.SetErr(ferr)
+			if ds, err = s.fetchUsage(ctx, 0); err != nil {
+				comp.SetErr(err)
 				comp.End()
-				return s.failLocked(root, ferr)
+				return s.failLocked(root, err)
 			}
-			ds, totals = fds, fds.Totals
 		}
 	}
 	if !incremental {
-		tree = fairshare.Compute(pol, totals, s.cfg.Fairshare)
+		tree = fairshare.Compute(pol, ds.Totals, s.cfg.Fairshare)
 		ix = fairshare.NewIndex(tree)
 		dirty = ix.Len()
 	}
@@ -490,7 +452,7 @@ func (s *Service) rebuildLocked() error {
 	}
 	scale := ds.Scale
 	if scale == 0 {
-		scale = 1 // a source that deals in decayed totals
+		scale = 1 // a source that left it unset
 	}
 	sn.usageScale, sn.usageRef = scale, ds.Reference
 	s.snap.Store(sn)
@@ -508,9 +470,7 @@ func (s *Service) rebuildLocked() error {
 			s.engine.Reset(tree, ix)
 		}
 	}
-	if hasDeltas {
-		s.usageVersion, s.haveUsageVersion = ds.Version, true
-	}
+	s.usageVersion = ds.Version
 
 	mode := RefreshFull
 	if incremental {
@@ -547,6 +507,26 @@ func (s *Service) rebuildLocked() error {
 	s.mTreeUsers.Set(float64(sn.index.Len()))
 	s.mSnapAge.Set(0)
 	return nil
+}
+
+// fetchUsage asks the usage source what changed since a version watermark
+// (0: complete values), retrying transient failures as Config.SourceRetry
+// allows.
+func (s *Service) fetchUsage(ctx context.Context, since uint64) (ds usage.DeltaSet, err error) {
+	_, fetch := span.Start(ctx, "fcs.fetch_usage")
+	err = s.cfg.SourceRetry.Do(ctx, func(context.Context) error {
+		var e error
+		ds, e = s.ums.UsageDeltas(since)
+		return e
+	})
+	if ds.Full {
+		fetch.SetAttrInt("users", int64(len(ds.Totals)))
+	} else {
+		fetch.SetAttrInt("dirty_users", int64(len(ds.Changed)))
+	}
+	fetch.SetErr(err)
+	fetch.End()
+	return ds, err
 }
 
 // failLocked records a refresh failure; refreshMu must be held.

@@ -1,11 +1,16 @@
 package fcs
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/policy"
+	"repro/internal/resilience"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
+	"repro/internal/usage"
 )
 
 // TestEngineErrorFallsBackToFullRecompute is the service-level phase-5
@@ -29,6 +34,38 @@ func TestEngineErrorFallsBackToFullRecompute(t *testing.T) {
 		rig := newUSSRig(t, "a", "b", "c", "d")
 		testEngineErrorFallback(t, rig.ums, rig.bump)
 	})
+	// The re-fetch after the engine's refusal hits a transient UMS error:
+	// it is retried like the first fetch, not turned into a failed refresh.
+	t.Run("re-fetch fails once", func(t *testing.T) {
+		ums := newDeltaUMS(map[string]float64{"a": 10, "b": 20, "c": 30, "d": 40})
+		flaky := &flakyRefetch{UsageSource: ums}
+		next := 100.0
+		testEngineErrorFallback(t, flaky, func(user string) {
+			next++
+			ums.apply(map[string]float64{user: next})
+		})
+		if flaky.failed != 1 {
+			t.Fatalf("re-fetch failed %d times, want the one scripted failure", flaky.failed)
+		}
+	})
+}
+
+// flakyRefetch fails the first complete-values pull (since=0) that follows
+// a delta pull — the re-fetch of a refresh whose delta the engine refused.
+type flakyRefetch struct {
+	UsageSource
+	sawDelta bool
+	failed   int
+}
+
+func (f *flakyRefetch) UsageDeltas(since uint64) (usage.DeltaSet, error) {
+	if since != 0 {
+		f.sawDelta = true
+	} else if f.sawDelta && f.failed == 0 {
+		f.failed++
+		return usage.DeltaSet{}, errors.New("ums briefly down")
+	}
+	return f.UsageSource.UsageDeltas(since)
 }
 
 // testEngineErrorFallback runs the fallback scenario; bump changes one
@@ -55,7 +92,10 @@ func testEngineErrorFallback(t *testing.T, ums UsageSource, bump func(user strin
 	pds := newVersionedPDS(p)
 	reg := telemetry.NewRegistry()
 	svc := New(Config{Clock: simclock.NewSim(t0), CacheTTL: -1,
-		SynchronousRefresh: true, Metrics: reg}, pds, ums)
+		SynchronousRefresh: true, Metrics: reg,
+		SourceRetry: resilience.RetryPolicy{MaxAttempts: 2,
+			Sleep: func(context.Context, time.Duration) error { return nil }},
+	}, pds, ums)
 
 	// Anchor with a full refresh, then prove the incremental chain works.
 	if err := svc.Refresh(); err != nil {

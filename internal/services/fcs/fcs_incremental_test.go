@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/policy"
+	"repro/internal/services/ums"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 	"repro/internal/usage"
@@ -68,12 +69,6 @@ func (d *deltaUMS) copyTotals() map[string]float64 {
 		cp[k] = v
 	}
 	return cp
-}
-
-func (d *deltaUMS) UsageTotals() (map[string]float64, time.Time, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.copyTotals(), t0, nil
 }
 
 func (d *deltaUMS) UsageDeltas(since uint64) (usage.DeltaSet, error) {
@@ -222,10 +217,9 @@ func TestIncrementalMatchesFullService(t *testing.T) {
 			if len(ch) > 0 {
 				ums.apply(ch)
 			}
-			tot, _, _ := ums.UsageTotals()
 			// Feed the twin the same absolute totals.
-			twinUMS := twin.ums.(*staticUMS)
-			twinUMS.SetTotals(tot)
+			full, _ := ums.UsageDeltas(0)
+			twin.ums.(*staticUMS).SetTotals(full.Totals)
 			if err := svc.Refresh(); err != nil {
 				t.Fatal(err)
 			}
@@ -258,17 +252,50 @@ func TestIncrementalMatchesFullService(t *testing.T) {
 	}
 }
 
-// TestLegacySourcesStayFull pins that sources without delta/version support
-// keep the original full-refresh behavior.
+// TestLegacySourcesStayFull: sources that cannot say what changed keep
+// every refresh on the full path. A UMS behind ums.SourceFunc publishes a
+// Full set on every pass, a policy source without versions proves nothing;
+// either alone is enough, and the published priorities verify against their
+// from-scratch twin.
 func TestLegacySourcesStayFull(t *testing.T) {
-	svc, _ := newFCS(t, map[string]float64{"a": 0.5, "b": 0.5},
-		map[string]float64{"a": 1, "b": 2}, simclock.NewSim(t0), -1)
-	for i := 0; i < 3; i++ {
-		if err := svc.Refresh(); err != nil {
-			t.Fatal(err)
+	p, err := policy.FromShares(map[string]float64{"a": 0.5, "b": 0.3, "c": 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := simclock.NewSim(t0)
+	totals := map[string]float64{"a": 1, "b": 2, "c": 3}
+	m := ums.New(ums.Config{Clock: clock, Metrics: telemetry.NewRegistry()},
+		ums.SourceFunc(func(time.Time, usage.Decay) (map[string]float64, error) {
+			cp := map[string]float64{}
+			for u, v := range totals {
+				cp[u] = v
+			}
+			return cp, nil
+		}))
+	for _, tc := range []struct {
+		name string
+		pds  PolicySource
+	}{{"versioned policy", newVersionedPDS(p)}, {"plain policy", staticPDS{p}}} {
+		name := tc.name
+		svc := New(Config{Clock: clock, CacheTTL: -1, SynchronousRefresh: true,
+			Metrics: telemetry.NewRegistry()}, tc.pds, m)
+		for i := 0; i < 3; i++ {
+			totals["b"] += float64(i)
+			m.Invalidate()
+			if err := svc.Refresh(); err != nil {
+				t.Fatal(err)
+			}
+			if ri := svc.LastRefresh(); ri.Mode != RefreshFull || ri.UsageScale != 1 {
+				t.Fatalf("%s, refresh %d: mode %q scale %v, want full in scale 1", name, i, ri.Mode, ri.UsageScale)
+			}
+			if err := svc.VerifySnapshot(); err != nil {
+				t.Fatalf("%s, refresh %d: %v", name, i, err)
+			}
 		}
-		if ri := svc.LastRefresh(); ri.Mode != RefreshFull {
-			t.Fatalf("refresh %d: mode = %q, want full", i, ri.Mode)
+		lo, _ := svc.Priority("b")
+		hi, _ := svc.Priority("a")
+		if !(lo.Value < hi.Value) {
+			t.Fatalf("%s: b (usage %v) has priority %v, a (usage 1) %v", name, totals["b"], lo.Value, hi.Value)
 		}
 	}
 }

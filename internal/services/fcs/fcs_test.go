@@ -12,6 +12,7 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/span"
+	"repro/internal/usage"
 	"repro/internal/vector"
 	"repro/internal/wire"
 )
@@ -22,21 +23,23 @@ type staticPDS struct{ tree *policy.Tree }
 
 func (s staticPDS) Policy() *policy.Tree { return s.tree.Clone() }
 
-// staticUMS is a concurrency-safe usage source: asynchronous snapshot
-// refreshes consult it from background goroutines.
+// staticUMS is a concurrency-safe usage source that answers every pull with
+// a Full set of its totals: asynchronous snapshot refreshes consult it from
+// background goroutines.
 type staticUMS struct {
 	mu     sync.Mutex
 	totals map[string]float64
 	err    error
 	calls  int
 	// block, when non-nil, is closed by the test to release an in-flight
-	// UsageTotals call (for single-flight tests).
+	// UsageDeltas call (for single-flight tests).
 	block chan struct{}
 }
 
-func (s *staticUMS) UsageTotals() (map[string]float64, time.Time, error) {
+func (s *staticUMS) UsageDeltas(uint64) (usage.DeltaSet, error) {
 	s.mu.Lock()
 	s.calls++
+	version := uint64(s.calls)
 	err := s.err
 	block := s.block
 	cp := map[string]float64{}
@@ -48,9 +51,9 @@ func (s *staticUMS) UsageTotals() (map[string]float64, time.Time, error) {
 		<-block
 	}
 	if err != nil {
-		return nil, time.Time{}, err
+		return usage.DeltaSet{}, err
 	}
-	return cp, t0, nil
+	return usage.DeltaSet{Version: version, Full: true, Totals: cp, Scale: 1, Users: len(cp)}, nil
 }
 
 func (s *staticUMS) Calls() int {

@@ -61,8 +61,8 @@ func TestIncrementalRefreshLifecycleUnderDecay(t *testing.T) {
 	pds := newVersionedPDS(p)
 	reg := telemetry.NewRegistry()
 	svc := New(Config{Clock: rig.clock, CacheTTL: -1, SynchronousRefresh: true, Metrics: reg}, pds, rig.ums)
-	// The twin reads complete decayed totals through the map-diff path, as
-	// every refresh did before sums were carried.
+	// The twin reads complete decayed totals in scale 1: a Full set and a
+	// from-scratch rebuild on every refresh.
 	twin := New(Config{Clock: rig.clock, CacheTTL: -1, SynchronousRefresh: true,
 		Metrics: telemetry.NewRegistry()}, pds, ums.New(ums.Config{Clock: rig.clock, Decay: rig.decay,
 		Metrics: telemetry.NewRegistry()}, ums.SourceFunc(func(now time.Time, d usage.Decay) (map[string]float64, error) {

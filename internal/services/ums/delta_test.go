@@ -6,19 +6,11 @@ import (
 	"time"
 
 	"repro/internal/simclock"
-	"repro/internal/usage"
 )
 
-// mutableSource is a Source whose totals the test can rewrite between pulls.
-type mutableSource struct{ totals map[string]float64 }
-
-func (m *mutableSource) Totals(time.Time, usage.Decay) (map[string]float64, error) {
-	cp := map[string]float64{}
-	for k, v := range m.totals {
-		cp[k] = v
-	}
-	return cp, nil
-}
+// The chain, overflow, majority and version cases run on cursorSource
+// (deltasource_test.go), whose sums the test rewrites between pulls; values
+// are in its scale of 0.5.
 
 func TestUsageDeltasFirstPullIsFull(t *testing.T) {
 	s := New(Config{Clock: simclock.NewSim(t0), CacheTTL: time.Hour},
@@ -40,7 +32,7 @@ func TestUsageDeltasFirstPullIsFull(t *testing.T) {
 
 func TestUsageDeltasIncrementalChain(t *testing.T) {
 	clock := simclock.NewSim(t0)
-	src := &mutableSource{totals: map[string]float64{"a": 10, "b": 5, "c": 2, "d": 1}}
+	src := newCursorSource(map[string]float64{"a": 10, "b": 5, "c": 2, "d": 1})
 	s := New(Config{Clock: clock, CacheTTL: time.Hour}, src)
 
 	first, err := s.UsageDeltas(0)
@@ -49,7 +41,7 @@ func TestUsageDeltasIncrementalChain(t *testing.T) {
 	}
 
 	// One of four users changes: within the half-population threshold.
-	src.totals["a"] = 12
+	src.set("a", 12)
 	s.Invalidate()
 	ds, err := s.UsageDeltas(first.Version)
 	if err != nil {
@@ -75,12 +67,12 @@ func TestUsageDeltasIncrementalChain(t *testing.T) {
 	}
 
 	// Two more generations; a consumer two behind gets the merged delta.
-	src.totals["b"] = 6
+	src.set("b", 6)
 	s.Invalidate()
 	if _, err := s.UsageDeltas(ds.Version); err != nil {
 		t.Fatal(err)
 	}
-	delete(src.totals, "c") // user ages out entirely
+	src.set("c", 0) // user ages out entirely
 	s.Invalidate()
 	merged, err := s.UsageDeltas(ds.Version)
 	if err != nil {
@@ -97,9 +89,9 @@ func TestUsageDeltasIncrementalChain(t *testing.T) {
 func TestUsageDeltasMajorityChangeIsFullMarker(t *testing.T) {
 	// Large enough for the dirty share to apply (see usage.DeltaPays).
 	const n = 6000
-	src := &mutableSource{totals: map[string]float64{}}
+	src := newCursorSource(map[string]float64{})
 	for i := 0; i < n; i++ {
-		src.totals[fmt.Sprintf("u%04d", i)] = 1
+		src.sums[fmt.Sprintf("u%04d", i)] = 1
 	}
 	s := New(Config{Clock: simclock.NewSim(t0), CacheTTL: time.Hour}, src)
 	first, err := s.UsageDeltas(0)
@@ -107,7 +99,7 @@ func TestUsageDeltasMajorityChangeIsFullMarker(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2*n/3; i++ { // past the half-population threshold
-		src.totals[fmt.Sprintf("u%04d", i)] = 10
+		src.set(fmt.Sprintf("u%04d", i), 10)
 	}
 	s.Invalidate()
 	ds, err := s.UsageDeltas(first.Version)
@@ -123,9 +115,9 @@ func TestUsageDeltasMajorityChangeIsFullMarker(t *testing.T) {
 }
 
 func TestUsageDeltasLogOverflowFallsBackToFull(t *testing.T) {
-	src := &mutableSource{totals: map[string]float64{
+	src := newCursorSource(map[string]float64{
 		"a": 1, "b": 1, "c": 1, "d": 1, "e": 1, "f": 1, "g": 1, "h": 1, "i": 1, "j": 1,
-	}}
+	})
 	s := New(Config{Clock: simclock.NewSim(t0), CacheTTL: time.Hour}, src)
 	first, err := s.UsageDeltas(0)
 	if err != nil {
@@ -133,7 +125,7 @@ func TestUsageDeltasLogOverflowFallsBackToFull(t *testing.T) {
 	}
 	// More single-user generations than the log retains.
 	for i := 0; i < maxDeltaGens+2; i++ {
-		src.totals["a"] = float64(100 + i)
+		src.set("a", float64(100+i))
 		s.Invalidate()
 		if _, err := s.UsageDeltas(0); err != nil {
 			t.Fatal(err)
@@ -152,13 +144,13 @@ func TestUsageDeltasLogOverflowFallsBackToFull(t *testing.T) {
 }
 
 func TestUsageDeltasVersionStableWhenUnchanged(t *testing.T) {
-	src := &mutableSource{totals: map[string]float64{"a": 1}}
+	src := newCursorSource(map[string]float64{"a": 1})
 	s := New(Config{Clock: simclock.NewSim(t0), CacheTTL: time.Hour}, src)
 	first, err := s.UsageDeltas(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Recompute with identical totals: the watermark must not advance.
+	// A pass that lists nobody: the watermark must not advance.
 	s.Invalidate()
 	ds, err := s.UsageDeltas(first.Version)
 	if err != nil {
@@ -183,9 +175,9 @@ func TestUsageDeltasFutureWatermarkIsFull(t *testing.T) {
 
 func TestUsageDeltasAgreesWithUsageTotals(t *testing.T) {
 	clock := simclock.NewSim(t0)
-	src := &mutableSource{totals: map[string]float64{}}
-	for i := 0; i < 20; i++ {
-		src.totals[fmt.Sprintf("u%02d", i)] = float64(i)
+	src := newCursorSource(map[string]float64{})
+	for i := 1; i <= 20; i++ {
+		src.sums[fmt.Sprintf("u%02d", i)] = float64(i)
 	}
 	s := New(Config{Clock: clock, CacheTTL: time.Hour}, src)
 
@@ -199,7 +191,7 @@ func TestUsageDeltasAgreesWithUsageTotals(t *testing.T) {
 	}
 	ver := ds.Version
 	for step := 0; step < 5; step++ {
-		src.totals[fmt.Sprintf("u%02d", step)] = float64(1000 + step)
+		src.set(fmt.Sprintf("u%02d", step), float64(1000+step))
 		s.Invalidate()
 		ds, err := s.UsageDeltas(ver)
 		if err != nil {
@@ -231,8 +223,8 @@ func TestUsageDeltasAgreesWithUsageTotals(t *testing.T) {
 			t.Fatalf("step %d: replayed %d users, totals has %d", step, len(state), len(want))
 		}
 		for u, v := range want {
-			if state[u] != v {
-				t.Fatalf("step %d: user %s replayed %v, totals %v", step, u, state[u], v)
+			if state[u]*ds.Scale != v {
+				t.Fatalf("step %d: user %s replayed %v × %v, totals %v", step, u, state[u], ds.Scale, v)
 			}
 		}
 	}

@@ -9,7 +9,7 @@ import (
 	"repro/internal/usage"
 )
 
-// cursorSource is a scripted DeltaSource: sums holds the current per-user
+// cursorSource is a scripted Source: sums holds the current per-user
 // sums, pending the users changed since the last Changes call.
 type cursorSource struct {
 	sums       map[string]float64
@@ -20,7 +20,6 @@ type cursorSource struct {
 	scale      float64
 	passes     int
 	sumsCalls  int
-	totalsUsed bool
 }
 
 func newCursorSource(sums map[string]float64) *cursorSource {
@@ -36,33 +35,21 @@ func (c *cursorSource) set(user string, v float64) {
 	c.pending[user] = true
 }
 
-func (c *cursorSource) Totals(time.Time, usage.Decay) (map[string]float64, error) {
-	c.totalsUsed = true
-	out := map[string]float64{}
-	for u, v := range c.sums {
-		out[u] = v * c.scale
-	}
-	return out, nil
-}
-
-func (c *cursorSource) Changes(_ time.Time, d usage.Decay) (usage.DeltaSet, bool) {
-	if _, ok := d.(usage.Linear); ok {
-		return usage.DeltaSet{}, false
-	}
+func (c *cursorSource) Changes(time.Time, usage.Decay) (usage.DeltaSet, error) {
 	c.passes++
 	ds := usage.DeltaSet{Scale: c.scale, Reference: t0, Users: len(c.sums)}
 	if !c.started || c.forceFull {
 		c.started, c.forceFull = true, false
 		c.pending = map[string]bool{}
 		ds.Full = true
-		return ds, true
+		return ds, nil
 	}
 	ds.Changed = map[string]float64{}
 	for u := range c.pending {
 		ds.Changed[u] = c.sums[u]
 	}
 	c.pending = map[string]bool{}
-	return ds, true
+	return ds, nil
 }
 
 func (c *cursorSource) Sums(time.Time) (usage.DeltaSet, bool) {
@@ -81,8 +68,8 @@ func (c *cursorSource) Sums(time.Time) (usage.DeltaSet, bool) {
 
 func mapID(m map[string]float64) uintptr { return reflect.ValueOf(m).Pointer() }
 
-// TestDeltaSourceGenerationsComeFromChangeSets: with a delta source the UMS
-// neither fetches nor diffs complete totals; complete sums are materialised
+// TestDeltaSourceGenerationsComeFromChangeSets: the UMS builds its
+// generations from the source's change sets; complete sums are materialised
 // when a consumer asks, once per generation, and a since=0 reader leaves
 // every other consumer's watermark alone.
 func TestDeltaSourceGenerationsComeFromChangeSets(t *testing.T) {
@@ -158,9 +145,6 @@ func TestDeltaSourceGenerationsComeFromChangeSets(t *testing.T) {
 	if len(totals) != 2 || totals["a"] != 5.5 || totals["b"] != 10 {
 		t.Fatalf("UsageTotals = %v, want sums × scale", totals)
 	}
-	if src.totalsUsed {
-		t.Error("delta source was asked for complete decayed totals")
-	}
 }
 
 // TestDeltaSourceFullMarkers: a source-side reset and a refused
@@ -196,24 +180,6 @@ func TestDeltaSourceFullMarkers(t *testing.T) {
 	}
 	if src.passes != passes+2 {
 		t.Errorf("%d passes for a refused materialisation, want 2", src.passes-passes)
-	}
-}
-
-// TestDeltaSourceFallsBackForOtherDecays: linear decay is not
-// scale-invariant, so the same source is read through Totals and diffed.
-func TestDeltaSourceFallsBackForOtherDecays(t *testing.T) {
-	src := newCursorSource(map[string]float64{"a": 10, "b": 20, "c": 30, "d": 40})
-	s := New(Config{Clock: simclock.NewSim(t0), CacheTTL: time.Hour,
-		Decay: usage.Linear{Window: time.Hour}}, src)
-	first, _ := s.UsageDeltas(0)
-	if !src.totalsUsed || src.passes != 0 || first.Scale != 1 || first.Totals["a"] != 5 {
-		t.Fatalf("linear decay did not go through Totals: %+v", first)
-	}
-	src.set("a", 12)
-	s.Invalidate()
-	ds, _ := s.UsageDeltas(first.Version)
-	if ds.Full || len(ds.Changed) != 1 || ds.Changed["a"] != 6 {
-		t.Fatalf("map diff = %+v", ds)
 	}
 }
 
@@ -256,7 +222,7 @@ type gatedSource struct {
 	entered, release chan struct{}
 }
 
-func (g *gatedSource) Changes(now time.Time, d usage.Decay) (usage.DeltaSet, bool) {
+func (g *gatedSource) Changes(now time.Time, d usage.Decay) (usage.DeltaSet, error) {
 	if g.passes+1 == g.blockAt {
 		g.entered <- struct{}{}
 		<-g.release

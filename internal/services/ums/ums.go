@@ -1,13 +1,11 @@
-// Package ums implements the Usage Monitoring Service: it gathers usage
-// histograms from one or more Usage Statistics Services and pre-computes
-// per-user decayed usage totals ("usage trees") against the site policy, so
+// Package ums implements the Usage Monitoring Service: it follows the usage
+// of one Usage Statistics Service (which already combines the sites it
+// exchanges with) and pre-computes per-user usage values ("usage trees"), so
 // the Fairshare Calculation Service never touches raw job data.
 package ums
 
 import (
 	"context"
-	"fmt"
-	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -18,39 +16,41 @@ import (
 	"repro/internal/usage"
 )
 
-// Source provides decayed usage totals — the USS, via either its local-only
-// or combined local+global view.
+// Source is the usage a UMS follows: a USS view, whose change cursor says
+// which users' usage changed since the previous pass. Values are sums at
+// the source's reference instant plus one scale (see usage.DeltaSet).
 type Source interface {
-	// Totals returns per-user decayed core-seconds at `now`. The returned
-	// map becomes the caller's: the source neither keeps nor modifies it.
-	Totals(now time.Time, d usage.Decay) (map[string]float64, error)
-}
-
-// DeltaSource is optionally implemented by a Source that keeps track of
-// which users' usage changed (the USS's change cursor). A UMS with exactly
-// one such source, under a decay that factors through time, builds its
-// generations from those change sets instead of fetching and diffing
-// complete totals; values are then sums at the source's reference instant,
-// not decayed totals (see usage.DeltaSet).
-type DeltaSource interface {
-	Source
 	// Changes moves the source's cursor to `now` and returns what changed
-	// since the previous call; ok is false when d does not factor through
-	// time (the caller falls back to Totals).
-	Changes(now time.Time, d usage.Decay) (ds usage.DeltaSet, ok bool)
+	// since the previous call. A Full set may carry its complete values in
+	// Totals (which then become the caller's); otherwise the caller asks
+	// Sums for them when a consumer needs them.
+	Changes(now time.Time, d usage.Decay) (usage.DeltaSet, error)
 	// Sums returns complete per-user sums in the scale of the last Changes
 	// pass, evaluated at `now`; ok is false when that scale no longer
 	// holds and the next Changes will be Full.
 	Sums(now time.Time) (ds usage.DeltaSet, ok bool)
 }
 
-// SourceFunc adapts a function to the Source interface.
+// SourceFunc adapts a function that returns complete decayed totals — a
+// test fake — to Source: every pass is a Full set in scale 1 that carries
+// those totals.
 type SourceFunc func(now time.Time, d usage.Decay) (map[string]float64, error)
 
-// Totals implements Source.
-func (f SourceFunc) Totals(now time.Time, d usage.Decay) (map[string]float64, error) {
-	return f(now, d)
+// Changes implements Source.
+func (f SourceFunc) Changes(now time.Time, d usage.Decay) (usage.DeltaSet, error) {
+	totals, err := f(now, d)
+	if err != nil {
+		return usage.DeltaSet{}, err
+	}
+	if totals == nil {
+		totals = map[string]float64{}
+	}
+	return usage.DeltaSet{Full: true, Totals: totals, Scale: 1, Users: len(totals)}, nil
 }
+
+// Sums implements Source. A function keeps nothing between passes; the
+// totals of each pass already travelled with its Full set.
+func (f SourceFunc) Sums(time.Time) (usage.DeltaSet, bool) { return usage.DeltaSet{}, false }
 
 // Config configures a UMS instance.
 type Config struct {
@@ -70,8 +70,8 @@ type Config struct {
 
 // Service is a Usage Monitoring Service instance.
 type Service struct {
-	cfg     Config
-	sources []Source
+	cfg Config
+	src Source
 
 	// mu guards the cache fields and the in-flight latch. It is never held
 	// across a source call: recomputation runs outside the lock, so
@@ -81,7 +81,7 @@ type Service struct {
 	cachedAt time.Time
 	valid    bool
 	// inflight is non-nil while one source pass or one materialisation of
-	// complete totals runs; it is closed when that finishes. Concurrent
+	// complete sums runs; it is closed when that finishes. Concurrent
 	// readers that need its outcome wait on it instead of launching
 	// duplicates (single-flight, mirroring the FCS refresh discipline).
 	inflight    chan struct{}
@@ -96,16 +96,14 @@ type Service struct {
 	// first, versions consecutive).
 	version  uint64
 	deltaLog []deltaGen
-	// full is the complete per-user map of `version`. With plain sources it
-	// is the last fetch. With a delta source it is materialised when a
-	// consumer needs complete totals and dropped when the next generation
+	// full is the complete per-user map of `version`: materialised from
+	// the source when a consumer needs complete sums (or handed over with a
+	// Full set that carried them) and dropped when the next generation
 	// lands, so no population-sized map outlives the refresh that asked
 	// for it.
 	full map[string]float64
-	// sums is the delta source behind the current generation (nil with
-	// plain sources); scale and reference describe its values as in
+	// scale and reference describe the current generation's values as in
 	// usage.DeltaSet.
-	sums      DeltaSource
 	scale     float64
 	reference time.Time
 
@@ -132,8 +130,8 @@ type deltaGen struct {
 // bounds the log's total entries).
 const maxDeltaGens = 8
 
-// New creates a UMS reading from the given sources.
-func New(cfg Config, sources ...Source) *Service {
+// New creates a UMS following src.
+func New(cfg Config, src Source) *Service {
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
 	}
@@ -142,22 +140,15 @@ func New(cfg Config, sources ...Source) *Service {
 	}
 	reg := telemetry.OrDefault(cfg.Metrics)
 	return &Service{
-		cfg: cfg, sources: sources,
+		cfg: cfg, src: src,
 		mRecomputes: reg.Counter("aequus_ums_recomputes_total",
 			"Decayed usage-tree recomputations performed."),
 		mRecomputeDur: reg.Histogram("aequus_ums_recompute_duration_seconds",
-			"Wall-clock duration of one decay recomputation over all sources.",
+			"Wall-clock duration of one pass over the usage source.",
 			telemetry.DefBuckets()),
 		mUsers: reg.Gauge("aequus_ums_users",
 			"Users in the last pre-computed usage tree."),
 	}
-}
-
-// AddSource registers an additional USS source.
-func (s *Service) AddSource(src Source) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.sources = append(s.sources, src)
 }
 
 // UsageTotals returns the pre-computed per-user decayed usage — decayed
@@ -166,10 +157,9 @@ func (s *Service) AddSource(src Source) {
 // a copy.
 //
 // Recomputation is single-flight and runs outside the service mutex: of any
-// number of concurrent stale readers, exactly one goes to the sources
-// (concurrently, one goroutine per source) while the rest wait for that
-// flight and adopt its result — a slow source delays only the callers that
-// need fresh data, never ComputedAt or cache hits.
+// number of concurrent stale readers, exactly one goes to the source while
+// the rest wait for that flight and adopt its result — a slow source delays
+// only the callers that need fresh data, never ComputedAt or cache hits.
 func (s *Service) UsageTotals() (map[string]float64, time.Time, error) {
 	ds, at, err := s.deltas(0)
 	if err != nil {
@@ -253,23 +243,24 @@ func (s *Service) awaitFlightLocked() error {
 	return s.inflightErr
 }
 
-// recomputeLocked runs one single-flight pass over the sources and
-// publishes its generation. It must be called with mu held and no flight in
+// recomputeLocked runs one single-flight pass over the source and publishes
+// its generation. It must be called with mu held and no flight in
 // progress; mu is released during the pass and held again on return.
 func (s *Service) recomputeLocked(now time.Time) error {
 	ch := make(chan struct{})
 	s.inflight = ch
-	sources := append([]Source(nil), s.sources...)
 	gen := s.gen
 	s.mu.Unlock()
 
 	started := time.Now() // wall time: the metric reports real compute cost
-	sctx, sp := span.Start(span.WithRecorder(context.Background(), s.cfg.Spans),
+	_, sp := span.Start(span.WithRecorder(context.Background(), s.cfg.Spans),
 		"ums.totals")
-	sp.SetAttrInt("sources", int64(len(sources)))
-	got, sums, err := fetch(sctx, sources, now, s.cfg.Decay)
+	got, err := s.src.Changes(now, s.cfg.Decay)
 	sp.SetAttrInt("users", int64(got.Users))
 	if err == nil {
+		if got.Scale == 0 {
+			got.Scale = 1
+		}
 		if !got.Full {
 			sp.SetAttrInt("changed", int64(len(got.Changed)))
 		}
@@ -286,10 +277,10 @@ func (s *Service) recomputeLocked(now time.Time) error {
 	s.inflightErr = err
 	if err == nil {
 		// The generation is published even when an Invalidate arrived
-		// mid-flight — a source's change cursor has moved past it, so
+		// mid-flight — the source's change cursor has moved past it, so
 		// dropping it would lose those changes — but the cache stays
 		// invalid and the next reader runs another pass.
-		s.publishLocked(got, sums, now)
+		s.publishLocked(got, now)
 		s.valid = gen == s.gen
 	}
 	close(ch)
@@ -302,39 +293,9 @@ func (s *Service) recomputeLocked(now time.Time) error {
 	return nil
 }
 
-// fetch is one pass over the sources. A single delta source under a decay
-// that factors through time is asked for its change set; anything else is
-// asked for complete decayed totals, returned as a Full set in scale 1.
-func fetch(ctx context.Context, sources []Source, now time.Time, d usage.Decay) (usage.DeltaSet, DeltaSource, error) {
-	if len(sources) == 1 {
-		if ds, ok := sources[0].(DeltaSource); ok {
-			if got, ok := ds.Changes(now, d); ok {
-				if got.Scale == 0 {
-					got.Scale = 1
-				}
-				return got, ds, nil
-			}
-		}
-	}
-	totals, err := fetchSources(ctx, sources, now, d)
-	if err != nil {
-		return usage.DeltaSet{}, nil, err
-	}
-	if totals == nil {
-		totals = map[string]float64{}
-	}
-	return usage.DeltaSet{Full: true, Totals: totals, Scale: 1, Users: len(totals)}, nil, nil
-}
-
 // publishLocked records the generation a pass produced. Caller holds mu.
-func (s *Service) publishLocked(got usage.DeltaSet, sums DeltaSource, now time.Time) {
+func (s *Service) publishLocked(got usage.DeltaSet, now time.Time) {
 	changed, full := got.Changed, got.Full || s.version == 0
-	if got.Totals != nil && s.full != nil && s.version > 0 {
-		// Complete totals from plain sources (or under linear/step decay,
-		// where every total moves with time anyway): the change set is
-		// their difference from the previous fetch.
-		changed, full = diffTotals(s.full, got.Totals), false
-	}
 	if full || len(changed) > 0 {
 		s.version++
 		g := deltaGen{version: s.version}
@@ -361,28 +322,11 @@ func (s *Service) publishLocked(got usage.DeltaSet, sums DeltaSource, now time.T
 	if got.Totals != nil {
 		s.full = got.Totals
 	}
-	s.sums, s.scale, s.reference = sums, got.Scale, got.Reference
+	s.scale, s.reference = got.Scale, got.Reference
 	s.cachedAt = now
 }
 
-// diffTotals returns the bitwise-changed users between two totals maps, with
-// disappeared users mapped to 0 (their effective usage in any computation).
-func diffTotals(old, new map[string]float64) map[string]float64 {
-	changed := make(map[string]float64)
-	for u, v := range new {
-		if ov, ok := old[u]; !ok || math.Float64bits(ov) != math.Float64bits(v) {
-			changed[u] = v
-		}
-	}
-	for u := range old {
-		if _, ok := new[u]; !ok {
-			changed[u] = 0
-		}
-	}
-	return changed
-}
-
-// materializeLocked asks the delta source for the complete sums of the
+// materializeLocked asks the source for the complete sums of the
 // current generation, as its own flight. It must be called with mu held and
 // no flight in progress; mu is released while the source is read and held
 // again on return. False means the source's scale moved since the pass: the
@@ -390,11 +334,11 @@ func diffTotals(old, new map[string]float64) map[string]float64 {
 func (s *Service) materializeLocked() bool {
 	ch := make(chan struct{})
 	s.inflight = ch
-	src, at := s.sums, s.cachedAt
+	at := s.cachedAt
 	s.mu.Unlock()
 
 	_, sp := span.Start(span.WithRecorder(context.Background(), s.cfg.Spans), "ums.full_totals")
-	got, ok := src.Sums(at)
+	got, ok := s.src.Sums(at)
 	sp.SetAttrInt("users", int64(len(got.Totals)))
 	sp.End()
 
@@ -446,53 +390,6 @@ func (s *Service) deltasLocked(since uint64) usage.DeltaSet {
 		}
 	}
 	return ds
-}
-
-// fetchSources queries every source concurrently and merges the totals.
-// The first error in source order wins (all sources are still awaited). The
-// context only carries trace state — sources have no cancellation hook.
-func fetchSources(ctx context.Context, sources []Source, now time.Time, d usage.Decay) (map[string]float64, error) {
-	fetchOne := func(i int, src Source) (map[string]float64, error) {
-		_, sp := span.Start(ctx, "ums.source")
-		sp.SetAttr("index", fmt.Sprint(i))
-		totals, err := src.Totals(now, d)
-		sp.SetAttrInt("users", int64(len(totals)))
-		sp.SetErr(err)
-		sp.End()
-		return totals, err
-	}
-	switch len(sources) {
-	case 0:
-		return map[string]float64{}, nil
-	case 1:
-		// The map is ours by the Source contract: no copy.
-		return fetchOne(0, sources[0])
-	}
-	results := make([]map[string]float64, len(sources))
-	errs := make([]error, len(sources))
-	var wg sync.WaitGroup
-	for i, src := range sources {
-		wg.Add(1)
-		go func(i int, src Source) {
-			defer wg.Done()
-			results[i], errs[i] = fetchOne(i, src)
-		}(i, src)
-	}
-	wg.Wait()
-	users := 0
-	for _, r := range results {
-		users = max(users, len(r))
-	}
-	combined := make(map[string]float64, users)
-	for i := range sources {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		for u, v := range results[i] {
-			combined[u] += v
-		}
-	}
-	return combined, nil
 }
 
 // ComputedAt reports when the cached usage tree was computed (zero if the

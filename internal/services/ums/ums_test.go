@@ -22,20 +22,6 @@ func constSource(totals map[string]float64) Source {
 	})
 }
 
-func TestUsageTotalsCombinesSources(t *testing.T) {
-	s := New(Config{Clock: simclock.NewSim(t0)},
-		constSource(map[string]float64{"a": 10, "b": 5}),
-		constSource(map[string]float64{"a": 3, "c": 7}),
-	)
-	got, _, err := s.UsageTotals()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["a"] != 13 || got["b"] != 5 || got["c"] != 7 {
-		t.Errorf("totals = %v", got)
-	}
-}
-
 func TestUsageTotalsCached(t *testing.T) {
 	clock := simclock.NewSim(t0)
 	calls := 0
@@ -160,7 +146,7 @@ func TestComputedAtNotBlockedBySlowSource(t *testing.T) {
 }
 
 // TestUsageTotalsSingleFlight checks that concurrent stale readers share
-// one source fan-out: of N callers, exactly one dials the source and the
+// one source pass: of N callers, exactly one dials the source and the
 // rest adopt its result.
 func TestUsageTotalsSingleFlight(t *testing.T) {
 	entered := make(chan struct{}, 1)
@@ -191,35 +177,6 @@ func TestUsageTotalsSingleFlight(t *testing.T) {
 	}
 	if c := atomic.LoadInt32(&calls); c != 1 {
 		t.Errorf("source dialed %d times for %d concurrent callers, want 1", c, n)
-	}
-}
-
-// TestSourcesFetchedConcurrently uses a rendezvous: each source blocks
-// until the other has been entered, which only resolves when the UMS fans
-// out to its sources in parallel.
-func TestSourcesFetchedConcurrently(t *testing.T) {
-	aIn, bIn := make(chan struct{}), make(chan struct{})
-	mk := func(mine, other chan struct{}, totals map[string]float64) Source {
-		return SourceFunc(func(time.Time, usage.Decay) (map[string]float64, error) {
-			close(mine)
-			select {
-			case <-other:
-			case <-time.After(5 * time.Second):
-				return nil, errors.New("peer source never entered: fetches are sequential")
-			}
-			return totals, nil
-		})
-	}
-	s := New(Config{Clock: simclock.NewSim(t0)},
-		mk(aIn, bIn, map[string]float64{"a": 1}),
-		mk(bIn, aIn, map[string]float64{"b": 2}),
-	)
-	got, _, err := s.UsageTotals()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got["a"] != 1 || got["b"] != 2 {
-		t.Errorf("totals = %v", got)
 	}
 }
 
@@ -279,14 +236,5 @@ func TestInvalidateDuringFlight(t *testing.T) {
 	}
 	if c := atomic.LoadInt32(&calls); c != 2 {
 		t.Errorf("source dialed %d times, want 2 (post-invalidate read must recompute)", c)
-	}
-}
-
-func TestAddSource(t *testing.T) {
-	s := New(Config{Clock: simclock.NewSim(t0)})
-	s.AddSource(constSource(map[string]float64{"x": 4}))
-	got, _, _ := s.UsageTotals()
-	if got["x"] != 4 {
-		t.Errorf("totals = %v", got)
 	}
 }

@@ -546,18 +546,15 @@ func (s *Service) LocalTotals(now time.Time, d usage.Decay) map[string]float64 {
 
 // GlobalTotals returns decayed per-user totals combining local and ingested
 // remote usage. The combination is one accumulation pass: every histogram
-// adds straight into the result map (no intermediate per-site maps), and
-// all sites share one memoized weight table — the bins of every site are
-// aligned to the same width, so each distinct bin start is weighed once for
-// the whole federation. The map is the caller's. Like LocalTotals it is a
-// plain read: it does not move the change cursor.
+// adds straight into the result map (no intermediate per-site maps). The map
+// is the caller's. Like LocalTotals it is a plain read: it does not move the
+// change cursor.
 func (s *Service) GlobalTotals(now time.Time, d usage.Decay) map[string]float64 {
 	// Sized for the local population: at scale, growing the map entry by
 	// entry costs more than the sums (remote-only users still grow it).
 	out := make(map[string]float64, s.local.UserCount())
-	wt := usage.NewWeightTable(d, now, s.cfg.BinWidth)
 	for _, h := range s.histograms(true) {
-		h.AccumulateDecayed(out, now, d, wt)
+		h.AccumulateDecayed(out, now, d)
 	}
 	return out
 }
@@ -585,9 +582,8 @@ func (s *Service) histograms(global bool) []*usage.Histogram {
 
 // View is the usage a UMS reads from this USS: locally executed jobs only
 // or, with global, local and exchanged usage — the partial-participation
-// knob. Beside complete decayed totals it offers the delta view: the site's
-// change cursor, which has one consumer (the site's UMS, always through the
-// same view). A View satisfies ums.DeltaSource.
+// knob. It is the site's change cursor, which has one consumer (the site's
+// UMS, always through the same view). A View satisfies ums.Source.
 type View struct {
 	s      *Service
 	global bool
@@ -596,21 +592,13 @@ type View struct {
 // View returns the local-only or the global usage view.
 func (s *Service) View(global bool) View { return View{s, global} }
 
-// Totals returns decayed per-user totals at `now` (LocalTotals or
-// GlobalTotals). It does not move the change cursor.
-func (v View) Totals(now time.Time, d usage.Decay) (map[string]float64, error) {
-	if v.global {
-		return v.s.GlobalTotals(now, d), nil
-	}
-	return v.s.LocalTotals(now, d), nil
-}
-
 // Changes moves the change cursor to `now` and returns the users whose
 // usage sum at the cursor's reference instant changed since the previous
 // call (see usage.Cursor.Advance for the set's contents and for what makes
-// it Full). ok is false for decays that do not factor through time.
-func (v View) Changes(now time.Time, d usage.Decay) (usage.DeltaSet, bool) {
-	return v.s.cursor.Advance(v.s.histograms(v.global), now, d)
+// it Full). Reading the in-memory histograms cannot fail: the error is
+// always nil.
+func (v View) Changes(now time.Time, d usage.Decay) (usage.DeltaSet, error) {
+	return v.s.cursor.Advance(v.s.histograms(v.global), now, d), nil
 }
 
 // Sums returns every user's sum in the scale of the last Changes pass,

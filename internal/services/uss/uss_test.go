@@ -52,7 +52,7 @@ func TestExchangePullsPeerRecords(t *testing.T) {
 
 // TestGlobalTotalsOnePassMatchesPerSite pins the one-pass local+remote
 // accumulation (shared weight table, no intermediate per-site maps) to the
-// compute-each-site-then-merge definition, across decay families.
+// compute-each-site-then-merge definition, with and without decay.
 func TestGlobalTotalsOnePassMatchesPerSite(t *testing.T) {
 	b := newUSS("b", true)
 	for i, site := range []string{"a", "c", "d"} {
@@ -69,8 +69,6 @@ func TestGlobalTotalsOnePassMatchesPerSite(t *testing.T) {
 	now := t0.Add(8 * time.Hour)
 	for _, d := range []usage.Decay{
 		usage.None{},
-		usage.Step{Window: 3 * time.Hour},
-		usage.Linear{Window: 24 * time.Hour},
 		usage.ExponentialHalfLife{HalfLife: 6 * time.Hour},
 	} {
 		got := b.GlobalTotals(now, d)

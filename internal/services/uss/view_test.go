@@ -54,9 +54,9 @@ func TestViewDeltasFollowTheFederation(t *testing.T) {
 
 	b := sites["b"]
 	view := b.View(true)
-	first, ok := view.Changes(clock.Now(), d)
-	if !ok || !first.Full {
-		t.Fatalf("first pass = %+v (ok %v), want Full", first, ok)
+	first, err := view.Changes(clock.Now(), d)
+	if err != nil || !first.Full {
+		t.Fatalf("first pass = %+v (err %v), want Full", first, err)
 	}
 	full, ok := view.Sums(clock.Now())
 	if !ok || len(full.Totals) != users {

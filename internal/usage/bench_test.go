@@ -117,22 +117,6 @@ func BenchmarkDecayedTotalsSeedStyle(b *testing.B) {
 	}
 }
 
-// BenchmarkDecayedTotalsWeightTable measures the memoized-weight path used
-// by non-exponential decays: no per-user sorting, one Weight call per
-// distinct bin start.
-func BenchmarkDecayedTotalsWeightTable(b *testing.B) {
-	h := buildWide(100_000, 24)
-	d := Linear{Window: 100 * time.Hour}
-	now := t0.Add(25 * time.Hour)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(h.DecayedTotals(now, d)) != 100_000 {
-			b.Fatal("short totals")
-		}
-	}
-}
-
 func BenchmarkRecordsExport(b *testing.B) {
 	h := buildHistogram(10, 360)
 	b.ReportAllocs()

@@ -8,7 +8,7 @@ import (
 
 // Reference-instant sums and the change cursor.
 //
-// Under a decay that factors through time, a user's decayed total at `now`
+// Every decay is a half-life (decay.go), so a user's decayed total at `now`
 // is one shared scalar times a sum that does not depend on `now`:
 //
 //	total(now) = 2^(-(now-ref)/H) · Σ v_i · 2^(-(ref-mid_i)/H)
@@ -32,19 +32,6 @@ import (
 // after it lifts. Completions land in the open bin, so during the first half
 // of every bin this is the set of users active in it — bounded by the active
 // set, never by the population.
-
-// factoredHalfLife reports whether d factors through time and, if so, its
-// half-life (0 for no decay). Linear and step decay do not: their weights
-// are not a product of a function of `now` and a function of the bin.
-func factoredHalfLife(d Decay) (time.Duration, bool) {
-	switch dd := d.(type) {
-	case nil, None:
-		return 0, true
-	case ExponentialHalfLife:
-		return max(dd.HalfLife, 0), true
-	}
-	return 0, false
-}
 
 // refScale is the scalar that turns sums at ref into decayed totals at now.
 func refScale(halfLife time.Duration, ref, now time.Time) float64 {
@@ -74,15 +61,11 @@ type Cursor struct {
 // listed, the consumer must re-read everything through Sums — on the first
 // call, when the reference instant had to move (it is kept at most
 // rebaseHalfLives behind `now` and never ahead of it), when a histogram's
-// tracker was registered, re-registered after eviction or rebased by someone
-// else, when d changed, when `now` went backwards, and when so many users
-// changed that a delta does not pay (DeltaPays). ok is false when d does not factor through
-// time; the cursor is untouched then.
-func (c *Cursor) Advance(hists []*Histogram, now time.Time, d Decay) (ds DeltaSet, ok bool) {
-	hl, ok := factoredHalfLife(d)
-	if !ok {
-		return DeltaSet{}, false
-	}
+// tracker was registered, re-registered for another half-life in between or
+// rebased by someone else, when d changed, when `now` went backwards, and
+// when so many users changed that a delta does not pay (DeltaPays).
+func (c *Cursor) Advance(hists []*Histogram, now time.Time, d Decay) DeltaSet {
+	hl := halfLifeOf(d)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	full := !c.on || c.halfLife != hl
@@ -94,7 +77,7 @@ func (c *Cursor) Advance(hists []*Histogram, now time.Time, d Decay) (ds DeltaSe
 	}
 	c.on, c.halfLife = true, hl
 
-	ds = DeltaSet{Scale: refScale(hl, c.ref, now), Reference: c.ref}
+	ds := DeltaSet{Scale: refScale(hl, c.ref, now), Reference: c.ref}
 	lists := make([][]string, len(hists))
 	for i, h := range hists {
 		var reset bool
@@ -104,7 +87,7 @@ func (c *Cursor) Advance(hists []*Histogram, now time.Time, d Decay) (ds DeltaSe
 	}
 	if full {
 		ds.Full = true
-		return ds, true
+		return ds
 	}
 	// The union first: a change set too large to pay off is not worth
 	// evaluating.
@@ -116,23 +99,23 @@ func (c *Cursor) Advance(hists []*Histogram, now time.Time, d Decay) (ds DeltaSe
 	}
 	if !DeltaPays(len(ds.Changed), ds.Users) {
 		ds.Full, ds.Changed = true, nil
-		return ds, true
+		return ds
 	}
 	for name := range ds.Changed {
 		var sum float64
 		for _, h := range hists {
 			v, ok := h.refSum(name, hl, c.ref, now, ds.Scale)
 			if !ok {
-				// A totals pass rebased or evicted the tracker between
+				// A totals pass rebased or replaced the tracker between
 				// the drain and this read.
 				ds.Full, ds.Changed = true, nil
-				return ds, true
+				return ds
 			}
 			sum += v
 		}
 		ds.Changed[name] = sum
 	}
-	return ds, true
+	return ds
 }
 
 // Sums returns every user's sum at the cursor's reference instant, as a
@@ -140,8 +123,8 @@ func (c *Cursor) Advance(hists []*Histogram, now time.Time, d Decay) (ds DeltaSe
 // does not move the cursor. Right after an Advance at the same `now` the
 // result equals, bit for bit, the last Sums overwritten with every change
 // set since. ok is false before the first Advance and when a histogram's
-// tracker no longer sits at the cursor's reference (a new mirror, an
-// eviction, a foreign rebase): the next Advance will be Full.
+// tracker no longer sits at the cursor's reference (a new mirror, another
+// half-life asked of it, a foreign rebase): the next Advance will be Full.
 func (c *Cursor) Sums(hists []*Histogram, now time.Time) (ds DeltaSet, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -181,11 +164,10 @@ func (h *Histogram) drainChanged(halfLife time.Duration, ref, now time.Time) (ch
 	h.lockAll()
 	defer h.unlockAll()
 	var tr *expTracker
-	idx := -1
 	if halfLife > 0 {
-		tr, idx, reset = h.trackerFor(halfLife, ref)
+		tr, reset = h.trackerFor(halfLife, ref)
 		if !tr.ref.Equal(ref) {
-			h.rebase(tr, idx, ref)
+			h.rebase(tr, ref)
 			reset = true
 		}
 	}
@@ -202,7 +184,7 @@ func (h *Histogram) drainChanged(halfLife time.Duration, ref, now time.Time) (ch
 		if reset {
 			for name, u := range st.users {
 				u.marked = false
-				h.settle(st, name, u, tr, idx, nowNs)
+				h.settle(st, name, u, tr, nowNs)
 			}
 			continue
 		}
@@ -220,7 +202,7 @@ func (h *Histogram) drainChanged(halfLife time.Duration, ref, now time.Time) (ch
 					continue // listed twice: removed and re-created between passes
 				}
 				u.marked = false
-				h.settle(st, name, u, tr, idx, nowNs)
+				h.settle(st, name, u, tr, nowNs)
 			}
 			changed = append(changed, name)
 		}
@@ -231,7 +213,7 @@ func (h *Histogram) drainChanged(halfLife time.Duration, ref, now time.Time) (ch
 // settle leaves one user ready to be read after a cursor pass: listed as
 // clamped while its newest bin is ahead of the pass, its sum re-seeded if a
 // mutation had made it dirty. The stripe's write lock must be held.
-func (h *Histogram) settle(st *stripe, name string, u *userBins, tr *expTracker, idx int, nowNs int64) {
+func (h *Histogram) settle(st *stripe, name string, u *userBins, tr *expTracker, nowNs int64) {
 	if tr == nil {
 		return
 	}
@@ -239,34 +221,30 @@ func (h *Histogram) settle(st *stripe, name string, u *userBins, tr *expTracker,
 		st.clamped = append(st.clamped, name)
 		return
 	}
-	if u.exp[idx].dirty {
-		h.reseed(u, idx, tr)
+	if u.exp.dirty {
+		h.reseed(u, tr)
 	}
 }
 
 // cursorTracker returns the tracker the cursor reads (nil without decay)
 // and whether it still is what a pass at (halfLife, ref) left behind. Any
 // stripe lock held.
-func (h *Histogram) cursorTracker(halfLife time.Duration, ref time.Time) (tr *expTracker, idx int, ok bool) {
+func (h *Histogram) cursorTracker(halfLife time.Duration, ref time.Time) (tr *expTracker, ok bool) {
 	if !h.cursorOn {
-		return nil, -1, false
+		return nil, false
 	}
 	if halfLife <= 0 {
-		return nil, -1, h.cursorTr == nil
+		return nil, h.cursorTr == nil
 	}
-	for i, t := range h.trackers {
-		if t == h.cursorTr && t.halfLife == halfLife && t.ref.Equal(ref) {
-			return t, i, true
-		}
-	}
-	return nil, -1, false
+	tr = h.tracker
+	return tr, tr != nil && tr == h.cursorTr && tr.halfLife == halfLife && tr.ref.Equal(ref)
 }
 
 // refValue is u's canonical sum: the plain sum without decay, the clamped
 // per-bin total re-expressed at the reference while its newest bin is ahead
 // of `now` (or while its sum is dirty, which a cursor pass never leaves
 // behind), the tracker's sum otherwise. Any stripe lock held.
-func (h *Histogram) refValue(u *userBins, tr *expTracker, idx int, now time.Time, scale float64) float64 {
+func (h *Histogram) refValue(u *userBins, tr *expTracker, now time.Time, scale float64) float64 {
 	if tr == nil {
 		var sum float64
 		for _, b := range u.bins {
@@ -274,7 +252,7 @@ func (h *Histogram) refValue(u *userBins, tr *expTracker, idx int, now time.Time
 		}
 		return sum
 	}
-	if es := u.exp[idx]; !es.dirty && !h.future(u, now.UnixNano()) {
+	if es := u.exp; !es.dirty && !h.future(u, now.UnixNano()) {
 		return es.sum
 	}
 	return h.clampedSum(u, now, float64(tr.halfLife)) / scale
@@ -286,7 +264,7 @@ func (h *Histogram) refSum(user string, halfLife time.Duration, ref, now time.Ti
 	st := h.stripeFor(user)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	tr, idx, ok := h.cursorTracker(halfLife, ref)
+	tr, ok := h.cursorTracker(halfLife, ref)
 	if !ok {
 		return 0, false
 	}
@@ -294,7 +272,7 @@ func (h *Histogram) refSum(user string, halfLife time.Duration, ref, now time.Ti
 	if u == nil {
 		return 0, true
 	}
-	return h.refValue(u, tr, idx, now, scale), true
+	return h.refValue(u, tr, now, scale), true
 }
 
 // accumRefSums adds every user's canonical sum into dst in one
@@ -303,13 +281,13 @@ func (h *Histogram) refSum(user string, halfLife time.Duration, ref, now time.Ti
 func (h *Histogram) accumRefSums(dst map[string]float64, halfLife time.Duration, ref, now time.Time, scale float64) bool {
 	h.rlockAll()
 	defer h.runlockAll()
-	tr, idx, ok := h.cursorTracker(halfLife, ref)
+	tr, ok := h.cursorTracker(halfLife, ref)
 	if !ok {
 		return false
 	}
 	for i := range h.stripes {
 		for name, u := range h.stripes[i].users {
-			dst[name] += h.refValue(u, tr, idx, now, scale)
+			dst[name] += h.refValue(u, tr, now, scale)
 		}
 	}
 	return true

@@ -19,10 +19,7 @@ type cursorFollower struct {
 
 func (f *cursorFollower) pass(t *testing.T, hists []*Histogram, now time.Time, d Decay) DeltaSet {
 	t.Helper()
-	ds, ok := f.c.Advance(hists, now, d)
-	if !ok {
-		t.Fatalf("Advance refused decay %s", d.Name())
-	}
+	ds := f.c.Advance(hists, now, d)
 	if ds.Full {
 		full, ok := f.c.Sums(hists, now)
 		if !ok {
@@ -83,7 +80,8 @@ func (f *cursorFollower) check(t *testing.T, ctx string, hists []*Histogram, now
 // TestCursorFollowsRandomInterleavings drives random mixes of local job
 // spreads, remote overwrites (growing, shrinking, removing, unchanged),
 // future bins, clock steps across bin midpoints, a forced rebase and a
-// tracker eviction through a three-histogram cursor, and after every pass
+// tracker replaced under the cursor through a three-histogram cursor, and
+// after every pass
 // requires the accumulated deltas to equal a fresh Full at the same instant
 // under Float64bits, with value × scale within 1e-9 of the naive totals.
 func TestCursorFollowsRandomInterleavings(t *testing.T) {
@@ -113,7 +111,7 @@ func runCursorInterleaving(t *testing.T, d Decay, seed int64) {
 	// remote[h][user][bin] mirrors what the remote histograms hold, so
 	// overwrites can grow, shrink or repeat the stored value on purpose.
 	remote := []map[string]map[time.Time]float64{nil, {}, {}}
-	hl, _ := factoredHalfLife(d)
+	hl := halfLifeOf(d)
 	sawFull := map[string]bool{}
 
 	for step := 0; step < 250; step++ {
@@ -164,14 +162,12 @@ func runCursorInterleaving(t *testing.T, d Decay, seed int64) {
 				continue
 			}
 		case 180:
-			if hl > 0 { // four more half-lives push the cursor's tracker out
-				for i := 1; i <= maxTrackers; i++ {
-					hists[1].DecayedTotals(now, ExponentialHalfLife{HalfLife: hl + time.Duration(i)*time.Minute})
-				}
+			if hl > 0 { // a read under another half-life replaces the cursor's tracker
+				hists[1].DecayedTotals(now, ExponentialHalfLife{HalfLife: hl + time.Minute})
 				if ds := f.pass(t, hists, now, d); !ds.Full {
-					t.Fatalf("%s: pass after an eviction was not Full", ctx)
+					t.Fatalf("%s: pass after a replaced tracker was not Full", ctx)
 				}
-				sawFull["eviction"] = true
+				sawFull["replaced tracker"] = true
 				f.check(t, ctx, hists, now, d)
 				continue
 			}
@@ -277,19 +273,67 @@ func TestCursorClampedUsersAreReEmittedUntilTheClampLifts(t *testing.T) {
 	}
 }
 
-// TestCursorRefusesDecaysThatDoNotFactor: linear and step weights are not
-// scale-invariant; their consumers stay on complete totals.
-func TestCursorRefusesDecaysThatDoNotFactor(t *testing.T) {
+// TestCursorSecondHalfLifeReRegistersTheTracker: a histogram keeps one
+// tracker, so a read under another half-life replaces the one the cursor
+// pinned. Sums refuses until the next Advance, which re-registers it at the
+// cursor's reference and is Full; the re-seeded sums equal, bit for bit,
+// those of a histogram that never saw the other half-life.
+func TestCursorSecondHalfLifeReRegistersTheTracker(t *testing.T) {
+	d := ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour}
+	other := ExponentialHalfLife{HalfLife: 24 * time.Hour}
 	h := NewHistogram(time.Hour)
-	h.Add("a", t0, 1)
-	var c Cursor
-	for _, d := range []Decay{Linear{Window: time.Hour}, Step{Window: time.Hour}} {
-		if _, ok := c.Advance([]*Histogram{h}, t0, d); ok {
-			t.Errorf("Advance accepted %s", d.Name())
-		}
+	for i := 0; i < 50; i++ {
+		u := fmt.Sprintf("u%02d", i)
+		h.Add(u, t0.Add(-time.Duration(i+1)*time.Hour), float64(100+i))
+		h.Add(u, t0.Add(-time.Duration(3*i+2)*time.Hour), float64(7*i+1))
 	}
-	if _, ok := c.Sums([]*Histogram{h}, t0); ok {
+	hists := []*Histogram{h}
+	var c Cursor
+	if _, ok := c.Sums(hists, t0); ok {
 		t.Error("Sums served before any pass")
+	}
+	if ds := c.Advance(hists, t0, d); !ds.Full {
+		t.Fatal("first pass was not Full")
+	}
+	h.Add("u07", t0.Add(-20*time.Minute), 40)
+	now := t0.Add(40 * time.Minute)
+	if ds := c.Advance(hists, now, d); ds.Full || len(ds.Changed) != 1 {
+		t.Fatalf("steady pass: full=%v changed=%d, want one sparse change", ds.Full, len(ds.Changed))
+	}
+	pinned := h.tracker
+
+	checkClose(t, "other half-life", h.DecayedTotals(now, other), seedDecayedTotals(h, now, other), expRelTol)
+	if h.tracker == pinned || h.tracker.halfLife != other.HalfLife {
+		t.Fatalf("tracker after a read under %v: %+v, want a new one", other.HalfLife, h.tracker)
+	}
+	if _, ok := c.Sums(hists, now); ok {
+		t.Error("Sums served from a tracker the cursor did not pin")
+	}
+
+	now = now.Add(time.Minute)
+	ds := c.Advance(hists, now, d)
+	if !ds.Full {
+		t.Fatal("pass after a replaced tracker was not Full")
+	}
+	if h.tracker.halfLife != d.HalfLife || !h.tracker.ref.Equal(ds.Reference) {
+		t.Fatalf("tracker = %+v, want %v re-registered at %v", h.tracker, d.HalfLife, ds.Reference)
+	}
+	got, ok := c.Sums(hists, now)
+	if !ok {
+		t.Fatal("Sums refused right after the Full pass")
+	}
+	// The twin is read at the same reference instant and never sees `other`.
+	twin := []*Histogram{h.Clone()}
+	var tc Cursor
+	tc.Advance(twin, ds.Reference, d)
+	want, ok := tc.Sums(twin, now)
+	if !ok || len(got.Totals) != len(want.Totals) || len(want.Totals) != 50 {
+		t.Fatalf("twin Sums ok=%v users=%d, histogram users=%d", ok, len(want.Totals), len(got.Totals))
+	}
+	for u, w := range want.Totals {
+		if g := got.Totals[u]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("user %s: re-registered sum %v, fresh histogram %v", u, g, w)
+		}
 	}
 }
 

@@ -11,13 +11,29 @@ import (
 )
 
 // Decay weights historical usage by age, controlling "how the impact of
-// previous usage is decreased over time". Weight must be in [0, 1], equal to
-// 1 at age 0, and non-increasing in age.
+// previous usage is decreased over time". Weight is in [0, 1], equal to 1 at
+// age 0, and non-increasing in age.
+//
+// The family is sealed: every decay is an exponential half-life, None being
+// the half-life that never halves. That is what lets a usage value travel
+// between services as a sum at a reference instant plus one scale (see
+// DeltaSet): a decay outside the family would need a second representation
+// in every service, so none can be declared outside this package.
 type Decay interface {
 	// Weight returns the multiplier applied to usage of the given age.
 	Weight(age time.Duration) float64
 	// Name identifies the decay function.
 	Name() string
+	// halfLife is the decay's half-life, 0 for no decay.
+	halfLife() time.Duration
+}
+
+// halfLifeOf returns d's half-life; nil and None are 0.
+func halfLifeOf(d Decay) time.Duration {
+	if d == nil {
+		return 0
+	}
+	return d.halfLife()
 }
 
 // ExponentialHalfLife decays usage by a factor of two every HalfLife.
@@ -40,41 +56,7 @@ func (d ExponentialHalfLife) Weight(age time.Duration) float64 {
 	return math.Exp2(-float64(age) / float64(d.HalfLife))
 }
 
-// Linear decays usage linearly to zero over Window.
-type Linear struct {
-	Window time.Duration
-}
-
-// Name implements Decay.
-func (d Linear) Name() string { return "linear" }
-
-// Weight implements Decay.
-func (d Linear) Weight(age time.Duration) float64 {
-	if age <= 0 {
-		return 1
-	}
-	if d.Window <= 0 || age >= d.Window {
-		return 0
-	}
-	return 1 - float64(age)/float64(d.Window)
-}
-
-// Step keeps full weight inside Window and drops to zero beyond it (a
-// sliding-window accumulation).
-type Step struct {
-	Window time.Duration
-}
-
-// Name implements Decay.
-func (d Step) Name() string { return "step" }
-
-// Weight implements Decay.
-func (d Step) Weight(age time.Duration) float64 {
-	if d.Window > 0 && age > d.Window {
-		return 0
-	}
-	return 1
-}
+func (d ExponentialHalfLife) halfLife() time.Duration { return max(d.HalfLife, 0) }
 
 // None applies no decay: all history counts equally.
 type None struct{}
@@ -84,3 +66,5 @@ func (None) Name() string { return "none" }
 
 // Weight implements Decay.
 func (None) Weight(time.Duration) float64 { return 1 }
+
+func (None) halfLife() time.Duration { return 0 }

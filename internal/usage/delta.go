@@ -2,10 +2,20 @@ package usage
 
 import "time"
 
-// DeltaSet describes how per-user usage evolved since a consumer's last
-// pull — the USS hands it to the UMS and the UMS to the FCS, so steady-state
-// fairshare refreshes can be incremental instead of re-reading the whole
-// population.
+// DeltaSet is the one form in which per-user usage travels between
+// services: the USS's change cursor hands it to the UMS and the UMS to the
+// FCS, so steady-state fairshare refreshes are incremental instead of
+// re-reading the whole population.
+//
+// Values are sums at the Reference instant — Σ v·2^(-(Reference-mid)/H)
+// over a user's bins, the plain sum without decay (see cursor.go) — which
+// only change when a user's usage does. Scale is the one scalar that turns
+// them back into decayed core-seconds: value × Scale is the decayed total
+// at the instant the set was computed. Every decay is a half-life
+// (decay.go), so there is no other representation. Scale lies in
+// [2^-16, 1]: the reference is never ahead of that instant and is moved up
+// before it falls 16 half-lives behind. Without decay Scale is 1 and
+// Reference is zero; consumers read a Scale of 0 as 1.
 //
 // Version is a monotonically increasing watermark: it advances every time
 // the provider publishes values that differ (bitwise) from the previous
@@ -17,16 +27,9 @@ import "time"
 // Changed are bitwise unchanged. When Full is true the provider could not
 // (or chose not to) produce a delta — first pull, watermark no longer
 // covered by the provider's bounded log, a moved reference instant, or a
-// change so large a delta would not pay off — and Totals carries the
-// complete current values instead.
-//
-// Values are decayed core-seconds divided by Scale: under a decay that
-// factors through time they are sums at the Reference instant (see
-// cursor.go), which only change when a user's usage does; value × Scale is
-// the decayed total at the instant the set was computed. Providers that
-// deal in decayed totals set Scale to 1 (consumers read 0 as 1) and leave
-// Reference zero. Scale lies in [2^-16, 1]: the reference is never ahead of
-// that instant and is moved up before it falls 16 half-lives behind.
+// change so large a delta would not pay off. A Full set handed to a
+// consumer carries the complete current values in Totals; the cursor's own
+// Full sets carry none, and their reader asks Cursor.Sums for them.
 //
 // Changed and Totals reference the provider's internal state and MUST be
 // treated as read-only by consumers.

@@ -8,11 +8,10 @@ import (
 	"time"
 )
 
-// equivalence_test.go pins the optimized totals paths — the O(users)
-// incremental exponential accumulators, the memoized weight tables and the
-// step-window binary search — to the seed-style per-bin reference sum:
-// exact for None, Step and Linear (identical float operations in identical
-// order), and ≤1e-9 relative error for exponential half-life decay.
+// equivalence_test.go pins the optimized totals path — the O(users)
+// incremental half-life sums — to the seed-style per-bin reference sum:
+// exact for None (identical float operations in identical order), and ≤1e-9
+// relative error for exponential half-life decay.
 
 const expRelTol = 1e-9
 
@@ -40,8 +39,8 @@ func checkClose(t *testing.T, ctx string, got, want map[string]float64, relTol f
 	}
 }
 
-// checkAllDecays compares DecayedTotals against the reference for the four
-// decay families at `now`.
+// checkAllDecays compares DecayedTotals against the reference with and
+// without decay at `now`.
 func checkAllDecays(t *testing.T, h *Histogram, now time.Time, halfLife time.Duration) {
 	t.Helper()
 	for _, tc := range []struct {
@@ -49,8 +48,6 @@ func checkAllDecays(t *testing.T, h *Histogram, now time.Time, halfLife time.Dur
 		relTol float64
 	}{
 		{None{}, 0},
-		{Step{Window: 6 * time.Hour}, 0},
-		{Linear{Window: 48 * time.Hour}, 0},
 		{ExponentialHalfLife{HalfLife: halfLife}, expRelTol},
 	} {
 		got := h.DecayedTotals(now, tc.d)
@@ -60,7 +57,7 @@ func checkAllDecays(t *testing.T, h *Histogram, now time.Time, halfLife time.Dur
 }
 
 // TestEquivalenceRandomizedWorkloads drives randomized mixes of every
-// mutation primitive and re-verifies all four decay paths after each burst,
+// mutation primitive and re-verifies both decay paths after each burst,
 // with the query time walking forward (and occasionally jumping far enough
 // to force reference rebasing, or stepping behind fresh bins to force the
 // clamped exact path).
@@ -173,9 +170,9 @@ func TestEquivalenceExchangeWorkload(t *testing.T) {
 	}
 }
 
-// TestEquivalenceManyHalfLives cycles more distinct half-lives than the
-// tracker cap, forcing LRU eviction and re-registration, and verifies every
-// answer against the reference.
+// TestEquivalenceManyHalfLives asks one histogram for a different half-life
+// on every pass, each of which registers a new tracker in place of the last,
+// and verifies every answer against the reference.
 func TestEquivalenceManyHalfLives(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := NewHistogram(30 * time.Minute)
@@ -184,14 +181,14 @@ func TestEquivalenceManyHalfLives(t *testing.T) {
 			t0.Add(time.Duration(rng.Intn(10000))*time.Minute), 1+rng.Float64()*1e3)
 	}
 	now := t0.Add(200 * time.Hour)
-	for i := 0; i < 3*maxTrackers; i++ {
+	for i := 0; i < 12; i++ {
 		hl := time.Duration(1+i) * time.Hour
 		d := ExponentialHalfLife{HalfLife: hl}
 		got := h.DecayedTotals(now, d)
 		want := seedDecayedTotals(h, now, d)
 		checkClose(t, fmt.Sprintf("halfLife=%v", hl), got, want, expRelTol)
-		if len(h.trackers) > maxTrackers {
-			t.Fatalf("tracker cap exceeded: %d", len(h.trackers))
+		if h.tracker.halfLife != hl {
+			t.Fatalf("tracker half-life = %v, want %v", h.tracker.halfLife, hl)
 		}
 		now = now.Add(17 * time.Minute)
 	}
@@ -208,14 +205,14 @@ func TestEquivalenceIncrementalStaysIncremental(t *testing.T) {
 	h.Add("b", t0, 200)
 	now := t0.Add(2 * time.Hour)
 	h.DecayedTotals(now, d) // registers the tracker
-	if len(h.trackers) != 1 {
-		t.Fatalf("trackers = %d, want 1", len(h.trackers))
+	if h.tracker == nil {
+		t.Fatal("no tracker registered")
 	}
 
 	h.Add("a", now.Add(-30*time.Minute), 50) // in-order add: O(1) fold
 	st := h.stripeFor("a")
 	st.mu.RLock()
-	aDirty := st.users["a"].exp[0].dirty
+	aDirty := st.users["a"].exp.dirty
 	st.mu.RUnlock()
 	if aDirty {
 		t.Error("in-order Add marked user dirty; delta fold not taken")
@@ -224,7 +221,7 @@ func TestEquivalenceIncrementalStaysIncremental(t *testing.T) {
 	h.SetBin("b", t0, 10) // shrink: must flag b, and only b
 	st = h.stripeFor("b")
 	st.mu.RLock()
-	bDirty := st.users["b"].exp[0].dirty
+	bDirty := st.users["b"].exp.dirty
 	st.mu.RUnlock()
 	if !bDirty {
 		t.Error("shrinking SetBin left user clean; stale sum would be served")
@@ -237,43 +234,11 @@ func TestEquivalenceIncrementalStaysIncremental(t *testing.T) {
 
 	// The recompute pass must have cleaned b again.
 	st.mu.RLock()
-	bDirty = st.users["b"].exp[0].dirty
+	bDirty = st.users["b"].exp.dirty
 	st.mu.RUnlock()
 	if bDirty {
 		t.Error("totals pass did not persist the recomputed sum")
 	}
-}
-
-// TestWeightTableSharing verifies one memoized table combining several
-// same-width histograms yields exactly the separate-map merge, and that a
-// mismatched table (different width) is ignored rather than misapplied.
-func TestWeightTableSharing(t *testing.T) {
-	a := NewHistogram(time.Hour)
-	b := NewHistogram(time.Hour)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 300; i++ {
-		at := t0.Add(time.Duration(rng.Intn(2000)) * time.Minute)
-		a.Add(fmt.Sprintf("u%d", rng.Intn(10)), at, rng.Float64()*100)
-		b.Add(fmt.Sprintf("u%d", rng.Intn(10)), at, rng.Float64()*100)
-	}
-	now := t0.Add(40 * time.Hour)
-	d := Linear{Window: 100 * time.Hour}
-
-	shared := map[string]float64{}
-	wt := NewWeightTable(d, now, time.Hour)
-	a.AccumulateDecayed(shared, now, d, wt)
-	b.AccumulateDecayed(shared, now, d, wt)
-
-	want := a.DecayedTotals(now, d)
-	for u, v := range b.DecayedTotals(now, d) {
-		want[u] += v
-	}
-	checkClose(t, "shared weight table", shared, want, 0)
-
-	mismatched := map[string]float64{}
-	wrong := NewWeightTable(d, now, time.Minute) // wrong width: must be ignored
-	a.AccumulateDecayed(mismatched, now, d, wrong)
-	checkClose(t, "mismatched weight table", mismatched, a.DecayedTotals(now, d), 0)
 }
 
 // TestRecordsSinceMatchesFilteredRecords pins the binary-searched tail

@@ -39,9 +39,9 @@ type userBins struct {
 	bins []bin
 	// total is the running undecayed sum — Total() in O(1).
 	total float64
-	// exp is per-tracker incremental decayed state, index-aligned with
-	// Histogram.trackers (see incremental.go).
-	exp []expState
+	// exp is the incremental decayed state under the histogram's tracker
+	// (see incremental.go).
+	exp expState
 	// marked is set while the user sits in its stripe's change list, so a
 	// user mutated many times between two cursor passes is listed once.
 	marked bool
@@ -88,16 +88,14 @@ type Histogram struct {
 
 	stripes [numStripes]stripe
 
-	// trackers holds the registered incremental exponential-decay
-	// accumulators. Locking protocol: written (and per-user exp state
-	// resized) only while holding ALL stripe write locks; read while
-	// holding any one stripe lock. genCounter orders tracker use for LRU
-	// eviction and is only touched under all stripe write locks.
-	trackers   []*expTracker
-	genCounter uint64
+	// tracker is the registered incremental half-life accumulator (nil
+	// until a half-life is first asked for). Locking protocol: replaced, and
+	// its reference moved, only while holding ALL stripe write locks; read
+	// while holding any one stripe lock.
+	tracker *expTracker
 
 	// Change-cursor state (cursor.go), under the same locking protocol as
-	// trackers: cursorOn starts mutations recording changed users,
+	// tracker: cursorOn starts mutations recording changed users,
 	// cursorTr is the tracker whose sums the cursor reads (nil without
 	// decay), cursorNow the instant of its last pass in unix nanoseconds.
 	cursorOn  bool
@@ -200,7 +198,7 @@ func (h *Histogram) runlockAll() {
 func (h *Histogram) userLocked(st *stripe, user string, create bool) *userBins {
 	u := st.users[user]
 	if u == nil && create {
-		u = &userBins{exp: make([]expState, len(h.trackers))}
+		u = &userBins{}
 		st.users[user] = u
 	}
 	return u
@@ -234,7 +232,7 @@ func (h *Histogram) addBinLocked(st *stripe, user string, start int64, v float64
 		u.bins[i] = bin{start, v}
 	}
 	u.total += v
-	h.trackersAdd(st, user, u, start, v)
+	h.trackerAdd(st, user, u, start, v)
 }
 
 // setBinLocked replaces user's bin at start with v (≤0 removes the bin).
@@ -252,7 +250,7 @@ func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64
 		old := u.bins[i].v
 		u.bins = append(u.bins[:i], u.bins[i+1:]...)
 		u.recomputeTotal()
-		h.trackersAdd(st, user, u, start, -old)
+		h.trackerAdd(st, user, u, start, -old)
 		if len(u.bins) == 0 {
 			delete(st.users, user)
 		}
@@ -273,14 +271,14 @@ func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64
 			// never accumulates cancellation drift.
 			u.recomputeTotal()
 		}
-		h.trackersAdd(st, user, u, start, delta)
+		h.trackerAdd(st, user, u, start, delta)
 		return
 	}
 	u.bins = append(u.bins, bin{})
 	copy(u.bins[i+1:], u.bins[i:])
 	u.bins[i] = bin{start, v}
 	u.total += v
-	h.trackersAdd(st, user, u, start, v)
+	h.trackerAdd(st, user, u, start, v)
 }
 
 // Add accumulates coreSeconds of usage for user at the bin containing `at`.
@@ -465,15 +463,13 @@ func (h *Histogram) DecayedTotal(user string, now time.Time, d Decay) float64 {
 
 // DecayedTotals returns the decayed totals for every user, computed in one
 // read-consistent pass (all stripes held for the duration, so the result is
-// a view that existed at a single instant). Exponential decay is served
-// from the O(users) incremental accumulators; step decay binary-searches
-// the window edge; other decays share one memoized weight table across all
-// users. See AccumulateDecayed for combining several histograms.
+// a view that existed at a single instant), served from the O(users)
+// incremental sums. See AccumulateDecayed for combining several histograms.
 func (h *Histogram) DecayedTotals(now time.Time, d Decay) map[string]float64 {
 	// Pre-size to the current user count: at scale, growing the result map
 	// incrementally costs more than the weighted sums themselves.
 	out := make(map[string]float64, h.UserCount())
-	h.AccumulateDecayed(out, now, d, nil)
+	h.AccumulateDecayed(out, now, d)
 	return out
 }
 
@@ -492,47 +488,20 @@ func (h *Histogram) UserCount() int {
 
 // AccumulateDecayed adds every user's decayed total at `now` into dst —
 // the one-pass merge primitive for combining local and remote histograms
-// without intermediate maps. A non-nil WeightTable built for the same
-// (decay, now, bin width) is shared across calls, so one weight per
-// distinct bin start serves all users of all histograms; a nil or
-// mismatched table falls back to a private one.
-func (h *Histogram) AccumulateDecayed(dst map[string]float64, now time.Time, d Decay, wt *WeightTable) {
-	if d == nil {
-		d = None{}
-	}
-	switch dd := d.(type) {
-	case None:
+// without intermediate maps.
+func (h *Histogram) AccumulateDecayed(dst map[string]float64, now time.Time, d Decay) {
+	hl := halfLifeOf(d)
+	if hl == 0 {
 		h.rlockAll()
 		h.accumPlain(dst)
 		h.runlockAll()
-	case ExponentialHalfLife:
-		if dd.HalfLife <= 0 {
-			h.rlockAll()
-			h.accumPlain(dst)
-			h.runlockAll()
-			return
-		}
-		// Write locks: the pass may register a tracker, rebase its
-		// reference instant, or persist recomputed per-user sums.
-		h.lockAll()
-		h.accumExp(dst, now, dd)
-		h.unlockAll()
-	case Step:
-		if dd.Window <= 0 {
-			// Degenerate window: Step.Weight is 1 everywhere.
-			h.rlockAll()
-			h.accumPlain(dst)
-			h.runlockAll()
-			return
-		}
-		h.rlockAll()
-		h.accumStep(dst, now, dd)
-		h.runlockAll()
-	default:
-		h.rlockAll()
-		h.accumTable(dst, now, d, wt)
-		h.runlockAll()
+		return
 	}
+	// Write locks: the pass may register the tracker, rebase its reference
+	// instant, or persist recomputed per-user sums.
+	h.lockAll()
+	h.accumExp(dst, now, hl)
+	h.unlockAll()
 }
 
 // accumPlain adds undecayed totals by summing each user's bins in sorted
@@ -545,47 +514,6 @@ func (h *Histogram) accumPlain(dst map[string]float64) {
 			var sum float64
 			for _, b := range u.bins {
 				sum += b.v
-			}
-			dst[name] += sum
-		}
-	}
-}
-
-// accumStep adds sliding-window totals: a bin counts fully iff its midpoint
-// age is within the window (future bins clamp to age zero, hence count).
-// The window edge is found by binary search in each user's sorted bins.
-func (h *Histogram) accumStep(dst map[string]float64, now time.Time, d Step) {
-	edge := now.Add(-d.Window) // bins with midpoint >= edge count
-	for i := range h.stripes {
-		for name, u := range h.stripes[i].users {
-			bins := u.bins
-			j := sort.Search(len(bins), func(k int) bool {
-				return !h.midTime(bins[k].start).Before(edge)
-			})
-			var sum float64
-			for _, b := range bins[j:] {
-				sum += b.v
-			}
-			// Users fully outside the window still get an entry (+= 0),
-			// matching the per-user passes of the other decay paths.
-			dst[name] += sum
-		}
-	}
-}
-
-// accumTable adds decayed totals using a memoized per-bin-start weight
-// table: bins are width-aligned, so the distinct bin starts are few and one
-// small table serves every user (and, via the shared wt, every histogram of
-// a combining pass) — no per-user sorting, one Weight call per distinct bin.
-func (h *Histogram) accumTable(dst map[string]float64, now time.Time, d Decay, wt *WeightTable) {
-	if wt == nil || !wt.matches(d, now, h.binWidth) {
-		wt = NewWeightTable(d, now, h.binWidth)
-	}
-	for i := range h.stripes {
-		for name, u := range h.stripes[i].users {
-			var sum float64
-			for _, b := range u.bins {
-				sum += b.v * wt.Weight(b.start)
 			}
 			dst[name] += sum
 		}
@@ -757,8 +685,8 @@ func (h *Histogram) Merge(other *Histogram) {
 	h.IngestBatch(other.Records(""))
 }
 
-// Clone returns a deep copy. Incremental decay trackers are not copied;
-// the clone re-registers them lazily on its first exponential totals pass.
+// Clone returns a deep copy. The incremental decay tracker is not copied;
+// the clone registers one lazily on its first half-life totals pass.
 func (h *Histogram) Clone() *Histogram {
 	out := NewHistogram(h.binWidth)
 	out.Merge(h)

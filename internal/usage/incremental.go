@@ -44,22 +44,17 @@ import (
 // rounding stays orders of magnitude under the 1e-9 equivalence bound.
 const rebaseHalfLives = 16.0
 
-// expTracker is one registered half-life's incremental state. The per-user
-// sums live in userBins.exp at this tracker's index. Guarded by the stripe
-// locks: mutated only under all stripe write locks.
+// expTracker is the histogram's incremental state for one half-life. A
+// histogram keeps one: asking it for another half-life registers a new
+// tracker in its place, at the cost of one walk over every bin. The per-user
+// sums live in userBins.exp. Guarded by the stripe locks: replaced and
+// rebased only under all stripe write locks.
 type expTracker struct {
 	halfLife time.Duration
 	ref      time.Time // reference instant of the per-user sums
-	lastUse  uint64    // generation of last totals pass (LRU eviction)
 }
 
-// maxTrackers caps registered half-lives. Queries beyond the cap evict the
-// least-recently-used tracker; pathological churn (a new half-life every
-// call) degrades to the memoized per-bin path cost, never to unbounded
-// per-mutation work.
-const maxTrackers = 4
-
-// expState is one user's sum under one tracker.
+// expState is one user's sum under the histogram's tracker.
 type expState struct {
 	sum   float64 // Σ v·2^(-(ref-mid)/H), valid when !dirty
 	dirty bool    // sum unreliable; recompute from bins at next pass
@@ -75,72 +70,55 @@ func (tr *expTracker) weightAtRef(mid time.Time) (float64, bool) {
 	return math.Exp2(-x), true
 }
 
-// trackersAdd folds a bin delta into every registered tracker's per-user
-// sum and, once a change cursor is attached, lists the user as changed. The
-// owning stripe's write lock must be held and delta must be non-zero.
+// trackerAdd folds a bin delta into the user's sum under the registered
+// tracker and, once a change cursor is attached, lists the user as changed.
+// The owning stripe's write lock must be held and delta must be non-zero.
 // Negative deltas (bin overwritten downward or removed) poison the running
 // sum with potential cancellation, so they mark the user dirty instead;
 // exchange overwrites are monotone in the common case, keeping this rare.
-func (h *Histogram) trackersAdd(st *stripe, name string, u *userBins, start int64, delta float64) {
+func (h *Histogram) trackerAdd(st *stripe, name string, u *userBins, start int64, delta float64) {
 	if h.cursorOn {
 		h.markChanged(st, name, u)
 	}
-	if len(h.trackers) == 0 {
+	tr := h.tracker
+	if tr == nil || u.exp.dirty {
 		return
 	}
-	mid := h.midTime(start)
-	for i, tr := range h.trackers {
-		es := &u.exp[i]
-		if es.dirty {
-			continue
-		}
-		if delta < 0 {
-			es.dirty = true
-			continue
-		}
-		w, ok := tr.weightAtRef(mid)
-		if !ok {
-			es.dirty = true
-			continue
-		}
-		es.sum += delta * w
+	if delta < 0 {
+		u.exp.dirty = true
+		return
 	}
+	w, ok := tr.weightAtRef(h.midTime(start))
+	if !ok {
+		u.exp.dirty = true
+		return
+	}
+	u.exp.sum += delta * w
 }
 
-// trackerFor finds the tracker for halfLife, registering it at reference
-// instant ref when there is none; fresh reports a registration. All stripe
-// write locks must be held. Registration walks every bin once to seed the
-// per-user sums; eviction removes the least-recently-used tracker's column
-// from every user.
-func (h *Histogram) trackerFor(halfLife time.Duration, ref time.Time) (tr *expTracker, idx int, fresh bool) {
-	h.genCounter++
-	for i, t := range h.trackers {
-		if t.halfLife == halfLife {
-			t.lastUse = h.genCounter
-			return t, i, false
-		}
+// trackerFor returns the tracker for halfLife, registering it at reference
+// instant ref in place of any other; fresh reports a registration, which
+// walks every bin once to seed the per-user sums. All stripe write locks
+// must be held.
+func (h *Histogram) trackerFor(halfLife time.Duration, ref time.Time) (tr *expTracker, fresh bool) {
+	if tr = h.tracker; tr != nil && tr.halfLife == halfLife {
+		return tr, false
 	}
-	if len(h.trackers) >= maxTrackers {
-		h.evictLRU()
-	}
-	tr = &expTracker{halfLife: halfLife, ref: ref, lastUse: h.genCounter}
-	idx = len(h.trackers)
-	h.trackers = append(h.trackers, tr)
+	tr = &expTracker{halfLife: halfLife, ref: ref}
+	h.tracker = tr
 	for i := range h.stripes {
 		for _, u := range h.stripes[i].users {
-			u.exp = append(u.exp, expState{})
-			h.reseed(u, idx, tr)
+			h.reseed(u, tr)
 		}
 	}
-	return tr, idx, true
+	return tr, true
 }
 
-// reseed recomputes one user's sum under tracker idx from its bins, at the
-// tracker's reference instant. A bin too far ahead of the reference to be
-// represented leaves the user dirty. The owning stripe's write lock must be
-// held.
-func (h *Histogram) reseed(u *userBins, idx int, tr *expTracker) {
-	es := &u.exp[idx]
+// reseed recomputes one user's sum from its bins, at the tracker's
+// reference instant. A bin too far ahead of the reference to be represented
+// leaves the user dirty. The owning stripe's write lock must be held.
+func (h *Histogram) reseed(u *userBins, tr *expTracker) {
+	es := &u.exp
 	es.sum, es.dirty = 0, false
 	for _, b := range u.bins {
 		w, ok := tr.weightAtRef(h.midTime(b.start))
@@ -152,32 +130,15 @@ func (h *Histogram) reseed(u *userBins, idx int, tr *expTracker) {
 	}
 }
 
-// evictLRU drops the least-recently-used tracker and its column of per-user
-// state. All stripe write locks must be held.
-func (h *Histogram) evictLRU() {
-	victim := 0
-	for i, tr := range h.trackers {
-		if tr.lastUse < h.trackers[victim].lastUse {
-			victim = i
-		}
-	}
-	h.trackers = append(h.trackers[:victim], h.trackers[victim+1:]...)
-	for i := range h.stripes {
-		for _, u := range h.stripes[i].users {
-			u.exp = append(u.exp[:victim], u.exp[victim+1:]...)
-		}
-	}
-}
-
-// rebase moves tracker idx's reference instant to `to`, advancing every
+// rebase moves the tracker's reference instant to `to`, advancing every
 // clean sum with one scalar multiply (dirty sums are recomputed from their
 // bins when next read). All stripe write locks must be held.
-func (h *Histogram) rebase(tr *expTracker, idx int, to time.Time) {
+func (h *Histogram) rebase(tr *expTracker, to time.Time) {
 	f := math.Exp2(-float64(to.Sub(tr.ref)) / float64(tr.halfLife))
 	for i := range h.stripes {
 		for _, u := range h.stripes[i].users {
-			if !u.exp[idx].dirty {
-				u.exp[idx].sum *= f
+			if !u.exp.dirty {
+				u.exp.sum *= f
 			}
 		}
 	}
@@ -206,14 +167,14 @@ func (h *Histogram) clampedSum(u *userBins, now time.Time, hl float64) float64 {
 	return sum
 }
 
-// accumExp adds exponential-half-life totals via the incremental
-// accumulators. All stripe write locks must be held.
-func (h *Histogram) accumExp(dst map[string]float64, now time.Time, d ExponentialHalfLife) {
-	tr, idx, _ := h.trackerFor(d.HalfLife, now)
-	hl := float64(d.HalfLife)
+// accumExp adds half-life totals via the incremental sums. All stripe write
+// locks must be held.
+func (h *Histogram) accumExp(dst map[string]float64, now time.Time, halfLife time.Duration) {
+	tr, _ := h.trackerFor(halfLife, now)
+	hl := float64(halfLife)
 	drift := float64(now.Sub(tr.ref)) / hl
 	if math.Abs(drift) > rebaseHalfLives {
-		h.rebase(tr, idx, now)
+		h.rebase(tr, now)
 		drift = 0
 	}
 	factor := math.Exp2(-drift)
@@ -221,12 +182,12 @@ func (h *Histogram) accumExp(dst map[string]float64, now time.Time, d Exponentia
 	for i := range h.stripes {
 		st := &h.stripes[i]
 		for name, u := range st.users {
-			es := &u.exp[idx]
+			es := &u.exp
 			fut := h.future(u, nowNs)
 			if es.dirty && !fut {
 				// The re-seed rewrites a persisted sum: a change cursor
 				// reading this tracker has to see the user again.
-				h.reseed(u, idx, tr)
+				h.reseed(u, tr)
 				if h.cursorTr == tr {
 					h.markChanged(st, name, u)
 				}

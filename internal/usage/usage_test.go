@@ -13,15 +13,13 @@ var t0 = time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC)
 func TestDecayWeightsAtZeroAge(t *testing.T) {
 	ds := []Decay{
 		ExponentialHalfLife{HalfLife: time.Hour},
-		Linear{Window: time.Hour},
-		Step{Window: time.Hour},
 		None{},
 	}
 	for _, d := range ds {
 		if w := d.Weight(0); w != 1 {
 			t.Errorf("%s Weight(0) = %g, want 1", d.Name(), w)
 		}
-		if w := d.Weight(-time.Minute); w != 1 && d.Name() != "step" {
+		if w := d.Weight(-time.Minute); w != 1 {
 			t.Errorf("%s Weight(neg) = %g, want 1", d.Name(), w)
 		}
 	}
@@ -41,34 +39,9 @@ func TestExponentialHalfLife(t *testing.T) {
 	}
 }
 
-func TestLinearDecay(t *testing.T) {
-	d := Linear{Window: 10 * time.Minute}
-	if w := d.Weight(5 * time.Minute); math.Abs(w-0.5) > 1e-12 {
-		t.Errorf("half-window weight = %g", w)
-	}
-	if w := d.Weight(10 * time.Minute); w != 0 {
-		t.Errorf("full-window weight = %g", w)
-	}
-	if w := d.Weight(time.Hour); w != 0 {
-		t.Errorf("past-window weight = %g", w)
-	}
-}
-
-func TestStepDecay(t *testing.T) {
-	d := Step{Window: time.Hour}
-	if w := d.Weight(59 * time.Minute); w != 1 {
-		t.Errorf("inside-window weight = %g", w)
-	}
-	if w := d.Weight(61 * time.Minute); w != 0 {
-		t.Errorf("outside-window weight = %g", w)
-	}
-}
-
 func TestDecayMonotoneNonIncreasing(t *testing.T) {
 	ds := []Decay{
 		ExponentialHalfLife{HalfLife: 30 * time.Minute},
-		Linear{Window: 2 * time.Hour},
-		Step{Window: time.Hour},
 		None{},
 	}
 	for _, d := range ds {
