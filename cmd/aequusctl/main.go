@@ -335,7 +335,7 @@ func cmdFcs(c *httpapi.Client) error {
 		fmt.Fprintf(tw, "  segments rebuilt/shared\t%d / %d\n",
 			s.FCSMaterializedSegments, s.FCSSharedSegments)
 	}
-	fmt.Fprintf(tw, "  project/drift\t%.3f / %.3fms\n", s.FCSProjectSeconds*1000, s.FCSDriftSeconds*1000)
+	fmt.Fprintf(tw, "  publish\t%.3fms\n", s.FCSPublishSeconds*1000)
 	if s.FCSUsageReference != nil {
 		fmt.Fprintf(tw, "usage scale\t%.9g (sums at %s)\n", s.FCSUsageScale, s.FCSUsageReference.Format(time.RFC3339))
 	}

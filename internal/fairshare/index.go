@@ -20,31 +20,6 @@ type IndexEntry struct {
 	LeafPriority float64
 }
 
-// EntryView is the composition-free view of one entry, split along the
-// segment seam: the level-0 vector/usage values are interned once per
-// top-level subtree (head), the deeper levels live in the segment's tail
-// arenas. Folding head then tail left-to-right reproduces the exact float
-// sequence of the flat full-depth arena (the values are bit-identical, only
-// the storage is factored), so pointwise projections and drift sums can run
-// off a View without ever materializing the composed per-entry slices.
-type EntryView struct {
-	// User is the leaf name.
-	User string
-	// HeadVec/HeadUsage are the entry's level-0 vector element and usage
-	// share — shared by every leaf of the same top-level subtree.
-	HeadVec   float64
-	HeadUsage float64
-	// PathShares is the full per-level target-share slice (identity data,
-	// stable across refreshes).
-	PathShares []float64
-	// TailVec/TailUsage are levels 1..depth-1 of the vector and usage path.
-	// Empty for leaves hanging directly off the root.
-	TailVec   []float64
-	TailUsage []float64
-	// LeafPriority is the raw (unprojected) priority of the user's leaf.
-	LeafPriority float64
-}
-
 // indexStripes is the number of hash stripes the user→position map is split
 // into. Striping lets full index rebuilds populate the map from several
 // goroutines without a global lock, and keeps per-map sizes (and therefore
@@ -69,15 +44,25 @@ type segTail struct {
 	leafPrio []float64
 }
 
-// composedSeg is the lazily materialized full-depth (head ⊕ tail) arena pair
-// for one segment, built on first At() access and cached for the life of the
-// snapshot. done uses acquire/release semantics: it is stored only after vec
-// and usage are fully written, so lock-free readers that observe done==true
-// see complete arenas. Never copy a composedSeg (it embeds a Mutex); access
+// composeRun is how many consecutive leaves one cold At() composes: a lookup
+// pays for a few KB of full-depth values whatever the tree shape, not for a
+// whole top-level subtree.
+const composeRun = 64
+
+// composedRun is the lazily materialized full-depth (head ⊕ tail) arena pair
+// of one run of composeRun consecutive entries, built on first At() access
+// and cached for the life of the snapshot. done uses acquire/release
+// semantics: it is stored only after base, vec and usage are fully written,
+// so lock-free readers that observe done==true see complete arenas. The
+// struct fills one cache line, so a warm lookup finds everything about its
+// run in one place. Never copy a composedRun (it embeds a Mutex); access
 // elements of Index.comp by pointer only.
-type composedSeg struct {
-	done atomic.Bool
+type composedRun struct {
 	mu   sync.Mutex
+	done atomic.Bool
+	// base is the run's first entry's offset in full-depth arena
+	// coordinates (Index.offs); the arenas are indexed relative to it.
+	base int32
 	vec  []float64
 	// usage is the composed per-level usage-share arena.
 	usage []float64
@@ -87,15 +72,16 @@ type composedSeg struct {
 // It is what lets the FCS serve `Priority()` without walking the tree: "no
 // real-time calculations need to take place when new jobs arrive". An Index
 // is safe for concurrent use by any number of readers because construction
-// publishes only immutable state (the lazy composed-segment and projection
+// publishes only immutable state (the lazy composed-run and projection
 // views are built under their own synchronization).
 //
 // Storage is split in two along the incremental-recalc seam:
 //
 //   - The identity half — user names, per-entry arena offsets, target
-//     shares, the segment table, the sharded user→position maps and the
-//     duplicate table — depends only on the policy topology, so incremental
-//     rebuilds (see Recalc) share it wholesale with the previous index.
+//     shares and their per-leaf product, the segment table, the sharded
+//     user→position maps and the duplicate table — depends only on the
+//     policy topology, so incremental rebuilds (see Recalc) share it
+//     wholesale with the previous index.
 //   - The value half — what a usage delta changes — is segmented along
 //     top-level subtrees: each segment interns its single level-0
 //     (vector, usage) prefix in headVec/headUsage and keeps only the deeper
@@ -121,6 +107,10 @@ type Index struct {
 	// shares holds every entry's normalized target shares, flattened per
 	// offs. Target shares change only with the policy, never with usage.
 	shares []float64
+	// target[i] is the product of entry i's target shares, folded left to
+	// right from 1 — the leaf's absolute slice of the grid under the policy,
+	// which the publish pass reads instead of re-multiplying the path.
+	target []float64
 	// segs[s] is segment s's leaf range; segOf[i] is the segment of entry i.
 	segs  []segMeta
 	segOf []int32
@@ -132,11 +122,11 @@ type Index struct {
 	headUsage []float64
 	tails     []*segTail
 
-	// comp caches per-segment composed full-depth arenas for At(). Built
-	// lazily so refresh-path consumers (View-based projections, drift) never
-	// pay for composition; serving-path Table/At callers build each segment
-	// at most once per snapshot.
-	comp []composedSeg
+	// comp caches composed full-depth arenas for At(), one slot per run of
+	// composeRun entries. Built lazily so the refresh path (SegmentShares)
+	// never pays for composition; serving-path Table/At callers build each
+	// run at most once per snapshot.
+	comp []composedRun
 
 	// stripes[hash(user)%indexStripes] maps a user name to its first entry
 	// position in DFS order (matching Tree.Vector / Tree.LeafPriority, which
@@ -204,12 +194,13 @@ func (ix *Index) initLayout(root *Node, n int) []int32 {
 	S := len(root.Children)
 	ix.users = make([]string, n)
 	ix.offs = make([]int32, n+1)
+	ix.target = make([]float64, n)
 	ix.segOf = make([]int32, n)
 	ix.segs = make([]segMeta, S)
 	ix.headVec = make([]float64, S)
 	ix.headUsage = make([]float64, S)
 	ix.tails = make([]*segTail, S)
-	ix.comp = make([]composedSeg, S)
+	ix.comp = newComposed(n)
 	bases := make([]int32, S+1)
 	lo := int32(0)
 	for s, c := range root.Children {
@@ -244,6 +235,11 @@ func (ix *Index) fillSegment(s int, c *Node, bases []int32, addPos func(name str
 	walkSubtree(c, func(nd *Node, vec vector.Vector, shares, usages []float64) {
 		d := len(vec)
 		copy(ix.shares[ai:ai+d], shares)
+		target := 1.0
+		for _, sh := range shares {
+			target *= sh
+		}
+		ix.target[pos] = target
 		copy(tail.vec[ti:ti+d-1], vec[1:])
 		copy(tail.usage[ti:ti+d-1], usages[1:])
 		ti += d - 1
@@ -436,11 +432,16 @@ func (ix *Index) Pos(user string) (int, bool) {
 	return int(p), ok
 }
 
-// composed returns segment s's full-depth arenas, materializing them on
-// first use. The double-checked atomic keeps the hot path allocation- and
-// lock-free once a segment is built.
-func (ix *Index) composed(s int32) *composedSeg {
-	c := &ix.comp[s]
+// newComposed returns the empty composed-run cache of an n-entry snapshot.
+func newComposed(n int) []composedRun {
+	return make([]composedRun, (n+composeRun-1)/composeRun)
+}
+
+// composed returns the full-depth arenas of the run entry i belongs to,
+// materializing them on first use. The double-checked atomic keeps the hot
+// path allocation- and lock-free once a run is built.
+func (ix *Index) composed(i int) *composedRun {
+	c := &ix.comp[i/composeRun]
 	if c.done.Load() {
 		return c
 	}
@@ -449,23 +450,22 @@ func (ix *Index) composed(s int32) *composedSeg {
 	if c.done.Load() {
 		return c
 	}
-	m := ix.segs[s]
-	t := ix.tails[s]
-	base := int(ix.offs[m.lo])
-	size := int(ix.offs[m.hi]) - base
-	vec := make([]float64, size)
-	pu := make([]float64, size)
-	hv, hu := ix.headVec[s], ix.headUsage[s]
-	ti := 0
-	for i := int(m.lo); i < int(m.hi); i++ {
-		off := int(ix.offs[i]) - base
-		d := int(ix.offs[i+1] - ix.offs[i])
-		vec[off], pu[off] = hv, hu
-		copy(vec[off+1:off+d], t.vec[ti:ti+d-1])
-		copy(pu[off+1:off+d], t.usage[ti:ti+d-1])
-		ti += d - 1
+	lo := i - i%composeRun
+	hi := min(lo+composeRun, len(ix.users))
+	base := int(ix.offs[lo])
+	size := int(ix.offs[hi]) - base
+	buf := make([]float64, 2*size)
+	vec, pu := buf[:size:size], buf[size:]
+	for j := lo; j < hi; j++ {
+		s := ix.segOf[j]
+		t := ix.tails[s]
+		to, tl := ix.tailSpan(j, ix.segs[s])
+		off := int(ix.offs[j]) - base
+		vec[off], pu[off] = ix.headVec[s], ix.headUsage[s]
+		copy(vec[off+1:off+1+tl], t.vec[to:to+tl])
+		copy(pu[off+1:off+1+tl], t.usage[to:to+tl])
 	}
-	c.vec, c.usage = vec, pu
+	c.base, c.vec, c.usage = int32(base), vec, pu
 	c.done.Store(true)
 	return c
 }
@@ -480,14 +480,13 @@ func (ix *Index) tailSpan(i int, m segMeta) (off, length int) {
 }
 
 // At returns the entry at position i, composed from the index's arenas.
-// The entry's slices alias immutable per-snapshot storage (the segment's
-// lazily built composed arenas); callers must not mutate them.
+// The entry's slices alias immutable per-snapshot storage (the lazily built
+// composed arenas of the entry's run); callers must not mutate them.
 func (ix *Index) At(i int) IndexEntry {
-	s := ix.segOf[i]
-	c := ix.composed(s)
-	base := ix.offs[ix.segs[s].lo]
-	off, end := ix.offs[i]-base, ix.offs[i+1]-base
+	c := ix.composed(i)
+	off, end := ix.offs[i]-c.base, ix.offs[i+1]-c.base
 	goff, gend := ix.offs[i], ix.offs[i+1]
+	s := ix.segOf[i]
 	return IndexEntry{
 		Entry: vector.Entry{
 			User:       ix.users[i],
@@ -495,30 +494,39 @@ func (ix *Index) At(i int) IndexEntry {
 			PathShares: ix.shares[goff:gend:gend],
 			PathUsage:  c.usage[off:end:end],
 		},
-		LeafPriority: ix.tails[s].leafPrio[int(i)-int(ix.segs[s].lo)],
+		LeafPriority: ix.tails[s].leafPrio[i-int(ix.segs[s].lo)],
 	}
 }
 
-// View returns the entry at position i factored along the segment seam,
-// without touching (or building) the composed arenas. Refresh-path
-// consumers that fold over per-level values should prefer this to At: it
-// costs a few slice headers regardless of how many segments the snapshot
-// has materialized.
-func (ix *Index) View(i int) EntryView {
-	s := ix.segOf[i]
+// User returns the leaf name at position i.
+func (ix *Index) User(i int) string { return ix.users[i] }
+
+// SegmentRange returns segment s's entry positions [lo, hi).
+func (ix *Index) SegmentRange(s int) (lo, hi int) {
 	m := ix.segs[s]
-	t := ix.tails[s]
-	goff, gend := ix.offs[i], ix.offs[i+1]
-	to, tl := ix.tailSpan(i, m)
-	return EntryView{
-		User:         ix.users[i],
-		HeadVec:      ix.headVec[s],
-		HeadUsage:    ix.headUsage[s],
-		PathShares:   ix.shares[goff:gend:gend],
-		TailVec:      t.vec[to : to+tl : to+tl],
-		TailUsage:    t.usage[to : to+tl : to+tl],
-		LeafPriority: t.leafPrio[i-int(m.lo)],
+	return int(m.lo), int(m.hi)
+}
+
+// SegmentShares streams segment s's flat share columns without touching (or
+// building) the composed arenas: it returns each leaf's target-share product
+// (identity storage, read-only) and writes each leaf's usage-share product
+// into actual, which must hold one value per leaf of the segment. The usage
+// product folds the interned head then the tail left to right — 1·head·t1·t2…,
+// the float sequence a fold over At(i).PathUsage multiplies (1·x is exact) —
+// so a publish pass over these columns is bit-identical to one over entries.
+func (ix *Index) SegmentShares(s int, actual []float64) (target []float64) {
+	m := ix.segs[s]
+	tail := ix.tails[s].usage
+	head := ix.headUsage[s]
+	ti := 0
+	for i := int(m.lo); i < int(m.hi); i++ {
+		a := head
+		for end := ti + int(ix.offs[i+1]-ix.offs[i]) - 1; ti < end; ti++ {
+			a *= tail[ti]
+		}
+		actual[i-int(m.lo)] = a
 	}
+	return ix.target[m.lo:m.hi:m.hi]
 }
 
 // Segments returns the number of top-level-subtree segments the value half

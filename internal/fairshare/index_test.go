@@ -1,6 +1,8 @@
 package fairshare
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/policy"
@@ -215,6 +217,56 @@ func TestParallelComputeMatchesSerial(t *testing.T) {
 				t.Errorf("%s: parallel vec %v, serial %v", e.User, e.Vec, want.Vec)
 				break
 			}
+		}
+	}
+}
+
+// TestColdAtComposesOneRun pins the cost of a cold lookup to the run of
+// composeRun entries around it, not the top-level subtree it sits in, and
+// the composed values to the tree walk's across run and segment boundaries.
+func TestColdAtComposesOneRun(t *testing.T) {
+	p, usage := buildWide(2, 10000)
+	tree := Compute(p, usage, DefaultConfig())
+	ix := NewIndex(tree)
+	const pos = 12345
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	e := ix.At(pos)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("one cold At on a 10000-leaf segment allocated %d bytes, want < 64 KB", got)
+	}
+	if e.User != ix.User(pos) {
+		t.Fatalf("At(%d) is %q, want %q", pos, e.User, ix.User(pos))
+	}
+	if pos/composeRun != (pos^1)/composeRun {
+		t.Fatal("test positions are not in one run")
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = ix.At(pos ^ 1) }); allocs != 0 {
+		t.Errorf("a second At in the same run allocates %v times, want 0", allocs)
+	}
+
+	// Small random trees put several segments in one run; the wide tree puts
+	// many runs in one segment.
+	trees := []*Tree{tree}
+	for seed := int64(0); seed < 10; seed++ {
+		rp, leaves := randomPolicy(rand.New(rand.NewSource(seed)))
+		ru := map[string]float64{}
+		for i, u := range leaves {
+			ru[u] = float64(i + 1)
+		}
+		trees = append(trees, Compute(rp, ru, DefaultConfig()))
+	}
+	for ti, tr := range trees {
+		index := NewIndex(tr)
+		for i, want := range tr.Entries() {
+			got := index.At(i)
+			if got.User != want.User {
+				t.Fatalf("tree %d entry %d: user %q, walk %q", ti, i, got.User, want.User)
+			}
+			compareFloatSlices(t, "Vec", got.Vec, want.Vec)
+			compareFloatSlices(t, "PathShares", got.PathShares, want.PathShares)
+			compareFloatSlices(t, "PathUsage", got.PathUsage, want.PathUsage)
 		}
 	}
 }

@@ -386,12 +386,13 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 		users:     old.users,
 		offs:      old.offs,
 		shares:    old.shares,
+		target:    old.target,
 		segs:      old.segs,
 		segOf:     old.segOf,
 		headVec:   headVec,
 		headUsage: headUsage,
 		tails:     tails,
-		comp:      make([]composedSeg, S),
+		comp:      newComposed(len(old.users)),
 		stripes:   old.stripes,
 		dups:      old.dups,
 	}

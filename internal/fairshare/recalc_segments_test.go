@@ -2,7 +2,6 @@ package fairshare
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -11,11 +10,12 @@ import (
 	"repro/internal/policy"
 )
 
-// TestViewMatchesAt pins the prefix-interning invariant: composing an
-// entry's View (interned head ⊕ segment tail) must reproduce the exact
-// full-depth slices At() serves, bitwise, over random trees and after
-// incremental Applies.
-func TestViewMatchesAt(t *testing.T) {
+// TestSegmentSharesMatchAt pins the prefix-interning invariant on the flat
+// columns the publish pass streams: each leaf's target product and usage
+// product (interned head ⊕ segment tail) must equal, bitwise, the
+// left-to-right fold of the full-depth slices At() serves, over random trees
+// and after incremental Applies.
+func TestSegmentSharesMatchAt(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p, leaves := randomPolicy(rng)
@@ -34,20 +34,27 @@ func TestViewMatchesAt(t *testing.T) {
 			t.Fatalf("seed %d: Apply: %v", seed, err)
 		}
 		for _, index := range []*Index{ix, ix2} {
-			for i := 0; i < index.Len(); i++ {
-				at := index.At(i)
-				v := index.View(i)
-				if v.User != at.User {
-					t.Fatalf("seed %d entry %d: View user %q, At user %q", seed, i, v.User, at.User)
+			seen := 0
+			for s := 0; s < index.Segments(); s++ {
+				lo, hi := index.SegmentRange(s)
+				actual := make([]float64, hi-lo)
+				target := index.SegmentShares(s, actual)
+				for i := lo; i < hi; i++ {
+					at := index.At(i)
+					if index.User(i) != at.User {
+						t.Fatalf("seed %d entry %d: User %q, At user %q", seed, i, index.User(i), at.User)
+					}
+					wantT, wantA := 1.0, 1.0
+					for l := range at.PathShares {
+						wantT *= at.PathShares[l]
+						wantA *= at.PathUsage[l]
+					}
+					compareFloatSlices(t, "target/actual", []float64{target[i-lo], actual[i-lo]}, []float64{wantT, wantA})
+					seen++
 				}
-				if math.Float64bits(v.LeafPriority) != math.Float64bits(at.LeafPriority) {
-					t.Fatalf("seed %d entry %d: View leaf priority %v, At %v", seed, i, v.LeafPriority, at.LeafPriority)
-				}
-				vec := append([]float64{v.HeadVec}, v.TailVec...)
-				pu := append([]float64{v.HeadUsage}, v.TailUsage...)
-				compareFloatSlices(t, "View Vec", vec, at.Vec)
-				compareFloatSlices(t, "View PathUsage", pu, at.PathUsage)
-				compareFloatSlices(t, "View PathShares", v.PathShares, at.PathShares)
+			}
+			if seen != index.Len() {
+				t.Fatalf("seed %d: segments cover %d entries, index has %d", seed, seen, index.Len())
 			}
 		}
 	}

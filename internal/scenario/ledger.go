@@ -24,7 +24,7 @@ type LedgerRecord struct {
 // code with usage.Histogram beyond the published accounting rules: a job's
 // full usage is attributed to the interval containing its completion time
 // (which keeps closed intervals immutable for the incremental exchange),
-// and decay ages are measured from bin midpoints.
+// and decay ages are bin ages (usage.BinAge).
 type Ledger struct {
 	records []LedgerRecord
 }
@@ -52,8 +52,8 @@ func ledgerBinStart(t time.Time, width time.Duration) int64 {
 
 // Totals recomputes one site's per-user decayed totals from first
 // principles: each record's core-seconds land in the bin containing its
-// completion time, and every bin is weighted by the decay of its midpoint
-// age at `now`. The result is what the site's USS LocalTotals must equal
+// completion time, and every bin is weighted by the decay of its bin age
+// at `now`. The result is what the site's USS LocalTotals must equal
 // (within float tolerance) if the whole accounting pipeline — batch
 // ingestion, lock striping, the incremental half-life tracker — is honest.
 func (l *Ledger) Totals(site int, binWidth time.Duration, now time.Time, d usage.Decay) map[string]float64 {
@@ -94,12 +94,7 @@ func (l *Ledger) Totals(site int, binWidth time.Duration, now time.Time, d usage
 	})
 	out := map[string]float64{}
 	for _, k := range keys {
-		mid := time.Unix(k.bin, 0).Add(binWidth / 2)
-		age := now.Sub(mid)
-		if age < 0 {
-			age = 0
-		}
-		out[k.user] += bins[k] * d.Weight(age)
+		out[k.user] += bins[k] * d.Weight(usage.BinAge(now, time.Unix(k.bin, 0), binWidth))
 	}
 	return out
 }

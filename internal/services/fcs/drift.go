@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/fairshare"
+	"repro/internal/vector"
 )
 
 // DriftEntry is one user's fairness drift: how far their effective usage
@@ -58,76 +59,93 @@ func (h driftHeap) Less(i, j int) bool {
 func (h driftHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *driftHeap) Push(x any)   { *h = append(*h, x.(driftItem)) }
 func (h *driftHeap) Pop() any     { old := *h; n := len(old); it := old[n-1]; *h = old[:n-1]; return it }
-func (h driftHeap) better(it driftItem) bool {
-	if it.entry.Error != h[0].entry.Error {
-		return it.entry.Error > h[0].entry.Error
+func (h driftHeap) better(err float64, pos int) bool {
+	if err != h[0].entry.Error {
+		return err > h[0].entry.Error
 	}
-	return it.pos < h[0].pos
+	return pos < h[0].pos
 }
 
-// computeDrift derives the drift summary from the serving index in one pass:
-// max and mean cover every user, while only the K worst offenders are
-// materialized (via a size-K min-heap, O(n + m·log K) instead of the full
-// O(n·log n) sort a per-publish table used to cost). k < 0 retains everyone.
-// Entries are read through the index's composition-free View — folding the
-// interned head then the tail multiplies the exact float sequence the flat
-// per-entry slices held (1·x is exact), so the summary stays bit-identical
-// while never forcing composed-arena materialization on the refresh path.
-func computeDrift(ix *fairshare.Index, k int) ([]DriftEntry, float64, float64) {
-	n := ix.Len()
-	if k < 0 || k > n {
-		k = n
-	}
-	h := make(driftHeap, 0, k)
-	var sum, max float64
-	for i := 0; i < n; i++ {
-		e := ix.View(i)
-		target := 1.0
-		for _, s := range e.PathShares {
-			target *= s
+// driftPart is one publish worker's share of the drift summary: the largest
+// error it saw and its own k worst offenders, kept in a size-k min-heap so
+// the pass costs O(n + m·log k) and only those k entries are materialized.
+type driftPart struct {
+	k   int
+	max float64
+	top driftHeap
+}
+
+// add folds one segment's share columns (its first leaf at position lo) into
+// the part and returns the segment's error sum. Target and actual are the
+// leaves' absolute slices of the grid under the policy and under usage, so
+// Error is directly comparable across tree shapes. With percental set, each
+// actual is replaced by the leaf's percental priority once it has been read.
+func (p *driftPart) add(ix *fairshare.Index, lo int, target, actual []float64, percental bool) float64 {
+	var sum float64
+	worst, floor := p.max, p.floor()
+	for j, a := range actual {
+		t := target[j]
+		e := math.Abs(a - t)
+		sum += e
+		if e > worst {
+			worst = e
 		}
-		actual := 1.0 * e.HeadUsage
-		for _, u := range e.TailUsage {
-			actual *= u
+		if !(e < floor) { // not certainly weaker than everything retained
+			it := driftItem{
+				entry: DriftEntry{User: ix.User(lo + j), Target: t, Actual: a, Error: e},
+				pos:   lo + j,
+			}
+			if len(p.top) < p.k {
+				heap.Push(&p.top, it)
+			} else if p.k > 0 && p.top.better(e, it.pos) {
+				p.top[0] = it
+				heap.Fix(&p.top, 0)
+			}
+			floor = p.floor()
 		}
-		it := driftItem{
-			entry: DriftEntry{
-				User: e.User, Target: target, Actual: actual,
-				Error: math.Abs(actual - target),
-			},
-			pos: i,
-		}
-		sum += it.entry.Error
-		if it.entry.Error > max {
-			max = it.entry.Error
-		}
-		if k == 0 {
-			continue
-		}
-		if len(h) < k {
-			heap.Push(&h, it)
-		} else if h.better(it) {
-			h[0] = it
-			heap.Fix(&h, 0)
+		if percental {
+			actual[j] = vector.Percental{}.Value(t, a)
 		}
 	}
-	// Worst-first, DFS position as the deterministic tie-break (stable with
-	// respect to entry order, like the sort it replaces).
-	sort.Slice(h, func(i, j int) bool {
-		if h[i].entry.Error != h[j].entry.Error {
-			return h[i].entry.Error > h[j].entry.Error
-		}
-		return h[i].pos < h[j].pos
-	})
-	out := make([]DriftEntry, len(h))
-	for i, it := range h {
-		out[i] = it.entry
+	p.max = worst
+	return sum
+}
+
+// floor is the error below which a candidate cannot enter the part: the
+// weakest retained error once k are retained, nothing before that.
+func (p *driftPart) floor() float64 {
+	switch {
+	case len(p.top) < p.k:
+		return math.Inf(-1)
+	case p.k == 0:
+		return math.Inf(1)
 	}
-	mean := 0.0
+	return p.top[0].entry.Error
+}
+
+// mergeDrift combines the workers' parts and the per-segment error sums of
+// an n-leaf population: worst first, DFS position as the deterministic
+// tie-break (stable with respect to entry order).
+func mergeDrift(parts []*driftPart, sums []float64, k, n int) (drift []DriftEntry, driftMax, mean float64) {
+	var all driftHeap
+	for _, p := range parts {
+		driftMax = max(driftMax, p.max)
+		all = append(all, p.top...)
+	}
+	sort.Sort(sort.Reverse(all)) // the heap's order is weakest first
+	all = all[:min(k, len(all))]
+	drift = make([]DriftEntry, len(all))
+	for i, it := range all {
+		drift[i] = it.entry
+	}
+	var sum float64
+	for _, s := range sums {
+		sum += s
+	}
 	if n > 0 {
 		mean = sum / float64(n)
 	}
-	return out, max, mean
+	return drift, driftMax, mean
 }
 
 // Drift returns the fairness-drift table of the currently published snapshot

@@ -182,12 +182,10 @@ type RefreshInfo struct {
 	// copies (zero on a full refresh).
 	MaterializedSegments int
 	SharedSegments       int
-	// ProjectDuration/DriftDuration break the publish step into projecting
-	// every entry to a priority and computing the drift summary — both
-	// still O(users) per refresh (zero when a no-op delta republished the
-	// previous snapshot).
-	ProjectDuration time.Duration
-	DriftDuration   time.Duration
+	// PublishDuration is the cost of the publish pass, which projects every
+	// entry to a priority and computes the drift summary (zero when a no-op
+	// delta republished the previous snapshot).
+	PublishDuration time.Duration
 	// UsageScale is what the snapshot tree's Usage fields must be
 	// multiplied by to read as decayed core-seconds at At; UsageReference
 	// is the instant they are sums at (1 and zero without decay). See
@@ -437,7 +435,7 @@ func (s *Service) rebuildLocked() error {
 	_, pub := span.Start(ctx, "fcs.publish")
 	now := s.cfg.Clock.Now()
 	var sn *snapshot
-	var cost publishCost
+	var publishDur time.Duration
 	if incremental && dirty == 0 && prev != nil {
 		// Bitwise no-op delta: the engine handed back the previous
 		// tree/index, so republish the previous snapshot's projections and
@@ -448,7 +446,7 @@ func (s *Service) rebuildLocked() error {
 			drift: prev.drift, driftMax: prev.driftMax, driftMean: prev.driftMean,
 		}
 	} else {
-		sn, cost = s.buildSnapshot(tree, ix, pol, now)
+		sn, publishDur = s.buildSnapshot(tree, ix, pol, now)
 	}
 	scale := ds.Scale
 	if scale == 0 {
@@ -457,8 +455,6 @@ func (s *Service) rebuildLocked() error {
 	sn.usageScale, sn.usageRef = scale, ds.Reference
 	s.snap.Store(sn)
 	pub.SetAttrInt("users", int64(sn.index.Len()))
-	pub.SetAttrInt("project_us", cost.project.Microseconds())
-	pub.SetAttrInt("drift_us", cost.drift.Microseconds())
 	pub.End()
 
 	// Re-anchor or advance the incremental engine. On the incremental path
@@ -486,8 +482,7 @@ func (s *Service) rebuildLocked() error {
 		MaterializeDuration:  stats.MaterializeDuration,
 		MaterializedSegments: stats.MaterializedSegments,
 		SharedSegments:       stats.SharedSegments,
-		ProjectDuration:      cost.project,
-		DriftDuration:        cost.drift,
+		PublishDuration:      publishDur,
 		UsageScale:           scale,
 		UsageReference:       ds.Reference,
 	})
@@ -537,90 +532,94 @@ func (s *Service) failLocked(root *span.Span, err error) error {
 	return err
 }
 
-// publishCost is the wall time of buildSnapshot's two population-wide
-// passes.
-type publishCost struct{ project, drift time.Duration }
-
 // buildSnapshot projects the tree into a per-position priority slice and
-// computes the drift summary; refreshMu must be held (it reads
-// cfg.Projection). The wire table is deferred to the first Table() call.
-func (s *Service) buildSnapshot(tree *fairshare.Tree, ix *fairshare.Index, pol *policy.Tree, at time.Time) (*snapshot, publishCost) {
+// computes the drift summary, and reports what that cost; refreshMu must be
+// held (it reads cfg.Projection). The wire table is deferred to the first
+// Table() call.
+func (s *Service) buildSnapshot(tree *fairshare.Tree, ix *fairshare.Index, pol *policy.Tree, at time.Time) (*snapshot, time.Duration) {
 	started := time.Now()
-	n := ix.Len()
-	prior := make([]float64, n)
-	if pp, ok := s.cfg.Projection.(vector.PointwiseProjection); ok {
-		projectPointwise(pp, ix, prior, tree.Config.Resolution)
-	} else {
-		// Global projections (dictionary) need the full entry view; the map
-		// indirection collapses duplicate names to one value, as before.
-		m := s.cfg.Projection.Project(ix.Entries(), tree.Config.Resolution)
-		for i := 0; i < n; i++ {
-			prior[i] = m[ix.At(i).User]
-		}
-	}
-	projected := time.Now()
 	k := s.cfg.DriftTopK
 	if k == 0 {
 		k = DefaultDriftTopK
 	}
-	drift, driftMax, driftMean := computeDrift(ix, k)
+	prior, drift, driftMax, driftMean := publishPass(s.cfg.Projection, ix, tree.Config.Resolution, k)
 	s.mDriftMax.Set(driftMax)
 	s.mDriftMean.Set(driftMean)
 	return &snapshot{
 		tree: tree, index: ix, pol: pol, prior: prior,
 		projName: s.cfg.Projection.Name(), computedAt: at,
 		drift: drift, driftMax: driftMax, driftMean: driftMean,
-	}, publishCost{project: projected.Sub(started), drift: time.Since(projected)}
+	}, time.Since(started)
 }
 
-// projectParallelThreshold is the population at which per-entry projection
-// fans out across cores (same order as the tree build's threshold).
+// projectParallelThreshold is the population at which the publish pass fans
+// out across cores (same order as the tree build's threshold).
 const projectParallelThreshold = 4096
 
-// projectPointwise fills out[i] with the projection of entry i, in parallel
-// for large populations — pointwise projections are embarrassingly parallel
-// and need no intermediate map. Entries are read through the index's
-// composition-free View and reconstituted into scratch buffers (reused per
-// worker), so the refresh path never forces the index to materialize its
-// composed per-segment arenas; the scratch holds the very same floats, so
-// projections stay bit-identical to the At()-based entries.
-func projectPointwise(p vector.PointwiseProjection, ix *fairshare.Index, out []float64, resolution float64) {
-	n := len(out)
-	project := func(lo, hi int) {
-		var vbuf, ubuf []float64
-		for i := lo; i < hi; i++ {
-			v := ix.View(i)
-			vbuf = append(vbuf[:0], v.HeadVec)
-			vbuf = append(vbuf, v.TailVec...)
-			ubuf = append(ubuf[:0], v.HeadUsage)
-			ubuf = append(ubuf, v.TailUsage...)
-			out[i] = p.ProjectEntry(vector.Entry{
-				User:       v.User,
-				Vec:        vector.Vector(vbuf),
-				PathShares: v.PathShares,
-				PathUsage:  ubuf,
-			}, resolution)
-		}
+// publishPass is the one population walk of a publish. Segment by segment it
+// streams the index's flat share columns (fairshare.Index.SegmentShares) and
+// produces, per leaf and together, the drift error |actual − target| and —
+// under the percental projection, which reads the same two products — the
+// priority. Any other pointwise projection (bitwise) still calls
+// ProjectEntry per leaf, on the composed entry, and a global one (dictionary
+// order couples every entry through one sort) stays eager after the pass. It
+// returns the priority of every entry, the k worst-drift entries (all of
+// them when k < 0), worst first, and the population's max and mean error.
+//
+// Contiguous segment ranges fan out over cores for large populations. The
+// result does not depend on how: the error sum is kept per segment and the
+// partial sums are added in segment order, and (Error desc, pos asc) is a
+// total order, so the k best of the workers' own k best are the k best.
+func publishPass(p vector.Projection, ix *fairshare.Index, resolution float64, k int) (prior []float64, drift []DriftEntry, driftMax, driftMean float64) {
+	n, segs := ix.Len(), ix.Segments()
+	if k < 0 || k > n {
+		k = n
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if n < projectParallelThreshold || workers < 2 {
-		project(0, n)
-		return
+	_, percental := p.(vector.Percental)
+	pointwise, _ := p.(vector.PointwiseProjection)
+	perEntry := pointwise != nil && !percental
+	workers := 1
+	if n >= projectParallelThreshold {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	chunk := (n + workers - 1) / workers
+	perWorker := (n + workers - 1) / workers
+	prior = make([]float64, n)
+	sums := make([]float64, segs)
+	var parts []*driftPart
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	for first := 0; first < segs; {
+		end, leaves := first, 0
+		for ; end < segs && leaves < perWorker; end++ {
+			lo, hi := ix.SegmentRange(end)
+			leaves += hi - lo
 		}
+		part := &driftPart{k: k, top: make(driftHeap, 0, min(k, leaves))}
+		parts = append(parts, part)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(first, end int) {
 			defer wg.Done()
-			project(lo, hi)
-		}(lo, hi)
+			for s := first; s < end; s++ {
+				lo, hi := ix.SegmentRange(s)
+				actual := prior[lo:hi] // read, then overwritten by the projection
+				target := ix.SegmentShares(s, actual)
+				sums[s] = part.add(ix, lo, target, actual, percental)
+				for i := lo; perEntry && i < hi; i++ {
+					prior[i] = pointwise.ProjectEntry(ix.At(i).Entry, resolution)
+				}
+			}
+		}(first, end)
+		first = end
 	}
 	wg.Wait()
+	if pointwise == nil {
+		// The map indirection collapses duplicate names to one value.
+		m := p.Project(ix.Entries(), resolution)
+		for i := range prior {
+			prior[i] = m[ix.User(i)]
+		}
+	}
+	drift, driftMax, driftMean = mergeDrift(parts, sums, k, n)
+	return prior, drift, driftMax, driftMean
 }
 
 // ComputedAt reports when the current snapshot was pre-calculated (zero if

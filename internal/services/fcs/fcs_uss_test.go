@@ -49,9 +49,10 @@ func (r *ussRig) tick() {
 
 // TestIncrementalRefreshLifecycleUnderDecay is TestIncrementalRefreshLifecycle
 // over the real USS→UMS pipeline with decay on: time passing alone is a
-// zero-dirty refresh, a completion dirties its user only, an open-bin
-// completion rides along until its clamp lifts, and only the first refresh,
-// a policy edit and a moved reference instant rebuild.
+// zero-dirty refresh, a completion dirties its user only — once, also when
+// it lands in the open bin — a report from a clock that runs ahead rides
+// along until its bin has started, and only the first refresh, a policy edit
+// and a moved reference instant rebuild.
 func TestIncrementalRefreshLifecycleUnderDecay(t *testing.T) {
 	rig := newUSSRig(t, "a", "b", "c", "d")
 	p, err := policy.FromShares(map[string]float64{"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1})
@@ -116,18 +117,29 @@ func TestIncrementalRefreshLifecycleUnderDecay(t *testing.T) {
 	rig.bump("a")
 	refresh("post-edit completions", RefreshIncremental, 2)
 
-	// A completion in the open bin before its midpoint: clamped, so its
-	// user is dirty on every refresh until the midpoint has passed.
+	// A completion in the open bin is valued at the bin's midpoint from the
+	// start: its user is dirty once, and the clock crossing the midpoint
+	// dirties nobody. (It used to stay dirty on every refresh until :30.)
 	rig.clock.Advance(rig.clock.Now().Truncate(time.Hour).Add(time.Hour).Sub(rig.clock.Now())) // top of the hour
 	rig.ums.Invalidate()
 	rig.uss.ReportJob("d", rig.clock.Now().Add(-10*time.Minute), 10*time.Minute, 4)
 	refresh("open-bin completion", RefreshIncremental, 1)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ { // :09, :18, :27, :36
 		rig.clock.Advance(9 * time.Minute)
 		rig.ums.Invalidate()
-		refresh("still clamped", RefreshIncremental, 1)
+		refresh("open bin, only the clock moved", RefreshIncremental, 0)
 	}
-	rig.clock.Advance(9 * time.Minute) // :36, past the midpoint
+
+	// A completion stamped in the next bin (the reporter's clock runs
+	// ahead): clamped, so its user is dirty on every refresh until that bin
+	// has started, once more when it has, and then no longer.
+	rig.uss.ReportJob("c", rig.clock.Now().Add(20*time.Minute), 10*time.Minute, 4) // ends :06 of the next hour
+	rig.ums.Invalidate()
+	refresh("report ahead of the clock", RefreshIncremental, 1)
+	rig.clock.Advance(9 * time.Minute) // :45
+	rig.ums.Invalidate()
+	refresh("still clamped", RefreshIncremental, 1)
+	rig.clock.Advance(18 * time.Minute) // :03, the bin has started
 	rig.ums.Invalidate()
 	refresh("clamp lifted", RefreshIncremental, 1)
 	rig.tick()
@@ -146,7 +158,7 @@ func TestIncrementalRefreshLifecycleUnderDecay(t *testing.T) {
 
 	incr := reg.Counter("aequus_fcs_refresh_incremental_total", "").Value()
 	full := reg.Counter("aequus_fcs_refresh_full_total", "").Value()
-	if incr != 10 || full != 3 {
-		t.Fatalf("refresh counters: incremental=%v full=%v, want 10/3", incr, full)
+	if incr != 13 || full != 3 {
+		t.Fatalf("refresh counters: incremental=%v full=%v, want 13/3", incr, full)
 	}
 }

@@ -66,8 +66,7 @@ func (s *Server) handleDebugSummary(w http.ResponseWriter, r *http.Request) {
 		out.FCSMaterializeSeconds = ri.MaterializeDuration.Seconds()
 		out.FCSMaterializedSegments = ri.MaterializedSegments
 		out.FCSSharedSegments = ri.SharedSegments
-		out.FCSProjectSeconds = ri.ProjectDuration.Seconds()
-		out.FCSDriftSeconds = ri.DriftDuration.Seconds()
+		out.FCSPublishSeconds = ri.PublishDuration.Seconds()
 		out.FCSUsageScale = ri.UsageScale
 		if !ri.UsageReference.IsZero() {
 			out.FCSUsageReference = &ri.UsageReference

@@ -25,13 +25,14 @@ import (
 // into usage.DeltaSets over an ordered set of histograms, all read at one
 // common reference instant and summed in the given order.
 //
-// The clamp is the one case where the sum does depend on `now`: a bin whose
-// midpoint is ahead of `now` weighs 1 by definition, not 2^(+x). A user with
-// such a bin is valued by the exact per-bin walk divided by the scale, is
-// re-emitted on every pass while the clamp holds and once more on the pass
-// after it lifts. Completions land in the open bin, so during the first half
-// of every bin this is the set of users active in it — bounded by the active
-// set, never by the population.
+// A started bin is valued at its midpoint from the moment it opens (BinAge),
+// so a completion in the open bin is part of the sum like any other and its
+// user is emitted once, when the usage arrives: the clock alone never moves
+// a sum. The clamp is the one case where the value does depend on `now`: a
+// bin that starts after `now` (clock skew, a bad report) is held at the
+// weight of a bin just opened. A user with such a bin is valued by the exact
+// per-bin walk divided by the scale, is re-emitted on every pass while the
+// clamp holds and once more on the pass after the bin has started.
 
 // refScale is the scalar that turns sums at ref into decayed totals at now.
 func refScale(halfLife time.Duration, ref, now time.Time) float64 {
@@ -91,7 +92,11 @@ func (c *Cursor) Advance(hists []*Histogram, now time.Time, d Decay) DeltaSet {
 	}
 	// The union first: a change set too large to pay off is not worth
 	// evaluating.
-	ds.Changed = make(map[string]float64)
+	listed := 0
+	for _, list := range lists {
+		listed += len(list)
+	}
+	ds.Changed = make(map[string]float64, listed)
 	for _, list := range lists {
 		for _, name := range list {
 			ds.Changed[name] = 0
@@ -119,12 +124,13 @@ func (c *Cursor) Advance(hists []*Histogram, now time.Time, d Decay) DeltaSet {
 }
 
 // Sums returns every user's sum at the cursor's reference instant, as a
-// Full set evaluated at `now` (which only matters for clamped users). It
-// does not move the cursor. Right after an Advance at the same `now` the
-// result equals, bit for bit, the last Sums overwritten with every change
-// set since. ok is false before the first Advance and when a histogram's
-// tracker no longer sits at the cursor's reference (a new mirror, another
-// half-life asked of it, a foreign rebase): the next Advance will be Full.
+// Full set evaluated at `now` (which only matters for clamped users, whose
+// newest bin has not started). It does not move the cursor. Right after an
+// Advance at the same `now` the result equals, bit for bit, the last Sums
+// overwritten with every change set since. ok is false before the first
+// Advance and when a histogram's tracker no longer sits at the cursor's
+// reference (a new mirror, another half-life asked of it, a foreign
+// rebase): the next Advance will be Full.
 func (c *Cursor) Sums(hists []*Histogram, now time.Time) (ds DeltaSet, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -211,7 +217,7 @@ func (h *Histogram) drainChanged(halfLife time.Duration, ref, now time.Time) (ch
 }
 
 // settle leaves one user ready to be read after a cursor pass: listed as
-// clamped while its newest bin is ahead of the pass, its sum re-seeded if a
+// clamped while its newest bin starts after the pass, its sum re-seeded if a
 // mutation had made it dirty. The stripe's write lock must be held.
 func (h *Histogram) settle(st *stripe, name string, u *userBins, tr *expTracker, nowNs int64) {
 	if tr == nil {
@@ -241,8 +247,8 @@ func (h *Histogram) cursorTracker(halfLife time.Duration, ref time.Time) (tr *ex
 }
 
 // refValue is u's canonical sum: the plain sum without decay, the clamped
-// per-bin total re-expressed at the reference while its newest bin is ahead
-// of `now` (or while its sum is dirty, which a cursor pass never leaves
+// per-bin total re-expressed at the reference while its newest bin starts
+// after `now` (or while its sum is dirty, which a cursor pass never leaves
 // behind), the tracker's sum otherwise. Any stripe lock held.
 func (h *Histogram) refValue(u *userBins, tr *expTracker, now time.Time, scale float64) float64 {
 	if tr == nil {

@@ -79,11 +79,11 @@ func (f *cursorFollower) check(t *testing.T, ctx string, hists []*Histogram, now
 
 // TestCursorFollowsRandomInterleavings drives random mixes of local job
 // spreads, remote overwrites (growing, shrinking, removing, unchanged),
-// future bins, clock steps across bin midpoints, a forced rebase and a
-// tracker replaced under the cursor through a three-histogram cursor, and
-// after every pass
-// requires the accumulated deltas to equal a fresh Full at the same instant
-// under Float64bits, with value × scale within 1e-9 of the naive totals.
+// future bins, clock steps across bin starts and midpoints, a forced rebase
+// and a tracker replaced under the cursor through a three-histogram cursor,
+// and after every pass requires the accumulated deltas to equal a fresh Full
+// at the same instant under Float64bits, with value × scale within 1e-9 of
+// the naive totals.
 func TestCursorFollowsRandomInterleavings(t *testing.T) {
 	for _, d := range []Decay{
 		ExponentialHalfLife{HalfLife: 36 * time.Hour},
@@ -144,7 +144,7 @@ func runCursorInterleaving(t *testing.T, d Decay, seed int64) {
 			}
 		}
 		// Clock: mostly a few minutes, so passes fall on both sides of bin
-		// midpoints; now and then hours.
+		// starts and midpoints; now and then hours.
 		now = now.Add(time.Duration(1+rng.Intn(25)) * time.Minute)
 		if rng.Intn(15) == 0 {
 			now = now.Add(time.Duration(rng.Intn(6)) * time.Hour)
@@ -244,8 +244,9 @@ func TestCursorReseedByReadIsSeenAgain(t *testing.T) {
 }
 
 // TestCursorClampedUsersAreReEmittedUntilTheClampLifts pins the clamp rule:
-// a user whose newest bin midpoint is ahead of `now` is listed on every
-// pass and once more on the pass after the midpoint, then goes quiet.
+// a user whose newest bin starts after `now` is listed on every pass and
+// once more on the pass after the bin has started, then goes quiet — on
+// both sides of that bin's midpoint.
 func TestCursorClampedUsersAreReEmittedUntilTheClampLifts(t *testing.T) {
 	d := ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour}
 	h := NewHistogram(time.Hour)
@@ -254,9 +255,9 @@ func TestCursorClampedUsersAreReEmittedUntilTheClampLifts(t *testing.T) {
 	f := &cursorFollower{}
 	f.pass(t, hists, t0, d)
 
-	h.Add("open", t0.Add(5*time.Minute), 3600) // midpoint at t0+30m
+	h.Add("ahead", t0.Add(65*time.Minute), 3600) // bin [t0+1h, t0+2h)
 	var listed []int
-	for _, min := range []int{6, 12, 29, 31, 40, 50} {
+	for _, min := range []int{6, 12, 59, 61, 70, 100} {
 		now := t0.Add(time.Duration(min) * time.Minute)
 		ds := f.pass(t, hists, now, d)
 		if ds.Full {
@@ -269,7 +270,36 @@ func TestCursorClampedUsersAreReEmittedUntilTheClampLifts(t *testing.T) {
 		f.check(t, fmt.Sprintf("minute %d", min), hists, now, d)
 	}
 	if want := []int{1, 1, 1, 1, 0, 0}; fmt.Sprint(listed) != fmt.Sprint(want) {
-		t.Fatalf("open-bin user listed %v times per pass, want %v", listed, want)
+		t.Fatalf("user ahead of the clock listed %v times per pass, want %v", listed, want)
+	}
+}
+
+// TestCursorOpenBinUserIsEmittedOnce: a completion in the open bin is
+// emitted when it arrives and never because the clock moved — passes with no
+// mutation in between return an empty change set on either side of the bin
+// midpoint. (Such a user used to be re-emitted on every pass of the bin's
+// first half.) The value emitted is the tracker's sum from the first pass
+// on, which is what was emitted from the midpoint on before, and it stays
+// within 1e-9 of the per-bin walk at every instant.
+func TestCursorOpenBinUserIsEmittedOnce(t *testing.T) {
+	d := ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour}
+	h := NewHistogram(time.Hour)
+	h.Add("old", t0.Add(-5*time.Hour), 100)
+	hists := []*Histogram{h}
+	f := &cursorFollower{}
+	f.pass(t, hists, t0, d)
+
+	h.Add("open", t0.Add(5*time.Minute), 3600) // midpoint at t0+30m
+	for i, min := range []int{6, 12, 29, 30, 31, 50} {
+		now := t0.Add(time.Duration(min) * time.Minute)
+		ds := f.pass(t, hists, now, d)
+		if want := map[bool]int{true: 1, false: 0}[i == 0]; ds.Full || len(ds.Changed) != want {
+			t.Fatalf("minute %d: full=%v changed=%v, want %d listed", min, ds.Full, ds.Changed, want)
+		}
+		if got, sum := f.acc["open"], h.stripeFor("open").users["open"].exp.sum; math.Float64bits(got) != math.Float64bits(sum) {
+			t.Fatalf("minute %d: follower holds %v, tracker sum %v", min, got, sum)
+		}
+		f.check(t, fmt.Sprintf("minute %d", min), hists, now, d)
 	}
 }
 

@@ -11,8 +11,11 @@ import (
 )
 
 // Decay weights historical usage by age, controlling "how the impact of
-// previous usage is decreased over time". Weight is in [0, 1], equal to 1 at
-// age 0, and non-increasing in age.
+// previous usage is decreased over time". Weight is 1 at age 0 and
+// non-increasing in age. Ages are bin ages (see BinAge): a negative age is a
+// started bin whose midpoint is still ahead, and it is weighted by the same
+// formula — above 1, by at most 2^(binWidth/2H), because BinAge stops at
+// minus half a bin.
 //
 // The family is sealed: every decay is an exponential half-life, None being
 // the half-life that never halves. That is what lets a usage value travel
@@ -26,6 +29,21 @@ type Decay interface {
 	Name() string
 	// halfLife is the decay's half-life, 0 for no decay.
 	halfLife() time.Duration
+}
+
+// BinAge is the one definition of a bin's age at `now`: the time since the
+// midpoint of the bin of the given width starting at start, where a bin
+// counts as started no later than `now`. A started bin is valued at its
+// midpoint from the moment it opens — its age runs from −width/2 upwards, so
+// the relative weight of any two started bins never changes with the clock —
+// and a bin that starts after `now` (clock skew, a bad report) is held at
+// −width/2 until it does.
+func BinAge(now, start time.Time, width time.Duration) time.Duration {
+	age := now.Sub(start)
+	if age < 0 {
+		age = 0
+	}
+	return age - width/2
 }
 
 // halfLifeOf returns d's half-life; nil and None are 0.
@@ -47,9 +65,6 @@ func (d ExponentialHalfLife) Name() string { return "exp-half-life" }
 
 // Weight implements Decay.
 func (d ExponentialHalfLife) Weight(age time.Duration) float64 {
-	if age <= 0 {
-		return 1
-	}
 	if d.HalfLife <= 0 {
 		return 1
 	}

@@ -72,7 +72,8 @@ func TestEquivalenceRandomizedWorkloads(t *testing.T) {
 			now := t0
 			randAt := func() time.Time {
 				// Mostly near now, sometimes far in the past, sometimes
-				// ahead of now (future bins exercise age clamping).
+				// ahead of now (bins that have not started exercise the
+				// held age).
 				switch rng.Intn(10) {
 				case 0:
 					return now.Add(-time.Duration(rng.Intn(2000)) * time.Hour)

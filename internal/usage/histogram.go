@@ -65,9 +65,9 @@ type stripe struct {
 	mu    sync.RWMutex
 	users map[string]*userBins
 	// changed lists the users whose bins really changed since the change
-	// cursor last passed; clamped lists those whose newest bin midpoint was
-	// still ahead of that pass's `now` (see cursor.go). Both stay empty
-	// until a cursor attaches.
+	// cursor last passed; clamped lists those whose newest bin started after
+	// that pass's `now` (see cursor.go). Both stay empty until a cursor
+	// attaches.
 	changed []string
 	clamped []string
 }
@@ -141,9 +141,8 @@ func (h *Histogram) AlignStart(at time.Time) int64 {
 	return h.binStart(at)
 }
 
-// midTime returns the midpoint of the bin starting at start — decay ages
-// are measured from bin midpoints so freshly written bins are not over- or
-// under-weighted.
+// midTime returns the midpoint of the bin starting at start, the instant a
+// bin's usage is placed at (see BinAge).
 func (h *Histogram) midTime(start int64) time.Time {
 	return time.Unix(start, 0).Add(h.half)
 }
@@ -435,8 +434,8 @@ func (h *Histogram) Total(user string) float64 {
 }
 
 // DecayedTotal returns user's usage with each bin weighted by its age at
-// `now` under the given decay function. Bin age is measured from the bin
-// midpoint so freshly written bins are not over- or under-weighted.
+// `now` (BinAge) under the given decay function: the per-bin reference walk
+// the incremental sums are pinned against.
 func (h *Histogram) DecayedTotal(user string, now time.Time, d Decay) float64 {
 	if d == nil {
 		d = None{}
@@ -452,11 +451,7 @@ func (h *Histogram) DecayedTotal(user string, now time.Time, d Decay) float64 {
 	// deterministic key-ordered float sums of the map-based implementation.
 	var sum float64
 	for _, b := range u.bins {
-		age := now.Sub(h.midTime(b.start))
-		if age < 0 {
-			age = 0
-		}
-		sum += b.v * d.Weight(age)
+		sum += b.v * d.Weight(BinAge(now, time.Unix(b.start, 0), h.binWidth))
 	}
 	return sum
 }

@@ -19,10 +19,13 @@ import (
 //
 // Two deviations from the pure algebra are handled explicitly:
 //
-//   - Clamping: the per-bin definition clamps ages below zero (a bin whose
-//     midpoint is in the future of `now` weighs 1, not >1). Users whose
-//     newest bin midpoint is past `now` are computed exactly per-bin; the
-//     incremental sum takes over once `now` passes their newest bin.
+//   - Clamping: a bin that starts after `now` is held at the weight of a
+//     bin just opened (BinAge stops at minus half a bin), which no sum at a
+//     reference instant expresses. Users whose newest bin has not started
+//     are computed exactly per-bin; the incremental sum takes over once it
+//     has. A started bin needs none of this: it is valued at its midpoint
+//     from the moment it opens, 2^(+x) in its first half, which is what the
+//     sum holds.
 //   - Conditioning: the reference instant is rebased to `now` whenever it
 //     drifts more than rebaseHalfLives half-lives, which bounds every
 //     stored magnitude within 2^±rebaseHalfLives of its true scale; a
@@ -145,24 +148,20 @@ func (h *Histogram) rebase(tr *expTracker, to time.Time) {
 	tr.ref = to
 }
 
-// future reports whether u's newest bin midpoint lies ahead of nowNs (unix
-// nanoseconds): the per-bin definition clamps that bin's age to zero, which
-// no reference-instant sum can express. Kept on int64 arithmetic because a
+// future reports whether u's newest bin starts after nowNs (unix
+// nanoseconds): BinAge holds that bin's age until it starts, which no
+// reference-instant sum can express. Kept on int64 arithmetic because a
 // totals pass evaluates it once per user.
 func (h *Histogram) future(u *userBins, nowNs int64) bool {
-	return len(u.bins) > 0 && u.lastStart()*int64(time.Second)+int64(h.half) > nowNs
+	return len(u.bins) > 0 && u.lastStart()*int64(time.Second) > nowNs
 }
 
-// clampedSum is the exact per-bin half-life total of u at `now`, ages
-// clamped at zero; hl is the half-life in nanoseconds.
+// clampedSum is the exact per-bin half-life total of u at `now`; hl is the
+// half-life in nanoseconds.
 func (h *Histogram) clampedSum(u *userBins, now time.Time, hl float64) float64 {
 	var sum float64
 	for _, b := range u.bins {
-		age := now.Sub(h.midTime(b.start))
-		if age < 0 {
-			age = 0
-		}
-		sum += b.v * math.Exp2(-float64(age)/hl)
+		sum += b.v * math.Exp2(-float64(BinAge(now, time.Unix(b.start, 0), h.binWidth))/hl)
 	}
 	return sum
 }

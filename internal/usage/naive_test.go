@@ -9,8 +9,8 @@ import (
 // pinned against: the seed-style per-user pass that collects and sorts each
 // user's bin keys and evaluates the decay weight for every bin of every
 // user individually. It is deliberately independent of the incremental
-// accumulators, the memoized weight tables and the step-window binary
-// search — property tests compare against it, and the benchmarks use it as
+// accumulators and shares only the definition of a bin's age (BinAge) with
+// them — property tests compare against it, and the benchmarks use it as
 // the pre-optimization baseline.
 func seedDecayedTotals(h *Histogram, now time.Time, d Decay) map[string]float64 {
 	if d == nil {
@@ -32,11 +32,7 @@ func seedDecayedTotals(h *Histogram, now time.Time, d Decay) map[string]float64 
 			sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
 			var sum float64
 			for _, k := range keys {
-				age := now.Sub(h.midTime(k))
-				if age < 0 {
-					age = 0
-				}
-				sum += vals[k] * d.Weight(age)
+				sum += vals[k] * d.Weight(BinAge(now, time.Unix(k, 0), h.binWidth))
 			}
 			out[name] = sum
 		}

@@ -10,17 +10,43 @@ import (
 
 var t0 = time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC)
 
+// TestDecayWeightsAtZeroAge: every decay weighs 1 at age zero, and a negative
+// age — a started bin whose midpoint is still ahead — is weighted by the same
+// formula, above 1 (it used to be held at 1, which made the value of an open
+// bin move with the clock).
 func TestDecayWeightsAtZeroAge(t *testing.T) {
-	ds := []Decay{
-		ExponentialHalfLife{HalfLife: time.Hour},
-		None{},
-	}
-	for _, d := range ds {
+	hl := ExponentialHalfLife{HalfLife: time.Hour}
+	for _, d := range []Decay{hl, None{}} {
 		if w := d.Weight(0); w != 1 {
 			t.Errorf("%s Weight(0) = %g, want 1", d.Name(), w)
 		}
-		if w := d.Weight(-time.Minute); w != 1 {
-			t.Errorf("%s Weight(neg) = %g, want 1", d.Name(), w)
+	}
+	if w := (None{}).Weight(-time.Minute); w != 1 {
+		t.Errorf("none Weight(neg) = %g, want 1", w)
+	}
+	if w := hl.Weight(-30 * time.Minute); w != math.Exp2(0.5) {
+		t.Errorf("exp-half-life Weight(-H/2) = %v, want 2^½", w)
+	}
+	if p := hl.Weight(-7*time.Minute) * hl.Weight(7*time.Minute); math.Abs(p-1) > 1e-15 {
+		t.Errorf("Weight(-a)·Weight(a) = %v, want 1", p)
+	}
+}
+
+// TestBinAge pins the one definition of a bin's age: measured from the
+// midpoint, from −width/2 when the bin opens, and held there before it does.
+func TestBinAge(t *testing.T) {
+	start := t0.Add(3 * time.Hour)
+	for _, tc := range []struct{ sinceStart, want time.Duration }{
+		{-48 * time.Hour, -30 * time.Minute}, // not started: held
+		{-time.Nanosecond, -30 * time.Minute},
+		{0, -30 * time.Minute}, // opens
+		{15 * time.Minute, -15 * time.Minute},
+		{30 * time.Minute, 0}, // midpoint
+		{time.Hour, 30 * time.Minute},
+		{10 * time.Hour, 9*time.Hour + 30*time.Minute},
+	} {
+		if got := BinAge(start.Add(tc.sinceStart), start, time.Hour); got != tc.want {
+			t.Errorf("BinAge at start%+v = %v, want %v", tc.sinceStart, got, tc.want)
 		}
 	}
 }
@@ -109,11 +135,26 @@ func TestHistogramDecayedTotal(t *testing.T) {
 	if got := h.DecayedTotal("u", now, nil); got != 200 {
 		t.Errorf("nil decay total = %g", got)
 	}
-	// Future bins clamp to age zero.
+	// A bin is valued at its midpoint from the moment it opens: 2^(+x) in its
+	// first half, exactly its content at the midpoint, decaying after. (The
+	// first half used to be held at the content, so the value depended on
+	// which side of the midpoint it was read.) A bin that has not started is
+	// held at the weight of a bin just opened.
 	h2 := NewHistogram(time.Hour)
-	h2.Add("u", t0.Add(5*time.Hour), 100)
-	if got := h2.DecayedTotal("u", t0, d); got != 100 {
-		t.Errorf("future bin decayed = %g, want 100", got)
+	h2.Add("u", t0.Add(5*time.Hour+40*time.Minute), 100) // bin [t0+5h, t0+6h)
+	for _, tc := range []struct {
+		at   time.Duration
+		want float64
+	}{
+		{0, 100 * math.Exp2(0.5)}, // not started
+		{5 * time.Hour, 100 * math.Exp2(0.5)},
+		{5*time.Hour + 15*time.Minute, 100 * math.Exp2(0.25)},
+		{5*time.Hour + 30*time.Minute, 100},
+		{6 * time.Hour, 100 * math.Exp2(-0.5)},
+	} {
+		if got := h2.DecayedTotal("u", t0.Add(tc.at), d); got != tc.want {
+			t.Errorf("one bin read at +%v decayed = %v, want %v", tc.at, got, tc.want)
+		}
 	}
 }
 

@@ -1,9 +1,6 @@
 package vector
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Dictionary implements the Dictionary Ordering projection: vectors are
 // sorted lexicographically (descending) and each is assigned an evenly
@@ -129,7 +126,7 @@ func (Percental) Project(entries []Entry, resolution float64) map[string]float64
 }
 
 // ProjectEntry implements PointwiseProjection.
-func (Percental) ProjectEntry(e Entry, _ float64) float64 {
+func (p Percental) ProjectEntry(e Entry, _ float64) float64 {
 	target, usage := 1.0, 1.0
 	for _, s := range e.PathShares {
 		target *= s
@@ -137,9 +134,21 @@ func (Percental) ProjectEntry(e Entry, _ float64) float64 {
 	for _, u := range e.PathUsage {
 		usage *= u
 	}
+	return p.Value(target, usage)
+}
+
+// Value is the percental value of a user whose path shares multiply to
+// target and whose path usage shares multiply to usage.
+func (Percental) Value(target, usage float64) float64 {
 	// target − usage ∈ [−1, 1]; rescale to [0,1].
 	v := ((target - usage) + 1) / 2
-	return math.Max(0, math.Min(1, v))
+	switch {
+	case v < 0:
+		return 0
+	case v > 1:
+		return 1
+	}
+	return v
 }
 
 // Projections returns the three built-in projection algorithms.

@@ -211,6 +211,38 @@ func TestPercentalMatchesPaperExample(t *testing.T) {
 	}
 }
 
+// TestPercentalValueIsTheClampedRescale pins Value, which the FCS publish
+// pass calls on share products directly, to the definition ProjectEntry has
+// always had — max(0, min(1, ((target − usage) + 1) / 2)) — bit for bit
+// (NaN for NaN), including the values only corrupt inputs produce.
+func TestPercentalValueIsTheClampedRescale(t *testing.T) {
+	check := func(target, usage float64) bool {
+		want := math.Max(0, math.Min(1, ((target-usage)+1)/2))
+		got := Percental{}.Value(target, usage)
+		viaEntry := Percental{}.ProjectEntry(Entry{PathShares: []float64{target}, PathUsage: []float64{usage}}, 10000)
+		same := func(x float64) bool {
+			return math.Float64bits(x) == math.Float64bits(want) || math.IsNaN(x) && math.IsNaN(want)
+		}
+		return same(got) && same(viaEntry)
+	}
+	edge := []float64{0, 1, -1, 0.5, 1e-300, 1 - 1e-16, 2, -2, 1e300, math.Inf(1), math.Inf(-1), math.NaN(), math.Copysign(0, -1)}
+	for _, target := range edge {
+		for _, usage := range edge {
+			if !check(target, usage) {
+				t.Errorf("Value(%v, %v) = %v", target, usage, Percental{}.Value(target, usage))
+			}
+		}
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+	if err := quick.Check(func(a, b uint16) bool {
+		return check(float64(a)/65535, float64(b)/65535)
+	}, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestPercentalLosesSubgroupIsolation(t *testing.T) {
 	// Groups G1{a,b} and G2{c} each hold 50%. b idles while a consumed 45%
 	// of the total (G1 usage 0.45 < target 0.5, so as a GROUP G1 is under

@@ -81,10 +81,9 @@ type DebugSummary struct {
 	// re-published as pointer copies.
 	FCSMaterializedSegments int `json:"fcs_materialized_segments"`
 	FCSSharedSegments       int `json:"fcs_shared_segments"`
-	// FCSProjectSeconds/FCSDriftSeconds break the publish step of the last
-	// refresh into its two population-wide passes.
-	FCSProjectSeconds float64 `json:"fcs_project_seconds"`
-	FCSDriftSeconds   float64 `json:"fcs_drift_seconds"`
+	// FCSPublishSeconds is the cost of the last refresh's publish pass
+	// (projection and drift summary).
+	FCSPublishSeconds float64 `json:"fcs_publish_seconds"`
 	// FCSUsageScale is what the usage values in the fairshare tree must be
 	// multiplied by to read as decayed core-seconds; FCSUsageReference is
 	// the instant they are sums at (absent when they already are decayed
