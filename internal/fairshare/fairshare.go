@@ -20,10 +20,8 @@ package fairshare
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/policy"
 	"repro/internal/vector"
 )
@@ -80,8 +78,9 @@ type Node struct {
 	Children []*Node
 	// leaves counts the leaves in this subtree (1 for a leaf). It is filled
 	// at build time so index construction and the incremental Recalc engine
-	// can partition entry ranges without re-walking the tree.
-	leaves int32
+	// can partition entry ranges without re-walking the tree; nodes counts
+	// every node of the subtree, itself included.
+	leaves, nodes int32
 	// gen tags nodes cloned by one Recalc.Apply pass (generation numbers are
 	// process-unique), letting the engine distinguish this pass's mutable
 	// clones from immutable shared nodes without a map. Zero on nodes built
@@ -95,148 +94,90 @@ type Tree struct {
 	Config Config
 }
 
-// parallelComputeThreshold is the tree size (node count) above which Compute
-// scores top-level sibling subtrees concurrently. Small trees stay serial:
-// goroutine setup would dominate the arithmetic.
-const parallelComputeThreshold = 4096
-
 // Compute builds the fairshare tree for a policy and per-user usage (keyed by
 // leaf user name; any common scale, see Node.Usage). This is the pre-calculation the FCS performs
 // periodically so that "no real-time calculations need to take place when
-// new jobs arrive". Large policies are scored in parallel across the root's
-// sibling subtrees — each sibling group is independent once its parent's
-// usage totals are fixed.
+// new jobs arrive". Large policies are built and scored in parallel across
+// the root's sibling subtrees — each sibling group is independent once its
+// parent's usage totals are fixed.
 func Compute(p *policy.Tree, usage map[string]float64, cfg Config) *Tree {
 	cfg = cfg.normalized()
-	root, nodes := buildTree(p.Root, usage)
+	root := buildTree(p.Root, p.Root.Share, usage, len(usage))
 	root.Share = 1
 	root.UsageShare = 1
 	root.Priority = 0
 	root.Value = cfg.Balance()
 	scoreGroup(root, cfg)
-	if nodes >= parallelComputeThreshold && len(root.Children) > 1 {
-		var wg sync.WaitGroup
-		for _, c := range root.Children {
-			wg.Add(1)
-			go func(c *Node) {
-				defer wg.Done()
-				scoreDescendants(c, cfg)
-			}(c)
-		}
-		wg.Wait()
-	} else {
-		for _, c := range root.Children {
-			scoreDescendants(c, cfg)
-		}
-	}
+	par.For(int(root.nodes), len(root.Children), func(_, i int) {
+		scoreDescendants(root.Children[i], cfg)
+	})
 	return &Tree{Root: root, Config: cfg}
 }
 
 // buildTree builds the scored-tree skeleton from the raw policy, normalizing
 // sibling shares inline with exactly policy.Normalize's arithmetic (each
 // child's share divided by the left-to-right sum of its group's raw shares,
-// iff that sum is positive). Folding the normalization into the build avoids
-// the full policy clone Normalize performs. Large trees build their top-level
-// subtrees in parallel; the root's usage fold stays serial and left-to-right
-// so results are bitwise independent of scheduling.
-func buildTree(pn *policy.Node, usage map[string]float64) (*Node, int) {
-	if len(usage) < parallelComputeThreshold || len(pn.Children) < 2 {
-		return buildNorm(pn, pn.Share, usage)
+// iff that sum is positive; share is the node's own, already normalized).
+// Folding the normalization into the build avoids the full policy clone
+// Normalize performs. work is what par.For is told the children cost: the
+// population at the root, whose subtrees build in parallel on large trees,
+// zero below it. The usage fold runs left to right once the children are
+// built, so results are bitwise independent of scheduling.
+func buildTree(pn *policy.Node, share float64, usage map[string]float64, work int) *Node {
+	n := &Node{Name: pn.Name, Share: share, nodes: 1}
+	if len(pn.Children) == 0 {
+		n.Usage = usage[pn.Name]
+		n.leaves = 1
+		return n
 	}
-	n := &Node{Name: pn.Name, Share: pn.Share}
 	var sum float64
 	for _, pc := range pn.Children {
 		sum += pc.Share
 	}
 	n.Children = make([]*Node, len(pn.Children))
-	counts := make([]int, len(pn.Children))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(pn.Children) {
-		workers = len(pn.Children)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pn.Children) {
-					return
-				}
-				pc := pn.Children[i]
-				cs := pc.Share
-				if sum > 0 {
-					cs = pc.Share / sum
-				}
-				n.Children[i], counts[i] = buildNorm(pc, cs, usage)
-			}
-		}()
-	}
-	wg.Wait()
-	nodes := 1
-	for i, c := range n.Children {
-		n.Usage += c.Usage
-		n.leaves += c.leaves
-		nodes += counts[i]
-	}
-	return n, nodes
-}
-
-// buildNorm copies the policy structure with inline share normalization and
-// accumulates subtree usage, returning the subtree's node count. share is the
-// node's already-normalized share within its sibling group.
-func buildNorm(pn *policy.Node, share float64, usage map[string]float64) (*Node, int) {
-	n := &Node{Name: pn.Name, Share: share}
-	if len(pn.Children) == 0 {
-		n.Usage = usage[pn.Name]
-		n.leaves = 1
-		return n, 1
-	}
-	var sum float64
-	for _, pc := range pn.Children {
-		sum += pc.Share
-	}
-	nodes := 1
-	n.Children = make([]*Node, 0, len(pn.Children))
-	for _, pc := range pn.Children {
+	par.For(work, len(pn.Children), func(_, i int) {
+		pc := pn.Children[i]
 		cs := pc.Share
 		if sum > 0 {
 			cs = pc.Share / sum
 		}
-		c, cn := buildNorm(pc, cs, usage)
-		n.Children = append(n.Children, c)
+		n.Children[i] = buildTree(pc, cs, usage, 0)
+	})
+	for _, c := range n.Children {
 		n.Usage += c.Usage
 		n.leaves += c.leaves
-		nodes += cn
+		n.nodes += c.nodes
 	}
-	return n, nodes
+	return n
 }
 
-// scoreGroup computes usage shares, priorities and values for n's immediate
-// children (one sibling group), without recursing.
-func scoreGroup(n *Node, cfg Config) {
-	var groupUsage float64
-	for _, c := range n.Children {
-		groupUsage += c.Usage
+// score is the fairshare formula, in one place: a node's fraction of its
+// sibling group's usage, the blend k·rel + (1−k)·abs of its two distances
+// from its target share (see the package comment), and that priority mapped
+// linearly from [−1, 1] into [0, Resolution) with 0 on the balance point.
+// Compute and Recalc.Apply both score through it, which is what makes their
+// results the same bits. cfg must be normalized.
+func score(cfg Config, share, usage, groupUsage float64) (usageShare, priority, value float64) {
+	if groupUsage > 0 {
+		usageShare = usage / groupUsage
+	}
+	abs := share - usageShare
+	rel := 0.0
+	if share > 0 {
+		rel = math.Max(0, math.Min(1, abs/share))
 	}
 	k := cfg.DistanceWeight
+	priority = k*rel + (1-k)*abs
+	v := cfg.Resolution / 2 * (1 + priority)
+	return usageShare, priority, math.Max(0, math.Min(cfg.Resolution-1e-9, v))
+}
+
+// scoreGroup scores n's immediate children (one sibling group), without
+// recursing. The group's usage is n.Usage, which every builder folds left to
+// right over the children.
+func scoreGroup(n *Node, cfg Config) {
 	for _, c := range n.Children {
-		if groupUsage > 0 {
-			c.UsageShare = c.Usage / groupUsage
-		} else {
-			c.UsageShare = 0
-		}
-		abs := c.Share - c.UsageShare
-		rel := 0.0
-		if c.Share > 0 {
-			rel = math.Max(0, math.Min(1, (c.Share-c.UsageShare)/c.Share))
-		}
-		c.Priority = k*rel + (1-k)*abs
-		// Priority ∈ [−1, 1]; map linearly so 0 lands on the balance point.
-		v := cfg.Balance() * (1 + c.Priority)
-		c.Value = math.Max(0, math.Min(cfg.Resolution-1e-9, v))
+		c.UsageShare, c.Priority, c.Value = score(cfg, c.Share, c.Usage, n.Usage)
 	}
 }
 
@@ -249,42 +190,11 @@ func scoreDescendants(n *Node, cfg Config) {
 	}
 }
 
-// lookupPath returns the chain of nodes from the first level below the root
-// down to the (first) leaf named user, or nil.
-func (t *Tree) lookupPath(user string) []*Node {
-	var found []*Node
-	var walk func(n *Node, path []*Node) bool
-	walk = func(n *Node, path []*Node) bool {
-		if len(n.Children) == 0 {
-			if n.Name == user && len(path) > 0 {
-				found = append([]*Node(nil), path...)
-				return true
-			}
-			return false
-		}
-		for _, c := range n.Children {
-			if walk(c, append(path, c)) {
-				return true
-			}
-		}
-		return false
-	}
-	walk(t.Root, nil)
-	return found
-}
-
 // Vector extracts the fairshare vector of a user: the node values along the
 // path from the root down to the user's leaf.
 func (t *Tree) Vector(user string) (vector.Vector, bool) {
-	path := t.lookupPath(user)
-	if path == nil {
-		return nil, false
-	}
-	v := make(vector.Vector, len(path))
-	for i, n := range path {
-		v[i] = n.Value
-	}
-	return v, true
+	v, _, ok := t.Lookup(user)
+	return v, ok
 }
 
 // Depth returns the maximum leaf depth below the root.
@@ -308,47 +218,55 @@ func (t *Tree) Depth() int {
 // retain or mutate entries freely.
 func (t *Tree) Entries() []vector.Entry {
 	var out []vector.Entry
-	walkLeaves(t.Root, func(n *Node, vec vector.Vector, shares, usages []float64) {
+	walkLeaves(t.Root, func(n *Node, w *leafWalk) {
 		out = append(out, vector.Entry{
 			User:       n.Name,
-			Vec:        vec.Clone(),
-			PathShares: append([]float64(nil), shares...),
-			PathUsage:  append([]float64(nil), usages...),
+			Vec:        w.vec.Clone(),
+			PathShares: append([]float64(nil), w.shares...),
+			PathUsage:  append([]float64(nil), w.usages...),
 		})
 	})
 	return out
 }
 
-// walkLeaves visits every leaf below the root in DFS order, passing the path
-// state (values, target shares, usage shares from the first level below the
-// root down to the leaf). The slices handed to fn are scratch stacks reused
-// across leaves: fn must copy anything it retains. Maintaining one explicit
-// push/pop stack per quantity keeps the walk safe by construction — the old
-// per-call `append(vec, …)` pattern shared backing arrays across sibling
-// iterations and was only correct because each leaf cloned before the next
-// sibling's append overwrote the slot.
-func walkLeaves(root *Node, fn func(leaf *Node, vec vector.Vector, shares, usages []float64)) {
-	var vec vector.Vector
-	var shares, usages []float64
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if len(n.Children) == 0 {
-			if len(vec) > 0 {
-				fn(n, vec, shares, usages)
-			}
-			return
-		}
-		for _, c := range n.Children {
-			vec = append(vec, c.Value)
-			shares = append(shares, c.Share)
-			usages = append(usages, c.UsageShare)
-			walk(c)
-			vec = vec[:len(vec)-1]
-			shares = shares[:len(shares)-1]
-			usages = usages[:len(usages)-1]
-		}
+// leafWalk is the path state of a depth-first walk over a tree's leaves: the
+// values, target shares and usage shares from the first level below the root
+// down to the current node, and the child index taken at each of those
+// levels. The slices are scratch stacks reused across leaves — a visitor must
+// copy anything it retains — and one explicit push/pop stack per quantity is
+// what keeps the walk safe by construction (a per-call `append(vec, …)`
+// shares backing arrays across sibling iterations).
+type leafWalk struct {
+	vec            vector.Vector
+	shares, usages []float64
+	path           []int32
+}
+
+// descend steps into parent's i-th child and calls fn on every leaf below it
+// (on the child itself when it is one), in DFS order.
+func (w *leafWalk) descend(parent *Node, i int, fn func(leaf *Node, w *leafWalk)) {
+	c := parent.Children[i]
+	w.vec = append(w.vec, c.Value)
+	w.shares = append(w.shares, c.Share)
+	w.usages = append(w.usages, c.UsageShare)
+	w.path = append(w.path, int32(i))
+	if len(c.Children) == 0 {
+		fn(c, w)
 	}
-	walk(root)
+	for j := range c.Children {
+		w.descend(c, j, fn)
+	}
+	d := len(w.vec) - 1
+	w.vec, w.shares, w.usages, w.path = w.vec[:d], w.shares[:d], w.usages[:d], w.path[:d]
+}
+
+// walkLeaves visits every leaf below the root in DFS order (a childless root
+// has none). The index fills each top-level subtree with its own leafWalk.
+func walkLeaves(root *Node, fn func(leaf *Node, w *leafWalk)) {
+	var w leafWalk
+	for i := range root.Children {
+		w.descend(root, i, fn)
+	}
 }
 
 // UsageByLeaf returns the absolute decayed usage of every leaf, keyed by
@@ -357,7 +275,7 @@ func walkLeaves(root *Node, fn func(leaf *Node, vec vector.Vector, shares, usage
 // leaf the same usage value, so the map is well-defined.
 func (t *Tree) UsageByLeaf() map[string]float64 {
 	out := make(map[string]float64, leafCount(t.Root))
-	walkLeaves(t.Root, func(n *Node, _ vector.Vector, _, _ []float64) {
+	walkLeaves(t.Root, func(n *Node, _ *leafWalk) {
 		out[n.Name] = n.Usage
 	})
 	return out
@@ -373,26 +291,33 @@ func (t *Tree) Priorities(proj vector.Projection) map[string]float64 {
 // quantity plotted in the paper's per-user priority figures — and whether
 // the user exists.
 func (t *Tree) LeafPriority(user string) (float64, bool) {
-	path := t.lookupPath(user)
-	if path == nil {
-		return 0, false
-	}
-	return path[len(path)-1].Priority, true
+	_, prio, ok := t.Lookup(user)
+	return prio, ok
 }
 
-// Lookup returns a user's fairshare vector and raw leaf priority from a
-// single tree walk — callers needing both must not pay for two
-// (Vector + LeafPriority each repeat the same depth-first search).
-func (t *Tree) Lookup(user string) (vector.Vector, float64, bool) {
-	path := t.lookupPath(user)
-	if path == nil {
+// Lookup returns the fairshare vector and raw leaf priority of the first
+// leaf, in DFS order, named user, from one tree walk that stops there. (The
+// FCS serves from the Index; this is the reference the index is pinned to.)
+func (t *Tree) Lookup(user string) (vec vector.Vector, prio float64, ok bool) {
+	var walk func(n *Node) bool
+	walk = func(n *Node) bool {
+		if len(n.Children) == 0 {
+			prio = n.Priority
+			return n.Name == user && len(vec) > 0 // a childless root is no user
+		}
+		for _, c := range n.Children {
+			vec = append(vec, c.Value)
+			if walk(c) {
+				return true
+			}
+			vec = vec[:len(vec)-1]
+		}
+		return false
+	}
+	if !walk(t.Root) {
 		return nil, 0, false
 	}
-	v := make(vector.Vector, len(path))
-	for i, n := range path {
-		v[i] = n.Value
-	}
-	return v, path[len(path)-1].Priority, true
+	return vec, prio, true
 }
 
 // Find returns the node at the given policy path.

@@ -1,11 +1,10 @@
 package fairshare
 
 import (
-	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/par"
 	"repro/internal/vector"
 )
 
@@ -21,9 +20,9 @@ type IndexEntry struct {
 }
 
 // indexStripes is the number of hash stripes the user→position map is split
-// into. Striping lets full index rebuilds populate the map from several
-// goroutines without a global lock, and keeps per-map sizes (and therefore
-// rehash pauses) bounded at the 1M-user scale.
+// into. Striping lets an index build populate the maps from several
+// goroutines without a lock, and keeps per-map sizes bounded at the 1M-user
+// scale.
 const indexStripes = 16
 
 // segMeta is one segment's contiguous leaf range [lo, hi) in entry-position
@@ -78,10 +77,10 @@ type composedRun struct {
 // Storage is split in two along the incremental-recalc seam:
 //
 //   - The identity half — user names, per-entry arena offsets, target
-//     shares and their per-leaf product, the segment table, the sharded
-//     user→position maps and the duplicate table — depends only on the
-//     policy topology, so incremental rebuilds (see Recalc) share it
-//     wholesale with the previous index.
+//     shares and their per-leaf product, child-index paths, the segment
+//     table, the sharded user→position maps and the duplicate table —
+//     depends only on the policy topology, so incremental rebuilds (see
+//     Recalc) share it wholesale with the previous index (withValues).
 //   - The value half — what a usage delta changes — is segmented along
 //     top-level subtrees: each segment interns its single level-0
 //     (vector, usage) prefix in headVec/headUsage and keeps only the deeper
@@ -92,7 +91,7 @@ type composedRun struct {
 //     O(users·depth) to O(dirty + segments).
 //
 // Every leaf under one top-level child shares that child's scored values as
-// its level-0 prefix (walkSubtree starts its path stacks at the child), so
+// its level-0 prefix (fillSegment's walk starts its path stacks at the child), so
 // interning loses nothing: composing head ⊕ tail yields bit-identical floats
 // to the flat arenas the index used to hold.
 type Index struct {
@@ -111,6 +110,10 @@ type Index struct {
 	// right from 1 — the leaf's absolute slice of the grid under the policy,
 	// which the publish pass reads instead of re-multiplying the path.
 	target []float64
+	// path holds every entry's child indexes from the root down to its leaf,
+	// flattened per offs like shares (level 0 is the entry's segment): how
+	// Recalc finds a leaf's node in whatever tree has this shape.
+	path []int32
 	// segs[s] is segment s's leaf range; segOf[i] is the segment of entry i.
 	segs  []segMeta
 	segOf []int32
@@ -158,28 +161,22 @@ func stripeOf(name string) uint32 {
 	return uint32(h % indexStripes)
 }
 
-// NewIndex builds the segmented index for a computed tree. Small trees walk
-// the root's subtrees serially; large trees split them into contiguous
-// chunks of roughly equal leaf count (the per-node leaf counts cached at
-// build time give exact offsets) and build arena sections plus per-chunk
-// stripe maps in parallel, merging the stripe maps deterministically
-// afterwards. Either way the layout is identical: one segment per top-level
-// child, with the child's scored values interned as the segment head.
+// NewIndex builds the segmented index for a computed tree: one segment per
+// top-level child, with the child's scored values interned as the segment
+// head. Every tree size runs the same code — the segments are filled through
+// par.For (their arena ranges are disjoint, and the per-node leaf counts
+// cached at build time give exact offsets), then the stripe maps are built
+// from the filled name column — so the result cannot depend on the core count.
 func NewIndex(t *Tree) *Index {
 	root := t.Root
 	n := leafCount(root)
 	ix := &Index{}
 	bases := ix.initLayout(root, n)
-	if n >= parallelComputeThreshold && len(root.Children) > 1 {
-		ix.buildParallel(root, n, bases)
-		return ix
-	}
-	for s := range ix.stripes {
-		ix.stripes[s] = make(map[string]int32)
-	}
-	for s, c := range root.Children {
-		ix.fillSegment(s, c, bases, ix.addPos)
-	}
+	stripe := make([]uint8, n) // stripe[i] = stripeOf(users[i])
+	par.For(n, len(root.Children), func(_, s int) {
+		ix.fillSegment(root, s, bases, stripe)
+	})
+	ix.buildStripes(stripe)
 	return ix
 }
 
@@ -209,15 +206,14 @@ func (ix *Index) initLayout(root *Node, n int) []int32 {
 		lo += c.leaves
 	}
 	ix.shares = make([]float64, bases[S])
+	ix.path = make([]int32, bases[S])
 	return bases
 }
 
-// fillSegment walks one top-level subtree and writes segment s's slice of
-// the identity arenas (users, offs, shares, segOf) plus its head and a
-// freshly allocated tail. addPos receives each (name, position) in DFS
-// order — the serial build passes ix.addPos, the parallel build a
-// chunk-local recorder.
-func (ix *Index) fillSegment(s int, c *Node, bases []int32, addPos func(name string, pos int32)) {
+// fillSegment walks the root's s-th subtree and writes segment s's slice of
+// the identity arenas (users, offs, shares, target, path, segOf) plus its
+// head and a freshly allocated tail, and each leaf's stripe id into stripe.
+func (ix *Index) fillSegment(root *Node, s int, bases []int32, stripe []uint8) {
 	m := ix.segs[s]
 	nLeaves := int(m.hi - m.lo)
 	ai := int(bases[s]) // full-depth arena cursor
@@ -228,46 +224,75 @@ func (ix *Index) fillSegment(s int, c *Node, bases []int32, addPos func(name str
 		leafPrio: make([]float64, nLeaves),
 	}
 	ix.tails[s] = tail
-	ix.headVec[s] = c.Value
-	ix.headUsage[s] = c.UsageShare
+	ix.headVec[s] = root.Children[s].Value
+	ix.headUsage[s] = root.Children[s].UsageShare
 	pos := int(m.lo)
 	ti := 0
-	walkSubtree(c, func(nd *Node, vec vector.Vector, shares, usages []float64) {
-		d := len(vec)
-		copy(ix.shares[ai:ai+d], shares)
+	new(leafWalk).descend(root, s, func(nd *Node, w *leafWalk) {
+		d := len(w.vec)
+		copy(ix.shares[ai:ai+d], w.shares)
+		copy(ix.path[ai:ai+d], w.path)
 		target := 1.0
-		for _, sh := range shares {
+		for _, sh := range w.shares {
 			target *= sh
 		}
 		ix.target[pos] = target
-		copy(tail.vec[ti:ti+d-1], vec[1:])
-		copy(tail.usage[ti:ti+d-1], usages[1:])
+		copy(tail.vec[ti:ti+d-1], w.vec[1:])
+		copy(tail.usage[ti:ti+d-1], w.usages[1:])
 		ti += d - 1
 		ai += d
 		ix.users[pos] = nd.Name
+		stripe[pos] = uint8(stripeOf(nd.Name))
 		tail.leafPrio[pos-int(m.lo)] = nd.Priority
 		ix.offs[pos+1] = int32(ai)
 		ix.segOf[pos] = int32(s)
-		addPos(nd.Name, int32(pos))
 		pos++
 	})
 }
 
-// addPos records a leaf position for a name: first occurrence wins the
-// stripe map, later ones go to the duplicate table.
-func (ix *Index) addPos(name string, pos int32) {
-	m := ix.stripes[stripeOf(name)]
-	if first, dup := m[name]; dup {
-		if ix.dups == nil {
+// buildStripes builds the user→position maps and the duplicate table from
+// the filled name column, one stripe per unit of work. Each map is sized from
+// a count and filled in position order, so the first occurrence of a name
+// wins it and a duplicate list ascends by construction; a name lives in one
+// stripe, so the stripes' duplicate tables are disjoint and their union is
+// the index's.
+func (ix *Index) buildStripes(stripe []uint8) {
+	var counts [indexStripes]int
+	for _, st := range stripe {
+		counts[st]++
+	}
+	var dups [indexStripes]map[string][]int32
+	par.For(len(stripe), indexStripes, func(_, st int) {
+		m := make(map[string]int32, counts[st])
+		for pos, at := range stripe {
+			if int(at) != st {
+				continue
+			}
+			name := ix.users[pos]
+			first, dup := m[name]
+			if !dup {
+				m[name] = int32(pos)
+				continue
+			}
+			if dups[st] == nil {
+				dups[st] = make(map[string][]int32)
+			}
+			ps := dups[st][name]
+			if ps == nil {
+				ps = []int32{first}
+			}
+			dups[st][name] = append(ps, int32(pos))
+		}
+		ix.stripes[st] = m
+	})
+	for _, d := range dups {
+		if d != nil && ix.dups == nil {
 			ix.dups = make(map[string][]int32)
 		}
-		if len(ix.dups[name]) == 0 {
-			ix.dups[name] = append(ix.dups[name], first)
+		for name, ps := range d {
+			ix.dups[name] = ps
 		}
-		ix.dups[name] = append(ix.dups[name], pos)
-		return
 	}
-	m[name] = pos
 }
 
 // subtreeDepthSum returns the summed root-to-leaf path length over every
@@ -284,99 +309,6 @@ func subtreeDepthSum(n *Node, level int) int {
 	return s
 }
 
-// buildParallel partitions the root's children into contiguous chunks of
-// roughly equal leaf count, fills each chunk's segments and local stripe
-// maps concurrently, then merges the stripe maps. Entry order, segment
-// layout, first-wins positions and duplicate tables are bitwise identical
-// to the serial build. Requires initLayout to have run.
-func (ix *Index) buildParallel(root *Node, n int, bases []int32) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(root.Children) {
-		workers = len(root.Children)
-	}
-	// Chunk boundaries: greedy fill to ~n/workers leaves per chunk.
-	type chunk struct {
-		firstChild, lastChild int // child index range [first, last)
-	}
-	var chunks []chunk
-	target := (n + workers - 1) / workers
-	acc, first := 0, 0
-	for i, c := range root.Children {
-		acc += int(c.leaves)
-		if acc >= target || i == len(root.Children)-1 {
-			chunks = append(chunks, chunk{firstChild: first, lastChild: i + 1})
-			acc = 0
-			first = i + 1
-		}
-	}
-	type local struct {
-		stripes [indexStripes]map[string]int32
-		// extra holds positions whose name already had a smaller position
-		// within this chunk (in-chunk duplicates).
-		extra []int32
-	}
-	locals := make([]local, len(chunks))
-	var wg sync.WaitGroup
-	wg.Add(len(chunks))
-	for i := range chunks {
-		go func(i int) {
-			defer wg.Done()
-			ck := chunks[i]
-			lc := &locals[i]
-			for s := range lc.stripes {
-				lc.stripes[s] = make(map[string]int32)
-			}
-			for child := ck.firstChild; child < ck.lastChild; child++ {
-				ix.fillSegment(child, root.Children[child], bases, func(name string, pos int32) {
-					m := lc.stripes[stripeOf(name)]
-					if _, dup := m[name]; dup {
-						lc.extra = append(lc.extra, pos)
-					} else {
-						m[name] = pos
-					}
-				})
-			}
-		}(i)
-	}
-	wg.Wait()
-
-	// Merge: chunks in ascending order so the smallest position wins each
-	// name; collisions (cross-chunk repeats) and in-chunk extras become
-	// duplicate-table entries.
-	var conflicts []int32
-	for s := 0; s < indexStripes; s++ {
-		merged := make(map[string]int32)
-		for ci := range locals {
-			for name, pos := range locals[ci].stripes[s] {
-				if _, ok := merged[name]; ok {
-					conflicts = append(conflicts, pos)
-				} else {
-					merged[name] = pos
-				}
-			}
-		}
-		ix.stripes[s] = merged
-	}
-	for ci := range locals {
-		conflicts = append(conflicts, locals[ci].extra...)
-	}
-	if len(conflicts) > 0 {
-		ix.dups = make(map[string][]int32)
-		for _, pos := range conflicts {
-			name := ix.users[pos]
-			if len(ix.dups[name]) == 0 {
-				// Seed with the winning first position.
-				ix.dups[name] = append(ix.dups[name], ix.stripes[stripeOf(name)][name])
-			}
-			ix.dups[name] = append(ix.dups[name], pos)
-		}
-		for name := range ix.dups {
-			ps := ix.dups[name]
-			sort.Slice(ps, func(i, j int) bool { return ps[i] < ps[j] })
-		}
-	}
-}
-
 // leafCount returns the number of index entries a tree yields: the cached
 // per-subtree leaf counts summed over the root's children (a childless root
 // produces no entries, matching walkLeaves).
@@ -388,38 +320,38 @@ func leafCount(root *Node) int {
 	return n
 }
 
-// walkSubtree visits every leaf of a top-level subtree in DFS order with the
-// same path-state semantics as walkLeaves (the stacks start at c's level).
-// Used to fill segments, in parallel for large trees.
-func walkSubtree(c *Node, fn func(leaf *Node, vec vector.Vector, shares, usages []float64)) {
-	vec := vector.Vector{c.Value}
-	shares := []float64{c.Share}
-	usages := []float64{c.UsageShare}
-	if len(c.Children) == 0 {
-		fn(c, vec, shares, usages)
-		return
-	}
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if len(n.Children) == 0 {
-			fn(n, vec, shares, usages)
-			return
+// leaf returns the node of index entry pos in the tree rooted at root, which
+// must have the shape the index was built from (nil where it does not).
+func (ix *Index) leaf(root *Node, pos int32) *Node {
+	n := root
+	for _, ci := range ix.path[ix.offs[pos]:ix.offs[pos+1]] {
+		if int(ci) >= len(n.Children) {
+			return nil
 		}
-		for _, ch := range n.Children {
-			vec = append(vec, ch.Value)
-			shares = append(shares, ch.Share)
-			usages = append(usages, ch.UsageShare)
-			walk(ch)
-			vec = vec[:len(vec)-1]
-			shares = shares[:len(shares)-1]
-			usages = usages[:len(usages)-1]
-		}
+		n = n.Children[ci]
 	}
-	walk(c)
+	return n
 }
 
-// Index builds the serving index for the tree. Equivalent to NewIndex(t).
-func (t *Tree) Index() *Index { return NewIndex(t) }
+// withValues returns the index of a tree of the same shape with other values:
+// it shares ix's identity half by pointer and holds the given value half.
+func (ix *Index) withValues(headVec, headUsage []float64, tails []*segTail) *Index {
+	return &Index{
+		users:     ix.users,
+		offs:      ix.offs,
+		shares:    ix.shares,
+		target:    ix.target,
+		path:      ix.path,
+		segs:      ix.segs,
+		segOf:     ix.segOf,
+		stripes:   ix.stripes,
+		dups:      ix.dups,
+		headVec:   headVec,
+		headUsage: headUsage,
+		tails:     tails,
+		comp:      newComposed(len(ix.users)),
+	}
+}
 
 // Pos returns the entry position for a user (the first leaf in DFS order
 // when the name is duplicated) without allocating.

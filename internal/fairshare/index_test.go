@@ -1,10 +1,14 @@
 package fairshare
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/policy"
 	"repro/internal/vector"
 )
@@ -34,7 +38,7 @@ func buildDeep(t *testing.T) (*Tree, map[string]float64) {
 // replaces: same vectors, same leaf priorities, same entry set.
 func TestIndexMatchesTreeWalks(t *testing.T) {
 	tree, _ := buildDeep(t)
-	ix := tree.Index()
+	ix := NewIndex(tree)
 	if ix.Len() != 4 {
 		t.Fatalf("indexed %d users, want 4", ix.Len())
 	}
@@ -163,7 +167,7 @@ func TestEntriesNoAliasing(t *testing.T) {
 // leak into lookups of other users.
 func TestIndexEntriesImmutableUnderReuse(t *testing.T) {
 	tree, _ := buildDeep(t)
-	ix := tree.Index()
+	ix := NewIndex(tree)
 	u1, _ := ix.Lookup("u1")
 	before := append([]float64(nil), u1.Vec...)
 	u2, _ := ix.Lookup("u2")
@@ -178,45 +182,171 @@ func TestIndexEntriesImmutableUnderReuse(t *testing.T) {
 	}
 }
 
-// TestParallelComputeMatchesSerial pins the parallel scoring path against
-// the serial one on a tree past the parallel threshold.
-func TestParallelComputeMatchesSerial(t *testing.T) {
-	// 80 groups × 80 users = 6481 nodes ≥ parallelComputeThreshold.
-	p, usage := buildWide(80, 80)
-	cfg := DefaultConfig()
-	par := Compute(p, usage, cfg)
-
-	// Serial reference: build via the single-goroutine path (normalizing
-	// shares inline like buildTree's parallel branch) and score recursively.
-	root, nodes := buildNorm(p.Root, p.Root.Share, usage)
-	if nodes < parallelComputeThreshold {
-		t.Fatalf("test tree too small to exercise the parallel path: %d nodes", nodes)
-	}
-	root.Share = 1
-	root.UsageShare = 1
-	root.Value = cfg.normalized().Balance()
-	scoreDescendants(root, cfg.normalized())
-	ser := &Tree{Root: root, Config: cfg.normalized()}
-
-	parEntries := par.Entries()
-	serEntries := ser.Entries()
-	if len(parEntries) != len(serEntries) {
-		t.Fatalf("entry counts differ: %d vs %d", len(parEntries), len(serEntries))
-	}
-	serByUser := map[string]vector.Entry{}
-	for _, e := range serEntries {
-		serByUser[e.User] = e
-	}
-	for _, e := range parEntries {
-		want, ok := serByUser[e.User]
-		if !ok {
-			t.Fatalf("user %s missing from serial tree", e.User)
+// buildAwkward builds a policy with every shape the index build has to lay
+// out: leaves hanging off the root (one-leaf segments), one-user groups,
+// leaves at three depths inside one segment, and names repeated inside one
+// segment, across segments, and (32 distinct repeated names) across stripes.
+func buildAwkward(groups, perGroup int) (*policy.Tree, map[string]float64) {
+	rng := rand.New(rand.NewSource(int64(groups*perGroup) + 1))
+	usage := map[string]float64{}
+	leaf := func(name string) *policy.Node {
+		if rng.Intn(8) > 0 {
+			usage[name] = rng.Float64() * 1e5
 		}
-		for i := range e.Vec {
-			if e.Vec[i] != want.Vec[i] {
-				t.Errorf("%s: parallel vec %v, serial %v", e.User, e.Vec, want.Vec)
-				break
+		return &policy.Node{Name: name, Share: rng.Float64() + 0.1}
+	}
+	root := &policy.Node{Name: "", Share: 1}
+	for g := 0; g < groups; g++ {
+		if g%7 == 3 {
+			root.Children = append(root.Children, leaf(fmt.Sprintf("solo%d", g)))
+			continue
+		}
+		deep := &policy.Node{Name: "deep", Share: rng.Float64() + 0.1}
+		sub := &policy.Node{Name: "sub", Share: rng.Float64() + 0.1, Children: []*policy.Node{deep}}
+		gn := &policy.Node{Name: fmt.Sprintf("g%d", g), Share: rng.Float64() + 0.1}
+		users := perGroup
+		if g%5 == 1 {
+			users = 1 // a one-user group: sub and deep stay out of it
+		} else {
+			gn.Children = append(gn.Children, sub)
+		}
+		for u := 0; u < users; u++ {
+			name := fmt.Sprintf("u%d_%d", g, u)
+			switch {
+			case u%4 == 1:
+				name = fmt.Sprintf("in%d", g) // repeated inside this segment
+			case u%11 == 6:
+				name = fmt.Sprintf("across%d", u%32) // repeated across segments
 			}
+			into := []*policy.Node{gn, sub, deep}[u%3]
+			if users == 1 {
+				into = gn
+			}
+			dup := false
+			for _, c := range into.Children {
+				dup = dup || c.Name == name
+			}
+			if !dup {
+				into.Children = append(into.Children, leaf(name))
+			}
+		}
+		if len(deep.Children) == 0 {
+			deep.Children = append(deep.Children, leaf(fmt.Sprintf("d%d", g)))
+		}
+		root.Children = append(root.Children, gn)
+	}
+	return &policy.Tree{Root: root}, usage
+}
+
+// TestIndexBuildIndependentOfCores pins the single build path: whatever
+// GOMAXPROCS is, and on both sides of par.Threshold, Compute yields the same
+// tree bit for bit (GOMAXPROCS 1 is the plain serial loop) and NewIndex the
+// same index — identity half reflect.DeepEqual, value half Float64bits-equal.
+// The stripe maps and the duplicate table are also checked against a plain
+// scan of the name column: the first position wins a name, repeats ascend.
+func TestIndexBuildIndependentOfCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, size := range []struct{ groups, perGroup int }{{1, 1}, {9, 12}, {90, 120}} {
+		p, usage := buildAwkward(size.groups, size.perGroup)
+		var refTree *Tree
+		var ref *Index
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			tree := Compute(p, usage, DefaultConfig())
+			ix := NewIndex(tree)
+			if ref == nil {
+				refTree, ref = tree, ix
+				continue
+			}
+			compareNodes(t, tree.Root, refTree.Root, "")
+			for _, c := range []struct {
+				name      string
+				got, want any
+			}{
+				{"users", ix.users, ref.users}, {"offs", ix.offs, ref.offs},
+				{"shares", ix.shares, ref.shares}, {"target", ix.target, ref.target},
+				{"path", ix.path, ref.path}, {"segs", ix.segs, ref.segs},
+				{"segOf", ix.segOf, ref.segOf}, {"stripes", ix.stripes, ref.stripes},
+				{"dups", ix.dups, ref.dups},
+			} {
+				if !reflect.DeepEqual(c.got, c.want) {
+					t.Fatalf("%dx%d: %s built on %d cores differs from the one-core build",
+						size.groups, size.perGroup, c.name, procs)
+				}
+			}
+			compareFloatSlices(t, "headVec", ix.headVec, ref.headVec)
+			compareFloatSlices(t, "headUsage", ix.headUsage, ref.headUsage)
+			for s := range ref.tails {
+				compareFloatSlices(t, "tail vec", ix.tails[s].vec, ref.tails[s].vec)
+				compareFloatSlices(t, "tail usage", ix.tails[s].usage, ref.tails[s].usage)
+				compareFloatSlices(t, "tail leafPrio", ix.tails[s].leafPrio, ref.tails[s].leafPrio)
+			}
+		}
+		if above := ref.Len() >= par.Threshold; above != (size.groups == 90) {
+			t.Fatalf("%dx%d has %d leaves: on the wrong side of the threshold", size.groups, size.perGroup, ref.Len())
+		}
+		where := map[string][]int32{}
+		for i, u := range ref.users {
+			where[u] = append(where[u], int32(i))
+		}
+		repeated, stripesUsed := 0, map[uint32]bool{}
+		for u, ps := range where {
+			if first := ref.stripes[stripeOf(u)][u]; first != ps[0] {
+				t.Fatalf("%q resolves to position %d, first occurrence is %d", u, first, ps[0])
+			}
+			if len(ps) == 1 {
+				ps = nil
+			} else {
+				repeated++
+				stripesUsed[stripeOf(u)] = true
+			}
+			if !reflect.DeepEqual(ref.dups[u], ps) {
+				t.Fatalf("%q: duplicate list %v, want %v", u, ref.dups[u], ps)
+			}
+		}
+		if len(ref.dups) != repeated || (ref.dups == nil) != (repeated == 0) {
+			t.Fatalf("duplicate table holds %d names, want %d (nil when none)", len(ref.dups), repeated)
+		}
+		if size.groups > 1 && len(stripesUsed) < 2 {
+			t.Fatalf("repeated names fall in %d stripes, want several", len(stripesUsed))
+		}
+	}
+}
+
+// TestIndexPathReachesLeaf pins the path column: descending from the root by
+// the child indexes of entry i reaches the leaf named User(i), with the usage
+// UsageByLeaf reports — in the tree the index was built from, and in the
+// tree an Apply derived, which shares the column by pointer.
+func TestIndexPathReachesLeaf(t *testing.T) {
+	p, usage := buildAwkward(9, 12)
+	tree := Compute(p, usage, DefaultConfig())
+	ix := NewIndex(tree)
+	delta := map[string]float64{"in0": 77.5, "across6": 0, "solo3": 1e4, "u2_0": 12}
+	tree2, ix2, st, err := NewRecalc(tree, ix).Apply(delta)
+	if err != nil || st.DirtyLeaves <= len(delta) {
+		t.Fatalf("Apply: %v (%d dirty leaves)", err, st.DirtyLeaves)
+	}
+	if &ix2.path[0] != &ix.path[0] {
+		t.Fatal("Apply copied the path column instead of sharing it")
+	}
+	for _, c := range []struct {
+		tree *Tree
+		ix   *Index
+	}{{tree, ix}, {tree2, ix2}} {
+		want := c.tree.UsageByLeaf()
+		for i := 0; i < c.ix.Len(); i++ {
+			leaf := c.ix.leaf(c.tree.Root, int32(i))
+			if leaf == nil || len(leaf.Children) != 0 || leaf.Name != c.ix.User(i) {
+				t.Fatalf("entry %d (%s): path leads to %+v", i, c.ix.User(i), leaf)
+			}
+			if math.Float64bits(leaf.Usage) != math.Float64bits(want[leaf.Name]) {
+				t.Fatalf("entry %d (%s): usage %v, UsageByLeaf %v", i, leaf.Name, leaf.Usage, want[leaf.Name])
+			}
+		}
+	}
+	for u, v := range delta {
+		if got := tree2.UsageByLeaf()[u]; got != v {
+			t.Fatalf("after Apply %s has usage %v, want %v", u, got, v)
 		}
 	}
 }

@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/par"
 )
 
 // recalcGen issues process-unique clone-generation numbers, so nodes cloned
@@ -17,9 +17,11 @@ import (
 var recalcGen atomic.Uint64
 
 // Recalc is a persistent incremental recomputation engine: it keeps the
-// previously computed Tree/Index pair plus a flattened description of every
-// leaf's root-to-leaf path, and turns a usage delta set into a new snapshot
-// in O(dirty·depth) tree work instead of a full O(users) rebuild.
+// previously computed Tree/Index pair and turns a usage delta set into a new
+// snapshot in O(dirty·depth) tree work instead of a full O(users) rebuild.
+// It owns no per-leaf table of its own: a leaf's position, root-to-leaf path
+// and current usage are read from the pair (Index.positions, Index.path, the
+// leaf's Node).
 //
 // The produced snapshots are immutable and structurally share everything a
 // delta does not touch: nodes off the dirty paths, the index's stripe maps
@@ -32,15 +34,15 @@ var recalcGen atomic.Uint64
 // values are interned once per segment head, so absorbing the shift costs
 // two floats per segment instead of a per-leaf prefix rewrite. Segment
 // tails of dirty subtrees are re-materialized (flat copy plus sparse
-// overwrites, fanned across a bounded worker pool when the dirty population
-// is large); clean subtrees re-publish as pointer copies. That takes the
+// overwrites, fanned out through par.For when the dirty population is
+// large); clean subtrees re-publish as pointer copies. That takes the
 // per-refresh materialization floor from O(users·depth) to
 // O(dirty·depth + segments).
 //
 // All outputs are bit-identical to a from-scratch Compute+NewIndex over the
 // merged usage map: usage sums are re-folded left-to-right in the exact
 // child order of the full build (never adjusted by ±delta, which would
-// change float rounding), scoring reuses the same expressions, and interned
+// change float rounding), scoring calls the same score function, and interned
 // heads hold the very same floats the flat arenas used to.
 //
 // A Recalc is NOT safe for concurrent use; the FCS drives it under its
@@ -50,16 +52,6 @@ var recalcGen atomic.Uint64
 type Recalc struct {
 	tree  *Tree
 	index *Index
-	// leafUsage[i] is the absolute decayed usage of leaf i (DFS order) in
-	// the engine's current tree.
-	leafUsage []float64
-	// pathOff/pathIdx flatten each leaf's root-to-leaf child-index chain:
-	// leaf i's chain is pathIdx[pathOff[i]:pathOff[i+1]], each element the
-	// child index to descend at that level.
-	pathOff []int32
-	pathIdx []int32
-	// nodes is the total node count of the tree (for stats and gauges).
-	nodes int
 	// gen is the clone-generation number of the current Apply pass: a node
 	// with this gen is one of the pass's own (mutable) clones.
 	gen uint64
@@ -120,9 +112,7 @@ type RecalcStats struct {
 // must come from the same Compute (the index's entries must be the tree's
 // leaves in DFS order).
 func NewRecalc(t *Tree, ix *Index) *Recalc {
-	r := &Recalc{}
-	r.Reset(t, ix)
-	return r
+	return &Recalc{tree: t, index: ix}
 }
 
 // Tree returns the engine's current tree.
@@ -131,48 +121,20 @@ func (r *Recalc) Tree() *Tree { return r.tree }
 // Index returns the engine's current index.
 func (r *Recalc) Index() *Index { return r.index }
 
-// Leaves returns the engine's leaf count.
-func (r *Recalc) Leaves() int { return len(r.leafUsage) }
-
-// Nodes returns the engine's total tree node count.
-func (r *Recalc) Nodes() int { return r.nodes }
-
-// Reset re-anchors the engine on a new full rebuild, rebuilding the flat
-// path tables. Call it after any full Compute+NewIndex (tree edit,
-// projection config change, delta-log overflow).
+// Reset re-anchors the engine on a new full rebuild. Call it after any full
+// Compute+NewIndex (tree edit, projection config change, delta-log overflow).
 func (r *Recalc) Reset(t *Tree, ix *Index) {
-	n := ix.Len()
 	r.tree, r.index = t, ix
-	r.leafUsage = make([]float64, 0, n)
-	r.pathOff = make([]int32, 0, n+1)
-	r.pathIdx = r.pathIdx[:0]
-	r.nodes = 0
-	var idxStack []int32
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		r.nodes++
-		if len(n.Children) == 0 {
-			if len(idxStack) > 0 {
-				r.pathOff = append(r.pathOff, int32(len(r.pathIdx)))
-				r.pathIdx = append(r.pathIdx, idxStack...)
-				r.leafUsage = append(r.leafUsage, n.Usage)
-			}
-			return
-		}
-		for i, c := range n.Children {
-			idxStack = append(idxStack, int32(i))
-			walk(c)
-			idxStack = idxStack[:len(idxStack)-1]
-		}
-	}
-	walk(t.Root)
-	r.pathOff = append(r.pathOff, int32(len(r.pathIdx)))
 }
 
-// materializeParallelThreshold is the dirty-leaf population (summed over
-// dirty segments) above which segment tails rebuild on a worker pool.
-// Below it the goroutine fan-out costs more than the copies it spreads.
-const materializeParallelThreshold = 4096
+// clone returns this pass's mutable copy of n, with its own Children slice
+// (the children may be swapped for clones in turn).
+func (r *Recalc) clone(n *Node) *Node {
+	c := *n
+	c.Children = append([]*Node(nil), n.Children...)
+	c.gen = r.gen
+	return &c
+}
 
 // Apply merges a usage delta set (absolute new totals per user; users absent
 // from the policy are ignored, matching Compute's treatment of unknown usage
@@ -186,70 +148,41 @@ const materializeParallelThreshold = 4096
 // should fall back to a full rebuild.
 func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, error) {
 	start := time.Now()
-	st := RecalcStats{TotalLeaves: len(r.leafUsage)}
+	var st RecalcStats
 	if r.tree == nil || r.index == nil {
 		return nil, nil, st, errors.New("fairshare: Recalc not initialized")
 	}
-	if len(r.leafUsage) != r.index.Len() {
+	old, oldRoot := r.index, r.tree.Root
+	st.TotalLeaves = old.Len()
+	if leaves := leafCount(oldRoot); leaves != old.Len() {
 		return nil, nil, st, fmt.Errorf("fairshare: Recalc tree/index mismatch (%d leaves vs %d entries)",
-			len(r.leafUsage), r.index.Len())
+			leaves, old.Len())
 	}
 
-	// Phase 1: resolve dirty leaf positions, dropping bitwise no-ops and
-	// users the policy does not know. Map iteration order does not matter:
-	// every later phase re-derives values from canonical child order.
-	dirty := r.dirtyBuf[:0]
+	// Phase 1: resolve the deltas to leaf positions, dropping users the
+	// policy does not know. Map iteration order does not matter: every later
+	// phase re-derives values from canonical child order.
+	listed := r.dirtyBuf[:0]
 	for user, val := range deltas {
-		for _, p := range r.index.positions(user, r.posBuf[:0]) {
-			if sameBits(r.leafUsage[p], val) {
-				continue
-			}
-			dirty = append(dirty, dirtyLeaf{pos: p, val: val})
+		for _, p := range old.positions(user, r.posBuf[:0]) {
+			listed = append(listed, dirtyLeaf{pos: p, val: val})
 		}
 	}
-	r.dirtyBuf = dirty
-	if len(dirty) == 0 {
-		return r.tree, r.index, st, nil
-	}
-	st.DirtyLeaves = len(dirty)
 
-	// Phase 2: copy-on-write clone of every dirty root-to-leaf spine. Spine
-	// internals get copied Children slices (their children may be swapped);
-	// dirty leaves get plain struct copies carrying the new usage. Clones
-	// are tagged with this pass's generation number so later phases can tell
-	// them from immutable shared nodes without a map.
+	// Phase 2: drop bitwise no-ops and clone, copy-on-write, the root-to-leaf
+	// spine of every leaf that is left. The no-op test reads the leaf's own
+	// Usage, reached by the pointers the cloning follows a moment later, so a
+	// listed leaf costs one descent and the engine keeps no usage column.
+	// Clones are tagged with this pass's generation number so later phases
+	// can tell them from immutable shared nodes without a map.
 	r.gen = recalcGen.Add(1)
 	cfg := r.tree.Config
-	oldRoot := r.tree.Root
-	newRoot := &Node{}
-	*newRoot = *oldRoot
-	newRoot.Children = append([]*Node(nil), oldRoot.Children...)
-	newRoot.gen = r.gen
-	st.ClonedNodes = 1
-	spine := append(r.spineBuf[:0], spineNode{newRoot, 0})
-	for _, d := range dirty {
-		n := newRoot
-		off, end := r.pathOff[d.pos], r.pathOff[d.pos+1]
-		for k := off; k < end; k++ {
-			ci := int(r.pathIdx[k])
-			ch := n.Children[ci]
-			if ch.gen != r.gen {
-				nc := &Node{}
-				*nc = *ch
-				nc.gen = r.gen
-				if k < end-1 {
-					nc.Children = append([]*Node(nil), ch.Children...)
-					spine = append(spine, spineNode{nc, k - off + 1})
-				}
-				n.Children[ci] = nc
-				st.ClonedNodes++
-				ch = nc
-			}
-			n = ch
-		}
-		// n is the cloned dirty leaf.
-		n.Usage = d.val
-	}
+	newRoot := oldRoot // this pass's clone of it from the first dirty leaf on
+	// Position order is the order the build allocated the leaves' nodes in,
+	// so the descents below move forwards through memory, not at random.
+	slices.SortFunc(listed, func(a, b dirtyLeaf) int { return int(a.pos) - int(b.pos) })
+	dirty := listed[:0]
+	spine := r.spineBuf[:0]
 	// Keep the capacity for the next pass but not the pointers: the sort
 	// below moves the root clone to the end, where a later, shorter spine
 	// would not overwrite it, and one stale root pins a whole superseded
@@ -258,6 +191,40 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 		clear(spine)
 		r.spineBuf = spine[:0]
 	}()
+	for _, d := range listed {
+		leaf := old.leaf(newRoot, d.pos)
+		if leaf == nil {
+			return nil, nil, st, fmt.Errorf("fairshare: entry %d (%s) has no node in the tree", d.pos, old.users[d.pos])
+		}
+		if sameBits(leaf.Usage, d.val) {
+			continue
+		}
+		dirty = append(dirty, d)
+		if newRoot == oldRoot {
+			newRoot = r.clone(oldRoot)
+			spine = append(spine, spineNode{newRoot, 0})
+			st.ClonedNodes++
+		}
+		n := newRoot
+		for k, ci := range old.path[old.offs[d.pos]:old.offs[d.pos+1]] {
+			ch := n.Children[ci]
+			if ch.gen != r.gen {
+				ch = r.clone(ch)
+				if len(ch.Children) > 0 {
+					spine = append(spine, spineNode{ch, int32(k + 1)})
+				}
+				n.Children[ci] = ch
+				st.ClonedNodes++
+			}
+			n = ch
+		}
+		n.Usage = d.val // n is the cloned dirty leaf
+	}
+	r.dirtyBuf = dirty
+	if len(dirty) == 0 {
+		return r.tree, r.index, st, nil
+	}
+	st.DirtyLeaves = len(dirty)
 
 	// Phase 3: re-sum cloned internals' subtree usage bottom-up, folding
 	// children left-to-right exactly like the full build (adding deltas to
@@ -281,17 +248,16 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 	for _, sn := range spine {
 		r.scoreGroupCOW(sn.n, cfg, &st)
 	}
-	st.SharedNodes = r.nodes - st.ClonedNodes
+	st.SharedNodes = int(oldRoot.nodes) - st.ClonedNodes
 	rescoreDone := time.Now()
 
 	// Phase 5: re-materialize the value half of the index along the segment
 	// seam. Every snapshot gets fresh interned heads (the root usage
 	// denominator shifted, so every top-level child's scored values may have
 	// changed — two floats per segment absorb that). Tail arenas rebuild
-	// only for segments containing a dirty leaf, fanned across a worker pool
+	// only for segments containing a dirty leaf, fanned out through par.For
 	// when the dirty population is large; every other segment's tail is
 	// re-published as a pointer copy, with no per-leaf work at all.
-	old := r.index
 	S := len(old.segs)
 	if len(newRoot.Children) != S {
 		return nil, nil, st, fmt.Errorf("fairshare: tree has %d top-level subtrees, index has %d segments",
@@ -330,79 +296,22 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 		headVec[s] = c.Value
 		headUsage[s] = c.UsageShare
 	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(dirtySegs) {
-		workers = len(dirtySegs)
-	}
-	var rebuildErr error
-	if workers > 1 && work >= materializeParallelThreshold {
-		var next atomic.Int64
-		errs := make([]error, workers)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				defer wg.Done()
-				for {
-					k := int(next.Add(1)) - 1
-					if k >= len(dirtySegs) {
-						return
-					}
-					s := dirtySegs[k]
-					nt, err := r.rebuildSeg(s, newRoot.Children[s])
-					if err != nil {
-						errs[w] = err
-						return
-					}
-					tails[s] = nt
-				}
-			}(w)
+	par.For(work, len(dirtySegs), func(_, k int) {
+		s := dirtySegs[k]
+		tails[s] = r.rebuildSeg(s, newRoot.Children[s])
+	})
+	for _, s := range dirtySegs {
+		if tails[s] == nil {
+			return nil, nil, st, fmt.Errorf("fairshare: incremental walk of segment %d does not produce the %d entries the index holds for it",
+				s, old.segs[s].hi-old.segs[s].lo)
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				rebuildErr = err
-				break
-			}
-		}
-	} else {
-		for _, s := range dirtySegs {
-			nt, err := r.rebuildSeg(s, newRoot.Children[s])
-			if err != nil {
-				rebuildErr = err
-				break
-			}
-			tails[s] = nt
-		}
-	}
-	if rebuildErr != nil {
-		return nil, nil, st, rebuildErr
 	}
 	st.MaterializedSegments = len(dirtySegs)
 	st.SharedSegments = S - len(dirtySegs)
 
-	newIndex := &Index{
-		users:     old.users,
-		offs:      old.offs,
-		shares:    old.shares,
-		target:    old.target,
-		segs:      old.segs,
-		segOf:     old.segOf,
-		headVec:   headVec,
-		headUsage: headUsage,
-		tails:     tails,
-		comp:      newComposed(len(old.users)),
-		stripes:   old.stripes,
-		dups:      old.dups,
-	}
+	// Commit: adopt the new state.
 	newTree := &Tree{Root: newRoot, Config: cfg}
-
-	// Commit: adopt the new state. leafUsage/path tables are positionally
-	// stable because the tree structure did not change.
-	for _, d := range dirty {
-		r.leafUsage[d.pos] = d.val
-	}
+	newIndex := old.withValues(headVec, headUsage, tails)
 	r.tree, r.index = newTree, newIndex
 	st.FoldDuration = foldDone.Sub(start)
 	st.RescoreDuration = rescoreDone.Sub(foldDone)
@@ -416,8 +325,9 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 // (un-cloned) subtrees — their contiguous leaf ranges get just the changed
 // ancestor prefix written. Safe to call from several goroutines for
 // different segments: it reads only immutable engine state and writes only
-// the fresh tail.
-func (r *Recalc) rebuildSeg(s int32, c *Node) (*segTail, error) {
+// the fresh tail. It returns nil when the subtree's leaves are not the ones
+// the index holds for the segment (the tree changed shape behind the engine).
+func (r *Recalc) rebuildSeg(s int32, c *Node) *segTail {
 	old := r.index
 	m := old.segs[s]
 	lo, hi := int(m.lo), int(m.hi)
@@ -434,10 +344,10 @@ func (r *Recalc) rebuildSeg(s int32, c *Node) (*segTail, error) {
 		// The top-level child is itself a leaf: the segment has no tail
 		// levels, only the raw priority.
 		if hi-lo != 1 {
-			return nil, fmt.Errorf("fairshare: incremental walk found a leaf segment spanning %d entries", hi-lo)
+			return nil
 		}
 		nt.leafPrio[0] = c.Priority
-		return nt, nil
+		return nt
 	}
 	base := int(old.offs[lo])
 	pos := lo
@@ -493,39 +403,24 @@ func (r *Recalc) rebuildSeg(s int32, c *Node) (*segTail, error) {
 	}
 	down(c)
 	if !ok || pos != hi {
-		return nil, fmt.Errorf("fairshare: incremental walk produced %d entries, segment has %d", pos-lo, hi-lo)
+		return nil
 	}
-	return nt, nil
+	return nt
 }
 
-// scoreGroupCOW rescores one sibling group with scoreGroup's exact
-// arithmetic, writing results into already-cloned children directly and
-// value-cloning any off-path sibling whose scored fields changed bitwise.
-// Off-path clones are batched into one contiguous arena per group (one
-// allocation instead of one per sibling — in a dirty group, the shifted
-// usage denominator typically changes every sibling); their Children slices
-// stay shared, because nothing below an off-path sibling changed.
+// scoreGroupCOW rescores one sibling group through score, like scoreGroup,
+// writing results into already-cloned children directly and value-cloning
+// any off-path sibling whose scored fields changed bitwise. n.Usage was
+// re-folded in phase 3. Off-path clones are batched into one contiguous
+// arena per group (one allocation instead of one per sibling — in a dirty
+// group, the shifted usage denominator typically changes every sibling);
+// their Children slices stay shared, because nothing below an off-path
+// sibling changed.
 func (r *Recalc) scoreGroupCOW(n *Node, cfg Config, st *RecalcStats) {
 	st.DirtyGroups++
-	// n.Usage was re-folded in phase 3 with the same left-to-right order
-	// scoreGroup uses for its groupUsage, so reuse it.
-	groupUsage := n.Usage
-	k := cfg.DistanceWeight
-	bal := cfg.Balance()
 	var buf []Node
 	for i, c := range n.Children {
-		us := 0.0
-		if groupUsage > 0 {
-			us = c.Usage / groupUsage
-		}
-		abs := c.Share - us
-		rel := 0.0
-		if c.Share > 0 {
-			rel = math.Max(0, math.Min(1, (c.Share-us)/c.Share))
-		}
-		prio := k*rel + (1-k)*abs
-		v := bal * (1 + prio)
-		val := math.Max(0, math.Min(cfg.Resolution-1e-9, v))
+		us, prio, val := score(cfg, c.Share, c.Usage, n.Usage)
 		if c.gen == r.gen {
 			c.UsageShare, c.Priority, c.Value = us, prio, val
 			continue

@@ -195,7 +195,7 @@ func TestRecalcDetectsShapeCorruption(t *testing.T) {
 }
 
 // TestRecalcParallelMaterialization drives Apply with enough dirty leaves
-// spread over enough segments to cross materializeParallelThreshold, with
+// spread over enough segments to cross par.Threshold, with
 // GOMAXPROCS pinned above one so the worker pool actually fans out (the
 // suite otherwise runs serial on single-core machines). Bit-identity against
 // the full recompute proves the parallel and serial materialization paths
@@ -211,7 +211,7 @@ func TestRecalcParallelMaterialization(t *testing.T) {
 	eng := NewRecalc(tree, ix)
 
 	// One dirty user in each of 70 segments: 70·80 = 5600 dirty-segment
-	// leaves ≥ materializeParallelThreshold.
+	// leaves ≥ par.Threshold.
 	delta := map[string]float64{}
 	for g := 0; g < 70; g++ {
 		u := fmt.Sprintf("u%03d_%03d", g, g%80)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/policy"
@@ -294,7 +295,7 @@ func TestRecalcDuplicateLeafNames(t *testing.T) {
 // parallel build threshold, so the parallel Compute/NewIndex paths feed the
 // engine and the bit-identity property holds across them too.
 func TestRecalcLargeTreeParallelBuild(t *testing.T) {
-	p, usage := buildWide(80, 80) // 6400 leaves ≥ parallelComputeThreshold
+	p, usage := buildWide(80, 80) // 6400 leaves ≥ par.Threshold
 	cfg := DefaultConfig()
 	tree := Compute(p, usage, cfg)
 	ix := NewIndex(tree)
@@ -351,5 +352,28 @@ func TestRecalcScratchKeepsNoNodes(t *testing.T) {
 	}
 	if cap(r.spineBuf) == 0 {
 		t.Fatal("spine scratch lost its capacity")
+	}
+}
+
+// TestRecalcOwnsNoPerLeafTable: the engine is a view on the tree/index pair
+// it is handed, so anchoring it costs nothing that grows with the population
+// (positions, paths and leaf usage are read from the pair).
+func TestRecalcOwnsNoPerLeafTable(t *testing.T) {
+	p, usage, _ := buildWideDirect(320, 320)
+	tree := Compute(p, usage, DefaultConfig())
+	ix := NewIndex(tree)
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var r *Recalc
+	if got := allocated(func() { r = NewRecalc(tree, ix) }); got >= 4<<10 {
+		t.Errorf("NewRecalc over %d leaves allocated %d bytes, want < 4 KB", ix.Len(), got)
+	}
+	if got := allocated(func() { r.Reset(tree, ix) }); got != 0 {
+		t.Errorf("Reset allocated %d bytes, want 0", got)
 	}
 }

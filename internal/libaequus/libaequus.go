@@ -84,12 +84,10 @@ type Client struct {
 	ids       map[string]cachedID    // local user -> grid id
 	stats     Stats
 
-	mHits     *telemetry.CounterVec
-	mMisses   *telemetry.CounterVec
-	mExpiries *telemetry.CounterVec
-	mStale    *telemetry.CounterVec
-	mReports  *telemetry.Counter
-	mSnapAge  *telemetry.Gauge
+	mHits    *telemetry.CounterVec
+	mMisses  *telemetry.CounterVec
+	mStale   *telemetry.CounterVec
+	mSnapAge *telemetry.Gauge
 }
 
 type cachedValue struct {
@@ -132,12 +130,8 @@ func New(cfg Config, fcs FairshareSource, irs IdentitySource, uss UsageSink) *Cl
 			"libaequus cache hits, by cache (fairshare or identity).", "cache"),
 		mMisses: reg.CounterVec("aequus_lib_cache_misses_total",
 			"libaequus cache misses, by cache (fairshare or identity).", "cache"),
-		mExpiries: reg.CounterVec("aequus_lib_cache_expiries_total",
-			"libaequus cache misses caused by TTL expiry, by cache.", "cache"),
 		mStale: reg.CounterVec("aequus_lib_stale_served_total",
 			"Expired libaequus cache entries served because the source was unreachable, by cache.", "cache"),
-		mReports: reg.Counter("aequus_lib_usage_reports_total",
-			"Job-completion reports forwarded to the USS by libaequus."),
 		mSnapAge: reg.Gauge("aequus_lib_snapshot_age_seconds",
 			"Age of the fairshare snapshot behind the last value fetched from the source."),
 	}
@@ -190,7 +184,6 @@ func (c *Client) ResolveGridID(localUser string) (string, error) {
 	}
 	if ok {
 		c.stats.IdentityExpiries++
-		c.mExpiries.With("identity").Inc()
 	}
 	c.stats.IdentityMisses++
 	c.mu.Unlock()
@@ -233,7 +226,6 @@ func (c *Client) Fairshare(gridUser string) (wire.FairshareResponse, error) {
 	}
 	if ok {
 		c.stats.FairshareExpiries++
-		c.mExpiries.With("fairshare").Inc()
 	}
 	c.stats.FairshareMisses++
 	c.mu.Unlock()
@@ -274,7 +266,7 @@ func (c *Client) FairshareBatch(gridUsers []string) (map[string]wire.FairshareRe
 	out := make(map[string]wire.FairshareResponse, len(gridUsers))
 	var misses []string
 	queued := map[string]bool{}
-	var hits, expiries int
+	var hits int
 	c.mu.Lock()
 	for _, u := range gridUsers {
 		if _, done := out[u]; done || queued[u] {
@@ -289,7 +281,6 @@ func (c *Client) FairshareBatch(gridUsers []string) (map[string]wire.FairshareRe
 		}
 		if ok {
 			c.stats.FairshareExpiries++
-			expiries++
 		}
 		c.stats.FairshareMisses++
 		queued[u] = true
@@ -297,7 +288,6 @@ func (c *Client) FairshareBatch(gridUsers []string) (map[string]wire.FairshareRe
 	}
 	c.mu.Unlock()
 	c.mHits.With("fairshare").Add(float64(hits))
-	c.mExpiries.With("fairshare").Add(float64(expiries))
 	c.mMisses.With("fairshare").Add(float64(len(misses)))
 	if len(misses) == 0 {
 		return out, nil
@@ -441,7 +431,6 @@ func (c *Client) JobComplete(localUser string, start time.Time, dur time.Duratio
 	c.mu.Lock()
 	c.stats.UsageReports++
 	c.mu.Unlock()
-	c.mReports.Inc()
 	return nil
 }
 

@@ -126,7 +126,7 @@ func (p *driftPart) floor() float64 {
 // mergeDrift combines the workers' parts and the per-segment error sums of
 // an n-leaf population: worst first, DFS position as the deterministic
 // tie-break (stable with respect to entry order).
-func mergeDrift(parts []*driftPart, sums []float64, k, n int) (drift []DriftEntry, driftMax, mean float64) {
+func mergeDrift(parts []driftPart, sums []float64, k, n int) (drift []DriftEntry, driftMax, mean float64) {
 	var all driftHeap
 	for _, p := range parts {
 		driftMax = max(driftMax, p.max)

@@ -29,12 +29,12 @@ package fcs
 import (
 	"context"
 	"errors"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/fairshare"
+	"repro/internal/par"
 	"repro/internal/policy"
 	"repro/internal/resilience"
 	"repro/internal/simclock"
@@ -236,15 +236,11 @@ type Service struct {
 	mRecalcDur   *telemetry.Histogram
 	mPhaseDur    *telemetry.HistogramVec
 	mDirty       *telemetry.Gauge
-	mTreeNodes   *telemetry.Gauge
-	mTreeUsers   *telemetry.Gauge
 	mSnapAge     *telemetry.Gauge
 	mStaleServes *telemetry.Counter
 	mAsyncKicks  *telemetry.Counter
 	mAsyncDedup  *telemetry.Counter
 	mRefreshErrs *telemetry.Counter
-	mBatchReqs   *telemetry.Counter
-	mBatchUsers  *telemetry.Histogram
 	mDriftMax    *telemetry.Gauge
 	mDriftMean   *telemetry.Gauge
 }
@@ -286,10 +282,6 @@ func New(cfg Config, pds PolicySource, ums UsageSource) *Service {
 			telemetry.DefBuckets(), "phase"),
 		mDirty: reg.Gauge("aequus_fcs_dirty_users",
 			"Leaves recomputed by the last refresh (whole population on a full refresh)."),
-		mTreeNodes: reg.Gauge("aequus_fcs_tree_nodes",
-			"Nodes in the last pre-calculated fairshare tree."),
-		mTreeUsers: reg.Gauge("aequus_fcs_tree_users",
-			"Leaf users with a pre-calculated priority."),
 		mSnapAge: reg.Gauge("aequus_fcs_snapshot_age_seconds",
 			"Age of the published fairshare snapshot at last observation."),
 		mStaleServes: reg.Counter("aequus_fcs_stale_serves_total",
@@ -300,10 +292,6 @@ func New(cfg Config, pds PolicySource, ums UsageSource) *Service {
 			"Stale-read refresh kicks suppressed by the single-flight latch."),
 		mRefreshErrs: reg.Counter("aequus_fcs_refresh_errors_total",
 			"Snapshot recomputations that failed."),
-		mBatchReqs: reg.Counter("aequus_fcs_batch_requests_total",
-			"Batch priority requests served."),
-		mBatchUsers: reg.Histogram("aequus_fcs_batch_users",
-			"Users per batch priority request.", telemetry.CountBuckets()),
 		mDriftMax: reg.Gauge("aequus_fcs_drift_max_ratio",
 			"Largest per-user |usage share - target share| in the last snapshot."),
 		mDriftMean: reg.Gauge("aequus_fcs_drift_mean_ratio",
@@ -498,8 +486,6 @@ func (s *Service) rebuildLocked() error {
 	}
 	s.mDirty.Set(float64(dirty))
 	s.mRecalcDur.Observe(dur.Seconds())
-	s.mTreeNodes.Set(float64(s.engine.Nodes()))
-	s.mTreeUsers.Set(float64(sn.index.Len()))
 	s.mSnapAge.Set(0)
 	return nil
 }
@@ -552,10 +538,6 @@ func (s *Service) buildSnapshot(tree *fairshare.Tree, ix *fairshare.Index, pol *
 	}, time.Since(started)
 }
 
-// projectParallelThreshold is the population at which the publish pass fans
-// out across cores (same order as the tree build's threshold).
-const projectParallelThreshold = 4096
-
 // publishPass is the one population walk of a publish. Segment by segment it
 // streams the index's flat share columns (fairshare.Index.SegmentShares) and
 // produces, per leaf and together, the drift error |actual − target| and —
@@ -566,10 +548,11 @@ const projectParallelThreshold = 4096
 // returns the priority of every entry, the k worst-drift entries (all of
 // them when k < 0), worst first, and the population's max and mean error.
 //
-// Contiguous segment ranges fan out over cores for large populations. The
-// result does not depend on how: the error sum is kept per segment and the
-// partial sums are added in segment order, and (Error desc, pos asc) is a
-// total order, so the k best of the workers' own k best are the k best.
+// Segments fan out over cores for large populations (par.For). The result
+// does not depend on which worker gets which: the error sum is kept per
+// segment and the partial sums are added in segment order, and (Error desc,
+// pos asc) is a total order, so the k best of the workers' own k best are
+// the k best.
 func publishPass(p vector.Projection, ix *fairshare.Index, resolution float64, k int) (prior []float64, drift []DriftEntry, driftMax, driftMean float64) {
 	n, segs := ix.Len(), ix.Segments()
 	if k < 0 || k > n {
@@ -578,39 +561,21 @@ func publishPass(p vector.Projection, ix *fairshare.Index, resolution float64, k
 	_, percental := p.(vector.Percental)
 	pointwise, _ := p.(vector.PointwiseProjection)
 	perEntry := pointwise != nil && !percental
-	workers := 1
-	if n >= projectParallelThreshold {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	perWorker := (n + workers - 1) / workers
 	prior = make([]float64, n)
 	sums := make([]float64, segs)
-	var parts []*driftPart
-	var wg sync.WaitGroup
-	for first := 0; first < segs; {
-		end, leaves := first, 0
-		for ; end < segs && leaves < perWorker; end++ {
-			lo, hi := ix.SegmentRange(end)
-			leaves += hi - lo
-		}
-		part := &driftPart{k: k, top: make(driftHeap, 0, min(k, leaves))}
-		parts = append(parts, part)
-		wg.Add(1)
-		go func(first, end int) {
-			defer wg.Done()
-			for s := first; s < end; s++ {
-				lo, hi := ix.SegmentRange(s)
-				actual := prior[lo:hi] // read, then overwritten by the projection
-				target := ix.SegmentShares(s, actual)
-				sums[s] = part.add(ix, lo, target, actual, percental)
-				for i := lo; perEntry && i < hi; i++ {
-					prior[i] = pointwise.ProjectEntry(ix.At(i).Entry, resolution)
-				}
-			}
-		}(first, end)
-		first = end
+	parts := make([]driftPart, par.Workers(n, segs))
+	for w := range parts {
+		parts[w].k = k
 	}
-	wg.Wait()
+	par.For(n, segs, func(w, s int) {
+		lo, hi := ix.SegmentRange(s)
+		actual := prior[lo:hi] // read, then overwritten by the projection
+		target := ix.SegmentShares(s, actual)
+		sums[s] = parts[w].add(ix, lo, target, actual, percental)
+		for i := lo; perEntry && i < hi; i++ {
+			prior[i] = pointwise.ProjectEntry(ix.At(i).Entry, resolution)
+		}
+	})
 	if pointwise == nil {
 		// The map indirection collapses duplicate names to one value.
 		m := p.Project(ix.Entries(), resolution)
@@ -766,8 +731,6 @@ func (s *Service) PriorityBatch(users []string) (wire.FairshareBatchResponse, er
 			ComputedAt: sn.computedAt,
 		})
 	}
-	s.mBatchReqs.Inc()
-	s.mBatchUsers.Observe(float64(len(users)))
 	return out, nil
 }
 

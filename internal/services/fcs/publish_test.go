@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/fairshare"
+	"repro/internal/par"
 	"repro/internal/policy"
 	"repro/internal/telemetry"
 	"repro/internal/vector"
@@ -138,7 +139,7 @@ func TestPublishPassMatchesPerEntryOracle(t *testing.T) {
 		idle             bool // equal shares and no usage: errors tie from the top down
 	}{
 		{1, 1, false}, {3, 4, false}, {12, 9, false}, {40, 30, false}, {40, 30, true},
-		{60, 200, false}, // above projectParallelThreshold: the pass fans out
+		{60, 200, false}, // above par.Threshold: the pass fans out
 	}
 	for seed, shape := range shapes {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -163,7 +164,7 @@ func TestPublishPassMatchesPerEntryOracle(t *testing.T) {
 			t.Fatalf("shape %d: Apply: %v", seed, err)
 		}
 		n := full.Len()
-		if seed == len(shapes)-1 && n < projectParallelThreshold {
+		if seed == len(shapes)-1 && n < par.Threshold {
 			t.Fatalf("largest shape has %d leaves, below the fan-out threshold", n)
 		}
 		for _, proj := range vector.Projections() {

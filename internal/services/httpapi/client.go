@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -130,9 +131,8 @@ func (c *Client) call(ctx context.Context, retryable bool, attempt func(ctx cont
 			// breaker whose cooldown is longer than any backoff.
 			return resilience.Permanent(resilience.ErrOpen)
 		}
-		start := time.Now()
 		err := attempt(ctx)
-		c.metrics.Observe(target, time.Since(start), err)
+		c.metrics.Observe(target, err)
 		if err != nil {
 			c.Breaker.Failure(err)
 			return err
@@ -201,13 +201,14 @@ func (c *Client) doOnce(ctx context.Context, method, path string, in, out interf
 }
 
 // classifyStatus marks response errors that repeating the identical request
-// cannot fix (4xx — the request itself is wrong) as Permanent; 5xx and 429
+// cannot fix (4xx — the request itself is wrong — and an answer over wire's
+// body cap, which would be as long the next time) as Permanent; 5xx and 429
 // stay retryable.
 func classifyStatus(code int, err error) error {
 	if err == nil {
 		return nil
 	}
-	if code/100 == 4 && code != http.StatusTooManyRequests {
+	if code/100 == 4 && code != http.StatusTooManyRequests || errors.Is(err, wire.ErrBodyTooLarge) {
 		return resilience.Permanent(err)
 	}
 	return err

@@ -44,10 +44,6 @@ func queryN(r *http.Request, def, max int) int {
 // handleDebugSummary serves /debug/aequus: tracer, snapshot, drift and peer
 // health on one page — the first stop when a site looks unhealthy.
 func (s *Server) handleDebugSummary(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	out := wire.DebugSummary{
 		SpansRecorded: s.spans.Recorded(),
 		Traces:        len(s.spans.Traces(0)),
@@ -97,10 +93,6 @@ func (s *Server) handleDebugSummary(w http.ResponseWriter, r *http.Request) {
 // handleDebugTraces serves /debug/aequus/traces?n=: the n most recent traces
 // still in the ring buffer, each with its retained spans.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	out := wire.TracesResponse{Traces: []wire.DebugTrace{}}
 	for _, t := range s.spans.Traces(queryN(r, 10, 100)) {
 		dt := wire.DebugTrace{TraceID: t.TraceID}
@@ -115,10 +107,6 @@ func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
 // handleDebugSpans serves /debug/aequus/spans?n=: the n slowest retained
 // spans — the flat "what is taking long" table.
 func (s *Server) handleDebugSpans(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	out := wire.SpansResponse{Spans: []wire.DebugSpan{}}
 	for _, sp := range s.spans.Slowest(queryN(r, 20, 500)) {
 		out.Spans = append(out.Spans, debugSpan(sp))
@@ -129,10 +117,6 @@ func (s *Server) handleDebugSpans(w http.ResponseWriter, r *http.Request) {
 // handleDebugDrift serves /debug/aequus/drift: the fairness-drift table of
 // the current snapshot, worst drift first.
 func (s *Server) handleDebugDrift(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	if s.FCS == nil {
 		wire.WriteError(w, http.StatusNotFound, "no FCS on this server")
 		return

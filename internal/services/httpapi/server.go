@@ -6,6 +6,7 @@
 package httpapi
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -108,46 +109,61 @@ func NewServerWith(p *pds.Service, u *uss.Service, m *ums.Service, f *fcs.Servic
 		mux:           http.NewServeMux(),
 	}
 	httpm := telemetry.NewHTTPMetrics(s.registry, s.log)
-	handle := func(route string, h http.HandlerFunc) {
+	// handle registers an instrumented route. A non-empty method is the only
+	// one the route accepts, anything else gets the JSON 405 here (inside the
+	// instrumentation, so it counts as a request error of the route); the
+	// routes that accept two methods pass "" and switch on it themselves.
+	handle := func(method, route string, h http.HandlerFunc) {
+		if method != "" {
+			only := h
+			h = func(w http.ResponseWriter, r *http.Request) {
+				if r.Method != method {
+					wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+					return
+				}
+				only(w, r)
+			}
+		}
 		// Instrument runs outermost so the request ID is already on the
 		// context when the span middleware resolves its trace ID.
 		s.mux.Handle(route, httpm.Instrument(route, s.traced(route, h)))
 	}
+	const get, post = http.MethodGet, http.MethodPost
 	if p != nil {
-		handle("/policy", s.handlePolicy)
-		handle("/policy/subtree", s.handlePolicySubtree)
-		handle("/policy/mount", s.handlePolicyMount)
-		handle("/policy/refresh", s.handlePolicyRefresh)
+		handle("", "/policy", s.handlePolicy)
+		handle(get, "/policy/subtree", s.handlePolicySubtree)
+		handle(post, "/policy/mount", s.handlePolicyMount)
+		handle(post, "/policy/refresh", s.handlePolicyRefresh)
 	}
 	if u != nil {
-		handle("/usage", s.handleUsageReport)
-		handle("/usage/batch", s.handleUsageBatch)
-		handle("/usage/records", s.handleUsageRecords)
-		handle("/usage/exchange", s.handleUsageExchange)
+		handle(post, "/usage", s.handleUsageReport)
+		handle(post, "/usage/batch", s.handleUsageBatch)
+		handle(get, "/usage/records", s.handleUsageRecords)
+		handle(post, "/usage/exchange", s.handleUsageExchange)
 	}
 	if m != nil {
-		handle("/usage/tree", s.handleUsageTree)
+		handle(get, "/usage/tree", s.handleUsageTree)
 	}
 	if f != nil {
-		handle("/fairshare", s.handleFairshare)
-		handle("/fairshare/batch", s.handleFairshareBatch)
-		handle("/fairshare/refresh", s.handleFairshareRefresh)
-		handle("/fairshare/projection", s.handleProjection)
+		handle(get, "/fairshare", s.handleFairshare)
+		handle(post, "/fairshare/batch", s.handleFairshareBatch)
+		handle(post, "/fairshare/refresh", s.handleFairshareRefresh)
+		handle(post, "/fairshare/projection", s.handleProjection)
 	}
 	if i != nil {
-		handle("/identity/mapping", s.handleMapping)
-		handle("/identity/resolve", s.handleResolve)
+		handle(post, "/identity/mapping", s.handleMapping)
+		handle("", "/identity/resolve", s.handleResolve)
 	}
 	s.mux.Handle("/metrics", s.registry.Handler())
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	handle("/readyz", s.handleReadyz)
+	handle(get, "/readyz", s.handleReadyz)
 	if s.spans != nil {
-		handle("/debug/aequus", s.handleDebugSummary)
-		handle("/debug/aequus/traces", s.handleDebugTraces)
-		handle("/debug/aequus/spans", s.handleDebugSpans)
-		handle("/debug/aequus/drift", s.handleDebugDrift)
+		handle(get, "/debug/aequus", s.handleDebugSummary)
+		handle(get, "/debug/aequus/traces", s.handleDebugTraces)
+		handle(get, "/debug/aequus/spans", s.handleDebugSpans)
+		handle(get, "/debug/aequus/drift", s.handleDebugDrift)
 	}
 	return s
 }
@@ -173,6 +189,21 @@ func (s *Server) traced(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
+// readBody decodes a JSON request body into v and reports whether it could;
+// when not, it has answered: 413 for a body over wire's cap, 400 otherwise.
+func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := wire.ReadJSON(r.Body, v)
+	switch {
+	case err == nil:
+		return true
+	case errors.Is(err, wire.ErrBodyTooLarge):
+		wire.WriteError(w, http.StatusRequestEntityTooLarge, "%v", err)
+	default:
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
+	}
+	return false
+}
+
 // Registry returns the registry served at /metrics.
 func (s *Server) Registry() *telemetry.Registry { return s.registry }
 
@@ -193,18 +224,9 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(data)
 	case http.MethodPost:
-		body := make([]byte, 0, 4096)
-		buf := make([]byte, 4096)
-		for {
-			n, err := r.Body.Read(buf)
-			body = append(body, buf[:n]...)
-			if err != nil {
-				break
-			}
-			if len(body) > 8<<20 {
-				wire.WriteError(w, http.StatusRequestEntityTooLarge, "policy too large")
-				return
-			}
+		var body json.RawMessage
+		if !readBody(w, r, &body) {
+			return
 		}
 		t, err := policy.FromJSON(body)
 		if err != nil {
@@ -222,10 +244,6 @@ func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePolicySubtree(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	path := r.URL.Query().Get("path")
 	sub, err := s.PDS.Subtree(path)
 	if err != nil {
@@ -236,13 +254,8 @@ func (s *Server) handlePolicySubtree(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePolicyMount(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	var req wire.MountRequest
-	if err := wire.ReadJSON(r.Body, &req); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, "%v", err)
+	if !readBody(w, r, &req) {
 		return
 	}
 	if err := s.PDS.Mount(req.ParentPath, req.Name, req.Share, req.Origin); err != nil {
@@ -253,10 +266,6 @@ func (s *Server) handlePolicyMount(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePolicyRefresh(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	if err := s.PDS.RefreshMounts(); err != nil {
 		wire.WriteError(w, http.StatusBadGateway, "%v", err)
 		return
@@ -265,13 +274,8 @@ func (s *Server) handlePolicyRefresh(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUsageReport(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	var rep wire.UsageReport
-	if err := wire.ReadJSON(r.Body, &rep); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, "%v", err)
+	if !readBody(w, r, &rep) {
 		return
 	}
 	if rep.User == "" || rep.DurationSeconds < 0 {
@@ -287,13 +291,8 @@ func (s *Server) handleUsageReport(w http.ResponseWriter, r *http.Request) {
 // batch is validated before any report lands, so a malformed entry rejects
 // the request instead of half-applying it.
 func (s *Server) handleUsageBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	var req wire.UsageBatchRequest
-	if err := wire.ReadJSON(r.Body, &req); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, "%v", err)
+	if !readBody(w, r, &req) {
 		return
 	}
 	jobs := make([]uss.JobReport, len(req.Reports))
@@ -314,10 +313,6 @@ func (s *Server) handleUsageBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUsageRecords(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	var since time.Time
 	if q := r.URL.Query().Get("since"); q != "" {
 		t, err := time.Parse(time.RFC3339, q)
@@ -336,10 +331,6 @@ func (s *Server) handleUsageRecords(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUsageExchange(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	// The request context carries the request ID, so the triggered peer
 	// pulls propagate it across the site hop.
 	n, err := s.USS.Exchange(r.Context())
@@ -351,10 +342,6 @@ func (s *Server) handleUsageExchange(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleUsageTree(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	totals, at, err := s.UMS.UsageTotals()
 	if err != nil {
 		wire.WriteError(w, http.StatusInternalServerError, "%v", err)
@@ -364,10 +351,6 @@ func (s *Server) handleUsageTree(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFairshare(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	user := r.URL.Query().Get("user")
 	if user == "" {
 		tab, err := s.FCS.Table()
@@ -393,13 +376,8 @@ func (s *Server) handleFairshare(w http.ResponseWriter, r *http.Request) {
 // handleFairshareBatch resolves a whole queue of users against one
 // fairshare snapshot — one request, one snapshot load, N map lookups.
 func (s *Server) handleFairshareBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	var req wire.FairshareBatchRequest
-	if err := wire.ReadJSON(r.Body, &req); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, "%v", err)
+	if !readBody(w, r, &req) {
 		return
 	}
 	resp, err := s.FCS.PriorityBatch(req.Users)
@@ -411,10 +389,6 @@ func (s *Server) handleFairshareBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFairshareRefresh(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	if err := s.FCS.Refresh(); err != nil {
 		wire.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -423,15 +397,10 @@ func (s *Server) handleFairshareRefresh(w http.ResponseWriter, r *http.Request) 
 }
 
 func (s *Server) handleProjection(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	var req struct {
 		Name string `json:"name"`
 	}
-	if err := wire.ReadJSON(r.Body, &req); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, "%v", err)
+	if !readBody(w, r, &req) {
 		return
 	}
 	p, ok := vector.ByName(req.Name)
@@ -449,10 +418,6 @@ func (s *Server) handleProjection(w http.ResponseWriter, r *http.Request) {
 // pre-computation turns the whole endpoint 503, which is what a load
 // balancer or orchestrator should act on.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	now := s.clock.Now()
 	resp := wire.ReadyResponse{Ready: true, Components: map[string]wire.ReadyComponent{}}
 	if s.PDS != nil {
@@ -569,13 +534,8 @@ func (s *Server) precomputeStatus(now, computedAt time.Time) wire.ReadyComponent
 }
 
 func (s *Server) handleMapping(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-		return
-	}
 	var req wire.MappingRequest
-	if err := wire.ReadJSON(r.Body, &req); err != nil {
-		wire.WriteError(w, http.StatusBadRequest, "%v", err)
+	if !readBody(w, r, &req) {
 		return
 	}
 	m := identity.Mapping{GridID: req.GridID, Site: req.Site, LocalUser: req.LocalUser}
@@ -600,8 +560,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		// The minimalist JSON protocol shared with custom endpoints.
 		var req wire.ResolveRequest
-		if err := wire.ReadJSON(r.Body, &req); err != nil {
-			wire.WriteError(w, http.StatusBadRequest, "%v", err)
+		if !readBody(w, r, &req) {
 			return
 		}
 		g, err := s.IRS.Resolve(req.Site, req.LocalUser)

@@ -1,7 +1,11 @@
 package httpapi
 
 import (
+	"context"
+	"errors"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -88,5 +92,43 @@ func TestUsageBatchMethodAndBody(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body = %d, want 400", resp.StatusCode)
+	}
+}
+
+// TestOverlongBodyIsNamed: a body past wire's 8 MiB cap is answered with 413
+// and wire.ErrBodyTooLarge on the server, and returned as that error by a
+// client that is sent one — not as the "unexpected EOF" of a document cut at
+// the cap, which named no cause on /readyz when a peer pull hit it.
+func TestOverlongBodyIsNamed(t *testing.T) {
+	clock := simclock.NewSim(t0)
+	s := newSite(t, "siteA", clock, map[string]float64{"alice": 1})
+	// 9 MiB of well-formed JSON either way: a batch of reports, and a records
+	// response made of the same bytes.
+	report := `{"user":"alice","durationSeconds":1,"procs":1},`
+	many := strings.Repeat(report, 9<<20/len(report)+1)
+	many = many[:len(many)-1]
+
+	resp, err := http.Post(s.server.URL+"/usage/batch", "application/json",
+		strings.NewReader(`{"reports":[`+many+`]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = wire.DecodeResponse(resp, nil)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || err == nil ||
+		!strings.Contains(err.Error(), wire.ErrBodyTooLarge.Error()) {
+		t.Errorf("9 MiB /usage/batch = %d (%v), want 413 naming %q", resp.StatusCode, err, wire.ErrBodyTooLarge)
+	}
+	clock.Advance(time.Minute)
+	if totals := s.uss.GlobalTotals(clock.Now(), usage.None{}); len(totals) != 0 {
+		t.Errorf("the refused batch still ingested usage: %v", totals)
+	}
+
+	big := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		_, _ = io.WriteString(w, `{"records":[`+many+`]}`)
+	}))
+	defer big.Close()
+	_, err = NewClient(big.URL, "siteB").RecordsSince(context.Background(), time.Time{})
+	if !errors.Is(err, wire.ErrBodyTooLarge) {
+		t.Errorf("client reading a 9 MiB response: %v, want ErrBodyTooLarge", err)
 	}
 }

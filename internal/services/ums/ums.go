@@ -109,7 +109,6 @@ type Service struct {
 
 	mRecomputes   *telemetry.Counter
 	mRecomputeDur *telemetry.Histogram
-	mUsers        *telemetry.Gauge
 }
 
 // deltaGen is one published generation in the bounded delta log.
@@ -146,8 +145,6 @@ func New(cfg Config, src Source) *Service {
 		mRecomputeDur: reg.Histogram("aequus_ums_recompute_duration_seconds",
 			"Wall-clock duration of one pass over the usage source.",
 			telemetry.DefBuckets()),
-		mUsers: reg.Gauge("aequus_ums_users",
-			"Users in the last pre-computed usage tree."),
 	}
 }
 
@@ -289,7 +286,6 @@ func (s *Service) recomputeLocked(now time.Time) error {
 	}
 	s.mRecomputes.Inc()
 	s.mRecomputeDur.Observe(time.Since(started).Seconds())
-	s.mUsers.Set(float64(got.Users))
 	return nil
 }
 

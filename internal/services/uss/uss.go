@@ -93,14 +93,11 @@ type Service struct {
 
 	mReports        *telemetry.Counter
 	mDurableErrs    *telemetry.Counter
-	mExchanges      *telemetry.Counter
-	mExchangeBatch  *telemetry.Histogram
 	mExchangeRecs   *telemetry.CounterVec
 	mExchangeErrors *telemetry.CounterVec
 	mExchangeSkips  *telemetry.CounterVec
 	mPeerStaleness  *telemetry.GaugeVec
 	mWatermarkAge   *telemetry.GaugeVec
-	mConvergeLag    *telemetry.GaugeVec
 }
 
 // peerState is one peer's exchange bookkeeping, guarded by Service.mu.
@@ -133,11 +130,6 @@ func New(cfg Config) *Service {
 			"Job-completion usage reports ingested by the local USS."),
 		mDurableErrs: reg.Counter("aequus_uss_durability_errors_total",
 			"Usage mutations dropped because the WAL commit failed."),
-		mExchanges: reg.Counter("aequus_uss_exchanges_total",
-			"Inter-site usage exchange rounds performed."),
-		mExchangeBatch: reg.Histogram("aequus_uss_exchange_batch_records",
-			"Records pulled from one peer in one exchange round.",
-			telemetry.CountBuckets()),
 		mExchangeRecs: reg.CounterVec("aequus_uss_exchange_records_total",
 			"Compact usage records ingested from peers, by peer site.", "peer"),
 		mExchangeErrors: reg.CounterVec("aequus_uss_exchange_errors_total",
@@ -148,8 +140,6 @@ func New(cfg Config) *Service {
 			"Seconds since the last successful pull from each peer (-1 = never succeeded).", "peer"),
 		mWatermarkAge: reg.GaugeVec("aequus_uss_peer_watermark_age_seconds",
 			"Age of the newest ingested usage interval per peer (-1 = nothing ingested yet). Grows while a peer is unreachable.", "peer"),
-		mConvergeLag: reg.GaugeVec("aequus_uss_peer_convergence_lag_seconds",
-			"At the last successful pull, how far the peer's newest interval lagged behind now (-1 = no successful pull yet).", "peer"),
 	}
 	if cfg.Durable != nil {
 		if st := cfg.Durable.Recovered(); st != nil {
@@ -311,7 +301,6 @@ func (s *Service) Exchange(ctx context.Context) (int, error) {
 	s.mu.Lock()
 	peers := append([]Peer(nil), s.peers...)
 	s.mu.Unlock()
-	s.mExchanges.Inc()
 
 	ctx = span.EnsureRecorder(ctx, s.cfg.Spans)
 	ctx, root := span.Start(ctx, "uss.exchange")
@@ -391,7 +380,6 @@ func (s *Service) pullPeer(ctx context.Context, p Peer) (int, error) {
 		return 0, err
 	}
 	br.Success()
-	s.mExchangeBatch.Observe(float64(len(recs)))
 	s.mExchangeRecs.With(site).Add(float64(len(recs)))
 	s.notePeer(site, nil)
 	sp.SetAttrInt("records", int64(len(recs)))
@@ -437,7 +425,6 @@ func (s *Service) pullPeer(ctx context.Context, p Peer) (int, error) {
 		apply()
 	}
 	s.updateWatermarkAge(site)
-	s.mConvergeLag.With(site).Set(s.cfg.Clock.Now().Sub(newest).Seconds())
 	return len(recs), nil
 }
 

@@ -1,15 +1,12 @@
 package telemetry
 
-import "time"
-
 // ClientMetrics bundles the outgoing-call instruments shared by every Aequus
-// HTTP client: request counters by outcome, a retry-attempt counter (the
-// companion of the per-peer circuit metrics in internal/resilience) and a
-// latency histogram, all labeled by the target site.
+// HTTP client: request counters by outcome and a retry-attempt counter (the
+// companion of the per-peer circuit metrics in internal/resilience), both
+// labeled by the target site.
 type ClientMetrics struct {
 	requests *CounterVec
 	retries  *CounterVec
-	latency  *HistogramVec
 }
 
 // NewClientMetrics registers the outgoing-call instruments on reg.
@@ -22,14 +19,11 @@ func NewClientMetrics(reg *Registry) *ClientMetrics {
 		retries: reg.CounterVec("aequus_retry_attempts_total",
 			"Outgoing-call retry attempts scheduled after a transient failure, by target site.",
 			"target"),
-		latency: reg.HistogramVec("aequus_client_request_duration_seconds",
-			"Outgoing HTTP call latency in seconds (per attempt), by target site.",
-			DefBuckets(), "target"),
 	}
 }
 
 // Observe records one completed call attempt.
-func (m *ClientMetrics) Observe(target string, dur time.Duration, err error) {
+func (m *ClientMetrics) Observe(target string, err error) {
 	if m == nil {
 		return
 	}
@@ -38,7 +32,6 @@ func (m *ClientMetrics) Observe(target string, dur time.Duration, err error) {
 		outcome = "error"
 	}
 	m.requests.With(target, outcome).Inc()
-	m.latency.With(target).Observe(dur.Seconds())
 }
 
 // Retry records one scheduled retry.

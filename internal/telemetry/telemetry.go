@@ -344,12 +344,6 @@ func DefBuckets() []float64 {
 		0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 }
 
-// CountBuckets are size buckets for batch/record counts (e.g. exchange
-// batch sizes).
-func CountBuckets() []float64 {
-	return []float64{1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
-}
-
 // ExpBuckets returns n exponentially spaced buckets starting at start,
 // multiplying by factor.
 func ExpBuckets(start, factor float64, n int) []float64 {

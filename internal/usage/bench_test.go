@@ -161,7 +161,7 @@ func BenchmarkIngest(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h := NewHistogram(time.Minute)
-		h.Ingest(recs)
+		h.IngestBatch(recs)
 	}
 }
 

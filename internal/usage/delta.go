@@ -1,6 +1,10 @@
 package usage
 
-import "time"
+import (
+	"time"
+
+	"repro/internal/par"
+)
 
 // DeltaSet is the one form in which per-user usage travels between
 // services: the USS's change cursor hands it to the UMS and the UMS to the
@@ -48,26 +52,23 @@ type DeltaSet struct {
 
 // fullShare is the dirty share above which a change set is replaced by a
 // Full marker: past it the FCS's copy-on-write Recalc.Apply costs as much
-// as Compute+NewIndex from complete totals. Measured with
-// BenchmarkRecalcApply against BenchmarkRecalcFullBaseline (2 cores,
-// groups×users trees, ms per op, Apply at 25 % / 50 % / 100 % dirty vs the
-// full rebuild): 100k 37 / 47 / 73 vs 47; 1M 487 / 671 / 1353 vs 911 (at
-// 10k both sides are 4–6 ms and within each other's noise). The curves
-// cross at half the population at 100k and at two thirds at 1M, and a
-// VO×project×user tree of 100k crosses at 45 %; a Full generation also
-// costs the UMS one O(users) materialisation, so the share errs on the
-// side of the delta. It is a constant, not a knob.
+// as a rebuild from complete totals. Measured with BenchmarkRecalcApply
+// against BenchmarkRecalcFullBaseline (2 cores, groups×users trees, ms per
+// op, Apply at 25 % / 50 % / 100 % dirty vs Compute+NewIndex): 100k
+// 28 / 30 / 52 vs 24; 1M 312 / 441 / 782 vs 374 (at 10k both sides are
+// 4–6 ms and within each other's noise). By those numbers alone the curves
+// cross near a third of the population at 1M — but a Full generation also
+// costs the UMS one O(users) materialisation (≈270 ms at 1M), which puts
+// the crossing back at about half. It is a constant, not a knob.
 const fullShare = 0.5
-
-// serialRebuildUsers is the population below which the share does not
-// apply: the rebuild only wins through its parallel build, which starts at
-// fairshare's 4096-node threshold. On one core Apply at 100 % dirty costs
-// what the rebuild does (10k: 4.2 vs 4.8 ms; 100k: 76 vs 69 ms), and a
-// change set of a few thousand entries is no burden to keep.
-const serialRebuildUsers = 4096
 
 // DeltaPays reports whether a change set of `changed` out of `users` users
 // is worth handing on as a delta instead of a Full marker.
+//
+// Below par.Threshold users the share does not apply: nothing fans out
+// there, the two sides differ by about a millisecond (one core, 10k users,
+// Apply at 100 % dirty vs the rebuild: 4.2 vs 2.9 ms), and a change set of a
+// few thousand entries is no burden to keep.
 func DeltaPays(changed, users int) bool {
-	return users < serialRebuildUsers || float64(changed) <= fullShare*float64(users)
+	return users < par.Threshold || float64(changed) <= fullShare*float64(users)
 }

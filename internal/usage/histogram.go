@@ -519,33 +519,7 @@ func (h *Histogram) accumPlain(dst map[string]float64) {
 // site, sorted by user then interval. The export is read-consistent: all
 // stripes are held while it is assembled.
 func (h *Histogram) Records(site string) []Record {
-	h.rlockAll()
-	defer h.runlockAll()
-	type uref struct {
-		name string
-		u    *userBins
-	}
-	var users []uref
-	total := 0
-	for i := range h.stripes {
-		for name, u := range h.stripes[i].users {
-			users = append(users, uref{name, u})
-			total += len(u.bins)
-		}
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i].name < users[j].name })
-	out := make([]Record, 0, total)
-	for _, ur := range users {
-		for _, b := range ur.u.bins {
-			out = append(out, Record{
-				User:          ur.name,
-				Site:          site,
-				IntervalStart: time.Unix(b.start, 0).UTC(),
-				CoreSeconds:   b.v,
-			})
-		}
-	}
-	return out
+	return h.RecordsSince(site, time.Time{})
 }
 
 // NumStripes reports the lock-striping factor — the valid range of
@@ -557,42 +531,27 @@ func (h *Histogram) NumStripes() int { return numStripes }
 // iterate stripes one at a time so whole-histogram readers never stall
 // behind the export.
 func (h *Histogram) StripeRecords(site string, i int) []Record {
-	st := &h.stripes[i]
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	type uref struct {
-		name string
-		u    *userBins
-	}
-	users := make([]uref, 0, len(st.users))
-	total := 0
-	for name, u := range st.users {
-		users = append(users, uref{name, u})
-		total += len(u.bins)
-	}
-	sort.Slice(users, func(i, j int) bool { return users[i].name < users[j].name })
-	out := make([]Record, 0, total)
-	for _, ur := range users {
-		for _, b := range ur.u.bins {
-			out = append(out, Record{
-				User:          ur.name,
-				Site:          site,
-				IntervalStart: time.Unix(b.start, 0).UTC(),
-				CoreSeconds:   b.v,
-			})
-		}
-	}
-	return out
+	h.stripes[i].mu.RLock()
+	defer h.stripes[i].mu.RUnlock()
+	return exportRecords(site, h.stripes[i:i+1], time.Time{})
 }
 
 // RecordsSince exports only records whose interval starts at or after t —
-// the incremental exchange between USS instances. Each user's tail is found
-// by binary search in its sorted bins, and users whose newest bin predates
-// t are skipped with one comparison, so the cost scales with the number of
-// users plus the exported tail, not with total histogram size.
+// the incremental exchange between USS instances — read-consistently like
+// Records, which is the same call with the zero time.
 func (h *Histogram) RecordsSince(site string, t time.Time) []Record {
 	h.rlockAll()
 	defer h.runlockAll()
+	return exportRecords(site, h.stripes[:], t)
+}
+
+// exportRecords emits the bins of the given stripes that start at or after t (every
+// bin for the zero time) as exchange records for site, sorted by user then
+// interval; the caller holds the stripes' locks. Each user's tail is found by
+// binary search in its sorted bins, and users whose newest bin predates t are
+// skipped with one comparison, so the cost scales with the number of users
+// plus the exported tail, not with total histogram size.
+func exportRecords(site string, stripes []stripe, t time.Time) []Record {
 	type uref struct {
 		name string
 		u    *userBins
@@ -600,20 +559,23 @@ func (h *Histogram) RecordsSince(site string, t time.Time) []Record {
 	}
 	var users []uref
 	total := 0
-	for i := range h.stripes {
-		for name, u := range h.stripes[i].users {
-			if len(u.bins) == 0 || time.Unix(u.lastStart(), 0).Before(t) {
-				continue // newest bin predates t: nothing to export
+	for i := range stripes {
+		for name, u := range stripes[i].users {
+			from := 0
+			if !t.IsZero() {
+				if len(u.bins) == 0 || time.Unix(u.lastStart(), 0).Before(t) {
+					continue // newest bin predates t: nothing to export
+				}
+				bins := u.bins
+				from = sort.Search(len(bins), func(k int) bool {
+					return !time.Unix(bins[k].start, 0).Before(t)
+				})
 			}
-			bins := u.bins
-			j := sort.Search(len(bins), func(k int) bool {
-				return !time.Unix(bins[k].start, 0).Before(t)
-			})
-			if j == len(bins) {
+			if from == len(u.bins) {
 				continue
 			}
-			users = append(users, uref{name, u, j})
-			total += len(bins) - j
+			users = append(users, uref{name, u, from})
+			total += len(u.bins) - from
 		}
 	}
 	sort.Slice(users, func(i, j int) bool { return users[i].name < users[j].name })
@@ -629,13 +591,6 @@ func (h *Histogram) RecordsSince(site string, t time.Time) []Record {
 		}
 	}
 	return out
-}
-
-// Ingest merges exchange records into the histogram (used when a site folds
-// remote usage into its global view). Records land in the bin containing
-// their interval start.
-func (h *Histogram) Ingest(records []Record) {
-	h.IngestBatch(records)
 }
 
 // Merge folds other's bins into h. When the bin widths match (the common

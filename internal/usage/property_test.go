@@ -22,7 +22,7 @@ func TestPropertyRecordsIngestRoundTrip(t *testing.T) {
 			h.Add(user, at, float64(a.Amount)+1)
 		}
 		h2 := NewHistogram(time.Hour)
-		h2.Ingest(h.Records("s"))
+		h2.IngestBatch(h.Records("s"))
 		for _, u := range h.Users() {
 			if math.Abs(h.Total(u)-h2.Total(u)) > 1e-9 {
 				return false

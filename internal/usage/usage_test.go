@@ -199,7 +199,7 @@ func TestHistogramRecordsAndIngest(t *testing.T) {
 
 	// Ingesting into another histogram reproduces totals.
 	h2 := NewHistogram(time.Hour)
-	h2.Ingest(recs)
+	h2.IngestBatch(recs)
 	if got := h2.Total("a"); got != 25 {
 		t.Errorf("ingested a = %g", got)
 	}

@@ -6,6 +6,7 @@ package wire
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -174,10 +175,23 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...interfac
 	WriteJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// ReadJSON decodes a request body into v, limiting size to 8 MiB.
+// maxBody is the largest JSON body ReadJSON decodes.
+const maxBody = 8 << 20
+
+// ErrBodyTooLarge is what ReadJSON and DecodeResponse return for a body of
+// more than maxBody bytes; servers answer it with 413.
+var ErrBodyTooLarge = errors.New("wire: body exceeds 8 MiB")
+
+// ReadJSON decodes a request or response body into v. It reads at most one
+// byte past the cap, so an over-long body is reported as ErrBodyTooLarge and
+// not as the truncated document the decoder would otherwise see.
 func ReadJSON(r io.Reader, v interface{}) error {
-	dec := json.NewDecoder(io.LimitReader(r, 8<<20))
-	return dec.Decode(v)
+	lr := &io.LimitedReader{R: r, N: maxBody + 1}
+	err := json.NewDecoder(lr).Decode(v)
+	if lr.N == 0 {
+		return ErrBodyTooLarge
+	}
+	return err
 }
 
 // DecodeResponse decodes an HTTP response, translating error envelopes into

@@ -60,6 +60,16 @@ func TestReadJSON(t *testing.T) {
 	if err := ReadJSON(strings.NewReader("{bad"), &req); err == nil {
 		t.Error("malformed JSON accepted")
 	}
+	// The cap is inclusive: a document of exactly maxBody bytes decodes, one
+	// byte more is named, not reported as a truncated document.
+	var str string
+	atCap := `"` + strings.Repeat("x", maxBody-2) + `"`
+	if err := ReadJSON(strings.NewReader(atCap), &str); err != nil || len(str) != maxBody-2 {
+		t.Errorf("body of exactly the cap: %v (%d bytes decoded)", err, len(str))
+	}
+	if err := ReadJSON(strings.NewReader(`"x`+atCap[1:]), &str); err != ErrBodyTooLarge {
+		t.Errorf("body one byte over the cap: %v, want ErrBodyTooLarge", err)
+	}
 }
 
 func TestUsageReportRoundTrip(t *testing.T) {
