@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"mime"
 	"net"
 	"net/http"
 	"net/url"
@@ -325,16 +326,53 @@ func (c *Client) Site() string { return c.SiteName }
 // carried by ctx — typically placed there by the instrumented
 // /usage/exchange handler that triggered this pull — is forwarded to the
 // peer site, making one exchange traceable across the federation.
+//
+// The body is the MutRemoteSet the caller will log, decoded by the WAL's own
+// decoder. An answer in another content type (a peer that still speaks JSON),
+// one that does not decode, or one of another kind is an error that repeating
+// the request would not fix. The site the body names labels the records and
+// is compared with nothing: aequusd knows its peers by address only.
 func (c *Client) RecordsSince(ctx context.Context, t time.Time) ([]usage.Record, error) {
 	path := "/usage/records"
 	if !t.IsZero() {
 		path += "?since=" + url.QueryEscape(t.Format(time.RFC3339))
 	}
-	var out wire.RecordsResponse
-	if err := c.get(ctx, path, &out); err != nil {
+	var mut *usage.Mutation
+	err := c.call(ctx, true, func(ctx context.Context) error {
+		req, err := c.newRequest(ctx, http.MethodGet, path, nil)
+		if err != nil {
+			return resilience.Permanent(err)
+		}
+		resp, err := c.HTTP.Do(req)
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode/100 != 2 {
+			return classifyStatus(resp.StatusCode, wire.DecodeResponse(resp, nil))
+		}
+		defer wire.DrainClose(resp.Body)
+		ct := resp.Header.Get("Content-Type")
+		if mt, _, _ := mime.ParseMediaType(ct); mt != wire.RecordsContentType {
+			return resilience.Permanent(fmt.Errorf("httpapi: %s answered %s with content type %q, want %q",
+				c.target(), path, ct, wire.RecordsContentType))
+		}
+		body, err := wire.ReadBody(resp.Body)
+		if err != nil {
+			return classifyStatus(resp.StatusCode, err)
+		}
+		if mut, err = usage.DecodePeerMutation(body); err != nil {
+			return resilience.Permanent(fmt.Errorf("httpapi: records from %s: %w", c.target(), err))
+		}
+		if mut.Kind != usage.MutRemoteSet {
+			return resilience.Permanent(fmt.Errorf("httpapi: records from %s are a mutation of kind %d, want %d",
+				c.target(), mut.Kind, usage.MutRemoteSet))
+		}
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return out.Records, nil
+	return mut.Records(mut.Site), nil
 }
 
 // TriggerExchange asks the remote USS to pull from its peers now,

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -25,6 +26,7 @@ import (
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/span"
+	"repro/internal/usage"
 	"repro/internal/vector"
 	"repro/internal/wire"
 )
@@ -312,6 +314,9 @@ func (s *Server) handleUsageBatch(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, map[string]int{"reports": len(jobs)})
 }
 
+// handleUsageRecords serves the site's records from ?since= on as the
+// MutRemoteSet the pulling site will log: one encoding from this histogram to
+// that disk (wire.RecordsContentType).
 func (s *Server) handleUsageRecords(w http.ResponseWriter, r *http.Request) {
 	var since time.Time
 	if q := r.URL.Query().Get("since"); q != "" {
@@ -327,7 +332,16 @@ func (s *Server) handleUsageRecords(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, wire.RecordsResponse{Records: recs})
+	// Bin starts are whole seconds, live and frozen alike, so Unix() loses
+	// nothing.
+	mut := usage.Mutation{Kind: usage.MutRemoteSet, Site: s.USS.Site(), Ops: make([]usage.BinOp, len(recs))}
+	for i, rec := range recs {
+		mut.Ops[i] = usage.BinOp{User: rec.User, Start: rec.IntervalStart.Unix(), Value: rec.CoreSeconds}
+	}
+	body := mut.AppendBinary(nil)
+	w.Header().Set("Content-Type", wire.RecordsContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
 }
 
 func (s *Server) handleUsageExchange(w http.ResponseWriter, r *http.Request) {

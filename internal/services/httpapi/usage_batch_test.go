@@ -3,7 +3,6 @@ package httpapi
 import (
 	"context"
 	"errors"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -97,13 +96,14 @@ func TestUsageBatchMethodAndBody(t *testing.T) {
 
 // TestOverlongBodyIsNamed: a body past wire's 8 MiB cap is answered with 413
 // and wire.ErrBodyTooLarge on the server, and returned as that error by a
-// client that is sent one — not as the "unexpected EOF" of a document cut at
-// the cap, which named no cause on /readyz when a peer pull hit it.
+// client whose peer pull is answered with one — not as the "unexpected EOF"
+// or the decode error of a body cut at the cap, which would name no cause on
+// /readyz.
 func TestOverlongBodyIsNamed(t *testing.T) {
 	clock := simclock.NewSim(t0)
 	s := newSite(t, "siteA", clock, map[string]float64{"alice": 1})
-	// 9 MiB of well-formed JSON either way: a batch of reports, and a records
-	// response made of the same bytes.
+	// 9 MiB of well-formed input either way: a JSON batch of reports, and a
+	// canonical records body.
 	report := `{"user":"alice","durationSeconds":1,"procs":1},`
 	many := strings.Repeat(report, 9<<20/len(report)+1)
 	many = many[:len(many)-1]
@@ -124,7 +124,8 @@ func TestOverlongBodyIsNamed(t *testing.T) {
 	}
 
 	big := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = io.WriteString(w, `{"records":[`+many+`]}`)
+		w.Header().Set("Content-Type", wire.RecordsContentType)
+		_, _ = w.Write(shortestOps("siteB", 9<<20/4))
 	}))
 	defer big.Close()
 	_, err = NewClient(big.URL, "siteB").RecordsSince(context.Background(), time.Time{})

@@ -73,7 +73,10 @@ func BenchmarkIngest100kUsersDurable(b *testing.B) {
 // TestDurableIngestOverhead enforces the durability cost envelope: a
 // 100k-user batch ingest with the WAL enabled (SyncAlways — the whole batch
 // rides one group-committed fsync) must stay within 15% of the in-memory
-// path. Min-of-N on both sides filters scheduler noise.
+// path. Min-of-N on both sides filters scheduler noise; N is 15 because with
+// 5 a run is 150 ms a side, short enough for one busy neighbour in `go test
+// ./...` to cover a whole side (one failure in four on a loaded two-core box,
+// at an overhead that measures 3–5 %).
 func TestDurableIngestOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test; skipped in -short")
@@ -81,7 +84,7 @@ func TestDurableIngestOverhead(t *testing.T) {
 	batch := benchReports(100000)
 	run := func(durable bool) time.Duration {
 		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 5; i++ {
+		for i := 0; i < 15; i++ {
 			s := newBenchUSS(t, durable)
 			t0 := time.Now()
 			s.ReportJobBatch(batch)

@@ -9,7 +9,10 @@ package uss
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -285,7 +288,7 @@ func (s *Service) RecordsSince(_ context.Context, t time.Time) ([]usage.Record, 
 // before the per-peer watermark are fetched and their bins *replaced* in the
 // peer's remote histogram, making the exchange incremental (closed intervals
 // transfer once) yet idempotent (the open interval is re-fetched and
-// overwritten). It returns the number of records ingested and the first
+// overwritten). It returns the number of records pulled and the first
 // error in peer order (all reachable peers are still attempted). The
 // context's request ID is forwarded to every peer pull, so one exchange
 // round is traceable across the federation.
@@ -371,6 +374,9 @@ func (s *Service) pullPeer(ctx context.Context, p Peer) (int, error) {
 		defer cancel()
 	}
 	recs, err := p.RecordsSince(pctx, since)
+	if err == nil {
+		err = checkFinite(recs)
+	}
 	if err != nil {
 		br.Failure(err)
 		s.mExchangeErrors.With(site).Inc()
@@ -393,25 +399,35 @@ func (s *Service) pullPeer(ctx context.Context, p Peer) (int, error) {
 		hist = usage.NewHistogram(s.cfg.BinWidth)
 		s.remote[site] = hist
 	}
-	newest := s.watermark[site]
+	old := s.watermark[site]
 	s.mu.Unlock()
+	newest := old
 	for _, r := range recs {
 		if r.IntervalStart.After(newest) {
 			newest = r.IntervalStart
 		}
 	}
+	// Every pull re-fetches the open and the previous bin whole, and most of
+	// what arrives the mirror already holds bit for bit. Only what changes it
+	// is logged and applied; the watermark still moves by every record pulled.
+	changed := hist.Changing(recs)
+	sp.SetAttrInt("changed", int64(len(changed)))
+	if len(changed) == 0 && newest.Equal(old) {
+		s.updateWatermarkAge(site)
+		return len(recs), nil
+	}
 	// Batch replacement: one lock acquisition per histogram stripe instead
 	// of one per record, and all of a user's re-fetched bins land atomically
 	// with respect to GlobalTotals readers.
 	apply := func() {
-		hist.SetRecords(recs)
+		hist.SetRecords(changed)
 		s.mu.Lock()
 		s.watermark[site] = newest
 		s.mu.Unlock()
 	}
 	if d := s.cfg.Durable; d != nil {
-		ops := make([]usage.BinOp, len(recs))
-		for i, r := range recs {
+		ops := make([]usage.BinOp, len(changed))
+		for i, r := range changed {
 			ops[i] = usage.BinOp{User: r.User, Start: hist.AlignStart(r.IntervalStart), Value: r.CoreSeconds}
 		}
 		mut := &usage.Mutation{Kind: usage.MutRemoteSet, Site: site, Ops: ops, Watermark: newest.UnixNano()}
@@ -426,6 +442,20 @@ func (s *Service) pullPeer(ctx context.Context, p Peer) (int, error) {
 	}
 	s.updateWatermarkAge(site)
 	return len(recs), nil
+}
+
+// checkFinite refuses a pull that carries a NaN or an infinite usage value.
+// The canonical encoding can hold one where JSON could not, and a single one
+// would poison every sum it is added to, so the whole pull fails like any
+// other bad answer: nothing of it is applied or logged.
+func checkFinite(recs []usage.Record) error {
+	for i, r := range recs {
+		if math.IsNaN(r.CoreSeconds) || math.IsInf(r.CoreSeconds, 0) {
+			return fmt.Errorf("uss: pulled record %d of %d (user %q, interval %s) has non-finite usage %v",
+				i+1, len(recs), r.User, r.IntervalStart.UTC().Format(time.RFC3339), r.CoreSeconds)
+		}
+	}
+	return nil
 }
 
 // updateWatermarkAge refreshes one peer's watermark-age gauge: how old the
@@ -697,10 +727,10 @@ func (s *Service) Watermarks() map[string]time.Time {
 // sortRecords orders records by user then interval start — the canonical
 // export order shared with Histogram.Records.
 func sortRecords(recs []usage.Record) {
-	sort.Slice(recs, func(i, j int) bool {
-		if recs[i].User != recs[j].User {
-			return recs[i].User < recs[j].User
+	slices.SortFunc(recs, func(a, b usage.Record) int {
+		if c := strings.Compare(a.User, b.User); c != 0 {
+			return c
 		}
-		return recs[i].IntervalStart.Before(recs[j].IntervalStart)
+		return a.IntervalStart.Compare(b.IntervalStart)
 	})
 }

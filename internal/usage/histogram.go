@@ -1,7 +1,9 @@
 package usage
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -10,13 +12,13 @@ import (
 // user at one site over one histogram interval.
 type Record struct {
 	// User is the grid user identity.
-	User string `json:"user"`
+	User string
 	// Site is the reporting site.
-	Site string `json:"site"`
+	Site string
 	// IntervalStart is the start of the histogram bin.
-	IntervalStart time.Time `json:"intervalStart"`
+	IntervalStart time.Time
 	// CoreSeconds is the combined usage in the interval.
-	CoreSeconds float64 `json:"coreSeconds"`
+	CoreSeconds float64
 }
 
 // numStripes is the lock-striping factor. Mutations touch exactly one
@@ -192,11 +194,11 @@ func (h *Histogram) runlockAll() {
 	}
 }
 
-// userLocked returns user's state in st, creating it when create is set.
-// st's write lock must be held.
-func (h *Histogram) userLocked(st *stripe, user string, create bool) *userBins {
+// userLocked returns user's state in st, creating it when the user has
+// none. st's write lock must be held.
+func (h *Histogram) userLocked(st *stripe, user string) *userBins {
 	u := st.users[user]
-	if u == nil && create {
+	if u == nil {
 		u = &userBins{}
 		st.users[user] = u
 	}
@@ -221,7 +223,7 @@ func (u *userBins) findBin(start int64) (int, bool) {
 // addBinLocked accumulates v into user's bin at start. The stripe's write
 // lock must be held. v must be positive.
 func (h *Histogram) addBinLocked(st *stripe, user string, start int64, v float64) {
-	u := h.userLocked(st, user, true)
+	u := h.userLocked(st, user)
 	i, ok := u.findBin(start)
 	if ok {
 		u.bins[i].v += v
@@ -234,18 +236,31 @@ func (h *Histogram) addBinLocked(st *stripe, user string, start int64, v float64
 	h.trackerAdd(st, user, u, start, v)
 }
 
+// setTarget locates the bin that a set of (start, v) addresses in u — nil for
+// a user without bins — and reports whether the set changes anything. It does
+// not when it removes (v ≤ 0) a bin that is not there, or stores the value
+// already stored: every exchange re-pulls the open and the previous bin, and
+// an overwrite with the same bits is not a change.
+func (u *userBins) setTarget(start int64, v float64) (i int, ok, changes bool) {
+	if u == nil {
+		return 0, false, v > 0
+	}
+	i, ok = u.findBin(start)
+	if v <= 0 {
+		return i, ok, ok
+	}
+	return i, ok, !ok || v-u.bins[i].v != 0
+}
+
 // setBinLocked replaces user's bin at start with v (≤0 removes the bin).
 // The stripe's write lock must be held.
 func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64) {
-	u := h.userLocked(st, user, v > 0)
-	if u == nil {
+	u := st.users[user]
+	i, ok, changes := u.setTarget(start, v)
+	if !changes {
 		return
 	}
-	i, ok := u.findBin(start)
 	if v <= 0 {
-		if !ok {
-			return
-		}
 		old := u.bins[i].v
 		u.bins = append(u.bins[:i], u.bins[i+1:]...)
 		u.recomputeTotal()
@@ -257,11 +272,6 @@ func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64
 	}
 	if ok {
 		delta := v - u.bins[i].v
-		if delta == 0 {
-			// Every exchange re-pulls the open and the previous bin; an
-			// overwrite with the value already stored is not a change.
-			return
-		}
 		u.bins[i].v = v
 		if delta >= 0 {
 			u.total += delta
@@ -272,6 +282,9 @@ func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64
 		}
 		h.trackerAdd(st, user, u, start, delta)
 		return
+	}
+	if u == nil {
+		u = h.userLocked(st, user)
 	}
 	u.bins = append(u.bins, bin{})
 	copy(u.bins[i+1:], u.bins[i:])
@@ -405,6 +418,34 @@ func (h *Histogram) SetRecords(records []Record) {
 		}
 		st.mu.Unlock()
 	}
+}
+
+// Changing returns, in their order, the records that SetRecords would not
+// skip against the bins as they are now (setTarget's rule, read under the
+// stripe read locks): what a pull that re-fetches whole intervals really
+// brings. Judging every record against the stored bins is sound only while no
+// two records name the same bin, so a sequence that is not strictly ascending
+// by (user, bin) — every export is — comes back whole.
+func (h *Histogram) Changing(records []Record) []Record {
+	h.rlockAll()
+	defer h.runlockAll()
+	var out []Record
+	prevUser, prevStart := "", int64(0)
+	for i, r := range records {
+		start := h.binStart(r.IntervalStart)
+		if c := strings.Compare(prevUser, r.User); i > 0 && (c > 0 || c == 0 && prevStart >= start) {
+			return records
+		}
+		prevUser, prevStart = r.User, start
+		if r.User == "" {
+			continue
+		}
+		u := h.stripeFor(r.User).users[r.User]
+		if _, _, changes := u.setTarget(start, r.CoreSeconds); changes {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // Users returns the sorted user names with recorded usage.
@@ -578,7 +619,7 @@ func exportRecords(site string, stripes []stripe, t time.Time) []Record {
 			total += len(u.bins) - from
 		}
 	}
-	sort.Slice(users, func(i, j int) bool { return users[i].name < users[j].name })
+	slices.SortFunc(users, func(a, b uref) int { return strings.Compare(a.name, b.name) })
 	out := make([]Record, 0, total)
 	for _, ur := range users {
 		for _, b := range ur.u.bins[ur.from:] {

@@ -7,7 +7,9 @@ package usage
 // bin operations carry the exact float64 values and the exact apply order
 // the live path used, and float addition is applied per (user, bin) in the
 // same sequence. The binary encoding is versioned so log files written by an
-// older build stay readable.
+// older build stay readable. It is also the body of a peer pull: a site
+// serves its records as the MutRemoteSet the pulling site will log, so a usage
+// record has one encoding from one site's histogram to the other's disk.
 
 import (
 	"encoding/binary"
@@ -38,6 +40,19 @@ const (
 
 // mutationVersion is the current encoding version byte.
 const mutationVersion = 1
+
+// minOpSize is the shortest encoding of one op: a one-byte prefix length, a
+// one-byte length of an empty suffix, a one-byte start delta and a one-byte
+// value.
+const minOpSize = 4
+
+// maxNameExpansion is how many bytes of user names a mutation sent by another
+// site may spell out per byte of its encoding. Prefix compression lets an op
+// of a few bytes repeat all but the end of a long name before it, so without
+// a bound an 8 MiB body around one 1 KiB name decodes into a gigabyte of
+// strings. A sorted export of ten-byte names stays below 1; hundred-byte names
+// that differ only in a trailing counter reach about 12.
+const maxNameExpansion = 16
 
 // BinOp is one (user, bin, value) cell of a mutation. Start is the
 // width-aligned bin start in unix seconds — aligned at commit time, so
@@ -107,7 +122,9 @@ func (m *Mutation) EncodedSize() int {
 //     full-entropy float costs 10 — rare in practice).
 //
 // The encoding is canonical: re-encoding a decoded mutation reproduces the
-// input bytes exactly.
+// bytes written here exactly. (The decoder also takes what no encoder
+// writes, a padded varint or a shorter shared prefix than there is; such
+// input re-encodes to the canonical form.)
 func (m *Mutation) AppendBinary(dst []byte) []byte {
 	dst = append(dst, mutationVersion, byte(m.Kind))
 	dst = appendString(dst, m.Site)
@@ -143,6 +160,21 @@ func commonPrefix(a, b string) int {
 // DecodeMutation decodes one mutation encoded by AppendBinary. The whole
 // input must be consumed — trailing garbage is an encoding error.
 func DecodeMutation(b []byte) (*Mutation, error) {
+	return decodeMutation(b, math.MaxInt)
+}
+
+// DecodePeerMutation is DecodeMutation for bytes another site sent: it also
+// refuses a mutation whose user names expand past maxNameExpansion times the
+// input, so what decoding allocates is bounded by what arrived. A WAL frame is
+// not held to that: this site wrote it from names it already had in memory,
+// and refusing one would be refusing to recover.
+func DecodePeerMutation(b []byte) (*Mutation, error) {
+	return decodeMutation(b, maxNameExpansion*len(b))
+}
+
+// decodeMutation decodes b, building at most maxNames bytes of user names.
+func decodeMutation(b []byte, maxNames int) (*Mutation, error) {
+	size := len(b)
 	if len(b) < 2 {
 		return nil, fmt.Errorf("usage: mutation record too short (%d bytes)", len(b))
 	}
@@ -162,12 +194,15 @@ func DecodeMutation(b []byte) (*Mutation, error) {
 	if err != nil {
 		return nil, err
 	}
-	if nOps > uint64(len(b)) { // each op is >= 10 bytes; cheap sanity bound
+	// The input may come from a peer: bound the allocation by what the bytes
+	// can hold before making it.
+	if nOps > uint64(len(b))/minOpSize {
 		return nil, fmt.Errorf("usage: mutation claims %d ops in %d bytes", nOps, len(b))
 	}
 	m.Ops = make([]BinOp, nOps)
 	prevUser := ""
 	prevStart := int64(0)
+	names := 0
 	for i := range m.Ops {
 		p, rest, err := readUvarint(b)
 		if err != nil {
@@ -180,7 +215,16 @@ func DecodeMutation(b []byte) (*Mutation, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Ops[i].User = prevUser[:p] + suffix
+		// An op that repeats the previous user shares its string; any other
+		// builds a name of its own.
+		if p == uint64(len(prevUser)) && suffix == "" {
+			m.Ops[i].User = prevUser
+		} else {
+			if names += int(p) + len(suffix); names > maxNames {
+				return nil, fmt.Errorf("usage: mutation op %d: user names expand past %d times the %d bytes that carry them", i, maxNameExpansion, size)
+			}
+			m.Ops[i].User = prevUser[:p] + suffix
+		}
 		delta, rest, err := readVarint(rest)
 		if err != nil {
 			return nil, err

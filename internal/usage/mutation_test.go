@@ -2,8 +2,12 @@ package usage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -160,6 +164,98 @@ func TestMutationRecordsMatchLivePath(t *testing.T) {
 		if a[i].User != b[i].User || !a[i].IntervalStart.Equal(b[i].IntervalStart) ||
 			math.Float64bits(a[i].CoreSeconds) != math.Float64bits(b[i].CoreSeconds) {
 			t.Fatalf("record %d differs: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestMutationDecodeBoundsOpCount: the op count is read from the network now,
+// so the ops slice it sizes must be bounded by what the bytes can hold — four
+// bytes is the shortest op. An 8 MiB body that claims one op per byte (256 MiB
+// of BinOps) is refused before anything is allocated; a body of four-byte ops
+// that claims exactly what it holds still decodes, and re-encodes to itself.
+func TestMutationDecodeBoundsOpCount(t *testing.T) {
+	header := func(nOps uint64) []byte {
+		b := []byte{mutationVersion, byte(MutRemoteSet)}
+		b = appendString(b, "s")
+		return binary.AppendUvarint(b, nOps)
+	}
+	const n = 8 << 20
+	bomb := append(header(n), make([]byte, n)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodeMutation(bomb)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a body claiming one op per byte decoded")
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Errorf("refusing the body allocated %d bytes", grown)
+	}
+
+	// 1000 shortest ops (same user "", same start, value 0), watermark 0, no blob.
+	tight := append(header(1000), make([]byte, 1000*minOpSize+2)...)
+	m, err := DecodeMutation(tight)
+	if err != nil || len(m.Ops) != 1000 {
+		t.Fatalf("a body of 1000 four-byte ops: %v (%d ops)", err, len(m.Ops))
+	}
+	if !bytes.Equal(m.AppendBinary(nil), tight) {
+		t.Error("re-encoding the four-byte ops does not reproduce the input")
+	}
+	if _, err := DecodeMutation(append(header(1001), make([]byte, 1000*minOpSize+2)...)); err == nil {
+		t.Error("1001 ops claimed in the bytes of 1000 decoded")
+	}
+}
+
+// TestDecodePeerMutationBoundsNames: prefix compression lets an op of a few
+// bytes spell out a whole long user name, so bytes from another site are held
+// to maxNameExpansion bytes of names per byte of body. A body built around one
+// 1 KiB name is refused before its names are built; the same bytes still decode
+// as a WAL frame, which this site wrote itself; and real exports — long names
+// that differ in a trailing counter, many bins of one long-named user — pass.
+func TestDecodePeerMutationBoundsNames(t *testing.T) {
+	export := func(users, bins, nameLen int) []byte {
+		m := Mutation{Kind: MutRemoteSet, Site: "s"}
+		for u := 0; u < users; u++ {
+			name := fmt.Sprintf("%s%06d", strings.Repeat("n", nameLen-6), u)
+			for b := 0; b < bins; b++ {
+				m.Ops = append(m.Ops, BinOp{User: name, Start: int64(b) * 3600, Value: float64(600 * (1 + u%7))})
+			}
+		}
+		return m.AppendBinary(nil)
+	}
+
+	bomb := export(10000, 1, 1024) // ≈80 KB of body, 10 MB of names
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodePeerMutation(bomb)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "user names expand") {
+		t.Fatalf("%d bytes that spell out 10 MB of names: %v", len(bomb), err)
+	}
+	// 32-byte BinOps for ops of at least 4 bytes, the suffixes, and the names.
+	if grown, limit := after.TotalAlloc-before.TotalAlloc, uint64((maxNameExpansion+10)*len(bomb)); grown > limit {
+		t.Errorf("refusing the %d-byte body allocated %d bytes, want at most %d", len(bomb), grown, limit)
+	}
+	if m, err := DecodeMutation(bomb); err != nil || len(m.Ops) != 10000 {
+		t.Errorf("the same bytes as a WAL frame: %v", err)
+	}
+
+	for _, tc := range []struct {
+		name                 string
+		users, bins, nameLen int
+	}{
+		{"ten-byte names", 5000, 2, 10},
+		{"hundred-byte names with a counter", 5000, 1, 100},
+		{"one long name, many bins", 1, 5000, 4096},
+	} {
+		body := export(tc.users, tc.bins, tc.nameLen)
+		m, err := DecodePeerMutation(body)
+		if err != nil || len(m.Ops) != tc.users*tc.bins {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if !bytes.Equal(m.AppendBinary(nil), body) {
+			t.Errorf("%s: re-encoding does not reproduce the body", tc.name)
 		}
 	}
 }

@@ -1,7 +1,8 @@
 // Package wire defines the JSON message types exchanged between the Aequus
 // services, the libaequus client library, and custom identity-resolution
 // endpoints — the "minimalist JSON based protocol" of Section III-B —
-// together with small HTTP helpers shared by servers and clients.
+// together with small HTTP helpers shared by servers and clients. The one
+// body that is not JSON is the peer pull's (RecordsContentType).
 package wire
 
 import (
@@ -11,8 +12,6 @@ import (
 	"io"
 	"net/http"
 	"time"
-
-	"repro/internal/usage"
 )
 
 // FairshareResponse carries one user's pre-calculated fairshare data.
@@ -73,10 +72,10 @@ type UsageBatchRequest struct {
 	Reports []UsageReport `json:"reports"`
 }
 
-// RecordsResponse carries compact usage records between USS instances.
-type RecordsResponse struct {
-	Records []usage.Record `json:"records"`
-}
+// RecordsContentType names the body of GET /usage/records: one
+// usage.Mutation of kind MutRemoteSet in its binary encoding, the bytes the
+// pulling site write-ahead-logs. A peer pull takes nothing else.
+const RecordsContentType = "application/vnd.aequus.records"
 
 // UsageTreeResponse carries the UMS's pre-computed per-user decayed usage.
 type UsageTreeResponse struct {
@@ -175,12 +174,22 @@ func WriteError(w http.ResponseWriter, code int, format string, args ...interfac
 	WriteJSON(w, code, ErrorResponse{Error: fmt.Sprintf(format, args...)})
 }
 
-// maxBody is the largest JSON body ReadJSON decodes.
+// maxBody is the largest body ReadJSON decodes and ReadBody returns.
 const maxBody = 8 << 20
 
-// ErrBodyTooLarge is what ReadJSON and DecodeResponse return for a body of
-// more than maxBody bytes; servers answer it with 413.
+// ErrBodyTooLarge is what ReadJSON, ReadBody and DecodeResponse return for a
+// body of more than maxBody bytes; servers answer it with 413.
 var ErrBodyTooLarge = errors.New("wire: body exceeds 8 MiB")
+
+// ReadBody returns a whole body of at most maxBody bytes, and ErrBodyTooLarge
+// for a longer one.
+func ReadBody(r io.Reader) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(r, maxBody+1))
+	if err == nil && len(b) > maxBody {
+		return nil, ErrBodyTooLarge
+	}
+	return b, err
+}
 
 // ReadJSON decodes a request or response body into v. It reads at most one
 // byte past the cap, so an over-long body is reported as ErrBodyTooLarge and

@@ -70,6 +70,13 @@ func TestReadJSON(t *testing.T) {
 	if err := ReadJSON(strings.NewReader(`"x`+atCap[1:]), &str); err != ErrBodyTooLarge {
 		t.Errorf("body one byte over the cap: %v, want ErrBodyTooLarge", err)
 	}
+	// ReadBody holds a raw body to the same cap.
+	if b, err := ReadBody(strings.NewReader(atCap)); err != nil || len(b) != maxBody {
+		t.Errorf("raw body of exactly the cap: %v (%d bytes)", err, len(b))
+	}
+	if _, err := ReadBody(strings.NewReader("x" + atCap)); err != ErrBodyTooLarge {
+		t.Errorf("raw body one byte over the cap: %v, want ErrBodyTooLarge", err)
+	}
 }
 
 func TestUsageReportRoundTrip(t *testing.T) {
