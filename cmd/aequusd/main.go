@@ -160,7 +160,7 @@ func main() {
 		logger.Info("durable state opened",
 			slog.String("dir", *dataDir),
 			slog.String("wal_sync", *walSync),
-			slog.Int64("wal_tail_records", total))
+			slog.Int64("replay_records", total)) // snapshot frames + WAL tail
 	}
 
 	s, err := core.NewSite(core.SiteConfig{
@@ -191,11 +191,11 @@ func main() {
 		fatal("assembling site", err)
 	}
 	if durable != nil {
-		// Replay the WAL tail in the background: the HTTP server comes up
-		// immediately and serves the recovered snapshot (peers see the
-		// pre-crash watermark), while /readyz reports "recovering" until
-		// the tail is applied and the first post-replay fairshare
-		// pre-calculation has published.
+		// Replay the snapshot and the WAL tail in the background: the HTTP
+		// server comes up immediately and peer pulls are served the
+		// snapshot's local image (the pre-crash watermark), while /readyz
+		// reports "recovering" until everything is applied and the first
+		// post-replay fairshare pre-calculation has published.
 		go func() {
 			t0 := time.Now()
 			if err := s.Recover(); err != nil {

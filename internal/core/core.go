@@ -86,11 +86,10 @@ type SiteConfig struct {
 	// federation — so cross-service traces land in one buffer.
 	Spans *span.Recorder
 	// Durable, when set, makes usage state survive restarts: every usage
-	// mutation and policy edit is write-ahead-logged before applying, and
-	// the site adopts the log's recovered snapshot at construction. The
-	// owner must call Recover once after NewSite to replay the WAL tail
-	// (commits block until then), then MarkReady on the log after the
-	// first fairshare refresh.
+	// mutation and policy edit is write-ahead-logged before applying. The
+	// owner must call Recover once after NewSite to replay the log's
+	// snapshot and WAL tail (commits block until then), then MarkReady on
+	// the log after the first fairshare refresh.
 	Durable *durability.Log
 }
 
@@ -126,22 +125,13 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 
 	p := pds.New(cfg.Policy, cfg.PolicyFetcher)
 	if d := cfg.Durable; d != nil {
-		// Adopt the durably stored policy before installing the change
-		// hook, so the adoption itself is not re-committed. The config
-		// policy only seeds a site with no durable policy history.
-		if st := d.Recovered(); st != nil && len(st.Policy) > 0 {
-			t, err := policy.FromJSON(st.Policy)
-			if err != nil {
-				return nil, fmt.Errorf("core: recovered policy: %w", err)
-			}
-			if err := p.SetPolicy(t); err != nil {
-				return nil, fmt.Errorf("core: recovered policy: %w", err)
-			}
-		}
+		// The config policy only seeds a site with no durable policy
+		// history: Recover replays the stored one over it.
 		p.OnChange(func(t *policy.Tree) {
 			if d.Replaying() {
-				// This SetPolicy IS a replayed WAL record; re-committing
-				// it would deadlock on the commit lock Replay holds.
+				// This SetPolicy IS a replayed snapshot frame or WAL
+				// record; re-committing it would deadlock on the commit
+				// lock Replay holds.
 				return
 			}
 			data, err := policy.ToJSON(t)
@@ -200,11 +190,11 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 	return &Site{Name: cfg.Name, PDS: p, USS: u, UMS: m, FCS: f, IRS: i, Lib: lib, Durable: cfg.Durable}, nil
 }
 
-// Recover replays the durable log's WAL tail into the site's services —
-// usage mutations through the USS, policy edits through the PDS — in the
-// exact order they were committed before the crash. Until it returns, new
-// commits block and exchange serving answers from the frozen pre-crash
-// snapshot. No-op without durability.
+// Recover replays the durable log — the snapshot's frames, then the WAL
+// tail — into the site's services, usage mutations through the USS and
+// policies through the PDS, in the exact order they were committed before
+// the crash. Until it returns, new commits block and exchange serving
+// answers from the frozen pre-crash snapshot. No-op without durability.
 func (s *Site) Recover() error {
 	if s.Durable == nil {
 		return nil

@@ -90,9 +90,9 @@ func BenchmarkWALCommitBatch(b *testing.B) {
 }
 
 // BenchmarkSnapshotWrite measures compacting a 100k-record state into a
-// snapshot file.
+// snapshot file: one local-set frame.
 func BenchmarkSnapshotWrite(b *testing.B) {
-	st := &SnapshotState{BinWidth: time.Hour, Site: "bench"}
+	st := &SnapshotState{}
 	for i := 0; i < 100000; i++ {
 		st.Local = append(st.Local, usage.Record{
 			User:          fmt.Sprintf("user%06d", i),

@@ -1,7 +1,8 @@
 // Package durability makes a site's usage state survive process death: a
 // write-ahead log of usage mutations with group commit at batch-ingest
-// boundaries, periodic compacted snapshots of the striped histograms, and
-// crash-recovery replay that reproduces the pre-crash state bitwise.
+// boundaries, periodic compacted snapshots written as runs of the same
+// frames, and crash-recovery replay that reproduces the pre-crash state
+// bitwise.
 //
 // The log is pure WAL machinery — it owns no histograms. Callers pass an
 // apply closure to Commit; the log serializes append → fsync → apply under
@@ -11,22 +12,27 @@
 // only way recovered totals match a never-crashed twin down to the last
 // ulp.
 //
-// Lifecycle: Open loads the newest snapshot and scans the WAL tail into a
-// pending list (the log starts in the recovering state; commits block until
-// replay finishes). Replay applies the pending mutations in order through a
-// caller-supplied applier and unblocks commits. MarkReady is flipped by the
+// Lifecycle: Open reads the newest snapshot's frames and then the WAL tail
+// into one pending list (the log starts in the recovering state; commits
+// block until replay finishes). Replay applies the pending mutations in
+// order through a caller-supplied applier and unblocks commits: snapshot and
+// tail take the same path from disk to memory. MarkReady is flipped by the
 // owner after the first post-replay fairshare publish — /readyz serves
 // "recovering" until then. While recovering, FrozenRecordsSince serves the
-// snapshot's local records lock-free so peers pulling mid-replay see the
+// snapshot's local image lock-free so peers pulling mid-replay see the
 // pre-crash watermark, never a half-replayed histogram.
+//
+// A failed append or fsync poisons the log: the segment is cut back to the
+// last acknowledged frame and every later Commit and Snapshot is refused
+// with ErrLogFailed. Nothing retries — after a failed fsync the page cache
+// cannot be trusted — so the process must restart, and Open then recovers
+// exactly the acknowledged commits.
 package durability
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -88,11 +94,6 @@ type Stats struct {
 	Snapshots int64
 }
 
-// frozenState is the immutable pre-crash image served during replay.
-type frozenState struct {
-	recs []usage.Record // sorted by user then interval start
-}
-
 // Log is a site's durable usage-state log. Safe for concurrent use.
 type Log struct {
 	dir    string
@@ -105,6 +106,11 @@ type Log struct {
 
 	seg      *os.File
 	segIndex uint64
+	segSize  int64 // bytes of seg up to the end of the last acknowledged frame
+
+	// failed holds the sticky ErrLogFailed error once an append or fsync
+	// failed; read lock-free by /readyz.
+	failed atomic.Pointer[error]
 
 	// recoveringLk mirrors recoveringA under mu; the atomic exists so
 	// serving paths can check without touching the commit lock.
@@ -113,9 +119,10 @@ type Log struct {
 	replayingA   atomic.Bool
 	readyA       atomic.Bool
 
-	pending   []*usage.Mutation // WAL tail awaiting Replay
-	recovered *SnapshotState    // newest snapshot, nil once replayed
-	frozen    atomic.Pointer[frozenState]
+	pending []*usage.Mutation // snapshot frames then WAL tail, awaiting Replay
+	// frozen is the snapshot's local-set frame (an empty one without a
+	// snapshot), served while recovering; nil once replayed.
+	frozen atomic.Pointer[usage.Mutation]
 
 	replayDone  atomic.Int64
 	replayTotal int64
@@ -142,15 +149,19 @@ type Log struct {
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("durability: log closed")
 
+// ErrLogFailed marks a log poisoned by a failed append or fsync. The error a
+// poisoned log returns wraps it and the cause.
+var ErrLogFailed = errors.New("durability: log failed")
+
 // errRecovering rejects snapshots taken before replay finished.
 var errRecovering = errors.New("durability: log is recovering; replay before snapshotting")
 
-// Open loads the durable state in dir: the newest snapshot plus the WAL
-// tail past it. The log comes up in the recovering state — the caller must
-// adopt Recovered() into its in-memory state, then drain the tail with
-// Replay before any Commit proceeds. A torn final record (crash mid-append)
-// is truncated away silently; CRC mismatches and structural damage anywhere
-// else fail loudly with the file and offset.
+// Open loads the durable state in dir: the newest snapshot's frames, then
+// the WAL tail past it. The log comes up in the recovering state — the
+// caller drains both with Replay before any Commit proceeds. A torn final
+// record (crash mid-append) is truncated away silently; CRC mismatches and
+// structural damage anywhere else, the snapshot included, fail loudly with
+// the file and offset.
 func Open(opts Options) (*Log, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("durability: Options.Dir is required")
@@ -162,7 +173,7 @@ func Open(opts Options) (*Log, error) {
 		return nil, err
 	}
 
-	state, snapIdx, err := loadNewestSnapshot(opts.Dir)
+	snap, snapIdx, err := loadNewestSnapshot(opts.Dir)
 	if err != nil {
 		return nil, err
 	}
@@ -177,7 +188,7 @@ func Open(opts Options) (*Log, error) {
 			segs = append(segs, idx)
 		}
 	}
-	if state != nil && (len(segs) == 0 || segs[0] != snapIdx) {
+	if snap != nil && (len(segs) == 0 || segs[0] != snapIdx) {
 		return nil, fmt.Errorf("durability: snapshot %s exists but WAL segment %s is missing",
 			snapshotName(snapIdx), segmentName(snapIdx))
 	}
@@ -188,8 +199,15 @@ func Open(opts Options) (*Log, error) {
 		}
 	}
 
-	d := &Log{dir: opts.Dir, sync: opts.Sync, spans: opts.Spans, recovered: state}
+	d := &Log{dir: opts.Dir, sync: opts.Sync, spans: opts.Spans, pending: snap}
 	d.cond = sync.NewCond(&d.mu)
+	frozen := &usage.Mutation{Kind: usage.MutLocalSet}
+	for _, m := range snap {
+		if m.Kind == usage.MutLocalSet {
+			frozen = m
+		}
+	}
+	d.frozen.Store(frozen)
 	d.registerMetrics(telemetry.OrDefault(opts.Metrics))
 
 	if len(segs) == 0 {
@@ -209,6 +227,7 @@ func Open(opts Options) (*Log, error) {
 			syncDir(opts.Dir)
 		}
 		d.seg = f
+		d.segSize = int64(len(walMagic))
 	} else {
 		for i, idx := range segs {
 			isLast := i == len(segs)-1
@@ -240,6 +259,7 @@ func Open(opts Options) (*Log, error) {
 			}
 			d.seg = f
 			d.segIndex = idx
+			d.segSize = keep
 		}
 	}
 
@@ -247,11 +267,6 @@ func Open(opts Options) (*Log, error) {
 	d.recoveringA.Store(true)
 	d.replayTotal = int64(len(d.pending))
 	d.mReplayGap.Set(float64(d.replayTotal))
-	fz := &frozenState{}
-	if state != nil {
-		fz.recs = state.Local
-	}
-	d.frozen.Store(fz)
 	return d, nil
 }
 
@@ -269,9 +284,9 @@ func (d *Log) registerMetrics(reg *telemetry.Registry) {
 	d.mSnaps = reg.Counter("aequus_durability_snapshots_total",
 		"Completed snapshot writes.")
 	d.mReplayed = reg.Counter("aequus_durability_replay_records_total",
-		"WAL records applied during crash-recovery replay.")
+		"Snapshot frames and WAL records applied during crash-recovery replay.")
 	d.mReplayGap = reg.Gauge("aequus_durability_replay_pending_records",
-		"WAL records still awaiting replay (0 once recovered).")
+		"Snapshot frames and WAL records still awaiting replay (0 once recovered).")
 }
 
 // Commit durably appends mut, then runs apply while still holding the
@@ -279,7 +294,8 @@ func (d *Log) registerMetrics(reg *telemetry.Registry) {
 // total order. Under SyncAlways this is the group-commit point: one fsync
 // per call, so a batch mutation costs one fsync regardless of its size.
 // Commits issued while the log is still recovering block until Replay
-// drains the tail.
+// drains the tail. A failed append or fsync poisons the log (see fail):
+// apply does not run, and neither does any later Commit's.
 func (d *Log) Commit(mut *usage.Mutation, apply func()) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -289,41 +305,64 @@ func (d *Log) Commit(mut *usage.Mutation, apply func()) error {
 	if d.closed {
 		return ErrClosed
 	}
-	// Encode straight into the reusable frame buffer — reserve the header,
-	// append the payload in place, backfill length and CRC. One sizing pass
-	// plus at most one allocation, instead of growth-doubling a multi-MB
-	// batch payload twice (encode, then frame copy).
+	if err := d.Failed(); err != nil {
+		return err
+	}
+	// One sizing pass plus at most one allocation, instead of growth-doubling
+	// a multi-MB batch payload.
 	if need := frameHeaderSize + mut.EncodedSize(); cap(d.buf) < need {
 		d.buf = make([]byte, 0, need)
 	}
-	d.buf = append(d.buf[:0], make([]byte, frameHeaderSize)...)
-	d.buf = mut.AppendBinary(d.buf)
-	payload := d.buf[frameHeaderSize:]
-	binary.LittleEndian.PutUint32(d.buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(d.buf[4:8], crc32.ChecksumIEEE(payload))
+	d.buf = appendFrame(d.buf[:0], mut)
 	if _, err := d.seg.Write(d.buf); err != nil {
-		return fmt.Errorf("durability: WAL append: %w", err)
+		return d.fail(fmt.Errorf("WAL append: %w", err))
 	}
-	d.appended.Add(int64(len(d.buf)))
-	d.records.Add(1)
-	d.mBytes.Add(float64(len(d.buf)))
-	d.mRecords.Inc()
 	if d.sync == SyncAlways {
 		t0 := time.Now()
 		if err := d.seg.Sync(); err != nil {
-			return fmt.Errorf("durability: WAL fsync: %w", err)
+			return d.fail(fmt.Errorf("WAL fsync: %w", err))
 		}
 		d.fsyncs.Add(1)
 		d.mFsyncSec.Observe(time.Since(t0).Seconds())
 	}
+	d.segSize += int64(len(d.buf))
+	d.appended.Add(int64(len(d.buf)))
+	d.records.Add(1)
+	d.mBytes.Add(float64(len(d.buf)))
+	d.mRecords.Inc()
 	if apply != nil {
 		apply()
 	}
 	return nil
 }
 
-// Replay drains the recovered WAL tail through apply, in commit order, then
-// unblocks commits. The commit lock is held for the whole replay, so no new
+// fail poisons the log after a failed append or fsync of the current
+// segment and returns the sticky error. The segment is cut back to the end
+// of the last acknowledged frame, so neither a torn frame nor one whose
+// commit was refused reaches the next Open; if that cut fails too, the log
+// is failed all the same and the error names both causes. Called with mu
+// held.
+func (d *Log) fail(cause error) error {
+	path := filepath.Join(d.dir, segmentName(d.segIndex))
+	err := fmt.Errorf("%w: %w", ErrLogFailed, cause)
+	if terr := os.Truncate(path, d.segSize); terr != nil {
+		err = fmt.Errorf("%w: %w; cutting %s back to %d bytes: %w", ErrLogFailed, cause, path, d.segSize, terr)
+	}
+	d.failed.Store(&err)
+	return err
+}
+
+// Failed returns the error that poisoned the log, or nil while it is
+// healthy.
+func (d *Log) Failed() error {
+	if p := d.failed.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Replay drains the pending mutations through apply — the snapshot's frames,
+// then the WAL tail in commit order — and unblocks commits. The commit lock is held for the whole replay, so no new
 // mutation interleaves with the tail — interleaving would put the rebuilt
 // state ahead of the WAL and break the next recovery. An apply error aborts
 // replay loudly and leaves the log recovering (commits stay blocked).
@@ -353,7 +392,6 @@ func (d *Log) Replay(apply func(*usage.Mutation) error) error {
 		d.mReplayGap.Set(float64(d.replayTotal - int64(i+1)))
 	}
 	d.pending = nil
-	d.recovered = nil
 	d.recoveringLk = false
 	d.recoveringA.Store(false)
 	d.frozen.Store(nil)
@@ -378,22 +416,14 @@ func (d *Log) Replaying() bool { return d.replayingA.Load() }
 // Ready reports whether MarkReady has been called.
 func (d *Log) Ready() bool { return d.readyA.Load() }
 
-// ReplayProgress returns how many of the recovered WAL-tail records have
-// been applied.
+// ReplayProgress returns how many of the pending mutations — the
+// snapshot's frames, then the WAL tail — have been applied.
 func (d *Log) ReplayProgress() (done, total int64) {
 	return d.replayDone.Load(), d.replayTotal
 }
 
-// Recovered returns the newest snapshot loaded by Open (nil when none
-// existed or once Replay completed). The caller adopts it into in-memory
-// state before calling Replay.
-func (d *Log) Recovered() *SnapshotState {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.recovered
-}
-
-// FrozenRecordsSince serves the pre-crash local records while the log is
+// FrozenRecordsSince serves the pre-crash local records — the ops of the
+// snapshot's local-set frame, still held for Replay — while the log is
 // recovering, filtered like Histogram.RecordsSince. The second result is
 // false once recovery has finished (callers fall through to the live
 // histogram). Lock-free: replay can grind through a long tail while peers
@@ -408,11 +438,9 @@ func (d *Log) FrozenRecordsSince(site string, t time.Time) ([]usage.Record, bool
 		return nil, false
 	}
 	var out []usage.Record
-	for _, r := range fz.recs {
-		if !r.IntervalStart.Before(t) {
-			rec := r
-			rec.Site = site
-			out = append(out, rec)
+	for _, op := range fz.Ops {
+		if start := time.Unix(op.Start, 0).UTC(); !start.Before(t) {
+			out = append(out, usage.Record{User: op.User, Site: site, IntervalStart: start, CoreSeconds: op.Value})
 		}
 	}
 	return out, true
@@ -424,7 +452,8 @@ func (d *Log) FrozenRecordsSince(site string, t time.Time) ([]usage.Record, bool
 // (Histogram.StripeRecords) so whole-histogram readers never stall behind
 // it. Serialization, the file write, and pruning all happen off the commit
 // lock. After the snapshot is durable, segments and snapshots it supersedes
-// are pruned.
+// are pruned. A failed log is refused: its state in memory is no longer
+// what its WAL says.
 func (d *Log) Snapshot(capture func() (*SnapshotState, error)) error {
 	d.snapMu.Lock()
 	defer d.snapMu.Unlock()
@@ -442,6 +471,11 @@ func (d *Log) Snapshot(capture func() (*SnapshotState, error)) error {
 		d.mu.Unlock()
 		sp.SetErr(errRecovering)
 		return errRecovering
+	}
+	if err := d.Failed(); err != nil {
+		d.mu.Unlock()
+		sp.SetErr(err)
+		return err
 	}
 	// Rotate: the snapshot will cover everything up to and including the
 	// current segment, so the new segment starts the uncovered tail.
@@ -477,6 +511,7 @@ func (d *Log) Snapshot(capture func() (*SnapshotState, error)) error {
 	}
 	d.seg = f
 	d.segIndex = newIdx
+	d.segSize = int64(len(walMagic))
 	state, err := capture()
 	d.mu.Unlock()
 	if err != nil {
@@ -485,8 +520,8 @@ func (d *Log) Snapshot(capture func() (*SnapshotState, error)) error {
 		return fmt.Errorf("durability: snapshot capture: %w", err)
 	}
 
-	data := encodeSnapshot(state)
-	if _, err := writeSnapshotFile(d.dir, newIdx, data); err != nil {
+	size, err := writeSnapshot(d.dir, newIdx, state)
+	if err != nil {
 		sp.SetErr(err)
 		return fmt.Errorf("durability: snapshot write: %w", err)
 	}
@@ -494,7 +529,7 @@ func (d *Log) Snapshot(capture func() (*SnapshotState, error)) error {
 	d.snapshots.Add(1)
 	d.mSnaps.Inc()
 	d.mSnapSec.Observe(time.Since(t0).Seconds())
-	sp.SetAttrInt("bytes", int64(len(data)))
+	sp.SetAttrInt("bytes", int64(size))
 	sp.SetAttrInt("segment", int64(newIdx))
 	return nil
 }

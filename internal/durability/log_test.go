@@ -1,85 +1,241 @@
 package durability
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/telemetry"
 	"repro/internal/usage"
 )
+
+// awkward are float64 values a snapshot must keep to the bit.
+var awkward = []float64{0, math.Copysign(0, -1), math.MaxFloat64, -math.MaxFloat64,
+	math.SmallestNonzeroFloat64, math.Float64frombits(0x000fffffffffffff), 1.0 / 3.0, 0.1 + 0.2}
 
 func randState(rng *rand.Rand) *SnapshotState {
 	mkRecs := func(site string, n int) []usage.Record {
 		recs := make([]usage.Record, n)
 		for i := range recs {
+			v := rng.NormFloat64() * 1e6
+			if rng.Intn(3) == 0 {
+				v = awkward[rng.Intn(len(awkward))]
+			}
 			recs[i] = usage.Record{
 				User:          "u" + string(rune('a'+rng.Intn(26))),
 				Site:          site,
 				IntervalStart: time.Unix(int64(rng.Intn(1<<20))*3600, 0).UTC(),
-				CoreSeconds:   rng.NormFloat64() * 1e6,
+				CoreSeconds:   v,
 			}
 		}
 		return recs
 	}
 	st := &SnapshotState{
-		BinWidth: time.Duration(1+rng.Intn(48)) * time.Hour,
-		Site:     "self",
-		Local:    mkRecs("self", rng.Intn(50)),
-		Remote:   map[string][]usage.Record{},
-		Watermark: map[string]time.Time{
-			"p1": time.Unix(0, rng.Int63()).UTC(),
-		},
+		Local:     mkRecs("self", rng.Intn(50)),
+		Remote:    map[string][]usage.Record{},
+		Watermark: map[string]time.Time{},
 	}
 	if rng.Intn(2) == 0 {
 		st.Policy = []byte(`{"root":{}}`)
 	}
 	for i := 0; i < rng.Intn(4); i++ {
 		peer := "peer" + string(rune('0'+i))
-		st.Remote[peer] = mkRecs(peer, rng.Intn(30))
+		st.Remote[peer] = mkRecs(peer, rng.Intn(30)) // sometimes an empty mirror
 		st.Watermark[peer] = time.Unix(0, rng.Int63()).UTC()
 	}
 	return st
 }
 
-// TestSnapshotEncodeDecodeRoundTrip: random states survive the binary
-// encoding bit-exactly (reflect.DeepEqual covers the float64 values since
-// the generator never produces NaN).
+// snapshotAndReopen snapshots st into a fresh log, closes it, reopens the
+// directory and returns the reopened log, still recovering, and its path.
+func snapshotAndReopen(t *testing.T, st *SnapshotState) (*Log, string) {
+	t.Helper()
+	dir := t.TempDir()
+	d := openTest(t, dir, SyncNone)
+	replayAll(t, d)
+	if err := d.Snapshot(func() (*SnapshotState, error) { return st, nil }); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return openTest(t, dir, SyncNone), dir
+}
+
+// stateOf rebuilds, from Mutation fields alone, the state a snapshot's
+// replayed frames carry.
+func stateOf(t *testing.T, muts []*usage.Mutation) *SnapshotState {
+	t.Helper()
+	st := &SnapshotState{Remote: map[string][]usage.Record{}, Watermark: map[string]time.Time{}}
+	for i, m := range muts {
+		switch m.Kind {
+		case usage.MutPolicy:
+			st.Policy = m.Blob
+		case usage.MutLocalSet:
+			st.Local = m.Records("")
+		case usage.MutRemoteSet:
+			st.Remote[m.Site] = m.Records(m.Site)
+			st.Watermark[m.Site] = time.Unix(0, m.Watermark).UTC()
+		default:
+			t.Fatalf("snapshot frame %d has kind %d", i, m.Kind)
+		}
+	}
+	return st
+}
+
+// statesEqual fails unless two images agree on the policy bytes, every bin
+// (user, start and Float64bits), every mirror and every watermark.
+func statesEqual(t *testing.T, label string, want, got *SnapshotState) {
+	t.Helper()
+	same := func(what string, a, b []usage.Record) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %s has %d records, want %d", label, what, len(b), len(a))
+		}
+		for i := range a {
+			if a[i].User != b[i].User || !a[i].IntervalStart.Equal(b[i].IntervalStart) ||
+				math.Float64bits(a[i].CoreSeconds) != math.Float64bits(b[i].CoreSeconds) {
+				t.Fatalf("%s: %s record %d is %+v, want %+v", label, what, i, b[i], a[i])
+			}
+		}
+	}
+	if string(want.Policy) != string(got.Policy) {
+		t.Fatalf("%s: policy %q, want %q", label, got.Policy, want.Policy)
+	}
+	same("local", want.Local, got.Local)
+	if len(got.Remote) != len(want.Remote) || len(got.Watermark) != len(want.Watermark) {
+		t.Fatalf("%s: %d mirrors and %d watermarks, want %d and %d", label,
+			len(got.Remote), len(got.Watermark), len(want.Remote), len(want.Watermark))
+	}
+	for peer, recs := range want.Remote {
+		same("mirror of "+peer, recs, got.Remote[peer])
+		if !got.Watermark[peer].Equal(want.Watermark[peer]) {
+			t.Fatalf("%s: watermark of %s is %v, want %v", label, peer, got.Watermark[peer], want.Watermark[peer])
+		}
+	}
+}
+
+// TestSnapshotEncodeDecodeRoundTrip: random states — awkward floats, empty
+// mirrors, with and without a policy — come back from Snapshot → Open →
+// Replay bit for bit, as a policy frame when there is a policy, one local
+// set announcing the peer frames, and one remote set per peer in site order.
 func TestSnapshotEncodeDecodeRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 50; i++ {
 		st := randState(rng)
-		dec, err := decodeSnapshot(encodeSnapshot(st))
-		if err != nil {
-			t.Fatalf("state %d: decode: %v", i, err)
+		d, _ := snapshotAndReopen(t, st)
+		got := replayAll(t, d)
+		statesEqual(t, fmt.Sprintf("state %d", i), st, stateOf(t, got))
+		kinds := []usage.MutationKind{}
+		if st.Policy != nil {
+			kinds = append(kinds, usage.MutPolicy)
 		}
-		if !reflect.DeepEqual(st, dec) {
-			t.Fatalf("state %d: round trip differs:\n got %+v\nwant %+v", i, dec, st)
+		kinds = append(kinds, usage.MutLocalSet)
+		for range st.Remote {
+			kinds = append(kinds, usage.MutRemoteSet)
 		}
+		if len(got) != len(kinds) {
+			t.Fatalf("state %d: %d frames, want %d", i, len(got), len(kinds))
+		}
+		for k, m := range got {
+			if m.Kind != kinds[k] {
+				t.Fatalf("state %d: frame %d has kind %d, want %d", i, k, m.Kind, kinds[k])
+			}
+			if m.Kind == usage.MutLocalSet && m.Watermark != int64(len(st.Remote)) {
+				t.Fatalf("state %d: local set announces %d frames, want %d", i, m.Watermark, len(st.Remote))
+			}
+			if k > 0 && m.Kind == usage.MutRemoteSet && got[k-1].Kind == usage.MutRemoteSet && got[k-1].Site >= m.Site {
+				t.Fatalf("state %d: peer frames out of order: %q then %q", i, got[k-1].Site, m.Site)
+			}
+		}
+		d.Close()
 	}
 }
 
+// TestSnapshotDecodeRejectsDamage: a snapshot cut at any byte offset — a
+// frame boundary included — or with any one bit flipped fails Open with a
+// *CorruptionError naming the snapshot; no prefix of it is ever loaded.
 func TestSnapshotDecodeRejectsDamage(t *testing.T) {
-	st := randState(rand.New(rand.NewSource(4)))
-	enc := encodeSnapshot(st)
-	for _, cut := range []int{0, 4, len(enc) / 2, len(enc) - 1} {
-		if _, err := decodeSnapshot(enc[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
+	st := &SnapshotState{
+		Policy: []byte(`{"root":{}}`),
+		Local: []usage.Record{
+			{User: "alice", IntervalStart: time.Unix(3600, 0).UTC(), CoreSeconds: 1.0 / 3.0},
+			{User: "bob", IntervalStart: time.Unix(7200, 0).UTC(), CoreSeconds: 7200},
+		},
+		Remote: map[string][]usage.Record{
+			"p1": {{User: "carol", Site: "p1", IntervalStart: time.Unix(3600, 0).UTC(), CoreSeconds: 60}},
+			"p2": nil,
+		},
+		Watermark: map[string]time.Time{"p1": time.Unix(3600, 0).UTC(), "p2": time.Unix(7200, 0).UTC()},
+	}
+	d, master := snapshotAndReopen(t, st)
+	d.Close()
+	snap, err := os.ReadFile(filepath.Join(master, snapshotName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := os.ReadFile(filepath.Join(master, segmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(label string, data []byte) {
+		t.Helper()
+		dir := t.TempDir()
+		path := filepath.Join(dir, snapshotName(1))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, segmentName(1)), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		d, err := Open(Options{Dir: dir, Metrics: telemetry.NewRegistry()})
+		var ce *CorruptionError
+		if !errors.As(err, &ce) || ce.Path != path {
+			if d != nil {
+				d.Close()
+			}
+			t.Fatalf("%s: Open = %v, want a CorruptionError naming %s", label, err, path)
 		}
 	}
-	bad := append([]byte(nil), enc...)
-	bad[len(bad)/2] ^= 0xFF
-	if _, err := decodeSnapshot(bad); err == nil {
-		t.Fatal("bit flip accepted")
+	for cut := 0; cut < len(snap); cut++ {
+		refused(fmt.Sprintf("cut at %d of %d", cut, len(snap)), snap[:cut])
+	}
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 200; trial++ {
+		bad := append([]byte(nil), snap...)
+		pos := rng.Intn(len(bad))
+		bad[pos] ^= 1 << rng.Intn(8)
+		refused(fmt.Sprintf("bit flip at %d", pos), bad)
 	}
 }
 
-// TestSnapshotCompactsAndPrunes: after a snapshot, recovery starts from the
-// snapshot image plus only the post-rotation WAL tail, and superseded
-// segments/snapshots are removed from disk.
+// TestSnapshotRetiredFormatRefused: a snapshot in the format that predates
+// WAL-framed snapshots is refused by name, not read as damage or skipped.
+func TestSnapshotRetiredFormatRefused(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapshotName(1)), []byte(retiredSnapMagic+"\x01\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := createSegment(filepath.Join(dir, segmentName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	_, err = Open(Options{Dir: dir, Metrics: telemetry.NewRegistry()})
+	if err == nil || !strings.Contains(err.Error(), "retired AEQSNAP1 format") {
+		t.Fatalf("Open on an AEQSNAP1 snapshot = %v, want it refused as the retired format", err)
+	}
+}
+
+// TestSnapshotCompactsAndPrunes: after a snapshot, recovery replays the
+// snapshot's frames and then only the post-rotation WAL tail, and
+// superseded segments/snapshots are removed from disk.
 func TestSnapshotCompactsAndPrunes(t *testing.T) {
 	dir := t.TempDir()
 	d := openTest(t, dir, SyncAlways)
@@ -87,8 +243,6 @@ func TestSnapshotCompactsAndPrunes(t *testing.T) {
 	commitN(t, d, 10, 0)
 
 	captured := &SnapshotState{
-		BinWidth: time.Hour,
-		Site:     "s00",
 		Local: []usage.Record{{
 			User: "alice", Site: "s00",
 			IntervalStart: time.Unix(3600, 0).UTC(),
@@ -116,15 +270,15 @@ func TestSnapshotCompactsAndPrunes(t *testing.T) {
 	}
 
 	d2 := openTest(t, dir, SyncAlways)
-	if got := d2.Recovered(); got == nil || !reflect.DeepEqual(got, captured) {
-		t.Fatalf("recovered state differs: %+v", got)
-	}
 	got := replayAll(t, d2)
-	if len(got) != 3 {
-		t.Fatalf("replayed %d tail records, want 3 (post-snapshot only)", len(got))
+	if len(got) != 1+3 {
+		t.Fatalf("replayed %d mutations, want the snapshot's local set and 3 tail records", len(got))
 	}
-	if !mutationsEqual(got[0], testMutation(200)) {
-		t.Fatal("tail does not start at the post-snapshot commit")
+	statesEqual(t, "recovered snapshot", captured, stateOf(t, got[:1]))
+	for i, m := range got[1:] {
+		if !mutationsEqual(m, testMutation(200+i)) {
+			t.Fatalf("tail record %d is not the post-snapshot commit %d", i, 200+i)
+		}
 	}
 }
 
@@ -161,15 +315,14 @@ func TestCommitBlocksUntilReplay(t *testing.T) {
 }
 
 // TestFrozenRecordsServedDuringRecovery: between Open and the end of
-// Replay, FrozenRecordsSince serves the snapshot's local records; after
-// replay it defers to the live path.
+// Replay — while the snapshot's local-set frame is applied too —
+// FrozenRecordsSince answers from that frame; after replay it defers to the
+// live path.
 func TestFrozenRecordsServedDuringRecovery(t *testing.T) {
 	dir := t.TempDir()
 	d := openTest(t, dir, SyncAlways)
 	replayAll(t, d)
 	st := &SnapshotState{
-		BinWidth: time.Hour,
-		Site:     "s00",
 		Local: []usage.Record{
 			{User: "a", Site: "s00", IntervalStart: time.Unix(3600, 0).UTC(), CoreSeconds: 1},
 			{User: "a", Site: "s00", IntervalStart: time.Unix(7200, 0).UTC(), CoreSeconds: 2},
@@ -192,12 +345,19 @@ func TestFrozenRecordsServedDuringRecovery(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("frozen since filter returned %d records, want 2", len(recs))
 	}
-	for _, r := range recs {
-		if r.IntervalStart.Before(time.Unix(7200, 0)) {
-			t.Fatalf("frozen record before the since bound: %+v", r)
+	for i, r := range recs {
+		if w := st.Local[1+i]; r != w {
+			t.Fatalf("frozen record %d is %+v, want %+v", i, r, w)
 		}
 	}
-	replayAll(t, d2)
+	if err := d2.Replay(func(m *usage.Mutation) error {
+		if recs, ok := d2.FrozenRecordsSince("s00", time.Time{}); !ok || len(recs) != len(st.Local) {
+			t.Errorf("mid-replay frozen serving: %d records, %v", len(recs), ok)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := d2.FrozenRecordsSince("s00", time.Time{}); ok {
 		t.Fatal("frozen serving still active after replay")
 	}
@@ -258,6 +418,9 @@ func TestReadyLifecycle(t *testing.T) {
 	}
 }
 
+// TestReplayProgress: progress counts every pending mutation, the
+// snapshot's frames (a policy, the local set, one per peer) as well as the
+// WAL tail, and advances after each apply.
 func TestReplayProgress(t *testing.T) {
 	dir := t.TempDir()
 	d := openTest(t, dir, SyncNone)
@@ -265,22 +428,34 @@ func TestReplayProgress(t *testing.T) {
 	commitN(t, d, 7, 0)
 	d.Close()
 
-	d2 := openTest(t, dir, SyncNone)
-	if done, total := d2.ReplayProgress(); done != 0 || total != 7 {
-		t.Fatalf("pre-replay progress %d/%d, want 0/7", done, total)
-	}
-	seen := 0
-	if err := d2.Replay(func(m *usage.Mutation) error {
-		seen++
-		if done, _ := d2.ReplayProgress(); done != int64(seen-1) {
-			t.Fatalf("progress %d while applying record %d", done, seen)
+	for _, want := range []int64{7, 1 + 1 + 2 + 3} {
+		d2 := openTest(t, dir, SyncNone)
+		if done, total := d2.ReplayProgress(); done != 0 || total != want {
+			t.Fatalf("pre-replay progress %d/%d, want 0/%d", done, total, want)
 		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if done, total := d2.ReplayProgress(); done != 7 || total != 7 {
-		t.Fatalf("post-replay progress %d/%d, want 7/7", done, total)
+		seen := 0
+		if err := d2.Replay(func(m *usage.Mutation) error {
+			seen++
+			if done, _ := d2.ReplayProgress(); done != int64(seen-1) {
+				t.Fatalf("progress %d while applying record %d", done, seen)
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if done, total := d2.ReplayProgress(); done != want || total != want {
+			t.Fatalf("post-replay progress %d/%d, want %d/%d", done, total, want, want)
+		}
+		// The second pass recovers a snapshot with a policy and two peers
+		// plus three tail records.
+		if err := d2.Snapshot(func() (*SnapshotState, error) {
+			return &SnapshotState{Policy: []byte(`{}`), Remote: map[string][]usage.Record{"p1": nil, "p2": nil},
+				Watermark: map[string]time.Time{"p1": time.Unix(1, 0), "p2": time.Unix(2, 0)}}, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		commitN(t, d2, 3, 0)
+		d2.Close()
 	}
 }
 
@@ -292,7 +467,7 @@ func TestSnapshotWhileRecoveringRefused(t *testing.T) {
 	d.Close()
 	d2 := openTest(t, dir, SyncNone)
 	err := d2.Snapshot(func() (*SnapshotState, error) {
-		return &SnapshotState{BinWidth: time.Hour}, nil
+		return &SnapshotState{}, nil
 	})
 	if err == nil {
 		t.Fatal("snapshot accepted while recovering")
@@ -311,25 +486,24 @@ func TestParseSyncPolicy(t *testing.T) {
 	}
 }
 
-// TestFloatFidelityThroughSnapshot: awkward float64 values survive the
-// snapshot encoding bit-for-bit.
+// TestFloatFidelityThroughSnapshot: awkward float64 values — in the local
+// image and in a mirror — survive Snapshot → Open → Replay bit for bit; a
+// site without a policy writes no policy frame, and a peer whose mirror is
+// empty keeps its frame and its watermark.
 func TestFloatFidelityThroughSnapshot(t *testing.T) {
-	vals := []float64{0, math.Copysign(0, -1), math.MaxFloat64, math.SmallestNonzeroFloat64, 1.0 / 3.0, 0.1 + 0.2}
-	st := &SnapshotState{BinWidth: time.Hour, Site: "s", Remote: map[string][]usage.Record{}, Watermark: map[string]time.Time{}}
-	for i, v := range vals {
-		st.Local = append(st.Local, usage.Record{
-			User: "u", Site: "s",
-			IntervalStart: time.Unix(int64(i)*3600, 0).UTC(),
-			CoreSeconds:   v,
-		})
+	st := &SnapshotState{
+		Remote:    map[string][]usage.Record{"empty": nil},
+		Watermark: map[string]time.Time{"empty": time.Unix(7200, 0).UTC(), "p": time.Unix(0, 1).UTC()},
 	}
-	dec, err := decodeSnapshot(encodeSnapshot(st))
-	if err != nil {
-		t.Fatal(err)
+	for i, v := range awkward {
+		rec := usage.Record{User: "u", IntervalStart: time.Unix(int64(i)*3600, 0).UTC(), CoreSeconds: v}
+		st.Local = append(st.Local, rec)
+		st.Remote["p"] = append(st.Remote["p"], rec)
 	}
-	for i := range vals {
-		if math.Float64bits(dec.Local[i].CoreSeconds) != math.Float64bits(vals[i]) {
-			t.Fatalf("value %d (%g) lost bits", i, vals[i])
-		}
+	d, _ := snapshotAndReopen(t, st)
+	got := replayAll(t, d)
+	if len(got) != 3 || got[0].Kind != usage.MutLocalSet {
+		t.Fatalf("%d frames starting with kind %d, want the local set and two peers", len(got), got[0].Kind)
 	}
+	statesEqual(t, "awkward floats", st, stateOf(t, got))
 }

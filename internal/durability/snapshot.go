@@ -1,34 +1,28 @@
 package durability
 
-// Snapshot file format. A snapshot is a compacted image of a site's entire
-// durable usage state — local histogram bins, per-peer remote bins,
-// exchange watermarks, and the policy JSON — captured at a WAL segment
-// boundary. The file is named with the index of the first segment NOT
-// covered by it: recovery loads the newest snapshot snap-M and replays
-// segments >= M.
+// Snapshot files. A snapshot is a compacted image of a site's entire
+// durable usage state — local histogram bins, per-peer remote bins and
+// watermarks, and the policy JSON — captured at a WAL segment boundary. The
+// file is named with the index of the first segment NOT covered by it:
+// recovery loads the newest snapshot snap-M and replays segments >= M.
 //
-//	"AEQSNAP1" [payload] [u32le crc32(IEEE, payload)]
+// A snapshot is a WAL segment (wal.go): the AEQWAL01 magic, then one frame
+// per usage.Mutation, in the order recovery applies them —
 //
-// payload:
-//	[version=1]
-//	[varint binWidth ns]
-//	[uvarint len(policy)][policy JSON]
-//	[uvarint len(site)][site]          own site name
-//	[record block]                     local bins
-//	[uvarint nPeers]{[string peer][record block]}
-//	[uvarint nWatermarks]{[string peer][varint unix nanos]}
+//	MutPolicy     the policy JSON (absent when there is none)
+//	MutLocalSet   the local bins as absolute values; its Watermark counts
+//	              the frames that follow
+//	MutRemoteSet  one per peer, in site-name order: its bins and watermark
 //
-// record block: [uvarint n]{[string user][varint start unix secs][u64le float bits]}
-//
-// Bin values are stored as raw float64 bits, so a restore is bitwise exact.
-// Snapshots are written to a .tmp file, fsynced, then renamed — a crash
-// mid-write leaves only the previous snapshot visible.
+// Open queues these frames ahead of the WAL tail, so snapshot and tail are
+// applied by one Replay through one applier. Unlike the newest segment a
+// snapshot has no legal torn tail — it is written to a .tmp file, fsynced,
+// then renamed — so a torn frame, a CRC mismatch, or a file that ends on a
+// frame boundary short of what its local set announces fails Open.
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,20 +33,15 @@ import (
 	"repro/internal/usage"
 )
 
-const (
-	snapMagic   = "AEQSNAP1"
-	snapVersion = 1
-)
+// retiredSnapMagic opened every snapshot before snapshots were WAL frames.
+// Such a file is refused by name; nothing converts it.
+const retiredSnapMagic = "AEQSNAP1"
 
-// SnapshotState is the decoded durable image of a site's usage state.
+// SnapshotState is the durable image of a site's usage state.
 type SnapshotState struct {
-	// BinWidth is the histogram interval width the records were binned at.
-	BinWidth time.Duration
 	// Policy is the policy-tree JSON at capture time (nil when the site
-	// had no durable policy edit yet).
+	// has none to keep).
 	Policy []byte
-	// Site is the owning site's name (stamped on Local records).
-	Site string
 	// Local holds the site's own histogram bins, sorted by user then
 	// interval start.
 	Local []usage.Record
@@ -60,6 +49,25 @@ type SnapshotState struct {
 	Remote map[string][]usage.Record
 	// Watermark holds the newest interval start pulled from each peer.
 	Watermark map[string]time.Time
+}
+
+// mutations returns the snapshot's frames in apply order.
+func (st *SnapshotState) mutations() []*usage.Mutation {
+	peers := make([]string, 0, len(st.Remote))
+	for p := range st.Remote {
+		peers = append(peers, p)
+	}
+	sort.Strings(peers)
+	var out []*usage.Mutation
+	if len(st.Policy) > 0 {
+		out = append(out, &usage.Mutation{Kind: usage.MutPolicy, Blob: st.Policy})
+	}
+	out = append(out, &usage.Mutation{Kind: usage.MutLocalSet, Ops: usage.BinOps(st.Local), Watermark: int64(len(peers))})
+	for _, p := range peers {
+		out = append(out, &usage.Mutation{Kind: usage.MutRemoteSet, Site: p,
+			Ops: usage.BinOps(st.Remote[p]), Watermark: st.Watermark[p].UnixNano()})
+	}
+	return out
 }
 
 func snapshotName(idx uint64) string {
@@ -81,189 +89,49 @@ func parseSnapshotName(name string) (uint64, bool) {
 	return n, true
 }
 
-func appendRecordBlock(dst []byte, recs []usage.Record) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(recs)))
-	for _, r := range recs {
-		dst = appendSnapString(dst, r.User)
-		dst = binary.AppendVarint(dst, r.IntervalStart.Unix())
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.CoreSeconds))
+// writeSnapshot atomically publishes st as the snapshot for segment index
+// idx — write to a .tmp sibling, fsync, rename, fsync the directory — and
+// returns the file's size.
+func writeSnapshot(dir string, idx uint64, st *SnapshotState) (int, error) {
+	muts := st.mutations()
+	size := len(walMagic)
+	for _, m := range muts {
+		size += frameHeaderSize + m.EncodedSize()
 	}
-	return dst
-}
-
-func readRecordBlock(b []byte, site string) ([]usage.Record, []byte, error) {
-	n, b, err := readSnapUvarint(b)
-	if err != nil {
-		return nil, nil, err
+	data := append(make([]byte, 0, size), walMagic...)
+	for _, m := range muts {
+		data = appendFrame(data, m)
 	}
-	if n > uint64(len(b)) { // each record is >= 10 bytes
-		return nil, nil, fmt.Errorf("record block claims %d records in %d bytes", n, len(b))
-	}
-	recs := make([]usage.Record, n)
-	for i := range recs {
-		var user string
-		if user, b, err = readSnapString(b); err != nil {
-			return nil, nil, err
-		}
-		var start int64
-		if start, b, err = readSnapVarint(b); err != nil {
-			return nil, nil, err
-		}
-		if len(b) < 8 {
-			return nil, nil, fmt.Errorf("truncated record value")
-		}
-		recs[i] = usage.Record{
-			User:          user,
-			Site:          site,
-			IntervalStart: time.Unix(start, 0).UTC(),
-			CoreSeconds:   math.Float64frombits(binary.LittleEndian.Uint64(b)),
-		}
-		b = b[8:]
-	}
-	return recs, b, nil
-}
-
-// encodeSnapshot serializes state, magic and CRC trailer included.
-func encodeSnapshot(state *SnapshotState) []byte {
-	payload := []byte{snapVersion}
-	payload = binary.AppendVarint(payload, int64(state.BinWidth))
-	payload = appendSnapString(payload, string(state.Policy))
-	payload = appendSnapString(payload, state.Site)
-	payload = appendRecordBlock(payload, state.Local)
-
-	peers := make([]string, 0, len(state.Remote))
-	for p := range state.Remote {
-		peers = append(peers, p)
-	}
-	sort.Strings(peers)
-	payload = binary.AppendUvarint(payload, uint64(len(peers)))
-	for _, p := range peers {
-		payload = appendSnapString(payload, p)
-		payload = appendRecordBlock(payload, state.Remote[p])
-	}
-
-	wms := make([]string, 0, len(state.Watermark))
-	for p := range state.Watermark {
-		wms = append(wms, p)
-	}
-	sort.Strings(wms)
-	payload = binary.AppendUvarint(payload, uint64(len(wms)))
-	for _, p := range wms {
-		payload = appendSnapString(payload, p)
-		payload = binary.AppendVarint(payload, state.Watermark[p].UnixNano())
-	}
-
-	out := make([]byte, 0, len(snapMagic)+len(payload)+4)
-	out = append(out, snapMagic...)
-	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-}
-
-// decodeSnapshot parses a snapshot file image produced by encodeSnapshot.
-func decodeSnapshot(data []byte) (*SnapshotState, error) {
-	if len(data) < len(snapMagic)+1+4 || string(data[:len(snapMagic)]) != snapMagic {
-		return nil, fmt.Errorf("bad snapshot magic")
-	}
-	payload := data[len(snapMagic) : len(data)-4]
-	sum := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, fmt.Errorf("snapshot CRC mismatch")
-	}
-	if payload[0] != snapVersion {
-		return nil, fmt.Errorf("unsupported snapshot version %d", payload[0])
-	}
-	b := payload[1:]
-	st := &SnapshotState{}
-	var err error
-	var width int64
-	if width, b, err = readSnapVarint(b); err != nil {
-		return nil, err
-	}
-	st.BinWidth = time.Duration(width)
-	var pol string
-	if pol, b, err = readSnapString(b); err != nil {
-		return nil, err
-	}
-	if pol != "" {
-		st.Policy = []byte(pol)
-	}
-	if st.Site, b, err = readSnapString(b); err != nil {
-		return nil, err
-	}
-	if st.Local, b, err = readRecordBlock(b, st.Site); err != nil {
-		return nil, err
-	}
-	nPeers, b, err := readSnapUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	st.Remote = make(map[string][]usage.Record, nPeers)
-	for i := uint64(0); i < nPeers; i++ {
-		var peer string
-		if peer, b, err = readSnapString(b); err != nil {
-			return nil, err
-		}
-		if st.Remote[peer], b, err = readRecordBlock(b, peer); err != nil {
-			return nil, err
-		}
-	}
-	nWM, b, err := readSnapUvarint(b)
-	if err != nil {
-		return nil, err
-	}
-	st.Watermark = make(map[string]time.Time, nWM)
-	for i := uint64(0); i < nWM; i++ {
-		var peer string
-		if peer, b, err = readSnapString(b); err != nil {
-			return nil, err
-		}
-		var ns int64
-		if ns, b, err = readSnapVarint(b); err != nil {
-			return nil, err
-		}
-		st.Watermark[peer] = time.Unix(0, ns).UTC()
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after snapshot payload", len(b))
-	}
-	return st, nil
-}
-
-// writeSnapshotFile atomically publishes the encoded snapshot for segment
-// index idx: write to a .tmp sibling, fsync, rename, fsync the directory.
-func writeSnapshotFile(dir string, idx uint64, data []byte) (string, error) {
 	final := filepath.Join(dir, snapshotName(idx))
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
-		return "", err
+		return 0, err
 	}
 	if _, err := f.Write(data); err != nil {
 		f.Close()
-		return "", err
+		return 0, err
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		return "", err
+		return 0, err
 	}
 	if err := f.Close(); err != nil {
-		return "", err
+		return 0, err
 	}
 	if err := os.Rename(tmp, final); err != nil {
-		return "", err
+		return 0, err
 	}
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return final, nil
+	syncDir(dir)
+	return len(data), nil
 }
 
-// loadNewestSnapshot finds the highest-indexed snapshot in dir and decodes
-// it. A corrupt newest snapshot is a loud error, not a silent fallback — it
-// means durable state the operator believed existed cannot be trusted.
-// Returns (nil, 0, nil) when no snapshot exists.
-func loadNewestSnapshot(dir string) (*SnapshotState, uint64, error) {
+// loadNewestSnapshot reads the highest-indexed snapshot in dir and returns
+// its mutations in apply order, or none when no snapshot exists. A damaged
+// newest snapshot is a loud error, never a fallback to an older one or to
+// the frames before the damage — it means durable state the operator
+// believed existed cannot be trusted.
+func loadNewestSnapshot(dir string) ([]*usage.Mutation, uint64, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, 0, err
@@ -279,45 +147,29 @@ func loadNewestSnapshot(dir string) (*SnapshotState, uint64, error) {
 		return nil, 0, nil
 	}
 	path := filepath.Join(dir, snapshotName(best))
-	data, err := os.ReadFile(path)
+	var muts []*usage.Mutation
+	due := int64(-1) // frames the local set announces that are yet to come; -1 before it
+	end, err := scanSegment(path, false, func(payload []byte) error {
+		m, err := usage.DecodeMutation(payload)
+		if err != nil {
+			return err
+		}
+		if m.Kind == usage.MutLocalSet {
+			due = m.Watermark
+		} else if due >= 0 {
+			due--
+		}
+		muts = append(muts, m)
+		return nil
+	})
 	if err != nil {
+		if data, _ := os.ReadFile(path); bytes.HasPrefix(data, []byte(retiredSnapMagic)) {
+			return nil, 0, fmt.Errorf("durability: snapshot %s is in the retired %s format, which this build neither reads nor converts", path, retiredSnapMagic)
+		}
 		return nil, 0, err
 	}
-	st, err := decodeSnapshot(data)
-	if err != nil {
-		return nil, 0, fmt.Errorf("durability: snapshot %s: %w", path, err)
+	if due != 0 {
+		return nil, 0, &CorruptionError{Path: path, Offset: end, Reason: "snapshot ends without the frames its local set announces"}
 	}
-	return st, best, nil
-}
-
-func appendSnapString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-func readSnapString(b []byte) (string, []byte, error) {
-	n, rest, err := readSnapUvarint(b)
-	if err != nil {
-		return "", nil, err
-	}
-	if n > uint64(len(rest)) {
-		return "", nil, fmt.Errorf("truncated snapshot string (%d of %d bytes)", len(rest), n)
-	}
-	return string(rest[:n]), rest[n:], nil
-}
-
-func readSnapUvarint(b []byte) (uint64, []byte, error) {
-	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("truncated snapshot varint")
-	}
-	return v, b[n:], nil
-}
-
-func readSnapVarint(b []byte) (int64, []byte, error) {
-	v, n := binary.Varint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("truncated snapshot varint")
-	}
-	return v, b[n:], nil
+	return muts, best, nil
 }

@@ -10,7 +10,8 @@ package durability
 // complete record and carries on. Everything else is loud: a complete frame
 // whose CRC does not match its payload, a torn frame in a non-final segment
 // (segments are only rotated after the next one exists, so a short middle
-// segment means real corruption), or a bad magic.
+// segment means real corruption), or a bad magic. A snapshot is written in
+// the same format and read like a middle segment (snapshot.go).
 
 import (
 	"encoding/binary"
@@ -21,6 +22,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/usage"
 )
 
 const (
@@ -50,11 +53,18 @@ func parseSegmentName(name string) (uint64, bool) {
 	return n, true
 }
 
-// appendFrame appends one framed payload to dst.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+// appendFrame appends m to dst as one frame. The payload is encoded in place
+// behind a reserved header whose length and CRC are backfilled, so a
+// multi-MB mutation is not copied a second time; with dst's capacity
+// reserved up front (frameHeaderSize + m.EncodedSize()) nothing grows.
+func appendFrame(dst []byte, m *usage.Mutation) []byte {
+	at := len(dst)
+	dst = binary.LittleEndian.AppendUint64(dst, 0)
+	dst = m.AppendBinary(dst)
+	payload := dst[at+frameHeaderSize:]
+	binary.LittleEndian.PutUint32(dst[at:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(dst[at+4:], crc32.ChecksumIEEE(payload))
+	return dst
 }
 
 // createSegment creates a fresh segment file with the magic written and the
@@ -72,7 +82,8 @@ func createSegment(path string) (*os.File, error) {
 }
 
 // CorruptionError reports a CRC mismatch or structural damage at a specific
-// byte offset of a WAL segment — unrecoverable, and deliberately loud.
+// byte offset of a WAL segment or snapshot — unrecoverable, and deliberately
+// loud.
 type CorruptionError struct {
 	Path   string
 	Offset int64
@@ -80,7 +91,7 @@ type CorruptionError struct {
 }
 
 func (e *CorruptionError) Error() string {
-	return fmt.Sprintf("durability: corrupt WAL segment %s at offset %d: %s", e.Path, e.Offset, e.Reason)
+	return fmt.Sprintf("durability: corrupt %s at offset %d: %s", e.Path, e.Offset, e.Reason)
 }
 
 // scanSegment reads every complete frame of the segment at path, invoking fn
@@ -88,14 +99,14 @@ func (e *CorruptionError) Error() string {
 // (incomplete) tail frame is legal crash damage: scanSegment reports the
 // offset to truncate back to via keep. For complete-but-CRC-mismatched
 // frames it always returns a *CorruptionError naming the offset, and for a
-// torn frame in a non-final segment likewise.
+// torn frame anywhere else (a middle segment, a snapshot) likewise.
 func scanSegment(path string, isLast bool, fn func(payload []byte) error) (keep int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
 	if len(data) < len(walMagic) || string(data[:len(walMagic)]) != walMagic {
-		return 0, &CorruptionError{Path: path, Offset: 0, Reason: "bad segment magic"}
+		return 0, &CorruptionError{Path: path, Offset: 0, Reason: "bad magic"}
 	}
 	off := int64(len(walMagic))
 	for {
@@ -107,7 +118,7 @@ func scanSegment(path string, isLast bool, fn func(payload []byte) error) (keep 
 			if isLast {
 				return off, nil // torn header at tail: truncate here
 			}
-			return 0, &CorruptionError{Path: path, Offset: off, Reason: "torn frame header in non-final segment"}
+			return 0, &CorruptionError{Path: path, Offset: off, Reason: "torn frame header"}
 		}
 		n := binary.LittleEndian.Uint32(rest)
 		sum := binary.LittleEndian.Uint32(rest[4:])
@@ -115,7 +126,7 @@ func scanSegment(path string, isLast bool, fn func(payload []byte) error) (keep 
 			if isLast {
 				return off, nil // torn payload at tail: truncate here
 			}
-			return 0, &CorruptionError{Path: path, Offset: off, Reason: "torn frame payload in non-final segment"}
+			return 0, &CorruptionError{Path: path, Offset: off, Reason: "torn frame payload"}
 		}
 		payload := rest[frameHeaderSize : frameHeaderSize+int(n)]
 		if crc32.ChecksumIEEE(payload) != sum {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/telemetry"
 	"repro/internal/usage"
@@ -229,7 +228,7 @@ func TestTornMiddleSegmentIsLoud(t *testing.T) {
 	commitN(t, d, 3, 0)
 	// Rotate via snapshot so a second segment exists.
 	if err := d.Snapshot(func() (*SnapshotState, error) {
-		return &SnapshotState{BinWidth: time.Hour, Site: "s"}, nil
+		return &SnapshotState{}, nil
 	}); err != nil {
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -246,7 +245,7 @@ func TestTornMiddleSegmentIsLoud(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame := appendFrame(nil, testMutation(0).AppendBinary(nil))
+	frame := appendFrame(nil, testMutation(0))
 	if _, err := f.Write(frame[:len(frame)-3]); err != nil {
 		t.Fatal(err)
 	}

@@ -641,9 +641,7 @@ func (h *Harness) restartSite(i int, now time.Time) {
 	// both twins compute their tables from the same cut at the same
 	// simulated time.
 	_ = old.Refresh()
-	wantLocal := old.USS.LocalRecords()
-	wantRemote := old.USS.RemoteRecords()
-	wantWM := old.USS.Watermarks()
+	want := old.USS.CaptureState()
 	wantTable, wantTableErr := old.FCS.Table()
 
 	// Process death. Closing the handle loses nothing: the scenario's
@@ -677,21 +675,20 @@ func (h *Harness) restartSite(i int, now time.Time) {
 	_ = site.Refresh()
 	nd.MarkReady()
 
-	h.compareRecords(i, "local", wantLocal, site.USS.LocalRecords())
-	gotRemote := site.USS.RemoteRecords()
-	if len(gotRemote) != len(wantRemote) {
+	got := site.USS.CaptureState()
+	h.compareRecords(i, "local", want.Local, got.Local)
+	if len(got.Remote) != len(want.Remote) {
 		h.addViolation("restart-recovery", "site %d: recovered %d remote mirrors, want %d",
-			i, len(gotRemote), len(wantRemote))
+			i, len(got.Remote), len(want.Remote))
 	} else {
-		for peerSite, want := range wantRemote {
-			h.compareRecords(i, "remote/"+peerSite, want, gotRemote[peerSite])
+		for peerSite, recs := range want.Remote {
+			h.compareRecords(i, "remote/"+peerSite, recs, got.Remote[peerSite])
 		}
 	}
-	gotWM := site.USS.Watermarks()
-	for peerSite, want := range wantWM {
-		if !gotWM[peerSite].Equal(want) {
+	for peerSite, wm := range want.Watermark {
+		if !got.Watermark[peerSite].Equal(wm) {
 			h.addViolation("restart-recovery", "site %d: watermark[%s] recovered as %s, want %s",
-				i, peerSite, gotWM[peerSite], want)
+				i, peerSite, got.Watermark[peerSite], wm)
 		}
 	}
 

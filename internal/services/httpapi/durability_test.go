@@ -82,7 +82,8 @@ func TestReadyzRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Second life: the log comes up recovering with one pending tail record.
+	// Second life: the log comes up recovering with the snapshot's local set
+	// and one tail record pending.
 	s2, d2 := newDurableSite(t, "s", dir, clock)
 	c := NewClient(s2.server.URL, "s")
 
@@ -122,7 +123,7 @@ func TestReadyzRecovery(t *testing.T) {
 	if ready {
 		t.Error("durability component ready while WAL tail is pending")
 	}
-	if want := "recovering: replaying WAL (0/1 records)"; reason != want {
+	if want := "recovering: replaying WAL (0/2 records)"; reason != want {
 		t.Errorf("recovering reason = %q, want %q", reason, want)
 	}
 

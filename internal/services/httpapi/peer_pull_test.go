@@ -183,6 +183,7 @@ func TestPeerPullRefusesBadAnswers(t *testing.T) {
 		cause       string
 	}{
 		{"wrong kind", wire.RecordsContentType, with(func(m *usage.Mutation) { m.Kind = usage.MutLocalBatch }), "mutation of kind 2"},
+		{"a snapshot's local set", wire.RecordsContentType, with(func(m *usage.Mutation) { m.Kind = usage.MutLocalSet }), "mutation of kind 5"},
 		{"truncated body", wire.RecordsContentType, canonical[:len(canonical)-3], "truncated mutation"},
 		{"trailing garbage", wire.RecordsContentType, append(append([]byte(nil), canonical...), 0, 1), "trailing bytes"},
 		{"JSON answer", "application/json", []byte(`{"records":[{"user":"alice","site":"site-b","intervalStart":"2013-01-01T02:00:00Z","coreSeconds":1}]}`), `content type "application/json"`},
@@ -218,9 +219,9 @@ func TestPeerPullRefusesBadAnswers(t *testing.T) {
 			if n, err := s.uss.Exchange(context.Background()); n != 2 || err != nil {
 				t.Fatalf("good pull = %d, %v", n, err)
 			}
-			mirror, wm, wal := s.uss.RemoteRecords()["site-b"], s.uss.Watermarks()["site-b"], d.Stats()
-			if len(mirror) != 2 || !wm.Equal(t0) {
-				t.Fatalf("after the good pull: %d records mirrored, watermark %v", len(mirror), wm)
+			before, wal := s.uss.CaptureState(), d.Stats()
+			if len(before.Remote["site-b"]) != 2 || !before.Watermark["site-b"].Equal(t0) {
+				t.Fatalf("after the good pull: %d records mirrored, watermark %v", len(before.Remote["site-b"]), before.Watermark["site-b"])
 			}
 
 			bad.Store(1)
@@ -232,8 +233,9 @@ func TestPeerPullRefusesBadAnswers(t *testing.T) {
 			if calls.Load() != 1 {
 				t.Errorf("the bad answer was asked for %d times, want once (not retryable)", calls.Load())
 			}
-			sameRecords(t, "mirror after the refused pull", mirror, s.uss.RemoteRecords()["site-b"])
-			if got := s.uss.Watermarks()["site-b"]; !got.Equal(wm) {
+			after := s.uss.CaptureState()
+			sameRecords(t, "mirror after the refused pull", before.Remote["site-b"], after.Remote["site-b"])
+			if got := after.Watermark["site-b"]; !got.Equal(before.Watermark["site-b"]) {
 				t.Errorf("watermark moved to %v", got)
 			}
 			if got := d.Stats(); got != wal {

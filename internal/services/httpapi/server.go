@@ -332,12 +332,7 @@ func (s *Server) handleUsageRecords(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	// Bin starts are whole seconds, live and frozen alike, so Unix() loses
-	// nothing.
-	mut := usage.Mutation{Kind: usage.MutRemoteSet, Site: s.USS.Site(), Ops: make([]usage.BinOp, len(recs))}
-	for i, rec := range recs {
-		mut.Ops[i] = usage.BinOp{User: rec.User, Start: rec.IntervalStart.Unix(), Value: rec.CoreSeconds}
-	}
+	mut := usage.Mutation{Kind: usage.MutRemoteSet, Site: s.USS.Site(), Ops: usage.BinOps(recs)}
 	body := mut.AppendBinary(nil)
 	w.Header().Set("Content-Type", wire.RecordsContentType)
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
@@ -478,9 +473,13 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 // ready while the WAL tail replays, and stays not ready after replay until
 // the owner calls MarkReady following the first post-replay fairshare
 // publish — between those points the site serves recovered data but its
-// published priorities may still predate the crash.
+// published priorities may still predate the crash. A log poisoned by a
+// failed write is not ready for good: the process must restart.
 func (s *Server) durabilityStatus() wire.ReadyComponent {
 	d := s.durable
+	if err := d.Failed(); err != nil {
+		return wire.ReadyComponent{Reason: "failed: " + err.Error()}
+	}
 	if d.Recovering() {
 		done, total := d.ReplayProgress()
 		return wire.ReadyComponent{

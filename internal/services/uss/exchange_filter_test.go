@@ -89,7 +89,7 @@ func TestDurableExchangeLogsOnlyChanges(t *testing.T) {
 		if r.recs != nil {
 			peer.recs = r.recs
 		}
-		since := s.Watermarks()["p"]
+		since := s.CaptureState().Watermark["p"]
 		if !since.IsZero() {
 			since = since.Add(-time.Hour)
 		}
@@ -112,14 +112,15 @@ func TestDurableExchangeLogsOnlyChanges(t *testing.T) {
 				t.Errorf("%s: WAL moved from %+v to %+v, want one frame", r.name, before, after)
 			}
 		}
-		recordsBitEqual(t, r.name+": mirror vs unfiltered SetRecords", unfiltered.Records("p"), s.RemoteRecords()["p"])
+		st := s.CaptureState()
+		recordsBitEqual(t, r.name+": mirror vs unfiltered SetRecords", unfiltered.Records("p"), st.Remote["p"])
 		newest := time.Time{}
 		for _, rc := range peer.recs {
 			if rc.IntervalStart.After(newest) {
 				newest = rc.IntervalStart
 			}
 		}
-		if wm := s.Watermarks()["p"]; !wm.Equal(newest) {
+		if wm := st.Watermark["p"]; !wm.Equal(newest) {
 			t.Errorf("%s: watermark %v, want %v", r.name, wm, newest)
 		}
 	}
@@ -131,7 +132,7 @@ func TestDurableExchangeLogsOnlyChanges(t *testing.T) {
 		t.Errorf("metrics missing %q: the counter counts records pulled", want)
 	}
 
-	wantMirror, wantWM := s.RemoteRecords()["p"], s.Watermarks()["p"]
+	want := s.CaptureState()
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -149,10 +150,7 @@ func TestDurableExchangeLogsOnlyChanges(t *testing.T) {
 	if err := d2.Replay(s2.ApplyMutation); err != nil {
 		t.Fatal(err)
 	}
-	recordsBitEqual(t, "replayed mirror", wantMirror, s2.RemoteRecords()["p"])
-	if wm := s2.Watermarks()["p"]; !wm.Equal(wantWM) {
-		t.Errorf("replayed watermark %v, want %v", wm, wantWM)
-	}
+	statesBitEqual(t, "replayed", want, s2.CaptureState())
 }
 
 // statesBitEqual compares two durable images field by field, values by bits.
@@ -231,9 +229,15 @@ func TestDurableExchangeReplayBitIdentical(t *testing.T) {
 		if err := logs[i].Close(); err != nil {
 			t.Fatal(err)
 		}
-		logged := 0
+		// A's log starts with the snapshot's frames: its local set and a
+		// whole mirror of each peer, which the pull did not write.
+		logged, snapshotFrames := 0, 0
 		for _, m := range walMutations(t, dirs[i]) {
-			if m.Kind == usage.MutRemoteSet {
+			if m.Kind == usage.MutLocalSet {
+				snapshotFrames = int(m.Watermark)
+			} else if m.Kind == usage.MutRemoteSet && snapshotFrames > 0 {
+				snapshotFrames--
+			} else if m.Kind == usage.MutRemoteSet {
 				logged += len(m.Ops)
 			}
 		}
@@ -267,7 +271,7 @@ func TestExchangeRefusesNonFiniteUsage(t *testing.T) {
 			if n, err := s.Exchange(context.Background()); n != 1 || err != nil {
 				t.Fatalf("good pull = %d, %v", n, err)
 			}
-			mirror, wm, wal := s.RemoteRecords()["p"], s.Watermarks()["p"], d.Stats()
+			before, wal := s.CaptureState(), d.Stats()
 
 			peer.recs = []usage.Record{
 				{User: "alice", Site: "p", IntervalStart: t0, CoreSeconds: 7200},
@@ -278,10 +282,7 @@ func TestExchangeRefusesNonFiniteUsage(t *testing.T) {
 			if n != 0 || err == nil || !strings.Contains(err.Error(), "non-finite") || !strings.Contains(err.Error(), "bob") {
 				t.Fatalf("pull with %s = %d, %v; want it refused, naming the record", name, n, err)
 			}
-			recordsBitEqual(t, "mirror after the refused pull", mirror, s.RemoteRecords()["p"])
-			if got := s.Watermarks()["p"]; !got.Equal(wm) {
-				t.Errorf("watermark moved to %v", got)
-			}
+			statesBitEqual(t, "after the refused pull", before, s.CaptureState())
 			if got := d.Stats(); got != wal {
 				t.Errorf("WAL moved from %+v to %+v", wal, got)
 			}

@@ -65,9 +65,9 @@ type Config struct {
 	Spans *span.Recorder
 	// Durable, when set, write-ahead-logs every usage mutation before it is
 	// applied: job reports, batch ingests (one group-committed record and
-	// thus one fsync per batch), and peer-exchange bin replacements. New
-	// adopts the log's recovered snapshot into the in-memory histograms;
-	// the owner replays the WAL tail through ApplyMutation.
+	// thus one fsync per batch), and peer-exchange bin replacements. The
+	// owner replays the log — snapshot frames, then the WAL tail — through
+	// ApplyMutation.
 	Durable *durability.Log
 }
 
@@ -143,24 +143,6 @@ func New(cfg Config) *Service {
 			"Seconds since the last successful pull from each peer (-1 = never succeeded).", "peer"),
 		mWatermarkAge: reg.GaugeVec("aequus_uss_peer_watermark_age_seconds",
 			"Age of the newest ingested usage interval per peer (-1 = nothing ingested yet). Grows while a peer is unreachable.", "peer"),
-	}
-	if cfg.Durable != nil {
-		if st := cfg.Durable.Recovered(); st != nil {
-			// Adopt the snapshot image before any mutation can land. Bin
-			// values restore through SetRecords, which writes the stored
-			// float bits verbatim — the restored histograms are bitwise
-			// equal to the captured ones. (If BinWidth changed across the
-			// restart, records re-bin at the new width.)
-			s.local.SetRecords(st.Local)
-			for peer, recs := range st.Remote {
-				h := usage.NewHistogram(cfg.BinWidth)
-				h.SetRecords(recs)
-				s.remote[peer] = h
-			}
-			for peer, wm := range st.Watermark {
-				s.watermark[peer] = wm
-			}
-		}
 	}
 	return s
 }
@@ -628,15 +610,20 @@ func (v View) Sums(now time.Time) (usage.DeltaSet, bool) {
 // LocalHistogram exposes a copy of the local histogram (for the UMS).
 func (s *Service) LocalHistogram() *usage.Histogram { return s.local.Clone() }
 
-// ApplyMutation applies one replayed WAL mutation — the crash-recovery
-// applier handed to durability.Log.Replay. The histogram primitives it uses
-// (IngestBatch, SetRecords) perform the same float operations, in the same
-// per-stripe order, as the live paths that committed the mutation, so a
-// replayed histogram is bitwise equal to the pre-crash one.
+// ApplyMutation applies one replayed mutation — a snapshot frame or a WAL
+// record; the crash-recovery applier handed to durability.Log.Replay. The
+// histogram primitives it uses (IngestBatch, SetRecords) perform the same
+// float operations, in the same per-stripe order, as the live paths that
+// committed the mutation, and SetRecords writes a snapshot's stored float
+// bits verbatim, so a replayed histogram is bitwise equal to the pre-crash
+// one. (If BinWidth changed across the restart, records re-bin at the new
+// width.)
 func (s *Service) ApplyMutation(m *usage.Mutation) error {
 	switch m.Kind {
 	case usage.MutLocalAdd, usage.MutLocalBatch:
 		s.local.IngestBatch(m.Records(s.cfg.Site))
+	case usage.MutLocalSet:
+		s.local.SetRecords(m.Records(s.cfg.Site))
 	case usage.MutRemoteSet:
 		s.mu.Lock()
 		hist := s.remote[m.Site]
@@ -662,10 +649,7 @@ func (s *Service) ApplyMutation(m *usage.Mutation) error {
 // whole-histogram readers (GlobalTotals, exchange serving) never stall
 // behind the export.
 func (s *Service) CaptureState() *durability.SnapshotState {
-	st := &durability.SnapshotState{
-		BinWidth: s.cfg.BinWidth,
-		Site:     s.cfg.Site,
-	}
+	st := &durability.SnapshotState{}
 	for i := 0; i < s.local.NumStripes(); i++ {
 		st.Local = append(st.Local, s.local.StripeRecords(s.cfg.Site, i)...)
 	}
@@ -692,36 +676,9 @@ func (s *Service) CaptureState() *durability.SnapshotState {
 	return st
 }
 
-// LocalRecords exports the local histogram sorted by user then interval —
-// the scenario harness's restart-twin comparison surface.
+// LocalRecords exports the local histogram sorted by user then interval.
 func (s *Service) LocalRecords() []usage.Record {
 	return s.local.Records(s.cfg.Site)
-}
-
-// RemoteRecords exports every peer's mirrored bins, keyed by peer site.
-func (s *Service) RemoteRecords() map[string][]usage.Record {
-	s.mu.Lock()
-	remotes := make(map[string]*usage.Histogram, len(s.remote))
-	for peer, h := range s.remote {
-		remotes[peer] = h
-	}
-	s.mu.Unlock()
-	out := make(map[string][]usage.Record, len(remotes))
-	for peer, h := range remotes {
-		out[peer] = h.Records(peer)
-	}
-	return out
-}
-
-// Watermarks returns a copy of the per-peer exchange watermarks.
-func (s *Service) Watermarks() map[string]time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]time.Time, len(s.watermark))
-	for peer, wm := range s.watermark {
-		out[peer] = wm
-	}
-	return out
 }
 
 // sortRecords orders records by user then interval start — the canonical

@@ -9,7 +9,9 @@ package usage
 // same sequence. The binary encoding is versioned so log files written by an
 // older build stay readable. It is also the body of a peer pull: a site
 // serves its records as the MutRemoteSet the pulling site will log, so a usage
-// record has one encoding from one site's histogram to the other's disk.
+// record has one encoding from one site's histogram to the other's disk. And it
+// is the content of a snapshot, a run of these mutations setting the whole
+// state at once (MutLocalSet, one MutRemoteSet per peer, MutPolicy).
 
 import (
 	"encoding/binary"
@@ -36,6 +38,11 @@ const (
 	// MutPolicy replaces the policy tree; Blob carries the policy JSON
 	// (float64 shares survive a JSON round-trip bit-exactly).
 	MutPolicy MutationKind = 4
+	// MutLocalSet replaces bins in the local histogram (SetRecords
+	// semantics): the local image a snapshot holds. Watermark counts the
+	// snapshot frames that follow it, so a snapshot cut at a frame boundary
+	// is told from a whole one.
+	MutLocalSet MutationKind = 5
 )
 
 // mutationVersion is the current encoding version byte.
@@ -90,6 +97,16 @@ func (m *Mutation) Records(site string) []Record {
 		}
 	}
 	return out
+}
+
+// BinOps converts records into bin ops, the inverse of Records. Bin starts
+// are whole seconds, so Unix() loses nothing.
+func BinOps(recs []Record) []BinOp {
+	ops := make([]BinOp, len(recs))
+	for i, r := range recs {
+		ops[i] = BinOp{User: r.User, Start: r.IntervalStart.Unix(), Value: r.CoreSeconds}
+	}
+	return ops
 }
 
 // EncodedSize returns an upper bound on AppendBinary's output size, so
@@ -182,7 +199,7 @@ func decodeMutation(b []byte, maxNames int) (*Mutation, error) {
 		return nil, fmt.Errorf("usage: unsupported mutation version %d", b[0])
 	}
 	m := &Mutation{Kind: MutationKind(b[1])}
-	if m.Kind < MutLocalAdd || m.Kind > MutPolicy {
+	if m.Kind < MutLocalAdd || m.Kind > MutLocalSet {
 		return nil, fmt.Errorf("usage: unknown mutation kind %d", b[1])
 	}
 	b = b[2:]

@@ -16,7 +16,7 @@ import (
 // full float64 range including negative zero and denormals; starts cover
 // negative (pre-epoch) bins, which exercises the zigzag encoding.
 func randMutation(rng *rand.Rand) *Mutation {
-	kinds := []MutationKind{MutLocalAdd, MutLocalBatch, MutRemoteSet, MutPolicy}
+	kinds := []MutationKind{MutLocalAdd, MutLocalBatch, MutRemoteSet, MutPolicy, MutLocalSet}
 	m := &Mutation{Kind: kinds[rng.Intn(len(kinds))]}
 	if m.Kind == MutPolicy {
 		blob := make([]byte, rng.Intn(200))
