@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/simclock"
-	"repro/internal/telemetry"
 )
 
 // Kind is a category of injected fault.
@@ -107,8 +106,6 @@ type Injector struct {
 	rng     *rand.Rand
 	windows []Window
 	counts  map[Kind]int
-
-	injected *telemetry.CounterVec // may be nil
 }
 
 // New creates an injector evaluating windows on clock (default wall clock)
@@ -123,14 +120,6 @@ func New(clock simclock.Clock, seed int64, windows ...Window) *Injector {
 		windows: append([]Window(nil), windows...),
 		counts:  map[Kind]int{},
 	}
-}
-
-// WithMetrics registers an aequus_fault_injected_total counter on reg and
-// returns the injector for chaining.
-func (in *Injector) WithMetrics(reg *telemetry.Registry) *Injector {
-	in.injected = telemetry.OrDefault(reg).CounterVec("aequus_fault_injected_total",
-		"Faults injected by the chaos harness, by kind.", "kind")
-	return in
 }
 
 // SetWindows replaces the fault schedule (e.g. to clear all faults mid-run).
@@ -170,9 +159,6 @@ func (in *Injector) Decide() Fault {
 			f.Err = &net.OpError{Op: "read", Net: "tcp", Err: syscall.ECONNRESET}
 		}
 		in.counts[w.Kind]++
-		if in.injected != nil {
-			in.injected.With(w.Kind.String()).Inc()
-		}
 		return f
 	}
 	return Fault{}

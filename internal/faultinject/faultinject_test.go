@@ -100,6 +100,22 @@ func TestSetWindowsClearsFaults(t *testing.T) {
 	}
 }
 
+// countingBase is a real transport that counts what reaches it.
+type countingBase struct {
+	*http.Transport
+	trips, closes int
+}
+
+func (b *countingBase) RoundTrip(req *http.Request) (*http.Response, error) {
+	b.trips++
+	return b.Transport.RoundTrip(req)
+}
+
+func (b *countingBase) CloseIdleConnections() {
+	b.closes++
+	b.Transport.CloseIdleConnections()
+}
+
 func TestRoundTripperInjectsAndForwards(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = io.WriteString(w, "ok")
@@ -107,9 +123,13 @@ func TestRoundTripperInjectsAndForwards(t *testing.T) {
 	defer srv.Close()
 
 	in := New(nil, 1, Window{Kind: Error})
-	c := &http.Client{Transport: &RoundTripper{Injector: in}}
+	base := &countingBase{Transport: &http.Transport{}}
+	c := &http.Client{Transport: &RoundTripper{Base: base, Injector: in}}
 	if _, err := c.Get(srv.URL); err == nil {
 		t.Fatal("injected error did not surface")
+	}
+	if base.trips != 0 {
+		t.Errorf("an injected error reached the base transport %d times", base.trips)
 	}
 
 	// Clear the fault: requests pass through to the real server.
@@ -120,8 +140,15 @@ func TestRoundTripperInjectsAndForwards(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if string(body) != "ok" {
-		t.Errorf("body = %q", body)
+	if string(body) != "ok" || base.trips != 1 {
+		t.Errorf("body = %q after %d base round trips, want \"ok\" after 1", body, base.trips)
+	}
+
+	// A wrapped client must still drain its keep-alive connections (and
+	// their per-connection goroutines): CloseIdleConnections reaches Base.
+	c.CloseIdleConnections()
+	if base.closes != 1 {
+		t.Errorf("CloseIdleConnections reached the base %d times, want 1", base.closes)
 	}
 }
 

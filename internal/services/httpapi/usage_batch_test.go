@@ -14,9 +14,9 @@ import (
 	"repro/internal/wire"
 )
 
-// TestUsageBatchIngest drives the batch-ingest route the macro load harness
-// uses: many job completions land in one POST and accumulate exactly like
-// the equivalent sequence of single reports.
+// TestUsageBatchIngest drives the batch-ingest route a resource manager
+// reports a scheduling pass through: many job completions land in one POST
+// and accumulate exactly like the equivalent sequence of single reports.
 func TestUsageBatchIngest(t *testing.T) {
 	clock := simclock.NewSim(t0)
 	s := newSite(t, "siteA", clock, map[string]float64{"alice": 0.5, "bob": 0.5})

@@ -76,10 +76,16 @@ func BenchmarkIngest100kUsersDurable(b *testing.B) {
 // path. Min-of-N on both sides filters scheduler noise; N is 15 because with
 // 5 a run is 150 ms a side, short enough for one busy neighbour in `go test
 // ./...` to cover a whole side (one failure in four on a loaded two-core box,
-// at an overhead that measures 3–5 %).
+// at an overhead that measures 3–5 %). Under -race the ratio measures the
+// detector's instrumentation of the two paths, not the WAL (25.2, 15.6 and
+// 27.4 % in three runs on a two-core box), so the bound is enforced by the
+// uninstrumented `go test ./...` only.
 func TestDurableIngestOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test; skipped in -short")
+	}
+	if raceEnabled {
+		t.Skip("timing test; the race detector's instrumentation, not the WAL, dominates the ratio")
 	}
 	batch := benchReports(100000)
 	run := func(durable bool) time.Duration {

@@ -2,7 +2,11 @@
 // (Section IV): per-user job-arrival and job-duration distributions for the
 // four dominant user groups of the 2012 Swedish national-grid trace — U65,
 // U30, U3 and Uoth — plus the synthetic-trace generator that samples them
-// via inverse-CDF transformation with effective-range rescaling.
+// via inverse-CDF transformation with effective-range rescaling. Its
+// consumers are the simulated ones: the testbed, the paper's experiments,
+// cmd/tracegen and the examples. Each group stays one user identity, as in
+// the trace; load on the real HTTP path is the bench's own generator's job
+// (bench/gen.go), which shares no code with this package.
 package workload
 
 import (
