@@ -122,7 +122,7 @@ func (r *Recalc) Tree() *Tree { return r.tree }
 func (r *Recalc) Index() *Index { return r.index }
 
 // Reset re-anchors the engine on a new full rebuild. Call it after any full
-// Compute+NewIndex (tree edit, projection config change, delta-log overflow).
+// Compute+NewIndex (tree edit, projection config change, a Full usage set).
 func (r *Recalc) Reset(t *Tree, ix *Index) {
 	r.tree, r.index = t, ix
 }

@@ -30,11 +30,12 @@ type DriftTable struct {
 	MaxError  float64
 	MeanError float64
 	// Entries is sorted by Error descending (worst drift first), capped at
-	// the configured top-K.
+	// DefaultDriftTopK.
 	Entries []DriftEntry
 }
 
-// DefaultDriftTopK is the drift-table size when Config.DriftTopK is zero.
+// DefaultDriftTopK is how many worst-drift users each snapshot's drift table
+// retains (max/mean still cover everyone).
 const DefaultDriftTopK = 100
 
 // driftItem is a heap candidate: pos breaks Error ties so selection is a

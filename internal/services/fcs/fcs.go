@@ -22,8 +22,8 @@
 // tree work with copy-on-write structural sharing instead of a full
 // O(users) rebuild — and the published snapshot is bit-identical to what a
 // full recomputation would have produced. Any break in the chain (first
-// refresh, policy edit, delta-log overflow, engine error) falls back to the
-// full path and re-anchors the engine.
+// refresh, policy edit, a usage source that answers Full, engine error)
+// falls back to the full path and re-anchors the engine.
 package fcs
 
 import (
@@ -58,17 +58,16 @@ type versioned interface {
 	Version() uint64
 }
 
-// UsageSource provides pre-computed per-user usage (the UMS).
-// Implementations must not block unrelated callers while recomputing: the
-// UMS recomputes single-flight outside its lock, so FCS snapshot rebuilds
-// waiting on a slow USS never stall the UMS's own readiness probes, and
-// concurrent rebuild retries coalesce onto one source pass.
+// UsageSource provides pre-computed per-user usage (the UMS). Concurrent
+// stale readers of the UMS wait for one source pass under its mutex and
+// share its generation; its readiness probe (ComputedAt) never waits for a
+// pass, so an FCS rebuild stuck on a slow USS does not stall /readyz.
 type UsageSource interface {
 	// UsageDeltas reports which users' usage changed since a version
 	// watermark, so steady-state refreshes recompute only the dirty
-	// fraction of the fairshare tree; since=0, or a watermark the source no
-	// longer covers, yields a Full set with complete values. The values are
-	// in the set's own scale, which the snapshot records; its maps are
+	// fraction of the fairshare tree; since=0, or a watermark more than one
+	// generation behind, yields a Full set with complete values. The values
+	// are in the set's own scale, which the snapshot records; its maps are
 	// read-only (see usage.DeltaSet).
 	UsageDeltas(since uint64) (usage.DeltaSet, error)
 }
@@ -123,10 +122,6 @@ type Config struct {
 	// Only the refresh path is traced; Priority/PriorityBatch stay span-free
 	// so the read path remains allocation-free.
 	Spans *span.Recorder
-	// DriftTopK bounds how many worst-drift users each snapshot's drift
-	// table retains (max/mean still cover everyone). Zero means
-	// DefaultDriftTopK; negative retains the whole population.
-	DriftTopK int
 }
 
 // snapshot is one immutable pre-calculation result. Everything reachable
@@ -524,11 +519,7 @@ func (s *Service) failLocked(root *span.Span, err error) error {
 // Table() call.
 func (s *Service) buildSnapshot(tree *fairshare.Tree, ix *fairshare.Index, pol *policy.Tree, at time.Time) (*snapshot, time.Duration) {
 	started := time.Now()
-	k := s.cfg.DriftTopK
-	if k == 0 {
-		k = DefaultDriftTopK
-	}
-	prior, drift, driftMax, driftMean := publishPass(s.cfg.Projection, ix, tree.Config.Resolution, k)
+	prior, drift, driftMax, driftMean := publishPass(s.cfg.Projection, ix, tree.Config.Resolution, DefaultDriftTopK)
 	s.mDriftMax.Set(driftMax)
 	s.mDriftMean.Set(driftMean)
 	return &snapshot{

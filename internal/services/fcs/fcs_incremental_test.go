@@ -43,10 +43,10 @@ func (p *versionedPDS) SetPolicy(t *policy.Tree) {
 	p.version++
 }
 
-// deltaUMS is a usage source with a one-generation delta memory: a consumer
-// exactly one version behind gets the incremental set, everyone else a full
-// snapshot. fullNext forces the next pull to be full regardless (simulating
-// a delta-log overflow).
+// deltaUMS is a usage source with a one-generation delta memory, like the
+// UMS: a consumer exactly one version behind gets the incremental set,
+// everyone else a full snapshot. fullNext forces the next pull to be full
+// regardless (simulating a consumer that fell two generations behind).
 type deltaUMS struct {
 	mu       sync.Mutex
 	totals   map[string]float64

@@ -2,6 +2,8 @@ package fcs
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -160,5 +162,126 @@ func TestIncrementalRefreshLifecycleUnderDecay(t *testing.T) {
 	full := reg.Counter("aequus_fcs_refresh_full_total", "").Value()
 	if incr != 13 || full != 3 {
 		t.Fatalf("refresh counters: incremental=%v full=%v, want 13/3", incr, full)
+	}
+}
+
+// TestExtraUMSPassesBetweenRefreshes: the UMS keeps one generation. One pass
+// that another reader runs between two refreshes (UsageTotals, as
+// /usage/tree does) leaves the FCS one version behind and the next refresh
+// incremental; two such passes leave it two behind and the refresh full.
+// Either way the snapshot is bit-identical to its from-scratch twin.
+func TestExtraUMSPassesBetweenRefreshes(t *testing.T) {
+	rig := newUSSRig(t, "a", "b", "c", "d")
+	p, err := policy.FromShares(map[string]float64{"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{Clock: rig.clock, CacheTTL: -1, SynchronousRefresh: true,
+		Metrics: telemetry.NewRegistry()}, newVersionedPDS(p), rig.ums)
+	if err := svc.Refresh(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		extra     []string // one completion and one UsageTotals pass each
+		wantMode  string
+		wantDirty int
+	}{
+		{[]string{"a"}, RefreshIncremental, 1},
+		{[]string{"b", "c"}, RefreshFull, 4},
+		{[]string{"d"}, RefreshIncremental, 1},
+	} {
+		for _, u := range tc.extra {
+			rig.bump(u)
+			if _, _, err := rig.ums.UsageTotals(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The refresh reads the generation the last extra pass left.
+		if err := svc.Refresh(); err != nil {
+			t.Fatal(err)
+		}
+		if ri := svc.LastRefresh(); ri.Mode != tc.wantMode || ri.DirtyUsers != tc.wantDirty {
+			t.Fatalf("after %d extra passes: %s refresh of %d users, want %s of %d",
+				len(tc.extra), ri.Mode, ri.DirtyUsers, tc.wantMode, tc.wantDirty)
+		}
+		if err := svc.VerifySnapshot(); err != nil {
+			t.Fatalf("after %d extra passes: %v", len(tc.extra), err)
+		}
+	}
+}
+
+// TestUMSConcurrentCallers runs UsageTotals, UsageDeltas(0), Invalidate and
+// ComputedAt in loops beside a follower that ingests, reads UsageDeltas from
+// its own watermark and applies each answer; run it under -race. Once the
+// loops stop, the follower holds the complete sums bit for bit.
+func TestUMSConcurrentCallers(t *testing.T) {
+	users := []string{"a", "b", "c", "d", "e", "f"}
+	rig := newUSSRig(t, users...)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	loop := func(call func() error) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if err := call(); err != nil {
+					t.Error(err)
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+	}
+	loop(func() error { _, _, err := rig.ums.UsageTotals(); return err })
+	loop(func() error { _, err := rig.ums.UsageDeltas(0); return err })
+	loop(func() error { rig.ums.Invalidate(); return nil })
+	loop(func() error { rig.ums.ComputedAt(); return nil })
+
+	state := map[string]float64{}
+	var ver uint64
+	follow := func() {
+		t.Helper()
+		ds, err := rig.ums.UsageDeltas(ver)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ds.Full {
+			state = map[string]float64{}
+			for u, v := range ds.Totals {
+				state[u] = v
+			}
+		}
+		for u, v := range ds.Changed {
+			state[u] = v
+		}
+		ver = ds.Version
+	}
+	for i := 0; i < 300; i++ {
+		rig.clock.Advance(time.Minute)
+		rig.uss.ReportJob(users[i%len(users)], rig.clock.Now().Add(-2*time.Hour), time.Minute, 1+i%3)
+		follow()
+	}
+	close(stop)
+	wg.Wait()
+	rig.ums.Invalidate()
+	follow()
+
+	full, err := rig.ums.UsageDeltas(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Version != ver || len(full.Totals) != len(state) {
+		t.Fatalf("follower at version %d with %d users, complete sums at %d with %d",
+			ver, len(state), full.Version, len(full.Totals))
+	}
+	for u, want := range full.Totals {
+		if got := state[u]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("user %s: follower holds %v, complete sums %v", u, got, want)
+		}
 	}
 }

@@ -7,12 +7,10 @@ import (
 	"runtime"
 	"sort"
 	"testing"
-	"time"
 
 	"repro/internal/fairshare"
 	"repro/internal/par"
 	"repro/internal/policy"
-	"repro/internal/telemetry"
 	"repro/internal/vector"
 )
 
@@ -129,7 +127,8 @@ func oracleSnapshot(p vector.Projection, ix *fairshare.Index, resolution float64
 
 // TestPublishPassMatchesPerEntryOracle pins the fused publish pass to the
 // per-entry computation it replaced, bit for bit, over random trees, every
-// projection, every drift-table size and both sides of the fan-out
+// projection, drift-table sizes from none through negative (everyone) to
+// above the population, both sides of the fan-out
 // threshold, on a full build and on an incrementally applied index.
 // VerifySnapshot cannot catch an error here: its twin runs the same pass.
 func TestPublishPassMatchesPerEntryOracle(t *testing.T) {
@@ -168,30 +167,25 @@ func TestPublishPassMatchesPerEntryOracle(t *testing.T) {
 			t.Fatalf("largest shape has %d leaves, below the fan-out threshold", n)
 		}
 		for _, proj := range vector.Projections() {
-			for _, topK := range []int{0, 1, 100, -1, n + 7} {
-				want := topK
-				if want == 0 {
-					want = DefaultDriftTopK
-				}
+			for _, k := range []int{0, 1, DefaultDriftTopK, -1, n + 7} {
 				for which, ix := range []*fairshare.Index{full, applied} {
-					wantPrior, wantDrift, wantMax, wantMean := oracleSnapshot(proj, ix, tree.Config.Resolution, want)
+					wantPrior, wantDrift, wantMax, wantMean := oracleSnapshot(proj, ix, tree.Config.Resolution, k)
 					for _, procs := range []int{1, 4} {
 						runtime.GOMAXPROCS(procs)
-						svc := New(Config{Projection: proj, DriftTopK: topK, Metrics: telemetry.NewRegistry()}, nil, nil)
-						sn, _ := svc.buildSnapshot(tree, ix, pol, time.Time{})
-						where := fmt.Sprintf("shape %d (%d leaves) %s topK=%d index %d procs=%d",
-							seed, n, proj.Name(), topK, which, procs)
-						if !bitsEqual(sn.prior, wantPrior) {
+						prior, drift, driftMax, driftMean := publishPass(proj, ix, tree.Config.Resolution, k)
+						where := fmt.Sprintf("shape %d (%d leaves) %s k=%d index %d procs=%d",
+							seed, n, proj.Name(), k, which, procs)
+						if !bitsEqual(prior, wantPrior) {
 							t.Fatalf("%s: priorities diverge from the per-entry oracle", where)
 						}
-						if !oneBitsEqual(sn.driftMax, wantMax) || !oneBitsEqual(sn.driftMean, wantMean) {
-							t.Fatalf("%s: drift max/mean %v/%v, oracle %v/%v", where, sn.driftMax, sn.driftMean, wantMax, wantMean)
+						if !oneBitsEqual(driftMax, wantMax) || !oneBitsEqual(driftMean, wantMean) {
+							t.Fatalf("%s: drift max/mean %v/%v, oracle %v/%v", where, driftMax, driftMean, wantMax, wantMean)
 						}
-						if len(sn.drift) != len(wantDrift) {
-							t.Fatalf("%s: drift table has %d entries, oracle %d", where, len(sn.drift), len(wantDrift))
+						if len(drift) != len(wantDrift) {
+							t.Fatalf("%s: drift table has %d entries, oracle %d", where, len(drift), len(wantDrift))
 						}
 						for i := range wantDrift {
-							g, w := sn.drift[i], wantDrift[i]
+							g, w := drift[i], wantDrift[i]
 							if g.User != w.User || !bitsEqual(
 								[]float64{g.Target, g.Actual, g.Error},
 								[]float64{w.Target, w.Actual, w.Error}) {

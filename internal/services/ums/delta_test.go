@@ -8,7 +8,7 @@ import (
 	"repro/internal/simclock"
 )
 
-// The chain, overflow, majority and version cases run on cursorSource
+// The chain and version cases run on cursorSource
 // (deltasource_test.go), whose sums the test rewrites between pulls; values
 // are in its scale of 0.5.
 
@@ -66,7 +66,8 @@ func TestUsageDeltasIncrementalChain(t *testing.T) {
 		t.Fatalf("no-op pull = %+v", again)
 	}
 
-	// Two more generations; a consumer two behind gets the merged delta.
+	// Two passes behind: the UMS keeps one generation, so the consumer
+	// gets Full carrying the current totals.
 	src.set("b", 6)
 	s.Invalidate()
 	if _, err := s.UsageDeltas(ds.Version); err != nil {
@@ -74,43 +75,21 @@ func TestUsageDeltasIncrementalChain(t *testing.T) {
 	}
 	src.set("c", 0) // user ages out entirely
 	s.Invalidate()
-	merged, err := s.UsageDeltas(ds.Version)
+	behind, err := s.UsageDeltas(ds.Version)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Full {
-		t.Fatalf("merged delta reported Full: %+v", merged)
+	if !behind.Full || behind.Version != ds.Version+2 {
+		t.Fatalf("two passes behind = %+v, want Full at version %d", behind, ds.Version+2)
 	}
-	if len(merged.Changed) != 2 || merged.Changed["b"] != 6 || merged.Changed["c"] != 0 {
-		t.Fatalf("merged changed = %v, want b:6 c:0", merged.Changed)
+	want := map[string]float64{"a": 12, "b": 6, "d": 1}
+	if len(behind.Totals) != len(want) {
+		t.Fatalf("totals = %v, want %v", behind.Totals, want)
 	}
-}
-
-func TestUsageDeltasMajorityChangeIsFullMarker(t *testing.T) {
-	// Large enough for the dirty share to apply (see usage.DeltaPays).
-	const n = 6000
-	src := newCursorSource(map[string]float64{})
-	for i := 0; i < n; i++ {
-		src.sums[fmt.Sprintf("u%04d", i)] = 1
-	}
-	s := New(Config{Clock: simclock.NewSim(t0), CacheTTL: time.Hour}, src)
-	first, err := s.UsageDeltas(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2*n/3; i++ { // past the half-population threshold
-		src.set(fmt.Sprintf("u%04d", i), 10)
-	}
-	s.Invalidate()
-	ds, err := s.UsageDeltas(first.Version)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ds.Full {
-		t.Fatalf("majority change not Full: %d changed of %d", len(ds.Changed), n)
-	}
-	if ds.Totals["u0000"] != 10 || ds.Totals["u5999"] != 1 || len(ds.Totals) != n {
-		t.Fatalf("totals: u0000=%v u5999=%v of %d", ds.Totals["u0000"], ds.Totals["u5999"], len(ds.Totals))
+	for u, v := range want {
+		if behind.Totals[u] != v {
+			t.Fatalf("totals = %v, want %v", behind.Totals, want)
+		}
 	}
 }
 
@@ -123,8 +102,10 @@ func TestUsageDeltasLogOverflowFallsBackToFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// More single-user generations than the log retains.
-	for i := 0; i < maxDeltaGens+2; i++ {
+	// Many single-user generations while this consumer sits still; other
+	// readers keep the UMS moving.
+	const gens = 10
+	for i := 0; i < gens; i++ {
 		src.set("a", float64(100+i))
 		s.Invalidate()
 		if _, err := s.UsageDeltas(0); err != nil {
@@ -135,10 +116,10 @@ func TestUsageDeltasLogOverflowFallsBackToFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ds.Full {
-		t.Fatalf("stale watermark served a delta past the log horizon: %+v", ds)
+	if !ds.Full || ds.Version != first.Version+gens {
+		t.Fatalf("stale watermark = %+v, want Full at version %d", ds, first.Version+gens)
 	}
-	if ds.Totals["a"] != float64(100+maxDeltaGens+1) {
+	if ds.Totals["a"] != float64(100+gens-1) || ds.Totals["j"] != 1 || len(ds.Totals) != 10 {
 		t.Fatalf("totals = %v", ds.Totals)
 	}
 }

@@ -2,12 +2,17 @@
 // of one Usage Statistics Service (which already combines the sites it
 // exchanges with) and pre-computes per-user usage values ("usage trees"), so
 // the Fairshare Calculation Service never touches raw job data.
+//
+// A UMS holds exactly one generation: the change set of its last source pass
+// that changed anything. The source's change cursor is the change log; the
+// UMS only remembers how far its consumer got.
 package ums
 
 import (
 	"context"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/simclock"
@@ -73,61 +78,38 @@ type Service struct {
 	cfg Config
 	src Source
 
-	// mu guards the cache fields and the in-flight latch. It is never held
-	// across a source call: recomputation runs outside the lock, so
-	// ComputedAt (and therefore /readyz) stays responsive while a slow or
-	// hanging USS is being queried.
-	mu       sync.Mutex
-	cachedAt time.Time
-	valid    bool
-	// inflight is non-nil while one source pass or one materialisation of
-	// complete sums runs; it is closed when that finishes. Concurrent
-	// readers that need its outcome wait on it instead of launching
-	// duplicates (single-flight, mirroring the FCS refresh discipline).
-	inflight    chan struct{}
-	inflightErr error // outcome of the last finished flight, for waiters
-	// gen is bumped by Invalidate; a pass that started before the bump
-	// publishes its generation but leaves the cache invalid.
-	gen uint64
-
-	// version is the delta watermark: it advances whenever a pass publishes
-	// values that differ (bitwise) from the previous ones; 0 until the
-	// first publish. deltaLog holds the most recent generations (oldest
-	// first, versions consecutive).
-	version  uint64
-	deltaLog []deltaGen
-	// full is the complete per-user map of `version`: materialised from
-	// the source when a consumer needs complete sums (or handed over with a
-	// Full set that carried them) and dropped when the next generation
-	// lands, so no population-sized map outlives the refresh that asked
-	// for it.
+	// mu serialises source passes and guards the generation below. A reader
+	// that finds the cache stale runs the pass while holding it, so
+	// concurrent stale readers wait for that one pass and are then served
+	// from its generation.
+	mu sync.Mutex
+	// at is the instant of the last pass. version advances whenever a pass
+	// publishes values that differ (bitwise) from the previous ones; 0
+	// until the first.
+	at      time.Time
+	version uint64
+	// changed maps the users the pass that produced `version` changed to
+	// their new values, relative to version−1; nil when that pass was Full.
+	changed map[string]float64
+	// full is the complete per-user map of `version`: handed over with a
+	// Full set that carried it, or read from the source when a consumer
+	// needs complete sums, and dropped when the next generation lands, so no
+	// population-sized map outlives the refresh that asked for it.
 	full map[string]float64
-	// scale and reference describe the current generation's values as in
+	// scale and reference describe the generation's values as in
 	// usage.DeltaSet.
 	scale     float64
 	reference time.Time
 
+	// stamp holds the instant of the cached generation while it is valid and
+	// a zero time otherwise. Invalidate stores a fresh pointer, so a pass
+	// that began before it fails its CompareAndSwap and leaves the cache
+	// invalid. ComputedAt and Invalidate never take mu.
+	stamp atomic.Pointer[time.Time]
+
 	mRecomputes   *telemetry.Counter
 	mRecomputeDur *telemetry.Histogram
 }
-
-// deltaGen is one published generation in the bounded delta log.
-type deltaGen struct {
-	version uint64
-	// changed maps users whose values changed in this generation to their
-	// new absolute values. Nil marks a "full" generation — the first
-	// publish, a source whose cursor was reset, or a change too large for a
-	// delta to pay off — which forces consumers whose watermark predates it
-	// to a full rebuild.
-	changed map[string]float64
-}
-
-// maxDeltaGens bounds the delta log: a consumer whose watermark has fallen
-// further behind than this many publishes gets a full set instead. Eight
-// generations cover several missed refresh intervals without letting a
-// stalled consumer pin unbounded per-generation maps (publishLocked also
-// bounds the log's total entries).
-const maxDeltaGens = 8
 
 // New creates a UMS following src.
 func New(cfg Config, src Source) *Service {
@@ -138,7 +120,7 @@ func New(cfg Config, src Source) *Service {
 		cfg.Decay = usage.None{}
 	}
 	reg := telemetry.OrDefault(cfg.Metrics)
-	return &Service{
+	s := &Service{
 		cfg: cfg, src: src,
 		mRecomputes: reg.Counter("aequus_ums_recomputes_total",
 			"Decayed usage-tree recomputations performed."),
@@ -146,6 +128,8 @@ func New(cfg Config, src Source) *Service {
 			"Wall-clock duration of one pass over the usage source.",
 			telemetry.DefBuckets()),
 	}
+	s.stamp.Store(new(time.Time))
+	return s
 }
 
 // UsageTotals returns the pre-computed per-user decayed usage — decayed
@@ -153,10 +137,9 @@ func New(cfg Config, src Source) *Service {
 // internally — recomputing when the cache has expired. The returned map is
 // a copy.
 //
-// Recomputation is single-flight and runs outside the service mutex: of any
-// number of concurrent stale readers, exactly one goes to the source while
-// the rest wait for that flight and adopt its result — a slow source delays
-// only the callers that need fresh data, never ComputedAt or cache hits.
+// Of any number of concurrent stale readers, one runs the source pass and
+// the rest wait for it and are served its result; a slow source delays only
+// the callers that need fresh data, never ComputedAt.
 func (s *Service) UsageTotals() (map[string]float64, time.Time, error) {
 	ds, at, err := s.deltas(0)
 	if err != nil {
@@ -169,14 +152,15 @@ func (s *Service) UsageTotals() (map[string]float64, time.Time, error) {
 	return out, at, nil
 }
 
-// UsageDeltas returns the set of users whose usage changed since the given
-// version watermark, recomputing first when the cache is stale (same TTL
-// and single-flight discipline as UsageTotals). Pass since=0 (or any
-// uncovered watermark) to receive complete totals with Full set: that never
-// costs another source pass, a repeated call is served from the same map,
-// and it leaves every other consumer's watermark alone. Values are in the
-// set's Scale (see usage.DeltaSet); the returned maps reference internal
-// state and must be treated as read-only.
+// UsageDeltas returns the users whose usage changed since the given version
+// watermark, recomputing first when the cache is stale (same TTL and
+// discipline as UsageTotals). A consumer at the current version gets an
+// empty set, one a version behind gets the last pass's change set, and any
+// other watermark (since=0 included) gets complete values with Full set:
+// that never costs another source pass, a repeated call is served from the
+// same map, and it leaves every other consumer's watermark alone. Values are
+// in the set's Scale (see usage.DeltaSet); the returned maps reference
+// internal state and must be treated as read-only.
 func (s *Service) UsageDeltas(since uint64) (usage.DeltaSet, error) {
 	ds, _, err := s.deltas(since)
 	return ds, err
@@ -185,70 +169,53 @@ func (s *Service) UsageDeltas(since uint64) (usage.DeltaSet, error) {
 // deltas serves UsageDeltas and also reports the instant of the generation
 // it served.
 func (s *Service) deltas(since uint64) (usage.DeltaSet, time.Time, error) {
+	before := s.stamp.Load()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.cfg.Clock.Now()
+	// A pass that landed while this reader waited for mu is as fresh as a
+	// pass of its own, even past the TTL (a pass slower than CacheTTL, or
+	// CacheTTL=0): waiters share it instead of running one pass each.
+	stamp := s.stamp.Load()
+	stale := stamp.IsZero() || (stamp == before && now.Sub(*stamp) >= s.cfg.CacheTTL)
 	for {
-		now := s.cfg.Clock.Now()
-		s.mu.Lock()
-		if !s.valid || now.Sub(s.cachedAt) >= s.cfg.CacheTTL {
-			if s.inflight != nil {
-				// Adopt the flight's publish even when it is already at
-				// the TTL edge (e.g. CacheTTL=0): it was computed while we
-				// waited, which is as fresh as a pass of our own.
-				before := s.cachedAt
-				if err := s.awaitFlightLocked(); err != nil {
-					s.mu.Unlock()
-					return usage.DeltaSet{}, time.Time{}, err
-				}
-				if !s.valid || s.cachedAt.Equal(before) {
-					s.mu.Unlock()
-					continue // invalidated under us, or not a source pass
-				}
-			} else if err := s.recomputeLocked(now); err != nil {
-				s.mu.Unlock()
+		// The pass's owner is served its generation even when an Invalidate
+		// raced it; later readers recompute.
+		if stale {
+			if err := s.passLocked(now); err != nil {
 				return usage.DeltaSet{}, time.Time{}, err
 			}
-			// The owner of a pass is served its own generation even when
-			// an Invalidate raced it; later readers recompute.
 		}
-		ds := s.deltasLocked(since)
-		if ds.Full && s.full == nil {
-			if s.inflight != nil {
-				_ = s.awaitFlightLocked()
-				s.mu.Unlock()
+		ds := usage.DeltaSet{Version: s.version, Scale: s.scale, Reference: s.reference}
+		switch {
+		case since == s.version:
+			return ds, s.at, nil // bitwise unchanged since the watermark
+		case since+1 == s.version && s.changed != nil:
+			ds.Changed = s.changed
+			return ds, s.at, nil
+		}
+		if s.full == nil {
+			_, sp := span.Start(span.WithRecorder(context.Background(), s.cfg.Spans), "ums.full_totals")
+			got, ok := s.src.Sums(s.at)
+			sp.SetAttrInt("users", int64(len(got.Totals)))
+			sp.End()
+			if !ok {
+				// The source's scale moved since the pass: its next pass is
+				// Full and brings the generation these sums belong to.
+				stale, now = true, s.cfg.Clock.Now()
 				continue
 			}
-			if !s.materializeLocked() {
-				s.mu.Unlock()
-				continue
-			}
+			s.full = got.Totals
 		}
-		if ds.Full {
-			ds.Totals = s.full
-		}
-		at := s.cachedAt
-		s.mu.Unlock()
-		return ds, at, nil
+		ds.Full, ds.Totals = true, s.full
+		return ds, s.at, nil
 	}
 }
 
-// awaitFlightLocked waits for the flight in progress and returns its error.
-// mu is held on entry and on return, released in between.
-func (s *Service) awaitFlightLocked() error {
-	ch := s.inflight
-	s.mu.Unlock()
-	<-ch
-	s.mu.Lock()
-	return s.inflightErr
-}
-
-// recomputeLocked runs one single-flight pass over the source and publishes
-// its generation. It must be called with mu held and no flight in
-// progress; mu is released during the pass and held again on return.
-func (s *Service) recomputeLocked(now time.Time) error {
-	ch := make(chan struct{})
-	s.inflight = ch
-	gen := s.gen
-	s.mu.Unlock()
-
+// passLocked runs one pass over the source and keeps its generation. Caller
+// holds mu.
+func (s *Service) passLocked(now time.Time) error {
+	stamp := s.stamp.Load()
 	started := time.Now() // wall time: the metric reports real compute cost
 	_, sp := span.Start(span.WithRecorder(context.Background(), s.cfg.Spans),
 		"ums.totals")
@@ -268,146 +235,35 @@ func (s *Service) recomputeLocked(now time.Time) error {
 	}
 	sp.SetErr(err)
 	sp.End()
-
-	s.mu.Lock()
-	s.inflight = nil
-	s.inflightErr = err
-	if err == nil {
-		// The generation is published even when an Invalidate arrived
-		// mid-flight — the source's change cursor has moved past it, so
-		// dropping it would lose those changes — but the cache stays
-		// invalid and the next reader runs another pass.
-		s.publishLocked(got, now)
-		s.valid = gen == s.gen
-	}
-	close(ch)
 	if err != nil {
 		return err
 	}
+
+	if full := got.Full || s.version == 0; full || len(got.Changed) > 0 {
+		s.version++
+		s.changed, s.full = got.Changed, got.Totals
+		if full {
+			s.changed = nil
+		}
+	}
+	s.at, s.scale, s.reference = now, got.Scale, got.Reference
+	// The generation is kept even when an Invalidate arrived mid-pass — the
+	// source's cursor has moved past those changes — but then the cache
+	// stays invalid and the next reader runs another pass.
+	s.stamp.CompareAndSwap(stamp, &now)
 	s.mRecomputes.Inc()
 	s.mRecomputeDur.Observe(time.Since(started).Seconds())
 	return nil
 }
 
-// publishLocked records the generation a pass produced. Caller holds mu.
-func (s *Service) publishLocked(got usage.DeltaSet, now time.Time) {
-	changed, full := got.Changed, got.Full || s.version == 0
-	if full || len(changed) > 0 {
-		s.version++
-		g := deltaGen{version: s.version}
-		if !full && usage.DeltaPays(len(changed), got.Users) {
-			g.changed = changed
-		}
-		s.deltaLog = append(s.deltaLog, g)
-		// Besides the generation bound, the log keeps no more entries than
-		// a merged delta may have and still pay off: a consumer further
-		// behind than that is better served by a full set anyway.
-		entries := 0
-		for _, g := range s.deltaLog {
-			entries += len(g.changed)
-		}
-		drop := 0
-		for n := len(s.deltaLog); n-drop > maxDeltaGens || (n-drop > 1 && !usage.DeltaPays(entries, got.Users)); drop++ {
-			entries -= len(s.deltaLog[drop].changed)
-		}
-		if drop > 0 {
-			s.deltaLog = append(s.deltaLog[:0:0], s.deltaLog[drop:]...)
-		}
-		s.full = nil
-	}
-	if got.Totals != nil {
-		s.full = got.Totals
-	}
-	s.scale, s.reference = got.Scale, got.Reference
-	s.cachedAt = now
-}
-
-// materializeLocked asks the source for the complete sums of the
-// current generation, as its own flight. It must be called with mu held and
-// no flight in progress; mu is released while the source is read and held
-// again on return. False means the source's scale moved since the pass: the
-// cache is invalidated and the caller runs another one.
-func (s *Service) materializeLocked() bool {
-	ch := make(chan struct{})
-	s.inflight = ch
-	at := s.cachedAt
-	s.mu.Unlock()
-
-	_, sp := span.Start(span.WithRecorder(context.Background(), s.cfg.Spans), "ums.full_totals")
-	got, ok := s.src.Sums(at)
-	sp.SetAttrInt("users", int64(len(got.Totals)))
-	sp.End()
-
-	s.mu.Lock()
-	s.inflight = nil
-	s.inflightErr = nil
-	close(ch)
-	// No pass can have run meanwhile (it needs the latch), so the map
-	// belongs to the current version.
-	if ok {
-		s.full = got.Totals
-	} else {
-		s.valid = false
-	}
-	return ok
-}
-
-// deltasLocked assembles the delta between `since` and the current version;
-// a Full result carries no Totals yet. Caller holds mu.
-func (s *Service) deltasLocked(since uint64) usage.DeltaSet {
-	ds := usage.DeltaSet{Version: s.version, Scale: s.scale, Reference: s.reference}
-	if since == s.version {
-		return ds // bitwise unchanged since the consumer's watermark
-	}
-	// The consumer needs generations (since, version]. Versions in the log
-	// are consecutive, so coverage only requires the oldest retained entry
-	// to reach back to since+1.
-	if since == 0 || since > s.version || len(s.deltaLog) == 0 || s.deltaLog[0].version > since+1 {
-		ds.Full = true
-		return ds
-	}
-	for i, g := range s.deltaLog {
-		if g.version <= since {
-			continue
-		}
-		if g.changed == nil { // full-generation marker
-			ds.Full, ds.Changed = true, nil
-			return ds
-		}
-		if ds.Changed == nil {
-			if i == len(s.deltaLog)-1 {
-				ds.Changed = g.changed // one generation behind: no copy
-				break
-			}
-			ds.Changed = make(map[string]float64, len(g.changed))
-		}
-		for u, v := range g.changed {
-			ds.Changed[u] = v // later generations win
-		}
-	}
-	return ds
-}
-
 // ComputedAt reports when the cached usage tree was computed (zero if the
 // cache is invalid) — the staleness input of /readyz.
-func (s *Service) ComputedAt() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.valid {
-		return time.Time{}
-	}
-	return s.cachedAt
-}
+func (s *Service) ComputedAt() time.Time { return *s.stamp.Load() }
 
 // Invalidate drops the cache so the next read recomputes. A pass already in
 // flight still completes and is served to its owner, but its result is not
 // cached as valid.
-func (s *Service) Invalidate() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.valid = false
-	s.gen++
-}
+func (s *Service) Invalidate() { s.stamp.Store(new(time.Time)) }
 
 // Decay exposes the configured decay function.
 func (s *Service) Decay() usage.Decay { return s.cfg.Decay }

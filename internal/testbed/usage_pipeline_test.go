@@ -16,7 +16,7 @@ import (
 
 // TestUsagePipelineScale drives the full usage-accounting pipeline — job
 // reports into striped histograms, incremental inter-site exchange, the
-// USS one-pass global merge and the UMS single-flight recompute — at a
+// USS one-pass global merge and the UMS recompute — at a
 // user count well past anything the scheduler tests reach, and checks the
 // decayed totals against an independently maintained ledger.
 func TestUsagePipelineScale(t *testing.T) {

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/par"
 )
 
 // cursorFollower is what a consumer of a Cursor keeps: the last complete
@@ -364,6 +366,41 @@ func TestCursorSecondHalfLifeReRegistersTheTracker(t *testing.T) {
 		if g := got.Totals[u]; math.Float64bits(g) != math.Float64bits(w) {
 			t.Fatalf("user %s: re-registered sum %v, fresh histogram %v", u, g, w)
 		}
+	}
+}
+
+// TestCursorMajorityChangeIsFull: the cursor is the one place that decides a
+// change set is too large to hand on. On a population large enough for the
+// dirty share to apply, half the users changed is still a delta and two
+// thirds is a Full set that lists nobody, whose Sums carry the new values.
+func TestCursorMajorityChangeIsFull(t *testing.T) {
+	d := ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour}
+	const n = par.Threshold
+	h := NewHistogram(time.Hour)
+	for i := 0; i < n; i++ {
+		h.Add(fmt.Sprintf("u%04d", i), t0.Add(-5*time.Hour), 100)
+	}
+	hists := []*Histogram{h}
+	f := &cursorFollower{}
+	f.pass(t, hists, t0, d)
+
+	now := t0
+	for _, tc := range []struct {
+		changed int
+		full    bool
+	}{{n / 2, false}, {2 * n / 3, true}} {
+		for i := 0; i < tc.changed; i++ {
+			h.Add(fmt.Sprintf("u%04d", i), now.Add(-2*time.Hour), 10)
+		}
+		now = now.Add(time.Minute)
+		ds := f.pass(t, hists, now, d)
+		if ds.Full != tc.full {
+			t.Fatalf("%d of %d users changed: full=%v, want %v", tc.changed, n, ds.Full, tc.full)
+		}
+		if want := map[bool]int{false: tc.changed, true: 0}[tc.full]; len(ds.Changed) != want {
+			t.Fatalf("%d of %d users changed: %d listed, want %d", tc.changed, n, len(ds.Changed), want)
+		}
+		f.check(t, fmt.Sprintf("%d changed", tc.changed), hists, now, d)
 	}
 }
 

@@ -29,8 +29,8 @@ import (
 // When Full is false, Changed maps each user whose value changed to its new
 // absolute value (users that disappeared map to 0); users absent from
 // Changed are bitwise unchanged. When Full is true the provider could not
-// (or chose not to) produce a delta — first pull, watermark no longer
-// covered by the provider's bounded log, a moved reference instant, or a
+// (or chose not to) produce a delta — first pull, a watermark more than one
+// generation behind (the UMS keeps one), a moved reference instant, or a
 // change so large a delta would not pay off. A Full set handed to a
 // consumer carries the complete current values in Totals; the cursor's own
 // Full sets carry none, and their reader asks Cursor.Sums for them.
