@@ -42,6 +42,11 @@ func newSite(t *testing.T, name string, clock *simclock.Sim, shares map[string]f
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newPolicySite(t, name, clock, pol)
+}
+
+func newPolicySite(t testing.TB, name string, clock *simclock.Sim, pol *policy.Tree) *site {
+	t.Helper()
 	p := pds.New(pol, PolicyFetcher(nil))
 	u := uss.New(uss.Config{Site: name, BinWidth: time.Minute, Contribute: true, Clock: clock})
 	m := ums.New(ums.Config{Clock: clock, CacheTTL: 0},
