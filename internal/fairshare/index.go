@@ -147,20 +147,6 @@ type Index struct {
 	projEntries []vector.Entry
 }
 
-// stripeOf hashes a user name (FNV-1a) onto a stripe without allocating.
-func stripeOf(name string) uint32 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime64
-	}
-	return uint32(h % indexStripes)
-}
-
 // NewIndex builds the segmented index for a computed tree: one segment per
 // top-level child, with the child's scored values interned as the segment
 // head. Every tree size runs the same code — the segments are filled through
@@ -172,7 +158,7 @@ func NewIndex(t *Tree) *Index {
 	n := leafCount(root)
 	ix := &Index{}
 	bases := ix.initLayout(root, n)
-	stripe := make([]uint8, n) // stripe[i] = stripeOf(users[i])
+	stripe := make([]uint8, n) // stripe[i] = par.Stripe(users[i], indexStripes)
 	par.For(n, len(root.Children), func(_, s int) {
 		ix.fillSegment(root, s, bases, stripe)
 	})
@@ -242,7 +228,7 @@ func (ix *Index) fillSegment(root *Node, s int, bases []int32, stripe []uint8) {
 		ti += d - 1
 		ai += d
 		ix.users[pos] = nd.Name
-		stripe[pos] = uint8(stripeOf(nd.Name))
+		stripe[pos] = uint8(par.Stripe(nd.Name, indexStripes))
 		tail.leafPrio[pos-int(m.lo)] = nd.Priority
 		ix.offs[pos+1] = int32(ai)
 		ix.segOf[pos] = int32(s)
@@ -356,7 +342,7 @@ func (ix *Index) withValues(headVec, headUsage []float64, tails []*segTail) *Ind
 // Pos returns the entry position for a user (the first leaf in DFS order
 // when the name is duplicated) without allocating.
 func (ix *Index) Pos(user string) (int, bool) {
-	m := ix.stripes[stripeOf(user)]
+	m := ix.stripes[par.Stripe(user, indexStripes)]
 	if m == nil {
 		return 0, false
 	}

@@ -289,16 +289,16 @@ func TestIndexBuildIndependentOfCores(t *testing.T) {
 		for i, u := range ref.users {
 			where[u] = append(where[u], int32(i))
 		}
-		repeated, stripesUsed := 0, map[uint32]bool{}
+		repeated, stripesUsed := 0, map[int]bool{}
 		for u, ps := range where {
-			if first := ref.stripes[stripeOf(u)][u]; first != ps[0] {
+			if first := ref.stripes[par.Stripe(u, indexStripes)][u]; first != ps[0] {
 				t.Fatalf("%q resolves to position %d, first occurrence is %d", u, first, ps[0])
 			}
 			if len(ps) == 1 {
 				ps = nil
 			} else {
 				repeated++
-				stripesUsed[stripeOf(u)] = true
+				stripesUsed[par.Stripe(u, indexStripes)] = true
 			}
 			if !reflect.DeepEqual(ref.dups[u], ps) {
 				t.Fatalf("%q: duplicate list %v, want %v", u, ref.dups[u], ps)

@@ -1,6 +1,7 @@
 // Package par is the one worker pool of the fairshare engine and the FCS
 // publish pass: a parallel for-loop with one threshold below which it is an
-// ordinary loop.
+// ordinary loop. It also holds the one string hash that shards user-keyed
+// state into stripes.
 package par
 
 import (
@@ -49,4 +50,20 @@ func For(work, n int, fn func(worker, i int)) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// Stripe returns which of n stripes name falls on: its FNV-1a 64-bit hash
+// modulo n, computed without allocating. The usage histogram's lock stripes
+// and the fairshare index's user maps both shard with it.
+func Stripe(name string, n int) int {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= prime64
+	}
+	return int(h % uint64(n))
 }

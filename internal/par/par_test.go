@@ -1,6 +1,7 @@
 package par
 
 import (
+	"hash/fnv"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -53,5 +54,34 @@ func TestForVisitsEveryIndexOnce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestStripeIsFNV1a pins Stripe to the standard library's FNV-1a and to the
+// stripes fixed names had under the hand-rolled loops it replaced, at the
+// histogram's 64 stripes and the index's 16: moving a name would reshuffle
+// both structures.
+func TestStripeIsFNV1a(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		at64, at16 int
+	}{
+		{"", 37, 5},
+		{"alice", 7, 7},
+		{"bob", 20, 4},
+		{"user0000042", 12, 12},
+		{"grid/U65", 44, 12},
+		{"ü", 42, 10},
+	} {
+		h := fnv.New64a()
+		h.Write([]byte(tc.name))
+		for n, want := range map[int]int{64: tc.at64, 16: tc.at16} {
+			if got := Stripe(tc.name, n); got != want || got != int(h.Sum64()%uint64(n)) {
+				t.Errorf("Stripe(%q, %d) = %d, want %d (FNV-1a: %d)", tc.name, n, got, want, h.Sum64()%uint64(n))
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Stripe("alice", 64) }); n != 0 {
+		t.Errorf("Stripe allocates %v times per call", n)
 	}
 }

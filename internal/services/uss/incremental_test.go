@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/simclock"
 	"repro/internal/usage"
 )
 
@@ -25,14 +26,17 @@ func (c *countingPeer) RecordsSince(ctx context.Context, t time.Time) ([]usage.R
 
 func TestExchangeIsIncremental(t *testing.T) {
 	a := newUSS("a", true)
-	b := newUSS("b", true)
+	clk := simclock.NewSim(t0)
+	b := New(Config{Site: "b", BinWidth: time.Hour, Contribute: true, Clock: clk})
 	peer := &countingPeer{inner: a}
 	b.AddPeer(peer)
 
-	// Fill 50 distinct hourly bins at site a.
+	// Fill 50 distinct hourly bins at site a, and let b's clock reach them:
+	// a record ahead of the puller's clock does not move its watermark.
 	for i := 0; i < 50; i++ {
 		a.ReportJob("alice", t0.Add(time.Duration(i)*time.Hour), time.Minute, 1)
 	}
+	clk.Advance(50 * time.Hour)
 	if _, err := b.Exchange(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +57,7 @@ func TestExchangeIsIncremental(t *testing.T) {
 
 	// New usage in a fresh bin: only the delta transfers.
 	a.ReportJob("alice", t0.Add(100*time.Hour), time.Minute, 1)
+	clk.Advance(50 * time.Hour)
 	if _, err := b.Exchange(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -66,6 +71,38 @@ func TestExchangeIsIncremental(t *testing.T) {
 	got := b.GlobalTotals(t0.Add(200*time.Hour), usage.None{})["alice"]
 	if math.Abs(got-want) > 1e-6 {
 		t.Errorf("global total = %g, want %g", got, want)
+	}
+}
+
+// TestFutureDatedRecordDoesNotStallExchange: one report at the peer that
+// completes a year ahead of the puller's clock is pulled and applied, but it
+// does not move the watermark, so the peer's later usage still arrives.
+func TestFutureDatedRecordDoesNotStallExchange(t *testing.T) {
+	a := newUSS("a", true)
+	b := newUSS("b", true)
+	peer := &countingPeer{inner: b}
+	a.AddPeer(peer)
+
+	b.ReportJob("u1", t0.Add(365*24*time.Hour), time.Minute, 1)
+	if _, err := a.Exchange(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	b.ReportJob("u2", t0, 10*time.Minute, 1)
+	for i := 0; i < 2; i++ {
+		if _, err := a.Exchange(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := a.GlobalTotals(t0.Add(400*24*time.Hour), usage.None{})
+	if got["u1"] != 60 || got["u2"] != 600 {
+		t.Errorf("a's totals = %v, want u1 60 and u2 600", got)
+	}
+	if wm := a.watermark["b"]; !wm.Equal(t0) {
+		t.Errorf("watermark for b = %v, want %v (the newest record not ahead of the clock)", wm, t0)
+	}
+	// The future record is re-pulled every round, beside the open bin.
+	if last := peer.fetched[len(peer.fetched)-1]; last != 2 {
+		t.Errorf("third pull fetched %d records, want 2", last)
 	}
 }
 

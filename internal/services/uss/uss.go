@@ -383,15 +383,20 @@ func (s *Service) pullPeer(ctx context.Context, p Peer) (int, error) {
 	}
 	old := s.watermark[site]
 	s.mu.Unlock()
+	// Only records that start by one bin past the puller's clock move the
+	// watermark: one future-dated report at the peer would otherwise carry
+	// every later pull past the peer's real usage for good. Later records are
+	// still applied; each round re-pulls them and Changing drops them.
+	horizon := s.cfg.Clock.Now().Add(s.cfg.BinWidth)
 	newest := old
 	for _, r := range recs {
-		if r.IntervalStart.After(newest) {
+		if r.IntervalStart.After(newest) && !r.IntervalStart.After(horizon) {
 			newest = r.IntervalStart
 		}
 	}
 	// Every pull re-fetches the open and the previous bin whole, and most of
 	// what arrives the mirror already holds bit for bit. Only what changes it
-	// is logged and applied; the watermark still moves by every record pulled.
+	// is logged and applied.
 	changed := hist.Changing(recs)
 	sp.SetAttrInt("changed", int64(len(changed)))
 	if len(changed) == 0 && newest.Equal(old) {

@@ -129,28 +129,34 @@ func BenchmarkRecordsExport(b *testing.B) {
 }
 
 // BenchmarkRecordsSinceTail exports a one-bin tail from histograms of
-// growing total size. The binary-searched export costs O(users + tail):
-// the numbers should stay flat as bins-per-user grows (the old path
-// exported, sorted and filtered every record in the histogram).
+// growing total size. Along bins-per-user (2,000 users, 20 fresh) the
+// numbers stay flat: each user's tail is binary-searched. Along the
+// population (4 bins per user, 1,750 fresh users: the shape of the bench's
+// fed_sparse pulls) a pull costs one int64 comparison per user over the
+// newest-bin column plus the exported tail.
 func BenchmarkRecordsSinceTail(b *testing.B) {
-	const users = 2000
+	run := func(b *testing.B, users, bins, fresh int) {
+		h := buildWide(users, bins)
+		// A fresh newest bin for a spread of users: the incremental
+		// exchange's steady-state tail.
+		tail := t0.Add(time.Duration(bins) * time.Hour)
+		for u := 0; u < fresh; u++ {
+			h.Add(fmt.Sprintf("user%07d", u*(users/fresh)), tail, 1)
+		}
+		h.RecordsSince("site", tail) // the first pull attaches the column
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if len(h.RecordsSince("site", tail)) != fresh {
+				b.Fatal("wrong tail")
+			}
+		}
+	}
 	for _, bins := range []int{12, 96, 384} {
-		b.Run(fmt.Sprintf("binsPerUser=%d", bins), func(b *testing.B) {
-			h := buildWide(users, bins)
-			// A fresh newest bin for a handful of users: the incremental
-			// exchange's steady-state tail.
-			tail := t0.Add(time.Duration(bins) * time.Hour)
-			for u := 0; u < 20; u++ {
-				h.Add(fmt.Sprintf("user%07d", u), tail, 1)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if len(h.RecordsSince("site", tail)) != 20 {
-					b.Fatal("wrong tail")
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("binsPerUser=%d", bins), func(b *testing.B) { run(b, 2000, bins, 20) })
+	}
+	for _, users := range []int{100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("users=%d", users), func(b *testing.B) { run(b, users, 4, 1750) })
 	}
 }
 

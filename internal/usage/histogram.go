@@ -5,7 +5,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"repro/internal/par"
 )
 
 // Record is the compact inter-site exchange unit: the combined usage of one
@@ -47,6 +50,16 @@ type userBins struct {
 	// marked is set while the user sits in its stripe's change list, so a
 	// user mutated many times between two cursor passes is listed once.
 	marked bool
+	// slot is the user's entry in its stripe's newest-bin column while the
+	// column is attached. It sits in what was padding: the struct keeps its
+	// 64-byte size class.
+	slot int32
+}
+
+// newestEntry is one user's entry in a stripe's newest-bin column.
+type newestEntry struct {
+	start int64 // the user's newest bin start, unix seconds
+	name  string
 }
 
 // lastStart returns the newest bin start (only valid when bins is non-empty).
@@ -72,6 +85,12 @@ type stripe struct {
 	// attaches.
 	changed []string
 	clamped []string
+	// newest is the newest-bin column RecordsSince scans: one entry per
+	// user, at the user's slot, kept current by every mutation once indexed
+	// is set. Both stay zero until the histogram first serves a pull with a
+	// non-zero t.
+	newest  []newestEntry
+	indexed bool
 }
 
 // Histogram accumulates per-user usage into fixed-width time bins. It is
@@ -79,11 +98,13 @@ type stripe struct {
 // while the UMS reads totals.
 //
 // Internally the histogram is striped: users hash onto numStripes shards,
-// each a map of per-user sorted bin slices. Point mutations (Add, SetBin)
-// take one stripe lock; batch mutations (IngestBatch, SetRecords, Merge)
-// take each stripe once per batch; whole-histogram reads (Users, Records,
-// RecordsSince, DecayedTotals/AccumulateDecayed) acquire every stripe in
-// index order, so they observe a state that existed at one single instant.
+// each a map of per-user sorted bin slices plus, once the histogram serves
+// incremental pulls, a dense column of each user's newest bin start (24 B
+// per user). Point mutations (Add, SetBin) take one stripe lock; batch
+// mutations (IngestBatch, SetRecords, Merge) take each stripe once per
+// batch; whole-histogram reads (Users, Records, RecordsSince,
+// DecayedTotals/AccumulateDecayed) acquire every stripe in index order, so
+// they observe a state that existed at one single instant.
 type Histogram struct {
 	binWidth time.Duration
 	half     time.Duration // binWidth/2: bin midpoint offset
@@ -103,6 +124,9 @@ type Histogram struct {
 	cursorOn  bool
 	cursorTr  *expTracker
 	cursorNow int64
+
+	// allIndexed is set once every stripe carries its newest-bin column.
+	allIndexed atomic.Bool
 }
 
 // NewHistogram creates a histogram with the given bin width (the "per-user
@@ -149,22 +173,8 @@ func (h *Histogram) midTime(start int64) time.Time {
 	return time.Unix(start, 0).Add(h.half)
 }
 
-// fnv-1a over the user name selects the stripe.
-func stripeIndex(user string) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	var x uint64 = offset64
-	for i := 0; i < len(user); i++ {
-		x ^= uint64(user[i])
-		x *= prime64
-	}
-	return int(x % numStripes)
-}
-
 func (h *Histogram) stripeFor(user string) *stripe {
-	return &h.stripes[stripeIndex(user)]
+	return &h.stripes[par.Stripe(user, numStripes)]
 }
 
 // lockAll / unlockAll acquire and release every stripe write lock in index
@@ -201,8 +211,35 @@ func (h *Histogram) userLocked(st *stripe, user string) *userBins {
 	if u == nil {
 		u = &userBins{}
 		st.users[user] = u
+		if st.indexed {
+			u.slot = int32(len(st.newest))
+			st.newest = append(st.newest, newestEntry{name: user})
+		}
 	}
 	return u
+}
+
+// noteNewest keeps u's column entry at its newest bin. The stripe's write
+// lock must be held.
+func (st *stripe) noteNewest(u *userBins) {
+	if st.indexed {
+		st.newest[u.slot].start = u.lastStart()
+	}
+}
+
+// dropNewest swap-removes the column entry of u, which is leaving the
+// stripe: the last entry takes its slot. The stripe's write lock must be
+// held, and u must still be in st.users.
+func (st *stripe) dropNewest(u *userBins) {
+	if !st.indexed {
+		return
+	}
+	last := len(st.newest) - 1
+	moved := st.newest[last]
+	st.newest[u.slot] = moved
+	st.users[moved.name].slot = u.slot
+	st.newest[last] = newestEntry{}
+	st.newest = st.newest[:last]
 }
 
 // findBin locates start in u.bins: it returns the index where start is or
@@ -231,6 +268,7 @@ func (h *Histogram) addBinLocked(st *stripe, user string, start int64, v float64
 		u.bins = append(u.bins, bin{})
 		copy(u.bins[i+1:], u.bins[i:])
 		u.bins[i] = bin{start, v}
+		st.noteNewest(u)
 	}
 	u.total += v
 	h.trackerAdd(st, user, u, start, v)
@@ -266,7 +304,10 @@ func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64
 		u.recomputeTotal()
 		h.trackerAdd(st, user, u, start, -old)
 		if len(u.bins) == 0 {
+			st.dropNewest(u)
 			delete(st.users, user)
+		} else {
+			st.noteNewest(u)
 		}
 		return
 	}
@@ -289,6 +330,7 @@ func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64
 	u.bins = append(u.bins, bin{})
 	copy(u.bins[i+1:], u.bins[i:])
 	u.bins[i] = bin{start, v}
+	st.noteNewest(u)
 	u.total += v
 	h.trackerAdd(st, user, u, start, v)
 }
@@ -367,7 +409,7 @@ func batchByStripe(records []Record) [numStripes][]Record {
 		if r.User == "" {
 			continue
 		}
-		i := stripeIndex(r.User)
+		i := par.Stripe(r.User, numStripes)
 		by[i] = append(by[i], r)
 	}
 	return by
@@ -560,7 +602,9 @@ func (h *Histogram) accumPlain(dst map[string]float64) {
 // site, sorted by user then interval. The export is read-consistent: all
 // stripes are held while it is assembled.
 func (h *Histogram) Records(site string) []Record {
-	return h.RecordsSince(site, time.Time{})
+	h.rlockAll()
+	defer h.runlockAll()
+	return exportRecords(site, h.stripes[:])
 }
 
 // NumStripes reports the lock-striping factor — the valid range of
@@ -574,57 +618,94 @@ func (h *Histogram) NumStripes() int { return numStripes }
 func (h *Histogram) StripeRecords(site string, i int) []Record {
 	h.stripes[i].mu.RLock()
 	defer h.stripes[i].mu.RUnlock()
-	return exportRecords(site, h.stripes[i:i+1], time.Time{})
+	return exportRecords(site, h.stripes[i:i+1])
 }
 
 // RecordsSince exports only records whose interval starts at or after t —
 // the incremental exchange between USS instances — read-consistently like
-// Records, which is the same call with the zero time.
+// Records, which is the same call with the zero time. A pull costs one
+// int64 comparison per user over the stripes' newest-bin columns plus a
+// binary search and the export for each user it selects: no map walk and no
+// time.Time per user. The first call with a non-zero t attaches the columns,
+// one stripe write lock at a time; from then on every mutation keeps them
+// current.
 func (h *Histogram) RecordsSince(site string, t time.Time) []Record {
+	if t.IsZero() {
+		return h.Records(site)
+	}
+	if !h.allIndexed.Load() {
+		h.indexNewest()
+	}
+	from := t.Unix()
+	if t.Nanosecond() > 0 {
+		from++ // bin starts are whole seconds: start ≥ t means start ≥ ⌈t⌉
+	}
 	h.rlockAll()
 	defer h.runlockAll()
-	return exportRecords(site, h.stripes[:], t)
-}
-
-// exportRecords emits the bins of the given stripes that start at or after t (every
-// bin for the zero time) as exchange records for site, sorted by user then
-// interval; the caller holds the stripes' locks. Each user's tail is found by
-// binary search in its sorted bins, and users whose newest bin predates t are
-// skipped with one comparison, so the cost scales with the number of users
-// plus the exported tail, not with total histogram size.
-func exportRecords(site string, stripes []stripe, t time.Time) []Record {
-	type uref struct {
-		name string
-		u    *userBins
-		from int
-	}
-	var users []uref
-	total := 0
-	for i := range stripes {
-		for name, u := range stripes[i].users {
-			from := 0
-			if !t.IsZero() {
-				if len(u.bins) == 0 || time.Unix(u.lastStart(), 0).Before(t) {
-					continue // newest bin predates t: nothing to export
-				}
-				bins := u.bins
-				from = sort.Search(len(bins), func(k int) bool {
-					return !time.Unix(bins[k].start, 0).Before(t)
-				})
-			}
-			if from == len(u.bins) {
+	var tails []userTail
+	for i := range h.stripes {
+		st := &h.stripes[i]
+		for _, e := range st.newest {
+			if e.start < from {
 				continue
 			}
-			users = append(users, uref{name, u, from})
-			total += len(u.bins) - from
+			bins := st.users[e.name].bins
+			k := sort.Search(len(bins), func(k int) bool { return bins[k].start >= from })
+			tails = append(tails, userTail{e.name, bins[k:]})
 		}
 	}
-	slices.SortFunc(users, func(a, b uref) int { return strings.Compare(a.name, b.name) })
+	return emitTails(site, tails)
+}
+
+// indexNewest attaches the newest-bin column to every stripe that lacks one.
+func (h *Histogram) indexNewest() {
+	for i := range h.stripes {
+		st := &h.stripes[i]
+		st.mu.Lock()
+		if !st.indexed {
+			st.indexed = true
+			st.newest = make([]newestEntry, 0, len(st.users))
+			for name, u := range st.users {
+				u.slot = int32(len(st.newest))
+				st.newest = append(st.newest, newestEntry{u.lastStart(), name})
+			}
+		}
+		st.mu.Unlock()
+	}
+	h.allIndexed.Store(true)
+}
+
+// userTail is the run of one user's bins an export emits.
+type userTail struct {
+	name string
+	bins []bin
+}
+
+// exportRecords emits every bin of the given stripes as exchange records for
+// site, sorted by user then interval; the caller holds the stripes' locks.
+func exportRecords(site string, stripes []stripe) []Record {
+	var tails []userTail
+	for i := range stripes {
+		for name, u := range stripes[i].users {
+			tails = append(tails, userTail{name, u.bins})
+		}
+	}
+	return emitTails(site, tails)
+}
+
+// emitTails sorts tails by user and emits their bins as exchange records for
+// site.
+func emitTails(site string, tails []userTail) []Record {
+	slices.SortFunc(tails, func(a, b userTail) int { return strings.Compare(a.name, b.name) })
+	total := 0
+	for _, ut := range tails {
+		total += len(ut.bins)
+	}
 	out := make([]Record, 0, total)
-	for _, ur := range users {
-		for _, b := range ur.u.bins[ur.from:] {
+	for _, ut := range tails {
+		for _, b := range ut.bins {
 			out = append(out, Record{
-				User:          ur.name,
+				User:          ut.name,
 				Site:          site,
 				IntervalStart: time.Unix(b.start, 0).UTC(),
 				CoreSeconds:   b.v,
