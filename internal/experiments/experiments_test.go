@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/workload"
 )
 
 // tiny returns a scale small enough for unit tests.
@@ -128,53 +126,6 @@ func TestFigures4to7(t *testing.T) {
 		if err := r.Render(&buf); err != nil {
 			t.Errorf("%s render: %v", name, err)
 		}
-	}
-}
-
-func TestFigure10Baseline(t *testing.T) {
-	r, res, err := Figure10Baseline(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) == 0 {
-		t.Error("no rows")
-	}
-	if res.Utilization <= 0.3 {
-		t.Errorf("utilization = %.3f", res.Utilization)
-	}
-}
-
-func TestFigure13Bursty(t *testing.T) {
-	r, res, err := Figure13Bursty(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) == 0 {
-		t.Error("no rows")
-	}
-	// The U3 priority bound note must exist and the observed max must be
-	// within the theoretical limit.
-	p := res.Priorities[workload.U3]
-	if p == nil {
-		t.Fatal("no U3 priorities")
-	}
-	for _, v := range p.Values {
-		if v > 0.56+1e-9 {
-			t.Fatalf("U3 priority %g exceeds the 0.56 bound", v)
-		}
-	}
-}
-
-func TestFigurePartialShape(t *testing.T) {
-	r, res, err := FigurePartial(tiny())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) == 0 {
-		t.Error("no rows")
-	}
-	if len(res.SitePriorities) != 2 {
-		t.Errorf("site priorities = %d", len(res.SitePriorities))
 	}
 }
 
