@@ -3,9 +3,9 @@
 //
 // Usage:
 //
-//	experiments [-scale quick|full] [tableI|tableII|tableIII|figure4..7|
-//	             figure10|figure11|figure12|figurePartial|figure13|
-//	             production|ablations|all]
+//	experiments [-scale quick|full] [tableI|tableII|tableIII|periodicity|
+//	             figure4..7|figure10|figure11|figure12|figurePartial|
+//	             figure13|production|ablations|all]
 package main
 
 import (
@@ -52,52 +52,19 @@ func main() {
 			log.Fatalf("experiments: %v", err)
 		}
 		for _, r := range reports {
-			if err := r.Render(os.Stdout); err != nil {
-				log.Fatalf("experiments: %v", err)
+			run(r, nil)
+		}
+	case "ablations":
+		for _, e := range experiments.Ablations {
+			run(e.Run(sc))
+		}
+	default:
+		for _, e := range experiments.Paper {
+			if e.ID == which {
+				run(e.Run(sc))
+				return
 			}
 		}
-	case "tableI":
-		run(experiments.TableI())
-	case "tableII":
-		run(experiments.TableII(sc))
-	case "tableIII":
-		run(experiments.TableIII(sc))
-	case "periodicity":
-		run(experiments.Periodicity(sc))
-	case "figure4":
-		run(experiments.Figure4(sc))
-	case "figure5":
-		run(experiments.Figure5(sc))
-	case "figure6":
-		run(experiments.Figure6(sc))
-	case "figure7":
-		run(experiments.Figure7(sc))
-	case "figure10":
-		r, _, err := experiments.Figure10Baseline(sc)
-		run(r, err)
-	case "figure11":
-		run(experiments.Figure11UpdateDelay(sc))
-	case "figure12":
-		r, _, err := experiments.Figure12NonOptimalPolicy(sc)
-		run(r, err)
-	case "figurePartial":
-		r, _, err := experiments.FigurePartial(sc)
-		run(r, err)
-	case "figure13":
-		r, _, err := experiments.Figure13Bursty(sc)
-		run(r, err)
-	case "production":
-		run(experiments.ProductionStats(sc))
-	case "ablations":
-		run(experiments.AblationProjection(sc))
-		run(experiments.AblationDistanceWeight(sc))
-		run(experiments.AblationDecay(sc))
-		run(experiments.AblationCacheTTL(sc))
-		run(experiments.AblationDispatch(sc))
-		run(experiments.AblationRM(sc))
-		run(experiments.AblationHierarchy(sc))
-		run(experiments.AblationBackfill(sc))
-	default:
 		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", which)
 		os.Exit(2)
 	}

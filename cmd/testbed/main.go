@@ -1,8 +1,10 @@
 // Command testbed runs the emulated nation-wide environment: N virtual
 // clusters, each with a full Aequus stack and a SLURM- or Maui-like local
 // scheduler, driven by a synthetic workload (generated in-process or read
-// from a trace file). It prints the usage-share and priority series plus
-// summary statistics.
+// from a trace file). The run is a scenario.Spec under every invariant
+// checker. It prints the usage-share and priority series plus summary
+// statistics, and exits 1 after printing the violations if an invariant
+// broke.
 //
 // Example (the paper's baseline configuration):
 //
@@ -17,8 +19,8 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/telemetry"
-	"repro/internal/testbed"
 	"repro/internal/trace"
 	"repro/internal/vector"
 	"repro/internal/workload"
@@ -80,22 +82,15 @@ func main() {
 		}
 	} else {
 		var err error
-		tr, err = m.Generate(workload.GenerateOptions{
-			TotalJobs: *jobs, Start: start, Span: *duration, Seed: *seed,
-			CalibrateUsage: true, MaxDuration: *duration / 4,
-		})
-		if err != nil {
+		if tr, err = m.TestbedTrace(*jobs, start, *duration, *seed, *sites**cores, *load); err != nil {
 			fatal("generating workload", "err", err)
 		}
-		tr = workload.ScaleToLoad(tr, *sites**cores, *load, *duration)
 	}
 
-	targets := map[string]float64{}
+	var targets map[string]float64
 	switch *policyArg {
 	case "trace":
-		for _, u := range m.Users {
-			targets[u.Name] = u.UsageFraction
-		}
+		targets = m.UsageFractions()
 	case "nonoptimal":
 		targets = workload.NonOptimalShares()
 	default:
@@ -107,31 +102,34 @@ func main() {
 		fatal("unknown projection", "projection", *proj)
 	}
 
-	cfg := testbed.Config{
-		Sites: *sites, CoresPerSite: *cores, Start: start, Duration: *duration,
-		PolicyShares: targets, Trace: tr, Seed: *seed,
-		DistanceWeight: *k, Projection: projection, RM: testbed.RMKind(*rm),
-	}
-	if *partial {
-		modes := make([]testbed.SiteMode, *sites)
-		for i := range modes {
-			modes[i] = testbed.SiteMode{Contribute: true, UseGlobal: true}
+	spec := scenario.TraceSpec(tr, *sites, *cores, start, *duration, targets, *seed)
+	spec.DistanceWeight = *k
+	spec.Projection = projection
+	spec.RM = scenario.RMKind(*rm)
+	if *partial && *sites >= 2 {
+		// The second-last site only reads global usage, the last one
+		// prioritizes on local usage only.
+		spec.Modes = make([]scenario.SiteMode, *sites)
+		for i := range spec.Modes {
+			spec.Modes[i] = scenario.SiteMode{Contribute: i != *sites-2, UseGlobal: i != *sites-1}
 		}
-		if *sites >= 2 {
-			modes[*sites-2] = testbed.SiteMode{Contribute: false, UseGlobal: true}
-			modes[*sites-1] = testbed.SiteMode{Contribute: true, UseGlobal: false}
-		}
-		cfg.SiteModes = modes
 	}
 
-	res, err := testbed.Run(cfg)
+	res, err := scenario.Run(spec, scenario.Options{})
 	if err != nil {
 		fatal("run failed", "err", err)
 	}
 
 	users := res.UsageShares.Users()
 	sort.Strings(users)
-	fmt.Println("minute  " + header(users))
+	fmt.Print("minute  ")
+	for _, u := range users {
+		fmt.Printf("%7s", u+"↑")
+	}
+	for _, u := range users {
+		fmt.Printf("%8s", u+"ᵖ")
+	}
+	fmt.Println()
 	if len(users) > 0 && res.UsageShares[users[0]] != nil {
 		ref := res.UsageShares[users[0]]
 		step := ref.Len() / 36
@@ -154,15 +152,11 @@ func main() {
 	}
 	fmt.Printf("\nsubmitted=%d completed=%d queued=%d utilization=%.3f sustained=%.0f/min peak=%.0f/min\n",
 		res.Submitted, res.Completed, res.QueuedAtEnd, res.Utilization, res.SustainedRate, res.PeakRate)
-}
-
-func header(users []string) string {
-	s := ""
-	for _, u := range users {
-		s += fmt.Sprintf("%7s", u+"↑")
+	if res.Failed() {
+		for _, v := range res.Violations {
+			fmt.Println("violation:", v)
+		}
+		fmt.Print(res.TraceDump)
+		os.Exit(1)
 	}
-	for _, u := range users {
-		s += fmt.Sprintf("%8s", u+"ᵖ")
-	}
-	return s
 }

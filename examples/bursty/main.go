@@ -1,8 +1,8 @@
 // Bursty workload: the paper's Section IV-A.5 scenario as a library user
 // would run it — generate the bursty synthetic workload (U3's job share
 // raised to 45.5%, burst starting after one third of the run), drive the
-// emulated multi-cluster testbed, and watch the system re-balance when the
-// burst hits.
+// emulated multi-cluster testbed under every invariant checker, and watch
+// the system re-balance when the burst hits.
 //
 // Run with: go run ./examples/bursty
 package main
@@ -12,7 +12,7 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/testbed"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -27,30 +27,22 @@ func main() {
 	start := time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC)
 
 	model := workload.Bursty2012(duration)
-	tr, err := model.Generate(workload.GenerateOptions{
-		TotalJobs: jobs, Start: start, Span: duration, Seed: 7,
-		CalibrateUsage: true, MaxDuration: duration / 4,
-	})
+	tr, err := model.TestbedTrace(jobs, start, duration, 7, sites*cores, 0.95)
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr = workload.ScaleToLoad(tr, sites*cores, 0.95, duration)
 
 	fmt.Println("bursty trace characteristics (paper: jobs 45.5/6.5/45.5/3%, usage 47/38.5/12/2.5%):")
 	for _, s := range trace.UserStats(tr) {
 		fmt.Printf("  %-5s jobs %5.1f%%  usage %5.1f%%\n", s.User, 100*s.JobShare, 100*s.UsageShare)
 	}
 
-	targets := map[string]float64{}
-	for _, u := range model.Users {
-		targets[u.Name] = u.UsageFraction
-	}
-	res, err := testbed.Run(testbed.Config{
-		Sites: sites, CoresPerSite: cores, Start: start, Duration: duration,
-		PolicyShares: targets, Trace: tr, Seed: 7,
-	})
+	res, err := scenario.Run(scenario.TraceSpec(tr, sites, cores, start, duration, model.UsageFractions(), 7), scenario.Options{})
 	if err != nil {
 		log.Fatal(err)
+	}
+	if res.Failed() {
+		log.Fatalf("invariant violated: %s", res.Violations[0])
 	}
 
 	fmt.Println("\nU3 priority over the run (burst arrives after ~1/3 of the test):")

@@ -1,8 +1,9 @@
-package testbed
+package core_test
 
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -17,6 +18,9 @@ import (
 )
 
 const chaosRound = 10 * time.Minute
+
+// siteName is the federation's site naming, as the metrics label peers.
+func siteName(i int) string { return fmt.Sprintf("site%02d", i) }
 
 // chaosFederation is three full Aequus sites on a shared simulated clock,
 // with per-site registries so metrics stay separable.
@@ -139,8 +143,8 @@ func TestChaosConvergenceAfterFaultsClear(t *testing.T) {
 
 	// Faulty federation: site 0 reaches its peers through the injectors;
 	// every other link is clean. The healthy twin is a full clean mesh.
-	faulty.sites[0].ConnectPeer(&FaultyPeer{Peer: faulty.sites[1].USS, Inj: injDead})
-	faulty.sites[0].ConnectPeer(&FaultyPeer{Peer: faulty.sites[2].USS, Inj: injFlap})
+	faulty.sites[0].ConnectPeer(&faultinject.FaultyPeer{Peer: faulty.sites[1].USS, Inj: injDead})
+	faulty.sites[0].ConnectPeer(&faultinject.FaultyPeer{Peer: faulty.sites[2].USS, Inj: injFlap})
 	for i := 1; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if i != j {
@@ -228,8 +232,8 @@ func TestChaosDeadPeerNeverBlocksLocalServing(t *testing.T) {
 	clock := simclock.NewSim(t0)
 	f := newChaosFederation(t, clock)
 	inj := faultinject.New(clock, 7, faultinject.Window{Kind: faultinject.Timeout})
-	f.sites[0].ConnectPeer(&FaultyPeer{Peer: f.sites[1].USS, Inj: inj})
-	f.sites[0].ConnectPeer(&FaultyPeer{Peer: f.sites[2].USS, Inj: inj})
+	f.sites[0].ConnectPeer(&faultinject.FaultyPeer{Peer: f.sites[1].USS, Inj: inj})
+	f.sites[0].ConnectPeer(&faultinject.FaultyPeer{Peer: f.sites[2].USS, Inj: inj})
 
 	for r := 0; r < 4; r++ {
 		f.report(clock.Now())

@@ -4,49 +4,44 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/grid"
 	"repro/internal/metrics"
-	"repro/internal/testbed"
+	"repro/internal/scenario"
 	"repro/internal/usage"
 	"repro/internal/vector"
 	"repro/internal/workload"
 )
 
-// ablationRun executes a baseline-style run with a config mutation and
-// returns the mean absolute usage-share error over the second half of the
-// run (lower = better convergence) plus the result.
-func ablationRun(sc Scale, mutate func(*testbed.Config)) (float64, *testbed.Result, error) {
+// ablation generates the baseline workload once and returns the runner of
+// its variants: each runs the baseline spec under a mutation and returns
+// the mean absolute usage-share error over the second half of the run
+// (lower = better convergence) plus the result.
+func ablation(sc Scale) func(mutate func(*scenario.Spec)) (float64, *scenario.Result, error) {
 	m := workload.NationalGrid2012(sc.Duration)
-	tr, err := testbedTrace(sc, m, 0.95)
-	if err != nil {
-		return 0, nil, err
-	}
-	targets := usageShareTargets(m)
-	cfg := testbed.Config{
-		Sites: sc.Sites, CoresPerSite: sc.Cores, Start: testStart,
-		Duration: sc.Duration, PolicyShares: targets, Trace: tr, Seed: sc.Seed,
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	res, err := testbed.Run(cfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	half := testStart.Add(sc.Duration / 2)
-	var mae float64
-	n := 0
-	for _, u := range testUsers {
-		if s := res.UsageShares[u]; s != nil {
-			v := metrics.MeanAbsError(s, targets[u], half)
-			mae += v
-			n++
+	targets := m.UsageFractions()
+	tr, genErr := testbedTrace(sc, m, 0.95)
+	return func(mutate func(*scenario.Spec)) (float64, *scenario.Result, error) {
+		if genErr != nil {
+			return 0, nil, genErr
 		}
+		spec := scenario.TraceSpec(tr, sc.Sites, sc.Cores, testStart, sc.Duration, targets, sc.Seed)
+		mutate(spec)
+		res, err := runChecked(spec)
+		if err != nil {
+			return 0, nil, err
+		}
+		var mae float64
+		n := 0
+		for _, u := range testUsers {
+			if s := res.UsageShares[u]; s != nil {
+				mae += metrics.MeanAbsError(s, targets[u], testStart.Add(sc.Duration/2))
+				n++
+			}
+		}
+		if n > 0 {
+			mae /= float64(n)
+		}
+		return mae, res, nil
 	}
-	if n > 0 {
-		mae /= float64(n)
-	}
-	return mae, res, nil
 }
 
 // AblationProjection compares the three vector projections on identical
@@ -57,9 +52,10 @@ func AblationProjection(sc Scale) (*Report, error) {
 		Title:   "Projection algorithm ablation on the baseline workload",
 		Columns: []string{"Projection", "ShareMAE(2nd half)", "Utilization"},
 	}
+	run := ablation(sc)
 	for _, p := range vector.Projections() {
 		p := p
-		mae, res, err := ablationRun(sc, func(c *testbed.Config) { c.Projection = p })
+		mae, res, err := run(func(s *scenario.Spec) { s.Projection = p })
 		if err != nil {
 			return nil, err
 		}
@@ -76,15 +72,16 @@ func AblationDistanceWeight(sc Scale) (*Report, error) {
 		Title:   "Distance weight (k) sweep: relative vs absolute blend",
 		Columns: []string{"k", "ShareMAE(2nd half)", "Utilization"},
 	}
+	run := ablation(sc)
 	for _, k := range []float64{0.01, 0.25, 0.5, 0.75, 1.0} {
 		k := k
-		mae, res, err := ablationRun(sc, func(c *testbed.Config) {
-			c.DistanceWeight = k
+		mae, res, err := run(func(s *scenario.Spec) {
+			s.DistanceWeight = k
 			// The percental projection bypasses the k-blended node values
 			// (it recomputes target−usage directly), so the sweep uses the
 			// dictionary projection, which orders by the k-dependent
 			// fairshare vectors.
-			c.Projection = vector.Dictionary{}
+			s.Projection = vector.Dictionary{}
 		})
 		if err != nil {
 			return nil, err
@@ -103,10 +100,11 @@ func AblationDecay(sc Scale) (*Report, error) {
 		Title:   "Usage decay half-life sweep",
 		Columns: []string{"HalfLife", "ShareMAE(2nd half)", "Utilization"},
 	}
+	run := ablation(sc)
 	for _, frac := range []float64{1.0 / 24, 1.0 / 12, 1.0 / 6, 1.0 / 3, 1} {
 		hl := time.Duration(float64(sc.Duration) * frac)
-		mae, res, err := ablationRun(sc, func(c *testbed.Config) {
-			c.Decay = usage.ExponentialHalfLife{HalfLife: hl}
+		mae, res, err := run(func(s *scenario.Spec) {
+			s.Decay = usage.ExponentialHalfLife{HalfLife: hl}
 		})
 		if err != nil {
 			return nil, err
@@ -125,13 +123,14 @@ func AblationCacheTTL(sc Scale) (*Report, error) {
 		Title:   "Update-delay sweep: cache/refresh intervals (components I-IV)",
 		Columns: []string{"Interval", "ShareMAE(2nd half)", "Utilization"},
 	}
+	run := ablation(sc)
 	for _, iv := range []time.Duration{15 * time.Second, time.Minute, 5 * time.Minute, 15 * time.Minute} {
 		iv := iv
-		mae, res, err := ablationRun(sc, func(c *testbed.Config) {
-			c.ExchangeInterval = iv
-			c.RefreshInterval = iv
-			c.LibTTL = iv / 2
-			c.ReprioInterval = iv
+		mae, res, err := run(func(s *scenario.Spec) {
+			s.ExchangeInterval = iv
+			s.RefreshInterval = iv
+			s.LibTTL = iv / 2
+			s.ReprioInterval = iv
 		})
 		if err != nil {
 			return nil, err
@@ -150,16 +149,16 @@ func AblationDispatch(sc Scale) (*Report, error) {
 		Title:   "Dispatch strategy: stochastic vs round-robin",
 		Columns: []string{"Dispatcher", "ShareMAE(2nd half)", "Utilization"},
 	}
-	dispatchers := []grid.Dispatcher{grid.NewStochastic(sc.Seed + 1), &grid.RoundRobin{}}
+	run := ablation(sc)
 	var maes []float64
-	for _, d := range dispatchers {
+	for _, d := range []scenario.DispatchKind{scenario.DispatchStochastic, scenario.DispatchRoundRobin} {
 		d := d
-		mae, res, err := ablationRun(sc, func(c *testbed.Config) { c.Dispatcher = d })
+		mae, res, err := run(func(s *scenario.Spec) { s.Dispatch = d })
 		if err != nil {
 			return nil, err
 		}
 		maes = append(maes, mae)
-		r.AddRow(d.Name(), fmtF(mae, 4), fmtF(res.Utilization, 3))
+		r.AddRow(string(d), fmtF(mae, 4), fmtF(res.Utilization, 3))
 	}
 	if len(maes) == 2 {
 		r.AddNote("|Δ MAE| = %.4f (paper: no noticeable difference between the strategies)", abs(maes[0]-maes[1]))
@@ -181,9 +180,10 @@ func AblationRM(sc Scale) (*Report, error) {
 		Title:   "Resource-manager substrate: SLURM-like vs Maui-like under Aequus",
 		Columns: []string{"RM", "ShareMAE(2nd half)", "Utilization"},
 	}
-	for _, rm := range []testbed.RMKind{testbed.RMSlurm, testbed.RMMaui} {
+	run := ablation(sc)
+	for _, rm := range []scenario.RMKind{scenario.RMSlurm, scenario.RMMaui} {
 		rm := rm
-		mae, res, err := ablationRun(sc, func(c *testbed.Config) { c.RM = rm })
+		mae, res, err := run(func(s *scenario.Spec) { s.RM = rm })
 		if err != nil {
 			return nil, err
 		}
@@ -193,62 +193,61 @@ func AblationRM(sc Scale) (*Report, error) {
 	return r, nil
 }
 
-// All runs every experiment at the given scale and returns the reports in
-// paper order.
+// Experiment is one reproducible table or figure, named by its report id.
+type Experiment struct {
+	ID  string
+	Run func(Scale) (*Report, error)
+}
+
+// Paper lists the paper's tables and figures in paper order; Ablations
+// lists the design-space sweeps beyond them.
+var (
+	Paper = []Experiment{
+		{"tableI", func(Scale) (*Report, error) { return TableI() }},
+		{"tableII", TableII},
+		{"tableIII", TableIII},
+		{"periodicity", Periodicity},
+		{"figure4", Figure4},
+		{"figure5", Figure5},
+		{"figure6", Figure6},
+		{"figure7", Figure7},
+		{"figure10", reportOnly(Figure10Baseline)},
+		{"figure11", Figure11UpdateDelay},
+		{"figure12", reportOnly(Figure12NonOptimalPolicy)},
+		{"figurePartial", reportOnly(FigurePartial)},
+		{"figure13", reportOnly(Figure13Bursty)},
+		{"production", ProductionStats},
+	}
+	Ablations = []Experiment{
+		{"ablationProjection", AblationProjection},
+		{"ablationDistanceWeight", AblationDistanceWeight},
+		{"ablationDecay", AblationDecay},
+		{"ablationCacheTTL", AblationCacheTTL},
+		{"ablationDispatch", AblationDispatch},
+		{"ablationRM", AblationRM},
+		{"ablationHierarchy", AblationHierarchy},
+		{"ablationBackfill", AblationBackfill},
+	}
+)
+
+// reportOnly drops the run an experiment also returns.
+func reportOnly(f func(Scale) (*Report, *scenario.Result, error)) func(Scale) (*Report, error) {
+	return func(sc Scale) (*Report, error) {
+		r, _, err := f(sc)
+		return r, err
+	}
+}
+
+// All runs every experiment of Paper at the given scale and returns the
+// reports in paper order.
 func All(sc Scale) ([]*Report, error) {
 	var out []*Report
-	add := func(r *Report, err error) error {
+	for _, e := range Paper {
+		r, err := e.Run(sc)
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("%s: %w", e.ID, err)
 		}
 		out = append(out, r)
-		return nil
-	}
-	if err := add(TableI()); err != nil {
-		return nil, fmt.Errorf("tableI: %w", err)
-	}
-	if err := add(TableII(sc)); err != nil {
-		return nil, fmt.Errorf("tableII: %w", err)
-	}
-	if err := add(TableIII(sc)); err != nil {
-		return nil, fmt.Errorf("tableIII: %w", err)
-	}
-	if err := add(Periodicity(sc)); err != nil {
-		return nil, fmt.Errorf("periodicity: %w", err)
-	}
-	if err := add(Figure4(sc)); err != nil {
-		return nil, fmt.Errorf("figure4: %w", err)
-	}
-	if err := add(Figure5(sc)); err != nil {
-		return nil, fmt.Errorf("figure5: %w", err)
-	}
-	if err := add(Figure6(sc)); err != nil {
-		return nil, fmt.Errorf("figure6: %w", err)
-	}
-	if err := add(Figure7(sc)); err != nil {
-		return nil, fmt.Errorf("figure7: %w", err)
-	}
-	r10, _, err := Figure10Baseline(sc)
-	if err := add(r10, err); err != nil {
-		return nil, fmt.Errorf("figure10: %w", err)
-	}
-	if err := add(Figure11UpdateDelay(sc)); err != nil {
-		return nil, fmt.Errorf("figure11: %w", err)
-	}
-	r12, _, err := Figure12NonOptimalPolicy(sc)
-	if err := add(r12, err); err != nil {
-		return nil, fmt.Errorf("figure12: %w", err)
-	}
-	rp, _, err := FigurePartial(sc)
-	if err := add(rp, err); err != nil {
-		return nil, fmt.Errorf("figurePartial: %w", err)
-	}
-	r13, _, err := Figure13Bursty(sc)
-	if err := add(r13, err); err != nil {
-		return nil, fmt.Errorf("figure13: %w", err)
-	}
-	if err := add(ProductionStats(sc)); err != nil {
-		return nil, fmt.Errorf("production: %w", err)
 	}
 	return out, nil
 }

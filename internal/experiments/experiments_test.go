@@ -84,6 +84,7 @@ func TestHistoricalTraceCleaning(t *testing.T) {
 }
 
 func TestTableIIShape(t *testing.T) {
+	t.Parallel()
 	sc := tiny()
 	r, err := TableII(sc)
 	if err != nil {
@@ -101,6 +102,7 @@ func TestTableIIShape(t *testing.T) {
 }
 
 func TestTableIIIShape(t *testing.T) {
+	t.Parallel()
 	r, err := TableIII(tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +113,7 @@ func TestTableIIIShape(t *testing.T) {
 }
 
 func TestFigures4to7(t *testing.T) {
+	t.Parallel()
 	sc := tiny()
 	for name, f := range map[string]func(Scale) (*Report, error){
 		"figure4": Figure4, "figure5": Figure5, "figure6": Figure6, "figure7": Figure7,

@@ -72,10 +72,14 @@ var goldenReports = []struct {
 }
 
 // TestGoldenReports is the byte-exact regression gate on every sim-clock
-// report — the tiny-scale twin of the committed full-scale results.
+// report — the tiny-scale twin of the committed full-scale results. The
+// runs share no state, so they run in parallel.
 func TestGoldenReports(t *testing.T) {
+	t.Parallel()
 	for _, g := range goldenReports {
+		g := g
 		t.Run(g.id, func(t *testing.T) {
+			t.Parallel()
 			r, err := g.run(t, tiny())
 			if err != nil {
 				t.Fatal(err)

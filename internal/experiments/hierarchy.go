@@ -4,8 +4,7 @@ import (
 	"math"
 
 	"repro/internal/metrics"
-	"repro/internal/policy"
-	"repro/internal/testbed"
+	"repro/internal/scenario"
 	"repro/internal/workload"
 )
 
@@ -17,32 +16,20 @@ import (
 // within it.
 func AblationHierarchy(sc Scale) (*Report, error) {
 	m := workload.NationalGrid2012(sc.Duration)
-	tr, err := testbedTrace(sc, m, 0.95)
-	if err != nil {
-		return nil, err
-	}
-	targets := usageShareTargets(m)
+	targets := m.UsageFractions()
 
-	// VO A: the periodic project + the bursty project; VO B: the rest.
+	// VO A: the periodic project + the bursty project; VO B: the rest. A
+	// VO's share is the sum of its members' (in member order).
 	voA := targets[workload.U65] + targets[workload.U3]
 	voB := targets[workload.U30] + targets[workload.UOth]
-	pol := policy.NewTree()
-	mustAdd := func(parent, name string, share float64) {
-		if _, err := pol.Add(parent, name, share); err != nil {
-			panic(err)
+	res, err := paperRun(sc, m, targets, func(s *scenario.Spec) {
+		s.Projects = []string{"voA", "voB"}
+		s.Users = []scenario.UserSpec{
+			{Name: workload.U65, Share: targets[workload.U65], Project: "voA"},
+			{Name: workload.U3, Share: targets[workload.U3], Project: "voA"},
+			{Name: workload.U30, Share: targets[workload.U30], Project: "voB"},
+			{Name: workload.UOth, Share: targets[workload.UOth], Project: "voB"},
 		}
-	}
-	mustAdd("", "voA", voA)
-	mustAdd("", "voB", voB)
-	mustAdd("/voA", workload.U65, targets[workload.U65])
-	mustAdd("/voA", workload.U3, targets[workload.U3])
-	mustAdd("/voB", workload.U30, targets[workload.U30])
-	mustAdd("/voB", workload.UOth, targets[workload.UOth])
-
-	res, err := testbed.Run(testbed.Config{
-		Sites: sc.Sites, CoresPerSite: sc.Cores, Start: testStart,
-		Duration: sc.Duration, PolicyShares: targets, Policy: pol,
-		Trace: tr, Seed: sc.Seed,
 	})
 	if err != nil {
 		return nil, err
@@ -74,30 +61,14 @@ func AblationHierarchy(sc Scale) (*Report, error) {
 	return r, nil
 }
 
-// groupShare sums the member series of a group into one.
+// groupShare sums the member series of a group into one. The sampler
+// records every user at every check, so the series align sample for sample.
 func groupShare(p metrics.PerUser, members ...string) *metrics.Series {
-	var ref *metrics.Series
-	for _, u := range members {
-		if s := p[u]; s != nil && (ref == nil || s.Len() < ref.Len()) {
-			ref = s
-		}
-	}
-	if ref == nil {
-		return &metrics.Series{}
-	}
 	out := &metrics.Series{}
-	for i, at := range ref.Times {
+	for i, at := range p[members[0]].Times {
 		var sum float64
 		for _, u := range members {
-			s := p[u]
-			if s == nil {
-				continue
-			}
-			if s == ref {
-				sum += s.Values[i]
-			} else if v := s.At(at); !math.IsNaN(v) {
-				sum += v
-			}
+			sum += p[u].Values[i]
 		}
 		out.Add(at, sum)
 	}
@@ -112,9 +83,10 @@ func AblationBackfill(sc Scale) (*Report, error) {
 		Title:   "Scheduling order: strict priority vs first-fit backfill",
 		Columns: []string{"Mode", "Utilization", "u65 wait(s)", "u30 wait(s)", "u3 wait(s)", "MeanSlowdown(u65)"},
 	}
+	run := ablation(sc)
 	for _, strict := range []bool{true, false} {
 		strict := strict
-		_, res, err := ablationRun(sc, func(c *testbed.Config) { c.StrictOrder = strict })
+		_, res, err := run(func(s *scenario.Spec) { s.StrictOrder = strict })
 		if err != nil {
 			return nil, err
 		}

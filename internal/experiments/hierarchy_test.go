@@ -6,6 +6,7 @@ import (
 )
 
 func TestAblationHierarchy(t *testing.T) {
+	t.Parallel()
 	r, err := AblationHierarchy(tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -27,6 +28,7 @@ func TestAblationHierarchy(t *testing.T) {
 }
 
 func TestAblationBackfill(t *testing.T) {
+	t.Parallel()
 	r, err := AblationBackfill(tiny())
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 )
 
 func TestFigure11UpdateDelay(t *testing.T) {
+	t.Parallel()
 	sc := tiny()
 	sc.Jobs = 800
 	r, err := Figure11UpdateDelay(sc)
@@ -30,6 +31,7 @@ func TestFigure11UpdateDelay(t *testing.T) {
 }
 
 func TestFigure12NonOptimalPolicy(t *testing.T) {
+	t.Parallel()
 	r, res, err := Figure12NonOptimalPolicy(tiny())
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +51,7 @@ func TestFigure12NonOptimalPolicy(t *testing.T) {
 }
 
 func TestProductionStats(t *testing.T) {
+	t.Parallel()
 	sc := tiny()
 	sc.Jobs = 2000
 	r, err := ProductionStats(sc)
@@ -71,6 +74,7 @@ func TestAllQuickPipelineSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full pipeline smoke skipped in -short mode")
 	}
+	t.Parallel()
 	sc := tiny()
 	sc.Jobs = 600
 	sc.HistoricalJobs = 2000
@@ -95,5 +99,33 @@ func TestAllQuickPipelineSmoke(t *testing.T) {
 		if !seen[id] {
 			t.Errorf("missing report %s", id)
 		}
+	}
+}
+
+// TestPaperScale runs full-scale Figure 10: 6 clusters of 40 virtual hosts
+// (240 total, ~10% of the national grid), 43,200 jobs over a six-hour test,
+// 95% offered load, under every invariant checker (a violation fails the
+// run). The paper reports total utilization between 93% and 97% and a
+// sustained submission rate of about 120 jobs per minute.
+func TestPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale run skipped in -short mode")
+	}
+	t.Parallel()
+	_, res, err := Figure10Baseline(FullScale())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Submitted != 43200 {
+		t.Errorf("submitted = %d, want 43200", res.Submitted)
+	}
+	if res.Utilization < 0.90 || res.Utilization > 0.99 {
+		t.Errorf("utilization = %.3f, want in the paper's 93-97%% neighbourhood", res.Utilization)
+	}
+	if res.SustainedRate < 110 || res.SustainedRate > 130 {
+		t.Errorf("sustained rate = %.1f jobs/min, want ~120", res.SustainedRate)
+	}
+	if res.Completed < res.Submitted*95/100 {
+		t.Errorf("completed = %d of %d", res.Completed, res.Submitted)
 	}
 }

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/testbed"
+	"repro/internal/scenario"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -19,32 +19,39 @@ var testUsers = []string{workload.U65, workload.U30, workload.U3, workload.UOth}
 // driving the system experiments (95% of theoretical maximum, like the
 // paper's testbed runs).
 func testbedTrace(sc Scale, m workload.Model, load float64) (*trace.Trace, error) {
-	tr, err := m.Generate(workload.GenerateOptions{
-		TotalJobs:      sc.Jobs,
-		Start:          testStart,
-		Span:           sc.Duration,
-		Seed:           sc.Seed,
-		CalibrateUsage: true,
-		MaxDuration:    sc.Duration / 4,
-	})
+	return m.TestbedTrace(sc.Jobs, testStart, sc.Duration, sc.Seed, sc.Sites*sc.Cores, load)
+}
+
+// paperRun generates m's trace at the scale and runs it under a flat policy
+// of shares, after mutate (if any) adjusts the spec.
+func paperRun(sc Scale, m workload.Model, shares map[string]float64, mutate func(*scenario.Spec)) (*scenario.Result, error) {
+	tr, err := testbedTrace(sc, m, 0.95)
 	if err != nil {
 		return nil, err
 	}
-	return workload.ScaleToLoad(tr, sc.Sites*sc.Cores, load, sc.Duration), nil
+	spec := scenario.TraceSpec(tr, sc.Sites, sc.Cores, testStart, sc.Duration, shares, sc.Seed)
+	if mutate != nil {
+		mutate(spec)
+	}
+	return runChecked(spec)
 }
 
-// usageShareTargets extracts each model user's usage fraction.
-func usageShareTargets(m workload.Model) map[string]float64 {
-	out := map[string]float64{}
-	for _, u := range m.Users {
-		out[u.Name] = u.UsageFraction
+// runChecked executes a paper run under every invariant checker; a violated
+// invariant fails the experiment.
+func runChecked(spec *scenario.Spec) (*scenario.Result, error) {
+	res, err := scenario.Run(spec, scenario.Options{})
+	if err != nil {
+		return nil, err
 	}
-	return out
+	if res.Failed() {
+		return nil, fmt.Errorf("%d invariant violations, the first: %s", len(res.Violations), res.Violations[0])
+	}
+	return res, nil
 }
 
 // renderRun renders a testbed result as usage-share and priority series
 // rows plus convergence notes against the given targets.
-func renderRun(id, title string, res *testbed.Result, targets map[string]float64) *Report {
+func renderRun(id, title string, res *scenario.Result, targets map[string]float64) *Report {
 	r := &Report{
 		ID:    id,
 		Title: title,
@@ -61,7 +68,7 @@ func renderRun(id, title string, res *testbed.Result, targets map[string]float64
 		}
 		for i := 0; i < s0.Len(); i += step {
 			at := s0.Times[i]
-			row := []string{fmtF(at.Sub(res.Config.Start).Minutes(), 0)}
+			row := []string{fmtF(at.Sub(testStart).Minutes(), 0)}
 			for _, u := range testUsers {
 				row = append(row, fmtF(res.UsageShares[u].Values[i], 3))
 			}
@@ -88,7 +95,7 @@ func renderRun(id, title string, res *testbed.Result, targets map[string]float64
 		}
 		if at, ok := metrics.ConvergenceTime(s, target, 0.08); ok {
 			r.AddNote("%s usage share converged to %.3f±0.08 at minute %.0f",
-				u, target, at.Sub(res.Config.Start).Minutes())
+				u, target, at.Sub(testStart).Minutes())
 		} else {
 			r.AddNote("%s usage share did not stay within ±0.08 of %.3f (final %.3f)",
 				u, target, s.Last())
@@ -105,22 +112,13 @@ func renderRun(id, title string, res *testbed.Result, targets map[string]float64
 // Figure10Baseline reproduces the baseline convergence test: policy targets
 // equal the workload's usage shares, so usage shares and priorities converge
 // toward balance.
-func Figure10Baseline(sc Scale) (*Report, *testbed.Result, error) {
+func Figure10Baseline(sc Scale) (*Report, *scenario.Result, error) {
 	m := workload.NationalGrid2012(sc.Duration)
-	tr, err := testbedTrace(sc, m, 0.95)
+	res, err := paperRun(sc, m, m.UsageFractions(), nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := testbed.Run(testbed.Config{
-		Sites: sc.Sites, CoresPerSite: sc.Cores, Start: testStart,
-		Duration: sc.Duration, PolicyShares: usageShareTargets(m),
-		Trace: tr, Seed: sc.Seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	r := renderRun("figure10", "Baseline convergence: policy = trace usage shares", res, usageShareTargets(m))
-	return r, res, nil
+	return renderRun("figure10", "Baseline convergence: policy = trace usage shares", res, m.UsageFractions()), res, nil
 }
 
 // Figure11UpdateDelay reproduces the update-delay experiment: the baseline
@@ -130,28 +128,24 @@ func Figure10Baseline(sc Scale) (*Report, *testbed.Result, error) {
 // convergence time (relative to test length).
 func Figure11UpdateDelay(sc Scale) (*Report, error) {
 	m := workload.NationalGrid2012(sc.Duration)
-	targets := usageShareTargets(m)
+	targets := m.UsageFractions()
 	base, err := testbedTrace(sc, m, 0.95)
 	if err != nil {
 		return nil, err
 	}
-	runWith := func(tr *trace.Trace, dur time.Duration) (*testbed.Result, error) {
-		return testbed.Run(testbed.Config{
-			Sites: sc.Sites, CoresPerSite: sc.Cores, Start: testStart,
-			Duration: dur, PolicyShares: targets, Trace: tr, Seed: sc.Seed,
-			// Delay components stay ABSOLUTE across the two runs — that is
-			// the point of the experiment: projecting a year of usage onto
-			// six hours inflates the relative weight of the fixed update
-			// and processing delays, and the 10x stretched run deflates it
-			// again. Production-like component sizes (minutes).
-			BinWidth:         5 * time.Minute,
-			ExchangeInterval: 5 * time.Minute,
-			RefreshInterval:  5 * time.Minute,
-			LibTTL:           150 * time.Second,
-			ReprioInterval:   5 * time.Minute,
-			SampleInterval:   dur / 120,
-			ShareWindow:      dur / 6,
-		})
+	runWith := func(tr *trace.Trace, dur time.Duration) (*scenario.Result, error) {
+		spec := scenario.TraceSpec(tr, sc.Sites, sc.Cores, testStart, dur, targets, sc.Seed)
+		// Delay components stay ABSOLUTE across the two runs — that is the
+		// point of the experiment: projecting a year of usage onto six
+		// hours inflates the relative weight of the fixed update and
+		// processing delays, and the 10x stretched run deflates it again.
+		// Production-like component sizes (minutes).
+		spec.BinWidth = 5 * time.Minute
+		spec.ExchangeInterval = 5 * time.Minute
+		spec.RefreshInterval = 5 * time.Minute
+		spec.LibTTL = 150 * time.Second
+		spec.ReprioInterval = 5 * time.Minute
+		return runChecked(spec)
 	}
 	resBase, err := runWith(base, sc.Duration)
 	if err != nil {
@@ -210,17 +204,9 @@ func meanOf(s *metrics.Series) float64 {
 // workload keeps its natural usage shares but the policy targets are
 // 70/20/8/2 — the system balances while eligible jobs exist and drifts when
 // the favoured user runs out of work.
-func Figure12NonOptimalPolicy(sc Scale) (*Report, *testbed.Result, error) {
-	m := workload.NationalGrid2012(sc.Duration)
-	tr, err := testbedTrace(sc, m, 0.95)
-	if err != nil {
-		return nil, nil, err
-	}
+func Figure12NonOptimalPolicy(sc Scale) (*Report, *scenario.Result, error) {
 	targets := workload.NonOptimalShares()
-	res, err := testbed.Run(testbed.Config{
-		Sites: sc.Sites, CoresPerSite: sc.Cores, Start: testStart,
-		Duration: sc.Duration, PolicyShares: targets, Trace: tr, Seed: sc.Seed,
-	})
+	res, err := paperRun(sc, workload.NationalGrid2012(sc.Duration), targets, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -232,26 +218,15 @@ func Figure12NonOptimalPolicy(sc Scale) (*Report, *testbed.Result, error) {
 // FigurePartial reproduces the partial-participation test: of the sites,
 // one only reads global data without contributing, and another contributes
 // but schedules on local data only.
-func FigurePartial(sc Scale) (*Report, *testbed.Result, error) {
+func FigurePartial(sc Scale) (*Report, *scenario.Result, error) {
 	m := workload.NationalGrid2012(sc.Duration)
-	tr, err := testbedTrace(sc, m, 0.95)
-	if err != nil {
-		return nil, nil, err
-	}
-	modes := make([]testbed.SiteMode, sc.Sites)
-	for i := range modes {
-		modes[i] = testbed.SiteMode{Contribute: true, UseGlobal: true}
-	}
 	readerIdx := sc.Sites - 2 // reads global, does not contribute
 	localIdx := sc.Sites - 1  // contributes, prioritizes on local only
-	modes[readerIdx] = testbed.SiteMode{Contribute: false, UseGlobal: true}
-	modes[localIdx] = testbed.SiteMode{Contribute: true, UseGlobal: false}
-
-	targets := usageShareTargets(m)
-	res, err := testbed.Run(testbed.Config{
-		Sites: sc.Sites, CoresPerSite: sc.Cores, Start: testStart,
-		Duration: sc.Duration, PolicyShares: targets, Trace: tr, Seed: sc.Seed,
-		SiteModes: modes,
+	res, err := paperRun(sc, m, m.UsageFractions(), func(s *scenario.Spec) {
+		s.Modes = make([]scenario.SiteMode, sc.Sites)
+		for i := range s.Modes {
+			s.Modes[i] = scenario.SiteMode{Contribute: i != readerIdx, UseGlobal: i != localIdx}
+		}
 	})
 	if err != nil {
 		return nil, nil, err
@@ -314,17 +289,14 @@ func seriesMAD(a, b *metrics.Series) float64 {
 // 45.5% with the burst shifted to start after one third of the run. Job
 // shares become 45.5/6.5/45.5/3 and usage shares 47/38.5/12/2.5; U3's
 // maximum priority is bounded by 0.5·(1+0.12)=0.56.
-func Figure13Bursty(sc Scale) (*Report, *testbed.Result, error) {
+func Figure13Bursty(sc Scale) (*Report, *scenario.Result, error) {
 	m := workload.Bursty2012(sc.Duration)
 	tr, err := testbedTrace(sc, m, 0.95)
 	if err != nil {
 		return nil, nil, err
 	}
-	targets := usageShareTargets(m)
-	res, err := testbed.Run(testbed.Config{
-		Sites: sc.Sites, CoresPerSite: sc.Cores, Start: testStart,
-		Duration: sc.Duration, PolicyShares: targets, Trace: tr, Seed: sc.Seed,
-	})
+	targets := m.UsageFractions()
+	res, err := runChecked(scenario.TraceSpec(tr, sc.Sites, sc.Cores, testStart, sc.Duration, targets, sc.Seed))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -364,17 +336,15 @@ func ProductionStats(sc Scale) (*Report, error) {
 	}
 	// HPC2N: 544 cores; drive at a moderate production load.
 	tr = workload.ScaleToLoad(tr, 544, 0.85, dur)
-	res, err := testbed.Run(testbed.Config{
-		Sites: 1, CoresPerSite: 544, Start: testStart, Duration: dur,
-		PolicyShares: usageShareTargets(m), Trace: tr, Seed: sc.Seed,
-		BinWidth:         time.Hour,
-		ExchangeInterval: time.Hour,
-		RefreshInterval:  5 * time.Minute,
-		LibTTL:           time.Minute,
-		ReprioInterval:   time.Minute,
-		SampleInterval:   6 * time.Hour,
-		ShareWindow:      3 * 24 * time.Hour,
-	})
+	spec := scenario.TraceSpec(tr, 1, 544, testStart, dur, m.UsageFractions(), sc.Seed)
+	spec.BinWidth = time.Hour
+	spec.ExchangeInterval = time.Hour
+	spec.RefreshInterval = 5 * time.Minute
+	spec.LibTTL = time.Minute
+	spec.ReprioInterval = time.Minute
+	spec.CheckInterval = 6 * time.Hour
+	spec.ShareWindow = 3 * 24 * time.Hour
+	res, err := runChecked(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,7 @@
 // Package faultinject is the deterministic fault-injection harness behind
 // the chaos tests: an Injector evaluates a schedule of fault windows against
 // a (usually simulated) clock and a seeded PRNG, and proxies — an
-// http.RoundTripper here, the testbed's peer wrapper — consult it on every
+// http.RoundTripper and a USS peer wrapper — consult it on every
 // call to decide whether to inject latency, an error, a timeout, a
 // connection reset, or probabilistic flapping.
 //
@@ -21,7 +21,9 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/services/uss"
 	"repro/internal/simclock"
+	"repro/internal/usage"
 )
 
 // Kind is a category of injected fault.
@@ -250,4 +252,24 @@ func (rt *RoundTripper) CloseIdleConnections() {
 	if c, ok := base.(interface{ CloseIdleConnections() }); ok {
 		c.CloseIdleConnections()
 	}
+}
+
+// FaultyPeer wraps a uss.Peer with a fault injector: every pull first asks
+// the injector for a verdict, so exchange traffic to this peer fails, hangs
+// (to the pull's deadline) or slows per the configured windows while the
+// underlying peer stays healthy.
+type FaultyPeer struct {
+	Peer uss.Peer
+	Inj  *Injector
+}
+
+// Site implements uss.Peer.
+func (p *FaultyPeer) Site() string { return p.Peer.Site() }
+
+// RecordsSince implements uss.Peer, subject to injected faults.
+func (p *FaultyPeer) RecordsSince(ctx context.Context, t time.Time) ([]usage.Record, error) {
+	if err := p.Inj.Decide().Resolve(ctx); err != nil {
+		return nil, err
+	}
+	return p.Peer.RecordsSince(ctx, t)
 }

@@ -19,19 +19,38 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files")
 // simulation driver that reorders or alters any of them shows up here even
 // when every invariant still holds.
 func TestFingerprintsGolden(t *testing.T) {
-	var buf bytes.Buffer
-	run := func(kind string, seed int64, spec *Spec) {
-		res, err := Run(spec, Options{})
-		if err != nil {
-			t.Fatalf("%s %d: %v", kind, seed, err)
-		}
-		fmt.Fprintf(&buf, "%s %d %s\n", kind, seed, res.Fingerprint)
+	t.Parallel()
+	type run struct {
+		kind string
+		seed int64
+		spec *Spec
+		fp   string
 	}
+	var runs []*run
 	for seed := int64(1); seed <= 12; seed++ {
-		run("generate", seed, Generate(seed))
+		runs = append(runs, &run{kind: "generate", seed: seed, spec: Generate(seed)})
 	}
 	for seed := int64(1); seed <= 6; seed++ {
-		run("crash", seed, GenerateCrash(seed))
+		runs = append(runs, &run{kind: "crash", seed: seed, spec: GenerateCrash(seed)})
+	}
+	// The runs share nothing, so they run in parallel; the group returns
+	// once all of them have.
+	t.Run("runs", func(t *testing.T) {
+		for _, r := range runs {
+			r := r
+			t.Run(fmt.Sprintf("%s=%d", r.kind, r.seed), func(t *testing.T) {
+				t.Parallel()
+				res, err := Run(r.spec, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r.fp = res.Fingerprint
+			})
+		}
+	})
+	var buf bytes.Buffer
+	for _, r := range runs {
+		fmt.Fprintf(&buf, "%s %d %s\n", r.kind, r.seed, r.fp)
 	}
 	got := buf.Bytes()
 

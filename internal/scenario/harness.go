@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash"
 	"hash/fnv"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/grid"
 	"repro/internal/maui"
+	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/resilience"
 	"repro/internal/sched"
@@ -27,7 +29,6 @@ import (
 	"repro/internal/slurm"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/span"
-	"repro/internal/testbed"
 	"repro/internal/trace"
 	"repro/internal/usage"
 )
@@ -78,15 +79,34 @@ type Options struct {
 
 // Result is one run's outcome.
 type Result struct {
-	Spec        *Spec
-	Events      int
-	Submitted   int64
+	Spec      *Spec
+	Events    int
+	Submitted int64
+	// Completed, QueuedAtEnd and the paper metrics below are cut at the
+	// nominal end of the run, before the drain empties the queues.
 	Completed   int64
 	QueuedAtEnd int
-	Violations  []Violation
-	// Fingerprint digests every dispatch, completion, violation and the
-	// final per-user usage totals; two runs of the same Spec and Options
-	// must produce identical fingerprints.
+	// UsageShares holds each user's share of the usage consumed grid-wide
+	// within the sliding ShareWindow, sampled at every check (Figures
+	// 10a/12/13a).
+	UsageShares metrics.PerUser
+	// SitePriorities holds each site's leaf priority per user, sampled at
+	// every check (the partial-participation figure); Priorities is site
+	// 0's (Figure 13b).
+	SitePriorities []metrics.PerUser
+	Priorities     metrics.PerUser
+	// Utilization is the mean core utilization across sites.
+	Utilization float64
+	// SustainedRate and PeakRate are the workload's submissions per minute
+	// over the run and in its busiest minute.
+	SustainedRate, PeakRate float64
+	// WaitStats summarizes per-user queue waits and bounded slowdowns of
+	// the jobs completed by the nominal end.
+	WaitStats  map[string]metrics.WaitStat
+	Violations []Violation
+	// Fingerprint digests every dispatch, completion, violation, the
+	// final per-user usage totals and the post-drain job counts; two runs
+	// of the same Spec and Options must produce identical fingerprints.
 	Fingerprint string
 	// Spans is the run's trace recorder — every site's services record into
 	// it, on the simulated clock. (Spans are diagnostic output and are not
@@ -112,6 +132,8 @@ type Harness struct {
 	Decay    usage.Decay
 	Spans    *span.Recorder
 
+	// start is the run's epoch (Spec.Start, or the package's Start).
+	start      time.Time
 	pol        *policy.Tree
 	dispatches []Dispatch
 	violations []Violation
@@ -120,6 +142,13 @@ type Harness struct {
 	lastNow    time.Time
 	dropArmed  bool
 	digest     hash.Hash64
+
+	// res collects the sampled series; users is every user name in sorted
+	// order — the sampler's float summation order.
+	res     *Result
+	users   []string
+	history []usageSample
+	waits   *metrics.WaitCollector
 
 	// initialPol is the never-edited policy of Start — what a rebuilt site
 	// boots from before the WAL replays any MutPolicy edits.
@@ -225,23 +254,57 @@ func (h *Harness) CumulativeUsage() map[string]float64 {
 	return out
 }
 
-// localPrefix is the per-site grid→local identity mapping (same convention
-// as the testbed).
+// localPrefix is the per-site grid→local identity mapping: the submit host
+// prepends it, and the site's identity resolver strips it again (the small
+// name-resolution endpoint of the paper's HPC2N deployment).
 func localPrefix(i int) string { return fmt.Sprintf("s%02d_", i) }
+
+// validate rejects a spec Run cannot execute faithfully.
+func (s *Spec) validate() error {
+	if len(s.Jobs) == 0 {
+		return errors.New("scenario: no jobs")
+	}
+	if s.RM != RMSlurm && s.RM != RMMaui {
+		return fmt.Errorf("scenario: unknown RM %q", s.RM)
+	}
+	if s.Dispatch != "" && s.Dispatch != DispatchStochastic && s.Dispatch != DispatchRoundRobin {
+		return fmt.Errorf("scenario: unknown dispatch %q", s.Dispatch)
+	}
+	if len(s.Modes) != 0 && len(s.Modes) != s.Sites {
+		return fmt.Errorf("scenario: %d site modes for %d sites", len(s.Modes), s.Sites)
+	}
+	users := map[string]bool{}
+	for _, u := range s.Users {
+		users[u.Name] = true
+	}
+	for _, j := range s.Jobs {
+		if !users[j.User] {
+			return fmt.Errorf("scenario: job %d is for user %q, who has no UserSpec", j.ID, j.User)
+		}
+	}
+	return nil
+}
 
 // Run executes the scenario and returns its result. Two calls with the
 // same Spec and Options produce bit-identical results.
 func Run(spec *Spec, opts Options) (*Result, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
 	// Reseed the package-default retry jitter so even code paths that fall
 	// back to it are covered by the scenario's seed.
 	resilience.SeedJitter(spec.Seed)
 
-	var decay usage.Decay = usage.ExponentialHalfLife{HalfLife: spec.Duration / 6}
-	if spec.NoDecay {
-		decay = usage.None{}
+	decay := spec.Decay
+	if decay == nil {
+		decay = usage.ExponentialHalfLife{HalfLife: spec.Duration / 6}
+	}
+	start := spec.Start
+	if start.IsZero() {
+		start = Start
 	}
 
-	kernel := eventsim.New(Start)
+	kernel := eventsim.New(start)
 	h := &Harness{
 		Spec:   spec,
 		Kernel: kernel,
@@ -250,8 +313,18 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 		// The recorder runs on the sim clock, so span timestamps line up
 		// with the violation timestamps in a failure report.
 		Spans:   span.NewRecorder(span.Config{Capacity: 1024, Clock: kernel.Clock()}),
+		start:   start,
 		digest:  fnv.New64a(),
-		lastNow: Start,
+		lastNow: start,
+		res:     &Result{Spec: spec, UsageShares: metrics.PerUser{}, SitePriorities: make([]metrics.PerUser, spec.Sites)},
+		waits:   metrics.NewWaitCollector(),
+	}
+	for _, u := range spec.Users {
+		h.users = append(h.users, u.Name)
+	}
+	sort.Strings(h.users)
+	for i := range h.res.SitePriorities {
+		h.res.SitePriorities[i] = metrics.PerUser{}
 	}
 
 	pol, err := spec.InitialPolicy()
@@ -261,7 +334,7 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	h.pol = pol
 	h.initialPol = pol
 
-	end := Start.Add(spec.Duration)
+	end := start.Add(spec.Duration)
 	done := func() bool { return kernel.Now().After(end) }
 
 	// Durable logs for the sites a restart will kill: their usage state
@@ -332,7 +405,7 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 			h.observeStart(i, j, priority, pass)
 		}
 		switch spec.RM {
-		case testbed.RMSlurm:
+		case RMSlurm:
 			h.RMs = append(h.RMs, slurm.New(slurm.Config{
 				Cluster: cl,
 				Priority: &slurm.Multifactor{
@@ -344,7 +417,7 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 				StrictOrder:          spec.StrictOrder,
 				OnStart:              onStart,
 			}))
-		case testbed.RMMaui:
+		case RMMaui:
 			h.RMs = append(h.RMs, maui.New(maui.Config{
 				Cluster: cl,
 				Weights: maui.Weights{Fairshare: 1},
@@ -358,33 +431,24 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 				},
 				OnStart: onStart,
 			}))
-		default:
-			return nil, fmt.Errorf("scenario: unknown RM %q", spec.RM)
 		}
 	}
 
 	// Peer mesh, with fault injectors spliced into the faulted pull paths.
 	// Each (site, peer) pair gets its own injector so concurrent pulls
 	// within one exchange round cannot race for a shared PRNG.
-	injectors := map[[2]int]*faultinject.Injector{}
-	for _, f := range spec.Faults {
-		key := [2]int{f.Site, f.Peer}
-		if injectors[key] == nil {
-			seed := spec.Seed ^ int64(f.Site*131+f.Peer*31+7)
-			injectors[key] = faultinject.New(kernel.Clock(), seed)
-		}
-	}
 	windows := map[[2]int][]faultinject.Window{}
 	for _, f := range spec.Faults {
 		windows[[2]int{f.Site, f.Peer}] = append(windows[[2]int{f.Site, f.Peer}], faultinject.Window{
-			From:  Start.Add(f.From),
-			Until: Start.Add(f.Until),
+			From:  start.Add(f.From),
+			Until: start.Add(f.Until),
 			Kind:  f.Kind,
 			Rate:  f.Rate,
 		})
 	}
-	for key, inj := range injectors {
-		inj.SetWindows(windows[key]...)
+	injectors := map[[2]int]*faultinject.Injector{}
+	for key, ws := range windows {
+		injectors[key] = faultinject.New(kernel.Clock(), spec.Seed^int64(key[0]*131+key[1]*31+7), ws...)
 	}
 	h.peers = make([][]uss.Peer, spec.Sites)
 	for i := 0; i < spec.Sites; i++ {
@@ -394,7 +458,7 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 			}
 			var peer uss.Peer = sitePeer{h: h, j: j}
 			if inj := injectors[[2]int{i, j}]; inj != nil {
-				peer = &testbed.FaultyPeer{Peer: peer, Inj: inj}
+				peer = &faultinject.FaultyPeer{Peer: peer, Inj: inj}
 			}
 			h.peers[i] = append(h.peers[i], peer)
 			h.Sites[i].ConnectPeer(peer)
@@ -409,7 +473,7 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 			continue
 		}
 		u := u
-		kernel.At(Start.Add(u.JoinAt), func(time.Time) {
+		kernel.At(start.Add(u.JoinAt), func(time.Time) {
 			next := h.pol.Clone()
 			if u.Project != "" {
 				if _, err := next.Lookup(u.Project); err != nil {
@@ -429,7 +493,7 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	}
 	for _, e := range spec.Edits {
 		e := e
-		kernel.At(Start.Add(e.At), func(time.Time) {
+		kernel.At(start.Add(e.At), func(time.Time) {
 			next := h.pol.Clone()
 			n, err := next.Lookup(e.Path)
 			if err != nil {
@@ -446,11 +510,11 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	// itself tested.
 	switch spec.Sabotage {
 	case SabotagePhantomUsage:
-		kernel.At(Start.Add(spec.Duration/2), func(now time.Time) {
+		kernel.At(start.Add(spec.Duration/2), func(now time.Time) {
 			h.Sites[0].USS.ReportJob("phantom", now.Add(-10*time.Minute), 10*time.Minute, 4)
 		})
 	case SabotageDropCompletion:
-		kernel.At(Start.Add(spec.Duration/2), func(time.Time) { h.dropArmed = true })
+		kernel.At(start.Add(spec.Duration/2), func(time.Time) { h.dropArmed = true })
 	}
 
 	// Crash-and-restart events, plus periodic WAL compaction for the sites
@@ -462,20 +526,29 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 		}
 		i := i
 		period := spec.Duration / 4
-		scheduleEvery(kernel, Start.Add(period), period,
+		scheduleEvery(kernel, start.Add(period), period,
 			func(time.Time) { _ = h.Sites[i].SnapshotDurable() }, done)
 	}
 	for _, r := range spec.Restarts {
 		r := r
-		kernel.At(Start.Add(r.At), func(now time.Time) { h.restartSite(r.Site, now) })
+		kernel.At(start.Add(r.At), func(now time.Time) { h.restartSite(r.Site, now) })
 	}
 
 	// Periodic machinery: per-site skewed exchange, refresh, RM passes,
-	// invariant checks. The exchange closures index h.Sites at tick time so
-	// they follow a site across restarts.
+	// invariant checks and samples. The exchange closures index h.Sites at
+	// tick time so they follow a site across restarts.
+	//
+	// Tie rule: the timers are registered before the workload, so at an
+	// instant where a job's submission meets a timer's first tick the tick
+	// runs first. Every later tick is re-registered as it fires and so runs
+	// after the submissions of its instant.
 	for i := range h.Sites {
 		i := i
-		scheduleEvery(kernel, Start.Add(spec.ExchangeSkew[i]).Add(spec.ExchangeInterval), spec.ExchangeInterval,
+		var skew time.Duration
+		if i < len(spec.ExchangeSkew) {
+			skew = spec.ExchangeSkew[i]
+		}
+		scheduleEvery(kernel, start.Add(skew).Add(spec.ExchangeInterval), spec.ExchangeInterval,
 			func(time.Time) { _ = h.Sites[i].Exchange() }, done)
 	}
 	kernel.Every(spec.RefreshInterval, func(time.Time) {
@@ -501,16 +574,19 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 			}
 		}
 	}
-	kernel.Every(spec.CheckInterval, func(now time.Time) { runCheckers(now) }, done)
+	kernel.Every(spec.CheckInterval, func(now time.Time) {
+		h.sample(now)
+		runCheckers(now)
+	}, done)
 
-	// Workload: pre-generated jobs dispatched stochastically across sites,
-	// like the paper's submission host.
+	// Workload: pre-generated jobs dispatched across sites by the paper's
+	// submission host.
 	tr := &trace.Trace{}
 	for _, js := range spec.Jobs {
 		tr.Jobs = append(tr.Jobs, trace.Job{
 			ID:       js.ID,
 			User:     js.User,
-			Submit:   Start.Add(js.SubmitOffset),
+			Submit:   start.Add(js.SubmitOffset),
 			Duration: js.Duration,
 			Procs:    js.Procs,
 		})
@@ -525,7 +601,11 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 			MapUser: func(g string) string { return prefix + g },
 		}
 	}
-	host, err := grid.NewSubmitHost(kernel, targets, grid.NewStochastic(spec.Seed+1))
+	var dispatcher grid.Dispatcher = &grid.RoundRobin{}
+	if spec.Dispatch != DispatchRoundRobin {
+		dispatcher = grid.NewStochastic(spec.Seed + 1)
+	}
+	host, err := grid.NewSubmitHost(kernel, targets, dispatcher)
 	if err != nil {
 		return nil, err
 	}
@@ -545,10 +625,15 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 		h.step()
 	}
 
-	truncated := !budgetLeft()
-	if !truncated && !stop() {
+	res := h.res
+	res.Spans = h.Spans
+	finished := budgetLeft() && !stop()
+	if finished {
 		// Advance the clock to the nominal end (no events remain before it).
 		kernel.Run(end)
+	}
+	h.measure(res)
+	if finished {
 		h.drain(end, budgetLeft, stop)
 	}
 
@@ -559,17 +644,9 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 		runCheckers(kernel.Now())
 	}
 
-	res := &Result{
-		Spec:       spec,
-		Events:     h.events,
-		Submitted:  host.Submitted(),
-		Completed:  h.completed,
-		Violations: h.violations,
-		Spans:      h.Spans,
-	}
-	for _, rm := range h.RMs {
-		res.QueuedAtEnd += rm.QueueLen()
-	}
+	res.Events = h.events
+	res.Submitted = host.Submitted()
+	res.Violations = h.violations
 	if len(res.Violations) > 0 {
 		res.TraceDump = span.FormatTail(h.Spans, 40)
 	}
@@ -595,14 +672,19 @@ func (h *Harness) openLog(i int) (*durability.Log, error) {
 // from the WAL's MutPolicy records.
 func (h *Harness) buildSite(i int) (*core.Site, error) {
 	prefix := localPrefix(i)
+	mode := SiteMode{Contribute: true, UseGlobal: true}
+	if len(h.Spec.Modes) > 0 {
+		mode = h.Spec.Modes[i]
+	}
 	return core.NewSite(core.SiteConfig{
 		Name:        fmt.Sprintf("site%02d", i),
 		Policy:      h.initialPol,
 		Clock:       h.Kernel.Clock(),
 		BinWidth:    h.Spec.BinWidth,
 		Decay:       h.Decay,
-		Contribute:  true,
-		UseGlobal:   true,
+		Contribute:  mode.Contribute,
+		UseGlobal:   mode.UseGlobal,
+		Projection:  h.Spec.Projection,
 		Fairshare:   fairshare.Config{DistanceWeight: h.Spec.DistanceWeight, Resolution: 10000},
 		UMSCacheTTL: h.Spec.RefreshInterval,
 		FCSCacheTTL: h.Spec.RefreshInterval,
@@ -626,7 +708,7 @@ func (h *Harness) buildSite(i int) (*core.Site, error) {
 // log, then proves recovery bit-exact against the pre-kill twin: local
 // records, remote mirrors, peer watermarks and the published fairshare
 // priorities must all match down to the float bits. (Restarts are only
-// scheduled under NoDecay, where that identity is exact — an exponential
+// scheduled without decay, where that identity is exact — an exponential
 // decay tracker rebuilt from records differs from an evolved one in the
 // last ulps.)
 func (h *Harness) restartSite(i int, now time.Time) {
@@ -841,6 +923,7 @@ func (h *Harness) observeCompletion(site int, j *sched.Job) {
 		h.addViolation("clock-sanity", "job %d end %s != event time %s", j.ID, j.End, now)
 	}
 	h.completed++
+	h.waits.Record(j.GridUser, j.Start.Sub(j.Submit), j.End.Sub(j.Start))
 	fmt.Fprintf(h.digest, "C|%d|%d|%d\n", site, j.ID, j.End.Unix())
 	if h.dropArmed {
 		// SabotageDropCompletion: lose exactly one record.
@@ -863,7 +946,7 @@ func (h *Harness) finishFingerprint(res *Result) {
 	for _, u := range users {
 		fmt.Fprintf(h.digest, "U|%s|%.9e\n", u, usageTotals[u])
 	}
-	fmt.Fprintf(h.digest, "E|%d|%d|%d\n", res.Events, res.Submitted, res.Completed)
+	fmt.Fprintf(h.digest, "E|%d|%d|%d\n", res.Events, res.Submitted, h.completed)
 	res.Fingerprint = fmt.Sprintf("%016x", h.digest.Sum64())
 }
 

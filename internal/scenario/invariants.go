@@ -30,6 +30,11 @@ func DefaultCheckers() []Checker {
 	}
 }
 
+// violation builds one breach of checker c found at now.
+func violation(now time.Time, c Checker, format string, args ...interface{}) Violation {
+	return Violation{At: now, Invariant: c.Name(), Detail: fmt.Sprintf(format, args...)}
+}
+
 // floatEq reports approximate equality under a combined absolute/relative
 // tolerance.
 func floatEq(a, b, absTol, relTol float64) bool {
@@ -56,11 +61,7 @@ func (*ConservationChecker) Name() string { return "conservation" }
 func (c *ConservationChecker) Check(h *Harness, now time.Time) []Violation {
 	var out []Violation
 	add := func(site int, format string, args ...interface{}) {
-		out = append(out, Violation{
-			At:        now,
-			Invariant: c.Name(),
-			Detail:    fmt.Sprintf("site %d: %s", site, fmt.Sprintf(format, args...)),
-		})
+		out = append(out, violation(now, c, "site %d: %s", site, fmt.Sprintf(format, args...)))
 	}
 	for i, site := range h.Sites {
 		tree, err := site.FCS.Tree()
@@ -128,11 +129,7 @@ func (c *SnapshotTwinChecker) Check(h *Harness, now time.Time) []Violation {
 	var out []Violation
 	for i, site := range h.Sites {
 		if err := site.FCS.VerifySnapshot(); err != nil {
-			out = append(out, Violation{
-				At:        now,
-				Invariant: c.Name(),
-				Detail:    fmt.Sprintf("site %d: %v", i, err),
-			})
+			out = append(out, violation(now, c, "site %d: %v", i, err))
 		}
 	}
 	return out
@@ -179,12 +176,8 @@ func (c *LedgerChecker) Check(h *Harness, now time.Time) []Violation {
 		for _, u := range names {
 			g, w := got[u], want[u]
 			if !floatEq(g, w, absTol, relTol) {
-				out = append(out, Violation{
-					At:        now,
-					Invariant: c.Name(),
-					Detail: fmt.Sprintf("site %d user %s: USS local total %.9g != ledger %.9g (Δ=%.3g)",
-						i, u, g, w, g-w),
-				})
+				out = append(out, violation(now, c, "site %d user %s: USS local total %.9g != ledger %.9g (Δ=%.3g)",
+					i, u, g, w, g-w))
 			}
 		}
 	}
@@ -222,23 +215,15 @@ func (c *DispatchOrderChecker) Check(h *Harness, now time.Time) []Violation {
 			continue
 		}
 		if d.Priority > prev.Priority {
-			out = append(out, Violation{
-				At:        now,
-				Invariant: c.Name(),
-				Detail: fmt.Sprintf("site %d pass %d: job %d (priority %.9g) started after job %d (priority %.9g)",
-					d.Site, d.Pass, d.JobID, d.Priority, prev.JobID, prev.Priority),
-			})
+			out = append(out, violation(now, c, "site %d pass %d: job %d (priority %.9g) started after job %d (priority %.9g)",
+				d.Site, d.Pass, d.JobID, d.Priority, prev.JobID, prev.Priority))
 			continue
 		}
 		if d.Priority == prev.Priority {
 			if d.Submit.Before(prev.Submit) ||
 				(d.Submit.Equal(prev.Submit) && d.JobID < prev.JobID) {
-				out = append(out, Violation{
-					At:        now,
-					Invariant: c.Name(),
-					Detail: fmt.Sprintf("site %d pass %d: equal-priority job %d (submitted %s) started after job %d (submitted %s) against FIFO order",
-						d.Site, d.Pass, d.JobID, d.Submit.Format(time.RFC3339), prev.JobID, prev.Submit.Format(time.RFC3339)),
-				})
+				out = append(out, violation(now, c, "site %d pass %d: equal-priority job %d (submitted %s) started after job %d (submitted %s) against FIFO order",
+					d.Site, d.Pass, d.JobID, d.Submit.Format(time.RFC3339), prev.JobID, prev.Submit.Format(time.RFC3339)))
 			}
 		}
 	}
@@ -285,12 +270,8 @@ func (c *StarvationChecker) Check(h *Harness, now time.Time) []Violation {
 				procs = 1
 			}
 			if procs <= free && now.Sub(j.Submit) > grace {
-				out = append(out, Violation{
-					At:        now,
-					Invariant: c.Name(),
-					Detail: fmt.Sprintf("site %d: job %d (%d procs) fits %d free cores but has waited %s (grace %s)",
-						i, j.ID, procs, free, now.Sub(j.Submit), grace),
-				})
+				out = append(out, violation(now, c, "site %d: job %d (%d procs) fits %d free cores but has waited %s (grace %s)",
+					i, j.ID, procs, free, now.Sub(j.Submit), grace))
 			}
 		}
 	}
@@ -327,7 +308,7 @@ func (c *ConvergenceChecker) Check(h *Harness, now time.Time) []Violation {
 	if tol <= 0 {
 		tol = 0.2
 	}
-	if now.Before(Start.Add(time.Duration(horizon * float64(h.Spec.Duration)))) {
+	if now.Before(h.start.Add(time.Duration(horizon * float64(h.Spec.Duration)))) {
 		return nil
 	}
 	targets := h.TargetShares()
@@ -358,7 +339,7 @@ func (c *ConvergenceChecker) Check(h *Harness, now time.Time) []Violation {
 			detail += fmt.Sprintf("%s %.3f→%.3f", u, targets[u], usage[u]/total)
 		}
 		detail += ")"
-		return []Violation{{At: now, Invariant: c.Name(), Detail: detail}}
+		return []Violation{violation(now, c, "%s", detail)}
 	}
 	return nil
 }

@@ -178,7 +178,10 @@ func TestIncrementalSnapshotTwinUnderChurn(t *testing.T) {
 		noDecay := noDecay
 		t.Run(fmt.Sprintf("noDecay=%v", noDecay), func(t *testing.T) {
 			spec := Generate(7)
-			spec.NoDecay = noDecay
+			spec.Decay = nil
+			if noDecay {
+				spec.Decay = usage.None{}
+			}
 			spec.Restarts = nil // bit-identical recovery is only defined without decay
 			// Force a mid-run share edit so the refresh chain crosses a
 			// policy version bump (a full-rebuild fallback) and must

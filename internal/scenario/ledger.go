@@ -18,15 +18,29 @@ type LedgerRecord struct {
 }
 
 // Ledger is the independent usage ledger behind the ledger-equivalence
-// invariant: a flat list of completion records, recomputed from scratch on
-// every check (O(records) per check, O(n²) over the run) and compared
-// against the USS histograms' decayed totals. It deliberately shares no
+// invariant: a flat list of completion records, compared against the USS
+// histograms' decayed totals at every check. It deliberately shares no
 // code with usage.Histogram beyond the published accounting rules: a job's
 // full usage is attributed to the interval containing its completion time
 // (which keeps closed intervals immutable for the incremental exchange),
 // and decay ages are bin ages (usage.BinAge).
 type Ledger struct {
 	records []LedgerRecord
+	// sums holds, per site, the per-(user, bin) sums of the records Totals
+	// has seen, added in record order as a from-scratch pass would.
+	sums map[int]*ledgerSums
+}
+
+type ledgerKey struct {
+	user string
+	bin  int64
+}
+
+type ledgerSums struct {
+	width  time.Duration
+	folded int
+	cells  map[ledgerKey]float64
+	keys   []ledgerKey
 }
 
 // Add appends a completion record.
@@ -50,7 +64,7 @@ func ledgerBinStart(t time.Time, width time.Duration) int64 {
 	return q * w
 }
 
-// Totals recomputes one site's per-user decayed totals from first
+// Totals computes one site's per-user decayed totals from first
 // principles: each record's core-seconds land in the bin containing its
 // completion time, and every bin is weighted by the decay of its bin age
 // at `now`. The result is what the site's USS LocalTotals must equal
@@ -63,12 +77,16 @@ func (l *Ledger) Totals(site int, binWidth time.Duration, now time.Time, d usage
 	if binWidth <= 0 {
 		binWidth = time.Hour
 	}
-	type key struct {
-		user string
-		bin  int64
+	if l.sums == nil {
+		l.sums = map[int]*ledgerSums{}
 	}
-	bins := map[key]float64{}
-	for _, r := range l.records {
+	ls := l.sums[site]
+	if ls == nil || ls.width != binWidth {
+		ls = &ledgerSums{width: binWidth, cells: map[ledgerKey]float64{}}
+		l.sums[site] = ls
+	}
+	added := false
+	for _, r := range l.records[ls.folded:] {
 		if r.Site != site || r.Dur <= 0 || r.User == "" {
 			continue
 		}
@@ -76,25 +94,29 @@ func (l *Ledger) Totals(site int, binWidth time.Duration, now time.Time, d usage
 		if procs < 1 {
 			procs = 1
 		}
-		bs := ledgerBinStart(r.Start.Add(r.Dur), binWidth)
-		bins[key{r.User, bs}] += r.Dur.Seconds() * float64(procs)
+		k := ledgerKey{r.User, ledgerBinStart(r.Start.Add(r.Dur), binWidth)}
+		if _, ok := ls.cells[k]; !ok {
+			ls.keys = append(ls.keys, k)
+			added = true
+		}
+		ls.cells[k] += r.Dur.Seconds() * float64(procs)
 	}
+	ls.folded = len(l.records)
 	// Sum in sorted (user, bin) order so replays produce bit-identical
 	// floating-point results — violation details must not differ between
 	// two runs of the same seed.
-	keys := make([]key, 0, len(bins))
-	for k := range bins {
-		keys = append(keys, k)
+	keys := ls.keys
+	if added {
+		sort.Slice(keys, func(i, j int) bool {
+			if keys[i].user != keys[j].user {
+				return keys[i].user < keys[j].user
+			}
+			return keys[i].bin < keys[j].bin
+		})
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].user != keys[j].user {
-			return keys[i].user < keys[j].user
-		}
-		return keys[i].bin < keys[j].bin
-	})
 	out := map[string]float64{}
 	for _, k := range keys {
-		out[k.user] += bins[k] * d.Weight(usage.BinAge(now, time.Unix(k.bin, 0), binWidth))
+		out[k.user] += ls.cells[k] * d.Weight(usage.BinAge(now, time.Unix(k.bin, 0), binWidth))
 	}
 	return out
 }

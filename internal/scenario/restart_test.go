@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/usage"
 )
 
 // crashSeeds returns how many seeds the crash gauntlet covers:
@@ -43,8 +45,8 @@ func TestScenarioCrashGauntlet(t *testing.T) {
 			if len(spec.Restarts) < 1 || len(spec.Restarts) > 3 {
 				t.Fatalf("seed %d: %d restarts outside [1,3]", seed, len(spec.Restarts))
 			}
-			if !spec.NoDecay || !spec.Crash {
-				t.Fatalf("seed %d: crash spec not NoDecay+Crash: %+v", seed, spec)
+			if spec.Decay != (usage.None{}) || !spec.Crash {
+				t.Fatalf("seed %d: crash spec not decay-free+Crash: %+v", seed, spec)
 			}
 			res, err := Run(spec, Options{FailFast: true})
 			if err != nil {
@@ -115,7 +117,7 @@ func TestGenerateCrashDeterministicAndBounded(t *testing.T) {
 			organic++
 		}
 	}
-	// The organic draw must actually fire for some seeds (NoDecay ∧ coin),
+	// The organic draw must actually fire for some seeds (no decay ∧ coin),
 	// or the fuzzer would never cover restarts on its own.
 	if organic == 0 {
 		t.Error("no organic restarts in 40 seeds — the fuzz path never exercises recovery")

@@ -21,12 +21,41 @@ import (
 
 	"repro/internal/faultinject"
 	"repro/internal/policy"
-	"repro/internal/testbed"
+	"repro/internal/usage"
+	"repro/internal/vector"
 )
 
-// Start is the fixed simulated epoch of every scenario. Scenarios differ
-// only by seed, never by wall-clock state.
+// Start is the simulated epoch of every scenario whose Spec leaves Start
+// zero. Scenarios differ only by seed, never by wall-clock state.
 var Start = time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// RMKind selects the local resource manager substrate.
+type RMKind string
+
+// Supported resource managers.
+const (
+	RMSlurm RMKind = "slurm"
+	RMMaui  RMKind = "maui"
+)
+
+// DispatchKind selects how the submit host places jobs on sites; Run
+// builds the dispatcher, so a Spec stays plain data that replays.
+type DispatchKind string
+
+// Dispatch strategies: a uniformly random site per job, seeded from
+// Spec.Seed (the paper's submission host, and what the zero value means),
+// or the sites in turn.
+const (
+	DispatchStochastic DispatchKind = "stochastic"
+	DispatchRoundRobin DispatchKind = "round-robin"
+)
+
+// SiteMode is one site's participation in the global exchange, the knobs of
+// the partial-participation experiment: whether it serves its usage records
+// to peers, and whether it prioritizes on global usage.
+type SiteMode struct {
+	Contribute, UseGlobal bool
+}
 
 // UserSpec is one grid user in the scenario's population.
 type UserSpec struct {
@@ -116,10 +145,17 @@ type Spec struct {
 	// Topology.
 	Sites        int
 	CoresPerSite int
-	RM           testbed.RMKind
+	RM           RMKind
 	StrictOrder  bool
+	// Modes sets each site's participation in the exchange (nil: every
+	// site contributes and uses global usage).
+	Modes []SiteMode
+	// Dispatch places jobs on sites (zero: stochastic).
+	Dispatch DispatchKind
 
 	// Timing.
+	// Start is the simulated epoch (zero: the package's Start).
+	Start            time.Time
 	Duration         time.Duration
 	BinWidth         time.Duration
 	ExchangeInterval time.Duration
@@ -130,8 +166,12 @@ type Spec struct {
 	RefreshInterval time.Duration
 	LibTTL          time.Duration
 	ReprioInterval  time.Duration
-	// CheckInterval is how often the invariant checkers run.
+	// CheckInterval is how often the invariant checkers run and the usage
+	// shares and priorities are sampled.
 	CheckInterval time.Duration
+	// ShareWindow is the sliding window of the sampled usage shares (zero:
+	// Duration/6).
+	ShareWindow time.Duration
 
 	// Population and workload.
 	Projects []string
@@ -144,16 +184,18 @@ type Spec struct {
 
 	// Fairshare parameters.
 	DistanceWeight float64
+	// Projection is the vector projection (nil: percental).
+	Projection vector.Projection
 
-	// NoDecay runs the sites with usage.None instead of the exponential
-	// half-life decay. Either way the sites carry usage sums at a
-	// reference instant, so only users with fresh completions move between
-	// pulls and the FCS refreshes incrementally; decay off is what makes
-	// recovery from a crash exactly reproducible (see Restarts).
-	NoDecay bool
+	// Decay is the sites' usage decay (nil: an exponential half-life of
+	// Duration/6). Either way the sites carry usage sums at a reference
+	// instant, so only users with fresh completions move between pulls and
+	// the FCS refreshes incrementally; usage.None is what makes recovery
+	// from a crash exactly reproducible (see Restarts).
+	Decay usage.Decay
 
 	// Restarts kill and recover individual sites' service stacks mid-run.
-	// Only generated for NoDecay scenarios: under exponential decay a
+	// Only generated without decay (usage.None): under exponential decay a
 	// freshly rebuilt tracker and one that evolved through the run differ
 	// in the last ulps, so bit-identical recovery is only a meaningful
 	// target without decay.
@@ -218,16 +260,6 @@ func (s *Spec) InitialPolicy() (*policy.Tree, error) {
 	return t, nil
 }
 
-// userNames returns every user name (including joined-later ones) in spec
-// order.
-func (s *Spec) userNames() []string {
-	out := make([]string, len(s.Users))
-	for i, u := range s.Users {
-		out[i] = u.Name
-	}
-	return out
-}
-
 // Generate materializes the scenario for a seed. Every random draw comes
 // from one rand.Source, so the mapping seed → Spec is a pure function.
 func Generate(seed int64) *Spec {
@@ -240,14 +272,14 @@ func Generate(seed int64) *Spec {
 	s.Sites = 2 + rng.Intn(3)
 	s.CoresPerSite = 8 + 4*rng.Intn(4)
 	if rng.Intn(2) == 0 {
-		s.RM = testbed.RMSlurm
+		s.RM = RMSlurm
 		s.StrictOrder = rng.Intn(4) == 0
 	} else {
-		s.RM = testbed.RMMaui
+		s.RM = RMMaui
 	}
 
 	// Timing: 2–4 simulated hours; service intervals jittered around the
-	// testbed's fractional defaults, with per-site exchange skew.
+	// paper runs' fractional defaults (TraceSpec), with per-site exchange skew.
 	s.Duration = time.Duration(2+rng.Intn(3)) * time.Hour
 	base := s.Duration / 240
 	s.BinWidth = s.Duration / time.Duration(180+60*rng.Intn(3))
@@ -330,13 +362,16 @@ func Generate(seed int64) *Spec {
 	// A quarter of the scenarios run without usage decay: the plain-sum
 	// side of the usage pipeline, and the only setting in which restarts
 	// are drawn.
-	s.NoDecay = rng.Intn(4) == 0
+	noDecay := rng.Intn(4) == 0
+	if noDecay {
+		s.Decay = usage.None{}
+	}
 
-	// Half of the NoDecay scenarios also get one organic crash-and-restart,
+	// Half of the decay-free scenarios also get one organic crash-and-restart,
 	// so durable recovery is continuously fuzzed alongside everything else.
 	// (This draw must stay the last one: it is conditional, and anything
-	// added after it would shift across seeds depending on NoDecay.)
-	if s.NoDecay && rng.Intn(2) == 0 {
+	// added after it would shift across seeds depending on the decay.)
+	if noDecay && rng.Intn(2) == 0 {
 		s.Restarts = append(s.Restarts, RestartSpec{
 			Site: rng.Intn(s.Sites),
 			At:   time.Duration(float64(s.Duration) * (0.3 + 0.5*rng.Float64())),
@@ -346,12 +381,12 @@ func Generate(seed int64) *Spec {
 }
 
 // GenerateCrash materializes the crash-gauntlet variant of a seed: the
-// scenario Generate yields, forced to NoDecay, with its organic restart
+// scenario Generate yields, forced to usage.None, with its organic restart
 // draw replaced by 1–3 seed-deterministic kill-and-restart events drawn
 // from a derived source. GenerateCrash(seed) is a pure function of seed.
 func GenerateCrash(seed int64) *Spec {
 	s := Generate(seed)
-	s.NoDecay = true
+	s.Decay = usage.None{}
 	s.Crash = true
 	s.Restarts = nil
 	rng := rand.New(rand.NewSource(seed ^ 0x0c4a54))

@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/services/fcs"
-	"repro/internal/testbed"
+	"repro/internal/usage"
 )
 
 // fuzzSeeds returns how many seeds the fuzz sweep covers: AEQUUS_FUZZ_SEEDS
@@ -81,7 +81,7 @@ func TestScenarioFuzz(t *testing.T) {
 				// the incremental engine if that is what refreshed — under
 				// the default decay (three seeds in four) as without it.
 				if rec.modes[fcs.RefreshIncremental] == 0 {
-					t.Errorf("seed %d (noDecay=%v): no incremental refresh sampled: %v", seed, spec.NoDecay, rec.modes)
+					t.Errorf("seed %d (noDecay=%v): no incremental refresh sampled: %v", seed, spec.Decay == usage.None{}, rec.modes)
 				}
 				return
 			}
@@ -314,7 +314,7 @@ func TestGenerateDeterministicAndBounded(t *testing.T) {
 		if a.CoresPerSite < 8 || a.CoresPerSite > 20 {
 			t.Errorf("seed %d: %d cores outside [8,20]", seed, a.CoresPerSite)
 		}
-		if a.RM != testbed.RMSlurm && a.RM != testbed.RMMaui {
+		if a.RM != RMSlurm && a.RM != RMMaui {
 			t.Errorf("seed %d: unknown RM %q", seed, a.RM)
 		}
 		if len(a.ExchangeSkew) != a.Sites {

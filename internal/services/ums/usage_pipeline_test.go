@@ -1,4 +1,4 @@
-package testbed
+package ums_test
 
 import (
 	"context"
@@ -28,6 +28,7 @@ func TestUsagePipelineScale(t *testing.T) {
 	const sites = 3
 	halfLife := 24 * time.Hour
 	decay := usage.ExponentialHalfLife{HalfLife: halfLife}
+	start := time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC)
 	clock := simclock.NewSim(start)
 
 	svcs := make([]*uss.Service, sites)

@@ -249,6 +249,30 @@ func ScaleToLoad(tr *trace.Trace, cores int, load float64, span time.Duration) *
 	return tr.ScaleDurations(target / total)
 }
 
+// TestbedTrace generates n jobs over span from start, calibrated to the
+// model's usage fractions with durations capped at span/4, and scales them
+// to offer load on cores — the synthetic trace of a paper testbed run.
+func (m Model) TestbedTrace(n int, start time.Time, span time.Duration, seed int64, cores int, load float64) (*trace.Trace, error) {
+	tr, err := m.Generate(GenerateOptions{
+		TotalJobs: n, Start: start, Span: span, Seed: seed,
+		CalibrateUsage: true, MaxDuration: span / 4,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ScaleToLoad(tr, cores, load, span), nil
+}
+
+// UsageFractions returns each user's usage fraction: the policy under which
+// the model's trace is balanced.
+func (m Model) UsageFractions() map[string]float64 {
+	out := map[string]float64{}
+	for _, u := range m.Users {
+		out[u.Name] = u.UsageFraction
+	}
+	return out
+}
+
 // SortedOffsets returns the sorted submit offsets (seconds) of all jobs of a
 // user — a convenience for the arrival-pattern figures.
 func SortedOffsets(tr *trace.Trace, user string) []float64 {
