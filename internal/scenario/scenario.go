@@ -1,8 +1,10 @@
-// Package scenario is the deterministic whole-system simulation harness:
-// it composes the event kernel, virtual clusters, both resource-manager
-// substrates, all five Aequus services (via core.Site) and the fault
-// injector into randomized but fully seed-reproducible multi-site
-// scenarios, and layers continuous invariant checkers over every step.
+// Package scenario is the deterministic whole-system simulation harness
+// and the one driver of every simulated run: it composes the event kernel,
+// virtual clusters, both resource-manager substrates, all five Aequus
+// services (via core.Site) and the fault injector into seed-reproducible
+// multi-site runs — randomized scenarios (Generate) and the paper's
+// trace-driven testbed runs (TraceSpec) alike — and layers continuous
+// invariant checkers over every step.
 //
 // Everything random — topology, job mix, user churn, share-tree edits,
 // peer faults, exchange-interval skew — derives from a single rand.Source
