@@ -157,10 +157,6 @@ func TestRunValidation(t *testing.T) {
 		{"unknown dispatch", func(s *Spec) { s.Dispatch = "nearest" }, "unknown dispatch"},
 		{"mismatched modes", func(s *Spec) { s.Modes = []SiteMode{{}} }, "site modes"},
 		{"invalid share", func(s *Spec) { s.Users[0].Share = -1 }, "initial policy"},
-		{"invalid project share", func(s *Spec) {
-			s.Projects = []string{"p"}
-			s.Users = []UserSpec{{Name: "u", Share: 1, Project: "p"}, {Name: "v", Share: -2, Project: "p"}}
-		}, "initial policy"},
 		{"job without a user", func(s *Spec) { s.Jobs[0].User = "ghost" }, "no UserSpec"},
 	} {
 		spec := valid()
@@ -244,6 +240,18 @@ func TestHierarchicalPolicyRun(t *testing.T) {
 		if res.Priorities[u] == nil || res.Priorities[u].Len() == 0 {
 			t.Errorf("no priority series for %s", u)
 		}
+	}
+}
+
+// TestHierarchicalPolicyValidated: Run refuses a two-level tree with a
+// negative leaf share under a project.
+func TestHierarchicalPolicyValidated(t *testing.T) {
+	tr := &trace.Trace{Jobs: []trace.Job{{ID: 1, User: "u", Submit: paperStart, Duration: time.Minute, Procs: 1}}}
+	spec := TraceSpec(tr, 1, 4, paperStart, time.Hour, map[string]float64{"u": 1}, 1)
+	spec.Projects = []string{"p"}
+	spec.Users = []UserSpec{{Name: "u", Share: 1, Project: "p"}, {Name: "v", Share: -2, Project: "p"}}
+	if _, err := Run(spec, Options{}); err == nil || !strings.Contains(err.Error(), "initial policy") {
+		t.Errorf("invalid hierarchical policy: error %v, want one mentioning %q", err, "initial policy")
 	}
 }
 
