@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/internal/workload"
@@ -64,7 +65,26 @@ var goldenReports = []struct {
 	{"ablationProjection", func(t *testing.T, sc Scale) (*Report, error) { return AblationProjection(sc) }},
 	{"ablationDistanceWeight", func(t *testing.T, sc Scale) (*Report, error) { return AblationDistanceWeight(sc) }},
 	{"ablationDecay", func(t *testing.T, sc Scale) (*Report, error) { return AblationDecay(sc) }},
-	{"ablationCacheTTL", func(t *testing.T, sc Scale) (*Report, error) { return AblationCacheTTL(sc) }},
+	{"ablationCacheTTL", func(t *testing.T, sc Scale) (*Report, error) {
+		r, err := AblationCacheTTL(sc)
+		if err != nil {
+			return r, err
+		}
+		// The paper: a shorter update delay converges faster. Share MAE
+		// must not fall as the interval grows.
+		prev := 0.0
+		for _, row := range r.Rows {
+			mae, err := strconv.ParseFloat(row[1], 64)
+			if err != nil {
+				t.Fatalf("row %v: %v", row, err)
+			}
+			if mae < prev {
+				t.Errorf("share MAE %v at %s is below %v at the shorter interval before it", mae, row[0], prev)
+			}
+			prev = mae
+		}
+		return r, err
+	}},
 	{"ablationDispatch", func(t *testing.T, sc Scale) (*Report, error) { return AblationDispatch(sc) }},
 	{"ablationRM", func(t *testing.T, sc Scale) (*Report, error) { return AblationRM(sc) }},
 	{"ablationHierarchy", func(t *testing.T, sc Scale) (*Report, error) { return AblationHierarchy(sc) }},

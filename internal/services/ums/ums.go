@@ -200,8 +200,9 @@ func (s *Service) deltas(since uint64) (usage.DeltaSet, time.Time, error) {
 			sp.SetAttrInt("users", int64(len(got.Totals)))
 			sp.End()
 			if !ok {
-				// The source's scale moved since the pass: its next pass is
-				// Full and brings the generation these sums belong to.
+				// A histogram joined the source since the pass (a new
+				// mirror): its next pass is Full and brings the generation
+				// these sums belong to.
 				stale, now = true, s.cfg.Clock.Now()
 				continue
 			}

@@ -551,8 +551,10 @@ func (s *Service) LocalTotals(now time.Time, d usage.Decay) map[string]float64 {
 // GlobalTotals returns decayed per-user totals combining local and ingested
 // remote usage. The combination is one accumulation pass: every histogram
 // adds straight into the result map (no intermediate per-site maps). The map
-// is the caller's. Like LocalTotals it is a plain read: it does not move the
-// change cursor.
+// is the caller's. Like LocalTotals it is a plain read under the histograms'
+// read locks: it serves the change cursor's incremental sums when d is the
+// cursor's decay, walks the bins otherwise, and moves nothing the cursor
+// reads.
 func (s *Service) GlobalTotals(now time.Time, d usage.Decay) map[string]float64 {
 	// Sized for the local population: at scale, growing the map entry by
 	// entry costs more than the sums (remote-only users still grow it).

@@ -57,6 +57,7 @@ func BenchmarkDecayedTotals(b *testing.B) {
 	h := buildHistogram(10, 360) // 10 users × 6h of minute bins
 	d := ExponentialHalfLife{HalfLife: time.Hour}
 	now := t0.Add(7 * time.Hour)
+	attach(h, now, d) // register the tracker the reads serve
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -74,14 +75,16 @@ var decayedTotalsShapes = []struct{ users, bins int }{
 }
 
 // BenchmarkDecayedTotalsExp is the optimized path: O(users) incremental
-// exponential totals (one shared scalar advance per pass, no per-bin Exp2).
+// exponential totals (one shared scalar advance per pass, no per-bin Exp2),
+// read from the tracker a change cursor's pass registered — without one a
+// read is the per-bin walk.
 func BenchmarkDecayedTotalsExp(b *testing.B) {
 	for _, sh := range decayedTotalsShapes {
 		b.Run(fmt.Sprintf("users=%d", sh.users), func(b *testing.B) {
 			h := buildWide(sh.users, sh.bins)
 			d := ExponentialHalfLife{HalfLife: 24 * time.Hour}
 			now := t0.Add(time.Duration(sh.bins+1) * time.Hour)
-			h.DecayedTotals(now, d) // prime: register the tracker
+			attach(h, now, d) // prime: a cursor pass registers the tracker
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

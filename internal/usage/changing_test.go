@@ -10,8 +10,8 @@ import (
 	"time"
 )
 
-// sameBits fails unless a and b hold the same bins, running totals and
-// decayed sums down to the last bit.
+// sameBits fails unless a and b hold the same bins, plain sums and decayed
+// sums down to the last bit.
 func sameBits(t *testing.T, label string, a, b *Histogram, now time.Time) {
 	t.Helper()
 	ra, rb := a.Records("s"), b.Records("s")
@@ -30,8 +30,8 @@ func sameBits(t *testing.T, label string, a, b *Histogram, now time.Time) {
 		if math.Float64bits(v) != math.Float64bits(db[u]) {
 			t.Fatalf("%s: decayed total of %s: %x vs %x", label, u, math.Float64bits(v), math.Float64bits(db[u]))
 		}
-		if math.Float64bits(a.Total(u)) != math.Float64bits(b.Total(u)) {
-			t.Fatalf("%s: running total of %s: %v vs %v", label, u, a.Total(u), b.Total(u))
+		if pa, pb := total(a, u), total(b, u); math.Float64bits(pa) != math.Float64bits(pb) {
+			t.Fatalf("%s: plain sum of %s: %v vs %v", label, u, pa, pb)
 		}
 	}
 	if len(da) != len(db) {
@@ -41,7 +41,7 @@ func sameBits(t *testing.T, label string, a, b *Histogram, now time.Time) {
 
 // TestChangingKeepsExactlyWhatSetRecordsApplies: a histogram that is handed
 // only Changing(batch) ends, bit for bit, where its twin that is handed the
-// whole batch ends — bins, running totals and the incremental decayed sums —
+// whole batch ends — bins, plain sums and the incremental decayed sums —
 // over re-sent values, overwrites up and down, first bins of new users,
 // removals of bins that exist and of bins that do not, and an empty user. The
 // kept count is checked against the test's own account of what changes.
@@ -53,8 +53,8 @@ func TestChangingKeepsExactlyWhatSetRecordsApplies(t *testing.T) {
 		whole, filtered := NewHistogram(time.Hour), NewHistogram(time.Hour)
 		// Register the incremental tracker before the first batch, as a
 		// refreshed site has.
-		whole.DecayedTotals(now, ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour})
-		filtered.DecayedTotals(now, ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour})
+		attach(whole, now, ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour})
+		attach(filtered, now, ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour})
 		stored := map[string]float64{} // "user|hour" → value, the test's model
 		key := func(u string, h int) string { return fmt.Sprintf("%s|%d", u, h) }
 

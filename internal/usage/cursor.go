@@ -21,9 +21,11 @@ import (
 // as sparse as the completions that arrived, whatever the half-life.
 //
 // The histogram records which users changed (a mutation that really changed
-// a bin, a dirty sum re-seeded by a totals pass) and a Cursor turns that
-// into usage.DeltaSets over an ordered set of histograms, all read at one
-// common reference instant and summed in the given order.
+// a bin) and a Cursor turns that into usage.DeltaSets over an ordered set of
+// histograms, all read at one common reference instant and summed in the
+// given order. The cursor's pass is the only writer of the sums and of
+// their reference instant (incremental.go), so nothing moves them between
+// two passes but mutations, which list their users.
 //
 // A started bin is valued at its midpoint from the moment it opens (BinAge),
 // so a completion in the open bin is part of the sum like any other and its
@@ -61,10 +63,9 @@ type Cursor struct {
 // population (a lower bound of the union's). The set is Full — nothing
 // listed, the consumer must re-read everything through Sums — on the first
 // call, when the reference instant had to move (it is kept at most
-// rebaseHalfLives behind `now` and never ahead of it), when a histogram's
-// tracker was registered, re-registered for another half-life in between or
-// rebased by someone else, when d changed, when `now` went backwards, and
-// when so many users changed that a delta does not pay (DeltaPays).
+// rebaseHalfLives behind `now` and never ahead of it), when a histogram
+// joined the set, when d changed, when `now` went backwards, and when so
+// many users changed that a delta does not pay (DeltaPays).
 func (c *Cursor) Advance(hists []*Histogram, now time.Time, d Decay) DeltaSet {
 	hl := halfLifeOf(d)
 	c.mu.Lock()
@@ -109,14 +110,7 @@ func (c *Cursor) Advance(hists []*Histogram, now time.Time, d Decay) DeltaSet {
 	for name := range ds.Changed {
 		var sum float64
 		for _, h := range hists {
-			v, ok := h.refSum(name, hl, c.ref, now, ds.Scale)
-			if !ok {
-				// A totals pass rebased or replaced the tracker between
-				// the drain and this read.
-				ds.Full, ds.Changed = true, nil
-				return ds
-			}
-			sum += v
+			sum += h.refSum(name, now, ds.Scale)
 		}
 		ds.Changed[name] = sum
 	}
@@ -128,9 +122,8 @@ func (c *Cursor) Advance(hists []*Histogram, now time.Time, d Decay) DeltaSet {
 // newest bin has not started). It does not move the cursor. Right after an
 // Advance at the same `now` the result equals, bit for bit, the last Sums
 // overwritten with every change set since. ok is false before the first
-// Advance and when a histogram's tracker no longer sits at the cursor's
-// reference (a new mirror, another half-life asked of it, a foreign
-// rebase): the next Advance will be Full.
+// Advance and when a histogram has not been through a pass yet (a new
+// mirror): the next Advance will be Full.
 func (c *Cursor) Sums(hists []*Histogram, now time.Time) (ds DeltaSet, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -144,7 +137,7 @@ func (c *Cursor) Sums(hists []*Histogram, now time.Time) (ds DeltaSet, ok bool) 
 	}
 	ds.Totals = make(map[string]float64, n)
 	for _, h := range hists {
-		if !h.accumRefSums(ds.Totals, c.halfLife, c.ref, now, ds.Scale) {
+		if !h.accumRefSums(ds.Totals, now, ds.Scale) {
 			return DeltaSet{}, false
 		}
 	}
@@ -152,20 +145,12 @@ func (c *Cursor) Sums(hists []*Histogram, now time.Time) (ds DeltaSet, ok bool) 
 	return ds, true
 }
 
-// markChanged lists user in its stripe's change list, once. The stripe's
-// write lock must be held.
-func (h *Histogram) markChanged(st *stripe, name string, u *userBins) {
-	if !u.marked {
-		u.marked = true
-		st.changed = append(st.changed, name)
-	}
-}
-
-// drainChanged is one cursor pass over the histogram: it aligns the tracker
-// for halfLife with ref (registering or rebasing it as needed; no tracker
-// without decay), empties the change lists and returns the users whose
-// value may differ from what the previous pass saw. reset reports that the
-// previous pass is no basis for a delta: every user has to be re-read.
+// drainChanged is one cursor pass over the histogram, and the only place
+// its incremental sums are written: it aligns the tracker for halfLife with
+// ref (registering or rebasing it as needed; dropping it without decay),
+// empties the change lists and returns the users whose value may differ
+// from what the previous pass saw. reset reports that the previous pass is
+// no basis for a delta: every user has to be re-read.
 func (h *Histogram) drainChanged(halfLife time.Duration, ref, now time.Time) (changed []string, reset bool) {
 	h.lockAll()
 	defer h.unlockAll()
@@ -177,9 +162,10 @@ func (h *Histogram) drainChanged(halfLife time.Duration, ref, now time.Time) (ch
 			reset = true
 		}
 	}
+	h.tracker = tr
 	nowNs := now.UnixNano()
-	reset = reset || !h.cursorOn || h.cursorTr != tr || nowNs < h.cursorNow
-	h.cursorOn, h.cursorTr, h.cursorNow = true, tr, nowNs
+	reset = reset || !h.cursorOn || nowNs < h.cursorNow
+	h.cursorOn, h.cursorNow = true, nowNs
 
 	for i := range h.stripes {
 		st := &h.stripes[i]
@@ -232,25 +218,12 @@ func (h *Histogram) settle(st *stripe, name string, u *userBins, tr *expTracker,
 	}
 }
 
-// cursorTracker returns the tracker the cursor reads (nil without decay)
-// and whether it still is what a pass at (halfLife, ref) left behind. Any
-// stripe lock held.
-func (h *Histogram) cursorTracker(halfLife time.Duration, ref time.Time) (tr *expTracker, ok bool) {
-	if !h.cursorOn {
-		return nil, false
-	}
-	if halfLife <= 0 {
-		return nil, h.cursorTr == nil
-	}
-	tr = h.tracker
-	return tr, tr != nil && tr == h.cursorTr && tr.halfLife == halfLife && tr.ref.Equal(ref)
-}
-
 // refValue is u's canonical sum: the plain sum without decay, the clamped
 // per-bin total re-expressed at the reference while its newest bin starts
 // after `now` (or while its sum is dirty, which a cursor pass never leaves
 // behind), the tracker's sum otherwise. Any stripe lock held.
-func (h *Histogram) refValue(u *userBins, tr *expTracker, now time.Time, scale float64) float64 {
+func (h *Histogram) refValue(u *userBins, now time.Time, scale float64) float64 {
+	tr := h.tracker
 	if tr == nil {
 		var sum float64
 		for _, b := range u.bins {
@@ -264,36 +237,29 @@ func (h *Histogram) refValue(u *userBins, tr *expTracker, now time.Time, scale f
 	return h.clampedSum(u, now, float64(tr.halfLife)) / scale
 }
 
-// refSum returns one user's canonical sum (0 when unknown); ok is false
-// when the cursor's tracker moved since the pass.
-func (h *Histogram) refSum(user string, halfLife time.Duration, ref, now time.Time, scale float64) (float64, bool) {
+// refSum returns one user's canonical sum (0 when unknown).
+func (h *Histogram) refSum(user string, now time.Time, scale float64) float64 {
 	st := h.stripeFor(user)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	tr, ok := h.cursorTracker(halfLife, ref)
-	if !ok {
-		return 0, false
+	if u := st.users[user]; u != nil {
+		return h.refValue(u, now, scale)
 	}
-	u := st.users[user]
-	if u == nil {
-		return 0, true
-	}
-	return h.refValue(u, tr, now, scale), true
+	return 0
 }
 
 // accumRefSums adds every user's canonical sum into dst in one
-// read-consistent pass; false when the cursor's tracker moved since the
-// pass (dst is then partly filled).
-func (h *Histogram) accumRefSums(dst map[string]float64, halfLife time.Duration, ref, now time.Time, scale float64) bool {
+// read-consistent pass; false, with dst untouched, when no cursor pass has
+// drained the histogram yet.
+func (h *Histogram) accumRefSums(dst map[string]float64, now time.Time, scale float64) bool {
 	h.rlockAll()
 	defer h.runlockAll()
-	tr, ok := h.cursorTracker(halfLife, ref)
-	if !ok {
+	if !h.cursorOn {
 		return false
 	}
 	for i := range h.stripes {
 		for name, u := range h.stripes[i].users {
-			dst[name] += h.refValue(u, tr, now, scale)
+			dst[name] += h.refValue(u, now, scale)
 		}
 	}
 	return true

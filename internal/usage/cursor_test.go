@@ -81,11 +81,12 @@ func (f *cursorFollower) check(t *testing.T, ctx string, hists []*Histogram, now
 
 // TestCursorFollowsRandomInterleavings drives random mixes of local job
 // spreads, remote overwrites (growing, shrinking, removing, unchanged),
-// future bins, clock steps across bin starts and midpoints, a forced rebase
-// and a tracker replaced under the cursor through a three-histogram cursor,
-// and after every pass requires the accumulated deltas to equal a fresh Full
-// at the same instant under Float64bits, with value × scale within 1e-9 of
-// the naive totals.
+// future bins, clock steps across bin starts and midpoints, a forced rebase,
+// a decay that goes to None and back, and totals reads at other half-lives
+// and past the rebase horizon through a three-histogram cursor, and after
+// every pass requires the accumulated deltas to equal a fresh Full at the
+// same instant under Float64bits, with value × scale within 1e-9 of the
+// naive totals.
 func TestCursorFollowsRandomInterleavings(t *testing.T) {
 	for _, d := range []Decay{
 		ExponentialHalfLife{HalfLife: 36 * time.Hour},
@@ -163,20 +164,25 @@ func runCursorInterleaving(t *testing.T, d Decay, seed int64) {
 				f.check(t, ctx, hists, now, d)
 				continue
 			}
-		case 180:
-			if hl > 0 { // a read under another half-life replaces the cursor's tracker
-				hists[1].DecayedTotals(now, ExponentialHalfLife{HalfLife: hl + time.Minute})
-				if ds := f.pass(t, hists, now, d); !ds.Full {
-					t.Fatalf("%s: pass after a replaced tracker was not Full", ctx)
+		case 180, 181:
+			if hl > 0 { // the decay goes to None and back: both passes are Full
+				dd := Decay(None{})
+				if step == 181 {
+					dd = d
 				}
-				sawFull["replaced tracker"] = true
-				f.check(t, ctx, hists, now, d)
+				if ds := f.pass(t, hists, now, dd); !ds.Full {
+					t.Fatalf("%s: pass under %s after a change of decay was not Full", ctx, dd.Name())
+				}
+				sawFull["decay "+dd.Name()] = true
+				f.check(t, ctx, hists, now, dd)
 				continue
 			}
 		}
 		if rng.Intn(4) == 0 {
-			// Plain reads between passes must not consume anything.
+			// Plain reads between passes, at any half-life and any instant,
+			// must not consume or move anything.
 			hists[rng.Intn(3)].DecayedTotals(now, d)
+			hists[rng.Intn(3)].DecayedTotals(now.Add(time.Duration(rebaseHalfLives+1)*max(hl, time.Hour)), ExponentialHalfLife{HalfLife: hl + time.Minute})
 			hists[0].DecayedTotal(users[0], now, d)
 		}
 		f.pass(t, hists, now, d)
@@ -192,7 +198,7 @@ func runCursorInterleaving(t *testing.T, d Decay, seed int64) {
 
 // TestCursorUnchangedOverwritesAreNotChanges: an exchange re-pulls the open
 // and previous bin every round; writing back what is stored must not list
-// anyone, and neither must a plain totals read.
+// anyone, and neither must a plain totals read at any half-life.
 func TestCursorUnchangedOverwritesAreNotChanges(t *testing.T) {
 	d := ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour}
 	h := NewHistogram(time.Hour)
@@ -208,8 +214,9 @@ func TestCursorUnchangedOverwritesAreNotChanges(t *testing.T) {
 
 	for round := 0; round < 3; round++ {
 		now = now.Add(time.Minute)
-		h.SetRecords(recs)      // the re-pull
-		h.DecayedTotals(now, d) // a probe
+		h.SetRecords(recs) // the re-pull
+		checkClose(t, "probe", h.DecayedTotals(now, d), seedDecayedTotals(h, now, d), expRelTol)
+		h.DecayedTotals(now, ExponentialHalfLife{HalfLife: time.Hour})
 		if ds := f.pass(t, hists, now, d); ds.Full || len(ds.Changed) != 0 {
 			t.Fatalf("round %d: unchanged overwrites listed %d users (full=%v)", round, len(ds.Changed), ds.Full)
 		}
@@ -223,26 +230,79 @@ func TestCursorUnchangedOverwritesAreNotChanges(t *testing.T) {
 	f.check(t, "after one change", hists, now, d)
 }
 
-// TestCursorReseedByReadIsSeenAgain: a shrinking overwrite leaves the sum
-// dirty; when a plain totals read re-seeds it before the cursor passes, the
-// cursor still reports the user, with the re-seeded value.
-func TestCursorReseedByReadIsSeenAgain(t *testing.T) {
+// TestCursorReadBetweenPassesChangesNothing: the cursor pass is the one
+// writer of the incremental sums, so a totals read between two Advances — at
+// the cursor's half-life, at another, without decay, or at a `now` past the
+// rebase horizon — leaves the next DeltaSet and Sums bit-identical to those
+// of a twin that saw no read. Between the passes one user's sum goes dirty
+// (a shrinking overwrite, which only the pass re-seeds), one folds a delta
+// and one gains a bin ahead of the clock.
+func TestCursorReadBetweenPassesChangesNothing(t *testing.T) {
 	d := ExponentialHalfLife{HalfLife: 24 * time.Hour}
-	h := NewHistogram(time.Hour)
-	h.SetBin("a", t0.Add(-3*time.Hour), 1000)
-	h.SetBin("b", t0.Add(-3*time.Hour), 500)
-	hists := []*Histogram{h}
-	f := &cursorFollower{}
-	f.pass(t, hists, t0, d)
-
-	h.SetBin("a", t0.Add(-3*time.Hour), 400) // shrinks: dirty
-	now := t0.Add(10 * time.Minute)
-	h.DecayedTotals(now, d) // re-seeds a's sum
-	ds := f.pass(t, hists, now, d)
-	if ds.Full || len(ds.Changed) != 1 || ds.Changed["a"] == 0 {
-		t.Fatalf("changed = %v (full=%v), want a only", ds.Changed, ds.Full)
+	build := func() []*Histogram {
+		local, mirror := NewHistogram(time.Hour), NewHistogram(time.Hour)
+		for i := 0; i < 30; i++ {
+			u := fmt.Sprintf("u%02d", i)
+			local.Add(u, t0.Add(-time.Duration(i+1)*time.Hour), float64(100+i))
+			mirror.SetBin(u, t0.Add(-time.Duration(2*i+1)*time.Hour), float64(10*i+5))
+		}
+		return []*Histogram{local, mirror}
 	}
-	f.check(t, "after re-seed", hists, now, d)
+	for _, rd := range []struct {
+		name string
+		now  time.Time
+		d    Decay
+	}{
+		{"cursor half-life", t0.Add(10 * time.Minute), d},
+		{"other half-life", t0.Add(10 * time.Minute), ExponentialHalfLife{HalfLife: time.Hour}},
+		{"no decay", t0.Add(10 * time.Minute), None{}},
+		{"past the rebase horizon", t0.Add(time.Duration(rebaseHalfLives+3) * d.HalfLife), d},
+	} {
+		hists, twin := build(), build()
+		var c, tc Cursor
+		c.Advance(hists, t0, d)
+		tc.Advance(twin, t0, d)
+		for _, hs := range [][]*Histogram{hists, twin} {
+			hs[1].SetBin("u03", t0.Add(-7*time.Hour), 1) // shrinks: dirty
+			hs[0].Add("u05", t0.Add(-30*time.Minute), 40)
+			hs[0].Add("u07", t0.Add(90*time.Minute), 60)
+		}
+		for _, h := range hists {
+			h.DecayedTotals(rd.now, rd.d)
+		}
+		if st := hists[1].stripeFor("u03"); !st.users["u03"].exp.dirty {
+			t.Fatalf("%s: a read re-seeded a dirty sum", rd.name)
+		}
+		now := t0.Add(20 * time.Minute)
+		got, want := c.Advance(hists, now, d), tc.Advance(twin, now, d)
+		if got.Full || len(got.Changed) != 3 {
+			t.Fatalf("%s: full=%v changed=%v, want the three mutated users", rd.name, got.Full, got.Changed)
+		}
+		sameDeltaSet(t, rd.name+": Advance", got, want)
+		gotSums, ok := c.Sums(hists, now)
+		wantSums, twinOK := tc.Sums(twin, now)
+		if !ok || !twinOK {
+			t.Fatalf("%s: Sums refused after a pass (ok=%v, twin ok=%v)", rd.name, ok, twinOK)
+		}
+		sameDeltaSet(t, rd.name+": Sums", gotSums, wantSums)
+	}
+}
+
+// sameDeltaSet requires two change sets to agree bit for bit.
+func sameDeltaSet(t *testing.T, ctx string, got, want DeltaSet) {
+	t.Helper()
+	if got.Full != want.Full || math.Float64bits(got.Scale) != math.Float64bits(want.Scale) ||
+		!got.Reference.Equal(want.Reference) || got.Users != want.Users ||
+		len(got.Changed) != len(want.Changed) || len(got.Totals) != len(want.Totals) {
+		t.Fatalf("%s: %+v, twin %+v", ctx, got, want)
+	}
+	for _, m := range []struct{ got, want map[string]float64 }{{got.Changed, want.Changed}, {got.Totals, want.Totals}} {
+		for u, w := range m.want {
+			if g, ok := m.got[u]; !ok || math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: user %s: %v (present %v), twin %v", ctx, u, g, ok, w)
+			}
+		}
+	}
 }
 
 // TestCursorClampedUsersAreReEmittedUntilTheClampLifts pins the clamp rule:
@@ -306,10 +366,12 @@ func TestCursorOpenBinUserIsEmittedOnce(t *testing.T) {
 }
 
 // TestCursorSecondHalfLifeReRegistersTheTracker: a histogram keeps one
-// tracker, so a read under another half-life replaces the one the cursor
-// pinned. Sums refuses until the next Advance, which re-registers it at the
-// cursor's reference and is Full; the re-seeded sums equal, bit for bit,
-// those of a histogram that never saw the other half-life.
+// tracker, the one of its cursor's decay. A pass under a second half-life
+// registers a new tracker in its place (a read under the first is then the
+// per-bin walk), a pass without decay drops it, and a pass back under the
+// first half-life registers it again. Each of those passes is Full, and its
+// Sums equal, bit for bit, those of a histogram that only ever saw that
+// decay.
 func TestCursorSecondHalfLifeReRegistersTheTracker(t *testing.T) {
 	d := ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour}
 	other := ExponentialHalfLife{HalfLife: 24 * time.Hour}
@@ -332,39 +394,36 @@ func TestCursorSecondHalfLifeReRegistersTheTracker(t *testing.T) {
 	if ds := c.Advance(hists, now, d); ds.Full || len(ds.Changed) != 1 {
 		t.Fatalf("steady pass: full=%v changed=%d, want one sparse change", ds.Full, len(ds.Changed))
 	}
-	pinned := h.tracker
 
-	checkClose(t, "other half-life", h.DecayedTotals(now, other), seedDecayedTotals(h, now, other), expRelTol)
-	if h.tracker == pinned || h.tracker.halfLife != other.HalfLife {
-		t.Fatalf("tracker after a read under %v: %+v, want a new one", other.HalfLife, h.tracker)
-	}
-	if _, ok := c.Sums(hists, now); ok {
-		t.Error("Sums served from a tracker the cursor did not pin")
-	}
-
-	now = now.Add(time.Minute)
-	ds := c.Advance(hists, now, d)
-	if !ds.Full {
-		t.Fatal("pass after a replaced tracker was not Full")
-	}
-	if h.tracker.halfLife != d.HalfLife || !h.tracker.ref.Equal(ds.Reference) {
-		t.Fatalf("tracker = %+v, want %v re-registered at %v", h.tracker, d.HalfLife, ds.Reference)
-	}
-	got, ok := c.Sums(hists, now)
-	if !ok {
-		t.Fatal("Sums refused right after the Full pass")
-	}
-	// The twin is read at the same reference instant and never sees `other`.
-	twin := []*Histogram{h.Clone()}
-	var tc Cursor
-	tc.Advance(twin, ds.Reference, d)
-	want, ok := tc.Sums(twin, now)
-	if !ok || len(got.Totals) != len(want.Totals) || len(want.Totals) != 50 {
-		t.Fatalf("twin Sums ok=%v users=%d, histogram users=%d", ok, len(want.Totals), len(got.Totals))
-	}
-	for u, w := range want.Totals {
-		if g := got.Totals[u]; math.Float64bits(g) != math.Float64bits(w) {
-			t.Fatalf("user %s: re-registered sum %v, fresh histogram %v", u, g, w)
+	for _, dd := range []Decay{other, None{}, d} {
+		h.Add("u09", now.Add(-10*time.Minute), 5)
+		now = now.Add(time.Minute)
+		ds := c.Advance(hists, now, dd)
+		if !ds.Full {
+			t.Fatalf("pass under %v was not Full", dd)
+		}
+		if hl := halfLifeOf(dd); hl == 0 && h.tracker != nil {
+			t.Fatalf("tracker %+v kept by a pass without decay", h.tracker)
+		} else if hl > 0 && (h.tracker == nil || h.tracker.halfLife != hl || !h.tracker.ref.Equal(ds.Reference)) {
+			t.Fatalf("tracker = %+v, want %v registered at %v", h.tracker, hl, ds.Reference)
+		}
+		if dd == Decay(other) {
+			checkClose(t, "untracked half-life", h.DecayedTotals(now, d), seedDecayedTotals(h, now, d), 0)
+		}
+		got, ok := c.Sums(hists, now)
+		// The twin is read at the same reference instant and never sees
+		// another decay.
+		twin := []*Histogram{h.Clone()}
+		var tc Cursor
+		tc.Advance(twin, ds.Reference, dd)
+		want, twinOK := tc.Sums(twin, now)
+		if !ok || !twinOK || len(got.Totals) != len(want.Totals) || len(want.Totals) != 50 {
+			t.Fatalf("%v: Sums ok=%v users=%d, twin ok=%v users=%d", dd, ok, len(got.Totals), twinOK, len(want.Totals))
+		}
+		for u, w := range want.Totals {
+			if g := got.Totals[u]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%v: user %s: re-registered sum %v, fresh histogram %v", dd, u, g, w)
+			}
 		}
 	}
 }

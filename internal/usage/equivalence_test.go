@@ -11,7 +11,9 @@ import (
 // equivalence_test.go pins the optimized totals path — the O(users)
 // incremental half-life sums — to the seed-style per-bin reference sum:
 // exact for None (identical float operations in identical order), and ≤1e-9
-// relative error for exponential half-life decay.
+// relative error for exponential half-life decay. Only a cursor pass
+// registers, rebases and re-seeds the sums, so every test here drives one:
+// without it a totals read is the per-bin walk.
 
 const expRelTol = 1e-9
 
@@ -39,21 +41,39 @@ func checkClose(t *testing.T, ctx string, got, want map[string]float64, relTol f
 	}
 }
 
+// attach runs one cursor pass over h under d at `now`, which registers the
+// tracker: from then on mutations fold into h's incremental sums and totals
+// reads under d serve them.
+func attach(h *Histogram, now time.Time, d Decay) *Cursor {
+	c := &Cursor{}
+	c.Advance([]*Histogram{h}, now, d)
+	return c
+}
+
 // checkAllDecays compares DecayedTotals against the reference with and
-// without decay at `now`.
-func checkAllDecays(t *testing.T, h *Histogram, now time.Time, halfLife time.Duration) {
+// without decay at `now`, before and after a pass of c: the sums as the
+// mutations since the last pass left them (folded deltas, dirty users, a
+// reference instant far behind), then as the pass left them (rebased,
+// re-seeded).
+func checkAllDecays(t *testing.T, h *Histogram, c *Cursor, now time.Time, halfLife time.Duration) {
 	t.Helper()
-	for _, tc := range []struct {
-		d      Decay
-		relTol float64
-	}{
-		{None{}, 0},
-		{ExponentialHalfLife{HalfLife: halfLife}, expRelTol},
-	} {
-		got := h.DecayedTotals(now, tc.d)
-		want := seedDecayedTotals(h, now, tc.d)
-		checkClose(t, fmt.Sprintf("%s at %v", tc.d.Name(), now), got, want, tc.relTol)
+	exp := ExponentialHalfLife{HalfLife: halfLife}
+	check := func(when string) {
+		for _, tc := range []struct {
+			d      Decay
+			relTol float64
+		}{
+			{None{}, 0},
+			{exp, expRelTol},
+		} {
+			got := h.DecayedTotals(now, tc.d)
+			want := seedDecayedTotals(h, now, tc.d)
+			checkClose(t, fmt.Sprintf("%s at %v, %s", tc.d.Name(), now, when), got, want, tc.relTol)
+		}
 	}
+	check("before a pass")
+	c.Advance([]*Histogram{h}, now, exp)
+	check("after a pass")
 }
 
 // TestEquivalenceRandomizedWorkloads drives randomized mixes of every
@@ -70,6 +90,7 @@ func TestEquivalenceRandomizedWorkloads(t *testing.T) {
 			halfLife := time.Duration(1+rng.Intn(72)) * time.Hour
 			users := []string{"alice", "bob", "carol", "dave", "erin", "frank", "grace"}
 			now := t0
+			c := attach(h, now, ExponentialHalfLife{HalfLife: halfLife})
 			randAt := func() time.Time {
 				// Mostly near now, sometimes far in the past, sometimes
 				// ahead of now (bins that have not started exercise the
@@ -131,7 +152,7 @@ func TestEquivalenceRandomizedWorkloads(t *testing.T) {
 				default:
 					now = now.Add(time.Duration(rng.Intn(5)) * time.Hour)
 				}
-				checkAllDecays(t, h, now, halfLife)
+				checkAllDecays(t, h, c, now, halfLife)
 			}
 		})
 	}
@@ -140,11 +161,14 @@ func TestEquivalenceRandomizedWorkloads(t *testing.T) {
 // TestEquivalenceExchangeWorkload mirrors the inter-site exchange shape:
 // each round re-fetches the open interval and overwrites it with a grown
 // value via SetRecords (monotone overwrites — the case the incremental
-// accumulators absorb as O(1) deltas), while the query time tracks the data.
+// accumulators absorb as O(1) deltas), while the query time tracks the data
+// and a cursor passes every other round.
 func TestEquivalenceExchangeWorkload(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	h := NewHistogram(time.Hour)
 	halfLife := 24 * time.Hour
+	d := ExponentialHalfLife{HalfLife: halfLife}
+	c := attach(h, t0, d)
 	open := map[string]float64{}
 	for round := 0; round < 200; round++ {
 		binStart := t0.Add(time.Duration(round/4) * time.Hour)
@@ -164,16 +188,20 @@ func TestEquivalenceExchangeWorkload(t *testing.T) {
 			}
 		}
 		now := binStart.Add(time.Duration(rng.Intn(120)) * time.Minute)
-		d := ExponentialHalfLife{HalfLife: halfLife}
+		if round%2 == 1 {
+			c.Advance([]*Histogram{h}, now, d)
+		}
 		got := h.DecayedTotals(now, d)
 		want := seedDecayedTotals(h, now, d)
 		checkClose(t, fmt.Sprintf("round %d", round), got, want, expRelTol)
 	}
 }
 
-// TestEquivalenceManyHalfLives asks one histogram for a different half-life
-// on every pass, each of which registers a new tracker in place of the last,
-// and verifies every answer against the reference.
+// TestEquivalenceManyHalfLives moves one histogram's cursor to a different
+// half-life on every pass, each of which registers a new tracker in place of
+// the last, and verifies the answers at that half-life against the
+// reference. A read at the previous half-life, which no tracker has any
+// more, is the per-bin walk: the reference's own float operations.
 func TestEquivalenceManyHalfLives(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := NewHistogram(30 * time.Minute)
@@ -182,30 +210,37 @@ func TestEquivalenceManyHalfLives(t *testing.T) {
 			t0.Add(time.Duration(rng.Intn(10000))*time.Minute), 1+rng.Float64()*1e3)
 	}
 	now := t0.Add(200 * time.Hour)
+	var c Cursor
 	for i := 0; i < 12; i++ {
 		hl := time.Duration(1+i) * time.Hour
 		d := ExponentialHalfLife{HalfLife: hl}
+		c.Advance([]*Histogram{h}, now.Add(-time.Hour), d)
+		if h.tracker.halfLife != hl {
+			t.Fatalf("tracker half-life = %v, want %v", h.tracker.halfLife, hl)
+		}
 		got := h.DecayedTotals(now, d)
 		want := seedDecayedTotals(h, now, d)
 		checkClose(t, fmt.Sprintf("halfLife=%v", hl), got, want, expRelTol)
-		if h.tracker.halfLife != hl {
-			t.Fatalf("tracker half-life = %v, want %v", h.tracker.halfLife, hl)
+		if i > 0 {
+			prev := ExponentialHalfLife{HalfLife: hl - time.Hour}
+			checkClose(t, fmt.Sprintf("halfLife=%v, untracked", prev.HalfLife), h.DecayedTotals(now, prev), seedDecayedTotals(h, now, prev), 0)
 		}
 		now = now.Add(17 * time.Minute)
 	}
 }
 
 // TestEquivalenceIncrementalStaysIncremental verifies the fast path is
-// actually exercised: after a totals pass, a fresh in-order Add must leave
+// actually exercised: after a cursor pass, a fresh in-order Add must leave
 // the user clean (O(1) delta), and a shrinking overwrite must flag exactly
-// the touched user for recompute.
+// the touched user for recompute, which the next pass does and a read does
+// not.
 func TestEquivalenceIncrementalStaysIncremental(t *testing.T) {
 	h := NewHistogram(time.Hour)
 	d := ExponentialHalfLife{HalfLife: 12 * time.Hour}
 	h.Add("a", t0, 100)
 	h.Add("b", t0, 200)
 	now := t0.Add(2 * time.Hour)
-	h.DecayedTotals(now, d) // registers the tracker
+	c := attach(h, now, d)
 	if h.tracker == nil {
 		t.Fatal("no tracker registered")
 	}
@@ -232,14 +267,16 @@ func TestEquivalenceIncrementalStaysIncremental(t *testing.T) {
 	got := h.DecayedTotals(now, d)
 	want := seedDecayedTotals(h, now, d)
 	checkClose(t, "after mixed mutations", got, want, expRelTol)
-
-	// The recompute pass must have cleaned b again.
-	st.mu.RLock()
-	bDirty = st.users["b"].exp.dirty
-	st.mu.RUnlock()
-	if bDirty {
-		t.Error("totals pass did not persist the recomputed sum")
+	if !st.users["b"].exp.dirty {
+		t.Error("a totals read re-seeded a dirty sum")
 	}
+
+	// The cursor pass must clean b again.
+	c.Advance([]*Histogram{h}, now, d)
+	if st.users["b"].exp.dirty {
+		t.Error("cursor pass did not re-seed the dirty sum")
+	}
+	checkClose(t, "after the pass", h.DecayedTotals(now, d), want, expRelTol)
 }
 
 // TestRecordsSinceMatchesFilteredRecords pins the binary-searched tail

@@ -42,8 +42,6 @@ type userBins struct {
 	// bins is sorted ascending by start. Usage arrives roughly in time
 	// order, so inserts are append-mostly; out-of-order inserts shift.
 	bins []bin
-	// total is the running undecayed sum — Total() in O(1).
-	total float64
 	// exp is the incremental decayed state under the histogram's tracker
 	// (see incremental.go).
 	exp expState
@@ -51,8 +49,7 @@ type userBins struct {
 	// user mutated many times between two cursor passes is listed once.
 	marked bool
 	// slot is the user's entry in its stripe's newest-bin column while the
-	// column is attached. It sits in what was padding: the struct keeps its
-	// 64-byte size class.
+	// column is attached. It sits in what was padding: the struct is 48 B.
 	slot int32
 }
 
@@ -64,16 +61,6 @@ type newestEntry struct {
 
 // lastStart returns the newest bin start (only valid when bins is non-empty).
 func (u *userBins) lastStart() int64 { return u.bins[len(u.bins)-1].start }
-
-// recomputeTotal re-sums the bins in sorted order, resetting any drift the
-// running total may have picked up.
-func (u *userBins) recomputeTotal() {
-	var sum float64
-	for _, b := range u.bins {
-		sum += b.v
-	}
-	u.total = sum
-}
 
 // stripe is one lock shard: a mutex plus the users hashed onto it.
 type stripe struct {
@@ -111,18 +98,17 @@ type Histogram struct {
 
 	stripes [numStripes]stripe
 
-	// tracker is the registered incremental half-life accumulator (nil
-	// until a half-life is first asked for). Locking protocol: replaced, and
-	// its reference moved, only while holding ALL stripe write locks; read
-	// while holding any one stripe lock.
+	// tracker is the incremental half-life accumulator of the change
+	// cursor's decay (nil until a cursor pass with a half-life). Locking
+	// protocol: registered, replaced, rebased and dropped only by a cursor
+	// pass, holding ALL stripe write locks; read while holding any one
+	// stripe lock.
 	tracker *expTracker
 
 	// Change-cursor state (cursor.go), under the same locking protocol as
-	// tracker: cursorOn starts mutations recording changed users,
-	// cursorTr is the tracker whose sums the cursor reads (nil without
-	// decay), cursorNow the instant of its last pass in unix nanoseconds.
+	// tracker: cursorOn starts mutations recording changed users, cursorNow
+	// is the instant of the last pass in unix nanoseconds.
 	cursorOn  bool
-	cursorTr  *expTracker
 	cursorNow int64
 
 	// allIndexed is set once every stripe carries its newest-bin column.
@@ -270,7 +256,6 @@ func (h *Histogram) addBinLocked(st *stripe, user string, start int64, v float64
 		u.bins[i] = bin{start, v}
 		st.noteNewest(u)
 	}
-	u.total += v
 	h.trackerAdd(st, user, u, start, v)
 }
 
@@ -301,7 +286,6 @@ func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64
 	if v <= 0 {
 		old := u.bins[i].v
 		u.bins = append(u.bins[:i], u.bins[i+1:]...)
-		u.recomputeTotal()
 		h.trackerAdd(st, user, u, start, -old)
 		if len(u.bins) == 0 {
 			st.dropNewest(u)
@@ -314,13 +298,6 @@ func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64
 	if ok {
 		delta := v - u.bins[i].v
 		u.bins[i].v = v
-		if delta >= 0 {
-			u.total += delta
-		} else {
-			// Shrinking overwrites re-sum the bins: the running total
-			// never accumulates cancellation drift.
-			u.recomputeTotal()
-		}
 		h.trackerAdd(st, user, u, start, delta)
 		return
 	}
@@ -331,7 +308,6 @@ func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64
 	copy(u.bins[i+1:], u.bins[i:])
 	u.bins[i] = bin{start, v}
 	st.noteNewest(u)
-	u.total += v
 	h.trackerAdd(st, user, u, start, v)
 }
 
@@ -504,21 +480,9 @@ func (h *Histogram) Users() []string {
 	return out
 }
 
-// Total returns the undecayed total usage of user — O(1), served from the
-// user's running sum.
-func (h *Histogram) Total(user string) float64 {
-	st := h.stripeFor(user)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if u := st.users[user]; u != nil {
-		return u.total
-	}
-	return 0
-}
-
 // DecayedTotal returns user's usage with each bin weighted by its age at
-// `now` (BinAge) under the given decay function: the per-bin reference walk
-// the incremental sums are pinned against.
+// `now` (BinAge) under the given decay function (None: the plain sum): the
+// per-bin reference walk the incremental sums are pinned against.
 func (h *Histogram) DecayedTotal(user string, now time.Time, d Decay) float64 {
 	if d == nil {
 		d = None{}
@@ -540,9 +504,10 @@ func (h *Histogram) DecayedTotal(user string, now time.Time, d Decay) float64 {
 }
 
 // DecayedTotals returns the decayed totals for every user, computed in one
-// read-consistent pass (all stripes held for the duration, so the result is
-// a view that existed at a single instant), served from the O(users)
-// incremental sums. See AccumulateDecayed for combining several histograms.
+// read-consistent pass (all stripe read locks held for the duration, so the
+// result is a view that existed at a single instant). See AccumulateDecayed
+// for combining several histograms and for which users are served from the
+// incremental sums.
 func (h *Histogram) DecayedTotals(now time.Time, d Decay) map[string]float64 {
 	// Pre-size to the current user count: at scale, growing the result map
 	// incrementally costs more than the weighted sums themselves.
@@ -566,26 +531,21 @@ func (h *Histogram) UserCount() int {
 
 // AccumulateDecayed adds every user's decayed total at `now` into dst —
 // the one-pass merge primitive for combining local and remote histograms
-// without intermediate maps.
+// without intermediate maps. It is a read under the stripe read locks: it
+// never moves the change cursor's state (see accumExp).
 func (h *Histogram) AccumulateDecayed(dst map[string]float64, now time.Time, d Decay) {
-	hl := halfLifeOf(d)
-	if hl == 0 {
-		h.rlockAll()
-		h.accumPlain(dst)
-		h.runlockAll()
+	h.rlockAll()
+	defer h.runlockAll()
+	if hl := halfLifeOf(d); hl > 0 {
+		h.accumExp(dst, now, hl)
 		return
 	}
-	// Write locks: the pass may register the tracker, rebase its reference
-	// instant, or persist recomputed per-user sums.
-	h.lockAll()
-	h.accumExp(dst, now, hl)
-	h.unlockAll()
+	h.accumPlain(dst)
 }
 
 // accumPlain adds undecayed totals by summing each user's bins in sorted
-// order — bit-identical to the naive weight-1 per-bin sum (Total() serves
-// the O(1) running sum instead; this pass is already O(total bins) cheap
-// with no weight evaluations). Any stripe lock held.
+// order — bit-identical to the naive weight-1 per-bin sum, and already
+// O(total bins) cheap with no weight evaluations. Any stripe lock held.
 func (h *Histogram) accumPlain(dst map[string]float64) {
 	for i := range h.stripes {
 		for name, u := range h.stripes[i].users {
@@ -758,7 +718,7 @@ func (h *Histogram) Merge(other *Histogram) {
 }
 
 // Clone returns a deep copy. The incremental decay tracker is not copied;
-// the clone registers one lazily on its first half-life totals pass.
+// the clone registers one on its first cursor pass with a half-life.
 func (h *Histogram) Clone() *Histogram {
 	out := NewHistogram(h.binWidth)
 	out.Merge(h)

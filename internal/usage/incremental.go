@@ -17,6 +17,12 @@ import (
 // O(users) instead of O(users × bins). Mutations fold new usage into the
 // per-user sum as O(1) updates (one Exp2 against ref per touched bin).
 //
+// The change cursor (cursor.go) is the one writer of this state: only its
+// pass registers the tracker for its decay, moves the reference instant and
+// re-seeds dirty sums, and those sums are what it hands down the pipeline in
+// place of decayed totals. A totals read only reads them, and only when the
+// tracker's half-life is the one asked for.
+//
 // Two deviations from the pure algebra are handled explicitly:
 //
 //   - Clamping: a bin that starts after `now` is held at the weight of a
@@ -26,16 +32,13 @@ import (
 //     has. A started bin needs none of this: it is valued at its midpoint
 //     from the moment it opens, 2^(+x) in its first half, which is what the
 //     sum holds.
-//   - Conditioning: the reference instant is rebased to `now` whenever it
-//     drifts more than rebaseHalfLives half-lives, which bounds every
-//     stored magnitude within 2^±rebaseHalfLives of its true scale; a
+//   - Conditioning: a cursor pass rebases the reference instant to `now`
+//     whenever it drifts more than rebaseHalfLives half-lives, which bounds
+//     every stored magnitude within 2^±rebaseHalfLives of its true scale; a
 //     mutation that cannot be represented that way (a far-future bin, or a
 //     value decrease whose cancellation could compound) marks the user
-//     dirty, and the next pass re-seeds that user's sum from its bins.
-//
-// The per-user sums are also what the change cursor (cursor.go) hands down
-// the pipeline in place of decayed totals; a cursor pins its tracker's
-// reference instant and notices when a totals pass moved it.
+//     dirty, and the next pass re-seeds that user's sum from its bins. A
+//     read computes dirty users per bin.
 //
 // The equivalence property tests in equivalence_test.go pin this path to
 // ≤1e-9 relative error against the naive per-bin sum.
@@ -47,11 +50,11 @@ import (
 // rounding stays orders of magnitude under the 1e-9 equivalence bound.
 const rebaseHalfLives = 16.0
 
-// expTracker is the histogram's incremental state for one half-life. A
-// histogram keeps one: asking it for another half-life registers a new
-// tracker in its place, at the cost of one walk over every bin. The per-user
-// sums live in userBins.exp. Guarded by the stripe locks: replaced and
-// rebased only under all stripe write locks.
+// expTracker is the histogram's incremental state for the change cursor's
+// half-life. A cursor pass under another half-life registers a new tracker
+// in its place, at the cost of one walk over every bin. The per-user sums
+// live in userBins.exp. Guarded by the stripe locks: replaced and rebased
+// only by a cursor pass, under all stripe write locks.
 type expTracker struct {
 	halfLife time.Duration
 	ref      time.Time // reference instant of the per-user sums
@@ -80,8 +83,9 @@ func (tr *expTracker) weightAtRef(mid time.Time) (float64, bool) {
 // sum with potential cancellation, so they mark the user dirty instead;
 // exchange overwrites are monotone in the common case, keeping this rare.
 func (h *Histogram) trackerAdd(st *stripe, name string, u *userBins, start int64, delta float64) {
-	if h.cursorOn {
-		h.markChanged(st, name, u)
+	if h.cursorOn && !u.marked {
+		u.marked = true
+		st.changed = append(st.changed, name)
 	}
 	tr := h.tracker
 	if tr == nil || u.exp.dirty {
@@ -101,8 +105,8 @@ func (h *Histogram) trackerAdd(st *stripe, name string, u *userBins, start int64
 
 // trackerFor returns the tracker for halfLife, registering it at reference
 // instant ref in place of any other; fresh reports a registration, which
-// walks every bin once to seed the per-user sums. All stripe write locks
-// must be held.
+// walks every bin once to seed the per-user sums. Called by a cursor pass
+// only, with all stripe write locks held.
 func (h *Histogram) trackerFor(halfLife time.Duration, ref time.Time) (tr *expTracker, fresh bool) {
 	if tr = h.tracker; tr != nil && tr.halfLife == halfLife {
 		return tr, false
@@ -134,8 +138,8 @@ func (h *Histogram) reseed(u *userBins, tr *expTracker) {
 }
 
 // rebase moves the tracker's reference instant to `to`, advancing every
-// clean sum with one scalar multiply (dirty sums are recomputed from their
-// bins when next read). All stripe write locks must be held.
+// clean sum with one scalar multiply (dirty sums are re-seeded by the same
+// pass). Called by a cursor pass only, with all stripe write locks held.
 func (h *Histogram) rebase(tr *expTracker, to time.Time) {
 	f := math.Exp2(-float64(to.Sub(tr.ref)) / float64(tr.halfLife))
 	for i := range h.stripes {
@@ -166,36 +170,29 @@ func (h *Histogram) clampedSum(u *userBins, now time.Time, hl float64) float64 {
 	return sum
 }
 
-// accumExp adds half-life totals via the incremental sums. All stripe write
-// locks must be held.
+// accumExp adds half-life totals at `now` into dst. When the tracker has
+// halfLife, a clean user whose newest bin has started is its sum times the
+// one scalar from the tracker's reference to `now`; every other user, and
+// every user when no tracker has halfLife, is the exact per-bin walk. It
+// writes nothing: any stripe lock held.
 func (h *Histogram) accumExp(dst map[string]float64, now time.Time, halfLife time.Duration) {
-	tr, _ := h.trackerFor(halfLife, now)
-	hl := float64(halfLife)
-	drift := float64(now.Sub(tr.ref)) / hl
-	if math.Abs(drift) > rebaseHalfLives {
-		h.rebase(tr, now)
-		drift = 0
+	tr := h.tracker
+	if tr != nil && tr.halfLife != halfLife {
+		tr = nil
 	}
-	factor := math.Exp2(-drift)
+	var factor float64
+	if tr != nil {
+		factor = refScale(halfLife, tr.ref, now)
+	}
+	hl := float64(halfLife)
 	nowNs := now.UnixNano()
 	for i := range h.stripes {
-		st := &h.stripes[i]
-		for name, u := range st.users {
-			es := &u.exp
-			fut := h.future(u, nowNs)
-			if es.dirty && !fut {
-				// The re-seed rewrites a persisted sum: a change cursor
-				// reading this tracker has to see the user again.
-				h.reseed(u, tr)
-				if h.cursorTr == tr {
-					h.markChanged(st, name, u)
-				}
-			}
-			if fut || es.dirty {
+		for name, u := range h.stripes[i].users {
+			if tr == nil || u.exp.dirty || h.future(u, nowNs) {
 				dst[name] += h.clampedSum(u, now, hl)
 				continue
 			}
-			dst[name] += es.sum * factor
+			dst[name] += u.exp.sum * factor
 		}
 	}
 }

@@ -169,8 +169,8 @@ func TestNewestColumnOnlyOnPull(t *testing.T) {
 		}
 	}
 	checkColumn(t, h)
-	if n := unsafe.Sizeof(userBins{}); n > 64 {
-		t.Errorf("userBins is %d bytes, past its 64-byte size class", n)
+	if n := unsafe.Sizeof(userBins{}); n > 48 {
+		t.Errorf("userBins is %d bytes, past its 48-byte size class", n)
 	}
 }
 

@@ -9,10 +9,10 @@ import (
 	"time"
 )
 
-// TestHistogramStressAllOps hammers every mutation and read primitive from
-// concurrent goroutines (run under -race in CI). One dedicated writer makes
-// deterministic adds to an "accounting" user so the final state is
-// checkable despite the surrounding chaos.
+// TestHistogramStressAllOps hammers every mutation and read primitive, and
+// a change cursor's passes, from concurrent goroutines (run under -race in
+// CI). One dedicated writer makes deterministic adds to an "accounting" user
+// so the final state is checkable despite the surrounding chaos.
 func TestHistogramStressAllOps(t *testing.T) {
 	h := NewHistogram(time.Minute)
 	const (
@@ -68,15 +68,18 @@ func TestHistogramStressAllOps(t *testing.T) {
 			defer readWG.Done()
 			d := ExponentialHalfLife{HalfLife: time.Hour}
 			now := t0.Add(3 * time.Hour)
+			var c Cursor // one cursor: reader 0 is its only caller
 			for !stop.Load() {
 				switch r % 4 {
 				case 0:
+					c.Advance([]*Histogram{h}, now, d)
+					c.Sums([]*Histogram{h}, now)
 					_ = h.DecayedTotals(now, d)
 				case 1:
 					_ = h.RecordsSince("s", t0.Add(time.Duration(r)*time.Hour))
 				case 2:
 					_ = h.Users()
-					_ = h.Total("accountant")
+					_ = h.DecayedTotal("accountant", now, d)
 				case 3:
 					_ = h.Records("s")
 					_ = h.Clone()
@@ -90,18 +93,8 @@ func TestHistogramStressAllOps(t *testing.T) {
 	readWG.Wait()
 
 	want := float64(rounds)*2 + float64(rounds)*90
-	if got := h.Total("accountant"); got != want {
+	if got := total(h, "accountant"); got != want {
 		t.Errorf("accountant total = %g, want %g", got, want)
-	}
-	// The running total and the bins must agree after the dust settles.
-	sum := 0.0
-	for _, r := range h.Records("s") {
-		if r.User == "accountant" {
-			sum += r.CoreSeconds
-		}
-	}
-	if got := h.Total("accountant"); got != sum {
-		t.Errorf("running total %g != bin sum %g", got, sum)
 	}
 }
 
@@ -144,10 +137,10 @@ func TestDecayedTotalsReadConsistent(t *testing.T) {
 			wg.Wait()
 			t.Fatalf("read %d: torn snapshot: total = %g, want %d", i, got, C)
 		}
-		if tot := h.Total("inv"); tot != C {
+		if tot := total(h, "inv"); tot != C {
 			stop.Store(true)
 			wg.Wait()
-			t.Fatalf("read %d: torn running total = %g, want %d", i, tot, C)
+			t.Fatalf("read %d: torn user total = %g, want %d", i, tot, C)
 		}
 	}
 	stop.Store(true)
@@ -155,9 +148,9 @@ func TestDecayedTotalsReadConsistent(t *testing.T) {
 }
 
 // TestConcurrentDecayedTotalsAgree runs totals passes from many goroutines
-// against a quiescent histogram: every pass must produce the identical map
-// (the incremental accumulators mutate shared tracker state under the
-// stripe locks; concurrent passes must not interfere).
+// against a quiescent histogram whose tracker a cursor pass registered:
+// every pass reads the incremental sums under the stripe read locks and
+// must agree with the per-bin reference.
 func TestConcurrentDecayedTotalsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	h := NewHistogram(time.Hour)
@@ -167,6 +160,7 @@ func TestConcurrentDecayedTotalsAgree(t *testing.T) {
 	}
 	d := ExponentialHalfLife{HalfLife: 24 * time.Hour}
 	now := t0.Add(600 * time.Hour)
+	attach(h, now.Add(-time.Hour), d)
 	want := seedDecayedTotals(h, now, d)
 
 	var wg sync.WaitGroup

@@ -86,26 +86,29 @@ func TestDecayMonotoneNonIncreasing(t *testing.T) {
 	}
 }
 
+// total is user's plain sum: its bins added up, without decay.
+func total(h *Histogram, user string) float64 { return h.DecayedTotal(user, t0, None{}) }
+
 func TestHistogramAddAndTotal(t *testing.T) {
 	h := NewHistogram(time.Hour)
 	h.Add("alice", t0, 100)
 	h.Add("alice", t0.Add(30*time.Minute), 50) // same bin
 	h.Add("alice", t0.Add(2*time.Hour), 25)
 	h.Add("bob", t0, 10)
-	if got := h.Total("alice"); got != 175 {
+	if got := total(h, "alice"); got != 175 {
 		t.Errorf("alice total = %g", got)
 	}
-	if got := h.Total("bob"); got != 10 {
+	if got := total(h, "bob"); got != 10 {
 		t.Errorf("bob total = %g", got)
 	}
-	if got := h.Total("carol"); got != 0 {
+	if got := total(h, "carol"); got != 0 {
 		t.Errorf("carol total = %g", got)
 	}
 	// Ignored inputs.
 	h.Add("", t0, 5)
 	h.Add("alice", t0, 0)
 	h.Add("alice", t0, -3)
-	if got := h.Total("alice"); got != 175 {
+	if got := total(h, "alice"); got != 175 {
 		t.Errorf("after ignored adds, total = %g", got)
 	}
 }
@@ -172,7 +175,7 @@ func TestHistogramAddSpread(t *testing.T) {
 	if math.Abs(recs[1].CoreSeconds-7200) > 1e-9 {
 		t.Errorf("bin1 = %g, want 7200 (60m × 2 procs)", recs[1].CoreSeconds)
 	}
-	if got := h.Total("u"); math.Abs(got-10800) > 1e-9 {
+	if got := total(h, "u"); math.Abs(got-10800) > 1e-9 {
 		t.Errorf("total = %g, want 90m × 2 = 10800", got)
 	}
 }
@@ -200,10 +203,10 @@ func TestHistogramRecordsAndIngest(t *testing.T) {
 	// Ingesting into another histogram reproduces totals.
 	h2 := NewHistogram(time.Hour)
 	h2.IngestBatch(recs)
-	if got := h2.Total("a"); got != 25 {
+	if got := total(h2, "a"); got != 25 {
 		t.Errorf("ingested a = %g", got)
 	}
-	if got := h2.Total("b"); got != 10 {
+	if got := total(h2, "b"); got != 10 {
 		t.Errorf("ingested b = %g", got)
 	}
 }
@@ -225,17 +228,17 @@ func TestHistogramMergeAndClone(t *testing.T) {
 	b.Add("u", t0, 5)
 	b.Add("v", t0, 7)
 	a.Merge(b)
-	if got := a.Total("u"); got != 15 {
+	if got := total(a, "u"); got != 15 {
 		t.Errorf("merged u = %g", got)
 	}
-	if got := a.Total("v"); got != 7 {
+	if got := total(a, "v"); got != 7 {
 		t.Errorf("merged v = %g", got)
 	}
 	a.Merge(nil) // no-op
 
 	c := a.Clone()
 	c.Add("u", t0, 100)
-	if a.Total("u") != 15 {
+	if total(a, "u") != 15 {
 		t.Error("Clone shares state")
 	}
 }
@@ -255,7 +258,7 @@ func TestHistogramConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := h.Total("u"); got != 8*500 {
+	if got := total(h, "u"); got != 8*500 {
 		t.Errorf("concurrent total = %g, want 4000", got)
 	}
 }
@@ -284,10 +287,10 @@ func TestIngestBatchAccumulates(t *testing.T) {
 		{User: "a", IntervalStart: t0, CoreSeconds: 0}, // skipped
 		{User: "a", IntervalStart: t0, CoreSeconds: -2},
 	})
-	if got := h.Total("a"); got != 15 {
+	if got := total(h, "a"); got != 15 {
 		t.Errorf("a = %g, want 15", got)
 	}
-	if got := h.Total("b"); got != 7 {
+	if got := total(h, "b"); got != 7 {
 		t.Errorf("b = %g, want 7", got)
 	}
 	h.IngestBatch(nil) // no-op
@@ -302,10 +305,10 @@ func TestSetRecordsReplacesAndDeletes(t *testing.T) {
 		{User: "a", IntervalStart: t0.Add(time.Hour), CoreSeconds: 0}, // delete
 		{User: "b", IntervalStart: t0, CoreSeconds: 4},                // create
 	})
-	if got := h.Total("a"); got != 10 {
+	if got := total(h, "a"); got != 10 {
 		t.Errorf("a = %g, want 10", got)
 	}
-	if got := h.Total("b"); got != 4 {
+	if got := total(h, "b"); got != 4 {
 		t.Errorf("b = %g, want 4", got)
 	}
 	// Deleting a user's last bin removes the user.
@@ -329,7 +332,7 @@ func TestOutOfOrderAddsStaySorted(t *testing.T) {
 			t.Fatalf("records out of order: %v", recs)
 		}
 	}
-	if got := h.Total("u"); got != 11 {
+	if got := total(h, "u"); got != 11 {
 		t.Errorf("total = %g, want 11", got)
 	}
 }
