@@ -351,14 +351,8 @@ func cmdProjection(c *httpapi.Client, args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("projection needs a name")
 	}
-	resp, err := c.HTTP.Post(c.BaseURL+"/fairshare/projection", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"name":%q}`, args[0])))
-	if err != nil {
-		return err
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		return fmt.Errorf("projection switch failed: %s", resp.Status)
+	if err := c.SetProjection(args[0]); err != nil {
+		return fmt.Errorf("projection switch failed: %w", err)
 	}
 	fmt.Printf("projection set to %s\n", args[0])
 	return nil

@@ -39,8 +39,21 @@ var goldenReports = []struct {
 	}},
 	{"figurePartial", func(t *testing.T, sc Scale) (*Report, error) {
 		r, res, err := FigurePartial(sc)
-		if err == nil && len(res.SitePriorities) != 2 {
-			t.Errorf("site priorities = %d", len(res.SitePriorities))
+		if err != nil {
+			return r, err
+		}
+		if len(res.SitePriorities) != 2 {
+			t.Fatalf("site priorities = %d", len(res.SitePriorities))
+		}
+		// The paper: the read-only site stays better aligned with full
+		// participants than the local-only site (0.0000 vs 0.0228 here; with
+		// two sites the read-only site is site 0 itself, so its side is 0,
+		// and full scale gives 0.0021 vs 0.0280).
+		full := res.SitePriorities[0][workload.U65]
+		dReader := seriesMAD(full, res.SitePriorities[sc.Sites-2][workload.U65])
+		dLocal := seriesMAD(full, res.SitePriorities[sc.Sites-1][workload.U65])
+		if !(dReader < dLocal) {
+			t.Errorf("mean |Δpriority| vs the full site: read-only %.4f, not below local-only %.4f", dReader, dLocal)
 		}
 		return r, err
 	}},

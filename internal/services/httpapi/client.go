@@ -56,7 +56,7 @@ func NewHTTPClient(timeout time.Duration) *http.Client {
 // Client talks to a remote Aequus site's HTTP API. Its methods implement
 // the source/sink interfaces of the in-process packages, so a local resource
 // manager, peer site or libaequus instance cannot tell whether it is wired
-// directly or over the network.
+// directly or over the network. Every request goes out through call.
 type Client struct {
 	// BaseURL is the site's service root, e.g. "http://site-a:7470".
 	BaseURL string
@@ -67,11 +67,9 @@ type Client struct {
 	// Retry bounds transient-failure retries of idempotent calls (the zero
 	// value performs exactly one attempt). Non-idempotent calls — usage
 	// reports, which accumulate — are never retried here; the USS's
-	// idempotent exchange protocol recovers them instead.
+	// idempotent exchange protocol recovers them instead. Breaking is not a
+	// client layer: the USS keeps one breaker per peer (uss.Config.Breaker).
 	Retry resilience.RetryPolicy
-	// Breaker, when set, guards every call to this site: open means fail
-	// fast with resilience.ErrOpen instead of dialing.
-	Breaker *resilience.Breaker
 
 	metrics *telemetry.ClientMetrics
 }
@@ -82,15 +80,13 @@ type ClientOptions struct {
 	HTTP *http.Client
 	// Retry bounds transient-failure retries of idempotent calls.
 	Retry resilience.RetryPolicy
-	// Breaker guards all calls to this site (optional).
-	Breaker *resilience.Breaker
 	// Metrics receives the outgoing-call instruments (default registry if
 	// nil).
 	Metrics *telemetry.Registry
 }
 
 // NewClient creates a client for the given base URL with default options:
-// shared transport limits, no retries, no breaker.
+// shared transport limits, no retries.
 func NewClient(baseURL, siteName string) *Client {
 	return NewClientWith(baseURL, siteName, ClientOptions{})
 }
@@ -105,7 +101,6 @@ func NewClientWith(baseURL, siteName string, o ClientOptions) *Client {
 		HTTP:     o.HTTP,
 		SiteName: siteName,
 		Retry:    o.Retry,
-		Breaker:  o.Breaker,
 		metrics:  telemetry.NewClientMetrics(o.Metrics),
 	}
 }
@@ -118,31 +113,52 @@ func (c *Client) target() string {
 	return c.BaseURL
 }
 
-// call runs one logical request through the resilience stack: the breaker
-// rejects without dialing when open, every attempt is observed in the
-// client metrics, and — for idempotent requests — transient failures are
-// retried per c.Retry with exponential backoff. Non-2xx responses that
-// repeating cannot fix (4xx) are marked Permanent so they are never
-// retried.
-func (c *Client) call(ctx context.Context, retryable bool, attempt func(ctx context.Context) error) error {
+// answer reads the response to one attempt of a call; call drains and
+// closes the body after it.
+type answer func(resp *http.Response) error
+
+// call is the one way a request leaves a Client. Each attempt builds the
+// request with body (nil: none) of contentType, the request ID carried by
+// ctx — e.g. from the instrumented handler that triggered this call — or a
+// fresh one, and the span on ctx as remote parent; sends it; hands the
+// response to ans, then drains and closes the body so the keep-alive
+// connection is reused; and counts the attempt in the client metrics. Only
+// an idempotent call is retried, per c.Retry with exponential backoff, and
+// never after an error classifyStatus or ans marks Permanent.
+func (c *Client) call(ctx context.Context, idempotent bool, method, path, contentType string, body []byte, ans answer) error {
 	target := c.target()
-	run := func(ctx context.Context) error {
-		if !c.Breaker.Allow() {
-			// Fail fast; Permanent keeps the retry loop from hammering a
-			// breaker whose cooldown is longer than any backoff.
-			return resilience.Permanent(resilience.ErrOpen)
+	attempt := func(ctx context.Context) error {
+		var r io.Reader
+		if body != nil {
+			r = bytes.NewReader(body) // a fresh reader for every attempt
 		}
-		err := attempt(ctx)
-		c.metrics.Observe(target, err)
+		req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, r)
 		if err != nil {
-			c.Breaker.Failure(err)
-			return err
+			return resilience.Permanent(err)
 		}
-		c.Breaker.Success()
-		return nil
+		if contentType != "" {
+			req.Header.Set("Content-Type", contentType)
+		}
+		id := telemetry.RequestID(ctx)
+		if id == "" {
+			id = telemetry.NewRequestID()
+		}
+		req.Header.Set(telemetry.RequestIDHeader, id)
+		// A span on ctx becomes the remote parent: the receiving site's
+		// "http.server" span links under it, stitching the cross-site trace.
+		if sp := span.Current(ctx); sp != nil {
+			req.Header.Set(span.ParentHeader, span.FormatID(sp.ID))
+		}
+		resp, err := c.HTTP.Do(req)
+		if err == nil {
+			err = classifyStatus(resp.StatusCode, ans(resp))
+			wire.DrainClose(resp.Body)
+		} // else a transport error (refused, reset, timeout): retryable
+		c.metrics.Observe(target, err)
+		return err
 	}
-	if !retryable {
-		return run(ctx)
+	if !idempotent {
+		return attempt(ctx)
 	}
 	p := c.Retry
 	orig := p.OnRetry
@@ -156,49 +172,7 @@ func (c *Client) call(ctx context.Context, retryable bool, attempt func(ctx cont
 		// retry count; SetAttr replaces, so the last attempt number wins.
 		span.Current(ctx).SetAttrInt("retries", int64(n))
 	}
-	return p.Do(ctx, run)
-}
-
-// do issues one idempotent request (with retries, when configured). Request
-// IDs propagate: an ID carried by ctx (e.g. from an instrumented handler
-// that triggered this call) is forwarded in X-Aequus-Request-ID; without one
-// a fresh ID is generated, so every outgoing call is traceable. The response
-// body is always drained and closed (via wire.DecodeResponse), keeping
-// keep-alive connections reusable, and non-2xx statuses become errors.
-func (c *Client) do(ctx context.Context, method, path string, in, out interface{}) error {
-	return c.call(ctx, true, func(ctx context.Context) error {
-		return c.doOnce(ctx, method, path, in, out)
-	})
-}
-
-// doNoRetry issues one non-idempotent request: breaker and metrics apply,
-// retries do not.
-func (c *Client) doNoRetry(ctx context.Context, method, path string, in, out interface{}) error {
-	return c.call(ctx, false, func(ctx context.Context) error {
-		return c.doOnce(ctx, method, path, in, out)
-	})
-}
-
-// doOnce performs a single HTTP attempt. The request body is re-encoded
-// here so every retry attempt gets a fresh reader.
-func (c *Client) doOnce(ctx context.Context, method, path string, in, out interface{}) error {
-	var body io.Reader
-	if in != nil {
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(in); err != nil {
-			return resilience.Permanent(err)
-		}
-		body = &buf
-	}
-	req, err := c.newRequest(ctx, method, path, body)
-	if err != nil {
-		return resilience.Permanent(err)
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return err // transport errors (refused, reset, timeout) are retryable
-	}
-	return classifyStatus(resp.StatusCode, wire.DecodeResponse(resp, out))
+	return p.Do(ctx, attempt)
 }
 
 // classifyStatus marks response errors that repeating the identical request
@@ -215,38 +189,52 @@ func classifyStatus(code int, err error) error {
 	return err
 }
 
-// newRequest builds a request with the propagated (or freshly generated)
-// request ID attached.
-func (c *Client) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
-	if err != nil {
-		return nil, err
-	}
-	if method == http.MethodPost {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	id := telemetry.RequestID(ctx)
-	if id == "" {
-		id = telemetry.NewRequestID()
-	}
-	req.Header.Set(telemetry.RequestIDHeader, id)
-	// A span on ctx becomes the remote parent: the receiving site's
-	// "http.server" span links under it, stitching the cross-site trace.
-	if sp := span.Current(ctx); sp != nil {
-		req.Header.Set(span.ParentHeader, span.FormatID(sp.ID))
-	}
-	return req, nil
+// jsonAnswer decodes a 2xx JSON body into out (nil: the body is ignored)
+// and turns any other status into the error its envelope names.
+func jsonAnswer(out interface{}) answer {
+	return func(resp *http.Response) error { return wire.DecodeResponse(resp, out) }
 }
+
+// bodyAnswer hands decode a whole 2xx body as read returns it. With want
+// set, an answer in another content type (a site that still speaks JSON) is
+// refused. Neither that nor a body decode refuses would change on a repeat,
+// so both are permanent.
+func (c *Client) bodyAnswer(want string, read func(io.Reader) ([]byte, error), decode func([]byte) error) answer {
+	return func(resp *http.Response) error {
+		if resp.StatusCode/100 != 2 {
+			return wire.DecodeResponse(resp, nil)
+		}
+		ct := resp.Header.Get("Content-Type")
+		if mt, _, _ := mime.ParseMediaType(ct); want != "" && mt != want {
+			return resilience.Permanent(fmt.Errorf("httpapi: %s answered %s with content type %q, want %q",
+				c.target(), resp.Request.URL.Path, ct, want))
+		}
+		b, err := read(resp.Body)
+		if err != nil {
+			return err
+		}
+		return resilience.Permanent(decode(b))
+	}
+}
+
+// readLarge reads a policy tree or a metrics page, which may outgrow wire's
+// 8 MiB cap, up to 16 MiB.
+func readLarge(r io.Reader) ([]byte, error) { return io.ReadAll(io.LimitReader(r, 16<<20)) }
 
 func (c *Client) get(ctx context.Context, path string, out interface{}) error {
-	return c.do(ctx, http.MethodGet, path, nil, out)
+	return c.call(ctx, true, http.MethodGet, path, "", nil, jsonAnswer(out))
 }
 
-func (c *Client) post(ctx context.Context, path string, in, out interface{}) error {
-	return c.do(ctx, http.MethodPost, path, in, out)
+// post sends in (nil: no body) as JSON and decodes the answer into out.
+func (c *Client) post(ctx context.Context, idempotent bool, path string, in, out interface{}) error {
+	var body []byte
+	if in != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
+			return err
+		}
+	}
+	return c.call(ctx, idempotent, http.MethodPost, path, "application/json", body, jsonAnswer(out))
 }
 
 // --- libaequus sources ---
@@ -264,15 +252,14 @@ func (c *Client) Priority(gridUser string) (wire.FairshareResponse, error) {
 // back), and the answer is in request order, so the entries are named from
 // gridUsers rather than from the wire.
 func (c *Client) PriorityBatch(gridUsers []string) (wire.FairshareBatchResponse, error) {
-	req := wire.AppendUsers(nil, gridUsers)
 	var out wire.FairshareBatchResponse
-	err := c.callBinary(context.Background(), http.MethodPost, "/fairshare/batch",
-		wire.UsersContentType, req, wire.FairshareBatchContentType, func(body []byte) (err error) {
+	err := c.call(context.Background(), true, http.MethodPost, "/fairshare/batch", wire.UsersContentType,
+		wire.AppendUsers(nil, gridUsers), c.bodyAnswer(wire.FairshareBatchContentType, wire.ReadBody, func(body []byte) (err error) {
 			if out, err = wire.DecodeFairshareBatch(body, gridUsers); err != nil {
 				return fmt.Errorf("httpapi: batch answer from %s: %w", c.target(), err)
 			}
 			return nil
-		})
+		}))
 	return out, err
 }
 
@@ -283,17 +270,22 @@ func (c *Client) Table() (wire.FairshareTableResponse, error) {
 	return out, err
 }
 
+// SetProjection switches the remote FCS to the named vector projection.
+func (c *Client) SetProjection(name string) error {
+	return c.post(context.Background(), true, "/fairshare/projection", map[string]string{"name": name}, nil)
+}
+
 // Resolve implements libaequus.IdentitySource against the remote IRS.
 func (c *Client) Resolve(site, localUser string) (string, error) {
 	var out wire.ResolveResponse
-	err := c.post(context.Background(), "/identity/resolve",
+	err := c.post(context.Background(), true, "/identity/resolve",
 		wire.ResolveRequest{Site: site, LocalUser: localUser}, &out)
 	return out.GridID, err
 }
 
 // StoreMapping records an identity mapping in the remote IRS.
 func (c *Client) StoreMapping(gridID, site, localUser string) error {
-	return c.post(context.Background(), "/identity/mapping",
+	return c.post(context.Background(), true, "/identity/mapping",
 		wire.MappingRequest{GridID: gridID, Site: site, LocalUser: localUser}, nil)
 }
 
@@ -310,7 +302,7 @@ func (c *Client) ReportJob(gridUser string, start time.Time, dur time.Duration, 
 // idempotent exchange protocol, not by resending it (which could double
 // count).
 func (c *Client) ReportJobErr(gridUser string, start time.Time, dur time.Duration, procs int) error {
-	return c.doNoRetry(context.Background(), http.MethodPost, "/usage", wire.UsageReport{
+	return c.post(context.Background(), false, "/usage", wire.UsageReport{
 		User:            gridUser,
 		Start:           start,
 		DurationSeconds: dur.Seconds(),
@@ -322,8 +314,7 @@ func (c *Client) ReportJobErr(gridUser string, start time.Time, dur time.Duratio
 // reports, batches accumulate and are therefore never retried; the
 // idempotent exchange protocol recovers anything lost in transit.
 func (c *Client) ReportJobBatch(reports []wire.UsageReport) error {
-	return c.doNoRetry(context.Background(), http.MethodPost, "/usage/batch",
-		wire.UsageBatchRequest{Reports: reports}, nil)
+	return c.post(context.Background(), false, "/usage/batch", wire.UsageBatchRequest{Reports: reports}, nil)
 }
 
 // --- USS peer ---
@@ -347,7 +338,7 @@ func (c *Client) RecordsSince(ctx context.Context, t time.Time) ([]usage.Record,
 		path += "?since=" + url.QueryEscape(t.Format(time.RFC3339))
 	}
 	var mut *usage.Mutation
-	err := c.callBinary(ctx, http.MethodGet, path, "", nil, wire.RecordsContentType, func(body []byte) (err error) {
+	err := c.call(ctx, true, http.MethodGet, path, "", nil, c.bodyAnswer(wire.RecordsContentType, wire.ReadBody, func(body []byte) (err error) {
 		if mut, err = usage.DecodePeerMutation(body); err != nil {
 			return fmt.Errorf("httpapi: records from %s: %w", c.target(), err)
 		}
@@ -356,81 +347,27 @@ func (c *Client) RecordsSince(ctx context.Context, t time.Time) ([]usage.Record,
 				c.target(), mut.Kind, usage.MutRemoteSet)
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		return nil, err
 	}
 	return mut.Records(mut.Site), nil
 }
 
-// callBinary is an idempotent call whose answer is a binary body: it sends
-// req (when non-nil) as content type reqType and hands decode the answer of
-// content type want. Another content type (a site that still speaks JSON)
-// and a body decode refuses are errors that repeating the request would not
-// fix.
-func (c *Client) callBinary(ctx context.Context, method, path, reqType string, req []byte, want string, decode func([]byte) error) error {
-	return c.call(ctx, true, func(ctx context.Context) error {
-		var body io.Reader
-		if req != nil {
-			body = bytes.NewReader(req)
-		}
-		hreq, err := c.newRequest(ctx, method, path, body)
-		if err != nil {
-			return resilience.Permanent(err)
-		}
-		if req != nil {
-			hreq.Header.Set("Content-Type", reqType)
-		}
-		resp, err := c.HTTP.Do(hreq)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode/100 != 2 {
-			return classifyStatus(resp.StatusCode, wire.DecodeResponse(resp, nil))
-		}
-		defer wire.DrainClose(resp.Body)
-		ct := resp.Header.Get("Content-Type")
-		if mt, _, _ := mime.ParseMediaType(ct); mt != want {
-			return resilience.Permanent(fmt.Errorf("httpapi: %s answered %s with content type %q, want %q",
-				c.target(), path, ct, want))
-		}
-		b, err := wire.ReadBody(resp.Body)
-		if err != nil {
-			return classifyStatus(resp.StatusCode, err)
-		}
-		if err := decode(b); err != nil {
-			return resilience.Permanent(err)
-		}
-		return nil
-	})
-}
-
 // TriggerExchange asks the remote USS to pull from its peers now,
 // forwarding ctx's request ID.
 func (c *Client) TriggerExchange(ctx context.Context) error {
-	return c.post(ctx, "/usage/exchange", nil, nil)
+	return c.post(ctx, true, "/usage/exchange", nil, nil)
 }
 
 // MetricsText fetches the site's /metrics snapshot in Prometheus text
 // exposition format.
-func (c *Client) MetricsText(ctx context.Context) (string, error) {
-	req, err := c.newRequest(ctx, http.MethodGet, "/metrics", nil)
-	if err != nil {
-		return "", err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return "", err
-	}
-	defer wire.DrainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return "", fmt.Errorf("httpapi: metrics fetch: %s", resp.Status)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, 16<<20)); err != nil {
-		return "", err
-	}
-	return buf.String(), nil
+func (c *Client) MetricsText(ctx context.Context) (text string, err error) {
+	err = c.call(ctx, true, http.MethodGet, "/metrics", "", nil, c.bodyAnswer("", readLarge, func(b []byte) error {
+		text = string(b)
+		return nil
+	}))
+	return text, err
 }
 
 // DebugTraces fetches the site's n most recent traces from /debug/aequus.
@@ -464,63 +401,35 @@ func (c *Client) DebugSummary(ctx context.Context) (wire.DebugSummary, error) {
 // Ready fetches the site's /readyz readiness report. A 503 from a stale
 // pre-computation is not an error: the decoded report carries the verdict.
 func (c *Client) Ready(ctx context.Context) (wire.ReadyResponse, error) {
-	req, err := c.newRequest(ctx, http.MethodGet, "/readyz", nil)
-	if err != nil {
-		return wire.ReadyResponse{}, err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return wire.ReadyResponse{}, err
-	}
-	defer wire.DrainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusServiceUnavailable {
-		return wire.ReadyResponse{}, fmt.Errorf("httpapi: readyz: %s", resp.Status)
-	}
 	var out wire.ReadyResponse
-	if err := wire.ReadJSON(resp.Body, &out); err != nil {
-		return wire.ReadyResponse{}, err
-	}
-	return out, nil
+	err := c.call(ctx, true, http.MethodGet, "/readyz", "", nil, func(resp *http.Response) error {
+		if resp.StatusCode == http.StatusServiceUnavailable {
+			return wire.ReadJSON(resp.Body, &out)
+		}
+		return wire.DecodeResponse(resp, &out)
+	})
+	return out, err
 }
 
 // --- PDS ---
 
 // Policy fetches the remote site's full policy tree.
-func (c *Client) Policy() (*policy.Tree, error) {
-	req, err := c.newRequest(context.Background(), http.MethodGet, "/policy", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer wire.DrainClose(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("httpapi: policy fetch: %s", resp.Status)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, 16<<20)); err != nil {
-		return nil, err
-	}
-	return policy.FromJSON(buf.Bytes())
+func (c *Client) Policy() (t *policy.Tree, err error) {
+	err = c.call(context.Background(), true, http.MethodGet, "/policy", "", nil, c.bodyAnswer("", readLarge, func(b []byte) (err error) {
+		t, err = policy.FromJSON(b)
+		return err
+	}))
+	return t, err
 }
 
-// SetPolicy replaces the remote site's policy.
+// SetPolicy replaces the remote site's policy. It is sent once, never
+// retried.
 func (c *Client) SetPolicy(t *policy.Tree) error {
 	data, err := policy.ToJSON(t)
 	if err != nil {
 		return err
 	}
-	req, err := c.newRequest(context.Background(), http.MethodPost, "/policy", bytes.NewReader(data))
-	if err != nil {
-		return err
-	}
-	resp, err := c.HTTP.Do(req)
-	if err != nil {
-		return err
-	}
-	return wire.DecodeResponse(resp, nil)
+	return c.call(context.Background(), false, http.MethodPost, "/policy", "application/json", data, jsonAnswer(nil))
 }
 
 // Subtree fetches a policy subtree by path.
@@ -534,14 +443,15 @@ func (c *Client) Subtree(path string) (*policy.Node, error) {
 
 // Mount asks the remote PDS to mount a subtree from origin.
 func (c *Client) Mount(parentPath, name string, share float64, origin string) error {
-	return c.post(context.Background(), "/policy/mount", wire.MountRequest{
+	return c.post(context.Background(), true, "/policy/mount", wire.MountRequest{
 		ParentPath: parentPath, Name: name, Share: share, Origin: origin,
 	}, nil)
 }
 
 // PolicyFetcher builds a pds.Fetcher that interprets origins as
 // "<baseURL>|<path>" (or a bare base URL for the root subtree), enabling
-// PDS-to-PDS mounting over HTTP.
+// PDS-to-PDS mounting over HTTP. Fetches are counted in the default
+// registry, labeled by the origin's base URL.
 func PolicyFetcher(httpClient *http.Client) pds.Fetcher {
 	if httpClient == nil {
 		httpClient = NewHTTPClient(0)
@@ -551,8 +461,7 @@ func PolicyFetcher(httpClient *http.Client) pds.Fetcher {
 		if i := strings.LastIndex(origin, "|"); i >= 0 {
 			base, path = origin[:i], origin[i+1:]
 		}
-		c := &Client{BaseURL: strings.TrimRight(base, "/"), HTTP: httpClient}
-		return c.Subtree(path)
+		return NewClientWith(base, "", ClientOptions{HTTP: httpClient}).Subtree(path)
 	}
 }
 
@@ -563,23 +472,12 @@ type EndpointClient struct {
 	HTTP *http.Client
 }
 
-// Resolve implements irs.Endpoint: POST {site, localUser} -> {gridId}.
+// Resolve implements irs.Endpoint: POST {site, localUser} -> {gridId}. The
+// endpoint URL is the whole address, so it is the path of a Client with no
+// base; the call is counted in the default registry under that URL.
 func (e *EndpointClient) Resolve(site, localUser string) (string, error) {
-	h := e.HTTP
-	if h == nil {
-		h = NewHTTPClient(0)
-	}
-	var body bytes.Buffer
-	if err := json.NewEncoder(&body).Encode(wire.ResolveRequest{Site: site, LocalUser: localUser}); err != nil {
-		return "", err
-	}
-	resp, err := h.Post(e.URL, "application/json", &body)
-	if err != nil {
-		return "", err
-	}
 	var out wire.ResolveResponse
-	if err := wire.DecodeResponse(resp, &out); err != nil {
-		return "", err
-	}
-	return out.GridID, nil
+	err := NewClientWith("", e.URL, ClientOptions{HTTP: e.HTTP}).post(context.Background(), true, e.URL,
+		wire.ResolveRequest{Site: site, LocalUser: localUser}, &out)
+	return out.GridID, err
 }

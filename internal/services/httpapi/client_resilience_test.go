@@ -2,7 +2,6 @@ package httpapi
 
 import (
 	"bytes"
-	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/resilience"
-	"repro/internal/simclock"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
@@ -124,50 +122,6 @@ func TestClientNeverRetriesUsageReports(t *testing.T) {
 	}
 	if n := atomic.LoadInt64(&h.calls); n != 1 {
 		t.Errorf("server saw %d usage POSTs, want exactly 1", n)
-	}
-}
-
-func TestClientBreakerFailsFastWhenOpen(t *testing.T) {
-	h := &flakyHandler{failN: 100, failCode: http.StatusInternalServerError}
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	clock := simclock.NewSim(time.Unix(1_700_000_000, 0))
-	reg := telemetry.NewRegistry()
-	br := resilience.NewBreaker("peer-a", resilience.BreakerConfig{
-		Threshold: 2,
-		Cooldown:  time.Minute,
-		Clock:     clock,
-	}, reg)
-	c := NewClientWith(srv.URL, "peer-a", ClientOptions{
-		Breaker: br,
-		Metrics: reg,
-	})
-
-	for i := 0; i < 2; i++ {
-		if _, err := c.Resolve("site", "alice"); err == nil {
-			t.Fatal("failing call reported no error")
-		}
-	}
-	// Breaker is now open: calls fail fast with ErrOpen, without dialing.
-	_, err := c.Resolve("site", "alice")
-	if !errors.Is(err, resilience.ErrOpen) {
-		t.Fatalf("open-breaker error = %v, want ErrOpen", err)
-	}
-	if n := atomic.LoadInt64(&h.calls); n != 2 {
-		t.Errorf("server saw %d calls, want 2 (open breaker must not dial)", n)
-	}
-
-	// After cooldown the half-open probe goes through; a healthy backend
-	// closes the circuit again.
-	atomic.StoreInt64(&h.calls, 0)
-	h.failN = 0
-	clock.Advance(time.Minute)
-	if got, err := c.Resolve("site", "alice"); err != nil || got != "grid-alice" {
-		t.Fatalf("post-cooldown Resolve = %q, %v", got, err)
-	}
-	if br.State() != resilience.Closed {
-		t.Errorf("breaker state = %v, want Closed after successful probe", br.State())
 	}
 }
 

@@ -73,18 +73,7 @@ func (s *Server) handleDebugSummary(w http.ResponseWriter, r *http.Request) {
 	if s.USS != nil {
 		now := s.clock.Now()
 		for _, p := range s.USS.PeerStatuses() {
-			ps := wire.PeerStatus{
-				Site:                p.Site,
-				Breaker:             p.Breaker,
-				LastSuccess:         p.LastSuccess,
-				StalenessSeconds:    -1,
-				ConsecutiveFailures: p.ConsecutiveFailures,
-				LastError:           p.LastError,
-			}
-			if !p.LastSuccess.IsZero() {
-				ps.StalenessSeconds = now.Sub(p.LastSuccess).Seconds()
-			}
-			out.Peers = append(out.Peers, ps)
+			out.Peers = append(out.Peers, peerStatus(p, now))
 		}
 	}
 	wire.WriteJSON(w, http.StatusOK, out)

@@ -144,7 +144,7 @@ func TestChaosServingThroughPeerOutage(t *testing.T) {
 	ca := NewClient(a.server.URL, "siteA")
 	refresh := func() {
 		t.Helper()
-		if err := ca.post(context.Background(), "/fairshare/refresh", nil, nil); err != nil {
+		if err := ca.post(context.Background(), true, "/fairshare/refresh", nil, nil); err != nil {
 			t.Fatalf("refresh: %v", err)
 		}
 	}

@@ -321,14 +321,14 @@ func TestProjectionSwitchEndpoint(t *testing.T) {
 	s := newSite(t, "s", clock, map[string]float64{"a": 0.5, "b": 0.5})
 	c := NewClient(s.server.URL, "s")
 
-	if err := c.post(context.Background(), "/fairshare/projection", map[string]string{"name": "dictionary"}, nil); err != nil {
+	if err := c.SetProjection("dictionary"); err != nil {
 		t.Fatal(err)
 	}
 	tab, _ := c.Table()
 	if tab.Projection != "dictionary" {
 		t.Errorf("projection = %q", tab.Projection)
 	}
-	if err := c.post(context.Background(), "/fairshare/projection", map[string]string{"name": "bogus"}, nil); err == nil {
+	if err := c.SetProjection("bogus"); err == nil {
 		t.Error("unknown projection accepted")
 	}
 }

@@ -423,7 +423,13 @@ func (s *Server) handleFairshareBatch(w http.ResponseWriter, r *http.Request) {
 	writeBinary(w, wire.FairshareBatchContentType, ans)
 }
 
+// handleFairshareRefresh recomputes the published priorities now. It drops
+// the UMS's cached totals first, as core.Site.Refresh does, or the FCS would
+// re-publish the totals of the UMS's last pass until its TTL ran out.
 func (s *Server) handleFairshareRefresh(w http.ResponseWriter, r *http.Request) {
+	if s.UMS != nil {
+		s.UMS.Invalidate()
+	}
 	if err := s.FCS.Refresh(); err != nil {
 		wire.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -529,18 +535,7 @@ func (s *Server) ussStatus(now time.Time) wire.ReadyComponent {
 	c := wire.ReadyComponent{Ready: true}
 	var degraded []string
 	for _, p := range s.USS.PeerStatuses() {
-		ps := wire.PeerStatus{
-			Site:                p.Site,
-			Breaker:             p.Breaker,
-			LastSuccess:         p.LastSuccess,
-			StalenessSeconds:    -1,
-			ConsecutiveFailures: p.ConsecutiveFailures,
-			LastError:           p.LastError,
-		}
-		if !p.LastSuccess.IsZero() {
-			ps.StalenessSeconds = now.Sub(p.LastSuccess).Seconds()
-		}
-		c.Peers = append(c.Peers, ps)
+		c.Peers = append(c.Peers, peerStatus(p, now))
 		switch {
 		case p.Breaker == "open":
 			degraded = append(degraded, p.Site+" (circuit open)")
@@ -554,6 +549,23 @@ func (s *Server) ussStatus(now time.Time) wire.ReadyComponent {
 		c.Reason = "degraded peers: " + strings.Join(degraded, ", ")
 	}
 	return c
+}
+
+// peerStatus is p's exchange health on the wire, as /readyz and
+// /debug/aequus show it: its staleness at now, or -1 when never pulled.
+func peerStatus(p uss.PeerStatus, now time.Time) wire.PeerStatus {
+	ps := wire.PeerStatus{
+		Site:                p.Site,
+		Breaker:             p.Breaker,
+		LastSuccess:         p.LastSuccess,
+		StalenessSeconds:    -1,
+		ConsecutiveFailures: p.ConsecutiveFailures,
+		LastError:           p.LastError,
+	}
+	if !p.LastSuccess.IsZero() {
+		ps.StalenessSeconds = now.Sub(p.LastSuccess).Seconds()
+	}
+	return ps
 }
 
 func (s *Server) precomputeStatus(now, computedAt time.Time) wire.ReadyComponent {

@@ -311,7 +311,7 @@ func TestClientReusesKeepAliveConnections(t *testing.T) {
 	if _, err := c.PriorityBatch([]string{"a", "ghost"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.post(context.Background(), "/fairshare/batch", map[string][]string{"users": {"a"}}, nil); err == nil {
+	if err := c.post(context.Background(), true, "/fairshare/batch", map[string][]string{"users": {"a"}}, nil); err == nil {
 		t.Fatal("a JSON batch request accepted")
 	}
 
