@@ -32,7 +32,7 @@ import (
 type SiteConfig struct {
 	// Name is the site name (used in usage records and identity mapping).
 	Name string
-	// Policy is the site's usage policy (required).
+	// Policy is the site's usage policy (required); never mutate it afterwards.
 	Policy *policy.Tree
 	// Clock provides time for every service (default wall clock).
 	Clock simclock.Clock

@@ -21,30 +21,22 @@ import (
 
 // WriteText serializes the tree in the text format, depth-first.
 func WriteText(w io.Writer, t *Tree) error {
+	// A bufio.Writer keeps its first error and reports it from Flush.
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, "# path share"); err != nil {
-		return err
-	}
-	var walk func(n *Node, parts []string) error
-	walk = func(n *Node, parts []string) error {
+	fmt.Fprintln(bw, "# path share")
+	var walk func(n *Node, parts []string)
+	walk = func(n *Node, parts []string) {
 		for _, c := range n.Children {
 			p := append(parts, c.Name)
-			if _, err := fmt.Fprintf(bw, "%s %g\n", JoinPath(p), c.Share); err != nil {
-				return err
-			}
-			if err := walk(c, p); err != nil {
-				return err
-			}
+			fmt.Fprintf(bw, "%s %g\n", JoinPath(p), c.Share)
+			walk(c, p)
 		}
-		return nil
 	}
-	if err := walk(t.Root, nil); err != nil {
-		return err
-	}
+	walk(t.Root, nil)
 	return bw.Flush()
 }
 
-// ReadText parses the text format into a tree.
+// ReadText parses the text format into a validated tree.
 func ReadText(r io.Reader) (*Tree, error) {
 	t := NewTree()
 	sc := bufio.NewScanner(r)
@@ -69,10 +61,14 @@ func ReadText(r io.Reader) (*Tree, error) {
 		}
 		parent := JoinPath(parts[:len(parts)-1])
 		if _, err := t.Add(parent, parts[len(parts)-1], share); err != nil {
-			return nil, fmt.Errorf("policy: line %d: %v", lineNo, err)
+			return nil, fmt.Errorf("policy: line %d: %w", lineNo, err)
 		}
 	}
 	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	// Add checks each line, not a sibling group's share sum.
+	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -4,11 +4,20 @@
 // managed sub-policies can be dynamically mounted into a locally administered
 // root node — letting a site assign part of its resources to a grid without
 // managing the grid's internal subdivision.
+//
+// Add and Remove build a tree in place. A tree handed to a PDS (pds.New,
+// SetPolicy, core.SiteConfig.Policy) must never be mutated again: the PDS,
+// the FCS's snapshots and GET /policy share it without a copy, and the FCS
+// takes an unchanged pointer for an unchanged policy. Mount and
+// RefreshMount are copy-on-write: the new tree they return copies the path
+// from the root to the edited node and shares every other subtree.
 package policy
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"strings"
 )
 
@@ -44,7 +53,7 @@ func NewTree() *Tree {
 var (
 	ErrNotFound   = errors.New("policy: path not found")
 	ErrDuplicate  = errors.New("policy: duplicate sibling name")
-	ErrBadShare   = errors.New("policy: share must be positive")
+	ErrBadShare   = errors.New("policy: share must be positive and finite")
 	ErrBadPath    = errors.New("policy: bad path")
 	ErrNotMounted = errors.New("policy: node is not a mount point")
 )
@@ -98,7 +107,7 @@ func (t *Tree) Add(parentPath, name string, share float64) (string, error) {
 	if name == "" || strings.Contains(name, Separator) {
 		return "", fmt.Errorf("%w: invalid name %q", ErrBadPath, name)
 	}
-	if !(share > 0) {
+	if !(share > 0) || math.IsInf(share, 1) {
 		return "", fmt.Errorf("%w: %g", ErrBadShare, share)
 	}
 	parent, err := t.Lookup(parentPath)
@@ -124,51 +133,86 @@ func (t *Tree) Remove(path string) error {
 	if node == nil {
 		return fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
-	for i, c := range parent.Children {
-		if c == node {
-			parent.Children = append(parent.Children[:i], parent.Children[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %s", ErrNotFound, path)
+	parent.Children = slices.DeleteFunc(parent.Children, func(c *Node) bool { return c == node })
+	return nil
 }
 
-// Mount grafts sub (a remotely managed policy subtree) under parentPath with
-// the given local share, recording its origin. This is the PDS operation
+// Mount returns a tree in which a copy of sub's children hangs under a new
+// node name (the given local share, origin recorded) below parentPath,
+// whose subtree it validates; t is unchanged. This is the PDS operation
 // that lets "local administrators assign parts of the resources to one or
 // more grids while retaining full control over the infrastructure".
-func (t *Tree) Mount(parentPath, name string, share float64, sub *Node, origin string) error {
+func (t *Tree) Mount(parentPath, name string, share float64, sub *Node, origin string) (*Tree, error) {
 	if sub == nil {
-		return fmt.Errorf("%w: nil subtree", ErrBadPath)
+		return nil, fmt.Errorf("%w: nil subtree", ErrBadPath)
 	}
-	path, err := t.Add(parentPath, name, share)
-	if err != nil {
-		return err
-	}
-	node, _ := t.Lookup(path)
-	node.Children = cloneNodes(sub.Children)
-	node.MountedFrom = origin
-	return nil
+	return t.edit(parentPath, func(p *Node) error {
+		p.Children = append(slices.Clip(p.Children), // a new array, not t's
+			&Node{Name: name, Share: share, Children: cloneNodes(sub.Children), MountedFrom: origin})
+		return validateNode(p, parentPath)
+	})
 }
 
-// RefreshMount replaces the children of an existing mount point with a fresh
-// copy of the remote subtree (policy updates propagate on PDS refresh).
-func (t *Tree) RefreshMount(path string, sub *Node) error {
+// RefreshMount returns a tree in which the mount point at path holds a copy
+// of sub's children (policy updates propagate on PDS refresh); t is
+// unchanged. When sub's children equal the mounted ones it returns t
+// itself, so an idle refresh leaves the tree, and everything derived from
+// it, as it was.
+func (t *Tree) RefreshMount(path string, sub *Node) (*Tree, error) {
 	node, err := t.Lookup(path)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if node.MountedFrom == "" {
-		return fmt.Errorf("%w: %s", ErrNotMounted, path)
+		return nil, fmt.Errorf("%w: %s", ErrNotMounted, path)
 	}
 	if sub == nil {
-		return fmt.Errorf("%w: nil subtree", ErrBadPath)
+		return nil, fmt.Errorf("%w: nil subtree", ErrBadPath)
 	}
-	node.Children = cloneNodes(sub.Children)
-	return nil
+	if equalNodes(node.Children, sub.Children) {
+		return t, nil
+	}
+	return t.edit(path, func(n *Node) error {
+		n.Children = cloneNodes(sub.Children)
+		return validateNode(n, path)
+	})
 }
 
-// Validate checks share positivity and sibling-name uniqueness everywhere.
+// edit returns a tree in which fn has changed a copy of the node at path.
+// Only the nodes from the root down to it are copied; every other subtree
+// is shared with t, so fn must not write into the copy's Children array.
+func (t *Tree) edit(path string, fn func(*Node) error) (*Tree, error) {
+	root := *t.Root
+	n := &root
+	for _, p := range SplitPath(path) {
+		i := slices.IndexFunc(n.Children, func(c *Node) bool { return c.Name == p })
+		if i < 0 {
+			return nil, fmt.Errorf("%w: %s", ErrNotFound, path)
+		}
+		c := *n.Children[i]
+		n.Children = slices.Clone(n.Children)
+		n.Children[i] = &c
+		n = &c
+	}
+	if err := fn(n); err != nil {
+		return nil, err
+	}
+	return &Tree{Root: &root}, nil
+}
+
+// equalNodes reports whether two sibling lists hold the same names, shares
+// and origins, recursively; a holds no nil node, b may (it is fetched).
+func equalNodes(a, b []*Node) bool {
+	return slices.EqualFunc(a, b, func(x, y *Node) bool {
+		return y != nil && x.Name == y.Name && x.Share == y.Share && x.MountedFrom == y.MountedFrom &&
+			equalNodes(x.Children, y.Children)
+	})
+}
+
+// Validate checks, everywhere in the tree, that names are valid and unique
+// among siblings, that shares are positive and finite, and that every
+// sibling group's shares sum to a finite value, so Normalize yields finite
+// shares in [0, 1].
 func (t *Tree) Validate() error {
 	if t.Root == nil {
 		return errors.New("policy: nil root")
@@ -178,7 +222,11 @@ func (t *Tree) Validate() error {
 
 func validateNode(n *Node, path string) error {
 	seen := map[string]bool{}
+	var sum float64
 	for _, c := range n.Children {
+		if c == nil {
+			return fmt.Errorf("%w: nil child under %s", ErrBadPath, path)
+		}
 		if c.Name == "" || strings.Contains(c.Name, Separator) {
 			return fmt.Errorf("%w: %q under %s", ErrBadPath, c.Name, path)
 		}
@@ -186,12 +234,16 @@ func validateNode(n *Node, path string) error {
 			return fmt.Errorf("%w: %s under %s", ErrDuplicate, c.Name, path)
 		}
 		seen[c.Name] = true
-		if !(c.Share > 0) {
+		if !(c.Share > 0) || math.IsInf(c.Share, 1) {
 			return fmt.Errorf("%w: %s%s%s has %g", ErrBadShare, path, Separator, c.Name, c.Share)
 		}
+		sum += c.Share
 		if err := validateNode(c, path+Separator+c.Name); err != nil {
 			return err
 		}
+	}
+	if math.IsInf(sum, 0) {
+		return fmt.Errorf("%w: the shares under %s sum past the float range", ErrBadShare, path)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package policy
 import (
 	"errors"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -145,53 +147,94 @@ func TestMountAndRefresh(t *testing.T) {
 	if _, err := local.Add("", "local", 40); err != nil {
 		t.Fatal(err)
 	}
+	before := local.Clone()
 	// A remotely managed grid policy.
 	remote := NewTree()
 	remote.Add("", "va", 1)
 	remote.Add("", "vb", 3)
 
-	if err := local.Mount("", "grid", 60, remote.Root, "pds://national"); err != nil {
+	mounted, err := local.Mount("", "grid", 60, remote.Root, "pds://national")
+	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := local.Lookup("/grid/vb")
+	if !reflect.DeepEqual(local, before) {
+		t.Error("Mount changed the tree it was called on")
+	}
+	if a, _ := local.Lookup("/local"); a != must(mounted.Lookup("/local")) {
+		t.Error("Mount copied a subtree off the path to the mount point")
+	}
+	n, err := mounted.Lookup("/grid/vb")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n.Share != 3 {
 		t.Errorf("mounted share = %g", n.Share)
 	}
-	mp, _ := local.Lookup("/grid")
+	mp, _ := mounted.Lookup("/grid")
 	if mp.MountedFrom != "pds://national" {
 		t.Errorf("MountedFrom = %q", mp.MountedFrom)
 	}
 
 	// Mutating the remote tree must not affect the mounted copy.
 	remote.Root.Children[0].Share = 99
-	n, _ = local.Lookup("/grid/va")
+	n, _ = mounted.Lookup("/grid/va")
 	if n.Share != 1 {
 		t.Error("mount did not deep-copy the subtree")
+	}
+
+	// Refreshing with the children already mounted keeps the tree itself.
+	same := NewTree()
+	same.Add("", "va", 1)
+	same.Add("", "vb", 3)
+	if got, err := mounted.RefreshMount("/grid", same.Root); err != nil || got != mounted {
+		t.Errorf("idle refresh = %p, %v; want the tree itself %p", got, err, mounted)
 	}
 
 	// Refresh propagates policy updates.
 	remote2 := NewTree()
 	remote2.Add("", "vc", 5)
-	if err := local.RefreshMount("/grid", remote2.Root); err != nil {
+	refreshed, err := mounted.RefreshMount("/grid", remote2.Root)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := local.Lookup("/grid/vc"); err != nil {
+	if _, err := refreshed.Lookup("/grid/vc"); err != nil {
 		t.Error("refresh did not replace children")
 	}
-	if _, err := local.Lookup("/grid/va"); err == nil {
+	if _, err := refreshed.Lookup("/grid/va"); err == nil {
 		t.Error("refresh kept stale children")
+	}
+	if _, err := mounted.Lookup("/grid/va"); err != nil {
+		t.Error("refresh changed the tree it was called on")
 	}
 
 	// Refreshing a non-mount fails.
-	if err := local.RefreshMount("/local", remote2.Root); !errors.Is(err, ErrNotMounted) {
+	if _, err := refreshed.RefreshMount("/local", remote2.Root); !errors.Is(err, ErrNotMounted) {
 		t.Errorf("refresh non-mount err = %v", err)
 	}
-	if err := local.Mount("", "grid2", 1, nil, "x"); !errors.Is(err, ErrBadPath) {
+	if _, err := local.Mount("", "grid2", 1, nil, "x"); !errors.Is(err, ErrBadPath) {
 		t.Errorf("nil subtree err = %v", err)
 	}
+	if _, err := mounted.Mount("", "grid", 1, remote2.Root, "x"); !errors.Is(err, ErrDuplicate) {
+		t.Errorf("duplicate mount err = %v", err)
+	}
+	bad := &Node{Children: []*Node{{Name: "x", Share: math.Inf(1)}}}
+	if _, err := local.Mount("", "grid", 1, bad, "x"); !errors.Is(err, ErrBadShare) {
+		t.Errorf("mount of an invalid subtree err = %v", err)
+	}
+	if _, err := mounted.RefreshMount("/grid", bad); !errors.Is(err, ErrBadShare) {
+		t.Errorf("refresh to an invalid subtree err = %v", err)
+	}
+	holey := &Node{Children: []*Node{{Name: "va", Share: 1}, nil}}
+	if _, err := mounted.RefreshMount("/grid", holey); !errors.Is(err, ErrBadPath) {
+		t.Errorf("refresh to a subtree with a nil child err = %v", err)
+	}
+}
+
+func must(n *Node, err error) *Node {
+	if err != nil {
+		panic(err)
+	}
+	return n
 }
 
 func TestValidate(t *testing.T) {
@@ -208,6 +251,37 @@ func TestValidate(t *testing.T) {
 	dup.Root.Children = append(dup.Root.Children, &Node{Name: "hq", Share: 1})
 	if err := dup.Validate(); !errors.Is(err, ErrDuplicate) {
 		t.Errorf("duplicate err = %v", err)
+	}
+}
+
+// TestValidateRejectsSharesThatBreakNormalisation: a tree whose shares do
+// not normalise to finite values in [0, 1] is refused by every decoder and
+// by Validate itself. An infinite share used to normalise to NaN, and two
+// siblings whose sum overflows to 0 each.
+func TestValidateRejectsSharesThatBreakNormalisation(t *testing.T) {
+	for _, in := range []string{"/a inf\n/b 1", "/a +Inf", "/a 1e308\n/b 1e308", "/a NaN"} {
+		if tr, err := ReadText(strings.NewReader(in)); !errors.Is(err, ErrBadShare) {
+			t.Errorf("ReadText(%q) = %v, %v; want %v", in, tr, err, ErrBadShare)
+		}
+	}
+	for _, in := range []string{
+		`{"root":{"children":[{"name":"a","share":1e308},{"name":"b","share":1e308}]}}`,
+		`{"root":{"children":[{"name":"g","share":1,"children":[{"name":"a","share":1e308},{"name":"b","share":1e308}]}]}}`,
+	} {
+		if tr, err := FromJSON([]byte(in)); !errors.Is(err, ErrBadShare) {
+			t.Errorf("FromJSON(%s) = %v, %v; want %v", in, tr, err, ErrBadShare)
+		}
+	}
+	if _, err := FromJSON([]byte(`{"root":{"children":[null]}}`)); !errors.Is(err, ErrBadPath) {
+		t.Errorf("FromJSON with a null child: err = %v, want %v", err, ErrBadPath)
+	}
+	inf := paperTree(t)
+	inf.Root.Children[0].Share = math.Inf(1)
+	if err := inf.Validate(); !errors.Is(err, ErrBadShare) {
+		t.Errorf("infinite share err = %v", err)
+	}
+	if _, err := NewTree().Add("", "a", math.Inf(1)); !errors.Is(err, ErrBadShare) {
+		t.Errorf("Add of an infinite share err = %v", err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/fairshare"
 	"repro/internal/policy"
+	"repro/internal/services/pds"
 	"repro/internal/services/ums"
 	"repro/internal/services/uss"
 	"repro/internal/simclock"
@@ -196,7 +197,7 @@ func BenchmarkRefreshIncremental(b *testing.B) {
 				Clock:    simclock.Real{},
 				CacheTTL: 24 * time.Hour,
 				Metrics:  telemetry.NewRegistry(),
-			}, newVersionedPDS(p), ums)
+			}, pds.New(p, nil), ums)
 			if err := svc.Refresh(); err != nil { // full anchor refresh
 				b.Fatal(err)
 			}
@@ -249,7 +250,7 @@ func benchRefreshOverUSS(b *testing.B, p *policy.Tree, users []string, k int) {
 	src.ReportJobBatch(history)
 	m := ums.New(ums.Config{Clock: clock, CacheTTL: time.Minute, Metrics: telemetry.NewRegistry(),
 		Decay: usage.ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour}}, src.View(true))
-	svc := New(Config{Clock: clock, CacheTTL: 24 * time.Hour, Metrics: telemetry.NewRegistry()}, newVersionedPDS(p), m)
+	svc := New(Config{Clock: clock, CacheTTL: 24 * time.Hour, Metrics: telemetry.NewRegistry()}, pds.New(p, nil), m)
 	if err := svc.Refresh(); err != nil { // full anchor refresh
 		b.Fatal(err)
 	}

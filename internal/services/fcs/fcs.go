@@ -15,9 +15,9 @@
 // Refreshes are incremental when the sources cooperate: the usage source
 // hands the FCS just the users whose usage changed since the last pull — as
 // sums at a reference instant, which decay does not touch, plus the one
-// scale that turns them back into decayed core-seconds — and a policy
-// source that reports a Version lets the FCS prove the tree shape is
-// unchanged. When both hold,
+// scale that turns them back into decayed core-seconds — and the policy
+// source hands out an immutable tree, so the same pointer as the last
+// snapshot's proves the tree shape is unchanged. When both hold,
 // the refresh drives a persistent fairshare.Recalc engine — O(dirty·depth)
 // tree work with copy-on-write structural sharing instead of a full
 // O(users) rebuild — and the published snapshot is bit-identical to what a
@@ -45,17 +45,11 @@ import (
 	"repro/internal/wire"
 )
 
-// PolicySource provides the current policy tree (the PDS).
+// PolicySource provides the current policy tree (the PDS). The same pointer
+// as the snapshot's is taken as an unchanged policy, so a source must never
+// mutate a tree it has handed out (a fresh copy per read keeps refreshes full).
 type PolicySource interface {
 	Policy() *policy.Tree
-}
-
-// versioned is optionally implemented by a PolicySource: a watermark that
-// changes whenever the policy tree may have changed. Two equal reads
-// bracketing a Policy() call prove the tree is the one already cached, which
-// is what allows a refresh to skip the policy clone and stay incremental.
-type versioned interface {
-	Version() uint64
 }
 
 // UsageSource provides pre-computed per-user usage (the UMS). Concurrent
@@ -132,7 +126,8 @@ type snapshot struct {
 	tree  *fairshare.Tree
 	index *fairshare.Index
 	// pol is the policy the snapshot was computed from, kept so
-	// VerifySnapshot can rebuild the full-recompute twin.
+	// VerifySnapshot can rebuild the full-recompute twin and so the next
+	// refresh can tell an unchanged policy by its pointer.
 	pol *policy.Tree
 	// prior[i] is the projected priority of index entry i.
 	prior      []float64
@@ -215,12 +210,6 @@ type Service struct {
 	// on the last full rebuild; nil until the first refresh. Guarded by
 	// refreshMu.
 	engine *fairshare.Recalc
-	// lastPolicy/policyVer cache the policy tree across refreshes when the
-	// PDS reports versions, so an unchanged policy costs neither a clone
-	// nor a full rebuild. Guarded by refreshMu.
-	lastPolicy    *policy.Tree
-	policyVer     uint64
-	havePolicyVer bool
 	// usageVersion is the delta watermark of the last refresh's usage state
 	// (0 before the first). Guarded by refreshMu.
 	usageVersion uint64
@@ -333,26 +322,6 @@ func (s *Service) Refresh() error {
 	return s.rebuildLocked()
 }
 
-// policyLocked returns the policy tree to compute against and whether it may
-// differ from the one the engine's anchor was built on. Without version
-// support every refresh must assume a change (and pay the clone); with it,
-// an unchanged watermark reuses the cached tree. The version is read BEFORE
-// the policy so a racing edit can only make the next refresh conservatively
-// full, never let a stale tree pass as current. refreshMu must be held.
-func (s *Service) policyLocked() (*policy.Tree, bool) {
-	v, ok := s.pds.(versioned)
-	if !ok {
-		return s.pds.Policy(), true
-	}
-	ver := v.Version()
-	if s.havePolicyVer && ver == s.policyVer && s.lastPolicy != nil {
-		return s.lastPolicy, false
-	}
-	pol := s.pds.Policy()
-	s.lastPolicy, s.policyVer, s.havePolicyVer = pol, ver, true
-	return pol, true
-}
-
 // rebuildLocked recomputes and publishes a snapshot; refreshMu must be held.
 // It picks the cheapest sound path per refresh: incremental when the usage
 // source supplied a delta and the policy provably did not change, full
@@ -366,9 +335,9 @@ func (s *Service) rebuildLocked() error {
 	defer root.End()
 
 	prev := s.snap.Load()
-	pol, polChanged := s.policyLocked()
+	pol := s.pds.Policy()
 	since := uint64(0)
-	if prev != nil && s.engine != nil && !polChanged {
+	if prev != nil && s.engine != nil && pol == prev.pol {
 		since = s.usageVersion
 	}
 	ds, err := s.fetchUsage(ctx, since)

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/policy"
 	"repro/internal/resilience"
+	"repro/internal/services/pds"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 	"repro/internal/usage"
@@ -89,13 +90,13 @@ func testEngineErrorFallback(t *testing.T, ums UsageSource, bump func(user strin
 			}
 		}
 	}
-	pds := newVersionedPDS(p)
+	src := pds.New(p, nil)
 	reg := telemetry.NewRegistry()
 	svc := New(Config{Clock: simclock.NewSim(t0), CacheTTL: -1,
 		SynchronousRefresh: true, Metrics: reg,
 		SourceRetry: resilience.RetryPolicy{MaxAttempts: 2,
 			Sleep: func(context.Context, time.Duration) error { return nil }},
-	}, pds, ums)
+	}, src, ums)
 
 	// Anchor with a full refresh, then prove the incremental chain works.
 	if err := svc.Refresh(); err != nil {

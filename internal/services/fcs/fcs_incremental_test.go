@@ -6,42 +6,13 @@ import (
 	"time"
 
 	"repro/internal/policy"
+	"repro/internal/services/pds"
 	"repro/internal/services/ums"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 	"repro/internal/usage"
 	"repro/internal/vector"
 )
-
-// versionedPDS is a policy source with change versioning, like the real PDS.
-type versionedPDS struct {
-	mu      sync.Mutex
-	tree    *policy.Tree
-	version uint64
-}
-
-func newVersionedPDS(t *policy.Tree) *versionedPDS {
-	return &versionedPDS{tree: t, version: 1}
-}
-
-func (p *versionedPDS) Policy() *policy.Tree {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tree.Clone()
-}
-
-func (p *versionedPDS) Version() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.version
-}
-
-func (p *versionedPDS) SetPolicy(t *policy.Tree) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.tree = t
-	p.version++
-}
 
 // deltaUMS is a usage source with a one-generation delta memory, like the
 // UMS: a consumer exactly one version behind gets the incremental set,
@@ -104,22 +75,22 @@ func (d *deltaUMS) apply(ch map[string]float64) {
 	}
 }
 
-func newIncrementalFCS(t *testing.T, proj vector.Projection) (*Service, *versionedPDS, *deltaUMS, *telemetry.Registry) {
+func newIncrementalFCS(t *testing.T, proj vector.Projection) (*Service, *pds.Service, *deltaUMS, *telemetry.Registry) {
 	t.Helper()
 	p, err := policy.FromShares(map[string]float64{"a": 0.4, "b": 0.3, "c": 0.2, "d": 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pds := newVersionedPDS(p)
+	src := pds.New(p, nil)
 	ums := newDeltaUMS(map[string]float64{"a": 10, "b": 20, "c": 30, "d": 40})
 	reg := telemetry.NewRegistry()
 	svc := New(Config{Clock: simclock.NewSim(t0), CacheTTL: -1, Projection: proj,
-		SynchronousRefresh: true, Metrics: reg}, pds, ums)
-	return svc, pds, ums, reg
+		SynchronousRefresh: true, Metrics: reg}, src, ums)
+	return svc, src, ums, reg
 }
 
 func TestIncrementalRefreshLifecycle(t *testing.T) {
-	svc, pds, ums, reg := newIncrementalFCS(t, nil)
+	svc, src, ums, reg := newIncrementalFCS(t, nil)
 
 	mustVerify := func(step string) {
 		t.Helper()
@@ -163,13 +134,15 @@ func TestIncrementalRefreshLifecycle(t *testing.T) {
 	ums.apply(map[string]float64{"b": 25})
 	refresh("bitwise no-op delta", RefreshIncremental, 0)
 
-	// Policy edit: version changes, refresh must go full even though the
+	// Policy edit: a new tree, so the refresh must go full even though the
 	// usage source could serve a delta.
 	p2, err := policy.FromShares(map[string]float64{"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pds.SetPolicy(p2)
+	if err := src.SetPolicy(p2); err != nil {
+		t.Fatal(err)
+	}
 	refresh("policy edit", RefreshFull, 4)
 
 	// Back to incremental on the new anchor, including a user removal
@@ -254,9 +227,9 @@ func TestIncrementalMatchesFullService(t *testing.T) {
 
 // TestLegacySourcesStayFull: sources that cannot say what changed keep
 // every refresh on the full path. A UMS behind ums.SourceFunc publishes a
-// Full set on every pass, a policy source without versions proves nothing;
-// either alone is enough, and the published priorities verify against their
-// from-scratch twin.
+// Full set on every pass, a policy source that copies on every read proves
+// nothing; either alone is enough, and the published priorities verify
+// against their from-scratch twin.
 func TestLegacySourcesStayFull(t *testing.T) {
 	p, err := policy.FromShares(map[string]float64{"a": 0.5, "b": 0.3, "c": 0.2})
 	if err != nil {
@@ -275,7 +248,7 @@ func TestLegacySourcesStayFull(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		pds  PolicySource
-	}{{"versioned policy", newVersionedPDS(p)}, {"plain policy", staticPDS{p}}} {
+	}{{"immutable policy", pds.New(p, nil)}, {"plain policy", staticPDS{p}}} {
 		name := tc.name
 		svc := New(Config{Clock: clock, CacheTTL: -1, SynchronousRefresh: true,
 			Metrics: telemetry.NewRegistry()}, tc.pds, m)

@@ -19,6 +19,8 @@ import (
 
 var t0 = time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC)
 
+// staticPDS copies its tree on every read, so it never proves the policy
+// unchanged and every refresh behind it is full.
 type staticPDS struct{ tree *policy.Tree }
 
 func (s staticPDS) Policy() *policy.Tree { return s.tree.Clone() }

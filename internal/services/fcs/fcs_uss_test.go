@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/policy"
+	"repro/internal/services/pds"
 	"repro/internal/services/ums"
 	"repro/internal/services/uss"
 	"repro/internal/simclock"
@@ -61,13 +62,13 @@ func TestIncrementalRefreshLifecycleUnderDecay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pds := newVersionedPDS(p)
+	src := pds.New(p, nil)
 	reg := telemetry.NewRegistry()
-	svc := New(Config{Clock: rig.clock, CacheTTL: -1, SynchronousRefresh: true, Metrics: reg}, pds, rig.ums)
+	svc := New(Config{Clock: rig.clock, CacheTTL: -1, SynchronousRefresh: true, Metrics: reg}, src, rig.ums)
 	// The twin reads complete decayed totals in scale 1: a Full set and a
 	// from-scratch rebuild on every refresh.
 	twin := New(Config{Clock: rig.clock, CacheTTL: -1, SynchronousRefresh: true,
-		Metrics: telemetry.NewRegistry()}, pds, ums.New(ums.Config{Clock: rig.clock, Decay: rig.decay,
+		Metrics: telemetry.NewRegistry()}, src, ums.New(ums.Config{Clock: rig.clock, Decay: rig.decay,
 		Metrics: telemetry.NewRegistry()}, ums.SourceFunc(func(now time.Time, d usage.Decay) (map[string]float64, error) {
 		return rig.uss.GlobalTotals(now, d), nil
 	})))
@@ -112,7 +113,9 @@ func TestIncrementalRefreshLifecycleUnderDecay(t *testing.T) {
 	}
 
 	p2, _ := policy.FromShares(map[string]float64{"a": 0.25, "b": 0.25, "c": 0.25, "d": 0.25})
-	pds.SetPolicy(p2)
+	if err := src.SetPolicy(p2); err != nil {
+		t.Fatal(err)
+	}
 	rig.tick()
 	refresh("policy edit", RefreshFull, 4)
 	rig.bump("c")
@@ -177,7 +180,7 @@ func TestExtraUMSPassesBetweenRefreshes(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc := New(Config{Clock: rig.clock, CacheTTL: -1, SynchronousRefresh: true,
-		Metrics: telemetry.NewRegistry()}, newVersionedPDS(p), rig.ums)
+		Metrics: telemetry.NewRegistry()}, pds.New(p, nil), rig.ums)
 	if err := svc.Refresh(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,11 @@
 // Package pds implements the Policy Distribution Service: it manages the
 // local site's usage policy and can mount sub-policies from other sources
 // (which may be other PDS instances), keeping mounted subtrees refreshed.
+//
+// The service keeps the one policy.Tree it is given, never mutated (see
+// package policy): Policy and Subtree hand it out as it is, and the mount
+// operations swap in the tree policy's copy-on-write edits return, so an
+// unchanged pointer means an unchanged policy.
 package pds
 
 import (
@@ -22,40 +27,36 @@ type Service struct {
 	fetch Fetcher
 	// mounts remembers mount-point path -> origin for refresh.
 	mounts map[string]string
-	// version counts policy mutations. Consumers (the FCS) compare it
-	// against the version of their last Policy() pull to skip the O(n)
-	// clone — and to keep incremental fairshare recomputation valid only
-	// while the tree is unchanged.
-	version uint64
 	// onChange, when set, is invoked after every successful SetPolicy with
-	// a clone of the new tree. It runs OUTSIDE s.mu: the durability hook it
-	// carries takes the WAL commit lock, which is also held while a
-	// snapshot capture reads Policy() — invoking under s.mu would close a
-	// lock cycle. Mount mutations do not fire it (mounted subtrees are
+	// the new tree. It runs OUTSIDE s.mu: the durability hook it carries
+	// takes the WAL commit lock, which is also held while a snapshot
+	// capture reads Policy() — invoking under s.mu would close a lock
+	// cycle. Mount mutations do not fire it (mounted subtrees are
 	// re-fetched from their origins, not replayed).
 	onChange func(*policy.Tree)
 }
 
-// New creates a PDS with the given initial policy (nil for an empty tree).
+// New creates a PDS that keeps initial (nil for an empty tree) uncopied.
 func New(initial *policy.Tree, fetch Fetcher) *Service {
 	if initial == nil {
 		initial = policy.NewTree()
 	}
 	return &Service{
-		tree:   initial.Clone(),
+		tree:   initial,
 		fetch:  fetch,
 		mounts: map[string]string{},
 	}
 }
 
-// Policy returns a deep copy of the current policy tree.
+// Policy returns the current policy tree. It is shared: read-only.
 func (s *Service) Policy() *policy.Tree {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.tree.Clone()
+	return s.tree
 }
 
-// SetPolicy replaces the whole local policy. Mount records are cleared.
+// SetPolicy replaces the whole local policy with t, which the service keeps
+// without a copy. Mount records are cleared.
 func (s *Service) SetPolicy(t *policy.Tree) error {
 	if t == nil {
 		return fmt.Errorf("pds: nil policy")
@@ -64,17 +65,12 @@ func (s *Service) SetPolicy(t *policy.Tree) error {
 		return err
 	}
 	s.mu.Lock()
-	s.tree = t.Clone()
+	s.tree = t
 	s.mounts = map[string]string{}
-	s.version++
 	hook := s.onChange
-	var snap *policy.Tree
-	if hook != nil {
-		snap = s.tree.Clone()
-	}
 	s.mu.Unlock()
 	if hook != nil {
-		hook(snap)
+		hook(t)
 	}
 	return nil
 }
@@ -87,16 +83,9 @@ func (s *Service) OnChange(fn func(*policy.Tree)) {
 	s.onChange = fn
 }
 
-// Subtree returns a copy of the node at path (for serving to other PDSs).
+// Subtree returns the policy's own node at path (for serving other PDSs).
 func (s *Service) Subtree(path string) (*policy.Node, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n, err := s.tree.Lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	cp := &policy.Tree{Root: n}
-	return cp.Clone().Root, nil
+	return s.Policy().Lookup(path)
 }
 
 // Mount fetches the subtree served by origin and grafts it under parentPath
@@ -110,30 +99,31 @@ func (s *Service) Mount(parentPath, name string, share float64, origin string) e
 	if err != nil {
 		return fmt.Errorf("pds: fetching %s: %w", origin, err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.tree.Mount(parentPath, name, share, sub, origin); err != nil {
-		return err
-	}
-	path := policy.JoinPath(append(policy.SplitPath(parentPath), name))
-	s.mounts[path] = origin
-	s.version++
-	return nil
+	return s.mount(parentPath, name, share, sub, origin, true)
 }
 
 // MountStatic grafts an explicitly provided subtree (no origin refresh).
 func (s *Service) MountStatic(parentPath, name string, share float64, sub *policy.Node, origin string) error {
+	return s.mount(parentPath, name, share, sub, origin, false)
+}
+
+func (s *Service) mount(parentPath, name string, share float64, sub *policy.Node, origin string, refresh bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.tree.Mount(parentPath, name, share, sub, origin); err != nil {
+	next, err := s.tree.Mount(parentPath, name, share, sub, origin)
+	if err != nil {
 		return err
 	}
-	s.version++
+	s.tree = next
+	if refresh {
+		s.mounts[policy.JoinPath(append(policy.SplitPath(parentPath), name))] = origin
+	}
 	return nil
 }
 
 // RefreshMounts re-fetches every remembered mount origin and replaces the
-// mounted subtrees, propagating remote policy changes. The first error is
+// mounted subtrees, propagating remote policy changes. A fetch that returns
+// the subtree already mounted leaves the tree as it is. The first error is
 // returned but all mounts are attempted.
 func (s *Service) RefreshMounts() error {
 	if s.fetch == nil {
@@ -157,9 +147,11 @@ func (s *Service) RefreshMounts() error {
 			continue
 		}
 		s.mu.Lock()
-		err = s.tree.RefreshMount(mt.path, sub)
-		if err == nil {
-			s.version++
+		if s.mounts[mt.path] == mt.origin { // else a SetPolicy dropped it meanwhile
+			var next *policy.Tree
+			if next, err = s.tree.RefreshMount(mt.path, sub); err == nil {
+				s.tree = next
+			}
 		}
 		s.mu.Unlock()
 		if err != nil && firstErr == nil {
@@ -167,15 +159,6 @@ func (s *Service) RefreshMounts() error {
 		}
 	}
 	return firstErr
-}
-
-// Version returns the policy mutation counter. Two equal Version reads
-// bracket an unchanged tree, so a consumer may keep serving a previously
-// pulled Policy() clone (and any state derived from it).
-func (s *Service) Version() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.version
 }
 
 // Mounts returns the mount-point paths and their origins.

@@ -2,6 +2,7 @@ package pds
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/policy"
@@ -23,13 +24,38 @@ func remoteSubtree(shareA, shareB float64) *policy.Node {
 	}}
 }
 
-func TestPolicyIsolatedCopy(t *testing.T) {
-	s := New(localPolicy(t), nil)
-	p1 := s.Policy()
-	p1.Root.Children[0].Share = 999
-	p2 := s.Policy()
-	if p2.Root.Children[0].Share == 999 {
-		t.Error("Policy() exposed internal state")
+// TestPolicySnapshotIsolation: Policy hands out the one tree the service
+// holds, so two reads with no edit between them are the same pointer, and
+// every edit publishes a new tree while a tree taken before it stays as it
+// was. This is what the clone on every read used to protect: a reader
+// never sees a tree change under it.
+func TestPolicySnapshotIsolation(t *testing.T) {
+	shareA := 3.0
+	fetch := func(string) (*policy.Node, error) { return remoteSubtree(shareA, 1), nil }
+	s := New(localPolicy(t), fetch)
+	if s.Policy() != s.Policy() {
+		t.Fatal("two Policy() reads with no edit between them returned different trees")
+	}
+	for _, edit := range []struct {
+		name string
+		do   func() error
+	}{
+		{"Mount", func() error { return s.Mount("", "grid", 60, "pds://national") }},
+		{"MountStatic", func() error { return s.MountStatic("/grid", "extra", 1, remoteSubtree(1, 1), "manual") }},
+		{"RefreshMounts", func() error { shareA = 1; return s.RefreshMounts() }},
+		{"SetPolicy", func() error { return s.SetPolicy(localPolicy(t)) }},
+	} {
+		before := s.Policy()
+		want := before.Clone()
+		if err := edit.do(); err != nil {
+			t.Fatalf("%s: %v", edit.name, err)
+		}
+		if !reflect.DeepEqual(before, want) {
+			t.Errorf("%s changed a tree taken before it", edit.name)
+		}
+		if s.Policy() == before {
+			t.Errorf("%s did not publish a new tree", edit.name)
+		}
 	}
 }
 
@@ -133,11 +159,9 @@ func TestSubtree(t *testing.T) {
 	if err != nil || sub.Name != "local" {
 		t.Fatalf("Subtree = %+v, %v", sub, err)
 	}
-	// Mutation of the returned subtree must not affect the service.
-	sub.Share = 12345
-	n, _ := s.Policy().Lookup("/local")
-	if n.Share == 12345 {
-		t.Error("Subtree exposed internal state")
+	// The node is the policy's own, not a copy (both are read-only).
+	if n, _ := s.Policy().Lookup("/local"); n != sub {
+		t.Error("Subtree returned a copy of the policy's node")
 	}
 	if _, err := s.Subtree("/missing"); err == nil {
 		t.Error("missing subtree accepted")
