@@ -31,8 +31,6 @@ type Cluster struct {
 	// for utilization accounting.
 	busyIntegral float64
 	lastChange   time.Time
-	started      int64
-	completed    int64
 	// completedByUser accumulates finished core-seconds per grid user, so
 	// UsageByUser can report consumed compute including running jobs.
 	completedByUser map[string]float64
@@ -57,12 +55,6 @@ func New(name string, cores int, kernel *eventsim.Kernel) (*Cluster, error) {
 	}, nil
 }
 
-// Name returns the cluster name.
-func (c *Cluster) Name() string { return c.name }
-
-// Cores returns the total core count.
-func (c *Cluster) Cores() int { return c.cores }
-
 // FreeCores returns the currently idle cores.
 func (c *Cluster) FreeCores() int {
 	c.mu.Lock()
@@ -75,20 +67,6 @@ func (c *Cluster) RunningCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.running)
-}
-
-// Started and Completed report lifetime counters.
-func (c *Cluster) Started() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.started
-}
-
-// Completed reports the number of jobs that have finished.
-func (c *Cluster) Completed() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.completed
 }
 
 // OnComplete registers a completion callback (e.g. the job-completion
@@ -127,7 +105,6 @@ func (c *Cluster) TryStart(j *sched.Job) bool {
 	j.Start = now
 	j.Site = c.name
 	c.running[j.ID] = j
-	c.started++
 	c.mu.Unlock()
 
 	c.kernel.After(j.Duration, func(at time.Time) {
@@ -143,7 +120,6 @@ func (c *Cluster) complete(j *sched.Job, procs int, at time.Time) {
 	j.State = sched.Completed
 	j.End = at
 	delete(c.running, j.ID)
-	c.completed++
 	c.completedByUser[j.GridUser] += at.Sub(j.Start).Seconds() * float64(procs)
 	callbacks := append(make([]func(*sched.Job), 0, len(c.onComplete)), c.onComplete...)
 	c.mu.Unlock()

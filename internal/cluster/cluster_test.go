@@ -20,7 +20,7 @@ func TestNewValidation(t *testing.T) {
 		t.Error("nil kernel accepted")
 	}
 	c, err := New("c", 4, k)
-	if err != nil || c.Cores() != 4 || c.FreeCores() != 4 || c.Name() != "c" {
+	if err != nil || c.FreeCores() != 4 {
 		t.Errorf("New = %+v, %v", c, err)
 	}
 }
@@ -38,7 +38,7 @@ func TestJobLifecycle(t *testing.T) {
 	if j.State != sched.Running || !j.Start.Equal(t0) || j.Site != "c" {
 		t.Errorf("running job = %+v", j)
 	}
-	if c.FreeCores() != 1 || c.RunningCount() != 1 || c.Started() != 1 {
+	if c.FreeCores() != 1 || c.RunningCount() != 1 {
 		t.Errorf("cluster state: free=%d running=%d", c.FreeCores(), c.RunningCount())
 	}
 
@@ -52,8 +52,8 @@ func TestJobLifecycle(t *testing.T) {
 	if len(completed) != 1 || completed[0] != j {
 		t.Errorf("completions = %v", completed)
 	}
-	if c.FreeCores() != 2 || c.Completed() != 1 {
-		t.Errorf("after completion: free=%d completed=%d", c.FreeCores(), c.Completed())
+	if c.FreeCores() != 2 || c.RunningCount() != 0 {
+		t.Errorf("after completion: free=%d running=%d", c.FreeCores(), c.RunningCount())
 	}
 }
 

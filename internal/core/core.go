@@ -185,7 +185,7 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		Retry:        cfg.LibRetry,
 		StaleIfError: cfg.LibStaleIfError,
 		Spans:        cfg.Spans,
-	}, f, irsAdapter{i}, ussAdapter{u})
+	}, f, i, u)
 
 	return &Site{Name: cfg.Name, PDS: p, USS: u, UMS: m, FCS: f, IRS: i, Lib: lib, Durable: cfg.Durable}, nil
 }
@@ -226,18 +226,6 @@ func (s *Site) SnapshotDurable() error {
 		st.Policy = data
 		return st, nil
 	})
-}
-
-// irsAdapter exposes the IRS as a libaequus.IdentitySource.
-type irsAdapter struct{ s *irs.Service }
-
-func (a irsAdapter) Resolve(site, local string) (string, error) { return a.s.Resolve(site, local) }
-
-// ussAdapter exposes the USS as a libaequus.UsageSink.
-type ussAdapter struct{ s *uss.Service }
-
-func (a ussAdapter) ReportJob(user string, start time.Time, dur time.Duration, procs int) {
-	a.s.ReportJob(user, start, dur, procs)
 }
 
 // ConnectPeer registers a remote USS to pull usage from.

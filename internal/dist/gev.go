@@ -27,20 +27,6 @@ func (d GEV) Name() string { return "GEV" }
 // Params implements Dist.
 func (d GEV) Params() []float64 { return []float64{d.K, d.Sigma, d.Mu} }
 
-// t computes (1 + K*z)^(-1/K) (or exp(-z) for K=0); returns NaN outside the
-// support.
-func (d GEV) t(x float64) float64 {
-	z := (x - d.Mu) / d.Sigma
-	if d.K == 0 {
-		return math.Exp(-z)
-	}
-	arg := 1 + d.K*z
-	if arg <= 0 {
-		return math.NaN()
-	}
-	return math.Pow(arg, -1/d.K)
-}
-
 // PDF implements Dist.
 func (d GEV) PDF(x float64) float64 {
 	lp := d.LogPDF(x)

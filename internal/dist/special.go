@@ -71,12 +71,9 @@ func stdNormQuantile(p float64) float64 {
 	return x
 }
 
-// RegLowerGamma returns the regularized lower incomplete gamma function
+// regLowerGamma returns the regularized lower incomplete gamma function
 // P(a, x) = γ(a,x)/Γ(a) for a > 0, x >= 0, via the classic series /
-// continued-fraction split (Numerical Recipes style). It is exported for
-// the goodness-of-fit code in internal/fit (chi-square p-values).
-func RegLowerGamma(a, x float64) float64 { return regLowerGamma(a, x) }
-
+// continued-fraction split (Numerical Recipes style).
 func regLowerGamma(a, x float64) float64 {
 	if x < 0 || a <= 0 {
 		return math.NaN()

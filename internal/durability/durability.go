@@ -562,9 +562,6 @@ func (d *Log) Stats() Stats {
 	}
 }
 
-// Dir returns the data directory.
-func (d *Log) Dir() string { return d.dir }
-
 // Close flushes and closes the active segment. Blocked commits are woken
 // and fail with ErrClosed.
 func (d *Log) Close() error {

@@ -48,7 +48,6 @@ type Kernel struct {
 	clock *simclock.Sim
 	queue eventHeap
 	seq   uint64
-	steps uint64
 }
 
 // New returns a kernel whose simulated clock starts at epoch.
@@ -98,9 +97,6 @@ func (k *Kernel) Every(d time.Duration, fn Event, stop func() bool) {
 	k.After(d, tick)
 }
 
-// Pending reports the number of events waiting in the queue.
-func (k *Kernel) Pending() int { return len(k.queue) }
-
 // NextAt returns the scheduled time of the earliest pending event. The
 // second return is false when the queue is empty. Step-wise drivers (the
 // scenario harness) use it to bound execution without consuming events.
@@ -111,9 +107,6 @@ func (k *Kernel) NextAt() (time.Time, bool) {
 	return k.queue[0].at, true
 }
 
-// Steps reports how many events have been executed so far.
-func (k *Kernel) Steps() uint64 { return k.steps }
-
 // Step executes the next event, advancing the clock to its time. It reports
 // whether an event was executed.
 func (k *Kernel) Step() bool {
@@ -122,7 +115,6 @@ func (k *Kernel) Step() bool {
 	}
 	it := heap.Pop(&k.queue).(*item)
 	k.clock.Set(it.at)
-	k.steps++
 	it.fn(k.clock.Now())
 	return true
 }

@@ -75,8 +75,8 @@ func TestRunUntilStopsAndSetsClock(t *testing.T) {
 	if !k.Now().Equal(epoch.Add(5 * time.Minute)) {
 		t.Fatalf("clock after Run = %v, want %v", k.Now(), epoch.Add(5*time.Minute))
 	}
-	if k.Pending() != 5 {
-		t.Fatalf("pending = %d, want 5", k.Pending())
+	if n := k.RunAll(0); n != 5 {
+		t.Fatalf("%d events left after Run, want 5", n)
 	}
 }
 
@@ -135,19 +135,8 @@ func TestNilAndNonPositiveInputsIgnored(t *testing.T) {
 	k.Every(0, func(time.Time) {}, nil)
 	k.Every(-time.Second, func(time.Time) {}, nil)
 	k.Every(time.Second, nil, nil)
-	if k.Pending() != 0 {
-		t.Fatalf("pending = %d, want 0", k.Pending())
-	}
-}
-
-func TestStepsCounter(t *testing.T) {
-	k := New(epoch)
-	for i := 0; i < 4; i++ {
-		k.After(time.Duration(i)*time.Second, func(time.Time) {})
-	}
-	k.RunAll(0)
-	if k.Steps() != 4 {
-		t.Fatalf("Steps() = %d, want 4", k.Steps())
+	if at, ok := k.NextAt(); ok {
+		t.Fatalf("an event is pending at %v, want none", at)
 	}
 }
 

@@ -320,26 +320,6 @@ func (t *Tree) Lookup(user string) (vec vector.Vector, prio float64, ok bool) {
 	return vec, prio, true
 }
 
-// Find returns the node at the given policy path.
-func (t *Tree) Find(path string) (*Node, bool) {
-	parts := policy.SplitPath(path)
-	n := t.Root
-	for _, p := range parts {
-		var next *Node
-		for _, c := range n.Children {
-			if c.Name == p {
-				next = c
-				break
-			}
-		}
-		if next == nil {
-			return nil, false
-		}
-		n = next
-	}
-	return n, true
-}
-
 // MaxPriority returns the theoretical maximum leaf priority for a user with
 // the given target share under config cfg: k·1 + (1−k)·share. For the
 // bursty test's U3 (share 0.12, k 0.5) this is 0.56.

@@ -247,20 +247,9 @@ func TestPrioritiesWithAllProjections(t *testing.T) {
 	}
 }
 
-func TestFindAndDepth(t *testing.T) {
+func TestDepth(t *testing.T) {
 	p := figure3Policy(t)
 	ft := Compute(p, nil, DefaultConfig())
-	n, ok := ft.Find("/grid/projA")
-	if !ok || n.Name != "projA" {
-		t.Errorf("Find = %v, %v", n, ok)
-	}
-	if _, ok := ft.Find("/grid/ghost"); ok {
-		t.Error("found nonexistent path")
-	}
-	root, ok := ft.Find("/")
-	if !ok || root != ft.Root {
-		t.Error("root Find failed")
-	}
 	if d := ft.Depth(); d != 3 {
 		t.Errorf("Depth = %d", d)
 	}

@@ -451,16 +451,6 @@ func (ix *Index) SegmentShares(s int, actual []float64) (target []float64) {
 // is partitioned into.
 func (ix *Index) Segments() int { return len(ix.segs) }
 
-// Lookup returns the serving record for a user. The returned entry shares
-// the index's immutable arenas; callers must not mutate its slices.
-func (ix *Index) Lookup(user string) (IndexEntry, bool) {
-	i, ok := ix.Pos(user)
-	if !ok {
-		return IndexEntry{}, false
-	}
-	return ix.At(i), true
-}
-
 // positions returns every leaf position carrying the user's name (ascending
 // DFS order), appending into buf to avoid allocation in the unique case.
 func (ix *Index) positions(user string, buf []int32) []int32 {

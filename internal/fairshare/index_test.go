@@ -34,6 +34,15 @@ func buildDeep(t *testing.T) (*Tree, map[string]float64) {
 	return Compute(p, usage, DefaultConfig()), usage
 }
 
+// lookup is the index's by-name read: the leaf position, then its entry.
+func lookup(ix *Index, user string) (IndexEntry, bool) {
+	i, ok := ix.Pos(user)
+	if !ok {
+		return IndexEntry{}, false
+	}
+	return ix.At(i), true
+}
+
 // TestIndexMatchesTreeWalks pins the index against the walking lookups it
 // replaces: same vectors, same leaf priorities, same entry set.
 func TestIndexMatchesTreeWalks(t *testing.T) {
@@ -43,7 +52,7 @@ func TestIndexMatchesTreeWalks(t *testing.T) {
 		t.Fatalf("indexed %d users, want 4", ix.Len())
 	}
 	for _, u := range []string{"u1", "u2", "u3", "u4"} {
-		e, ok := ix.Lookup(u)
+		e, ok := lookup(ix, u)
 		if !ok {
 			t.Fatalf("user %s missing from index", u)
 		}
@@ -66,7 +75,7 @@ func TestIndexMatchesTreeWalks(t *testing.T) {
 			t.Errorf("entry user %q, want %q", e.User, u)
 		}
 	}
-	if _, ok := ix.Lookup("ghost"); ok {
+	if _, ok := lookup(ix, "ghost"); ok {
 		t.Error("ghost user found in index")
 	}
 
@@ -168,13 +177,13 @@ func TestEntriesNoAliasing(t *testing.T) {
 func TestIndexEntriesImmutableUnderReuse(t *testing.T) {
 	tree, _ := buildDeep(t)
 	ix := NewIndex(tree)
-	u1, _ := ix.Lookup("u1")
+	u1, _ := lookup(ix, "u1")
 	before := append([]float64(nil), u1.Vec...)
-	u2, _ := ix.Lookup("u2")
+	u2, _ := lookup(ix, "u2")
 	for i := range u2.Vec {
 		u2.Vec[i] = -99
 	}
-	after, _ := ix.Lookup("u1")
+	after, _ := lookup(ix, "u1")
 	for i := range before {
 		if after.Vec[i] != before[i] {
 			t.Fatalf("mutating u2's vector corrupted u1's: %v vs %v", after.Vec, before)

@@ -115,12 +115,6 @@ func NewRecalc(t *Tree, ix *Index) *Recalc {
 	return &Recalc{tree: t, index: ix}
 }
 
-// Tree returns the engine's current tree.
-func (r *Recalc) Tree() *Tree { return r.tree }
-
-// Index returns the engine's current index.
-func (r *Recalc) Index() *Index { return r.index }
-
 // Reset re-anchors the engine on a new full rebuild. Call it after any full
 // Compute+NewIndex (tree edit, projection config change, a Full usage set).
 func (r *Recalc) Reset(t *Tree, ix *Index) {

@@ -166,7 +166,7 @@ func TestRecalcDetectsShapeCorruption(t *testing.T) {
 	if !strings.Contains(err.Error(), "incremental walk") {
 		t.Fatalf("error %q does not name the incremental walk", err)
 	}
-	if eng.Tree() != tree || eng.Index() != ix {
+	if eng.tree != tree || eng.index != ix {
 		t.Fatal("engine adopted state from a failed Apply")
 	}
 

@@ -322,7 +322,7 @@ func TestRecalcLargeTreeParallelBuild(t *testing.T) {
 
 	// Index lookups on the incremental index still resolve every user.
 	for u := range usage {
-		if _, ok := gotIx.Lookup(u); !ok {
+		if _, ok := lookup(gotIx, u); !ok {
 			t.Fatalf("user %q missing from incremental index", u)
 		}
 	}

@@ -34,70 +34,3 @@ func KolmogorovSmirnov(xs []float64, d dist.Dist) float64 {
 	}
 	return dmax
 }
-
-// KolmogorovSmirnovTwoSample returns the two-sample KS statistic between xs
-// and ys.
-func KolmogorovSmirnovTwoSample(xs, ys []float64) float64 {
-	if len(xs) == 0 || len(ys) == 0 {
-		return math.NaN()
-	}
-	a := append([]float64(nil), xs...)
-	b := append([]float64(nil), ys...)
-	sort.Float64s(a)
-	sort.Float64s(b)
-	var i, j int
-	var dmax float64
-	for i < len(a) && j < len(b) {
-		// Advance past all points equal to the smaller current value; on
-		// ties both samples advance together so identical samples give D=0.
-		x := math.Min(a[i], b[j])
-		for i < len(a) && a[i] == x {
-			i++
-		}
-		for j < len(b) && b[j] == x {
-			j++
-		}
-		fa := float64(i) / float64(len(a))
-		fb := float64(j) / float64(len(b))
-		if v := math.Abs(fa - fb); v > dmax {
-			dmax = v
-		}
-	}
-	return dmax
-}
-
-// KSPValue approximates the asymptotic p-value of a one-sample KS statistic
-// d with sample size n using the Kolmogorov distribution series.
-func KSPValue(d float64, n int) float64 {
-	if n <= 0 || math.IsNaN(d) {
-		return math.NaN()
-	}
-	if d <= 0 {
-		return 1
-	}
-	if d >= 1 {
-		return 0
-	}
-	sqrtN := math.Sqrt(float64(n))
-	lambda := (sqrtN + 0.12 + 0.11/sqrtN) * d
-	var sum float64
-	for k := 1; k <= 100; k++ {
-		term := math.Exp(-2 * lambda * lambda * float64(k) * float64(k))
-		if k%2 == 1 {
-			sum += term
-		} else {
-			sum -= term
-		}
-		if term < 1e-12 {
-			break
-		}
-	}
-	p := 2 * sum
-	if p < 0 {
-		return 0
-	}
-	if p > 1 {
-		return 1
-	}
-	return p
-}

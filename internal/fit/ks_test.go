@@ -42,42 +42,3 @@ func TestKSExactSmallSample(t *testing.T) {
 		t.Error("empty sample should give NaN")
 	}
 }
-
-func TestKSTwoSample(t *testing.T) {
-	a := []float64{1, 2, 3, 4, 5}
-	if ks := KolmogorovSmirnovTwoSample(a, a); ks != 0 {
-		t.Errorf("identical samples KS = %g", ks)
-	}
-	b := []float64{11, 12, 13}
-	if ks := KolmogorovSmirnovTwoSample(a, b); ks != 1 {
-		t.Errorf("disjoint samples KS = %g, want 1", ks)
-	}
-	if !math.IsNaN(KolmogorovSmirnovTwoSample(nil, a)) {
-		t.Error("empty input should give NaN")
-	}
-}
-
-func TestKSPValue(t *testing.T) {
-	if p := KSPValue(0, 100); p != 1 {
-		t.Errorf("p(0) = %g", p)
-	}
-	if p := KSPValue(1, 100); p != 0 {
-		t.Errorf("p(1) = %g", p)
-	}
-	// Monotone decreasing in d.
-	prev := 1.0
-	for d := 0.01; d < 0.5; d += 0.01 {
-		p := KSPValue(d, 200)
-		if p > prev+1e-12 {
-			t.Fatalf("p-value not decreasing at d=%g", d)
-		}
-		prev = p
-	}
-	// A huge statistic on a large sample is essentially impossible.
-	if p := KSPValue(0.3, 5000); p > 1e-10 {
-		t.Errorf("p(0.3, n=5000) = %g", p)
-	}
-	if !math.IsNaN(KSPValue(0.1, 0)) {
-		t.Error("n=0 should give NaN")
-	}
-}

@@ -17,23 +17,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance (0 for fewer than 2 points).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs)-1)
-}
-
-// StdDev returns the unbiased sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Median returns the sample median. The paper follows Downey and Feitelson in
 // preferring medians over means as the outlier-resilient summary statistic
 // for inter-arrival times and durations.
@@ -75,9 +58,6 @@ func NewECDF(xs []float64) *ECDF {
 	return &ECDF{sorted: s}
 }
 
-// Len returns the sample size.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
 // At returns the fraction of sample points <= x.
 func (e *ECDF) At(x float64) float64 {
 	if len(e.sorted) == 0 {
@@ -89,20 +69,6 @@ func (e *ECDF) At(x float64) float64 {
 		i++
 	}
 	return float64(i) / float64(len(e.sorted))
-}
-
-// Points returns the (x, F(x)) step points of the ECDF, one per distinct
-// sample value.
-func (e *ECDF) Points() (xs, fs []float64) {
-	n := len(e.sorted)
-	for i := 0; i < n; i++ {
-		if i+1 < n && e.sorted[i+1] == e.sorted[i] {
-			continue
-		}
-		xs = append(xs, e.sorted[i])
-		fs = append(fs, float64(i+1)/float64(n))
-	}
-	return xs, fs
 }
 
 // Histogram bins xs into nbins equal-width bins over [lo, hi]. Values outside

@@ -86,7 +86,6 @@ type SubmitHost struct {
 
 	mu        sync.Mutex
 	submitted int64
-	perSite   map[string]int64
 }
 
 // NewSubmitHost creates a submission host.
@@ -104,7 +103,6 @@ func NewSubmitHost(kernel *eventsim.Kernel, targets []Target, d Dispatcher) (*Su
 		kernel:     kernel,
 		targets:    targets,
 		dispatcher: d,
-		perSite:    map[string]int64{},
 	}, nil
 }
 
@@ -120,7 +118,6 @@ func (h *SubmitHost) SubmitNow(j *sched.Job) {
 	t.RM.Submit(j)
 	h.mu.Lock()
 	h.submitted++
-	h.perSite[t.Name]++
 	h.mu.Unlock()
 }
 
@@ -149,15 +146,4 @@ func (h *SubmitHost) Submitted() int64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.submitted
-}
-
-// PerSite reports jobs dispatched per site name.
-func (h *SubmitHost) PerSite() map[string]int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[string]int64, len(h.perSite))
-	for k, v := range h.perSite {
-		out[k] = v
-	}
-	return out
 }

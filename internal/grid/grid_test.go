@@ -85,8 +85,8 @@ func TestSubmitNowMapsIdentity(t *testing.T) {
 	if len(rm.jobs) != 1 || rm.jobs[0].LocalUser != "local_alice" {
 		t.Errorf("jobs = %+v", rm.jobs)
 	}
-	if h.Submitted() != 1 || h.PerSite()["s"] != 1 {
-		t.Errorf("counters: %d, %v", h.Submitted(), h.PerSite())
+	if h.Submitted() != 1 {
+		t.Errorf("submitted = %d, want 1", h.Submitted())
 	}
 }
 

@@ -8,7 +8,6 @@ package identity
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 )
 
@@ -31,19 +30,14 @@ var ErrNotFound = errors.New("identity: mapping not found")
 type Table struct {
 	mu      sync.RWMutex
 	byLocal map[string]string // site+"\x00"+local -> grid
-	byGrid  map[string]string // grid+"\x00"+site -> local
 }
 
 // NewTable returns an empty mapping table.
 func NewTable() *Table {
-	return &Table{
-		byLocal: map[string]string{},
-		byGrid:  map[string]string{},
-	}
+	return &Table{byLocal: map[string]string{}}
 }
 
 func localKey(site, local string) string { return site + "\x00" + local }
-func gridKey(grid, site string) string   { return grid + "\x00" + site }
 
 // Store records a mapping, replacing any previous one for the same
 // (site, local) pair.
@@ -54,7 +48,6 @@ func (t *Table) Store(m Mapping) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.byLocal[localKey(m.Site, m.LocalUser)] = m.GridID
-	t.byGrid[gridKey(m.GridID, m.Site)] = m.LocalUser
 	return nil
 }
 
@@ -66,84 +59,4 @@ func (t *Table) ToGrid(site, local string) (string, error) {
 		return g, nil
 	}
 	return "", fmt.Errorf("%w: %s@%s", ErrNotFound, local, site)
-}
-
-// ToLocal maps a grid identity to the local account at a site.
-func (t *Table) ToLocal(grid, site string) (string, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if l, ok := t.byGrid[gridKey(grid, site)]; ok {
-		return l, nil
-	}
-	return "", fmt.Errorf("%w: %s at %s", ErrNotFound, grid, site)
-}
-
-// Len returns the number of stored mappings.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.byLocal)
-}
-
-// Scheme deterministically derives local accounts from grid identities —
-// how sites commonly configure pool accounts. A Scheme lets a whole site be
-// mapped without enumerating users.
-type Scheme interface {
-	// ToLocal derives the local account for a grid identity.
-	ToLocal(gridID string) string
-	// ToGrid reverts the derivation; ok is false when the account does not
-	// follow the scheme.
-	ToGrid(local string) (gridID string, ok bool)
-}
-
-// PrefixScheme maps grid "alice" to local Prefix+"alice" (e.g. "grid_alice").
-type PrefixScheme struct {
-	Prefix string
-}
-
-// ToLocal implements Scheme.
-func (s PrefixScheme) ToLocal(gridID string) string { return s.Prefix + gridID }
-
-// ToGrid implements Scheme.
-func (s PrefixScheme) ToGrid(local string) (string, bool) {
-	if !strings.HasPrefix(local, s.Prefix) || len(local) == len(s.Prefix) {
-		return "", false
-	}
-	return strings.TrimPrefix(local, s.Prefix), true
-}
-
-// IdentityScheme maps every grid identity to the identical local account —
-// sites where grid users have real accounts.
-type IdentityScheme struct{}
-
-// ToLocal implements Scheme.
-func (IdentityScheme) ToLocal(gridID string) string { return gridID }
-
-// ToGrid implements Scheme.
-func (IdentityScheme) ToGrid(local string) (string, bool) { return local, local != "" }
-
-// SchemeTable wraps a Table with a fallback Scheme: explicit mappings win,
-// then the scheme is consulted (and the result memoized).
-type SchemeTable struct {
-	Table  *Table
-	Scheme Scheme
-	Site   string
-}
-
-// ToGrid resolves a local account to a grid identity via table then scheme.
-func (s *SchemeTable) ToGrid(local string) (string, error) {
-	if s.Table != nil {
-		if g, err := s.Table.ToGrid(s.Site, local); err == nil {
-			return g, nil
-		}
-	}
-	if s.Scheme != nil {
-		if g, ok := s.Scheme.ToGrid(local); ok {
-			if s.Table != nil {
-				_ = s.Table.Store(Mapping{GridID: g, Site: s.Site, LocalUser: local})
-			}
-			return g, nil
-		}
-	}
-	return "", fmt.Errorf("%w: %s@%s", ErrNotFound, local, s.Site)
 }

@@ -15,21 +15,11 @@ func TestTableStoreAndLookup(t *testing.T) {
 	if err != nil || g != "alice-dn" {
 		t.Errorf("ToGrid = %q, %v", g, err)
 	}
-	l, err := tab.ToLocal("alice-dn", "hpc2n")
-	if err != nil || l != "grid001" {
-		t.Errorf("ToLocal = %q, %v", l, err)
-	}
-	if tab.Len() != 1 {
-		t.Errorf("Len = %d", tab.Len())
-	}
 }
 
 func TestTableNotFound(t *testing.T) {
 	tab := NewTable()
 	if _, err := tab.ToGrid("s", "x"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("err = %v", err)
-	}
-	if _, err := tab.ToLocal("g", "s"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -38,11 +28,11 @@ func TestTableSiteScoped(t *testing.T) {
 	tab := NewTable()
 	tab.Store(Mapping{GridID: "alice", Site: "siteA", LocalUser: "a1"})
 	tab.Store(Mapping{GridID: "alice", Site: "siteB", LocalUser: "b7"})
-	if l, _ := tab.ToLocal("alice", "siteA"); l != "a1" {
-		t.Errorf("siteA local = %q", l)
+	if g, _ := tab.ToGrid("siteA", "a1"); g != "alice" {
+		t.Errorf("siteA a1 = %q", g)
 	}
-	if l, _ := tab.ToLocal("alice", "siteB"); l != "b7" {
-		t.Errorf("siteB local = %q", l)
+	if g, _ := tab.ToGrid("siteB", "b7"); g != "alice" {
+		t.Errorf("siteB b7 = %q", g)
 	}
 	// The same local account name can map differently per site.
 	tab.Store(Mapping{GridID: "bob", Site: "siteB", LocalUser: "a1"})
@@ -78,61 +68,7 @@ func TestTableConcurrent(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if tab.Len() != 1 {
-		t.Errorf("Len = %d", tab.Len())
-	}
-}
-
-func TestPrefixScheme(t *testing.T) {
-	s := PrefixScheme{Prefix: "grid_"}
-	if got := s.ToLocal("alice"); got != "grid_alice" {
-		t.Errorf("ToLocal = %q", got)
-	}
-	g, ok := s.ToGrid("grid_alice")
-	if !ok || g != "alice" {
-		t.Errorf("ToGrid = %q, %v", g, ok)
-	}
-	if _, ok := s.ToGrid("localonly"); ok {
-		t.Error("non-prefixed account resolved")
-	}
-	if _, ok := s.ToGrid("grid_"); ok {
-		t.Error("bare prefix resolved")
-	}
-}
-
-func TestIdentityScheme(t *testing.T) {
-	s := IdentityScheme{}
-	if got := s.ToLocal("u"); got != "u" {
-		t.Errorf("ToLocal = %q", got)
-	}
-	if g, ok := s.ToGrid("u"); !ok || g != "u" {
-		t.Errorf("ToGrid = %q, %v", g, ok)
-	}
-	if _, ok := s.ToGrid(""); ok {
-		t.Error("empty account resolved")
-	}
-}
-
-func TestSchemeTablePrecedenceAndMemoization(t *testing.T) {
-	tab := NewTable()
-	tab.Store(Mapping{GridID: "explicit", Site: "s", LocalUser: "grid_x"})
-	st := &SchemeTable{Table: tab, Scheme: PrefixScheme{Prefix: "grid_"}, Site: "s"}
-
-	// Explicit table entry wins over the scheme.
-	g, err := st.ToGrid("grid_x")
-	if err != nil || g != "explicit" {
+	if g, err := tab.ToGrid("s", "l"); err != nil || g != "g" {
 		t.Errorf("ToGrid = %q, %v", g, err)
-	}
-	// Scheme fallback resolves and memoizes.
-	g, err = st.ToGrid("grid_y")
-	if err != nil || g != "y" {
-		t.Errorf("scheme ToGrid = %q, %v", g, err)
-	}
-	if got, _ := tab.ToGrid("s", "grid_y"); got != "y" {
-		t.Error("scheme result not memoized")
-	}
-	// Neither table nor scheme.
-	if _, err := st.ToGrid("plain"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("unresolvable err = %v", err)
 	}
 }

@@ -81,12 +81,13 @@ func TestCompletionTriggersNextIteration(t *testing.T) {
 	k := eventsim.New(t0)
 	c, _ := cluster.New("c", 1, k)
 	s := New(Config{Cluster: c})
-	s.Submit(job(1, "u", time.Minute, t0))
-	s.Submit(job(2, "u", time.Minute, t0))
+	j1, j2 := job(1, "u", time.Minute, t0), job(2, "u", time.Minute, t0)
+	s.Submit(j1)
+	s.Submit(j2)
 	s.Schedule(t0)
 	k.RunAll(0)
-	if c.Completed() != 2 {
-		t.Errorf("completed = %d, want 2 (completion reschedules)", c.Completed())
+	if j1.State != sched.Completed || j2.State != sched.Completed {
+		t.Errorf("states = %v, %v, want both completed (completion reschedules)", j1.State, j2.State)
 	}
 }
 
@@ -125,10 +126,11 @@ func TestCalloutFailureFallsBack(t *testing.T) {
 			},
 		},
 	})
-	s.Submit(job(1, "u", time.Minute, t0))
+	j := job(1, "u", time.Minute, t0)
+	s.Submit(j)
 	s.Schedule(t0)
 	k.RunAll(0)
-	if c.Completed() != 1 {
+	if j.State != sched.Completed {
 		t.Error("job did not run despite call-out failure")
 	}
 	if s.Errors() == 0 {

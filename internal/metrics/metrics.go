@@ -85,21 +85,6 @@ func ConvergenceTime(s *Series, target, tol float64) (time.Time, bool) {
 	return s.Times[lastBad+1], true
 }
 
-// MaxDeviation returns the largest |value − target| over the series from t
-// on.
-func MaxDeviation(s *Series, target float64, from time.Time) float64 {
-	var worst float64
-	for i, v := range s.Values {
-		if s.Times[i].Before(from) {
-			continue
-		}
-		if d := math.Abs(v - target); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // MeanAbsError returns the average |value − target| from `from` on (NaN when
 // no samples qualify).
 func MeanAbsError(s *Series, target float64, from time.Time) float64 {
@@ -173,64 +158,4 @@ func FirstSustainedBelow(s *Series, threshold float64, consecutive int) (time.Ti
 		}
 	}
 	return time.Time{}, false
-}
-
-// UsageWindow accumulates completed-job usage per user and reports each
-// user's share of the usage inside a sliding window — the "combined usage
-// share" curves of Figures 10-13.
-type UsageWindow struct {
-	window time.Duration
-	// events are (time, user, coreSeconds), appended in completion order.
-	times []time.Time
-	users []string
-	usage []float64
-}
-
-// NewUsageWindow creates a sliding usage window (zero = whole run).
-func NewUsageWindow(window time.Duration) *UsageWindow {
-	return &UsageWindow{window: window}
-}
-
-// Record adds a completed job's usage at time t.
-func (w *UsageWindow) Record(t time.Time, user string, coreSeconds float64) {
-	w.times = append(w.times, t)
-	w.users = append(w.users, user)
-	w.usage = append(w.usage, coreSeconds)
-}
-
-// Shares returns each user's fraction of the usage recorded in
-// (now−window, now].
-func (w *UsageWindow) Shares(now time.Time) map[string]float64 {
-	from := time.Time{}
-	if w.window > 0 {
-		from = now.Add(-w.window)
-	}
-	perUser := map[string]float64{}
-	var total float64
-	for i, t := range w.times {
-		if t.After(now) || (w.window > 0 && !t.After(from)) {
-			continue
-		}
-		perUser[w.users[i]] += w.usage[i]
-		total += w.usage[i]
-	}
-	out := map[string]float64{}
-	if total == 0 {
-		return out
-	}
-	for u, v := range perUser {
-		out[u] = v / total
-	}
-	return out
-}
-
-// Total returns the total usage recorded up to now.
-func (w *UsageWindow) Total(now time.Time) float64 {
-	var total float64
-	for i, t := range w.times {
-		if !t.After(now) {
-			total += w.usage[i]
-		}
-	}
-	return total
 }

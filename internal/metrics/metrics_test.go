@@ -73,65 +73,15 @@ func TestConvergenceTime(t *testing.T) {
 	}
 }
 
-func TestMaxDeviationAndMeanAbsError(t *testing.T) {
+func TestMeanAbsError(t *testing.T) {
 	s := &Series{}
 	s.Add(mins(0), 0.9) // excluded by from
 	s.Add(mins(10), 0.6)
 	s.Add(mins(20), 0.45)
-	if got := MaxDeviation(s, 0.5, mins(5)); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("MaxDeviation = %g", got)
-	}
 	if got := MeanAbsError(s, 0.5, mins(5)); math.Abs(got-0.075) > 1e-12 {
 		t.Errorf("MeanAbsError = %g", got)
 	}
 	if got := MeanAbsError(s, 0.5, mins(100)); !math.IsNaN(got) {
 		t.Errorf("empty window MAE = %g", got)
-	}
-}
-
-func TestUsageWindowShares(t *testing.T) {
-	w := NewUsageWindow(time.Hour)
-	w.Record(mins(0), "a", 100)
-	w.Record(mins(30), "b", 100)
-	w.Record(mins(90), "a", 200)
-
-	// At minute 90 the window (30, 90] holds b:100 (at 30? strictly after
-	// from=30 → excluded) and a:200.
-	shares := w.Shares(mins(90))
-	if math.Abs(shares["a"]-200.0/200.0) > 1e-12 {
-		t.Errorf("a share = %g (shares=%v)", shares["a"], shares)
-	}
-	// At minute 45 the window (−15, 45] holds a:100 and b:100.
-	shares = w.Shares(mins(45))
-	if math.Abs(shares["a"]-0.5) > 1e-12 || math.Abs(shares["b"]-0.5) > 1e-12 {
-		t.Errorf("shares at 45m = %v", shares)
-	}
-	// Future events are invisible.
-	shares = w.Shares(mins(10))
-	if shares["b"] != 0 {
-		t.Errorf("future usage leaked: %v", shares)
-	}
-}
-
-func TestUsageWindowUnbounded(t *testing.T) {
-	w := NewUsageWindow(0)
-	w.Record(mins(0), "a", 300)
-	w.Record(mins(500), "b", 100)
-	shares := w.Shares(mins(600))
-	if math.Abs(shares["a"]-0.75) > 1e-12 {
-		t.Errorf("unbounded a share = %g", shares["a"])
-	}
-	if got := w.Total(mins(600)); got != 400 {
-		t.Errorf("Total = %g", got)
-	}
-	if got := w.Total(mins(1)); got != 300 {
-		t.Errorf("Total at 1m = %g", got)
-	}
-}
-
-func TestUsageWindowEmpty(t *testing.T) {
-	w := NewUsageWindow(time.Hour)
-	if got := w.Shares(mins(10)); len(got) != 0 {
-		t.Errorf("empty shares = %v", got)
 	}
 }

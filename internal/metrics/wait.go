@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"sort"
 	"time"
 )
 
@@ -64,15 +63,5 @@ func (w *WaitCollector) Stats() map[string]WaitStat {
 		}
 		out[u] = s
 	}
-	return out
-}
-
-// Users returns the sorted users with recorded jobs.
-func (w *WaitCollector) Users() []string {
-	out := make([]string, 0, len(w.perUser))
-	for u := range w.perUser {
-		out = append(out, u)
-	}
-	sort.Strings(out)
 	return out
 }

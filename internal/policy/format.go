@@ -110,20 +110,6 @@ func FlatShares(t *Tree) map[string]float64 {
 	return out
 }
 
-// Users returns the sorted distinct leaf user names.
-func Users(t *Tree) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, l := range t.Leaves() {
-		if !seen[l.User] {
-			seen[l.User] = true
-			out = append(out, l.User)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // FromShares builds a flat single-level tree: every user directly under the
 // root with the given share — the common case for the testbed experiments
 // where policy targets are per-user usage shares.

@@ -106,19 +106,6 @@ func TestFlatShares(t *testing.T) {
 	}
 }
 
-func TestUsers(t *testing.T) {
-	us := Users(paperTree(t))
-	want := []string{"hq", "lq", "u1", "u2", "u3"}
-	if len(us) != len(want) {
-		t.Fatalf("Users = %v", us)
-	}
-	for i := range want {
-		if us[i] != want[i] {
-			t.Fatalf("Users = %v, want %v", us, want)
-		}
-	}
-}
-
 func TestFromShares(t *testing.T) {
 	tr, err := FromShares(map[string]float64{"a": 0.5, "b": 0.3, "c": 0.2})
 	if err != nil {

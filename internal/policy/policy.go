@@ -123,20 +123,6 @@ func (t *Tree) Add(parentPath, name string, share float64) (string, error) {
 	return JoinPath(append(SplitPath(parentPath), name)), nil
 }
 
-// Remove deletes the node at path (and its subtree).
-func (t *Tree) Remove(path string) error {
-	parts := SplitPath(path)
-	if len(parts) == 0 {
-		return fmt.Errorf("%w: cannot remove root", ErrBadPath)
-	}
-	node, parent := t.find(parts)
-	if node == nil {
-		return fmt.Errorf("%w: %s", ErrNotFound, path)
-	}
-	parent.Children = slices.DeleteFunc(parent.Children, func(c *Node) bool { return c == node })
-	return nil
-}
-
 // Mount returns a tree in which a copy of sub's children hangs under a new
 // node name (the given local share, origin recorded) below parentPath,
 // whose subtree it validates; t is unchanged. This is the PDS operation
@@ -331,29 +317,4 @@ func (t *Tree) Leaves() []Leaf {
 	}
 	walk(norm.Root, nil, nil)
 	return out
-}
-
-// FindUser returns the path of the (first) leaf with the given name.
-func (t *Tree) FindUser(user string) (string, bool) {
-	for _, l := range t.Leaves() {
-		if l.User == user {
-			return l.Path, true
-		}
-	}
-	return "", false
-}
-
-// Depth returns the maximum depth of the tree (root = 0).
-func (t *Tree) Depth() int {
-	var walk func(n *Node) int
-	walk = func(n *Node) int {
-		best := 0
-		for _, c := range n.Children {
-			if d := walk(c) + 1; d > best {
-				best = d
-			}
-		}
-		return best
-	}
-	return walk(t.Root)
 }

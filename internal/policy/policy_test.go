@@ -68,22 +68,6 @@ func TestAddRejectsBadInput(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	tr := paperTree(t)
-	if err := tr.Remove("/grid/projB"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Lookup("/grid/projB/u3"); err == nil {
-		t.Error("subtree survived removal")
-	}
-	if err := tr.Remove("/"); !errors.Is(err, ErrBadPath) {
-		t.Errorf("removing root err = %v", err)
-	}
-	if err := tr.Remove("/ghost"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("removing missing err = %v", err)
-	}
-}
-
 func TestNormalize(t *testing.T) {
 	tr := paperTree(t)
 	norm := tr.Normalize()
@@ -128,17 +112,6 @@ func TestLeavesAndShares(t *testing.T) {
 	lq := byPath["/lq"]
 	if len(lq.Shares) != 1 || math.Abs(lq.Shares[0]-0.1) > 1e-12 {
 		t.Errorf("lq shares = %v", lq.Shares)
-	}
-}
-
-func TestFindUser(t *testing.T) {
-	tr := paperTree(t)
-	path, ok := tr.FindUser("u3")
-	if !ok || path != "/grid/projB/u3" {
-		t.Errorf("FindUser(u3) = %q, %v", path, ok)
-	}
-	if _, ok := tr.FindUser("ghost"); ok {
-		t.Error("found nonexistent user")
 	}
 }
 
@@ -291,14 +264,5 @@ func TestCloneIndependence(t *testing.T) {
 	cp.Root.Children[0].Share = 999
 	if tr.Root.Children[0].Share == 999 {
 		t.Error("Clone shares memory with original")
-	}
-}
-
-func TestDepth(t *testing.T) {
-	if got := paperTree(t).Depth(); got != 3 {
-		t.Errorf("Depth = %d, want 3", got)
-	}
-	if got := NewTree().Depth(); got != 0 {
-		t.Errorf("empty Depth = %d", got)
 	}
 }

@@ -1,7 +1,6 @@
 package resilience
 
 import (
-	"errors"
 	"sync"
 	"time"
 
@@ -36,10 +35,6 @@ func (s State) String() string {
 		return "unknown"
 	}
 }
-
-// ErrOpen is returned (or recorded) when a call is rejected because the
-// breaker is open.
-var ErrOpen = errors.New("resilience: circuit breaker open")
 
 // Default breaker parameters, used when the corresponding BreakerConfig
 // field is zero.
@@ -83,8 +78,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // use, and safe on a nil receiver (a nil breaker is permanently closed — the
 // disabled case).
 type Breaker struct {
-	cfg  BreakerConfig
-	name string
+	cfg BreakerConfig
 
 	mu        sync.Mutex
 	state     State
@@ -108,8 +102,7 @@ func NewBreaker(name string, cfg BreakerConfig, reg *telemetry.Registry) *Breake
 	}
 	reg = telemetry.OrDefault(reg)
 	return &Breaker{
-		cfg:  cfg.withDefaults(),
-		name: name,
+		cfg: cfg.withDefaults(),
 		stateG: reg.GaugeVec("aequus_peer_circuit_state",
 			"Per-peer circuit breaker state (0=closed, 1=open, 2=half-open).",
 			"peer").With(name),
@@ -211,15 +204,6 @@ func (b *Breaker) setState(s State) {
 	b.stateG.Set(float64(s))
 }
 
-// Name returns the peer name the breaker was created with ("" for a nil
-// breaker) — the identity exposed on span attributes and debug surfaces.
-func (b *Breaker) Name() string {
-	if b == nil {
-		return ""
-	}
-	return b.name
-}
-
 // State returns the current state (Closed for a nil breaker). It does not
 // perform the open→half-open transition; Allow does.
 func (b *Breaker) State() State {
@@ -240,21 +224,6 @@ func (b *Breaker) LastError() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.lastErr
-}
-
-// Do combines Allow with outcome recording: it returns ErrOpen without
-// calling fn when the breaker rejects, and otherwise records fn's outcome.
-func (b *Breaker) Do(fn func() error) error {
-	if !b.Allow() {
-		return ErrOpen
-	}
-	err := fn()
-	if err != nil {
-		b.Failure(err)
-		return err
-	}
-	b.Success()
-	return nil
 }
 
 // BreakerSet lazily creates one Breaker per peer name, all sharing one

@@ -253,25 +253,6 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
-func TestBreakerDo(t *testing.T) {
-	clock := simclock.NewSim(time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC))
-	b := NewBreaker("p", BreakerConfig{Threshold: 1, Cooldown: time.Minute, Clock: clock},
-		telemetry.NewRegistry())
-	if err := b.Do(func() error { return errBoom }); err != errBoom {
-		t.Fatalf("Do = %v", err)
-	}
-	if err := b.Do(func() error { t.Fatal("dialed while open"); return nil }); !errors.Is(err, ErrOpen) {
-		t.Fatalf("open Do = %v, want ErrOpen", err)
-	}
-	clock.Advance(time.Minute)
-	if err := b.Do(func() error { return nil }); err != nil {
-		t.Fatalf("probe Do = %v", err)
-	}
-	if b.State() != Closed {
-		t.Fatalf("state = %v", b.State())
-	}
-}
-
 func TestNilBreakerAlwaysClosed(t *testing.T) {
 	var b *Breaker
 	if !b.Allow() {
@@ -281,9 +262,6 @@ func TestNilBreakerAlwaysClosed(t *testing.T) {
 	b.Failure(errBoom)
 	if b.State() != Closed || b.LastError() != nil {
 		t.Error("nil breaker not permanently closed")
-	}
-	if err := b.Do(func() error { return nil }); err != nil {
-		t.Errorf("nil breaker Do = %v", err)
 	}
 }
 

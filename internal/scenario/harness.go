@@ -203,15 +203,8 @@ func (c siteJobComp) JobCompleted(j *sched.Job) {
 	slurm.AequusJobComp{Lib: c.h.Sites[c.i].Lib}.JobCompleted(j)
 }
 
-// Policy returns the current (possibly edited) policy tree; checkers must
-// treat it as read-only.
-func (h *Harness) Policy() *policy.Tree { return h.pol }
-
 // Dispatches returns the dispatch log; checkers must treat it as read-only.
 func (h *Harness) Dispatches() []Dispatch { return h.dispatches }
-
-// Violations returns the violations recorded so far.
-func (h *Harness) Violations() []Violation { return h.violations }
 
 // addViolation records a breach and folds it into the fingerprint.
 func (h *Harness) addViolation(invariant, format string, args ...interface{}) {

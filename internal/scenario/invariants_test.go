@@ -36,8 +36,8 @@ func TestLedgerMatchesHistogram(t *testing.T) {
 				dur := time.Duration(1+rng.Int63n(int64(45*time.Minute))) * 1
 				procs := 1 + rng.Intn(4)
 				// Production path: full usage attributed to the completion bin,
-				// exactly like uss.ReportJob.
-				hist.Add(u, start.Add(dur), dur.Seconds()*float64(procs))
+				// exactly like uss.ReportJobBatch.
+				hist.IngestBatch([]usage.Record{{User: u, IntervalStart: start.Add(dur), CoreSeconds: dur.Seconds() * float64(procs)}})
 				ledger.Add(LedgerRecord{Site: 0, User: u, Start: start, Dur: dur, Procs: procs})
 			}
 			now := Start.Add(9 * time.Hour)

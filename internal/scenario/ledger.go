@@ -46,9 +46,6 @@ type ledgerSums struct {
 // Add appends a completion record.
 func (l *Ledger) Add(r LedgerRecord) { l.records = append(l.records, r) }
 
-// Len returns the number of recorded completions.
-func (l *Ledger) Len() int { return len(l.records) }
-
 // ledgerBinStart floors t to the bin boundary, matching the histogram's
 // epoch-aligned bins (floor division handles pre-epoch times).
 func ledgerBinStart(t time.Time, width time.Duration) int64 {

@@ -29,7 +29,7 @@ func smallTrace(t testing.TB, jobs, sites, cores int, dur time.Duration, load fl
 func paperRun(t *testing.T, jobs, sites, cores int, dur time.Duration, load float64, seed int64, mutate func(*Spec)) *Result {
 	t.Helper()
 	tr := smallTrace(t, jobs, sites, cores, dur, load, seed)
-	spec := TraceSpec(tr, sites, cores, paperStart, dur, workload.BaselineShares(), seed)
+	spec := TraceSpec(tr, sites, cores, paperStart, dur, baselineShares(), seed)
 	if mutate != nil {
 		mutate(spec)
 	}
@@ -62,7 +62,7 @@ func TestBaselineConvergence(t *testing.T) {
 	// targets for the two dominant users.
 	half := paperStart.Add(dur / 2)
 	for _, u := range []string{workload.U65, workload.U30} {
-		target := workload.BaselineShares()[u]
+		target := baselineShares()[u]
 		mae := metrics.MeanAbsError(res.UsageShares[u], target, half)
 		if math.IsNaN(mae) || mae > 0.20 {
 			t.Errorf("%s usage-share MAE = %.3f vs target %.3f", u, mae, target)
@@ -71,7 +71,7 @@ func TestBaselineConvergence(t *testing.T) {
 	// Priorities stay within the theoretical bounds.
 	cfgFS := fairshare.Config{DistanceWeight: 0.5, Resolution: 10000}
 	for u, s := range res.Priorities {
-		bound := fairshare.MaxPriority(cfgFS, workload.BaselineShares()[u])
+		bound := fairshare.MaxPriority(cfgFS, baselineShares()[u])
 		for _, v := range s.Values {
 			if v > bound+1e-9 || v < -1 {
 				t.Fatalf("%s priority %g outside [-1, %g]", u, v, bound)
@@ -195,7 +195,7 @@ func TestDeterministicRuns(t *testing.T) {
 	t.Parallel()
 	dur := 2 * time.Hour
 	tr := smallTrace(t, 800, 2, 8, dur, 0.8, 4)
-	spec := TraceSpec(tr, 2, 8, paperStart, dur, workload.BaselineShares(), 4)
+	spec := TraceSpec(tr, 2, 8, paperStart, dur, baselineShares(), 4)
 	a, err := Run(spec, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestDeterministicRuns(t *testing.T) {
 // collects every leaf user's priorities.
 func TestHierarchicalPolicyRun(t *testing.T) {
 	t.Parallel()
-	targets := workload.BaselineShares()
+	targets := baselineShares()
 	res := paperRun(t, 1200, 2, 12, 2*time.Hour, 0.9, 21, func(s *Spec) {
 		s.Projects = []string{"voA", "voB"}
 		s.Users = []UserSpec{
@@ -292,7 +292,7 @@ func TestStrictOrderConfig(t *testing.T) {
 // simulated experiment.
 func BenchmarkPaperRun(b *testing.B) {
 	dur := 3 * time.Hour
-	spec := TraceSpec(smallTrace(b, 2000, 2, 16, dur, 0.9, 5), 2, 16, paperStart, dur, workload.BaselineShares(), 5)
+	spec := TraceSpec(smallTrace(b, 2000, 2, 16, dur, 0.9, 5), 2, 16, paperStart, dur, baselineShares(), 5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -300,4 +300,9 @@ func BenchmarkPaperRun(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// baselineShares is the baseline policy: the model's own usage fractions.
+func baselineShares() map[string]float64 {
+	return workload.NationalGrid2012(time.Hour).UsageFractions() // the fractions do not depend on the span
 }

@@ -42,14 +42,6 @@ func (q *PriorityQueue) Push(j *Job, priority float64) {
 	heap.Push(&q.h, QueuedJob{Job: j, Priority: priority})
 }
 
-// Peek returns the highest-priority job without removing it.
-func (q *PriorityQueue) Peek() (QueuedJob, bool) {
-	if len(q.h) == 0 {
-		return QueuedJob{}, false
-	}
-	return q.h[0], true
-}
-
 // Pop removes and returns the highest-priority job.
 func (q *PriorityQueue) Pop() (QueuedJob, bool) {
 	if len(q.h) == 0 {

@@ -37,18 +37,6 @@ func TestPriorityQueueTieBreaks(t *testing.T) {
 	}
 }
 
-func TestPriorityQueuePeek(t *testing.T) {
-	q := &PriorityQueue{}
-	if _, ok := q.Peek(); ok {
-		t.Error("peek on empty succeeded")
-	}
-	q.Push(&Job{ID: 1, Submit: t0}, 0.5)
-	qj, ok := q.Peek()
-	if !ok || qj.Job.ID != 1 || q.Len() != 1 {
-		t.Errorf("peek = %v, len = %d", qj, q.Len())
-	}
-}
-
 func TestPriorityQueueReprioritize(t *testing.T) {
 	q := &PriorityQueue{}
 	for i := int64(1); i <= 10; i++ {

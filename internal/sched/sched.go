@@ -58,18 +58,6 @@ type Job struct {
 	State State
 }
 
-// Usage returns the job's core-seconds (0 until completed).
-func (j *Job) Usage() float64 {
-	if j.State != Completed {
-		return 0
-	}
-	p := j.Procs
-	if p < 1 {
-		p = 1
-	}
-	return j.End.Sub(j.Start).Seconds() * float64(p)
-}
-
 // WaitTime returns how long the job waited in queue (up to now for pending
 // jobs).
 func (j *Job) WaitTime(now time.Time) time.Duration {

@@ -18,21 +18,6 @@ func TestStateString(t *testing.T) {
 	}
 }
 
-func TestJobUsageOnlyWhenCompleted(t *testing.T) {
-	j := &Job{Procs: 2, Start: t0, End: t0.Add(time.Hour)}
-	if j.Usage() != 0 {
-		t.Error("pending job has usage")
-	}
-	j.State = Completed
-	if got := j.Usage(); got != 7200 {
-		t.Errorf("Usage = %g", got)
-	}
-	j.Procs = 0
-	if got := j.Usage(); got != 3600 {
-		t.Errorf("Procs=0 Usage = %g, want 1-proc clamp", got)
-	}
-}
-
 func TestWaitTime(t *testing.T) {
 	j := &Job{Submit: t0, State: Pending}
 	if got := j.WaitTime(t0.Add(5 * time.Minute)); got != 5*time.Minute {

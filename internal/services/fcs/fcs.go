@@ -283,9 +283,6 @@ func New(cfg Config, pds PolicySource, ums UsageSource) *Service {
 	}
 }
 
-// CacheTTL reports the effective snapshot lifetime (after defaulting).
-func (s *Service) CacheTTL() time.Duration { return s.ttl }
-
 // LastRefresh reports the mode, dirty-user count, and wall-clock cost of the
 // most recent successful refresh (zero value before the first one).
 func (s *Service) LastRefresh() RefreshInfo {

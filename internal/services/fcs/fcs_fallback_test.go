@@ -118,7 +118,12 @@ func testEngineErrorFallback(t *testing.T, ums UsageSource, bump func(user strin
 
 	// Corrupt the engine's tree shape behind its back: drop leaf "b" from
 	// g0, so the next Apply's phase-5 walk produces too few entries.
-	root := svc.engine.Tree().Root
+	// The engine is anchored on the tree it published.
+	tree, err := svc.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := tree.Root
 	g0 := root.Children[0]
 	g0.Children = g0.Children[:1]
 

@@ -285,8 +285,8 @@ func TestCacheTTLZeroDefaults(t *testing.T) {
 	ums := &staticUMS{totals: map[string]float64{"a": 1}}
 	svc := New(Config{Clock: simclock.NewSim(t0), Metrics: telemetry.NewRegistry()},
 		staticPDS{p}, ums)
-	if svc.CacheTTL() != DefaultCacheTTL {
-		t.Fatalf("effective TTL = %v, want %v", svc.CacheTTL(), DefaultCacheTTL)
+	if svc.ttl != DefaultCacheTTL {
+		t.Fatalf("effective TTL = %v, want %v", svc.ttl, DefaultCacheTTL)
 	}
 	svc.Priority("a")
 	svc.Priority("a")

@@ -464,20 +464,3 @@ func PolicyFetcher(httpClient *http.Client) pds.Fetcher {
 		return NewClientWith(base, "", ClientOptions{HTTP: httpClient}).Subtree(path)
 	}
 }
-
-// EndpointClient adapts a custom HTTP name-resolution endpoint (the
-// "minimalist JSON based protocol") to the irs.Endpoint interface.
-type EndpointClient struct {
-	URL  string
-	HTTP *http.Client
-}
-
-// Resolve implements irs.Endpoint: POST {site, localUser} -> {gridId}. The
-// endpoint URL is the whole address, so it is the path of a Client with no
-// base; the call is counted in the default registry under that URL.
-func (e *EndpointClient) Resolve(site, localUser string) (string, error) {
-	var out wire.ResolveResponse
-	err := NewClientWith("", e.URL, ClientOptions{HTTP: e.HTTP}).post(context.Background(), true, e.URL,
-		wire.ResolveRequest{Site: site, LocalUser: localUser}, &out)
-	return out.GridID, err
-}

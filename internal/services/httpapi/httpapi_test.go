@@ -300,7 +300,8 @@ func TestIRSCustomEndpointProtocol(t *testing.T) {
 
 	clock := simclock.NewSim(t0)
 	s := newSite(t, "s", clock, map[string]float64{"a": 1})
-	s.irs.SetEndpoint(&EndpointClient{URL: endpoint.URL})
+	// A Client is an irs.Endpoint: it posts the request to the endpoint.
+	s.irs.SetEndpoint(NewClient(endpoint.URL, "s"))
 
 	c := NewClient(s.server.URL, "s")
 	g, err := c.Resolve("s", "gx42")
@@ -310,9 +311,10 @@ func TestIRSCustomEndpointProtocol(t *testing.T) {
 	if _, err := c.Resolve("s", "plain"); err == nil {
 		t.Error("unresolvable account accepted")
 	}
-	// Memoized in the IRS table now.
-	if s.irs.Len() != 1 {
-		t.Errorf("IRS table size = %d", s.irs.Len())
+	// Memoized in the IRS table now: it resolves with the endpoint gone.
+	endpoint.Close()
+	if g, err := c.Resolve("s", "gx42"); err != nil || g != "dn-gx42" {
+		t.Errorf("memoized Resolve = %q, %v", g, err)
 	}
 }
 

@@ -85,7 +85,7 @@ func (rec *pathRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintln(w, "aequus_up 1")
 	case "GET /fairshare":
 		wire.WriteJSON(w, http.StatusOK, wire.FairshareTableResponse{Projection: "percental"})
-	case "POST /policy", "POST /resolve":
+	case "POST /policy", "POST /identity/resolve":
 		wire.WriteJSON(w, http.StatusOK, wire.ResolveResponse{GridID: "grid-alice"})
 	default:
 		wire.WriteError(w, http.StatusNotFound, "no route %s", route)
@@ -116,8 +116,8 @@ func clientRequests(t *testing.T, reg *telemetry.Registry, target, outcome strin
 }
 
 // TestEveryCallTakesTheOnePath: the calls that used to build their own
-// request — Ready, Policy, SetPolicy, MetricsText, a custom identity
-// endpoint and a PDS mount fetch — each send a request ID and are counted
+// request — Ready, Policy, SetPolicy, MetricsText, an identity lookup and
+// a PDS mount fetch — each send a request ID and are counted
 // in aequus_client_requests_total, like every other call of the client.
 func TestEveryCallTakesTheOnePath(t *testing.T) {
 	rec := newPathRecorder(t)
@@ -153,14 +153,14 @@ func TestEveryCallTakesTheOnePath(t *testing.T) {
 			}
 			return err
 		}},
-		{"EndpointClient.Resolve", "POST /resolve", telemetry.Default(), rec.URL + "/resolve", func() error {
-			g, err := (&EndpointClient{URL: rec.URL + "/resolve"}).Resolve("site", "alice")
+		{"Resolve", "POST /identity/resolve", reg, "peer", func() error {
+			g, err := c.Resolve("site", "alice")
 			if err == nil && g != "grid-alice" {
 				err = fmt.Errorf("grid ID = %q", g)
 			}
 			return err
 		}},
-		{"PolicyFetcher", "GET /policy/subtree", telemetry.Default(), rec.URL, func() error {
+		{"PolicyFetcher", "GET /policy/subtree", telemetry.OrDefault(nil), rec.URL, func() error {
 			n, err := PolicyFetcher(nil)(rec.URL + "|/alice")
 			if err == nil && n.Name != "alice" {
 				err = fmt.Errorf("subtree = %+v", n)

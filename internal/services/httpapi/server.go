@@ -39,7 +39,7 @@ const DefaultReadyMaxStale = 5 * time.Minute
 // ServerOptions tunes a Server's observability wiring.
 type ServerOptions struct {
 	// Registry receives the HTTP instruments and is served at /metrics
-	// (default: telemetry.Default()).
+	// (default: the process-wide registry, telemetry.OrDefault).
 	Registry *telemetry.Registry
 	// Log receives per-request debug records and service lifecycle events
 	// (default: slog.Default()).
@@ -211,9 +211,6 @@ func bodyOK(w http.ResponseWriter, err error) bool {
 	}
 	return false
 }
-
-// Registry returns the registry served at /metrics.
-func (s *Server) Registry() *telemetry.Registry { return s.registry }
 
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {

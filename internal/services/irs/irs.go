@@ -68,6 +68,3 @@ func (s *Service) Resolve(site, localUser string) (string, error) {
 	_ = s.table.Store(identity.Mapping{GridID: g, Site: site, LocalUser: localUser})
 	return g, nil
 }
-
-// Len reports the number of memoized mappings.
-func (s *Service) Len() int { return s.table.Len() }

@@ -99,15 +99,6 @@ func (s *Service) Mount(parentPath, name string, share float64, origin string) e
 	if err != nil {
 		return fmt.Errorf("pds: fetching %s: %w", origin, err)
 	}
-	return s.mount(parentPath, name, share, sub, origin, true)
-}
-
-// MountStatic grafts an explicitly provided subtree (no origin refresh).
-func (s *Service) MountStatic(parentPath, name string, share float64, sub *policy.Node, origin string) error {
-	return s.mount(parentPath, name, share, sub, origin, false)
-}
-
-func (s *Service) mount(parentPath, name string, share float64, sub *policy.Node, origin string, refresh bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	next, err := s.tree.Mount(parentPath, name, share, sub, origin)
@@ -115,9 +106,7 @@ func (s *Service) mount(parentPath, name string, share float64, sub *policy.Node
 		return err
 	}
 	s.tree = next
-	if refresh {
-		s.mounts[policy.JoinPath(append(policy.SplitPath(parentPath), name))] = origin
-	}
+	s.mounts[policy.JoinPath(append(policy.SplitPath(parentPath), name))] = origin
 	return nil
 }
 
@@ -159,15 +148,4 @@ func (s *Service) RefreshMounts() error {
 		}
 	}
 	return firstErr
-}
-
-// Mounts returns the mount-point paths and their origins.
-func (s *Service) Mounts() map[string]string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make(map[string]string, len(s.mounts))
-	for p, o := range s.mounts {
-		out[p] = o
-	}
-	return out
 }

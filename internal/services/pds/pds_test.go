@@ -41,7 +41,6 @@ func TestPolicySnapshotIsolation(t *testing.T) {
 		do   func() error
 	}{
 		{"Mount", func() error { return s.Mount("", "grid", 60, "pds://national") }},
-		{"MountStatic", func() error { return s.MountStatic("/grid", "extra", 1, remoteSubtree(1, 1), "manual") }},
 		{"RefreshMounts", func() error { shareA = 1; return s.RefreshMounts() }},
 		{"SetPolicy", func() error { return s.SetPolicy(localPolicy(t)) }},
 	} {
@@ -97,10 +96,6 @@ func TestMountFetchesAndRefreshes(t *testing.T) {
 	if err != nil || n.Share != 3 {
 		t.Fatalf("mounted projA = %+v, %v", n, err)
 	}
-	if got := s.Mounts()["/grid"]; got != "pds://national" {
-		t.Errorf("mount origin = %q", got)
-	}
-
 	// Remote policy update propagates on refresh.
 	version = 2
 	if err := s.RefreshMounts(); err != nil {
@@ -165,19 +160,5 @@ func TestSubtree(t *testing.T) {
 	}
 	if _, err := s.Subtree("/missing"); err == nil {
 		t.Error("missing subtree accepted")
-	}
-}
-
-func TestMountStatic(t *testing.T) {
-	s := New(localPolicy(t), nil)
-	if err := s.MountStatic("", "grid", 60, remoteSubtree(2, 2), "manual"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Policy().Lookup("/grid/projB"); err != nil {
-		t.Error(err)
-	}
-	// Static mounts are not refreshable (not recorded in mounts).
-	if len(s.Mounts()) != 0 {
-		t.Errorf("static mount recorded: %v", s.Mounts())
 	}
 }

@@ -105,22 +105,23 @@ func TestDurableIngestOverhead(t *testing.T) {
 		t.Skip("timing test; the race detector's instrumentation, not the WAL, dominates the ratio")
 	}
 	batch := benchReports(100000)
-	run := func(durable bool) time.Duration {
-		best := time.Duration(1<<63 - 1)
-		for i := 0; i < 15; i++ {
-			s, closeWAL := newBenchUSS(t, durable)
-			runtime.GC()
-			t0 := time.Now()
-			s.ReportJobBatch(batch)
-			best = min(best, time.Since(t0))
-			closeWAL()
-		}
-		return best
+	once := func(durable bool) time.Duration {
+		s, closeWAL := newBenchUSS(t, durable)
+		defer closeWAL()
+		runtime.GC()
+		t0 := time.Now()
+		s.ReportJobBatch(batch)
+		return time.Since(t0)
 	}
-	run(false) // warm-up: page in code and allocator arenas
+	once(false) // warm-up: page in code and allocator arenas
 
-	mem := run(false)
-	dur := run(true)
+	// One run of each side per iteration, so noise on a shared box lands
+	// on both sides alike rather than on whichever side ran second.
+	mem, dur := time.Duration(1<<63-1), time.Duration(1<<63-1)
+	for i := 0; i < 15; i++ {
+		mem = min(mem, once(false))
+		dur = min(dur, once(true))
+	}
 	t.Logf("100k-user ingest: memory=%v durable=%v overhead=%.1f%%",
 		mem, dur, 100*(float64(dur)/float64(mem)-1))
 	if float64(dur) > float64(mem)*1.15 {

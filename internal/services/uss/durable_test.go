@@ -159,6 +159,70 @@ func TestBatchIngestOneFsync(t *testing.T) {
 	}
 }
 
+// TestEmptyBatchWritesNothing: a batch with no valid report (POST
+// /usage/batch accepts zero durations) and a single report of zero duration
+// commit no WAL record and cost no fsync.
+func TestEmptyBatchWritesNothing(t *testing.T) {
+	s, d := newDurableUSS(t, t.TempDir(), durability.SyncAlways)
+	if err := d.Replay(s.ApplyMutation); err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2014, 2, 1, 0, 0, 0, 0, time.UTC)
+	before := d.Stats()
+	s.ReportJobBatch([]JobReport{{User: "alice", Start: base}, {User: "", Start: base, Duration: time.Hour}})
+	s.ReportJob("bob", base, 0, 4)
+	s.ReportJobBatch(nil)
+	after := d.Stats()
+	if after.Records != before.Records || after.Fsyncs != before.Fsyncs {
+		t.Fatalf("reports with nothing to record moved the WAL: records %d→%d, fsyncs %d→%d",
+			before.Records, after.Records, before.Fsyncs, after.Fsyncs)
+	}
+	if got := s.LocalRecords(); len(got) != 0 {
+		t.Fatalf("recorded %v", got)
+	}
+}
+
+// TestLocalAddFrameStillReplays: a log written before single reports became
+// one-job batches holds MutLocalAdd frames. Such a log replays to the same
+// bits as the one-job MutLocalBatch path produces today.
+func TestLocalAddFrameStillReplays(t *testing.T) {
+	dir := t.TempDir()
+	s, d := newDurableUSS(t, dir, durability.SyncAlways)
+	if err := d.Replay(s.ApplyMutation); err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2014, 2, 1, 0, 0, 0, 0, time.UTC)
+	jobs := []JobReport{
+		{User: "alice", Start: base, Duration: 90 * time.Minute, Procs: 4},
+		{User: "alice", Start: base.Add(10 * time.Minute), Duration: 7 * time.Minute, Procs: 3},
+		{User: "bob", Start: base.Add(time.Hour), Duration: 30 * time.Minute, Procs: 0},
+	}
+	for _, j := range jobs {
+		// The frame a single report wrote: one op, the job's usage in the
+		// bin of its completion time.
+		end := j.Start.Add(j.Duration)
+		mut := &usage.Mutation{Kind: usage.MutLocalAdd, Ops: []usage.BinOp{{
+			User: j.User, Start: s.local.AlignStart(end), Value: j.Duration.Seconds() * float64(max(j.Procs, 1)),
+		}}}
+		if err := d.Commit(mut, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	replayed, d2 := newDurableUSS(t, dir, durability.SyncAlways)
+	if err := d2.Replay(replayed.ApplyMutation); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	live := New(Config{Site: "s00", BinWidth: time.Hour, Contribute: true, Metrics: telemetry.NewRegistry()})
+	for _, j := range jobs {
+		live.ReportJob(j.User, j.Start, j.Duration, j.Procs)
+	}
+	recordsBitEqual(t, "MutLocalAdd replay vs one-job batches", live.LocalRecords(), replayed.LocalRecords())
+}
+
 // TestFrozenExchangeServingMidReplay: while the WAL tail is replaying,
 // peers pulling RecordsSince get the frozen snapshot image — never the
 // half-rebuilt live histogram — and after replay the live path takes over.

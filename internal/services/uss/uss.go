@@ -157,36 +157,9 @@ func (s *Service) AddPeer(p Peer) {
 	s.peers = append(s.peers, p)
 }
 
-// ReportJob records a completed job's usage into the local histogram. The
-// full usage is attributed to the interval containing the completion time:
-// completion-time attribution keeps closed intervals immutable, which is
-// what makes the incremental inter-site exchange sound.
+// ReportJob records one completed job: a one-job ReportJobBatch.
 func (s *Service) ReportJob(user string, start time.Time, dur time.Duration, procs int) {
-	if dur <= 0 || user == "" {
-		return
-	}
-	if procs < 1 {
-		procs = 1
-	}
-	at := start.Add(dur)
-	v := dur.Seconds() * float64(procs)
-	apply := func() {
-		s.mReports.Inc()
-		s.local.Add(user, at, v)
-	}
-	if s.cfg.Durable == nil {
-		apply()
-		return
-	}
-	mut := &usage.Mutation{
-		Kind: usage.MutLocalAdd,
-		Ops:  []usage.BinOp{{User: user, Start: s.local.AlignStart(at), Value: v}},
-	}
-	if err := s.cfg.Durable.Commit(mut, apply); err != nil {
-		// Applying an uncommitted mutation would put memory ahead of the
-		// WAL and diverge the next recovery; drop it and count the loss.
-		s.mDurableErrs.Inc()
-	}
+	s.ReportJobBatch([]JobReport{{User: user, Start: start, Duration: dur, Procs: procs}})
 }
 
 // JobReport is one completed job in a batch ingest.
@@ -197,14 +170,14 @@ type JobReport struct {
 	Procs    int
 }
 
-// ReportJobBatch records many completed jobs with one lock acquisition per
-// touched histogram stripe — the ingest path for batch HTTP reports, with
-// the same completion-time attribution as ReportJob. Invalid entries (empty
-// user, non-positive duration) are skipped.
+// ReportJobBatch records completed jobs into the local histogram with one
+// lock acquisition per touched histogram stripe — the one way local usage
+// gets in. A job's full usage is attributed to the interval containing its
+// completion time: completion-time attribution keeps closed intervals
+// immutable, which is what makes the incremental inter-site exchange sound.
+// Invalid entries (empty user, non-positive duration) are skipped, and a
+// batch with none left writes nothing, not even an empty WAL record.
 func (s *Service) ReportJobBatch(jobs []JobReport) {
-	if len(jobs) == 0 {
-		return
-	}
 	durable := s.cfg.Durable != nil
 	recs := make([]usage.Record, 0, len(jobs))
 	var ops []usage.BinOp
@@ -230,6 +203,9 @@ func (s *Service) ReportJobBatch(jobs []JobReport) {
 		if durable {
 			ops = append(ops, usage.BinOp{User: j.User, Start: s.local.AlignStart(end), Value: v})
 		}
+	}
+	if len(recs) == 0 {
+		return
 	}
 	apply := func() {
 		s.mReports.Add(float64(len(recs)))

@@ -95,12 +95,13 @@ func (f jobCompFunc) JobCompleted(j *sched.Job) { f(j) }
 func TestCompletionTriggersBackfill(t *testing.T) {
 	k := eventsim.New(t0)
 	fs := &staticFS{values: map[string]float64{}}
-	s, c := newSched(t, k, 1, fs)
-	s.Submit(job(1, "u", time.Minute, t0))
-	s.Submit(job(2, "u", time.Minute, t0))
+	s, _ := newSched(t, k, 1, fs)
+	j1, j2 := job(1, "u", time.Minute, t0), job(2, "u", time.Minute, t0)
+	s.Submit(j1)
+	s.Submit(j2)
 	k.RunAll(0)
-	if c.Completed() != 2 {
-		t.Errorf("completed = %d, want both jobs to run back-to-back", c.Completed())
+	if j1.State != sched.Completed || j2.State != sched.Completed {
+		t.Errorf("states = %v, %v, want both jobs to run back-to-back", j1.State, j2.State)
 	}
 	if s.QueueLen() != 0 {
 		t.Errorf("queue = %d", s.QueueLen())
@@ -165,10 +166,11 @@ func TestProviderFailureFallsBackToNeutral(t *testing.T) {
 	k := eventsim.New(t0)
 	fs := &staticFS{err: errors.New("aequus down")}
 	mf := &Multifactor{FS: fs, Weights: sched.FairshareOnly()}
-	s, c := newSched(t, k, 1, fs, func(cfg *Config) { cfg.Priority = mf })
-	s.Submit(job(1, "u", time.Minute, t0))
+	s, _ := newSched(t, k, 1, fs, func(cfg *Config) { cfg.Priority = mf })
+	j := job(1, "u", time.Minute, t0)
+	s.Submit(j)
 	k.RunAll(0)
-	if c.Completed() != 1 {
+	if j.State != sched.Completed {
 		t.Error("job did not run despite provider failure")
 	}
 	if mf.Errors() == 0 {

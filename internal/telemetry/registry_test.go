@@ -76,14 +76,16 @@ func TestBucketNormalization(t *testing.T) {
 	reg := NewRegistry()
 	// Unsorted, duplicated buckets are normalized at registration.
 	h := reg.Histogram("norm_seconds", "h", []float64{5, 1, 2, 2})
-	got := h.Buckets()
-	want := []float64{1, 2, 5}
+	h.Observe(1.5)
+	h.Observe(3)
+	got := h.Snapshot() // cumulative: le=1, le=2, le=5, +Inf
+	want := []uint64{0, 1, 2, 2}
 	if len(got) != len(want) {
-		t.Fatalf("buckets = %v, want %v", got, want)
+		t.Fatalf("cumulative counts = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("buckets = %v, want %v", got, want)
+			t.Fatalf("cumulative counts = %v, want %v", got, want)
 		}
 	}
 }

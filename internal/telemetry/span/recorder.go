@@ -178,40 +178,6 @@ func formatSpan(s *Span) string {
 	return b.String()
 }
 
-// FormatTrace renders a trace as an indented parent/child tree. Spans whose
-// parents are not retained (overwritten, unsampled, or on another recorder)
-// render as roots.
-func FormatTrace(t Trace) string {
-	children := map[uint64][]*Span{}
-	have := map[uint64]bool{}
-	for _, s := range t.Spans {
-		have[s.ID] = true
-	}
-	var roots []*Span
-	for _, s := range t.Spans {
-		if s.ParentID != 0 && have[s.ParentID] {
-			children[s.ParentID] = append(children[s.ParentID], s)
-		} else {
-			roots = append(roots, s)
-		}
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace %s (%d spans)\n", t.TraceID, len(t.Spans))
-	var walk func(s *Span, depth int)
-	walk = func(s *Span, depth int) {
-		b.WriteString(strings.Repeat("  ", depth+1))
-		b.WriteString(formatSpan(s))
-		b.WriteByte('\n')
-		for _, c := range children[s.ID] {
-			walk(c, depth+1)
-		}
-	}
-	for _, s := range roots {
-		walk(s, 0)
-	}
-	return b.String()
-}
-
 // FormatTail renders the most recent n retained spans (creation order, one
 // line each, prefixed with the span's start time and trace ID) — the
 // timeline a failing scenario run dumps next to its violations.

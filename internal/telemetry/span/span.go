@@ -118,9 +118,6 @@ func EnsureRecorder(ctx context.Context, rec *Recorder) context.Context {
 	return WithRecorder(ctx, rec)
 }
 
-// RecorderFrom returns the recorder carried by ctx, or nil.
-func RecorderFrom(ctx context.Context) *Recorder { return dataFrom(ctx).rec }
-
 // WithRemoteParent marks ctx as continuing a trace whose enclosing span
 // lives on another site: spans started under the returned context become
 // children of parentID. The trace ID itself travels in the request ID (see

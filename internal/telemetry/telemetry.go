@@ -40,10 +40,6 @@ func NewRegistry() *Registry {
 
 var std = NewRegistry()
 
-// Default returns the process-wide default registry. Services fall back to
-// it when their Config carries no explicit registry.
-func Default() *Registry { return std }
-
 // OrDefault returns r, or the default registry when r is nil.
 func OrDefault(r *Registry) *Registry {
 	if r == nil {
@@ -333,9 +329,6 @@ func (h *Histogram) Snapshot() []uint64 {
 	}
 	return out
 }
-
-// Buckets returns the configured upper bounds (without the implicit +Inf).
-func (h *Histogram) Buckets() []float64 { return append([]float64(nil), h.upper...) }
 
 // DefBuckets are latency buckets (seconds) tuned for in-process service
 // calls: sub-millisecond pre-calculated lookups up to multi-second WAN hops.

@@ -53,29 +53,6 @@ func UserStats(t *Trace) []UserStat {
 	return out
 }
 
-// GroupMinor relabels every user outside the top `keep` users (by usage) to
-// the given group name, mirroring the paper's grouping of all minor users
-// into the single U_oth category "due to the small number of jobs and low
-// combined resource consumption".
-func GroupMinor(t *Trace, keep int, groupName string) *Trace {
-	stats := UserStats(t)
-	major := map[string]bool{}
-	for i, s := range stats {
-		if i >= keep {
-			break
-		}
-		major[s.User] = true
-	}
-	out := &Trace{Jobs: make([]Job, len(t.Jobs))}
-	for i, j := range t.Jobs {
-		if !major[j.User] {
-			j.User = groupName
-		}
-		out.Jobs[i] = j
-	}
-	return out
-}
-
 // UsageShares returns a map of user to usage share.
 func UsageShares(t *Trace) map[string]float64 {
 	out := map[string]float64{}

@@ -58,30 +58,6 @@ func TestUserStatsOrderedByUsage(t *testing.T) {
 	}
 }
 
-func TestGroupMinor(t *testing.T) {
-	g := GroupMinor(statsTrace(), 3, "u_oth")
-	users := g.Users()
-	if len(users) != 4 {
-		t.Fatalf("users after grouping = %v", users)
-	}
-	stats := UserStats(g)
-	var oth *UserStat
-	for i := range stats {
-		if stats[i].User == "u_oth" {
-			oth = &stats[i]
-		}
-	}
-	if oth == nil {
-		t.Fatal("u_oth missing")
-	}
-	if oth.Jobs != 3 {
-		t.Errorf("u_oth jobs = %d, want 3", oth.Jobs)
-	}
-	if oth.Usage != 35 {
-		t.Errorf("u_oth usage = %g", oth.Usage)
-	}
-}
-
 func TestSharesMaps(t *testing.T) {
 	tr := statsTrace()
 	us := UsageShares(tr)

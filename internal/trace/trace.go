@@ -82,30 +82,6 @@ func (t *Trace) TotalUsage() float64 {
 	return u
 }
 
-// Users returns the distinct user names in first-appearance order.
-func (t *Trace) Users() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, j := range t.Jobs {
-		if !seen[j.User] {
-			seen[j.User] = true
-			out = append(out, j.User)
-		}
-	}
-	return out
-}
-
-// JobsOf returns the jobs owned by user, in trace order.
-func (t *Trace) JobsOf(user string) []Job {
-	var out []Job
-	for _, j := range t.Jobs {
-		if j.User == user {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // InterArrivals returns the successive submit-time gaps (in seconds) of the
 // given user's jobs; pass "" for all jobs. The trace is assumed sorted.
 func (t *Trace) InterArrivals(user string) []float64 {

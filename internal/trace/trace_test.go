@@ -64,17 +64,6 @@ func TestTotalUsage(t *testing.T) {
 	}
 }
 
-func TestUsersAndJobsOf(t *testing.T) {
-	tr := sampleTrace()
-	users := tr.Users()
-	if len(users) != 4 || users[0] != "u65" || users[1] != "u30" {
-		t.Errorf("Users = %v", users)
-	}
-	if got := len(tr.JobsOf("u65")); got != 2 {
-		t.Errorf("JobsOf(u65) = %d", got)
-	}
-}
-
 func TestInterArrivals(t *testing.T) {
 	tr := sampleTrace()
 	all := tr.InterArrivals("")

@@ -11,7 +11,7 @@ func buildHistogram(users, binsPerUser int) *Histogram {
 	for u := 0; u < users; u++ {
 		name := fmt.Sprintf("user%03d", u)
 		for b := 0; b < binsPerUser; b++ {
-			h.Add(name, t0.Add(time.Duration(b)*time.Minute), float64(b+1))
+			addOne(h, name, t0.Add(time.Duration(b)*time.Minute), float64(b+1))
 		}
 	}
 	return h
@@ -24,22 +24,25 @@ func buildWide(users, binsPerUser int) *Histogram {
 	for b := 0; b < binsPerUser; b++ {
 		at := t0.Add(time.Duration(b) * time.Hour)
 		for u := 0; u < users; u++ {
-			h.Add(fmt.Sprintf("user%07d", u), at, float64(b+u+1))
+			addOne(h, fmt.Sprintf("user%07d", u), at, float64(b+u+1))
 		}
 	}
 	return h
 }
 
+// BenchmarkHistogramAdd measures a single report's ingest: a one-record
+// IngestBatch.
 func BenchmarkHistogramAdd(b *testing.B) {
 	h := NewHistogram(time.Minute)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		h.Add("user", t0.Add(time.Duration(i%360)*time.Minute), 1)
+		addOne(h, "user", t0.Add(time.Duration(i%360)*time.Minute), 1)
 	}
 }
 
-// BenchmarkHistogramAddParallel measures concurrent ingestion across many
-// users — the lock-striping win over the old single global RWMutex.
+// BenchmarkHistogramAddParallel measures concurrent one-record ingests
+// across many users — the lock-striping win over the old single global
+// RWMutex.
 func BenchmarkHistogramAddParallel(b *testing.B) {
 	h := NewHistogram(time.Minute)
 	b.ReportAllocs()
@@ -47,7 +50,7 @@ func BenchmarkHistogramAddParallel(b *testing.B) {
 		i := 0
 		user := fmt.Sprintf("user%p", pb) // distinct user per goroutine
 		for pb.Next() {
-			h.Add(user, t0.Add(time.Duration(i%360)*time.Minute), 1)
+			addOne(h, user, t0.Add(time.Duration(i%360)*time.Minute), 1)
 			i++
 		}
 	})
@@ -144,7 +147,7 @@ func BenchmarkRecordsSinceTail(b *testing.B) {
 		// exchange's steady-state tail.
 		tail := t0.Add(time.Duration(bins) * time.Hour)
 		for u := 0; u < fresh; u++ {
-			h.Add(fmt.Sprintf("user%07d", u*(users/fresh)), tail, 1)
+			addOne(h, fmt.Sprintf("user%07d", u*(users/fresh)), tail, 1)
 		}
 		h.RecordsSince("site", tail) // the first pull attaches the column
 		b.ReportAllocs()

@@ -132,7 +132,7 @@ func TestChangingReturnsUnorderedBatchesWhole(t *testing.T) {
 		"bins descending":      {rec("u", at.Add(time.Hour), 3), rec("u", at, 3)},
 	} {
 		h := NewHistogram(time.Hour)
-		h.SetBin("u", at, 3)
+		setOne(h, "u", at, 3)
 		got := h.Changing(batch)
 		if len(got) != len(batch) {
 			t.Errorf("%s: Changing kept %d of %d records, want the whole batch", name, len(got), len(batch))

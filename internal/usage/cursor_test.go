@@ -243,8 +243,8 @@ func TestCursorReadBetweenPassesChangesNothing(t *testing.T) {
 		local, mirror := NewHistogram(time.Hour), NewHistogram(time.Hour)
 		for i := 0; i < 30; i++ {
 			u := fmt.Sprintf("u%02d", i)
-			local.Add(u, t0.Add(-time.Duration(i+1)*time.Hour), float64(100+i))
-			mirror.SetBin(u, t0.Add(-time.Duration(2*i+1)*time.Hour), float64(10*i+5))
+			addOne(local, u, t0.Add(-time.Duration(i+1)*time.Hour), float64(100+i))
+			setOne(mirror, u, t0.Add(-time.Duration(2*i+1)*time.Hour), float64(10*i+5))
 		}
 		return []*Histogram{local, mirror}
 	}
@@ -263,9 +263,9 @@ func TestCursorReadBetweenPassesChangesNothing(t *testing.T) {
 		c.Advance(hists, t0, d)
 		tc.Advance(twin, t0, d)
 		for _, hs := range [][]*Histogram{hists, twin} {
-			hs[1].SetBin("u03", t0.Add(-7*time.Hour), 1) // shrinks: dirty
-			hs[0].Add("u05", t0.Add(-30*time.Minute), 40)
-			hs[0].Add("u07", t0.Add(90*time.Minute), 60)
+			setOne(hs[1], "u03", t0.Add(-7*time.Hour), 1) // shrinks: dirty
+			addOne(hs[0], "u05", t0.Add(-30*time.Minute), 40)
+			addOne(hs[0], "u07", t0.Add(90*time.Minute), 60)
 		}
 		for _, h := range hists {
 			h.DecayedTotals(rd.now, rd.d)
@@ -312,12 +312,12 @@ func sameDeltaSet(t *testing.T, ctx string, got, want DeltaSet) {
 func TestCursorClampedUsersAreReEmittedUntilTheClampLifts(t *testing.T) {
 	d := ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour}
 	h := NewHistogram(time.Hour)
-	h.Add("old", t0.Add(-5*time.Hour), 100)
+	addOne(h, "old", t0.Add(-5*time.Hour), 100)
 	hists := []*Histogram{h}
 	f := &cursorFollower{}
 	f.pass(t, hists, t0, d)
 
-	h.Add("ahead", t0.Add(65*time.Minute), 3600) // bin [t0+1h, t0+2h)
+	addOne(h, "ahead", t0.Add(65*time.Minute), 3600) // bin [t0+1h, t0+2h)
 	var listed []int
 	for _, min := range []int{6, 12, 59, 61, 70, 100} {
 		now := t0.Add(time.Duration(min) * time.Minute)
@@ -346,12 +346,12 @@ func TestCursorClampedUsersAreReEmittedUntilTheClampLifts(t *testing.T) {
 func TestCursorOpenBinUserIsEmittedOnce(t *testing.T) {
 	d := ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour}
 	h := NewHistogram(time.Hour)
-	h.Add("old", t0.Add(-5*time.Hour), 100)
+	addOne(h, "old", t0.Add(-5*time.Hour), 100)
 	hists := []*Histogram{h}
 	f := &cursorFollower{}
 	f.pass(t, hists, t0, d)
 
-	h.Add("open", t0.Add(5*time.Minute), 3600) // midpoint at t0+30m
+	addOne(h, "open", t0.Add(5*time.Minute), 3600) // midpoint at t0+30m
 	for i, min := range []int{6, 12, 29, 30, 31, 50} {
 		now := t0.Add(time.Duration(min) * time.Minute)
 		ds := f.pass(t, hists, now, d)
@@ -378,8 +378,8 @@ func TestCursorSecondHalfLifeReRegistersTheTracker(t *testing.T) {
 	h := NewHistogram(time.Hour)
 	for i := 0; i < 50; i++ {
 		u := fmt.Sprintf("u%02d", i)
-		h.Add(u, t0.Add(-time.Duration(i+1)*time.Hour), float64(100+i))
-		h.Add(u, t0.Add(-time.Duration(3*i+2)*time.Hour), float64(7*i+1))
+		addOne(h, u, t0.Add(-time.Duration(i+1)*time.Hour), float64(100+i))
+		addOne(h, u, t0.Add(-time.Duration(3*i+2)*time.Hour), float64(7*i+1))
 	}
 	hists := []*Histogram{h}
 	var c Cursor
@@ -389,14 +389,14 @@ func TestCursorSecondHalfLifeReRegistersTheTracker(t *testing.T) {
 	if ds := c.Advance(hists, t0, d); !ds.Full {
 		t.Fatal("first pass was not Full")
 	}
-	h.Add("u07", t0.Add(-20*time.Minute), 40)
+	addOne(h, "u07", t0.Add(-20*time.Minute), 40)
 	now := t0.Add(40 * time.Minute)
 	if ds := c.Advance(hists, now, d); ds.Full || len(ds.Changed) != 1 {
 		t.Fatalf("steady pass: full=%v changed=%d, want one sparse change", ds.Full, len(ds.Changed))
 	}
 
 	for _, dd := range []Decay{other, None{}, d} {
-		h.Add("u09", now.Add(-10*time.Minute), 5)
+		addOne(h, "u09", now.Add(-10*time.Minute), 5)
 		now = now.Add(time.Minute)
 		ds := c.Advance(hists, now, dd)
 		if !ds.Full {
@@ -437,7 +437,7 @@ func TestCursorMajorityChangeIsFull(t *testing.T) {
 	const n = par.Threshold
 	h := NewHistogram(time.Hour)
 	for i := 0; i < n; i++ {
-		h.Add(fmt.Sprintf("u%04d", i), t0.Add(-5*time.Hour), 100)
+		addOne(h, fmt.Sprintf("u%04d", i), t0.Add(-5*time.Hour), 100)
 	}
 	hists := []*Histogram{h}
 	f := &cursorFollower{}
@@ -449,7 +449,7 @@ func TestCursorMajorityChangeIsFull(t *testing.T) {
 		full    bool
 	}{{n / 2, false}, {2 * n / 3, true}} {
 		for i := 0; i < tc.changed; i++ {
-			h.Add(fmt.Sprintf("u%04d", i), now.Add(-2*time.Hour), 10)
+			addOne(h, fmt.Sprintf("u%04d", i), now.Add(-2*time.Hour), 10)
 		}
 		now = now.Add(time.Minute)
 		ds := f.pass(t, hists, now, d)

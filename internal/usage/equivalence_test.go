@@ -109,7 +109,7 @@ func TestEquivalenceRandomizedWorkloads(t *testing.T) {
 					u := users[rng.Intn(len(users))]
 					switch rng.Intn(5) {
 					case 0:
-						h.Add(u, randAt(), 1+rng.Float64()*1e4)
+						addOne(h, u, randAt(), 1+rng.Float64()*1e4)
 					case 1:
 						h.AddSpread(u, randAt(),
 							time.Duration(1+rng.Intn(7200))*time.Minute, 1+rng.Intn(16))
@@ -119,7 +119,7 @@ func TestEquivalenceRandomizedWorkloads(t *testing.T) {
 						if rng.Intn(4) > 0 {
 							v = rng.Float64() * 2e4
 						}
-						h.SetBin(u, randAt(), v)
+						setOne(h, u, randAt(), v)
 					case 3:
 						recs := make([]Record, rng.Intn(8))
 						for i := range recs {
@@ -206,7 +206,7 @@ func TestEquivalenceManyHalfLives(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	h := NewHistogram(30 * time.Minute)
 	for i := 0; i < 500; i++ {
-		h.Add(fmt.Sprintf("u%02d", rng.Intn(20)),
+		addOne(h, fmt.Sprintf("u%02d", rng.Intn(20)),
 			t0.Add(time.Duration(rng.Intn(10000))*time.Minute), 1+rng.Float64()*1e3)
 	}
 	now := t0.Add(200 * time.Hour)
@@ -237,15 +237,15 @@ func TestEquivalenceManyHalfLives(t *testing.T) {
 func TestEquivalenceIncrementalStaysIncremental(t *testing.T) {
 	h := NewHistogram(time.Hour)
 	d := ExponentialHalfLife{HalfLife: 12 * time.Hour}
-	h.Add("a", t0, 100)
-	h.Add("b", t0, 200)
+	addOne(h, "a", t0, 100)
+	addOne(h, "b", t0, 200)
 	now := t0.Add(2 * time.Hour)
 	c := attach(h, now, d)
 	if h.tracker == nil {
 		t.Fatal("no tracker registered")
 	}
 
-	h.Add("a", now.Add(-30*time.Minute), 50) // in-order add: O(1) fold
+	addOne(h, "a", now.Add(-30*time.Minute), 50) // in-order add: O(1) fold
 	st := h.stripeFor("a")
 	st.mu.RLock()
 	aDirty := st.users["a"].exp.dirty
@@ -254,13 +254,13 @@ func TestEquivalenceIncrementalStaysIncremental(t *testing.T) {
 		t.Error("in-order Add marked user dirty; delta fold not taken")
 	}
 
-	h.SetBin("b", t0, 10) // shrink: must flag b, and only b
+	setOne(h, "b", t0, 10) // shrink: must flag b, and only b
 	st = h.stripeFor("b")
 	st.mu.RLock()
 	bDirty := st.users["b"].exp.dirty
 	st.mu.RUnlock()
 	if !bDirty {
-		t.Error("shrinking SetBin left user clean; stale sum would be served")
+		t.Error("shrinking set left user clean; stale sum would be served")
 	}
 
 	now = now.Add(time.Hour)
@@ -285,7 +285,7 @@ func TestRecordsSinceMatchesFilteredRecords(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	h := NewHistogram(time.Hour)
 	for i := 0; i < 400; i++ {
-		h.Add(fmt.Sprintf("u%02d", rng.Intn(30)),
+		addOne(h, fmt.Sprintf("u%02d", rng.Intn(30)),
 			t0.Add(time.Duration(rng.Intn(5000))*time.Minute), 1+rng.Float64()*10)
 	}
 	for _, since := range []time.Time{

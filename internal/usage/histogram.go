@@ -87,11 +87,10 @@ type stripe struct {
 // Internally the histogram is striped: users hash onto numStripes shards,
 // each a map of per-user sorted bin slices plus, once the histogram serves
 // incremental pulls, a dense column of each user's newest bin start (24 B
-// per user). Point mutations (Add, SetBin) take one stripe lock; batch
-// mutations (IngestBatch, SetRecords, Merge) take each stripe once per
-// batch; whole-histogram reads (Users, Records, RecordsSince,
-// DecayedTotals/AccumulateDecayed) acquire every stripe in index order, so
-// they observe a state that existed at one single instant.
+// per user). Mutations (IngestBatch, SetRecords, Merge, AddSpread) take
+// each touched stripe once per call; whole-histogram reads (Records,
+// RecordsSince, DecayedTotals/AccumulateDecayed) acquire every stripe in
+// index order, so they observe a state that existed at one single instant.
 type Histogram struct {
 	binWidth time.Duration
 	half     time.Duration // binWidth/2: bin midpoint offset
@@ -129,9 +128,6 @@ func NewHistogram(binWidth time.Duration) *Histogram {
 	return h
 }
 
-// BinWidth returns the histogram's interval width.
-func (h *Histogram) BinWidth() time.Duration { return h.binWidth }
-
 func (h *Histogram) binStart(at time.Time) int64 {
 	w := int64(h.binWidth / time.Second)
 	if w <= 0 {
@@ -147,8 +143,9 @@ func (h *Histogram) binStart(at time.Time) int64 {
 }
 
 // AlignStart floors at to the containing bin's start, in unix seconds —
-// the same alignment Add/SetBin apply internally. Durable mutation records
-// store pre-aligned starts so replay lands each op in the identical bin.
+// the same alignment IngestBatch and SetRecords apply internally. Durable
+// mutation records store pre-aligned starts so replay lands each op in the
+// identical bin.
 func (h *Histogram) AlignStart(at time.Time) int64 {
 	return h.binStart(at)
 }
@@ -311,18 +308,6 @@ func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64
 	h.trackerAdd(st, user, u, start, v)
 }
 
-// Add accumulates coreSeconds of usage for user at the bin containing `at`.
-func (h *Histogram) Add(user string, at time.Time, coreSeconds float64) {
-	if coreSeconds <= 0 || user == "" {
-		return
-	}
-	st := h.stripeFor(user)
-	start := h.binStart(at)
-	st.mu.Lock()
-	h.addBinLocked(st, user, start, coreSeconds)
-	st.mu.Unlock()
-}
-
 // AddSpread distributes a job's usage across the bins it executed in — a job
 // running from start for dur at procs cores contributes proportionally to
 // each overlapped interval. The whole spread is applied under one stripe
@@ -362,21 +347,6 @@ func (h *Histogram) AddSpread(user string, start time.Time, dur time.Duration, p
 	st.mu.Unlock()
 }
 
-// SetBin replaces the value of user's bin starting at binStart (the bin
-// containing binStart). A non-positive value removes the bin. This is the
-// ingestion primitive for incremental inter-site exchange, where a re-fetched
-// interval must overwrite rather than accumulate.
-func (h *Histogram) SetBin(user string, binStart time.Time, v float64) {
-	if user == "" {
-		return
-	}
-	st := h.stripeFor(user)
-	start := h.binStart(binStart)
-	st.mu.Lock()
-	h.setBinLocked(st, user, start, v)
-	st.mu.Unlock()
-}
-
 // batchByStripe groups records by target stripe so a batch touches each
 // stripe lock at most once.
 func batchByStripe(records []Record) [numStripes][]Record {
@@ -392,8 +362,9 @@ func batchByStripe(records []Record) [numStripes][]Record {
 }
 
 // IngestBatch accumulates a batch of exchange records with one lock
-// acquisition per touched stripe. Records with an empty user or
-// non-positive usage are skipped, matching Add.
+// acquisition per touched stripe — the one way usage accumulates into a
+// histogram, a single job report included. Records with an empty user or
+// non-positive usage are skipped.
 func (h *Histogram) IngestBatch(records []Record) {
 	if len(records) == 0 {
 		return
@@ -415,9 +386,9 @@ func (h *Histogram) IngestBatch(records []Record) {
 	}
 }
 
-// SetRecords replaces the bins named by a batch of exchange records
-// (SetBin semantics) with one lock acquisition per touched stripe — the
-// bulk primitive of the incremental inter-site exchange, where a re-fetched
+// SetRecords replaces the bins named by a batch of exchange records (a
+// value ≤ 0 removes the bin) with one lock acquisition per touched stripe —
+// the primitive of the incremental inter-site exchange, where a re-fetched
 // interval overwrites rather than accumulates. All records of one user land
 // atomically with respect to whole-histogram readers.
 func (h *Histogram) SetRecords(records []Record) {
@@ -463,20 +434,6 @@ func (h *Histogram) Changing(records []Record) []Record {
 			out = append(out, r)
 		}
 	}
-	return out
-}
-
-// Users returns the sorted user names with recorded usage.
-func (h *Histogram) Users() []string {
-	h.rlockAll()
-	var out []string
-	for i := range h.stripes {
-		for u := range h.stripes[i].users {
-			out = append(out, u)
-		}
-	}
-	h.runlockAll()
-	sort.Strings(out)
 	return out
 }
 
@@ -675,46 +632,41 @@ func emitTails(site string, tails []userTail) []Record {
 	return out
 }
 
-// Merge folds other's bins into h. When the bin widths match (the common
-// case — Clone, and sites exchanging at one configured width), each of
-// other's stripes maps onto the same stripe of h, so the merge runs as one
-// sorted bin-slice merge per stripe pair with a single lock acquisition on
-// each side and no intermediate cell records. Mismatched widths re-bin
-// through the batch-ingest path.
+// Merge folds other's bins into h; both must have the same bin width (it
+// panics otherwise). Each of other's stripes maps onto the same stripe of h,
+// so the merge runs as one sorted bin-slice merge per stripe pair with a
+// single lock acquisition on each side and no intermediate cell records.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil {
 		return
 	}
-	if other.binWidth == h.binWidth {
-		for i := range other.stripes {
-			src := &other.stripes[i]
-			src.mu.RLock()
-			type uc struct {
-				name string
-				bins []bin
-			}
-			cells := make([]uc, 0, len(src.users))
-			for name, u := range src.users {
-				cells = append(cells, uc{name, append([]bin(nil), u.bins...)})
-			}
-			src.mu.RUnlock()
-			if len(cells) == 0 {
-				continue
-			}
-			dst := &h.stripes[i]
-			dst.mu.Lock()
-			for _, c := range cells {
-				for _, b := range c.bins {
-					h.addBinLocked(dst, c.name, b.start, b.v)
-				}
-			}
-			dst.mu.Unlock()
-		}
-		return
+	if other.binWidth != h.binWidth {
+		panic("usage: Merge of histograms with different bin widths")
 	}
-	// Differing widths: export and re-bin (rare; batch path keeps lock
-	// churn at one acquisition per stripe).
-	h.IngestBatch(other.Records(""))
+	for i := range other.stripes {
+		src := &other.stripes[i]
+		src.mu.RLock()
+		type uc struct {
+			name string
+			bins []bin
+		}
+		cells := make([]uc, 0, len(src.users))
+		for name, u := range src.users {
+			cells = append(cells, uc{name, append([]bin(nil), u.bins...)})
+		}
+		src.mu.RUnlock()
+		if len(cells) == 0 {
+			continue
+		}
+		dst := &h.stripes[i]
+		dst.mu.Lock()
+		for _, c := range cells {
+			for _, b := range c.bins {
+				h.addBinLocked(dst, c.name, b.start, b.v)
+			}
+		}
+		dst.mu.Unlock()
+	}
 }
 
 // Clone returns a deep copy. The incremental decay tracker is not copied;

@@ -1,17 +1,17 @@
 package usage
 
-// Durable mutation records. Every write that changes a site's usage state —
-// a single job report, a group-committed batch ingest, a peer-exchange bin
-// replacement, a policy edit — is describable as one Mutation, and replaying
-// a mutation sequence in order reproduces the histogram state bitwise: the
-// bin operations carry the exact float64 values and the exact apply order
-// the live path used, and float addition is applied per (user, bin) in the
-// same sequence. The binary encoding is versioned so log files written by an
-// older build stay readable. It is also the body of a peer pull: a site
-// serves its records as the MutRemoteSet the pulling site will log, so a usage
-// record has one encoding from one site's histogram to the other's disk. And it
-// is the content of a snapshot, a run of these mutations setting the whole
-// state at once (MutLocalSet, one MutRemoteSet per peer, MutPolicy).
+// Durable mutation records. Every write that changes a site's usage state — a
+// group-committed batch of job reports (one job or many), a peer-exchange bin
+// replacement, a policy edit — is describable as one Mutation, and replaying a
+// mutation sequence in order reproduces the histogram state bitwise: the bin
+// operations carry the exact float64 values and the exact apply order the live
+// path used, and float addition is applied per (user, bin) in the same
+// sequence. The binary encoding is versioned so log files written by an older
+// build stay readable. It is also the body of a peer pull: a site serves its
+// records as the MutRemoteSet the pulling site will log, so a usage record has
+// one encoding from one site's histogram to the other's disk. And it is the
+// content of a snapshot, a run of these mutations setting the whole state at
+// once (MutLocalSet, one MutRemoteSet per peer, MutPolicy).
 
 import (
 	"encoding/binary"
@@ -26,11 +26,13 @@ type MutationKind uint8
 
 // Mutation kinds. Values are part of the on-disk format — append only.
 const (
-	// MutLocalAdd accumulates ops into the local histogram (a single job
-	// report; Add semantics).
+	// MutLocalAdd accumulates one job report's op into the local histogram
+	// (IngestBatch semantics). Only logs written before a single report
+	// became a one-job MutLocalBatch hold it; they still replay.
 	MutLocalAdd MutationKind = 1
 	// MutLocalBatch accumulates a batch of ops into the local histogram as
-	// one group-committed record (IngestBatch semantics).
+	// one group-committed record (IngestBatch semantics): every local
+	// report, single or batched.
 	MutLocalBatch MutationKind = 2
 	// MutRemoteSet replaces bins in the remote histogram of peer Site
 	// (SetRecords semantics) and advances that peer's watermark.

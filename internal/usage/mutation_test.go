@@ -147,7 +147,7 @@ func TestMutationRecordsMatchLivePath(t *testing.T) {
 		user := randName(rng, "user")
 		at := base.Add(time.Duration(rng.Intn(100*3600)) * time.Second)
 		v := rng.Float64() * 1e4
-		live.Add(user, at, v)
+		addOne(live, user, at, v)
 		m := &Mutation{Kind: MutLocalAdd, Ops: []BinOp{{User: user, Start: live.AlignStart(at), Value: v}}}
 		enc := m.AppendBinary(nil)
 		dec, err := DecodeMutation(enc)

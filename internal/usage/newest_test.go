@@ -83,7 +83,7 @@ func TestNewestColumnMatchesFilter(t *testing.T) {
 		for step := 0; step < 80; step++ {
 			switch rng.Intn(6) {
 			case 0:
-				h.Add(user(), at(), 1+rng.Float64())
+				addOne(h, user(), at(), 1+rng.Float64())
 			case 1:
 				recs := make([]Record, 1+rng.Intn(4))
 				for i := range recs {
@@ -122,7 +122,7 @@ func TestNewestColumnMatchesFilter(t *testing.T) {
 			case 4:
 				name := user()
 				if start, ok := existing(name); ok {
-					h.SetBin(name, start, 0)
+					setOne(h, name, start, 0)
 				}
 			case 5:
 				probe := sinceProbes[rng.Intn(len(sinceProbes))]

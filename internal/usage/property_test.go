@@ -19,16 +19,16 @@ func TestPropertyRecordsIngestRoundTrip(t *testing.T) {
 		for _, a := range adds {
 			user := string(rune('a' + a.User%6))
 			at := t0.Add(time.Duration(a.Offset%100000) * time.Second)
-			h.Add(user, at, float64(a.Amount)+1)
+			addOne(h, user, at, float64(a.Amount)+1)
 		}
 		h2 := NewHistogram(time.Hour)
 		h2.IngestBatch(h.Records("s"))
-		for _, u := range h.Users() {
-			if math.Abs(total(h, u)-total(h2, u)) > 1e-9 {
+		for _, r := range h.Records("s") {
+			if math.Abs(total(h, r.User)-total(h2, r.User)) > 1e-9 {
 				return false
 			}
 		}
-		return len(h.Users()) == len(h2.Users())
+		return h.UserCount() == h2.UserCount()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -42,7 +42,7 @@ func TestPropertyDecayedNeverExceedsTotal(t *testing.T) {
 	}, hlSeconds uint32) bool {
 		h := NewHistogram(time.Minute)
 		for _, a := range adds {
-			h.Add("u", t0.Add(time.Duration(a.Offset%100000)*time.Second), float64(a.Amount)+1)
+			addOne(h, "u", t0.Add(time.Duration(a.Offset%100000)*time.Second), float64(a.Amount)+1)
 		}
 		d := ExponentialHalfLife{HalfLife: time.Duration(hlSeconds%100000+1) * time.Second}
 		now := t0.Add(200000 * time.Second)
@@ -65,12 +65,12 @@ func TestPropertyMergePreservesSums(t *testing.T) {
 		want := map[string]float64{}
 		for _, x := range a {
 			u := string(rune('a' + x.User%4))
-			ha.Add(u, t0, float64(x.Amount)+1)
+			addOne(ha, u, t0, float64(x.Amount)+1)
 			want[u] += float64(x.Amount) + 1
 		}
 		for _, x := range b {
 			u := string(rune('a' + x.User%4))
-			hb.Add(u, t0, float64(x.Amount)+1)
+			addOne(hb, u, t0, float64(x.Amount)+1)
 			want[u] += float64(x.Amount) + 1
 		}
 		ha.Merge(hb)

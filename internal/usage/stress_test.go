@@ -28,7 +28,7 @@ func TestHistogramStressAllOps(t *testing.T) {
 	go func() {
 		defer writeWG.Done()
 		for i := 0; i < rounds; i++ {
-			h.Add("accountant", t0.Add(time.Duration(i)*time.Second), 2)
+			addOne(h, "accountant", t0.Add(time.Duration(i)*time.Second), 2)
 			h.AddSpread("accountant", t0.Add(time.Duration(i)*time.Minute), 90*time.Second, 1)
 		}
 	}()
@@ -43,11 +43,11 @@ func TestHistogramStressAllOps(t *testing.T) {
 				at := t0.Add(time.Duration(rng.Intn(10000)) * time.Second)
 				switch i % 5 {
 				case 0:
-					h.Add(user, at, rng.Float64()*10)
+					addOne(h, user, at, rng.Float64()*10)
 				case 1:
 					h.AddSpread(user, at, time.Duration(1+rng.Intn(600))*time.Second, 1+rng.Intn(4))
 				case 2:
-					h.SetBin(user, at, rng.Float64()*20-2) // sometimes deletes
+					setOne(h, user, at, rng.Float64()*20-2) // sometimes deletes
 				case 3:
 					h.IngestBatch([]Record{
 						{User: user, IntervalStart: at, CoreSeconds: rng.Float64() * 5},
@@ -78,7 +78,7 @@ func TestHistogramStressAllOps(t *testing.T) {
 				case 1:
 					_ = h.RecordsSince("s", t0.Add(time.Duration(r)*time.Hour))
 				case 2:
-					_ = h.Users()
+					_ = h.UserCount()
 					_ = h.DecayedTotal("accountant", now, d)
 				case 3:
 					_ = h.Records("s")
@@ -155,7 +155,7 @@ func TestConcurrentDecayedTotalsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	h := NewHistogram(time.Hour)
 	for i := 0; i < 1000; i++ {
-		h.Add(fmt.Sprintf("u%03d", rng.Intn(100)),
+		addOne(h, fmt.Sprintf("u%03d", rng.Intn(100)),
 			t0.Add(time.Duration(rng.Intn(500))*time.Hour), 1+rng.Float64()*100)
 	}
 	d := ExponentialHalfLife{HalfLife: 24 * time.Hour}

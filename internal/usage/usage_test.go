@@ -10,6 +10,18 @@ import (
 
 var t0 = time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC)
 
+// addOne accumulates v into user's bin containing at: a one-record
+// IngestBatch, the locked operation every local report runs.
+func addOne(h *Histogram, user string, at time.Time, v float64) {
+	h.IngestBatch([]Record{{User: user, IntervalStart: at, CoreSeconds: v}})
+}
+
+// setOne replaces user's bin containing at with v (v ≤ 0 removes it): a
+// one-record SetRecords, the locked operation of a peer pull.
+func setOne(h *Histogram, user string, at time.Time, v float64) {
+	h.SetRecords([]Record{{User: user, IntervalStart: at, CoreSeconds: v}})
+}
+
 // TestDecayWeightsAtZeroAge: every decay weighs 1 at age zero, and a negative
 // age — a started bin whose midpoint is still ahead — is weighted by the same
 // formula, above 1 (it used to be held at 1, which made the value of an open
@@ -91,10 +103,10 @@ func total(h *Histogram, user string) float64 { return h.DecayedTotal(user, t0, 
 
 func TestHistogramAddAndTotal(t *testing.T) {
 	h := NewHistogram(time.Hour)
-	h.Add("alice", t0, 100)
-	h.Add("alice", t0.Add(30*time.Minute), 50) // same bin
-	h.Add("alice", t0.Add(2*time.Hour), 25)
-	h.Add("bob", t0, 10)
+	addOne(h, "alice", t0, 100)
+	addOne(h, "alice", t0.Add(30*time.Minute), 50) // same bin
+	addOne(h, "alice", t0.Add(2*time.Hour), 25)
+	addOne(h, "bob", t0, 10)
 	if got := total(h, "alice"); got != 175 {
 		t.Errorf("alice total = %g", got)
 	}
@@ -105,28 +117,18 @@ func TestHistogramAddAndTotal(t *testing.T) {
 		t.Errorf("carol total = %g", got)
 	}
 	// Ignored inputs.
-	h.Add("", t0, 5)
-	h.Add("alice", t0, 0)
-	h.Add("alice", t0, -3)
+	addOne(h, "", t0, 5)
+	addOne(h, "alice", t0, 0)
+	addOne(h, "alice", t0, -3)
 	if got := total(h, "alice"); got != 175 {
 		t.Errorf("after ignored adds, total = %g", got)
 	}
 }
 
-func TestHistogramUsersSorted(t *testing.T) {
-	h := NewHistogram(time.Hour)
-	h.Add("zed", t0, 1)
-	h.Add("amy", t0, 1)
-	us := h.Users()
-	if len(us) != 2 || us[0] != "amy" || us[1] != "zed" {
-		t.Errorf("Users = %v", us)
-	}
-}
-
 func TestHistogramDecayedTotal(t *testing.T) {
 	h := NewHistogram(time.Hour)
-	h.Add("u", t0, 100)                   // bin [t0, t0+1h), midpoint t0+30m
-	h.Add("u", t0.Add(10*time.Hour), 100) // midpoint t0+10.5h
+	addOne(h, "u", t0, 100)                   // bin [t0, t0+1h), midpoint t0+30m
+	addOne(h, "u", t0.Add(10*time.Hour), 100) // midpoint t0+10.5h
 	now := t0.Add(11 * time.Hour)
 	d := ExponentialHalfLife{HalfLife: time.Hour}
 	// Ages: 10.5h and 0.5h.
@@ -144,7 +146,7 @@ func TestHistogramDecayedTotal(t *testing.T) {
 	// which side of the midpoint it was read.) A bin that has not started is
 	// held at the weight of a bin just opened.
 	h2 := NewHistogram(time.Hour)
-	h2.Add("u", t0.Add(5*time.Hour+40*time.Minute), 100) // bin [t0+5h, t0+6h)
+	addOne(h2, "u", t0.Add(5*time.Hour+40*time.Minute), 100) // bin [t0+5h, t0+6h)
 	for _, tc := range []struct {
 		at   time.Duration
 		want float64
@@ -182,9 +184,9 @@ func TestHistogramAddSpread(t *testing.T) {
 
 func TestHistogramRecordsAndIngest(t *testing.T) {
 	h := NewHistogram(time.Hour)
-	h.Add("b", t0, 10)
-	h.Add("a", t0.Add(time.Hour), 20)
-	h.Add("a", t0, 5)
+	addOne(h, "b", t0, 10)
+	addOne(h, "a", t0.Add(time.Hour), 20)
+	addOne(h, "a", t0, 5)
 	recs := h.Records("site1")
 	if len(recs) != 3 {
 		t.Fatalf("records = %d", len(recs))
@@ -213,8 +215,8 @@ func TestHistogramRecordsAndIngest(t *testing.T) {
 
 func TestRecordsSince(t *testing.T) {
 	h := NewHistogram(time.Hour)
-	h.Add("u", t0, 1)
-	h.Add("u", t0.Add(5*time.Hour), 2)
+	addOne(h, "u", t0, 1)
+	addOne(h, "u", t0.Add(5*time.Hour), 2)
 	recs := h.RecordsSince("s", t0.Add(2*time.Hour))
 	if len(recs) != 1 || recs[0].CoreSeconds != 2 {
 		t.Errorf("RecordsSince = %v", recs)
@@ -223,10 +225,10 @@ func TestRecordsSince(t *testing.T) {
 
 func TestHistogramMergeAndClone(t *testing.T) {
 	a := NewHistogram(time.Hour)
-	a.Add("u", t0, 10)
+	addOne(a, "u", t0, 10)
 	b := NewHistogram(time.Hour)
-	b.Add("u", t0, 5)
-	b.Add("v", t0, 7)
+	addOne(b, "u", t0, 5)
+	addOne(b, "v", t0, 7)
 	a.Merge(b)
 	if got := total(a, "u"); got != 15 {
 		t.Errorf("merged u = %g", got)
@@ -237,7 +239,7 @@ func TestHistogramMergeAndClone(t *testing.T) {
 	a.Merge(nil) // no-op
 
 	c := a.Clone()
-	c.Add("u", t0, 100)
+	addOne(c, "u", t0, 100)
 	if total(a, "u") != 15 {
 		t.Error("Clone shares state")
 	}
@@ -251,9 +253,9 @@ func TestHistogramConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				h.Add("u", t0.Add(time.Duration(i)*time.Second), 1)
+				addOne(h, "u", t0.Add(time.Duration(i)*time.Second), 1)
 				_ = h.DecayedTotal("u", t0.Add(time.Hour), ExponentialHalfLife{HalfLife: time.Hour})
-				_ = h.Users()
+				_ = h.UserCount()
 			}
 		}(w)
 	}
@@ -266,7 +268,7 @@ func TestHistogramConcurrentAccess(t *testing.T) {
 func TestHistogramPreEpochBinning(t *testing.T) {
 	h := NewHistogram(time.Hour)
 	old := time.Date(1969, 12, 31, 23, 30, 0, 0, time.UTC)
-	h.Add("u", old, 10)
+	addOne(h, "u", old, 10)
 	recs := h.Records("s")
 	if len(recs) != 1 {
 		t.Fatalf("records = %v", recs)
@@ -298,8 +300,8 @@ func TestIngestBatchAccumulates(t *testing.T) {
 
 func TestSetRecordsReplacesAndDeletes(t *testing.T) {
 	h := NewHistogram(time.Hour)
-	h.Add("a", t0, 100)
-	h.Add("a", t0.Add(time.Hour), 50)
+	addOne(h, "a", t0, 100)
+	addOne(h, "a", t0.Add(time.Hour), 50)
 	h.SetRecords([]Record{
 		{User: "a", IntervalStart: t0, CoreSeconds: 10},               // overwrite
 		{User: "a", IntervalStart: t0.Add(time.Hour), CoreSeconds: 0}, // delete
@@ -313,19 +315,18 @@ func TestSetRecordsReplacesAndDeletes(t *testing.T) {
 	}
 	// Deleting a user's last bin removes the user.
 	h.SetRecords([]Record{{User: "b", IntervalStart: t0, CoreSeconds: -1}})
-	us := h.Users()
-	if len(us) != 1 || us[0] != "a" {
-		t.Errorf("Users = %v, want [a]", us)
+	if n := h.UserCount(); n != 1 || total(h, "a") != 10 {
+		t.Errorf("%d users, a = %g; want only a, at 10", n, total(h, "a"))
 	}
 }
 
 func TestOutOfOrderAddsStaySorted(t *testing.T) {
 	h := NewHistogram(time.Hour)
 	// Arrive out of time order: bins must still export sorted.
-	h.Add("u", t0.Add(5*time.Hour), 5)
-	h.Add("u", t0, 1)
-	h.Add("u", t0.Add(2*time.Hour), 2)
-	h.Add("u", t0.Add(time.Hour), 3)
+	addOne(h, "u", t0.Add(5*time.Hour), 5)
+	addOne(h, "u", t0, 1)
+	addOne(h, "u", t0.Add(2*time.Hour), 2)
+	addOne(h, "u", t0.Add(time.Hour), 3)
 	recs := h.Records("s")
 	for i := 1; i < len(recs); i++ {
 		if !recs[i-1].IntervalStart.Before(recs[i].IntervalStart) {
@@ -337,21 +338,23 @@ func TestOutOfOrderAddsStaySorted(t *testing.T) {
 	}
 }
 
-func TestMergeDifferingWidthsRebins(t *testing.T) {
+// TestMergeRefusesDifferingWidths: Merge folds bin onto bin, so histograms
+// of different widths do not merge; it panics rather than mis-bin.
+func TestMergeRefusesDifferingWidths(t *testing.T) {
 	a := NewHistogram(time.Hour)
 	b := NewHistogram(30 * time.Minute)
-	b.Add("u", t0.Add(10*time.Minute), 5)
-	b.Add("u", t0.Add(40*time.Minute), 7) // different half-hour, same hour
+	addOne(b, "u", t0.Add(10*time.Minute), 5)
+	defer func() {
+		if recover() == nil {
+			t.Error("merged a 30m histogram into a 1h one")
+		}
+	}()
 	a.Merge(b)
-	recs := a.Records("s")
-	if len(recs) != 1 || recs[0].CoreSeconds != 12 {
-		t.Errorf("rebinned merge = %v, want one 12 core-second bin", recs)
-	}
 }
 
 func TestNewHistogramDefaultsWidth(t *testing.T) {
 	h := NewHistogram(0)
-	if h.BinWidth() != time.Hour {
-		t.Errorf("default width = %v", h.BinWidth())
+	if got, want := h.AlignStart(t0.Add(90*time.Minute)), t0.Add(time.Hour).Unix(); got != want {
+		t.Errorf("90 minutes in aligns to %d, want %d (hour bins)", got, want)
 	}
 }

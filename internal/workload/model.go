@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"time"
 
 	"repro/internal/dist"
@@ -42,16 +41,6 @@ type UserModel struct {
 // Model is a complete workload model: one UserModel per user group.
 type Model struct {
 	Users []UserModel
-}
-
-// User returns the model for the named user and whether it exists.
-func (m Model) User(name string) (UserModel, bool) {
-	for _, u := range m.Users {
-		if u.Name == name {
-			return u, true
-		}
-	}
-	return UserModel{}, false
 }
 
 // Validate checks that fractions are sane and distributions are present.
@@ -271,12 +260,4 @@ func (m Model) UsageFractions() map[string]float64 {
 		out[u.Name] = u.UsageFraction
 	}
 	return out
-}
-
-// SortedOffsets returns the sorted submit offsets (seconds) of all jobs of a
-// user — a convenience for the arrival-pattern figures.
-func SortedOffsets(tr *trace.Trace, user string) []float64 {
-	off := tr.SubmitOffsets(user)
-	sort.Float64s(off)
-	return off
 }

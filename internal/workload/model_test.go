@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"time"
 
@@ -73,7 +74,7 @@ func TestGenerateCalibratedUsageShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	us := trace.UsageShares(tr)
-	want := BaselineShares()
+	want := m.UsageFractions()
 	for u, w := range want {
 		if math.Abs(us[u]-w) > 0.01 {
 			t.Errorf("%s usage share = %.4f, want %.4f", u, us[u], w)
@@ -245,7 +246,8 @@ func TestBurstyShiftsU3Burst(t *testing.T) {
 	}
 	// The U3 burst must start after one third of the run: the 10th
 	// percentile of U3 arrivals should be past span/3.
-	off := SortedOffsets(tr, U3)
+	off := tr.SubmitOffsets(U3)
+	sort.Float64s(off)
 	p10 := off[len(off)/10]
 	if p10 < span.Seconds()/3 {
 		t.Errorf("U3 10th-percentile arrival at %.0fs, want after %.0fs", p10, span.Seconds()/3)
@@ -265,17 +267,6 @@ func TestBurstyUsageShares(t *testing.T) {
 		if math.Abs(us[u]-w) > 0.01 {
 			t.Errorf("%s usage share = %.4f, want %.4f", u, us[u], w)
 		}
-	}
-}
-
-func TestUserLookup(t *testing.T) {
-	m := NationalGrid2012(year)
-	u, ok := m.User(U30)
-	if !ok || u.Name != U30 {
-		t.Errorf("User(U30) = %v, %v", u.Name, ok)
-	}
-	if _, ok := m.User("ghost"); ok {
-		t.Error("unknown user found")
 	}
 }
 

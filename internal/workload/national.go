@@ -153,18 +153,6 @@ func Bursty2012(span time.Duration) Model {
 	return m
 }
 
-// BaselineShares returns the per-user usage shares of the baseline model —
-// the policy targets used when "the actual share from the workloads are used
-// as targets".
-func BaselineShares() map[string]float64 {
-	return map[string]float64{
-		U65:  u65UsageFrac,
-		U30:  u30UsageFrac,
-		U3:   u3UsageFrac,
-		UOth: uothUsageFrac,
-	}
-}
-
 // NonOptimalShares returns the deliberately skewed policy of the
 // non-optimal-policy experiment: 70% / 20% / 8% / 2%.
 func NonOptimalShares() map[string]float64 {
