@@ -3,11 +3,13 @@ package experiments
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
 
+	"repro/internal/fairshare"
 	"repro/internal/workload"
 )
 
@@ -62,14 +64,16 @@ var goldenReports = []struct {
 		if err != nil {
 			return r, err
 		}
-		// The observed U3 maximum must stay within the theoretical limit.
+		// The observed U3 maximum must stay within the theoretical limit,
+		// 0.5·(1+0.12) = 0.56 for U3's target share under the default k.
 		p := res.Priorities[workload.U3]
 		if p == nil {
 			t.Fatal("no U3 priorities")
 		}
+		bound := fairshare.MaxPriority(fairshare.DefaultConfig(), 0.12)
 		for _, v := range p.Values {
-			if v > 0.56+1e-9 {
-				t.Fatalf("U3 priority %g exceeds the 0.56 bound", v)
+			if v > bound+1e-9 {
+				t.Fatalf("U3 priority %g exceeds the %g bound", v, bound)
 			}
 		}
 		return r, err
@@ -98,7 +102,30 @@ var goldenReports = []struct {
 		}
 		return r, err
 	}},
-	{"ablationDispatch", func(t *testing.T, sc Scale) (*Report, error) { return AblationDispatch(sc) }},
+	{"ablationDispatch", func(t *testing.T, sc Scale) (*Report, error) {
+		r, err := AblationDispatch(sc)
+		if err != nil {
+			return r, err
+		}
+		// The paper: no noticeable difference between the strategies. The
+		// two share MAEs differ by at most a tenth of the smaller one
+		// (0.0017 against 0.0522 here, 3.3 %).
+		var maes []float64
+		for _, row := range r.Rows {
+			mae, err := strconv.ParseFloat(row[1], 64)
+			if err != nil {
+				t.Fatalf("row %v: %v", row, err)
+			}
+			maes = append(maes, mae)
+		}
+		if len(maes) != 2 {
+			t.Fatalf("%d dispatchers, want 2", len(maes))
+		}
+		if d, lo := math.Abs(maes[0]-maes[1]), min(maes[0], maes[1]); d > 0.1*lo {
+			t.Errorf("|Δ share MAE| = %.4f between the dispatchers, more than 10%% of %.4f", d, lo)
+		}
+		return r, err
+	}},
 	{"ablationRM", func(t *testing.T, sc Scale) (*Report, error) { return AblationRM(sc) }},
 	{"ablationHierarchy", func(t *testing.T, sc Scale) (*Report, error) { return AblationHierarchy(sc) }},
 	{"ablationBackfill", func(t *testing.T, sc Scale) (*Report, error) { return AblationBackfill(sc) }},

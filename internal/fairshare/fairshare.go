@@ -54,18 +54,55 @@ func (c Config) normalized() Config {
 // Balance returns the balance-point value (the centre of the value range).
 func (c Config) Balance() float64 { return c.normalized().Resolution / 2 }
 
-// Node is one entry of the computed fairshare tree.
-type Node struct {
+// group is one group of the computed fairshare tree: a policy node with
+// children. The tree holds groups only. A leaf is one entry of its group's
+// usage column, and no node stores a score: score computes a member's scores
+// where they are read, from the column here and the shares in the policy.
+type group struct {
+	// pol is the group's policy node, shared with the policy tree and never
+	// written: it gives every member's name, raw share and position.
+	pol *policy.Node
+	// usage[i] is the subtree usage of pol.Children[i] (for a leaf, the
+	// leaf's own usage), in whatever common scale Compute's usage map was
+	// in: decayed core-seconds, or — what the FCS feeds it under a decay
+	// that factors through time — sums at a reference instant, which differ
+	// from decayed core-seconds by one factor shared by every entry
+	// (fcs.RefreshInfo.UsageScale). Only ratios within a sibling group enter
+	// the scores, so the scale cancels. Its length is the member count.
+	usage []float64
+	// sub[i] is the group of pol.Children[i], nil where that child is a
+	// leaf; sub itself is nil when every child is one.
+	sub []*group
+	// total is usage folded left to right: the group's own subtree usage,
+	// its members' usage-share denominator.
+	total float64
+	// shareSum is the members' raw shares summed left to right. A member's
+	// normalized share is its raw share divided by shareSum iff that is
+	// positive — policy.Normalize's arithmetic, without the policy clone.
+	shareSum float64
+	// leaves counts the leaves below the group and groups the groups of its
+	// subtree, itself included, so index construction and the incremental
+	// Recalc engine can partition entry ranges without re-walking the tree.
+	leaves, groups int32
+	// gen tags groups cloned by one Recalc.Apply pass (generation numbers
+	// are process-unique), letting the engine tell this pass's mutable
+	// clones from immutable shared groups without a map. Zero on groups
+	// built by Compute.
+	gen uint64
+}
+
+// Member is one child of a group as a Tree walk reads it: the policy's name
+// and normalized share, the tree's usage, and the scores score computes from
+// them and the group's usage.
+type Member struct {
 	// Name is the policy node name.
 	Name string
+	// Leaf reports whether the member is a user rather than a group.
+	Leaf bool
 	// Share is the normalized target share within the sibling group.
 	Share float64
-	// Usage is the historical usage of the subtree, in whatever common
-	// scale Compute's usage map was in: decayed core-seconds, or — what the
-	// FCS feeds it under a decay that factors through time — sums at a
-	// reference instant, which differ from decayed core-seconds by one
-	// factor shared by every node (fcs.RefreshInfo.UsageScale). Only ratios
-	// within a sibling group enter the scores, so the scale cancels.
+	// Usage is the historical usage of the member's subtree, in Compute's
+	// usage scale (see group.usage).
 	Usage float64
 	// UsageShare is the subtree's fraction of its sibling group's usage.
 	UsageShare float64
@@ -74,89 +111,104 @@ type Node struct {
 	// Value is Priority mapped into [0, Resolution) with balance at the
 	// centre.
 	Value float64
-	// Children are the sub-entities.
-	Children []*Node
-	// leaves counts the leaves in this subtree (1 for a leaf). It is filled
-	// at build time so index construction and the incremental Recalc engine
-	// can partition entry ranges without re-walking the tree; nodes counts
-	// every node of the subtree, itself included.
-	leaves, nodes int32
-	// gen tags nodes cloned by one Recalc.Apply pass (generation numbers are
-	// process-unique), letting the engine distinguish this pass's mutable
-	// clones from immutable shared nodes without a map. Zero on nodes built
-	// by Compute.
-	gen uint64
 }
 
 // Tree is a computed fairshare tree.
 type Tree struct {
-	Root   *Node
+	root   *group
 	Config Config
 }
 
 // Compute builds the fairshare tree for a policy and per-user usage (keyed by
-// leaf user name; any common scale, see Node.Usage). This is the pre-calculation the FCS performs
-// periodically so that "no real-time calculations need to take place when
-// new jobs arrive". Large policies are built and scored in parallel across
-// the root's sibling subtrees — each sibling group is independent once its
-// parent's usage totals are fixed.
+// leaf user name; any common scale, see group.usage). This is the
+// pre-calculation the FCS performs periodically so that "no real-time
+// calculations need to take place when new jobs arrive". It allocates per
+// group, not per user, and the root's sibling subtrees build in parallel on
+// large policies. The usage fold runs left to right once a group's members
+// are built, so results are bitwise independent of scheduling.
 func Compute(p *policy.Tree, usage map[string]float64, cfg Config) *Tree {
-	cfg = cfg.normalized()
-	root := buildTree(p.Root, p.Root.Share, usage, len(usage))
-	root.Share = 1
-	root.UsageShare = 1
-	root.Priority = 0
-	root.Value = cfg.Balance()
-	scoreGroup(root, cfg)
-	par.For(int(root.nodes), len(root.Children), func(_, i int) {
-		scoreDescendants(root.Children[i], cfg)
+	root := newGroup(p.Root)
+	par.For(len(usage), len(root.usage), func(_, i int) {
+		root.build(i, usage)
 	})
-	return &Tree{Root: root, Config: cfg}
+	root.fold()
+	return &Tree{root: root, Config: cfg.normalized()}
 }
 
-// buildTree builds the scored-tree skeleton from the raw policy, normalizing
-// sibling shares inline with exactly policy.Normalize's arithmetic (each
-// child's share divided by the left-to-right sum of its group's raw shares,
-// iff that sum is positive; share is the node's own, already normalized).
-// Folding the normalization into the build avoids the full policy clone
-// Normalize performs. work is what par.For is told the children cost: the
-// population at the root, whose subtrees build in parallel on large trees,
-// zero below it. The usage fold runs left to right once the children are
-// built, so results are bitwise independent of scheduling.
-func buildTree(pn *policy.Node, share float64, usage map[string]float64, work int) *Node {
-	n := &Node{Name: pn.Name, Share: share, nodes: 1}
-	if len(pn.Children) == 0 {
-		n.Usage = usage[pn.Name]
-		n.leaves = 1
-		return n
-	}
-	var sum float64
+// newGroup returns the unbuilt group of a policy node: its columns sized and
+// its raw shares summed.
+func newGroup(pn *policy.Node) *group {
+	g := &group{pol: pn, usage: make([]float64, len(pn.Children))}
 	for _, pc := range pn.Children {
-		sum += pc.Share
-	}
-	n.Children = make([]*Node, len(pn.Children))
-	par.For(work, len(pn.Children), func(_, i int) {
-		pc := pn.Children[i]
-		cs := pc.Share
-		if sum > 0 {
-			cs = pc.Share / sum
+		g.shareSum += pc.Share
+		if len(pc.Children) > 0 && g.sub == nil {
+			g.sub = make([]*group, len(pn.Children))
 		}
-		n.Children[i] = buildTree(pc, cs, usage, 0)
-	})
-	for _, c := range n.Children {
-		n.Usage += c.Usage
-		n.leaves += c.leaves
-		n.nodes += c.nodes
 	}
-	return n
+	return g
+}
+
+// build fills member i: a leaf's usage from the usage map, or a group built
+// and folded in turn.
+func (g *group) build(i int, usage map[string]float64) {
+	pc := g.pol.Children[i]
+	if len(pc.Children) == 0 {
+		g.usage[i] = usage[pc.Name]
+		return
+	}
+	s := newGroup(pc)
+	for j := range s.usage {
+		s.build(j, usage)
+	}
+	s.fold()
+	g.sub[i] = s
+}
+
+// fold copies every sub-group's total into its column entry and re-derives
+// the group's total and counts, folding the members left to right. The full
+// build and Recalc.Apply both sum through it, which is what makes their
+// usage the same bits (adding a delta to an old sum would round differently).
+func (g *group) fold() {
+	g.total, g.leaves, g.groups = 0, 0, 1
+	for i := range g.usage {
+		if s := g.subAt(i); s != nil {
+			g.usage[i] = s.total
+			g.leaves += s.leaves
+			g.groups += s.groups
+		} else {
+			g.leaves++
+		}
+		g.total += g.usage[i]
+	}
+}
+
+// subAt returns the group of member i, nil when the member is a leaf.
+func (g *group) subAt(i int) *group {
+	if g.sub == nil {
+		return nil
+	}
+	return g.sub[i]
+}
+
+// member returns member i with its scores. Every value the package publishes
+// is read through here. cfg must be normalized.
+func (g *group) member(cfg Config, i int) Member {
+	pc := g.pol.Children[i]
+	m := Member{Name: pc.Name, Leaf: g.subAt(i) == nil, Share: pc.Share, Usage: g.usage[i]}
+	if g.shareSum > 0 {
+		m.Share = pc.Share / g.shareSum
+	}
+	m.UsageShare, m.Priority, m.Value = score(cfg, m.Share, m.Usage, g.total)
+	return m
 }
 
 // score is the fairshare formula, in one place: a node's fraction of its
 // sibling group's usage, the blend k·rel + (1−k)·abs of its two distances
 // from its target share (see the package comment), and that priority mapped
 // linearly from [−1, 1] into [0, Resolution) with 0 on the balance point.
-// Compute and Recalc.Apply both score through it, which is what makes their
-// results the same bits. cfg must be normalized.
+// The full index build, Recalc.Apply and every tree walk score through it
+// (by way of group.member), which is what makes their results the same bits.
+// cfg must be normalized.
 func score(cfg Config, share, usage, groupUsage float64) (usageShare, priority, value float64) {
 	if groupUsage > 0 {
 		usageShare = usage / groupUsage
@@ -172,22 +224,26 @@ func score(cfg Config, share, usage, groupUsage float64) (usageShare, priority, 
 	return usageShare, priority, math.Max(0, math.Min(cfg.Resolution-1e-9, v))
 }
 
-// scoreGroup scores n's immediate children (one sibling group), without
-// recursing. The group's usage is n.Usage, which every builder folds left to
-// right over the children.
-func scoreGroup(n *Node, cfg Config) {
-	for _, c := range n.Children {
-		c.UsageShare, c.Priority, c.Value = score(cfg, c.Share, c.Usage, n.Usage)
+// Walk calls fn on every group of the tree, parents before their children
+// and siblings in policy order: path is the group's "/"-joined names below
+// the root ("" for the root), usage its subtree usage, and members its
+// children, scored. members is scratch that the next call overwrites.
+func (t *Tree) Walk(fn func(path string, usage float64, members []Member)) {
+	var members []Member
+	var walk func(g *group, path string)
+	walk = func(g *group, path string) {
+		members = members[:0]
+		for i := range g.usage {
+			members = append(members, g.member(t.Config, i))
+		}
+		fn(path, g.total, members)
+		for i, s := range g.sub {
+			if s != nil {
+				walk(s, path+"/"+g.pol.Children[i].Name)
+			}
+		}
 	}
-}
-
-// scoreDescendants scores every sibling group in n's subtree, including n's
-// own children.
-func scoreDescendants(n *Node, cfg Config) {
-	scoreGroup(n, cfg)
-	for _, c := range n.Children {
-		scoreDescendants(c, cfg)
-	}
+	walk(t.root, "")
 }
 
 // Vector extracts the fairshare vector of a user: the node values along the
@@ -199,17 +255,19 @@ func (t *Tree) Vector(user string) (vector.Vector, bool) {
 
 // Depth returns the maximum leaf depth below the root.
 func (t *Tree) Depth() int {
-	var walk func(n *Node) int
-	walk = func(n *Node) int {
+	var depth func(g *group) int
+	depth = func(g *group) int {
 		best := 0
-		for _, c := range n.Children {
-			if d := walk(c) + 1; d > best {
-				best = d
+		for i := range g.usage {
+			d := 1
+			if s := g.subAt(i); s != nil {
+				d += depth(s)
 			}
+			best = max(best, d)
 		}
 		return best
 	}
-	return walk(t.Root)
+	return depth(t.root)
 }
 
 // Entries returns one projection entry per leaf user: vector plus the
@@ -218,54 +276,67 @@ func (t *Tree) Depth() int {
 // retain or mutate entries freely.
 func (t *Tree) Entries() []vector.Entry {
 	var out []vector.Entry
-	walkLeaves(t.Root, func(n *Node, w *leafWalk) {
+	t.walkLeaves(func(m Member, w *leafWalk) bool {
 		out = append(out, vector.Entry{
-			User:       n.Name,
+			User:       m.Name,
 			Vec:        w.vec.Clone(),
 			PathShares: append([]float64(nil), w.shares...),
 			PathUsage:  append([]float64(nil), w.usages...),
 		})
+		return false
 	})
 	return out
 }
 
 // leafWalk is the path state of a depth-first walk over a tree's leaves: the
 // values, target shares and usage shares from the first level below the root
-// down to the current node, and the child index taken at each of those
+// down to the current member, and the child index taken at each of those
 // levels. The slices are scratch stacks reused across leaves — a visitor must
 // copy anything it retains — and one explicit push/pop stack per quantity is
 // what keeps the walk safe by construction (a per-call `append(vec, …)`
 // shares backing arrays across sibling iterations).
 type leafWalk struct {
+	cfg            Config
 	vec            vector.Vector
 	shares, usages []float64
 	path           []int32
 }
 
-// descend steps into parent's i-th child and calls fn on every leaf below it
-// (on the child itself when it is one), in DFS order.
-func (w *leafWalk) descend(parent *Node, i int, fn func(leaf *Node, w *leafWalk)) {
-	c := parent.Children[i]
-	w.vec = append(w.vec, c.Value)
-	w.shares = append(w.shares, c.Share)
-	w.usages = append(w.usages, c.UsageShare)
+// descend steps into g's i-th member and calls fn on every leaf below it (on
+// the member itself when it is a leaf), in DFS order, until fn returns true.
+// It reports whether fn did; the stacks then still hold the path to that
+// leaf.
+func (w *leafWalk) descend(g *group, i int, fn func(leaf Member, w *leafWalk) bool) bool {
+	m := g.member(w.cfg, i)
+	w.vec = append(w.vec, m.Value)
+	w.shares = append(w.shares, m.Share)
+	w.usages = append(w.usages, m.UsageShare)
 	w.path = append(w.path, int32(i))
-	if len(c.Children) == 0 {
-		fn(c, w)
-	}
-	for j := range c.Children {
-		w.descend(c, j, fn)
+	if s := g.subAt(i); s == nil {
+		if fn(m, w) {
+			return true
+		}
+	} else {
+		for j := range s.usage {
+			if w.descend(s, j, fn) {
+				return true
+			}
+		}
 	}
 	d := len(w.vec) - 1
 	w.vec, w.shares, w.usages, w.path = w.vec[:d], w.shares[:d], w.usages[:d], w.path[:d]
+	return false
 }
 
 // walkLeaves visits every leaf below the root in DFS order (a childless root
-// has none). The index fills each top-level subtree with its own leafWalk.
-func walkLeaves(root *Node, fn func(leaf *Node, w *leafWalk)) {
-	var w leafWalk
-	for i := range root.Children {
-		w.descend(root, i, fn)
+// has none) until fn returns true. The index fills each top-level subtree
+// with its own leafWalk.
+func (t *Tree) walkLeaves(fn func(leaf Member, w *leafWalk) bool) {
+	w := leafWalk{cfg: t.Config}
+	for i := range t.root.usage {
+		if w.descend(t.root, i, fn) {
+			return
+		}
 	}
 }
 
@@ -274,9 +345,10 @@ func walkLeaves(root *Node, fn func(leaf *Node, w *leafWalk)) {
 // tree. Duplicate leaf names are harmless: Compute feeds every same-named
 // leaf the same usage value, so the map is well-defined.
 func (t *Tree) UsageByLeaf() map[string]float64 {
-	out := make(map[string]float64, leafCount(t.Root))
-	walkLeaves(t.Root, func(n *Node, _ *leafWalk) {
-		out[n.Name] = n.Usage
+	out := make(map[string]float64, t.root.leaves)
+	t.walkLeaves(func(m Member, _ *leafWalk) bool {
+		out[m.Name] = m.Usage
+		return false
 	})
 	return out
 }
@@ -299,25 +371,14 @@ func (t *Tree) LeafPriority(user string) (float64, bool) {
 // leaf, in DFS order, named user, from one tree walk that stops there. (The
 // FCS serves from the Index; this is the reference the index is pinned to.)
 func (t *Tree) Lookup(user string) (vec vector.Vector, prio float64, ok bool) {
-	var walk func(n *Node) bool
-	walk = func(n *Node) bool {
-		if len(n.Children) == 0 {
-			prio = n.Priority
-			return n.Name == user && len(vec) > 0 // a childless root is no user
+	t.walkLeaves(func(m Member, w *leafWalk) bool {
+		if m.Name != user {
+			return false
 		}
-		for _, c := range n.Children {
-			vec = append(vec, c.Value)
-			if walk(c) {
-				return true
-			}
-			vec = vec[:len(vec)-1]
-		}
-		return false
-	}
-	if !walk(t.Root) {
-		return nil, 0, false
-	}
-	return vec, prio, true
+		vec, prio, ok = w.vec, m.Priority, true
+		return true
+	})
+	return vec, prio, ok
 }
 
 // MaxPriority returns the theoretical maximum leaf priority for a user with

@@ -164,16 +164,13 @@ func TestVectorDepthAndPadding(t *testing.T) {
 func TestValuesWithinResolution(t *testing.T) {
 	p := figure3Policy(t)
 	ft := Compute(p, map[string]float64{"u1": 1000, "hq": 1}, DefaultConfig())
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		if n.Value < 0 || n.Value >= 10000 {
-			t.Errorf("node %s value %g outside [0,10000)", n.Name, n.Value)
+	ft.Walk(func(path string, _ float64, members []Member) {
+		for _, m := range members {
+			if m.Value < 0 || m.Value >= 10000 {
+				t.Errorf("node %s/%s value %g outside [0,10000)", path, m.Name, m.Value)
+			}
 		}
-		for _, c := range n.Children {
-			walk(c)
-		}
-	}
-	walk(ft.Root)
+	})
 }
 
 func TestZeroGroupUsageGivesFullPriority(t *testing.T) {

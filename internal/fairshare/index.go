@@ -112,14 +112,15 @@ type Index struct {
 	target []float64
 	// path holds every entry's child indexes from the root down to its leaf,
 	// flattened per offs like shares (level 0 is the entry's segment): how
-	// Recalc finds a leaf's node in whatever tree has this shape.
+	// Recalc finds a leaf's group and column entry in whatever tree has this
+	// shape.
 	path []int32
 	// segs[s] is segment s's leaf range; segOf[i] is the segment of entry i.
 	segs  []segMeta
 	segOf []int32
 
 	// headVec/headUsage intern each segment's level-0 vector element and
-	// usage share (the root child's scored Value/UsageShare); tails hold the
+	// usage share (the root member's Value/UsageShare); tails hold the
 	// deeper levels. Together they are the per-snapshot value half.
 	headVec   []float64
 	headUsage []float64
@@ -150,17 +151,16 @@ type Index struct {
 // NewIndex builds the segmented index for a computed tree: one segment per
 // top-level child, with the child's scored values interned as the segment
 // head. Every tree size runs the same code — the segments are filled through
-// par.For (their arena ranges are disjoint, and the per-node leaf counts
+// par.For (their arena ranges are disjoint, and the per-group leaf counts
 // cached at build time give exact offsets), then the stripe maps are built
 // from the filled name column — so the result cannot depend on the core count.
 func NewIndex(t *Tree) *Index {
-	root := t.Root
-	n := leafCount(root)
+	n := int(t.root.leaves)
 	ix := &Index{}
-	bases := ix.initLayout(root, n)
+	bases := ix.initLayout(t.root, n)
 	stripe := make([]uint8, n) // stripe[i] = par.Stripe(users[i], indexStripes)
-	par.For(n, len(root.Children), func(_, s int) {
-		ix.fillSegment(root, s, bases, stripe)
+	par.For(n, len(t.root.usage), func(_, s int) {
+		ix.fillSegment(t, s, bases, stripe)
 	})
 	ix.buildStripes(stripe)
 	return ix
@@ -173,8 +173,8 @@ func NewIndex(t *Tree) *Index {
 // total arena size) — passed around explicitly rather than read back out of
 // offs, so parallel segment fills never read a boundary offset another
 // goroutine is writing.
-func (ix *Index) initLayout(root *Node, n int) []int32 {
-	S := len(root.Children)
+func (ix *Index) initLayout(root *group, n int) []int32 {
+	S := len(root.usage)
 	ix.users = make([]string, n)
 	ix.offs = make([]int32, n+1)
 	ix.target = make([]float64, n)
@@ -186,10 +186,14 @@ func (ix *Index) initLayout(root *Node, n int) []int32 {
 	ix.comp = newComposed(n)
 	bases := make([]int32, S+1)
 	lo := int32(0)
-	for s, c := range root.Children {
-		bases[s+1] = bases[s] + int32(subtreeDepthSum(c, 1))
-		ix.segs[s] = segMeta{lo: lo, hi: lo + c.leaves}
-		lo += c.leaves
+	for s := range root.usage {
+		leaves, span := int32(1), int32(1) // a leaf member: one entry, one level deep
+		if c := root.subAt(s); c != nil {
+			leaves, span = c.leaves, int32(depthSum(c, 2))
+		}
+		bases[s+1] = bases[s] + span
+		ix.segs[s] = segMeta{lo: lo, hi: lo + leaves}
+		lo += leaves
 	}
 	ix.shares = make([]float64, bases[S])
 	ix.path = make([]int32, bases[S])
@@ -199,7 +203,8 @@ func (ix *Index) initLayout(root *Node, n int) []int32 {
 // fillSegment walks the root's s-th subtree and writes segment s's slice of
 // the identity arenas (users, offs, shares, target, path, segOf) plus its
 // head and a freshly allocated tail, and each leaf's stripe id into stripe.
-func (ix *Index) fillSegment(root *Node, s int, bases []int32, stripe []uint8) {
+// The scores come from the walk, which computes them as it goes.
+func (ix *Index) fillSegment(t *Tree, s int, bases []int32, stripe []uint8) {
 	m := ix.segs[s]
 	nLeaves := int(m.hi - m.lo)
 	ai := int(bases[s]) // full-depth arena cursor
@@ -210,11 +215,12 @@ func (ix *Index) fillSegment(root *Node, s int, bases []int32, stripe []uint8) {
 		leafPrio: make([]float64, nLeaves),
 	}
 	ix.tails[s] = tail
-	ix.headVec[s] = root.Children[s].Value
-	ix.headUsage[s] = root.Children[s].UsageShare
+	head := t.root.member(t.Config, s)
+	ix.headVec[s], ix.headUsage[s] = head.Value, head.UsageShare
 	pos := int(m.lo)
 	ti := 0
-	new(leafWalk).descend(root, s, func(nd *Node, w *leafWalk) {
+	w := leafWalk{cfg: t.Config}
+	w.descend(t.root, s, func(leaf Member, w *leafWalk) bool {
 		d := len(w.vec)
 		copy(ix.shares[ai:ai+d], w.shares)
 		copy(ix.path[ai:ai+d], w.path)
@@ -227,12 +233,13 @@ func (ix *Index) fillSegment(root *Node, s int, bases []int32, stripe []uint8) {
 		copy(tail.usage[ti:ti+d-1], w.usages[1:])
 		ti += d - 1
 		ai += d
-		ix.users[pos] = nd.Name
-		stripe[pos] = uint8(par.Stripe(nd.Name, indexStripes))
-		tail.leafPrio[pos-int(m.lo)] = nd.Priority
+		ix.users[pos] = leaf.Name
+		stripe[pos] = uint8(par.Stripe(leaf.Name, indexStripes))
+		tail.leafPrio[pos-int(m.lo)] = leaf.Priority
 		ix.offs[pos+1] = int32(ai)
 		ix.segOf[pos] = int32(s)
 		pos++
+		return false
 	})
 }
 
@@ -281,42 +288,37 @@ func (ix *Index) buildStripes(stripe []uint8) {
 	}
 }
 
-// subtreeDepthSum returns the summed root-to-leaf path length over every
-// leaf of the subtree, with the subtree's own node at the given level — the
-// arena space the subtree's entries occupy.
-func subtreeDepthSum(n *Node, level int) int {
-	if len(n.Children) == 0 {
-		return level
-	}
-	s := 0
-	for _, c := range n.Children {
-		s += subtreeDepthSum(c, level+1)
-	}
-	return s
-}
-
-// leafCount returns the number of index entries a tree yields: the cached
-// per-subtree leaf counts summed over the root's children (a childless root
-// produces no entries, matching walkLeaves).
-func leafCount(root *Node) int {
-	n := 0
-	for _, c := range root.Children {
-		n += int(c.leaves)
-	}
-	return n
-}
-
-// leaf returns the node of index entry pos in the tree rooted at root, which
-// must have the shape the index was built from (nil where it does not).
-func (ix *Index) leaf(root *Node, pos int32) *Node {
-	n := root
-	for _, ci := range ix.path[ix.offs[pos]:ix.offs[pos+1]] {
-		if int(ci) >= len(n.Children) {
-			return nil
+// depthSum returns the summed root-to-leaf path length over every leaf
+// below g, with g's members at the given level — the arena space the
+// subtree's entries occupy.
+func depthSum(g *group, level int) int {
+	sum := 0
+	for i := range g.usage {
+		if s := g.subAt(i); s != nil {
+			sum += depthSum(s, level+1)
+		} else {
+			sum += level
 		}
-		n = n.Children[ci]
 	}
-	return n
+	return sum
+}
+
+// leafGroup returns the group holding index entry pos in the tree rooted at
+// root and the entry's member index there. The tree must have the shape the
+// index was built from; where it does not, leafGroup returns nil.
+func (ix *Index) leafGroup(root *group, pos int32) (*group, int) {
+	g := root
+	path := ix.path[ix.offs[pos]:ix.offs[pos+1]]
+	for _, ci := range path[:len(path)-1] {
+		if int(ci) >= len(g.usage) || g.subAt(int(ci)) == nil {
+			return nil, 0
+		}
+		g = g.sub[ci]
+	}
+	if ci := int(path[len(path)-1]); ci < len(g.usage) && g.subAt(ci) == nil {
+		return g, ci
+	}
+	return nil, 0
 }
 
 // withValues returns the index of a tree of the same shape with other values:

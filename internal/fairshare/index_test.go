@@ -267,7 +267,7 @@ func TestIndexBuildIndependentOfCores(t *testing.T) {
 				refTree, ref = tree, ix
 				continue
 			}
-			compareNodes(t, tree.Root, refTree.Root, "")
+			compareTrees(t, tree, refTree)
 			for _, c := range []struct {
 				name      string
 				got, want any
@@ -344,12 +344,12 @@ func TestIndexPathReachesLeaf(t *testing.T) {
 	}{{tree, ix}, {tree2, ix2}} {
 		want := c.tree.UsageByLeaf()
 		for i := 0; i < c.ix.Len(); i++ {
-			leaf := c.ix.leaf(c.tree.Root, int32(i))
-			if leaf == nil || len(leaf.Children) != 0 || leaf.Name != c.ix.User(i) {
-				t.Fatalf("entry %d (%s): path leads to %+v", i, c.ix.User(i), leaf)
+			g, ci := c.ix.leafGroup(c.tree.root, int32(i))
+			if g == nil || g.pol.Children[ci].Name != c.ix.User(i) {
+				t.Fatalf("entry %d (%s): path leads to %+v member %d", i, c.ix.User(i), g, ci)
 			}
-			if math.Float64bits(leaf.Usage) != math.Float64bits(want[leaf.Name]) {
-				t.Fatalf("entry %d (%s): usage %v, UsageByLeaf %v", i, leaf.Name, leaf.Usage, want[leaf.Name])
+			if math.Float64bits(g.usage[ci]) != math.Float64bits(want[c.ix.User(i)]) {
+				t.Fatalf("entry %d (%s): usage %v, UsageByLeaf %v", i, c.ix.User(i), g.usage[ci], want[c.ix.User(i)])
 			}
 		}
 	}

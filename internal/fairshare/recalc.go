@@ -11,7 +11,7 @@ import (
 	"repro/internal/par"
 )
 
-// recalcGen issues process-unique clone-generation numbers, so nodes cloned
+// recalcGen issues process-unique clone-generation numbers, so groups cloned
 // by one engine can never be mistaken for another engine's (or another
 // pass's) clones, even when trees are handed between engines.
 var recalcGen atomic.Uint64
@@ -19,40 +19,41 @@ var recalcGen atomic.Uint64
 // Recalc is a persistent incremental recomputation engine: it keeps the
 // previously computed Tree/Index pair and turns a usage delta set into a new
 // snapshot in O(dirty·depth) tree work instead of a full O(users) rebuild.
-// It owns no per-leaf table of its own: a leaf's position, root-to-leaf path
-// and current usage are read from the pair (Index.positions, Index.path, the
-// leaf's Node).
+// It owns no per-leaf table of its own: a leaf's position and root-to-leaf
+// path are read from the index, and its usage from its group's column in the
+// tree, the one holder of usage.
 //
 // The produced snapshots are immutable and structurally share everything a
-// delta does not touch: nodes off the dirty paths, the index's stripe maps
+// delta does not touch: groups off the dirty paths, the index's stripe maps
 // and duplicate tables, every entry's name and target-share slice, and —
 // through the index's segmented value half — the entire suffix arenas of
-// top-level subtrees with no dirty leaf. Only the dirty root-to-leaf spines
-// are cloned (copy-on-write), and only sibling groups containing a dirty
-// node are rescored. Any delta still shifts the root group's usage
-// denominator, changing every top-level sibling's scored fields — but those
-// values are interned once per segment head, so absorbing the shift costs
-// two floats per segment instead of a per-leaf prefix rewrite. Segment
-// tails of dirty subtrees are re-materialized (flat copy plus sparse
-// overwrites, fanned out through par.For when the dirty population is
-// large); clean subtrees re-publish as pointer copies. That takes the
-// per-refresh materialization floor from O(users·depth) to
+// top-level subtrees with no dirty leaf. Only the groups on dirty
+// root-to-leaf paths are cloned (copy-on-write, with their usage columns).
+// The tree stores no scores, so nothing else is: the scores a delta changes
+// are computed while the dirty segments' tails are written. Any delta still
+// shifts the root group's usage denominator, changing every top-level
+// member's scores — but those values are interned once per segment head, so
+// absorbing the shift costs two floats per segment instead of a per-leaf
+// prefix rewrite. Segment tails of dirty subtrees are re-materialized (flat
+// copy plus sparse overwrites, fanned out through par.For when the dirty
+// population is large); clean subtrees re-publish as pointer copies. That
+// takes the per-refresh floor from O(users·depth) to
 // O(dirty·depth + segments).
 //
 // All outputs are bit-identical to a from-scratch Compute+NewIndex over the
-// merged usage map: usage sums are re-folded left-to-right in the exact
-// child order of the full build (never adjusted by ±delta, which would
-// change float rounding), scoring calls the same score function, and interned
-// heads hold the very same floats the flat arenas used to.
+// merged usage map: usage sums are re-folded left-to-right by the build's own
+// fold (never adjusted by ±delta, which would change float rounding), and
+// every score comes from the same score function by way of group.member, on
+// the same inputs.
 //
 // A Recalc is NOT safe for concurrent use; the FCS drives it under its
 // refresh mutex. Published snapshots remain safe for lock-free readers:
-// Apply only ever writes to freshly cloned nodes and freshly allocated
+// Apply only ever writes to freshly cloned groups and freshly allocated
 // segment tails.
 type Recalc struct {
 	tree  *Tree
 	index *Index
-	// gen is the clone-generation number of the current Apply pass: a node
+	// gen is the clone-generation number of the current Apply pass: a group
 	// with this gen is one of the pass's own (mutable) clones.
 	gen uint64
 	// posBuf is scratch for single-position lookups.
@@ -60,7 +61,7 @@ type Recalc struct {
 	// dirtyBuf/spineBuf are scratch slices reused across Apply calls so
 	// steady-state refreshes don't reallocate them.
 	dirtyBuf []dirtyLeaf
-	spineBuf []spineNode
+	spineBuf []spineGroup
 	// segMark/dirtySegBuf track which segments this pass dirtied: a segment
 	// s with segMark[s] == gen needs its tail re-materialized. Generation
 	// tags make clearing free.
@@ -74,10 +75,10 @@ type dirtyLeaf struct {
 	val float64
 }
 
-// spineNode is one cloned internal node and its depth (root = 0), used to
-// order the bottom-up usage re-fold.
-type spineNode struct {
-	n     *Node
+// spineGroup is one cloned group and its depth (root = 0), used to order the
+// bottom-up usage re-fold.
+type spineGroup struct {
+	g     *group
 	depth int32
 }
 
@@ -86,9 +87,7 @@ type RecalcStats struct {
 	// DirtyLeaves is the number of leaves whose usage actually changed
 	// (bitwise) — no-op deltas and unknown users are dropped.
 	DirtyLeaves int
-	// DirtyGroups is the number of sibling groups rescored.
-	DirtyGroups int
-	// ClonedNodes is the number of tree nodes copied; the remaining
+	// ClonedNodes is the number of tree groups copied; the remaining
 	// SharedNodes are pointer-shared with the previous snapshot's tree.
 	ClonedNodes int
 	SharedNodes int
@@ -100,11 +99,10 @@ type RecalcStats struct {
 	MaterializedSegments int
 	SharedSegments       int
 	// Per-phase wall time: FoldDuration covers delta resolution, spine
-	// cloning and the bottom-up usage re-fold (phases 1–3); RescoreDuration
-	// covers sibling-group rescoring (phase 4); MaterializeDuration covers
-	// segment re-materialization and index assembly (phase 5).
+	// cloning and the bottom-up usage re-fold; MaterializeDuration covers
+	// scoring the dirty groups into the segment heads and tails, and index
+	// assembly.
 	FoldDuration        time.Duration
-	RescoreDuration     time.Duration
 	MaterializeDuration time.Duration
 }
 
@@ -121,11 +119,14 @@ func (r *Recalc) Reset(t *Tree, ix *Index) {
 	r.tree, r.index = t, ix
 }
 
-// clone returns this pass's mutable copy of n, with its own Children slice
-// (the children may be swapped for clones in turn).
-func (r *Recalc) clone(n *Node) *Node {
-	c := *n
-	c.Children = append([]*Node(nil), n.Children...)
+// clone returns this pass's mutable copy of g, with its own usage column and
+// sub-group slice (the sub-groups may be swapped for clones in turn).
+func (r *Recalc) clone(g *group) *group {
+	c := *g
+	c.usage = append([]float64(nil), g.usage...)
+	if g.sub != nil {
+		c.sub = append([]*group(nil), g.sub...)
+	}
 	c.gen = r.gen
 	return &c
 }
@@ -146,9 +147,9 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 	if r.tree == nil || r.index == nil {
 		return nil, nil, st, errors.New("fairshare: Recalc not initialized")
 	}
-	old, oldRoot := r.index, r.tree.Root
+	old, oldRoot := r.index, r.tree.root
 	st.TotalLeaves = old.Len()
-	if leaves := leafCount(oldRoot); leaves != old.Len() {
+	if leaves := int(oldRoot.leaves); leaves != old.Len() {
 		return nil, nil, st, fmt.Errorf("fairshare: Recalc tree/index mismatch (%d leaves vs %d entries)",
 			leaves, old.Len())
 	}
@@ -163,17 +164,18 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 		}
 	}
 
-	// Phase 2: drop bitwise no-ops and clone, copy-on-write, the root-to-leaf
-	// spine of every leaf that is left. The no-op test reads the leaf's own
-	// Usage, reached by the pointers the cloning follows a moment later, so a
-	// listed leaf costs one descent and the engine keeps no usage column.
-	// Clones are tagged with this pass's generation number so later phases
-	// can tell them from immutable shared nodes without a map.
+	// Phase 2: drop bitwise no-ops and clone, copy-on-write, the groups on
+	// the root-to-leaf path of every leaf that is left, then write the
+	// leaf's usage into its (cloned) group's column. The no-op test reads
+	// that column entry, reached by the pointers the cloning follows a
+	// moment later, so a listed leaf costs one descent. Clones are tagged
+	// with this pass's generation number so later phases can tell them from
+	// immutable shared groups without a map.
 	r.gen = recalcGen.Add(1)
 	cfg := r.tree.Config
 	newRoot := oldRoot // this pass's clone of it from the first dirty leaf on
-	// Position order is the order the build allocated the leaves' nodes in,
-	// so the descents below move forwards through memory, not at random.
+	// Position order is the order the build allocated the groups in, so the
+	// descents below move forwards through memory, not at random.
 	slices.SortFunc(listed, func(a, b dirtyLeaf) int { return int(a.pos) - int(b.pos) })
 	dirty := listed[:0]
 	spine := r.spineBuf[:0]
@@ -186,113 +188,95 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 		r.spineBuf = spine[:0]
 	}()
 	for _, d := range listed {
-		leaf := old.leaf(newRoot, d.pos)
-		if leaf == nil {
-			return nil, nil, st, fmt.Errorf("fairshare: entry %d (%s) has no node in the tree", d.pos, old.users[d.pos])
+		g, ci := old.leafGroup(newRoot, d.pos)
+		if g == nil {
+			return nil, nil, st, fmt.Errorf("fairshare: entry %d (%s) has no leaf in the tree", d.pos, old.users[d.pos])
 		}
-		if sameBits(leaf.Usage, d.val) {
+		if sameBits(g.usage[ci], d.val) {
 			continue
 		}
 		dirty = append(dirty, d)
 		if newRoot == oldRoot {
 			newRoot = r.clone(oldRoot)
-			spine = append(spine, spineNode{newRoot, 0})
+			spine = append(spine, spineGroup{newRoot, 0})
 			st.ClonedNodes++
 		}
-		n := newRoot
-		for k, ci := range old.path[old.offs[d.pos]:old.offs[d.pos+1]] {
-			ch := n.Children[ci]
-			if ch.gen != r.gen {
-				ch = r.clone(ch)
-				if len(ch.Children) > 0 {
-					spine = append(spine, spineNode{ch, int32(k + 1)})
-				}
-				n.Children[ci] = ch
+		g = newRoot
+		path := old.path[old.offs[d.pos]:old.offs[d.pos+1]]
+		for k, ci := range path[:len(path)-1] {
+			s := g.sub[ci]
+			if s.gen != r.gen {
+				s = r.clone(s)
+				spine = append(spine, spineGroup{s, int32(k + 1)})
+				g.sub[ci] = s
 				st.ClonedNodes++
 			}
-			n = ch
+			g = s
 		}
-		n.Usage = d.val // n is the cloned dirty leaf
+		g.usage[ci] = d.val // g is the leaf's cloned group
 	}
 	r.dirtyBuf = dirty
 	if len(dirty) == 0 {
 		return r.tree, r.index, st, nil
 	}
 	st.DirtyLeaves = len(dirty)
+	st.SharedNodes = int(oldRoot.groups) - st.ClonedNodes
 
-	// Phase 3: re-sum cloned internals' subtree usage bottom-up, folding
-	// children left-to-right exactly like the full build (adding deltas to
-	// the old sums would change float rounding and break bit-identity).
-	// Deeper spines first so parents always fold final child values; nodes
-	// at equal depth are independent, so the unstable sort is fine.
-	slices.SortFunc(spine, func(a, b spineNode) int { return int(b.depth) - int(a.depth) })
-	for _, sn := range spine {
-		var u float64
-		for _, c := range sn.n.Children {
-			u += c.Usage
-		}
-		sn.n.Usage = u
+	// Phase 3: re-fold cloned groups bottom-up with the build's own fold.
+	// Deeper groups first so parents always fold final sub-group totals;
+	// groups at equal depth are independent, so the unstable sort is fine.
+	slices.SortFunc(spine, func(a, b spineGroup) int { return int(b.depth) - int(a.depth) })
+	for _, sg := range spine {
+		sg.g.fold()
 	}
 	foldDone := time.Now()
 
-	// Phase 4: rescore exactly the sibling groups that contain a dirty
-	// node. Off-path siblings whose scored fields change (they share the
-	// dirty group's usage denominator) are value-cloned shallowly — their
-	// Children slice is shared, because nothing below them changed.
-	for _, sn := range spine {
-		r.scoreGroupCOW(sn.n, cfg, &st)
-	}
-	st.SharedNodes = int(oldRoot.nodes) - st.ClonedNodes
-	rescoreDone := time.Now()
-
-	// Phase 5: re-materialize the value half of the index along the segment
+	// Phase 4: re-materialize the value half of the index along the segment
 	// seam. Every snapshot gets fresh interned heads (the root usage
-	// denominator shifted, so every top-level child's scored values may have
+	// denominator shifted, so every top-level member's scores may have
 	// changed — two floats per segment absorb that). Tail arenas rebuild
 	// only for segments containing a dirty leaf, fanned out through par.For
 	// when the dirty population is large; every other segment's tail is
 	// re-published as a pointer copy, with no per-leaf work at all.
 	S := len(old.segs)
-	if len(newRoot.Children) != S {
+	if len(newRoot.usage) != S {
 		return nil, nil, st, fmt.Errorf("fairshare: tree has %d top-level subtrees, index has %d segments",
-			len(newRoot.Children), S)
+			len(newRoot.usage), S)
 	}
 	if len(r.segMark) != S {
 		r.segMark = make([]uint64, S)
 	}
 	dirtySegs := r.dirtySegBuf[:0]
 	work := 0 // dirty-segment leaf population, for the parallelism gate
-	for _, d := range dirty {
-		s := old.segOf[d.pos]
+	mark := func(s int32) {
 		if r.segMark[s] != r.gen {
 			r.segMark[s] = r.gen
 			dirtySegs = append(dirtySegs, s)
 			work += int(old.segs[s].hi - old.segs[s].lo)
 		}
 	}
-	// A leaf hanging directly off the root keeps its raw priority in its
-	// segment's tail, and the root rescore may have changed it even when the
-	// leaf's own usage did not — re-materialize such segments too.
-	for s, c := range newRoot.Children {
-		if len(c.Children) == 0 && c.gen == r.gen && r.segMark[s] != r.gen {
-			r.segMark[s] = r.gen
-			dirtySegs = append(dirtySegs, int32(s))
-			work++
+	for _, d := range dirty {
+		mark(old.segOf[d.pos])
+	}
+	headVec := make([]float64, S)
+	headUsage := make([]float64, S)
+	for s := range newRoot.usage {
+		m := newRoot.member(cfg, s)
+		headVec[s], headUsage[s] = m.Value, m.UsageShare
+		// A leaf hanging directly off the root keeps its raw priority in its
+		// segment's tail, and the root's new usage may have changed it even
+		// when the leaf's own usage did not.
+		if m.Leaf && !r.tailHolds(int32(s), m.Priority) {
+			mark(int32(s))
 		}
 	}
 	r.dirtySegBuf = dirtySegs
 
-	headVec := make([]float64, S)
-	headUsage := make([]float64, S)
 	tails := make([]*segTail, S)
 	copy(tails, old.tails)
-	for s, c := range newRoot.Children {
-		headVec[s] = c.Value
-		headUsage[s] = c.UsageShare
-	}
 	par.For(work, len(dirtySegs), func(_, k int) {
 		s := dirtySegs[k]
-		tails[s] = r.rebuildSeg(s, newRoot.Children[s])
+		tails[s] = r.rebuildSeg(newRoot, s)
 	})
 	for _, s := range dirtySegs {
 		if tails[s] == nil {
@@ -304,24 +288,32 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 	st.SharedSegments = S - len(dirtySegs)
 
 	// Commit: adopt the new state.
-	newTree := &Tree{Root: newRoot, Config: cfg}
+	newTree := &Tree{root: newRoot, Config: cfg}
 	newIndex := old.withValues(headVec, headUsage, tails)
 	r.tree, r.index = newTree, newIndex
 	st.FoldDuration = foldDone.Sub(start)
-	st.RescoreDuration = rescoreDone.Sub(foldDone)
-	st.MaterializeDuration = time.Since(rescoreDone)
+	st.MaterializeDuration = time.Since(foldDone)
 	return newTree, newIndex, st, nil
+}
+
+// tailHolds reports whether segment s is one leaf whose published raw
+// priority is prio, bitwise.
+func (r *Recalc) tailHolds(s int32, prio float64) bool {
+	m := r.index.segs[s]
+	return m.hi-m.lo == 1 && sameBits(r.index.tails[s].leafPrio[0], prio)
 }
 
 // rebuildSeg re-materializes one dirty segment's tail: a flat copy of the
 // previous tail (shared suffixes come along for free) followed by a walk of
-// the segment's subtree that overwrites only what changed, pruning at shared
-// (un-cloned) subtrees — their contiguous leaf ranges get just the changed
-// ancestor prefix written. Safe to call from several goroutines for
+// the segment's subtree that scores the members of every cloned group and
+// overwrites only what changed, pruning at shared (un-cloned) sub-groups —
+// their contiguous leaf ranges get just the rescored prefix down to the
+// sub-group's own level written. Safe to call from several goroutines for
 // different segments: it reads only immutable engine state and writes only
 // the fresh tail. It returns nil when the subtree's leaves are not the ones
 // the index holds for the segment (the tree changed shape behind the engine).
-func (r *Recalc) rebuildSeg(s int32, c *Node) *segTail {
+func (r *Recalc) rebuildSeg(root *group, s int32) *segTail {
+	cfg := r.tree.Config
 	old := r.index
 	m := old.segs[s]
 	lo, hi := int(m.lo), int(m.hi)
@@ -334,65 +326,77 @@ func (r *Recalc) rebuildSeg(s int32, c *Node) *segTail {
 	copy(nt.vec, ot.vec)
 	copy(nt.usage, ot.usage)
 	copy(nt.leafPrio, ot.leafPrio)
-	if len(c.Children) == 0 {
-		// The top-level child is itself a leaf: the segment has no tail
+	c := root.subAt(int(s))
+	if c == nil {
+		// The top-level member is itself a leaf: the segment has no tail
 		// levels, only the raw priority.
 		if hi-lo != 1 {
 			return nil
 		}
-		nt.leafPrio[0] = c.Priority
+		nt.leafPrio[0] = root.member(cfg, int(s)).Priority
 		return nt
 	}
 	base := int(old.offs[lo])
 	pos := lo
 	ok := true
+	// tail returns where entry i's tail starts in the segment's arenas and
+	// how many levels it holds.
+	tail := func(i int) (off, levels int) {
+		return int(old.offs[i]) - base - (i - lo), int(old.offs[i+1]-old.offs[i]) - 1
+	}
+	// The stacks hold levels 1..depth-1 (the walk starts below the interned
+	// head).
 	var vecStack, usageStack []float64
-	var down func(nd *Node)
-	down = func(nd *Node) {
-		if !ok {
-			return
-		}
-		if len(nd.Children) == 0 {
-			// A cloned leaf: rewrite its whole tail range. The stacks hold
-			// levels 1..depth-1 (the walk starts below the interned head).
+	var down func(g *group)
+	down = func(g *group) {
+		for i := range g.usage {
+			if !ok {
+				return
+			}
+			mb := g.member(cfg, i)
+			vecStack = append(vecStack, mb.Value)
+			usageStack = append(usageStack, mb.UsageShare)
 			d := len(vecStack)
-			if pos >= hi || int(old.offs[pos+1]-old.offs[pos])-1 != d {
-				ok = false
-				return
-			}
-			to := int(old.offs[pos]) - base - (pos - lo)
-			copy(nt.vec[to:to+d], vecStack)
-			copy(nt.usage[to:to+d], usageStack)
-			nt.leafPrio[pos-lo] = nd.Priority
-			pos++
-			return
-		}
-		for _, ch := range nd.Children {
-			if ch.gen == r.gen {
-				vecStack = append(vecStack, ch.Value)
-				usageStack = append(usageStack, ch.UsageShare)
-				down(ch)
-				vecStack = vecStack[:len(vecStack)-1]
-				usageStack = usageStack[:len(usageStack)-1]
-				continue
-			}
-			// Shared subtree: its entries keep their old tail values from
-			// this depth down (already in place from the flat copy); only
-			// the changed ancestor prefix needs writing.
-			j := len(vecStack)
-			cnt := int(ch.leaves)
-			if pos+cnt > hi {
-				ok = false
-				return
-			}
-			if j > 0 {
-				for i := pos; i < pos+cnt; i++ {
-					to := int(old.offs[i]) - base - (i - lo)
-					copy(nt.vec[to:to+j], vecStack)
-					copy(nt.usage[to:to+j], usageStack)
+			switch sub := g.subAt(i); {
+			case sub == nil:
+				// A leaf of a cloned group: rewrite its whole tail range.
+				if pos >= hi {
+					ok = false
+					return
 				}
+				to, levels := tail(pos)
+				if levels != d {
+					ok = false
+					return
+				}
+				copy(nt.vec[to:to+d], vecStack)
+				copy(nt.usage[to:to+d], usageStack)
+				nt.leafPrio[pos-lo] = mb.Priority
+				pos++
+			case sub.gen == r.gen:
+				down(sub)
+			default:
+				// Shared sub-group: its entries keep their old tail values
+				// below its own level (already in place from the flat copy);
+				// only the prefix down to that level needs writing.
+				cnt := int(sub.leaves)
+				if pos+cnt > hi {
+					ok = false
+					return
+				}
+				for j := pos; j < pos+cnt; j++ {
+					to, levels := tail(j)
+					if levels < d {
+						ok = false
+						return
+					}
+					copy(nt.vec[to:to+d], vecStack)
+					copy(nt.usage[to:to+d], usageStack)
+				}
+				pos += cnt
 			}
-			pos += cnt
+			vecStack = vecStack[:d-1]
+			usageStack = usageStack[:d-1]
 		}
 	}
 	down(c)
@@ -400,50 +404,6 @@ func (r *Recalc) rebuildSeg(s int32, c *Node) *segTail {
 		return nil
 	}
 	return nt
-}
-
-// scoreGroupCOW rescores one sibling group through score, like scoreGroup,
-// writing results into already-cloned children directly and value-cloning
-// any off-path sibling whose scored fields changed bitwise. n.Usage was
-// re-folded in phase 3. Off-path clones are batched into one contiguous
-// arena per group (one allocation instead of one per sibling — in a dirty
-// group, the shifted usage denominator typically changes every sibling);
-// their Children slices stay shared, because nothing below an off-path
-// sibling changed.
-func (r *Recalc) scoreGroupCOW(n *Node, cfg Config, st *RecalcStats) {
-	st.DirtyGroups++
-	var buf []Node
-	for i, c := range n.Children {
-		us, prio, val := score(cfg, c.Share, c.Usage, n.Usage)
-		if c.gen == r.gen {
-			c.UsageShare, c.Priority, c.Value = us, prio, val
-			continue
-		}
-		if sameBits(c.UsageShare, us) && sameBits(c.Priority, prio) && sameBits(c.Value, val) {
-			continue
-		}
-		if buf == nil {
-			// At most the remaining siblings that are not already this
-			// pass's clones can need cloning, so buf never reallocates and
-			// the pointers handed out below stay valid. (Counting them
-			// matters when much of a group is dirty: slots reserved for
-			// nodes that have their own clone are dead weight for as long
-			// as the arena lives.)
-			need := 0
-			for _, rc := range n.Children[i:] {
-				if rc.gen != r.gen {
-					need++
-				}
-			}
-			buf = make([]Node, 0, need)
-		}
-		buf = append(buf, *c)
-		nc := &buf[len(buf)-1]
-		nc.UsageShare, nc.Priority, nc.Value = us, prio, val
-		nc.gen = r.gen
-		n.Children[i] = nc
-		st.ClonedNodes++
-	}
 }
 
 // sameBits reports bitwise float equality (distinguishing ±0, treating any

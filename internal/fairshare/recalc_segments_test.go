@@ -101,8 +101,8 @@ func TestRecalcSharesCleanSegmentTails(t *testing.T) {
 
 // TestRecalcTopLevelLeafSegments covers the degenerate segment shape: users
 // attached directly to the root form one-leaf segments with empty tails,
-// and a root-group rescore must refresh their interned leaf priority even
-// when their own usage never changed.
+// and a shift in the root group's usage must refresh their interned leaf
+// priority even when their own usage never changed.
 func TestRecalcTopLevelLeafSegments(t *testing.T) {
 	p := policy.NewTree()
 	if _, err := p.Add("", "solo", 2); err != nil { // top-level user leaf
@@ -137,7 +137,7 @@ func TestRecalcTopLevelLeafSegments(t *testing.T) {
 			t.Fatalf("step %d: Apply: %v", step, err)
 		}
 		wantTree := Compute(p, usage, cfg)
-		compareNodes(t, gotTree.Root, wantTree.Root, "")
+		compareTrees(t, gotTree, wantTree)
 		compareIndexes(t, gotIx, NewIndex(wantTree))
 	}
 }
@@ -156,8 +156,8 @@ func TestRecalcDetectsShapeCorruption(t *testing.T) {
 
 	// Corrupt the cloned tree shape: drop the last leaf of group g001, then
 	// dirty another leaf of the same group so the walk visits it.
-	g := tree.Root.Children[1]
-	g.Children = g.Children[:len(g.Children)-1]
+	g := tree.root.sub[1]
+	g.usage = g.usage[:len(g.usage)-1]
 
 	_, _, _, err := eng.Apply(map[string]float64{"u001_000": usage["u001_000"] + 1})
 	if err == nil {
@@ -173,7 +173,7 @@ func TestRecalcDetectsShapeCorruption(t *testing.T) {
 	// A disappearing top-level subtree must fail the segment-count check.
 	tree2 := Compute(p, usage, cfg)
 	eng2 := NewRecalc(tree2, NewIndex(tree2))
-	tree2.Root.Children = tree2.Root.Children[:len(tree2.Root.Children)-1]
+	tree2.root.usage = tree2.root.usage[:len(tree2.root.usage)-1]
 	if _, _, _, err := eng2.Apply(map[string]float64{"u000_000": 1.25}); err == nil {
 		t.Fatal("Apply with a missing top-level subtree succeeded, want segment-count error")
 	}
@@ -190,7 +190,7 @@ func TestRecalcDetectsShapeCorruption(t *testing.T) {
 	}
 	usage["u002_002"] = 999
 	wantTree := Compute(p, usage, cfg)
-	compareNodes(t, gotTree.Root, wantTree.Root, "")
+	compareTrees(t, gotTree, wantTree)
 	compareIndexes(t, gotIx, NewIndex(wantTree))
 }
 
@@ -227,11 +227,11 @@ func TestRecalcParallelMaterialization(t *testing.T) {
 			st.MaterializedSegments, st.SharedSegments)
 	}
 	wantTree := Compute(p, usage, cfg)
-	compareNodes(t, gotTree.Root, wantTree.Root, "")
+	compareTrees(t, gotTree, wantTree)
 	compareIndexes(t, gotIx, NewIndex(wantTree))
 
 	// A shape corruption surfaces as an error through the worker pool too.
-	gotTree.Root.Children[5].Children = gotTree.Root.Children[5].Children[:40]
+	gotTree.root.sub[5].usage = gotTree.root.sub[5].usage[:40]
 	delta2 := map[string]float64{}
 	for g := 0; g < 70; g++ {
 		u := fmt.Sprintf("u%03d_%03d", g, (g+1)%40)
@@ -262,9 +262,9 @@ func TestRecalcApplySteadyStateAllocs(t *testing.T) {
 	}
 	apply() // warm the scratch buffers
 	allocs := testing.AllocsPerRun(20, apply)
-	// One single-user Apply on this tree clones one spine + one rescored
-	// group (batched), rebuilds one segment tail and assembles the index
-	// shell — comfortably under 40 allocations. The bound is loose enough
+	// One single-user Apply on this tree clones one spine of groups (each
+	// with its usage column), rebuilds one segment tail and assembles the
+	// index shell — comfortably under 40 allocations. The bound is loose enough
 	// to absorb map-iteration noise but fails if per-refresh scratch reuse
 	// regresses (the sort.Slice closure alone used to add several).
 	if allocs > 40 {

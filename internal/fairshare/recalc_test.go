@@ -47,32 +47,60 @@ func randomPolicy(rng *rand.Rand) (*policy.Tree, []string) {
 	return t, leaves
 }
 
-func compareNodes(t *testing.T, got, want *Node, path string) {
+// walkedGroup is one group as Tree.Walk reports it, with its members copied
+// out of the walk's scratch.
+type walkedGroup struct {
+	path    string
+	usage   float64
+	members []Member
+}
+
+func walkGroups(tr *Tree) []walkedGroup {
+	var out []walkedGroup
+	tr.Walk(func(path string, usage float64, ms []Member) {
+		out = append(out, walkedGroup{path, usage, append([]Member(nil), ms...)})
+	})
+	return out
+}
+
+// compareTrees checks two trees group by group, every member's scores
+// bitwise.
+func compareTrees(t *testing.T, got, want *Tree) {
 	t.Helper()
-	if got.Name != want.Name {
-		t.Fatalf("%s: name %q vs %q", path, got.Name, want.Name)
+	g, w := walkGroups(got), walkGroups(want)
+	if len(g) != len(w) {
+		t.Fatalf("%d groups, want %d", len(g), len(w))
 	}
-	type f struct {
-		name string
-		g, w float64
-	}
-	for _, c := range []f{
-		{"Share", got.Share, want.Share},
-		{"Usage", got.Usage, want.Usage},
-		{"UsageShare", got.UsageShare, want.UsageShare},
-		{"Priority", got.Priority, want.Priority},
-		{"Value", got.Value, want.Value},
-	} {
-		if math.Float64bits(c.g) != math.Float64bits(c.w) {
-			t.Fatalf("%s/%s: %s = %v (bits %x), want %v (bits %x)",
-				path, got.Name, c.name, c.g, math.Float64bits(c.g), c.w, math.Float64bits(c.w))
+	for k := range g {
+		path := g[k].path
+		if path != w[k].path || len(g[k].members) != len(w[k].members) {
+			t.Fatalf("group %d: %s with %d members, want %s with %d",
+				k, path, len(g[k].members), w[k].path, len(w[k].members))
 		}
-	}
-	if len(got.Children) != len(want.Children) {
-		t.Fatalf("%s/%s: %d children, want %d", path, got.Name, len(got.Children), len(want.Children))
-	}
-	for i := range got.Children {
-		compareNodes(t, got.Children[i], want.Children[i], path+"/"+got.Name)
+		if math.Float64bits(g[k].usage) != math.Float64bits(w[k].usage) {
+			t.Fatalf("%s: usage %v, want %v", path, g[k].usage, w[k].usage)
+		}
+		for i, gm := range g[k].members {
+			wm := w[k].members[i]
+			if gm.Name != wm.Name || gm.Leaf != wm.Leaf {
+				t.Fatalf("%s: member %d is %q (leaf %v), want %q (leaf %v)", path, i, gm.Name, gm.Leaf, wm.Name, wm.Leaf)
+			}
+			for _, c := range []struct {
+				name string
+				g, w float64
+			}{
+				{"Share", gm.Share, wm.Share},
+				{"Usage", gm.Usage, wm.Usage},
+				{"UsageShare", gm.UsageShare, wm.UsageShare},
+				{"Priority", gm.Priority, wm.Priority},
+				{"Value", gm.Value, wm.Value},
+			} {
+				if math.Float64bits(c.g) != math.Float64bits(c.w) {
+					t.Fatalf("%s/%s: %s = %v (bits %x), want %v (bits %x)",
+						path, gm.Name, c.name, c.g, math.Float64bits(c.g), c.w, math.Float64bits(c.w))
+				}
+			}
+		}
 	}
 }
 
@@ -160,7 +188,7 @@ func TestRecalcMatchesFullRecompute(t *testing.T) {
 			}
 			wantTree := Compute(p, usage, cfg)
 			wantIx := NewIndex(wantTree)
-			compareNodes(t, gotTree.Root, wantTree.Root, "")
+			compareTrees(t, gotTree, wantTree)
 			compareIndexes(t, gotIx, wantIx)
 		}
 	}
@@ -212,7 +240,7 @@ func TestRecalcDoesNotMutatePriorSnapshot(t *testing.T) {
 	if _, _, _, err := eng.Apply(map[string]float64{"u001_002": 1e6, "u003_000": 0.5}); err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	compareNodes(t, tree.Root, wantTree.Root, "")
+	compareTrees(t, tree, wantTree)
 	compareIndexes(t, ix, wantIx)
 }
 
@@ -236,24 +264,16 @@ func TestRecalcSharesUntouchedSubtrees(t *testing.T) {
 	if st.SharedNodes == 0 {
 		t.Fatalf("no structural sharing: %+v", st)
 	}
-	// The dirty group's grandchildren (children of untouched top-level
-	// groups) must be pointer-identical to the old tree's.
+	// Every top-level group but the dirty one must be pointer-identical to
+	// the old tree's.
 	shared := 0
-	for i, c := range newTree.Root.Children {
-		old := tree.Root.Children[i]
-		if c == old {
+	for i, g := range newTree.root.sub {
+		if g == tree.root.sub[i] {
 			shared++
-			continue
-		}
-		// Value-cloned or spine node: its Children slice may still be shared.
-		for j := range c.Children {
-			if c.Children[j] == old.Children[j] {
-				shared++
-			}
 		}
 	}
-	if shared == 0 {
-		t.Fatal("no subtree pointers shared across Apply")
+	if shared != len(tree.root.sub)-1 {
+		t.Fatalf("%d of %d top-level groups shared across Apply, want all but the dirty one", shared, len(tree.root.sub))
 	}
 }
 
@@ -287,7 +307,7 @@ func TestRecalcDuplicateLeafNames(t *testing.T) {
 		t.Fatalf("DirtyLeaves = %d, want 2 (both dup leaves)", st.DirtyLeaves)
 	}
 	wantTree := Compute(p, usage, cfg)
-	compareNodes(t, gotTree.Root, wantTree.Root, "")
+	compareTrees(t, gotTree, wantTree)
 	compareIndexes(t, gotIx, NewIndex(wantTree))
 }
 
@@ -317,7 +337,7 @@ func TestRecalcLargeTreeParallelBuild(t *testing.T) {
 		t.Fatalf("expected overwhelming structural sharing, got %+v", st)
 	}
 	wantTree := Compute(p, usage, cfg)
-	compareNodes(t, gotTree.Root, wantTree.Root, "")
+	compareTrees(t, gotTree, wantTree)
 	compareIndexes(t, gotIx, NewIndex(wantTree))
 
 	// Index lookups on the incremental index still resolve every user.
@@ -345,8 +365,8 @@ func TestRecalcScratchKeepsNoNodes(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, sn := range r.spineBuf[:cap(r.spineBuf)] {
-			if sn.n != nil {
-				t.Fatalf("spine scratch slot %d still points at node %q", i, sn.n.Name)
+			if sn.g != nil {
+				t.Fatalf("spine scratch slot %d still points at group %q", i, sn.g.pol.Name)
 			}
 		}
 	}
@@ -376,4 +396,32 @@ func TestRecalcOwnsNoPerLeafTable(t *testing.T) {
 	if got := allocated(func() { r.Reset(tree, ix) }); got != 0 {
 		t.Errorf("Reset allocated %d bytes, want 0", got)
 	}
+}
+
+// TestComputeHoldsGroupsOnly pins what the tree costs: Compute allocates per
+// group, not per leaf, and a leaf holds one float of its group's usage
+// column. A node per leaf would cost at least one allocation and ≈100 bytes
+// per leaf.
+func TestComputeHoldsGroupsOnly(t *testing.T) {
+	const groups, perGroup = 1000, 100
+	p, usage, _ := buildWideDirect(groups, perGroup)
+	cfg := DefaultConfig()
+	allocs := testing.AllocsPerRun(3, func() { Compute(p, usage, cfg) })
+	if allocs > 4*groups {
+		t.Errorf("Compute over %d groups × %d leaves allocates %.0f objects, want ≤ %d", groups, perGroup, allocs, 4*groups)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tree := Compute(p, usage, cfg)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perLeaf := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (groups * perGroup)
+	runtime.KeepAlive(tree)
+	runtime.KeepAlive(p)
+	runtime.KeepAlive(usage)
+	if perLeaf > 24 {
+		t.Errorf("the tree holds %.1f bytes per leaf in use, want ≤ 24", perLeaf)
+	}
+	t.Logf("Compute: %.0f allocations, %.1f bytes per leaf in use", allocs, perLeaf)
 }

@@ -70,13 +70,12 @@ func (c *ConservationChecker) Check(h *Harness, now time.Time) []Violation {
 			continue
 		}
 		res := tree.Config.Resolution
-		var walk func(n *fairshare.Node, path string)
-		walk = func(n *fairshare.Node, path string) {
-			if len(n.Children) == 0 {
+		tree.Walk(func(path string, usage float64, members []fairshare.Member) {
+			if len(members) == 0 {
 				return
 			}
 			var sumShare, sumUsageShare, sumUsage, sumDist float64
-			for _, ch := range n.Children {
+			for _, ch := range members {
 				sumShare += ch.Share
 				sumUsageShare += ch.UsageShare
 				sumUsage += ch.Usage
@@ -99,14 +98,10 @@ func (c *ConservationChecker) Check(h *Harness, now time.Time) []Violation {
 					add(i, "Σ(share−usageShare) under %s is %.12g, want 0", path, sumDist)
 				}
 			}
-			if !floatEq(sumUsage, n.Usage, 1e-6, 1e-9) && path != "" {
-				add(i, "subtree usage of %s is %.9g but children sum to %.9g", path, n.Usage, sumUsage)
+			if !floatEq(sumUsage, usage, 1e-6, 1e-9) && path != "" {
+				add(i, "subtree usage of %s is %.9g but children sum to %.9g", path, usage, sumUsage)
 			}
-			for _, ch := range n.Children {
-				walk(ch, path+"/"+ch.Name)
-			}
-		}
-		walk(tree.Root, "")
+		})
 	}
 	return out
 }

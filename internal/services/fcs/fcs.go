@@ -160,12 +160,11 @@ type RefreshInfo struct {
 	DirtyUsers int
 	// Duration is the wall-clock cost of the refresh.
 	Duration time.Duration
-	// FoldDuration/RescoreDuration/MaterializeDuration break an incremental
-	// refresh's engine cost into its recalc phases (zero on a full refresh):
-	// delta resolution + spine cloning + usage re-folds, sibling-group
-	// rescoring, and segment/arena re-materialization.
+	// FoldDuration/MaterializeDuration break an incremental refresh's
+	// engine cost into its recalc phases (zero on a full refresh): delta
+	// resolution + spine cloning + usage re-folds, and scoring the dirty
+	// groups into re-materialized segments.
 	FoldDuration        time.Duration
-	RescoreDuration     time.Duration
 	MaterializeDuration time.Duration
 	// MaterializedSegments/SharedSegments report how many top-level-subtree
 	// segments the incremental engine rebuilt vs re-published as pointer
@@ -262,7 +261,7 @@ func New(cfg Config, pds PolicySource, ums UsageSource) *Service {
 			"Wall-clock duration of one fairshare tree pre-calculation.",
 			telemetry.DefBuckets()),
 		mPhaseDur: reg.HistogramVec("aequus_fcs_recalc_phase_seconds",
-			"Wall-clock duration of one incremental-recalc phase (fold, rescore, materialize).",
+			"Wall-clock duration of one incremental-recalc phase (fold, materialize).",
 			telemetry.DefBuckets(), "phase"),
 		mDirty: reg.Gauge("aequus_fcs_dirty_users",
 			"Leaves recomputed by the last refresh (whole population on a full refresh)."),
@@ -360,7 +359,6 @@ func (s *Service) rebuildLocked() error {
 			comp.SetAttrInt("materialized_segments", int64(stats.MaterializedSegments))
 			comp.SetAttrInt("shared_segments", int64(stats.SharedSegments))
 			comp.SetAttrInt("fold_us", stats.FoldDuration.Microseconds())
-			comp.SetAttrInt("rescore_us", stats.RescoreDuration.Microseconds())
 			comp.SetAttrInt("materialize_us", stats.MaterializeDuration.Microseconds())
 		} else {
 			// The engine refused the delta (anchor mismatch); refetch the
@@ -427,7 +425,6 @@ func (s *Service) rebuildLocked() error {
 	s.lastRefresh.Store(&RefreshInfo{
 		Mode: mode, DirtyUsers: dirty, Duration: dur, At: now,
 		FoldDuration:         stats.FoldDuration,
-		RescoreDuration:      stats.RescoreDuration,
 		MaterializeDuration:  stats.MaterializeDuration,
 		MaterializedSegments: stats.MaterializedSegments,
 		SharedSegments:       stats.SharedSegments,
@@ -440,7 +437,6 @@ func (s *Service) rebuildLocked() error {
 	if incremental {
 		s.mIncr.Inc()
 		s.mPhaseDur.With("fold").Observe(stats.FoldDuration.Seconds())
-		s.mPhaseDur.With("rescore").Observe(stats.RescoreDuration.Seconds())
 		s.mPhaseDur.With("materialize").Observe(stats.MaterializeDuration.Seconds())
 	} else {
 		s.mFull.Inc()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fairshare"
 	"repro/internal/policy"
 	"repro/internal/resilience"
 	"repro/internal/services/pds"
@@ -16,7 +17,7 @@ import (
 
 // TestEngineErrorFallsBackToFullRecompute is the service-level phase-5
 // walk-failure regression test: when the incremental engine rejects a delta
-// (here because its tree shape was corrupted behind its back), the refresh
+// (here because its tree's shape no longer matches its index), the refresh
 // must not publish the torn result — it falls back to refetching complete
 // totals, rebuilds from scratch, re-anchors the engine, and the published
 // snapshot verifies against its full-recompute twin.
@@ -72,25 +73,25 @@ func (f *flakyRefetch) UsageDeltas(since uint64) (usage.DeltaSet, error) {
 // testEngineErrorFallback runs the fallback scenario; bump changes one
 // user's usage at the source.
 func testEngineErrorFallback(t *testing.T, ums UsageSource, bump func(user string)) {
-	p := policy.NewTree()
-	for _, g := range []struct {
-		name  string
-		share float64
-		users []string
-	}{
-		{"g0", 2, []string{"a", "b"}},
-		{"g1", 3, []string{"c", "d"}},
-	} {
-		if _, err := p.Add("", g.name, g.share); err != nil {
-			t.Fatal(err)
-		}
-		for _, u := range g.users {
-			if _, err := p.Add("/"+g.name, u, 1); err != nil {
+	twoGroups := func(g0, g1 []string) *policy.Tree {
+		p := policy.NewTree()
+		for _, g := range []struct {
+			name  string
+			share float64
+			users []string
+		}{{"g0", 2, g0}, {"g1", 3, g1}} {
+			if _, err := p.Add("", g.name, g.share); err != nil {
 				t.Fatal(err)
 			}
+			for _, u := range g.users {
+				if _, err := p.Add("/"+g.name, u, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
+		return p
 	}
-	src := pds.New(p, nil)
+	src := pds.New(twoGroups([]string{"a", "b"}, []string{"c", "d"}), nil)
 	reg := telemetry.NewRegistry()
 	svc := New(Config{Clock: simclock.NewSim(t0), CacheTTL: -1,
 		SynchronousRefresh: true, Metrics: reg,
@@ -116,16 +117,13 @@ func testEngineErrorFallback(t *testing.T, ums UsageSource, bump func(user strin
 			ri.MaterializedSegments, ri.SharedSegments)
 	}
 
-	// Corrupt the engine's tree shape behind its back: drop leaf "b" from
-	// g0, so the next Apply's phase-5 walk produces too few entries.
-	// The engine is anchored on the tree it published.
-	tree, err := svc.Tree()
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := tree.Root
-	g0 := root.Children[0]
-	g0.Children = g0.Children[:1]
+	// Re-anchor the engine on a tree whose shape its index does not
+	// describe: leaf "b" moved from g0 to g1, so the next Apply's phase-5
+	// walk of g0 produces too few entries.
+	moved := fairshare.Compute(twoGroups([]string{"a"}, []string{"c", "d", "b"}), nil, svc.cfg.Fairshare)
+	svc.refreshMu.Lock()
+	svc.engine.Reset(moved, svc.snap.Load().index)
+	svc.refreshMu.Unlock()
 
 	bump("a")
 	if err := svc.Refresh(); err != nil {

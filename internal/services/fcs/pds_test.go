@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/fairshare"
 	"repro/internal/policy"
 	"repro/internal/services/pds"
 	"repro/internal/simclock"
@@ -64,16 +65,16 @@ func TestIdleMountRefreshStaysIncremental(t *testing.T) {
 	}
 	refresh("changed origin", RefreshFull)
 	tree, _ := svc.Tree()
-	n := tree.Root
-	for _, name := range []string{"grid", "a"} {
-		for _, c := range n.Children {
-			if c.Name == name {
-				n = c
+	var a fairshare.Member
+	tree.Walk(func(path string, _ float64, members []fairshare.Member) {
+		for _, m := range members {
+			if path == "/grid" && m.Name == "a" {
+				a = m
 			}
 		}
-	}
-	if n.Name != "a" || n.Share != 0.75 {
-		t.Fatalf("after the origin changed /grid/a serves %+v, want share 0.75", n)
+	})
+	if a.Name != "a" || a.Share != 0.75 {
+		t.Fatalf("after the origin changed /grid/a serves %+v, want share 0.75", a)
 	}
 }
 

@@ -35,7 +35,7 @@ func (s *Service) VerifySnapshot() error {
 // compareSnapshots reports the first bitwise divergence between a published
 // snapshot and its full-recompute twin.
 func compareSnapshots(got, want *snapshot) error {
-	if err := compareNodes("/", got.tree.Root, want.tree.Root); err != nil {
+	if err := compareTrees(got.tree, want.tree); err != nil {
 		return err
 	}
 	if got.index.Len() != want.index.Len() {
@@ -78,31 +78,56 @@ func compareSnapshots(got, want *snapshot) error {
 	return nil
 }
 
-// compareNodes checks two fairshare subtrees bitwise, returning the path of
-// the first divergent node.
-func compareNodes(path string, got, want *fairshare.Node) error {
-	if got.Name != want.Name {
-		return fmt.Errorf("fcs: node %s name %q, twin %q", path, got.Name, want.Name)
+// compareTrees checks two fairshare trees bitwise, group by group in walk
+// order, returning the first divergent group or member. The twin's groups are
+// copied out of its walk first, since a walk reuses its member scratch.
+func compareTrees(got, want *fairshare.Tree) error {
+	type walked struct {
+		path    string
+		usage   float64
+		members []fairshare.Member
 	}
-	if !oneBitsEqual(got.Share, want.Share) ||
-		!oneBitsEqual(got.Usage, want.Usage) ||
-		!oneBitsEqual(got.UsageShare, want.UsageShare) ||
-		!oneBitsEqual(got.Priority, want.Priority) ||
-		!oneBitsEqual(got.Value, want.Value) {
-		return fmt.Errorf("fcs: node %s fields diverge: share %v/%v usage %v/%v usageShare %v/%v priority %v/%v value %v/%v",
-			path, got.Share, want.Share, got.Usage, want.Usage,
-			got.UsageShare, want.UsageShare, got.Priority, want.Priority,
-			got.Value, want.Value)
-	}
-	if len(got.Children) != len(want.Children) {
-		return fmt.Errorf("fcs: node %s has %d children, twin %d", path, len(got.Children), len(want.Children))
-	}
-	for i := range got.Children {
-		if err := compareNodes(path+got.Children[i].Name+"/", got.Children[i], want.Children[i]); err != nil {
-			return err
+	var twin []walked
+	want.Walk(func(path string, usage float64, ms []fairshare.Member) {
+		twin = append(twin, walked{path, usage, append([]fairshare.Member(nil), ms...)})
+	})
+	var err error
+	k := 0
+	got.Walk(func(path string, usage float64, ms []fairshare.Member) {
+		switch {
+		case err != nil:
+			return
+		case k == len(twin):
+			err = fmt.Errorf("fcs: group %q has no twin", path)
+			return
 		}
+		w := twin[k]
+		k++
+		if path != w.path || len(ms) != len(w.members) {
+			err = fmt.Errorf("fcs: group %q with %d members, twin %q with %d", path, len(ms), w.path, len(w.members))
+			return
+		}
+		if !oneBitsEqual(usage, w.usage) {
+			err = fmt.Errorf("fcs: group %q usage %v, twin %v", path, usage, w.usage)
+			return
+		}
+		for i, a := range ms {
+			b := w.members[i]
+			if a.Name != b.Name || a.Leaf != b.Leaf ||
+				!oneBitsEqual(a.Share, b.Share) ||
+				!oneBitsEqual(a.Usage, b.Usage) ||
+				!oneBitsEqual(a.UsageShare, b.UsageShare) ||
+				!oneBitsEqual(a.Priority, b.Priority) ||
+				!oneBitsEqual(a.Value, b.Value) {
+				err = fmt.Errorf("fcs: member %s/%s diverges: %+v, twin %+v", path, a.Name, a, b)
+				return
+			}
+		}
+	})
+	if err == nil && k != len(twin) {
+		err = fmt.Errorf("fcs: snapshot tree has %d groups, twin %d", k, len(twin))
 	}
-	return nil
+	return err
 }
 
 func oneBitsEqual(a, b float64) bool {

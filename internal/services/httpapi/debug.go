@@ -58,7 +58,6 @@ func (s *Server) handleDebugSummary(w http.ResponseWriter, r *http.Request) {
 		out.FCSDirtyUsers = ri.DirtyUsers
 		out.FCSRefreshSeconds = ri.Duration.Seconds()
 		out.FCSFoldSeconds = ri.FoldDuration.Seconds()
-		out.FCSRescoreSeconds = ri.RescoreDuration.Seconds()
 		out.FCSMaterializeSeconds = ri.MaterializeDuration.Seconds()
 		out.FCSMaterializedSegments = ri.MaterializedSegments
 		out.FCSSharedSegments = ri.SharedSegments

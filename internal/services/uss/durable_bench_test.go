@@ -3,6 +3,7 @@ package uss
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -86,10 +87,11 @@ func BenchmarkIngest100kUsersDurable(b *testing.B) {
 // TestDurableIngestOverhead enforces the durability cost envelope: a
 // 100k-user batch ingest with the WAL enabled (SyncAlways — the whole batch
 // rides one group-committed fsync) must stay within 15% of the in-memory
-// path. Min-of-N on both sides filters scheduler noise; N is 15 because with
-// 5 a run is 150 ms a side, short enough for one busy neighbour in `go test
-// ./...` to cover a whole side (one failure in four on a loaded two-core box,
-// at an overhead that measures 3–5 %). Both sides get the same heap: each
+// path, as the median over 15 paired runs of the durable/in-memory ratio.
+// A pair's two runs are back to back, so a busy neighbour in `go test ./...`
+// that slows one mostly slows the other, and the median ignores the few
+// pairs it splits; a best time per side instead let noise that covered one
+// side's runs decide the test. Both sides get the same heap: each
 // durable run closes its WAL right after its timed ingest (a log left open
 // until cleanup kept its run alive and gave every later durable run a larger
 // live heap, and so fewer GCs, than the in-memory side had), and every timed
@@ -115,16 +117,26 @@ func TestDurableIngestOverhead(t *testing.T) {
 	}
 	once(false) // warm-up: page in code and allocator arenas
 
-	// One run of each side per iteration, so noise on a shared box lands
-	// on both sides alike rather than on whichever side ran second.
-	mem, dur := time.Duration(1<<63-1), time.Duration(1<<63-1)
-	for i := 0; i < 15; i++ {
-		mem = min(mem, once(false))
-		dur = min(dur, once(true))
+	// One run of each side per iteration, the side that goes first
+	// alternating, and the statistic is the median of the iterations'
+	// durable/in-memory ratios: a burst of noise on a shared box slows both
+	// runs of a pair alike, or spoils one pair of fifteen, instead of
+	// deciding one side's best time.
+	ratios := make([]float64, 15)
+	for i := range ratios {
+		var mem, dur time.Duration
+		if i%2 == 0 {
+			mem, dur = once(false), once(true)
+		} else {
+			dur, mem = once(true), once(false)
+		}
+		ratios[i] = float64(dur) / float64(mem)
 	}
-	t.Logf("100k-user ingest: memory=%v durable=%v overhead=%.1f%%",
-		mem, dur, 100*(float64(dur)/float64(mem)-1))
-	if float64(dur) > float64(mem)*1.15 {
-		t.Errorf("durable ingest %v exceeds in-memory %v by more than 15%%", dur, mem)
+	slices.Sort(ratios)
+	median := ratios[len(ratios)/2]
+	t.Logf("100k-user ingest: median durable/in-memory ratio %.3f (range %.3f–%.3f)",
+		median, ratios[0], ratios[len(ratios)-1])
+	if median > 1.15 {
+		t.Errorf("durable ingest exceeds in-memory by %.1f%% in the median pair, more than 15%%", 100*(median-1))
 	}
 }

@@ -70,11 +70,9 @@ type DebugSummary struct {
 	FCSDirtyUsers int `json:"fcs_dirty_users"`
 	// FCSRefreshSeconds is the duration of the last refresh.
 	FCSRefreshSeconds float64 `json:"fcs_refresh_seconds"`
-	// FCSFoldSeconds/FCSRescoreSeconds/FCSMaterializeSeconds break an
-	// incremental refresh's engine cost into its recalc phases (zero on a
-	// full refresh).
+	// FCSFoldSeconds/FCSMaterializeSeconds break an incremental refresh's
+	// engine cost into its recalc phases (zero on a full refresh).
 	FCSFoldSeconds        float64 `json:"fcs_fold_seconds"`
-	FCSRescoreSeconds     float64 `json:"fcs_rescore_seconds"`
 	FCSMaterializeSeconds float64 `json:"fcs_materialize_seconds"`
 	// FCSMaterializedSegments/FCSSharedSegments report how many
 	// top-level-subtree segments the last incremental refresh rebuilt vs
