@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/par"
+	"repro/internal/slot"
 	"repro/internal/vector"
 )
 
@@ -19,11 +20,14 @@ type IndexEntry struct {
 	LeafPriority float64
 }
 
-// indexStripes is the number of hash stripes the user→position map is split
-// into. Striping lets an index build populate the maps from several
-// goroutines without a lock, and keeps per-map sizes bounded at the 1M-user
-// scale.
+// indexStripes is the number of hash stripes the user→position table is
+// split into, picked by the top bits of a name's slot hash (its low bits pick
+// the slot). Striping lets an index build fill the tables from several
+// goroutines without a lock.
 const indexStripes = 16
+
+// stripeOf returns the build stripe of a name with slot hash h.
+func stripeOf(h uint64) int { return int(h >> 60) }
 
 // segMeta is one segment's contiguous leaf range [lo, hi) in entry-position
 // order. Segment s covers exactly the leaves of the root's s-th child, so
@@ -78,7 +82,7 @@ type composedRun struct {
 //
 //   - The identity half — user names, per-entry arena offsets, target
 //     shares and their per-leaf product, child-index paths, the segment
-//     table, the sharded user→position maps and the duplicate table —
+//     table, the striped user→position tables and the duplicate table —
 //     depends only on the policy topology, so incremental rebuilds (see
 //     Recalc) share it wholesale with the previous index (withValues).
 //   - The value half — what a usage delta changes — is segmented along
@@ -115,9 +119,8 @@ type Index struct {
 	// Recalc finds a leaf's group and column entry in whatever tree has this
 	// shape.
 	path []int32
-	// segs[s] is segment s's leaf range; segOf[i] is the segment of entry i.
-	segs  []segMeta
-	segOf []int32
+	// segs[s] is segment s's leaf range.
+	segs []segMeta
 
 	// headVec/headUsage intern each segment's level-0 vector element and
 	// usage share (the root member's Value/UsageShare); tails hold the
@@ -132,11 +135,12 @@ type Index struct {
 	// run at most once per snapshot.
 	comp []composedRun
 
-	// stripes[hash(user)%indexStripes] maps a user name to its first entry
+	// stripes[stripeOf(slot.Hash(user))] finds a user name's first entry
 	// position in DFS order (matching Tree.Vector / Tree.LeafPriority, which
 	// return the first leaf with that name when a degenerate policy repeats
-	// names across groups).
-	stripes [indexStripes]map[string]int32
+	// names across groups), confirmed against users: a pointer-free table of
+	// 8–16 B per name.
+	stripes [indexStripes]slot.Table
 	// dups holds, for names appearing on more than one leaf, every position
 	// (including the first) in ascending DFS order. Nil when all names are
 	// unique — the common case.
@@ -152,13 +156,13 @@ type Index struct {
 // top-level child, with the child's scored values interned as the segment
 // head. Every tree size runs the same code — the segments are filled through
 // par.For (their arena ranges are disjoint, and the per-group leaf counts
-// cached at build time give exact offsets), then the stripe maps are built
+// cached at build time give exact offsets), then the stripe tables are built
 // from the filled name column — so the result cannot depend on the core count.
 func NewIndex(t *Tree) *Index {
 	n := int(t.root.leaves)
 	ix := &Index{}
 	bases := ix.initLayout(t.root, n)
-	stripe := make([]uint8, n) // stripe[i] = par.Stripe(users[i], indexStripes)
+	stripe := make([]uint8, n) // stripe[i] = stripeOf(slot.Hash(users[i]))
 	par.For(n, len(t.root.usage), func(_, s int) {
 		ix.fillSegment(t, s, bases, stripe)
 	})
@@ -178,7 +182,6 @@ func (ix *Index) initLayout(root *group, n int) []int32 {
 	ix.users = make([]string, n)
 	ix.offs = make([]int32, n+1)
 	ix.target = make([]float64, n)
-	ix.segOf = make([]int32, n)
 	ix.segs = make([]segMeta, S)
 	ix.headVec = make([]float64, S)
 	ix.headUsage = make([]float64, S)
@@ -201,7 +204,7 @@ func (ix *Index) initLayout(root *group, n int) []int32 {
 }
 
 // fillSegment walks the root's s-th subtree and writes segment s's slice of
-// the identity arenas (users, offs, shares, target, path, segOf) plus its
+// the identity arenas (users, offs, shares, target, path) plus its
 // head and a freshly allocated tail, and each leaf's stripe id into stripe.
 // The scores come from the walk, which computes them as it goes.
 func (ix *Index) fillSegment(t *Tree, s int, bases []int32, stripe []uint8) {
@@ -234,21 +237,20 @@ func (ix *Index) fillSegment(t *Tree, s int, bases []int32, stripe []uint8) {
 		ti += d - 1
 		ai += d
 		ix.users[pos] = leaf.Name
-		stripe[pos] = uint8(par.Stripe(leaf.Name, indexStripes))
+		stripe[pos] = uint8(stripeOf(slot.Hash(leaf.Name)))
 		tail.leafPrio[pos-int(m.lo)] = leaf.Priority
 		ix.offs[pos+1] = int32(ai)
-		ix.segOf[pos] = int32(s)
 		pos++
 		return false
 	})
 }
 
-// buildStripes builds the user→position maps and the duplicate table from
-// the filled name column, one stripe per unit of work. Each map is sized from
-// a count and filled in position order, so the first occurrence of a name
-// wins it and a duplicate list ascends by construction; a name lives in one
-// stripe, so the stripes' duplicate tables are disjoint and their union is
-// the index's.
+// buildStripes builds the user→position tables and the duplicate table from
+// the filled name column, one stripe per unit of work. Each table is sized
+// from a count and filled in position order, so the first occurrence of a
+// name wins it and a duplicate list ascends by construction; a name lives in
+// one stripe, so the stripes' duplicate tables are disjoint and their union
+// is the index's.
 func (ix *Index) buildStripes(stripe []uint8) {
 	var counts [indexStripes]int
 	for _, st := range stripe {
@@ -256,15 +258,16 @@ func (ix *Index) buildStripes(stripe []uint8) {
 	}
 	var dups [indexStripes]map[string][]int32
 	par.For(len(stripe), indexStripes, func(_, st int) {
-		m := make(map[string]int32, counts[st])
+		tab := slot.Make(counts[st])
 		for pos, at := range stripe {
 			if int(at) != st {
 				continue
 			}
 			name := ix.users[pos]
-			first, dup := m[name]
+			h := slot.Hash(name)
+			first, dup := tab.Find(ix.users, name, h)
 			if !dup {
-				m[name] = int32(pos)
+				tab.Add(h, int32(pos))
 				continue
 			}
 			if dups[st] == nil {
@@ -276,7 +279,7 @@ func (ix *Index) buildStripes(stripe []uint8) {
 			}
 			dups[st][name] = append(ps, int32(pos))
 		}
-		ix.stripes[st] = m
+		ix.stripes[st] = tab
 	})
 	for _, d := range dups {
 		if d != nil && ix.dups == nil {
@@ -331,7 +334,6 @@ func (ix *Index) withValues(headVec, headUsage []float64, tails []*segTail) *Ind
 		target:    ix.target,
 		path:      ix.path,
 		segs:      ix.segs,
-		segOf:     ix.segOf,
 		stripes:   ix.stripes,
 		dups:      ix.dups,
 		headVec:   headVec,
@@ -344,12 +346,25 @@ func (ix *Index) withValues(headVec, headUsage []float64, tails []*segTail) *Ind
 // Pos returns the entry position for a user (the first leaf in DFS order
 // when the name is duplicated) without allocating.
 func (ix *Index) Pos(user string) (int, bool) {
-	m := ix.stripes[par.Stripe(user, indexStripes)]
-	if m == nil {
-		return 0, false
-	}
-	p, ok := m[user]
+	h := slot.Hash(user)
+	p, ok := ix.stripes[stripeOf(h)].Find(ix.users, user, h)
 	return int(p), ok
+}
+
+// seg returns the segment of entry i: a binary search over segs, whose
+// ranges ascend and tile the positions. segs is small enough to stay in
+// cache, where a per-entry segment column would cost a miss per lookup.
+func (ix *Index) seg(i int) int32 {
+	lo, hi := 0, len(ix.segs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(ix.segs[m].hi) <= i {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return int32(lo)
 }
 
 // newComposed returns the empty composed-run cache of an n-entry snapshot.
@@ -376,8 +391,11 @@ func (ix *Index) composed(i int) *composedRun {
 	size := int(ix.offs[hi]) - base
 	buf := make([]float64, 2*size)
 	vec, pu := buf[:size:size], buf[size:]
+	s := ix.seg(lo)
 	for j := lo; j < hi; j++ {
-		s := ix.segOf[j]
+		for int(ix.segs[s].hi) <= j {
+			s++
+		}
 		t := ix.tails[s]
 		to, tl := ix.tailSpan(j, ix.segs[s])
 		off := int(ix.offs[j]) - base
@@ -406,7 +424,7 @@ func (ix *Index) At(i int) IndexEntry {
 	c := ix.composed(i)
 	off, end := ix.offs[i]-c.base, ix.offs[i+1]-c.base
 	goff, gend := ix.offs[i], ix.offs[i+1]
-	s := ix.segOf[i]
+	s := ix.seg(i)
 	return IndexEntry{
 		Entry: vector.Entry{
 			User:       ix.users[i],

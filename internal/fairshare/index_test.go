@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/par"
 	"repro/internal/policy"
+	"repro/internal/slot"
 	"repro/internal/vector"
 )
 
@@ -251,7 +252,7 @@ func buildAwkward(groups, perGroup int) (*policy.Tree, map[string]float64) {
 // GOMAXPROCS is, and on both sides of par.Threshold, Compute yields the same
 // tree bit for bit (GOMAXPROCS 1 is the plain serial loop) and NewIndex the
 // same index — identity half reflect.DeepEqual, value half Float64bits-equal.
-// The stripe maps and the duplicate table are also checked against a plain
+// The stripe tables and the duplicate table are also checked against a plain
 // scan of the name column: the first position wins a name, repeats ascend.
 func TestIndexBuildIndependentOfCores(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
@@ -275,7 +276,7 @@ func TestIndexBuildIndependentOfCores(t *testing.T) {
 				{"users", ix.users, ref.users}, {"offs", ix.offs, ref.offs},
 				{"shares", ix.shares, ref.shares}, {"target", ix.target, ref.target},
 				{"path", ix.path, ref.path}, {"segs", ix.segs, ref.segs},
-				{"segOf", ix.segOf, ref.segOf}, {"stripes", ix.stripes, ref.stripes},
+				{"stripes", ix.stripes, ref.stripes},
 				{"dups", ix.dups, ref.dups},
 			} {
 				if !reflect.DeepEqual(c.got, c.want) {
@@ -297,17 +298,21 @@ func TestIndexBuildIndependentOfCores(t *testing.T) {
 		where := map[string][]int32{}
 		for i, u := range ref.users {
 			where[u] = append(where[u], int32(i))
+			if lo, hi := ref.SegmentRange(int(ref.seg(i))); i < lo || i >= hi || ref.seg(i) != ref.path[ref.offs[i]] {
+				t.Fatalf("entry %d reads segment %d, which spans [%d, %d); its path starts at child %d",
+					i, ref.seg(i), lo, hi, ref.path[ref.offs[i]])
+			}
 		}
 		repeated, stripesUsed := 0, map[int]bool{}
 		for u, ps := range where {
-			if first := ref.stripes[par.Stripe(u, indexStripes)][u]; first != ps[0] {
+			if first, ok := ref.Pos(u); !ok || int32(first) != ps[0] {
 				t.Fatalf("%q resolves to position %d, first occurrence is %d", u, first, ps[0])
 			}
 			if len(ps) == 1 {
 				ps = nil
 			} else {
 				repeated++
-				stripesUsed[par.Stripe(u, indexStripes)] = true
+				stripesUsed[stripeOf(slot.Hash(u))] = true
 			}
 			if !reflect.DeepEqual(ref.dups[u], ps) {
 				t.Fatalf("%q: duplicate list %v, want %v", u, ref.dups[u], ps)
@@ -408,4 +413,27 @@ func TestColdAtComposesOneRun(t *testing.T) {
 			compareFloatSlices(t, "PathUsage", got.PathUsage, want.PathUsage)
 		}
 	}
+}
+
+// TestIndexBytesPerLeaf pins what NewIndex holds per leaf in use, measured
+// after runtime.GC() over 1,000 groups × 100 leaves: the arenas plus 8–16 B
+// of slot table per name (≈92 B in all), against ≈120 B when each build
+// stripe was a map[string]int32 and a segment column sat beside the paths.
+func TestIndexBytesPerLeaf(t *testing.T) {
+	const groups, perGroup = 1000, 100
+	p, usage, _ := buildWideDirect(groups, perGroup)
+	tree := Compute(p, usage, DefaultConfig())
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix := NewIndex(tree)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perLeaf := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (groups * perGroup)
+	runtime.KeepAlive(ix)
+	runtime.KeepAlive(tree)
+	if perLeaf > 101 {
+		t.Errorf("the index holds %.1f bytes per leaf in use, want ≤ 101", perLeaf)
+	}
+	t.Logf("%.1f bytes per leaf in use", perLeaf)
 }

@@ -256,7 +256,7 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 		}
 	}
 	for _, d := range dirty {
-		mark(old.segOf[d.pos])
+		mark(old.seg(int(d.pos)))
 	}
 	headVec := make([]float64, S)
 	headUsage := make([]float64, S)

@@ -94,7 +94,7 @@ func TestRecalcSharesCleanSegmentTails(t *testing.T) {
 	if !ok {
 		t.Fatal("dirty user missing from index")
 	}
-	if s := gotIx.segOf[pos]; gotIx.tails[s] == ix.tails[s] {
+	if s := gotIx.seg(pos); gotIx.tails[s] == ix.tails[s] {
 		t.Fatalf("dirty segment %d still shares its tail", s)
 	}
 }

@@ -54,7 +54,8 @@ func For(work, n int, fn func(worker, i int)) {
 
 // Stripe returns which of n stripes name falls on: its FNV-1a 64-bit hash
 // modulo n, computed without allocating. The usage histogram's lock stripes
-// and the fairshare index's user maps both shard with it.
+// shard with it. It is unseeded, so it must not pick a slot in a table that
+// names from the network fill: that is slot.Hash's job.
 func Stripe(name string, n int) int {
 	const (
 		offset64 = 14695981039346656037

@@ -178,12 +178,9 @@ type JobReport struct {
 // Invalid entries (empty user, non-positive duration) are skipped, and a
 // batch with none left writes nothing, not even an empty WAL record.
 func (s *Service) ReportJobBatch(jobs []JobReport) {
-	durable := s.cfg.Durable != nil
-	recs := make([]usage.Record, 0, len(jobs))
-	var ops []usage.BinOp
-	if durable {
-		ops = make([]usage.BinOp, 0, len(jobs))
-	}
+	// One slice of bin ops is both what the histogram ingests and what the
+	// WAL record holds, so durability adds no copy of the batch.
+	ops := make([]usage.BinOp, 0, len(jobs))
 	for _, j := range jobs {
 		if j.Duration <= 0 || j.User == "" {
 			continue
@@ -192,31 +189,35 @@ func (s *Service) ReportJobBatch(jobs []JobReport) {
 		if procs < 1 {
 			procs = 1
 		}
-		end := j.Start.Add(j.Duration)
-		v := j.Duration.Seconds() * float64(procs)
-		recs = append(recs, usage.Record{
-			User:          j.User,
-			Site:          s.cfg.Site,
-			IntervalStart: end,
-			CoreSeconds:   v,
+		ops = append(ops, usage.BinOp{
+			User:  j.User,
+			Start: s.local.AlignStart(j.Start.Add(j.Duration)),
+			Value: j.Duration.Seconds() * float64(procs),
 		})
-		if durable {
-			ops = append(ops, usage.BinOp{User: j.User, Start: s.local.AlignStart(end), Value: v})
-		}
 	}
-	if len(recs) == 0 {
+	if len(ops) == 0 {
 		return
 	}
-	apply := func() {
-		s.mReports.Add(float64(len(recs)))
-		s.local.IngestBatch(recs)
-	}
-	if !durable {
-		apply()
+	if s.cfg.Durable == nil {
+		s.mReports.Add(float64(len(ops)))
+		s.local.IngestOps(ops)
 		return
 	}
 	// The whole batch is one WAL record — the group-commit point. One
-	// Commit means one fsync regardless of batch size.
+	// Commit means one fsync regardless of batch size. Grouping the ops by
+	// histogram stripe reads no histogram state, so it runs beside the
+	// record's encode and fsync instead of after them; the ops reach the
+	// histogram only once the record is durable.
+	grouped := make(chan *usage.OpBatch, 1)
+	go func() {
+		var b usage.OpBatch
+		b.Add(ops)
+		grouped <- &b
+	}()
+	apply := func() {
+		s.mReports.Add(float64(len(ops)))
+		s.local.IngestGrouped(<-grouped)
+	}
 	if err := s.cfg.Durable.Commit(&usage.Mutation{Kind: usage.MutLocalBatch, Ops: ops}, apply); err != nil {
 		s.mDurableErrs.Inc()
 	}
@@ -595,7 +596,7 @@ func (s *Service) LocalHistogram() *usage.Histogram { return s.local.Clone() }
 
 // ApplyMutation applies one replayed mutation — a snapshot frame or a WAL
 // record; the crash-recovery applier handed to durability.Log.Replay. The
-// histogram primitives it uses (IngestBatch, SetRecords) perform the same
+// histogram primitives it uses (IngestOps, SetRecords) perform the same
 // float operations, in the same per-stripe order, as the live paths that
 // committed the mutation, and SetRecords writes a snapshot's stored float
 // bits verbatim, so a replayed histogram is bitwise equal to the pre-crash
@@ -604,7 +605,7 @@ func (s *Service) LocalHistogram() *usage.Histogram { return s.local.Clone() }
 func (s *Service) ApplyMutation(m *usage.Mutation) error {
 	switch m.Kind {
 	case usage.MutLocalAdd, usage.MutLocalBatch:
-		s.local.IngestBatch(m.Records(s.cfg.Site))
+		s.local.IngestOps(m.Ops)
 	case usage.MutLocalSet:
 		s.local.SetRecords(m.Records(s.cfg.Site))
 	case usage.MutRemoteSet:

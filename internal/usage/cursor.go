@@ -174,27 +174,27 @@ func (h *Histogram) drainChanged(halfLife time.Duration, ref, now time.Time) (ch
 		listed, wasClamped := st.changed, st.clamped
 		st.changed, st.clamped = nil, nil
 		if reset {
-			for name, u := range st.users {
-				u.marked = false
-				h.settle(st, name, u, tr, nowNs)
+			for j := range st.users {
+				st.flags[j] &^= marked
+				h.settle(st, j, tr, nowNs)
 			}
 			continue
 		}
 		// Users clamped at the previous pass are looked at again: their
 		// value moved with `now`, or the clamp has lifted.
 		for _, name := range wasClamped {
-			if u := st.users[name]; u != nil && !u.marked {
-				u.marked = true
+			if pos, _, ok := st.find(name); ok && st.flags[pos]&marked == 0 {
+				st.flags[pos] |= marked
 				listed = append(listed, name)
 			}
 		}
 		for _, name := range listed {
-			if u := st.users[name]; u != nil {
-				if !u.marked {
+			if pos, _, ok := st.find(name); ok {
+				if st.flags[pos]&marked == 0 {
 					continue // listed twice: removed and re-created between passes
 				}
-				u.marked = false
-				h.settle(st, name, u, tr, nowNs)
+				st.flags[pos] &^= marked
+				h.settle(st, int(pos), tr, nowNs)
 			}
 			changed = append(changed, name)
 		}
@@ -202,27 +202,30 @@ func (h *Histogram) drainChanged(halfLife time.Duration, ref, now time.Time) (ch
 	return changed, reset
 }
 
-// settle leaves one user ready to be read after a cursor pass: listed as
-// clamped while its newest bin starts after the pass, its sum re-seeded if a
-// mutation had made it dirty. The stripe's write lock must be held.
-func (h *Histogram) settle(st *stripe, name string, u *userBins, tr *expTracker, nowNs int64) {
+// settle leaves the user at pos ready to be read after a cursor pass:
+// listed as clamped while its newest bin starts after the pass, its sum
+// re-seeded if a mutation had made it dirty. The stripe's write lock must be
+// held.
+func (h *Histogram) settle(st *stripe, pos int, tr *expTracker, nowNs int64) {
 	if tr == nil {
 		return
 	}
-	if h.future(u, nowNs) {
-		st.clamped = append(st.clamped, name)
+	if st.future(pos, nowNs) {
+		st.clamped = append(st.clamped, st.names[pos])
 		return
 	}
-	if u.exp.dirty {
-		h.reseed(u, tr)
+	if st.flags[pos]&dirty != 0 {
+		h.reseed(st, pos, tr)
 	}
 }
 
-// refValue is u's canonical sum: the plain sum without decay, the clamped
-// per-bin total re-expressed at the reference while its newest bin starts
-// after `now` (or while its sum is dirty, which a cursor pass never leaves
-// behind), the tracker's sum otherwise. Any stripe lock held.
-func (h *Histogram) refValue(u *userBins, now time.Time, scale float64) float64 {
+// refValue is the canonical sum of the user at pos: the plain sum without
+// decay, the clamped per-bin total re-expressed at the reference while its
+// newest bin starts after `now` (or while its sum is dirty, which a cursor
+// pass never leaves behind), the tracker's sum otherwise. Any stripe lock
+// held.
+func (h *Histogram) refValue(st *stripe, pos int, now time.Time, scale float64) float64 {
+	u := &st.users[pos]
 	tr := h.tracker
 	if tr == nil {
 		var sum float64
@@ -231,8 +234,8 @@ func (h *Histogram) refValue(u *userBins, now time.Time, scale float64) float64 
 		}
 		return sum
 	}
-	if es := u.exp; !es.dirty && !h.future(u, now.UnixNano()) {
-		return es.sum
+	if st.flags[pos]&dirty == 0 && !st.future(pos, now.UnixNano()) {
+		return u.sum
 	}
 	return h.clampedSum(u, now, float64(tr.halfLife)) / scale
 }
@@ -242,8 +245,8 @@ func (h *Histogram) refSum(user string, now time.Time, scale float64) float64 {
 	st := h.stripeFor(user)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if u := st.users[user]; u != nil {
-		return h.refValue(u, now, scale)
+	if pos, _, ok := st.find(user); ok {
+		return h.refValue(st, int(pos), now, scale)
 	}
 	return 0
 }
@@ -258,8 +261,9 @@ func (h *Histogram) accumRefSums(dst map[string]float64, now time.Time, scale fl
 		return false
 	}
 	for i := range h.stripes {
-		for name, u := range h.stripes[i].users {
-			dst[name] += h.refValue(u, now, scale)
+		st := &h.stripes[i]
+		for j := range st.users {
+			dst[st.names[j]] += h.refValue(st, j, now, scale)
 		}
 	}
 	return true

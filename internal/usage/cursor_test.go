@@ -270,7 +270,7 @@ func TestCursorReadBetweenPassesChangesNothing(t *testing.T) {
 		for _, h := range hists {
 			h.DecayedTotals(rd.now, rd.d)
 		}
-		if st := hists[1].stripeFor("u03"); !st.users["u03"].exp.dirty {
+		if st := hists[1].stripeFor("u03"); !st.isDirty("u03") {
 			t.Fatalf("%s: a read re-seeded a dirty sum", rd.name)
 		}
 		now := t0.Add(20 * time.Minute)
@@ -358,7 +358,7 @@ func TestCursorOpenBinUserIsEmittedOnce(t *testing.T) {
 		if want := map[bool]int{true: 1, false: 0}[i == 0]; ds.Full || len(ds.Changed) != want {
 			t.Fatalf("minute %d: full=%v changed=%v, want %d listed", min, ds.Full, ds.Changed, want)
 		}
-		if got, sum := f.acc["open"], h.stripeFor("open").users["open"].exp.sum; math.Float64bits(got) != math.Float64bits(sum) {
+		if got, sum := f.acc["open"], h.stripeFor("open").get("open").sum; math.Float64bits(got) != math.Float64bits(sum) {
 			t.Fatalf("minute %d: follower holds %v, tracker sum %v", min, got, sum)
 		}
 		f.check(t, fmt.Sprintf("minute %d", min), hists, now, d)

@@ -248,7 +248,7 @@ func TestEquivalenceIncrementalStaysIncremental(t *testing.T) {
 	addOne(h, "a", now.Add(-30*time.Minute), 50) // in-order add: O(1) fold
 	st := h.stripeFor("a")
 	st.mu.RLock()
-	aDirty := st.users["a"].exp.dirty
+	aDirty := st.isDirty("a")
 	st.mu.RUnlock()
 	if aDirty {
 		t.Error("in-order Add marked user dirty; delta fold not taken")
@@ -257,7 +257,7 @@ func TestEquivalenceIncrementalStaysIncremental(t *testing.T) {
 	setOne(h, "b", t0, 10) // shrink: must flag b, and only b
 	st = h.stripeFor("b")
 	st.mu.RLock()
-	bDirty := st.users["b"].exp.dirty
+	bDirty := st.isDirty("b")
 	st.mu.RUnlock()
 	if !bDirty {
 		t.Error("shrinking set left user clean; stale sum would be served")
@@ -267,13 +267,13 @@ func TestEquivalenceIncrementalStaysIncremental(t *testing.T) {
 	got := h.DecayedTotals(now, d)
 	want := seedDecayedTotals(h, now, d)
 	checkClose(t, "after mixed mutations", got, want, expRelTol)
-	if !st.users["b"].exp.dirty {
+	if !st.isDirty("b") {
 		t.Error("a totals read re-seeded a dirty sum")
 	}
 
 	// The cursor pass must clean b again.
 	c.Advance([]*Histogram{h}, now, d)
-	if st.users["b"].exp.dirty {
+	if st.isDirty("b") {
 		t.Error("cursor pass did not re-seed the dirty sum")
 	}
 	checkClose(t, "after the pass", h.DecayedTotals(now, d), want, expRelTol)

@@ -5,10 +5,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/par"
+	"repro/internal/slot"
 )
 
 // Record is the compact inter-site exchange unit: the combined usage of one
@@ -36,48 +36,110 @@ type bin struct {
 	v     float64
 }
 
-// userBins is one user's accounting state. It lives inside a stripe and is
-// guarded by that stripe's lock.
+// userBins is one user's accounting state: an element of its stripe's slab,
+// guarded by that stripe's lock. A *userBins into the slab is good until the
+// next insert into or removal from the stripe, which may move the slab or
+// the user; no caller holds one across either.
 type userBins struct {
 	// bins is sorted ascending by start. Usage arrives roughly in time
 	// order, so inserts are append-mostly; out-of-order inserts shift.
 	bins []bin
-	// exp is the incremental decayed state under the histogram's tracker
-	// (see incremental.go).
-	exp expState
-	// marked is set while the user sits in its stripe's change list, so a
-	// user mutated many times between two cursor passes is listed once.
-	marked bool
-	// slot is the user's entry in its stripe's newest-bin column while the
-	// column is attached. It sits in what was padding: the struct is 48 B.
-	slot int32
+	// sum is the incremental decayed state under the histogram's tracker
+	// (see incremental.go): Σ v·2^(-(ref-mid)/H), valid unless the user's
+	// flags say dirty.
+	sum float64
 }
 
-// newestEntry is one user's entry in a stripe's newest-bin column.
-type newestEntry struct {
-	start int64 // the user's newest bin start, unix seconds
-	name  string
-}
+// A user's flags, one byte in its stripe's flags column (beside the slab,
+// where they would pad a userBins from 32 B to 40).
+const (
+	// dirty: sum is unreliable; the next cursor pass recomputes it from the
+	// bins.
+	dirty uint8 = 1 << iota
+	// marked: the user sits in its stripe's change list, so a user mutated
+	// many times between two cursor passes is listed once.
+	marked
+)
 
 // lastStart returns the newest bin start (only valid when bins is non-empty).
 func (u *userBins) lastStart() int64 { return u.bins[len(u.bins)-1].start }
 
-// stripe is one lock shard: a mutex plus the users hashed onto it.
+// stripe is one lock shard: a mutex plus the users hashed onto it, kept in
+// a dense slab of parallel columns (position j is one user) that a
+// slot.Table indexes by name. A user whose last bin is removed leaves the
+// slab by swap-remove: the last user takes its position.
 type stripe struct {
 	mu    sync.RWMutex
-	users map[string]*userBins
+	names []string
+	users []userBins
+	// newest[j] is user j's newest bin start, unix seconds: the column a
+	// pull scans (RecordsSince), kept current by every mutation.
+	newest []int64
+	// flags[j] holds user j's dirty and marked bits.
+	flags []uint8
+	slots slot.Table
 	// changed lists the users whose bins really changed since the change
 	// cursor last passed; clamped lists those whose newest bin started after
 	// that pass's `now` (see cursor.go). Both stay empty until a cursor
 	// attaches.
 	changed []string
 	clamped []string
-	// newest is the newest-bin column RecordsSince scans: one entry per
-	// user, at the user's slot, kept current by every mutation once indexed
-	// is set. Both stay zero until the histogram first serves a pull with a
-	// non-zero t.
-	newest  []newestEntry
-	indexed bool
+}
+
+// find returns user's position in the stripe and the user's slot hash.
+func (st *stripe) find(user string) (pos int32, h uint64, ok bool) {
+	h = slot.Hash(user)
+	pos, ok = st.slots.Find(st.names, user, h)
+	return pos, h, ok
+}
+
+// get returns user's state, nil when the user has none. Any lock on st held;
+// the pointer is good until the next insert or removal.
+func (st *stripe) get(user string) *userBins {
+	if pos, _, ok := st.find(user); ok {
+		return &st.users[pos]
+	}
+	return nil
+}
+
+// insert appends a user without bins, whose slot hash is h, to the slab and
+// returns its position. The stripe's write lock must be held.
+func (st *stripe) insert(user string, h uint64) int32 {
+	st.slots.Reserve(st.names, len(st.names)+1)
+	pos := int32(len(st.names))
+	if len(st.names) == cap(st.names) {
+		n := len(st.names) + len(st.names)/4 + 8
+		st.names, st.users, st.newest, st.flags = regrow(st.names, n), regrow(st.users, n), regrow(st.newest, n), regrow(st.flags, n)
+	}
+	st.names = append(st.names, user)
+	st.users = append(st.users, userBins{})
+	st.newest = append(st.newest, 0)
+	st.flags = append(st.flags, 0)
+	st.slots.Add(h, pos)
+	return pos
+}
+
+// regrow returns s copied into a capacity of n. The slab's columns grow by a
+// quarter at a time rather than by append's doubling below 256 elements: a
+// stripe holds hundreds to tens of thousands of users, and columns left half
+// empty by a doubling would hold up to 57 B of growth room per user.
+func regrow[T any](s []T, n int) []T {
+	out := make([]T, len(s), n)
+	copy(out, s)
+	return out
+}
+
+// remove swap-removes the user at pos, whose slot hash is h: the slab's last
+// user takes its position. The stripe's write lock must be held.
+func (st *stripe) remove(pos int32, h uint64) {
+	st.slots.Delete(st.names, h, pos)
+	last := int32(len(st.names) - 1)
+	if pos != last {
+		st.slots.Move(slot.Hash(st.names[last]), last, pos)
+		st.names[pos], st.users[pos], st.newest[pos], st.flags[pos] = st.names[last], st.users[last], st.newest[last], st.flags[last]
+	}
+	st.names[last], st.users[last] = "", userBins{}
+	st.names, st.users, st.newest, st.flags = st.names[:last], st.users[:last], st.newest[:last], st.flags[:last]
 }
 
 // Histogram accumulates per-user usage into fixed-width time bins. It is
@@ -85,10 +147,10 @@ type stripe struct {
 // while the UMS reads totals.
 //
 // Internally the histogram is striped: users hash onto numStripes shards,
-// each a map of per-user sorted bin slices plus, once the histogram serves
-// incremental pulls, a dense column of each user's newest bin start (24 B
-// per user). Mutations (IngestBatch, SetRecords, Merge, AddSpread) take
-// each touched stripe once per call; whole-histogram reads (Records,
+// each a dense slab of users (name, sorted bins, incremental sum, newest bin
+// start) that a pointer-free slot.Table finds a name in — no map and no heap
+// object per user. Mutations (IngestOps, SetRecords, Merge, AddSpread)
+// take each touched stripe once per call; whole-histogram reads (Records,
 // RecordsSince, DecayedTotals/AccumulateDecayed) acquire every stripe in
 // index order, so they observe a state that existed at one single instant.
 type Histogram struct {
@@ -109,9 +171,6 @@ type Histogram struct {
 	// is the instant of the last pass in unix nanoseconds.
 	cursorOn  bool
 	cursorNow int64
-
-	// allIndexed is set once every stripe carries its newest-bin column.
-	allIndexed atomic.Bool
 }
 
 // NewHistogram creates a histogram with the given bin width (the "per-user
@@ -121,19 +180,17 @@ func NewHistogram(binWidth time.Duration) *Histogram {
 	if binWidth <= 0 {
 		binWidth = time.Hour
 	}
-	h := &Histogram{binWidth: binWidth, half: binWidth / 2}
-	for i := range h.stripes {
-		h.stripes[i].users = map[string]*userBins{}
-	}
-	return h
+	return &Histogram{binWidth: binWidth, half: binWidth / 2}
 }
 
-func (h *Histogram) binStart(at time.Time) int64 {
+func (h *Histogram) binStart(at time.Time) int64 { return h.floorStart(at.Unix()) }
+
+// floorStart floors u, in unix seconds, to the start of the bin holding it.
+func (h *Histogram) floorStart(u int64) int64 {
 	w := int64(h.binWidth / time.Second)
 	if w <= 0 {
 		w = 1
 	}
-	u := at.Unix()
 	// Floor division handles pre-epoch times correctly.
 	q := u / w
 	if u%w < 0 {
@@ -143,9 +200,9 @@ func (h *Histogram) binStart(at time.Time) int64 {
 }
 
 // AlignStart floors at to the containing bin's start, in unix seconds —
-// the same alignment IngestBatch and SetRecords apply internally. Durable
-// mutation records store pre-aligned starts so replay lands each op in the
-// identical bin.
+// the same alignment IngestBatch and SetRecords apply internally, and the
+// start an IngestOps op carries. Durable mutation records store pre-aligned
+// starts so replay lands each op in the identical bin.
 func (h *Histogram) AlignStart(at time.Time) int64 {
 	return h.binStart(at)
 }
@@ -187,44 +244,6 @@ func (h *Histogram) runlockAll() {
 	}
 }
 
-// userLocked returns user's state in st, creating it when the user has
-// none. st's write lock must be held.
-func (h *Histogram) userLocked(st *stripe, user string) *userBins {
-	u := st.users[user]
-	if u == nil {
-		u = &userBins{}
-		st.users[user] = u
-		if st.indexed {
-			u.slot = int32(len(st.newest))
-			st.newest = append(st.newest, newestEntry{name: user})
-		}
-	}
-	return u
-}
-
-// noteNewest keeps u's column entry at its newest bin. The stripe's write
-// lock must be held.
-func (st *stripe) noteNewest(u *userBins) {
-	if st.indexed {
-		st.newest[u.slot].start = u.lastStart()
-	}
-}
-
-// dropNewest swap-removes the column entry of u, which is leaving the
-// stripe: the last entry takes its slot. The stripe's write lock must be
-// held, and u must still be in st.users.
-func (st *stripe) dropNewest(u *userBins) {
-	if !st.indexed {
-		return
-	}
-	last := len(st.newest) - 1
-	moved := st.newest[last]
-	st.newest[u.slot] = moved
-	st.users[moved.name].slot = u.slot
-	st.newest[last] = newestEntry{}
-	st.newest = st.newest[:last]
-}
-
 // findBin locates start in u.bins: it returns the index where start is or
 // would be inserted, and whether it is present.
 func (u *userBins) findBin(start int64) (int, bool) {
@@ -240,20 +259,30 @@ func (u *userBins) findBin(start int64) (int, bool) {
 	return i, i < n && u.bins[i].start == start
 }
 
-// addBinLocked accumulates v into user's bin at start. The stripe's write
-// lock must be held. v must be positive.
-func (h *Histogram) addBinLocked(st *stripe, user string, start int64, v float64) {
-	u := h.userLocked(st, user)
-	i, ok := u.findBin(start)
-	if ok {
+// insertBin inserts the bin (start, v) at index i of user pos's bins and
+// keeps the user's newest start current.
+func (st *stripe) insertBin(pos int32, i int, start int64, v float64) {
+	u := &st.users[pos]
+	u.bins = append(u.bins, bin{})
+	copy(u.bins[i+1:], u.bins[i:])
+	u.bins[i] = bin{start, v}
+	st.newest[pos] = u.lastStart()
+}
+
+// addBinLocked accumulates v into user's bin at start; hash is the user's
+// slot.Hash. The stripe's write lock must be held. v must be positive.
+func (h *Histogram) addBinLocked(st *stripe, user string, hash uint64, start int64, v float64) {
+	pos, ok := st.slots.Find(st.names, user, hash)
+	if !ok {
+		pos = st.insert(user, hash)
+	}
+	u := &st.users[pos]
+	if i, ok := u.findBin(start); ok {
 		u.bins[i].v += v
 	} else {
-		u.bins = append(u.bins, bin{})
-		copy(u.bins[i+1:], u.bins[i:])
-		u.bins[i] = bin{start, v}
-		st.noteNewest(u)
+		st.insertBin(pos, i, start, v)
 	}
-	h.trackerAdd(st, user, u, start, v)
+	h.trackerAdd(st, pos, start, v)
 }
 
 // setTarget locates the bin that a set of (start, v) addresses in u — nil for
@@ -275,7 +304,11 @@ func (u *userBins) setTarget(start int64, v float64) (i int, ok, changes bool) {
 // setBinLocked replaces user's bin at start with v (≤0 removes the bin).
 // The stripe's write lock must be held.
 func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64) {
-	u := st.users[user]
+	pos, hash, found := st.find(user)
+	var u *userBins
+	if found {
+		u = &st.users[pos]
+	}
 	i, ok, changes := u.setTarget(start, v)
 	if !changes {
 		return
@@ -283,29 +316,25 @@ func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64
 	if v <= 0 {
 		old := u.bins[i].v
 		u.bins = append(u.bins[:i], u.bins[i+1:]...)
-		h.trackerAdd(st, user, u, start, -old)
+		h.trackerAdd(st, pos, start, -old)
 		if len(u.bins) == 0 {
-			st.dropNewest(u)
-			delete(st.users, user)
+			st.remove(pos, hash)
 		} else {
-			st.noteNewest(u)
+			st.newest[pos] = u.lastStart()
 		}
 		return
 	}
 	if ok {
 		delta := v - u.bins[i].v
 		u.bins[i].v = v
-		h.trackerAdd(st, user, u, start, delta)
+		h.trackerAdd(st, pos, start, delta)
 		return
 	}
-	if u == nil {
-		u = h.userLocked(st, user)
+	if !found {
+		pos = st.insert(user, hash)
 	}
-	u.bins = append(u.bins, bin{})
-	copy(u.bins[i+1:], u.bins[i:])
-	u.bins[i] = bin{start, v}
-	st.noteNewest(u)
-	h.trackerAdd(st, user, u, start, v)
+	st.insertBin(pos, i, start, v)
+	h.trackerAdd(st, pos, start, v)
 }
 
 // AddSpread distributes a job's usage across the bins it executed in — a job
@@ -339,10 +368,10 @@ func (h *Histogram) AddSpread(user string, start time.Time, dur time.Duration, p
 	if len(spans) == 0 {
 		return
 	}
-	st := h.stripeFor(user)
+	st, hash := h.stripeFor(user), slot.Hash(user)
 	st.mu.Lock()
 	for _, s := range spans {
-		h.addBinLocked(st, user, s.start, s.v)
+		h.addBinLocked(st, user, hash, s.start, s.v)
 	}
 	st.mu.Unlock()
 }
@@ -361,26 +390,72 @@ func batchByStripe(records []Record) [numStripes][]Record {
 	return by
 }
 
-// IngestBatch accumulates a batch of exchange records with one lock
-// acquisition per touched stripe — the one way usage accumulates into a
-// histogram, a single job report included. Records with an empty user or
-// non-positive usage are skipped.
+// IngestBatch accumulates a batch of exchange records: IngestOps on the
+// records' bin-aligned cells. Records with an empty user or non-positive
+// usage are skipped.
 func (h *Histogram) IngestBatch(records []Record) {
-	if len(records) == 0 {
+	var b OpBatch
+	for _, r := range records {
+		b.add(BinOp{User: r.User, Start: h.binStart(r.IntervalStart), Value: r.CoreSeconds})
+	}
+	h.IngestGrouped(&b)
+}
+
+// IngestOps accumulates a batch of bin ops with one lock acquisition per
+// touched stripe — the one way usage accumulates into a histogram, a single
+// job report included: IngestGrouped on the ops grouped by OpBatch.Add. An
+// op's Start is floored to its bin (the identity on a start from
+// AlignStart); ops with an empty user or a non-positive value are skipped.
+// A site's job reports and the replay of their WAL records both come here
+// with the same ops in the same order, so both perform the same float
+// additions.
+func (h *Histogram) IngestOps(ops []BinOp) {
+	var b OpBatch
+	b.Add(ops)
+	h.IngestGrouped(&b)
+}
+
+// OpBatch is a batch of bin ops grouped by histogram stripe, in their order
+// within each stripe, each with its user's slot hash. The zero value is an
+// empty batch.
+type OpBatch struct {
+	by [numStripes][]hashedOp
+}
+
+type hashedOp struct {
+	BinOp
+	hash uint64 // slot.Hash(User)
+}
+
+// Add groups ops into b by stripe and hashes their users for IngestGrouped,
+// dropping the ops that IngestOps skips. It reads no histogram state, so a
+// caller may run it beside other work: the durable ingest runs it while the
+// batch's WAL record is encoded and synced.
+func (b *OpBatch) Add(ops []BinOp) {
+	for _, op := range ops {
+		b.add(op)
+	}
+}
+
+func (b *OpBatch) add(op BinOp) {
+	if op.User == "" || op.Value <= 0 {
 		return
 	}
-	by := batchByStripe(records)
-	for i := range by {
-		if len(by[i]) == 0 {
+	i := par.Stripe(op.User, numStripes)
+	b.by[i] = append(b.by[i], hashedOp{op, slot.Hash(op.User)})
+}
+
+// IngestGrouped is the locked half of IngestOps: it accumulates b, one
+// stripe at a time.
+func (h *Histogram) IngestGrouped(b *OpBatch) {
+	for i := range b.by {
+		if len(b.by[i]) == 0 {
 			continue
 		}
 		st := &h.stripes[i]
 		st.mu.Lock()
-		for _, r := range by[i] {
-			if r.CoreSeconds <= 0 {
-				continue
-			}
-			h.addBinLocked(st, r.User, h.binStart(r.IntervalStart), r.CoreSeconds)
+		for _, op := range b.by[i] {
+			h.addBinLocked(st, op.User, op.hash, h.floorStart(op.Start), op.Value)
 		}
 		st.mu.Unlock()
 	}
@@ -429,7 +504,7 @@ func (h *Histogram) Changing(records []Record) []Record {
 		if r.User == "" {
 			continue
 		}
-		u := h.stripeFor(r.User).users[r.User]
+		u := h.stripeFor(r.User).get(r.User)
 		if _, _, changes := u.setTarget(start, r.CoreSeconds); changes {
 			out = append(out, r)
 		}
@@ -447,7 +522,7 @@ func (h *Histogram) DecayedTotal(user string, now time.Time, d Decay) float64 {
 	st := h.stripeFor(user)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	u := st.users[user]
+	u := st.get(user)
 	if u == nil {
 		return 0
 	}
@@ -480,7 +555,7 @@ func (h *Histogram) UserCount() int {
 	for i := range h.stripes {
 		st := &h.stripes[i]
 		st.mu.RLock()
-		n += len(st.users)
+		n += len(st.names)
 		st.mu.RUnlock()
 	}
 	return n
@@ -505,12 +580,13 @@ func (h *Histogram) AccumulateDecayed(dst map[string]float64, now time.Time, d D
 // O(total bins) cheap with no weight evaluations. Any stripe lock held.
 func (h *Histogram) accumPlain(dst map[string]float64) {
 	for i := range h.stripes {
-		for name, u := range h.stripes[i].users {
+		st := &h.stripes[i]
+		for j := range st.users {
 			var sum float64
-			for _, b := range u.bins {
+			for _, b := range st.users[j].bins {
 				sum += b.v
 			}
-			dst[name] += sum
+			dst[st.names[j]] += sum
 		}
 	}
 }
@@ -541,17 +617,12 @@ func (h *Histogram) StripeRecords(site string, i int) []Record {
 // RecordsSince exports only records whose interval starts at or after t —
 // the incremental exchange between USS instances — read-consistently like
 // Records, which is the same call with the zero time. A pull costs one
-// int64 comparison per user over the stripes' newest-bin columns plus a
-// binary search and the export for each user it selects: no map walk and no
-// time.Time per user. The first call with a non-zero t attaches the columns,
-// one stripe write lock at a time; from then on every mutation keeps them
-// current.
+// int64 comparison per user over the stripes' dense newest-start columns
+// plus a binary search and the export for each user it selects: no map walk
+// and no time.Time per user.
 func (h *Histogram) RecordsSince(site string, t time.Time) []Record {
 	if t.IsZero() {
 		return h.Records(site)
-	}
-	if !h.allIndexed.Load() {
-		h.indexNewest()
 	}
 	from := t.Unix()
 	if t.Nanosecond() > 0 {
@@ -562,34 +633,16 @@ func (h *Histogram) RecordsSince(site string, t time.Time) []Record {
 	var tails []userTail
 	for i := range h.stripes {
 		st := &h.stripes[i]
-		for _, e := range st.newest {
-			if e.start < from {
+		for j, newest := range st.newest {
+			if newest < from {
 				continue
 			}
-			bins := st.users[e.name].bins
+			bins := st.users[j].bins
 			k := sort.Search(len(bins), func(k int) bool { return bins[k].start >= from })
-			tails = append(tails, userTail{e.name, bins[k:]})
+			tails = append(tails, userTail{st.names[j], bins[k:]})
 		}
 	}
 	return emitTails(site, tails)
-}
-
-// indexNewest attaches the newest-bin column to every stripe that lacks one.
-func (h *Histogram) indexNewest() {
-	for i := range h.stripes {
-		st := &h.stripes[i]
-		st.mu.Lock()
-		if !st.indexed {
-			st.indexed = true
-			st.newest = make([]newestEntry, 0, len(st.users))
-			for name, u := range st.users {
-				u.slot = int32(len(st.newest))
-				st.newest = append(st.newest, newestEntry{u.lastStart(), name})
-			}
-		}
-		st.mu.Unlock()
-	}
-	h.allIndexed.Store(true)
 }
 
 // userTail is the run of one user's bins an export emits.
@@ -603,8 +656,9 @@ type userTail struct {
 func exportRecords(site string, stripes []stripe) []Record {
 	var tails []userTail
 	for i := range stripes {
-		for name, u := range stripes[i].users {
-			tails = append(tails, userTail{name, u.bins})
+		st := &stripes[i]
+		for j := range st.users {
+			tails = append(tails, userTail{st.names[j], st.users[j].bins})
 		}
 	}
 	return emitTails(site, tails)
@@ -651,8 +705,8 @@ func (h *Histogram) Merge(other *Histogram) {
 			bins []bin
 		}
 		cells := make([]uc, 0, len(src.users))
-		for name, u := range src.users {
-			cells = append(cells, uc{name, append([]bin(nil), u.bins...)})
+		for j := range src.users {
+			cells = append(cells, uc{src.names[j], slices.Clone(src.users[j].bins)})
 		}
 		src.mu.RUnlock()
 		if len(cells) == 0 {
@@ -661,8 +715,9 @@ func (h *Histogram) Merge(other *Histogram) {
 		dst := &h.stripes[i]
 		dst.mu.Lock()
 		for _, c := range cells {
+			hash := slot.Hash(c.name)
 			for _, b := range c.bins {
-				h.addBinLocked(dst, c.name, b.start, b.v)
+				h.addBinLocked(dst, c.name, hash, b.start, b.v)
 			}
 		}
 		dst.mu.Unlock()

@@ -53,17 +53,12 @@ const rebaseHalfLives = 16.0
 // expTracker is the histogram's incremental state for the change cursor's
 // half-life. A cursor pass under another half-life registers a new tracker
 // in its place, at the cost of one walk over every bin. The per-user sums
-// live in userBins.exp. Guarded by the stripe locks: replaced and rebased
-// only by a cursor pass, under all stripe write locks.
+// live in userBins.sum, beside each user's dirty flag. Guarded by the stripe
+// locks: replaced and rebased only by a cursor pass, under all stripe write
+// locks.
 type expTracker struct {
 	halfLife time.Duration
 	ref      time.Time // reference instant of the per-user sums
-}
-
-// expState is one user's sum under the histogram's tracker.
-type expState struct {
-	sum   float64 // Σ v·2^(-(ref-mid)/H), valid when !dirty
-	dirty bool    // sum unreliable; recompute from bins at next pass
 }
 
 // weightAtRef returns 2^(-(ref-mid)/H) and whether it is representable
@@ -76,31 +71,33 @@ func (tr *expTracker) weightAtRef(mid time.Time) (float64, bool) {
 	return math.Exp2(-x), true
 }
 
-// trackerAdd folds a bin delta into the user's sum under the registered
-// tracker and, once a change cursor is attached, lists the user as changed.
-// The owning stripe's write lock must be held and delta must be non-zero.
-// Negative deltas (bin overwritten downward or removed) poison the running
-// sum with potential cancellation, so they mark the user dirty instead;
-// exchange overwrites are monotone in the common case, keeping this rare.
-func (h *Histogram) trackerAdd(st *stripe, name string, u *userBins, start int64, delta float64) {
-	if h.cursorOn && !u.marked {
-		u.marked = true
-		st.changed = append(st.changed, name)
+// trackerAdd folds a bin delta into the sum of the user at pos under the
+// registered tracker and, once a change cursor is attached, lists the user
+// as changed. The owning stripe's write lock must be held and delta must be
+// non-zero. Negative deltas (bin overwritten downward or removed) poison the
+// running sum with potential cancellation, so they mark the user dirty
+// instead; exchange overwrites are monotone in the common case, keeping this
+// rare.
+func (h *Histogram) trackerAdd(st *stripe, pos int32, start int64, delta float64) {
+	f := &st.flags[pos]
+	if h.cursorOn && *f&marked == 0 {
+		*f |= marked
+		st.changed = append(st.changed, st.names[pos])
 	}
 	tr := h.tracker
-	if tr == nil || u.exp.dirty {
+	if tr == nil || *f&dirty != 0 {
 		return
 	}
 	if delta < 0 {
-		u.exp.dirty = true
+		*f |= dirty
 		return
 	}
 	w, ok := tr.weightAtRef(h.midTime(start))
 	if !ok {
-		u.exp.dirty = true
+		*f |= dirty
 		return
 	}
-	u.exp.sum += delta * w
+	st.users[pos].sum += delta * w
 }
 
 // trackerFor returns the tracker for halfLife, registering it at reference
@@ -114,26 +111,28 @@ func (h *Histogram) trackerFor(halfLife time.Duration, ref time.Time) (tr *expTr
 	tr = &expTracker{halfLife: halfLife, ref: ref}
 	h.tracker = tr
 	for i := range h.stripes {
-		for _, u := range h.stripes[i].users {
-			h.reseed(u, tr)
+		st := &h.stripes[i]
+		for j := range st.users {
+			h.reseed(st, j, tr)
 		}
 	}
 	return tr, true
 }
 
-// reseed recomputes one user's sum from its bins, at the tracker's
-// reference instant. A bin too far ahead of the reference to be represented
-// leaves the user dirty. The owning stripe's write lock must be held.
-func (h *Histogram) reseed(u *userBins, tr *expTracker) {
-	es := &u.exp
-	es.sum, es.dirty = 0, false
+// reseed recomputes the sum of the user at pos from its bins, at the
+// tracker's reference instant. A bin too far ahead of the reference to be
+// represented leaves the user dirty. The stripe's write lock must be held.
+func (h *Histogram) reseed(st *stripe, pos int, tr *expTracker) {
+	u := &st.users[pos]
+	u.sum = 0
+	st.flags[pos] &^= dirty
 	for _, b := range u.bins {
 		w, ok := tr.weightAtRef(h.midTime(b.start))
 		if !ok {
-			es.dirty = true
+			st.flags[pos] |= dirty
 			return
 		}
-		es.sum += b.v * w
+		u.sum += b.v * w
 	}
 }
 
@@ -143,21 +142,22 @@ func (h *Histogram) reseed(u *userBins, tr *expTracker) {
 func (h *Histogram) rebase(tr *expTracker, to time.Time) {
 	f := math.Exp2(-float64(to.Sub(tr.ref)) / float64(tr.halfLife))
 	for i := range h.stripes {
-		for _, u := range h.stripes[i].users {
-			if !u.exp.dirty {
-				u.exp.sum *= f
+		st := &h.stripes[i]
+		for j := range st.users {
+			if st.flags[j]&dirty == 0 {
+				st.users[j].sum *= f
 			}
 		}
 	}
 	tr.ref = to
 }
 
-// future reports whether u's newest bin starts after nowNs (unix
-// nanoseconds): BinAge holds that bin's age until it starts, which no
-// reference-instant sum can express. Kept on int64 arithmetic because a
-// totals pass evaluates it once per user.
-func (h *Histogram) future(u *userBins, nowNs int64) bool {
-	return len(u.bins) > 0 && u.lastStart()*int64(time.Second) > nowNs
+// future reports whether the newest bin of the user at pos starts after
+// nowNs (unix nanoseconds): BinAge holds that bin's age until it starts,
+// which no reference-instant sum can express. Kept on int64 arithmetic over
+// the newest-start column because a totals pass evaluates it once per user.
+func (st *stripe) future(pos int, nowNs int64) bool {
+	return st.newest[pos]*int64(time.Second) > nowNs
 }
 
 // clampedSum is the exact per-bin half-life total of u at `now`; hl is the
@@ -187,12 +187,14 @@ func (h *Histogram) accumExp(dst map[string]float64, now time.Time, halfLife tim
 	hl := float64(halfLife)
 	nowNs := now.UnixNano()
 	for i := range h.stripes {
-		for name, u := range h.stripes[i].users {
-			if tr == nil || u.exp.dirty || h.future(u, nowNs) {
-				dst[name] += h.clampedSum(u, now, hl)
+		st := &h.stripes[i]
+		for j := range st.users {
+			u := &st.users[j]
+			if tr == nil || st.flags[j]&dirty != 0 || st.future(j, nowNs) {
+				dst[st.names[j]] += h.clampedSum(u, now, hl)
 				continue
 			}
-			dst[name] += u.exp.sum * factor
+			dst[st.names[j]] += u.sum * factor
 		}
 	}
 }

@@ -112,15 +112,28 @@ func BinOps(recs []Record) []BinOp {
 }
 
 // EncodedSize returns an upper bound on AppendBinary's output size, so
-// callers can reserve the buffer in one allocation. Varints are bounded at
-// 10 bytes each.
+// callers can reserve the buffer in one allocation. An op counts its whole
+// name (the prefix it shares is not subtracted) and the exact varint lengths
+// of its start delta and value, rather than ten bytes for every varint: a
+// 100k-op batch of ten-byte names reserves ≈1.8 MB, not ≈5.
 func (m *Mutation) EncodedSize() int {
 	n := 2 + 10 + len(m.Site) + 10 + 10 + 10 + len(m.Blob)
-	for i := range m.Ops {
-		n += 10 + 10 + len(m.Ops[i].User) + 10 + 10
+	prevStart := int64(0)
+	for _, op := range m.Ops {
+		u := uint64(len(op.User))
+		n += 2*uvarintLen(u) + len(op.User) +
+			uvarintLen(zigzag(op.Start-prevStart)) +
+			uvarintLen(bits.ReverseBytes64(math.Float64bits(op.Value)))
+		prevStart = op.Start
 	}
 	return n
 }
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// zigzag maps a signed varint's value to the unsigned one it is written as.
+func zigzag(x int64) uint64 { return uint64(x<<1) ^ uint64(x>>63) }
 
 // AppendBinary appends the versioned binary encoding of m to dst and
 // returns the extended slice.

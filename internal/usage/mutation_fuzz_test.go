@@ -14,7 +14,8 @@ import (
 // to what the WAL's entry point decodes or be refused for that reason alone;
 // and a decoded mutation must survive encode → decode unchanged, with the
 // second encoding equal to the first (the encoder is canonical even where the
-// decoder tolerates a padded varint or a shorter shared prefix than possible).
+// decoder tolerates a padded varint or a shorter shared prefix than possible)
+// and no longer than EncodedSize, the bound a WAL buffer is reserved at.
 //
 // The seed corpus under testdata/fuzz/FuzzDecodeMutation holds a valid frame
 // of every kind and one input per way a frame can be cut short or lie about
@@ -51,6 +52,9 @@ func FuzzDecodeMutation(f *testing.F) {
 		}
 		if len(enc) > len(data) {
 			t.Fatalf("canonical encoding is %d bytes, longer than the %d decoded", len(enc), len(data))
+		}
+		if len(enc) > m.EncodedSize() {
+			t.Fatalf("canonical encoding is %d bytes, past EncodedSize's bound of %d", len(enc), m.EncodedSize())
 		}
 		again, err := DecodeMutation(enc)
 		if err != nil {

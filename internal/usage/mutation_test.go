@@ -66,7 +66,8 @@ func randValue(rng *rand.Rand) float64 {
 }
 
 // TestMutationRoundTrip drives random mutation sequences through
-// encode/decode. The encoding is canonical (one byte sequence per value),
+// encode/decode, each within the EncodedSize its buffer is reserved at. The
+// encoding is canonical (one byte sequence per value),
 // so re-encoding the decoded mutation must reproduce the input bytes
 // exactly — a bitwise check that also covers NaN-free float fidelity
 // without tripping over NaN != NaN.
@@ -76,6 +77,9 @@ func TestMutationRoundTrip(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			m := randMutation(rng)
 			enc := m.AppendBinary(nil)
+			if len(enc) > m.EncodedSize() {
+				t.Fatalf("seed %d mutation %d: %d bytes encoded, EncodedSize bounds %d", seed, i, len(enc), m.EncodedSize())
+			}
 			dec, err := DecodeMutation(enc)
 			if err != nil {
 				t.Fatalf("seed %d mutation %d: decode: %v", seed, i, err)
@@ -92,6 +96,26 @@ func TestMutationRoundTrip(t *testing.T) {
 					t.Fatalf("seed %d mutation %d op %d: value bits differ", seed, i, j)
 				}
 			}
+		}
+	}
+}
+
+// TestEncodedSizeIsTightWithoutSharedPrefixes pins EncodedSize close to the
+// encoding: when no op's name shares a prefix with the one before, it counts
+// every op's bytes exactly, so it exceeds the encoding by the header's
+// reserve alone (four varints at ten bytes each, less what they take).
+func TestEncodedSizeIsTightWithoutSharedPrefixes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		m := randMutation(rng)
+		for j := range m.Ops {
+			// Alternate the first byte so no name shares a prefix with the
+			// one before it.
+			m.Ops[j].User = string(rune('A'+j%2)) + m.Ops[j].User
+		}
+		enc := m.AppendBinary(nil)
+		if slack := m.EncodedSize() - len(enc); slack < 0 || slack > 40 {
+			t.Fatalf("mutation %d (%d ops): EncodedSize %d for %d encoded bytes", i, len(m.Ops), m.EncodedSize(), len(enc))
 		}
 	}
 }

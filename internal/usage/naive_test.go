@@ -20,7 +20,9 @@ func seedDecayedTotals(h *Histogram, now time.Time, d Decay) map[string]float64 
 	h.rlockAll()
 	defer h.runlockAll()
 	for i := range h.stripes {
-		for name, u := range h.stripes[i].users {
+		st := &h.stripes[i]
+		for j, name := range st.names {
+			u := &st.users[j]
 			// Mirror the seed's map-of-bins shape: rebuild the key set,
 			// sort it, then weigh bin by bin.
 			keys := make([]int64, 0, len(u.bins))

@@ -8,10 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-	"unsafe"
 )
 
-// filterSince is the definition RecordsSince answers from its newest-bin
+// filterSince is the definition RecordsSince answers from its newest-start
 // column: the full export, filtered.
 func filterSince(h *Histogram, t time.Time) []Record {
 	var out []Record
@@ -23,21 +22,31 @@ func filterSince(h *Histogram, t time.Time) []Record {
 	return out
 }
 
-// checkColumn verifies the newest-bin column of every indexed stripe: one
-// entry per user, at the user's slot, holding its newest bin start.
+// checkColumn verifies every stripe's slab: parallel columns of one length,
+// every user in its own stripe with at least one bin, its newest start kept
+// at its last bin, and the slot table finding each name at its position and
+// holding nothing else.
 func checkColumn(t *testing.T, h *Histogram) {
 	t.Helper()
 	for i := range h.stripes {
 		st := &h.stripes[i]
-		if !st.indexed {
-			continue
+		if n := len(st.names); len(st.users) != n || len(st.newest) != n || len(st.flags) != n || st.slots.Len() != n {
+			t.Fatalf("stripe %d: %d names, %d users, %d newest starts, %d flags, %d slots",
+				i, n, len(st.users), len(st.newest), len(st.flags), st.slots.Len())
 		}
-		if len(st.newest) != len(st.users) {
-			t.Fatalf("stripe %d: %d column entries for %d users", i, len(st.newest), len(st.users))
-		}
-		for name, u := range st.users {
-			if e := st.newest[u.slot]; e.name != name || e.start != u.lastStart() {
-				t.Fatalf("stripe %d: %s at slot %d reads %+v, want start %d", i, name, u.slot, e, u.lastStart())
+		for j, name := range st.names {
+			u := &st.users[j]
+			if len(u.bins) == 0 {
+				t.Fatalf("stripe %d: %s at %d has no bins", i, name, j)
+			}
+			if st.newest[j] != u.lastStart() {
+				t.Fatalf("stripe %d: %s at %d keeps newest start %d, last bin starts %d", i, name, j, st.newest[j], u.lastStart())
+			}
+			if pos, _, ok := st.find(name); !ok || int(pos) != j {
+				t.Fatalf("stripe %d: %s at %d is found at %d (%v)", i, name, j, pos, ok)
+			}
+			if h.stripeFor(name) != st {
+				t.Fatalf("%s sits in stripe %d, hashes elsewhere", name, i)
 			}
 		}
 	}
@@ -70,7 +79,7 @@ func TestNewestColumnMatchesFilter(t *testing.T) {
 		at := func() time.Time { return time.Unix(int64(rng.Intn(12*3600))-6*3600, 0) }
 		// existing picks one of user's bins, its newest half of the time.
 		existing := func(name string) (time.Time, bool) {
-			u := h.stripeFor(name).users[name]
+			u := h.stripeFor(name).get(name)
 			if u == nil {
 				return time.Time{}, false
 			}
@@ -110,7 +119,7 @@ func TestNewestColumnMatchesFilter(t *testing.T) {
 				// in the same batch.
 				name := user()
 				var recs []Record
-				if u := h.stripeFor(name).users[name]; u != nil {
+				if u := h.stripeFor(name).get(name); u != nil {
 					for _, b := range u.bins {
 						recs = append(recs, Record{User: name, IntervalStart: time.Unix(b.start, 0)})
 					}
@@ -138,39 +147,6 @@ func TestNewestColumnMatchesFilter(t *testing.T) {
 			}
 		}
 		checkColumn(t, h)
-	}
-}
-
-// TestNewestColumnOnlyOnPull: a histogram that never served a pull with a
-// non-zero t carries no column — not after ingest, full exports, totals
-// passes, a change cursor or a clone — and the first such pull attaches it
-// to every stripe.
-func TestNewestColumnOnlyOnPull(t *testing.T) {
-	h := buildWide(500, 3)
-	h.SetRecords([]Record{{User: "user0000001", IntervalStart: t0, CoreSeconds: 0}})
-	h.Records("s")
-	h.StripeRecords("s", 0)
-	h.RecordsSince("s", time.Time{})
-	h.DecayedTotals(t0.Add(4*time.Hour), ExponentialHalfLife{HalfLife: time.Hour})
-	var c Cursor
-	c.Advance([]*Histogram{h}, t0.Add(4*time.Hour), None{})
-	clone := h.Clone()
-	for _, hist := range []*Histogram{h, clone} {
-		for i := range hist.stripes {
-			if st := &hist.stripes[i]; st.indexed || st.newest != nil {
-				t.Fatalf("stripe %d carries a column before any pull", i)
-			}
-		}
-	}
-	h.RecordsSince("s", t0.Add(2*time.Hour))
-	for i := range h.stripes {
-		if !h.stripes[i].indexed {
-			t.Fatalf("stripe %d has no column after a pull", i)
-		}
-	}
-	checkColumn(t, h)
-	if n := unsafe.Sizeof(userBins{}); n > 48 {
-		t.Errorf("userBins is %d bytes, past its 48-byte size class", n)
 	}
 }
 
