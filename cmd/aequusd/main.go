@@ -72,7 +72,6 @@ func main() {
 		binWidth      = flag.Duration("bin-width", time.Hour, "usage histogram interval")
 		exchangeEvery = flag.Duration("exchange-interval", time.Minute, "peer usage exchange period")
 		refreshEvery  = flag.Duration("refresh-interval", time.Minute, "fairshare pre-calculation period")
-		libTTL        = flag.Duration("cache-ttl", 30*time.Second, "libaequus cache TTL")
 		k             = flag.Float64("distance-weight", 0.5, "fairshare distance weight k")
 		resolution    = flag.Float64("resolution", 10000, "fairshare value resolution")
 		logFormat     = flag.String("log-format", "text", "log output format: text|json")
@@ -88,7 +87,6 @@ func main() {
 		breakCooldown = flag.Duration("breaker-cooldown", 30*time.Second, "how long an open circuit waits before a half-open probe")
 		peerTimeout   = flag.Duration("peer-timeout", 5*time.Second, "per-peer pull timeout inside an exchange round")
 		exchDeadline  = flag.Duration("exchange-deadline", 30*time.Second, "deadline for a whole exchange round (0 = unbounded)")
-		staleFallback = flag.Bool("lib-stale-fallback", true, "serve expired libaequus cache entries when services are unreachable")
 
 		traceBuffer = flag.Int("trace-buffer", 4096, "span recorder ring-buffer capacity (0 disables tracing and /debug/aequus)")
 		traceSample = flag.Int("trace-sample", 1, "record every Nth trace (1 = all)")
@@ -163,6 +161,8 @@ func main() {
 			slog.Int64("replay_records", total)) // snapshot frames + WAL tail
 	}
 
+	// No Lib* field: the daemon never calls Site.Lib. A resource manager
+	// links its own libaequus against this site's HTTP API.
 	s, err := core.NewSite(core.SiteConfig{
 		Name:          *site,
 		Policy:        pol,
@@ -174,18 +174,15 @@ func main() {
 		Fairshare:     fairshare.Config{DistanceWeight: *k, Resolution: *resolution},
 		UMSCacheTTL:   *refreshEvery,
 		FCSCacheTTL:   *refreshEvery,
-		LibCacheTTL:   *libTTL,
 		PolicyFetcher: httpapi.PolicyFetcher(nil),
 		PeerTimeout:   *peerTimeout,
 		PeerBreaker: resilience.BreakerConfig{
 			Threshold: *breakThresh,
 			Cooldown:  *breakCooldown,
 		},
-		LibRetry:        retry,
-		LibStaleIfError: *staleFallback,
-		FCSSourceRetry:  retry,
-		Spans:           spans,
-		Durable:         durable,
+		FCSSourceRetry: retry,
+		Spans:          spans,
+		Durable:        durable,
 	})
 	if err != nil {
 		fatal("assembling site", err)

@@ -51,7 +51,6 @@ func TestEndToEndBinaries(t *testing.T) {
 			"-peers", peer,
 			"-exchange-interval", "200ms",
 			"-refresh-interval", "200ms",
-			"-cache-ttl", "100ms",
 			"-bin-width", "1s",
 		)
 		cmd.Stdout = os.Stderr

@@ -2,8 +2,8 @@
 //
 // It builds the hierarchical policy of the paper's Figure 3, feeds in
 // historical usage, computes the fairshare tree, extracts per-user fairshare
-// vectors and projects them to scheduler-combinable priorities with all
-// three projection algorithms.
+// vectors and projects them to scalar scheduler priorities with all three
+// projection algorithms.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -52,7 +52,7 @@ func main() {
 		fmt.Printf("  %-3s  %-18v  (padded %v, leaf priority %+.3f)\n", user, vec, padded, prio)
 	}
 
-	fmt.Println("\nprojected priorities in [0,1], combinable with age/QoS factors:")
+	fmt.Println("\nprojected priorities in [0,1], the value an RM dispatches a user's jobs by:")
 	fmt.Printf("  %-4s %12s %12s %12s\n", "user", "dictionary", "bitwise", "percental")
 	projections := vector.Projections()
 	results := make([]map[string]float64, len(projections))

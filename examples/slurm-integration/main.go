@@ -76,7 +76,7 @@ func run(aequus bool) {
 		}
 		s := slurm.New(slurm.Config{
 			Cluster:  cl,
-			Priority: &slurm.Multifactor{FS: fs, Weights: sched.FairshareOnly()},
+			Priority: &slurm.Multifactor{FS: fs},
 			JobComp:  jobcomp,
 		})
 		return s, cl

@@ -14,12 +14,15 @@ type Objective func(x []float64) float64
 type NelderMeadOptions struct {
 	// MaxIter bounds the number of iterations; <= 0 means 400*dim.
 	MaxIter int
-	// TolF stops when the simplex function spread falls below it (default 1e-10).
-	TolF float64
-	// Scale sets the initial simplex size relative to each coordinate
-	// (default 0.1, with an absolute floor).
-	Scale float64
 }
+
+// The minimizer stops once the simplex's function spread falls below tolF.
+// Its initial simplex steps each coordinate by simplexScale of its value
+// (by simplexScale itself for a zero coordinate).
+const (
+	tolF         = 1e-10
+	simplexScale = 0.1
+)
 
 // NelderMead minimizes f starting from x0 using the downhill-simplex method
 // with the standard reflection/expansion/contraction/shrink coefficients.
@@ -32,12 +35,6 @@ func NelderMead(f Objective, x0 []float64, opt NelderMeadOptions) ([]float64, fl
 	}
 	if opt.MaxIter <= 0 {
 		opt.MaxIter = 400 * dim
-	}
-	if opt.TolF <= 0 {
-		opt.TolF = 1e-10
-	}
-	if opt.Scale <= 0 {
-		opt.Scale = 0.1
 	}
 
 	const (
@@ -54,9 +51,9 @@ func NelderMead(f Objective, x0 []float64, opt NelderMeadOptions) ([]float64, fl
 	vals[0] = f(pts[0])
 	for i := 0; i < dim; i++ {
 		p := append([]float64(nil), x0...)
-		step := opt.Scale * math.Abs(p[i])
+		step := simplexScale * math.Abs(p[i])
 		if step == 0 {
-			step = opt.Scale
+			step = simplexScale
 		}
 		p[i] += step
 		pts[i+1] = p
@@ -96,7 +93,7 @@ func NelderMead(f Objective, x0 []float64, opt NelderMeadOptions) ([]float64, fl
 		// Converged only when both function spread and simplex size are
 		// small: symmetric non-smooth objectives (e.g. |x-c|) can have zero
 		// value spread across a simplex that still straddles the minimum.
-		if spread := vals[dim] - vals[0]; spread < opt.TolF &&
+		if spread := vals[dim] - vals[0]; spread < tolF &&
 			!math.IsInf(vals[0], 0) && !math.IsInf(vals[dim], 0) &&
 			diameter() < 1e-9*(1+math.Abs(pts[0][0])) {
 			break

@@ -9,8 +9,8 @@ import (
 	"repro/internal/wire"
 )
 
-// fakeBatchFCS implements both the per-user and the batch source.
-type fakeBatchFCS struct {
+// fakeFCS serves fixed values, one user or a batch at a time.
+type fakeFCS struct {
 	values     map[string]float64
 	calls      int
 	batchCalls int
@@ -18,7 +18,7 @@ type fakeBatchFCS struct {
 	batchErr   error
 }
 
-func (f *fakeBatchFCS) Priority(user string) (wire.FairshareResponse, error) {
+func (f *fakeFCS) Priority(user string) (wire.FairshareResponse, error) {
 	f.calls++
 	v, ok := f.values[user]
 	if !ok {
@@ -27,7 +27,7 @@ func (f *fakeBatchFCS) Priority(user string) (wire.FairshareResponse, error) {
 	return wire.FairshareResponse{User: user, Value: v, ComputedAt: t0}, nil
 }
 
-func (f *fakeBatchFCS) PriorityBatch(users []string) (wire.FairshareBatchResponse, error) {
+func (f *fakeFCS) PriorityBatch(users []string) (wire.FairshareBatchResponse, error) {
 	f.batchCalls++
 	f.lastBatch = append([]string(nil), users...)
 	if f.batchErr != nil {
@@ -45,8 +45,8 @@ func (f *fakeBatchFCS) PriorityBatch(users []string) (wire.FairshareBatchRespons
 	return resp, nil
 }
 
-func newBatchClient(clock simclock.Clock, ttl time.Duration) (*Client, *fakeBatchFCS, *fakeIRS) {
-	fcs := &fakeBatchFCS{values: map[string]float64{
+func newBatchClient(clock simclock.Clock, ttl time.Duration) (*Client, *fakeFCS, *fakeIRS) {
+	fcs := &fakeFCS{values: map[string]float64{
 		"grid-a@s": 0.8, "grid-b@s": 0.5, "grid-c@s": 0.2,
 	}}
 	irs := &fakeIRS{}
@@ -118,19 +118,6 @@ func TestFairshareBatchAllCachedSkipsFetch(t *testing.T) {
 	}
 }
 
-func TestFairshareBatchFallsBackToSingles(t *testing.T) {
-	// A source that only implements FairshareSource.
-	fcs := &fakeFCS{values: map[string]float64{"grid-a@s": 0.8, "grid-b@s": 0.5}}
-	c := New(Config{Site: "s", CacheTTL: time.Minute, Clock: simclock.NewSim(t0)}, fcs, &fakeIRS{}, nil)
-	got, err := c.FairshareBatch([]string{"grid-a@s", "grid-b@s"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || fcs.calls != 2 {
-		t.Errorf("fallback result = %v (%d calls)", got, fcs.calls)
-	}
-}
-
 func TestFairshareBatchErrorPropagates(t *testing.T) {
 	c, fcs, _ := newBatchClient(simclock.NewSim(t0), time.Minute)
 	fcs.batchErr = errors.New("fcs down")
@@ -165,7 +152,7 @@ func TestPrioritiesForLocalUsers(t *testing.T) {
 
 func TestPrioritiesForLocalUsersSkipsUnresolvable(t *testing.T) {
 	clock := simclock.NewSim(t0)
-	fcs := &fakeBatchFCS{values: map[string]float64{"grid-a@s": 0.8}}
+	fcs := &fakeFCS{values: map[string]float64{"grid-a@s": 0.8}}
 	irs := &fakeIRS{fail: true}
 	c := New(Config{Site: "s", CacheTTL: time.Minute, Clock: clock}, fcs, irs, nil)
 	got, err := c.PrioritiesForLocalUsers([]string{"a"})

@@ -21,15 +21,14 @@ import (
 )
 
 // FairshareSource provides pre-calculated fairshare values (the FCS, either
-// in-process or over HTTP).
+// in-process or over HTTP): one user at a time, or many at once.
 type FairshareSource interface {
 	Priority(gridUser string) (wire.FairshareResponse, error)
+	BatchFairshareSource
 }
 
-// BatchFairshareSource is the optional batch extension of FairshareSource:
-// many users resolved against one fairshare snapshot in one round trip.
-// Both fcs.Service and httpapi.Client implement it; FairshareBatch falls
-// back to per-user lookups when the source does not.
+// BatchFairshareSource resolves many users against one fairshare snapshot
+// in one round trip. fcs.Service and httpapi.Client implement it.
 type BatchFairshareSource interface {
 	PriorityBatch(gridUsers []string) (wire.FairshareBatchResponse, error)
 }
@@ -257,8 +256,7 @@ func (c *Client) Fairshare(gridUser string) (wire.FairshareResponse, error) {
 
 // FairshareBatch returns fairshare responses for many grid users at once:
 // cached entries are served locally, and all misses are fetched in a single
-// round trip when the source supports batching (falling back to per-user
-// lookups otherwise), then filled into the per-user cache. Users unknown to
+// round trip, then filled into the per-user cache. Users unknown to
 // the policy are simply absent from the result map. This is how a resource
 // manager reprioritizes a whole queue without N network round trips.
 func (c *Client) FairshareBatch(gridUsers []string) (map[string]wire.FairshareResponse, error) {
@@ -298,43 +296,23 @@ func (c *Client) FairshareBatch(gridUsers []string) (map[string]wire.FairshareRe
 	sp.SetAttrInt("hits", int64(hits))
 	sp.SetAttrInt("misses", int64(len(misses)))
 	defer sp.End()
-	if bs, ok := c.fcs.(BatchFairshareSource); ok {
-		var resp wire.FairshareBatchResponse
-		err := c.retry(func() error {
-			r, err := bs.PriorityBatch(misses)
-			resp = r
-			return err
-		})
-		if err != nil {
-			sp.SetErr(err)
-			return c.staleBatch(out, misses, err)
-		}
-		c.noteSnapshotAge(resp.ComputedAt)
-		c.mu.Lock()
-		for _, e := range resp.Entries {
-			c.fairshare[e.User] = cachedValue{resp: e, at: now}
-			out[e.User] = e
-		}
-		c.mu.Unlock()
-		return out, nil
+	var resp wire.FairshareBatchResponse
+	err := c.retry(func() error {
+		r, err := c.fcs.PriorityBatch(misses)
+		resp = r
+		return err
+	})
+	if err != nil {
+		sp.SetErr(err)
+		return c.staleBatch(out, misses, err)
 	}
-	for _, u := range misses {
-		var resp wire.FairshareResponse
-		err := c.retry(func() error {
-			r, err := c.fcs.Priority(u)
-			resp = r
-			return err
-		})
-		if err != nil {
-			sp.SetErr(err)
-			return c.staleBatch(out, misses, err)
-		}
-		c.noteSnapshotAge(resp.ComputedAt)
-		c.mu.Lock()
-		c.fairshare[u] = cachedValue{resp: resp, at: now}
-		c.mu.Unlock()
-		out[u] = resp
+	c.noteSnapshotAge(resp.ComputedAt)
+	c.mu.Lock()
+	for _, e := range resp.Entries {
+		c.fairshare[e.User] = cachedValue{resp: e, at: now}
+		out[e.User] = e
 	}
+	c.mu.Unlock()
 	return out, nil
 }
 

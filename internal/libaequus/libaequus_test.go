@@ -6,24 +6,9 @@ import (
 	"time"
 
 	"repro/internal/simclock"
-	"repro/internal/wire"
 )
 
 var t0 = time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC)
-
-type fakeFCS struct {
-	values map[string]float64
-	calls  int
-}
-
-func (f *fakeFCS) Priority(user string) (wire.FairshareResponse, error) {
-	f.calls++
-	v, ok := f.values[user]
-	if !ok {
-		return wire.FairshareResponse{}, errors.New("unknown user")
-	}
-	return wire.FairshareResponse{User: user, Value: v, ComputedAt: t0}, nil
-}
 
 type fakeIRS struct {
 	calls int

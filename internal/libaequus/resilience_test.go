@@ -30,6 +30,22 @@ func (f *downableFCS) Priority(user string) (wire.FairshareResponse, error) {
 	return wire.FairshareResponse{User: user, Value: v, ComputedAt: t0}, nil
 }
 
+func (f *downableFCS) PriorityBatch(users []string) (wire.FairshareBatchResponse, error) {
+	f.calls++
+	if f.down {
+		return wire.FairshareBatchResponse{}, errors.New("fcs unreachable")
+	}
+	resp := wire.FairshareBatchResponse{ComputedAt: t0}
+	for _, u := range users {
+		if v, ok := f.values[u]; ok {
+			resp.Entries = append(resp.Entries, wire.FairshareResponse{User: u, Value: v, ComputedAt: t0})
+		} else {
+			resp.Missing = append(resp.Missing, u)
+		}
+	}
+	return resp, nil
+}
+
 // flakyIRS fails the first failN resolutions, then succeeds.
 type flakyIRS struct{ calls, failN int }
 
@@ -45,7 +61,7 @@ func immediateRetry(attempts int) resilience.RetryPolicy {
 	return resilience.RetryPolicy{
 		MaxAttempts: attempts,
 		BaseDelay:   time.Nanosecond,
-		Jitter:      -1,
+		Rand:        func() float64 { return 0.5 }, // exact delays
 	}
 }
 

@@ -5,18 +5,16 @@
 // job-completion call-out is injected for usage reporting.
 //
 // Scheduling follows Maui's model: a periodic scheduling iteration (the RM
-// poll) recomputes all job priorities from weighted components and starts
-// jobs greedily in priority order.
+// poll) recomputes all job priorities and starts jobs greedily in priority
+// order.
 package maui
 
 import (
-	"context"
 	"sync"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/sched"
-	"repro/internal/telemetry/span"
 )
 
 // Callouts are the patch points injected into the Maui source.
@@ -29,34 +27,17 @@ type Callouts struct {
 	JobCompleted func(j *sched.Job)
 }
 
-// Weights are Maui-style priority component weights.
-type Weights struct {
-	// Fairshare weighs the fairshare factor (FSWEIGHT).
-	Fairshare float64
-	// QueueTime weighs the normalized queue wait (QUEUETIMEWEIGHT).
-	QueueTime float64
-	// QoS weighs the job's QoS factor.
-	QoS float64
-}
-
 // Config configures a Maui-like scheduler.
 type Config struct {
 	// Cluster executes the jobs.
 	Cluster *cluster.Cluster
 	// Callouts are the patched call-outs.
 	Callouts Callouts
-	// Weights are the priority component weights.
-	Weights Weights
-	// MaxQueueTime normalizes the queue-time component (zero disables it).
-	MaxQueueTime time.Duration
 	// OnStart observes every job start with the queue priority it was
 	// dispatched at and the pass (scheduling iteration or completion fill)
 	// it belongs to. Within one pass, dispatch priorities are
 	// non-increasing — the invariant the scenario harness checks.
 	OnStart func(j *sched.Job, priority float64, pass uint64)
-	// Spans receives one "rm.fairshare_callout" span per fairshare call-out
-	// (nil disables tracing).
-	Spans *span.Recorder
 }
 
 // Scheduler is a Maui-like resource manager.
@@ -93,7 +74,7 @@ func New(cfg Config) *Scheduler {
 func (s *Scheduler) Submit(j *sched.Job) {
 	s.mu.Lock()
 	j.State = sched.Pending
-	s.queue.Push(j, s.priority(j, j.Submit))
+	s.queue.Push(j, s.priority(j))
 	s.submitted++
 	s.mu.Unlock()
 }
@@ -131,32 +112,20 @@ func (s *Scheduler) Pending() []*sched.Job {
 	return s.queue.Jobs()
 }
 
-// priority computes a job's Maui-style priority at `now` (lock held).
-func (s *Scheduler) priority(j *sched.Job, now time.Time) float64 {
-	var p float64
-	if s.cfg.Callouts.FairsharePriority != nil && s.cfg.Weights.Fairshare != 0 {
-		_, sp := span.Start(span.WithRecorder(context.Background(), s.cfg.Spans),
-			"rm.fairshare_callout")
-		sp.SetAttr("rm", "maui")
-		sp.SetAttr("user", j.LocalUser)
-		fs, err := s.cfg.Callouts.FairsharePriority(j.LocalUser)
-		sp.SetErr(err)
-		sp.End()
-		if err != nil {
-			s.errors++
-			fs = 0.5
-		}
-		p += s.cfg.Weights.Fairshare * fs
+// priority computes a job's priority (lock held): fairshare is the only
+// component, as in the paper's tests, so it is the call-out's value bit for
+// bit, or a neutral 0.5 when the call-out fails (counted). Without a
+// call-out every job ties at 0 and dispatch is FIFO.
+func (s *Scheduler) priority(j *sched.Job) float64 {
+	if s.cfg.Callouts.FairsharePriority == nil {
+		return 0
 	}
-	if s.cfg.MaxQueueTime > 0 && s.cfg.Weights.QueueTime != 0 {
-		qt := float64(j.WaitTime(now)) / float64(s.cfg.MaxQueueTime)
-		if qt > 1 {
-			qt = 1
-		}
-		p += s.cfg.Weights.QueueTime * qt
+	fs, err := s.cfg.Callouts.FairsharePriority(j.LocalUser)
+	if err != nil {
+		s.errors++
+		return 0.5
 	}
-	p += s.cfg.Weights.QoS * j.QoS
-	return p
+	return fs
 }
 
 // Schedule implements sched.ResourceManager: one Maui scheduling iteration —
@@ -164,7 +133,7 @@ func (s *Scheduler) priority(j *sched.Job, now time.Time) float64 {
 // priority order.
 func (s *Scheduler) Schedule(now time.Time) {
 	s.mu.Lock()
-	s.queue.Reprioritize(func(j *sched.Job) float64 { return s.priority(j, now) })
+	s.queue.Reprioritize(s.priority)
 	s.startJobs()
 	s.mu.Unlock()
 }

@@ -19,7 +19,7 @@ func job(id int64, user string, dur time.Duration, at time.Time) *sched.Job {
 func TestSubmitDefersToIteration(t *testing.T) {
 	k := eventsim.New(t0)
 	c, _ := cluster.New("c", 4, k)
-	s := New(Config{Cluster: c, Weights: Weights{Fairshare: 1}})
+	s := New(Config{Cluster: c})
 	s.Submit(job(1, "u", time.Minute, t0))
 	if c.RunningCount() != 0 {
 		t.Error("Maui should not start jobs at submit time")
@@ -38,7 +38,6 @@ func TestFairshareCalloutOrdersQueue(t *testing.T) {
 	c, _ := cluster.New("c", 1, k)
 	s := New(Config{
 		Cluster: c,
-		Weights: Weights{Fairshare: 1},
 		Callouts: Callouts{
 			FairsharePriority: func(u string) (float64, error) {
 				if u == "hi" {
@@ -91,35 +90,11 @@ func TestCompletionTriggersNextIteration(t *testing.T) {
 	}
 }
 
-func TestQueueTimeComponent(t *testing.T) {
-	k := eventsim.New(t0)
-	c, _ := cluster.New("c", 1, k)
-	s := New(Config{
-		Cluster:      c,
-		Weights:      Weights{QueueTime: 1},
-		MaxQueueTime: time.Hour,
-	})
-	old := job(1, "u", time.Hour, t0.Add(-2*time.Hour)) // waited long
-	young := job(2, "u", time.Hour, t0)
-	// Submit youngest first so ordering must come from queue time, not
-	// insertion.
-	s.Submit(young)
-	s.Submit(old)
-	var order []int64
-	c.OnComplete(func(j *sched.Job) { order = append(order, j.ID) })
-	s.Schedule(t0)
-	k.RunAll(0)
-	if order[0] != 1 {
-		t.Errorf("order = %v, want long-waiting job first", order)
-	}
-}
-
 func TestCalloutFailureFallsBack(t *testing.T) {
 	k := eventsim.New(t0)
 	c, _ := cluster.New("c", 1, k)
 	s := New(Config{
 		Cluster: c,
-		Weights: Weights{Fairshare: 1},
 		Callouts: Callouts{
 			FairsharePriority: func(string) (float64, error) {
 				return 0, errors.New("down")
@@ -135,24 +110,5 @@ func TestCalloutFailureFallsBack(t *testing.T) {
 	}
 	if s.Errors() == 0 {
 		t.Error("errors not counted")
-	}
-}
-
-func TestQoSComponent(t *testing.T) {
-	k := eventsim.New(t0)
-	c, _ := cluster.New("c", 1, k)
-	s := New(Config{Cluster: c, Weights: Weights{QoS: 1}})
-	j1 := job(1, "u", time.Hour, t0)
-	j1.QoS = 0.2
-	j2 := job(2, "u", time.Hour, t0)
-	j2.QoS = 0.8
-	s.Submit(j1)
-	s.Submit(j2)
-	var order []int64
-	c.OnComplete(func(j *sched.Job) { order = append(order, j.ID) })
-	s.Schedule(t0)
-	k.RunAll(0)
-	if order[0] != 2 {
-		t.Errorf("order = %v, want high-QoS job first", order)
 	}
 }

@@ -18,8 +18,8 @@ const (
 	Closed State = 0
 	// Open: calls are rejected without dialing until the cooldown elapses.
 	Open State = 1
-	// HalfOpen: one probe call at a time is let through; success closes the
-	// breaker, failure re-opens it.
+	// HalfOpen: one probe call at a time is let through; its success closes
+	// the breaker, its failure re-opens it.
 	HalfOpen State = 2
 )
 
@@ -53,9 +53,6 @@ type BreakerConfig struct {
 	// Cooldown is how long an open breaker rejects calls before allowing a
 	// half-open probe (default 30s).
 	Cooldown time.Duration
-	// HalfOpenProbes is how many consecutive probe successes close a
-	// half-open breaker (default 1).
-	HalfOpenProbes int
 	// Clock provides time for the cooldown (default wall clock; the testbed
 	// passes its sim clock so chaos runs stay deterministic).
 	Clock simclock.Clock
@@ -64,9 +61,6 @@ type BreakerConfig struct {
 func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = DefaultBreakerCooldown
-	}
-	if c.HalfOpenProbes < 1 {
-		c.HalfOpenProbes = 1
 	}
 	if c.Clock == nil {
 		c.Clock = simclock.Real{}
@@ -80,13 +74,12 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 type Breaker struct {
 	cfg BreakerConfig
 
-	mu        sync.Mutex
-	state     State
-	fails     int // consecutive failures while closed
-	successes int // consecutive probe successes while half-open
-	inflight  bool
-	openedAt  time.Time
-	lastErr   error
+	mu       sync.Mutex
+	state    State
+	fails    int // consecutive failures while closed
+	inflight bool
+	openedAt time.Time
+	lastErr  error
 
 	stateG  *telemetry.Gauge
 	trips   *telemetry.Counter
@@ -129,7 +122,6 @@ func (b *Breaker) Allow() bool {
 	case Open:
 		if b.cfg.Clock.Now().Sub(b.openedAt) >= b.cfg.Cooldown {
 			b.setState(HalfOpen)
-			b.successes = 0
 			b.inflight = true
 			return true
 		}
@@ -157,12 +149,9 @@ func (b *Breaker) Success() {
 		b.fails = 0
 	case HalfOpen:
 		b.inflight = false
-		b.successes++
-		if b.successes >= b.cfg.HalfOpenProbes {
-			b.setState(Closed)
-			b.fails = 0
-			b.lastErr = nil
-		}
+		b.setState(Closed)
+		b.fails = 0
+		b.lastErr = nil
 	}
 	// A success landing while Open (a call that started before the trip)
 	// carries no signal about current peer health; ignore it.

@@ -23,18 +23,22 @@ import (
 // Default retry parameters, used when the corresponding RetryPolicy field is
 // zero.
 const (
-	DefaultBaseDelay  = 100 * time.Millisecond
-	DefaultMaxDelay   = 5 * time.Second
-	DefaultMultiplier = 2.0
-	DefaultJitter     = 0.2
+	DefaultBaseDelay = 100 * time.Millisecond
+	DefaultMaxDelay  = 5 * time.Second
+)
+
+// Every retry doubles the delay and spreads it by ±20 %, which
+// de-synchronizes retry storms across clients.
+const (
+	backoffFactor = 2.0
+	jitterSpread  = 0.2
 )
 
 // The package-default jitter source is an explicit seeded PRNG rather than
-// the global math/rand functions, so every randomized code path in the
-// repository is seedable: tests (and the scenario harness) reseed it with
-// SeedJitter, or inject RetryPolicy.Rand per policy. Jitter only needs
-// spread within a process, not unpredictability, so a fixed default seed is
-// fine.
+// the global math/rand functions, so no randomized code path depends on
+// global state; a policy that needs exact delays injects RetryPolicy.Rand.
+// Jitter only needs spread within a process, not unpredictability, so a
+// fixed seed is fine.
 var (
 	jitterMu  sync.Mutex
 	jitterRng = rand.New(rand.NewSource(1))
@@ -46,17 +50,10 @@ func defaultJitterRand() float64 {
 	return jitterRng.Float64()
 }
 
-// SeedJitter reseeds the package-default jitter source used by policies
-// without an explicit Rand, making retry delays reproducible from a seed.
-func SeedJitter(seed int64) {
-	jitterMu.Lock()
-	defer jitterMu.Unlock()
-	jitterRng = rand.New(rand.NewSource(seed))
-}
-
 // RetryPolicy bounds how a transiently failing call is retried. The zero
 // value performs exactly one attempt (no retries), so wiring the policy
-// through a Config never changes behaviour until someone asks for it.
+// through a Config never changes behaviour until someone asks for it. Every
+// failure is retried except Permanent errors and context cancellation.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of attempts including the first
 	// (<= 1 means no retries).
@@ -65,21 +62,11 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the exponential backoff (default 5s).
 	MaxDelay time.Duration
-	// Multiplier grows the delay between consecutive retries (default 2).
-	Multiplier float64
-	// Jitter randomizes each delay by ±Jitter fraction, de-synchronizing
-	// retry storms across clients (default 0.2; negative disables).
-	Jitter float64
-	// Retryable decides whether an error is worth another attempt (default
-	// DefaultRetryable: everything except Permanent errors and context
-	// cancellation).
-	Retryable func(error) bool
 	// Sleep waits between attempts (default SleepContext). Tests inject a
 	// recording no-op to keep retries instantaneous and deterministic.
 	Sleep func(ctx context.Context, d time.Duration) error
 	// Rand yields jitter randomness in [0,1) (default: the package's
-	// seeded jitter source, reseedable via SeedJitter; tests inject a
-	// constant or a private *rand.Rand for determinism).
+	// seeded jitter source). A Rand that returns 0.5 gives exact delays.
 	Rand func() float64
 	// OnRetry observes every scheduled retry (attempt number of the failed
 	// try, its error) — the hook retry counters and logs hang off.
@@ -99,10 +86,6 @@ func (p RetryPolicy) Do(ctx context.Context, fn func(ctx context.Context) error)
 	if attempts < 1 {
 		attempts = 1
 	}
-	retryable := p.Retryable
-	if retryable == nil {
-		retryable = DefaultRetryable
-	}
 	sleep := p.Sleep
 	if sleep == nil {
 		sleep = SleepContext
@@ -114,14 +97,6 @@ func (p RetryPolicy) Do(ctx context.Context, fn func(ctx context.Context) error)
 	maxDelay := p.MaxDelay
 	if maxDelay <= 0 {
 		maxDelay = DefaultMaxDelay
-	}
-	mult := p.Multiplier
-	if mult < 1 {
-		mult = DefaultMultiplier
-	}
-	jitter := p.Jitter
-	if jitter == 0 {
-		jitter = DefaultJitter
 	}
 	rnd := p.Rand
 	if rnd == nil {
@@ -137,17 +112,14 @@ func (p RetryPolicy) Do(ctx context.Context, fn func(ctx context.Context) error)
 		if p.OnRetry != nil {
 			p.OnRetry(attempt, err)
 		}
-		d := delay
-		if jitter > 0 {
-			// Spread in [d*(1-jitter), d*(1+jitter)].
-			d = time.Duration(float64(d) * (1 - jitter + 2*jitter*rnd()))
-		}
+		// Spread in [delay*(1-jitterSpread), delay*(1+jitterSpread)].
+		d := time.Duration(float64(delay) * (1 - jitterSpread + 2*jitterSpread*rnd()))
 		if sleepErr := sleep(ctx, d); sleepErr != nil {
 			// The caller's deadline ended the backoff; the last real
 			// failure is more informative than "context canceled".
 			return err
 		}
-		delay = time.Duration(float64(delay) * mult)
+		delay = time.Duration(float64(delay) * backoffFactor)
 		if delay > maxDelay {
 			delay = maxDelay
 		}
@@ -177,8 +149,7 @@ type permanentError struct{ err error }
 func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
-// Permanent wraps err so DefaultRetryable refuses to retry it. A nil err
-// stays nil.
+// Permanent wraps err so Do does not retry it. A nil err stays nil.
 func Permanent(err error) error {
 	if err == nil {
 		return nil
@@ -193,11 +164,12 @@ func IsPermanent(err error) bool {
 	return errors.As(err, &pe)
 }
 
-// DefaultRetryable retries every failure except Permanent errors and
-// caller-side context cancellation. A DeadlineExceeded is retryable: it is
-// usually a per-attempt timeout, and when it is the caller's own deadline
-// the backoff sleep terminates the loop anyway.
-func DefaultRetryable(err error) bool {
+// retryable reports whether a failure is worth another attempt: every one
+// except Permanent errors and caller-side context cancellation. A
+// DeadlineExceeded is retryable: it is usually a per-attempt timeout, and
+// when it is the caller's own deadline the backoff sleep terminates the
+// loop anyway.
+func retryable(err error) bool {
 	if err == nil || IsPermanent(err) {
 		return false
 	}

@@ -24,7 +24,7 @@ func noSleep(delays *[]time.Duration) func(context.Context, time.Duration) error
 func TestRetrySucceedsAfterTransientFailures(t *testing.T) {
 	var delays []time.Duration
 	calls := 0
-	p := RetryPolicy{MaxAttempts: 4, Sleep: noSleep(&delays), Jitter: -1}
+	p := RetryPolicy{MaxAttempts: 4, Sleep: noSleep(&delays)}
 	err := p.Do(context.Background(), func(context.Context) error {
 		calls++
 		if calls < 3 {
@@ -46,8 +46,7 @@ func TestRetryBackoffGrowsAndCaps(t *testing.T) {
 		MaxAttempts: 5,
 		BaseDelay:   100 * time.Millisecond,
 		MaxDelay:    300 * time.Millisecond,
-		Multiplier:  2,
-		Jitter:      -1, // exact delays
+		Rand:        func() float64 { return 0.5 }, // exact delays
 		Sleep:       noSleep(&delays),
 	}
 	_ = p.Do(context.Background(), func(context.Context) error { return errBoom })
@@ -68,13 +67,12 @@ func TestRetryJitterSpreadsDelays(t *testing.T) {
 	p := RetryPolicy{
 		MaxAttempts: 2,
 		BaseDelay:   time.Second,
-		Jitter:      0.5,
-		Rand:        func() float64 { return 1 }, // upper edge → d*(1+jitter)
+		Rand:        func() float64 { return 1 }, // upper edge → d*1.2
 		Sleep:       noSleep(&delays),
 	}
 	_ = p.Do(context.Background(), func(context.Context) error { return errBoom })
-	if len(delays) != 1 || delays[0] != 1500*time.Millisecond {
-		t.Errorf("jittered delay = %v, want [1.5s]", delays)
+	if len(delays) != 1 || delays[0] != 1200*time.Millisecond {
+		t.Errorf("jittered delay = %v, want [1.2s]", delays)
 	}
 }
 

@@ -79,10 +79,7 @@ func Substrates() []Substrate {
 				if err != nil {
 					t.Fatalf("cluster: %v", err)
 				}
-				mf := &slurm.Multifactor{
-					FS:      fsFunc(h.Fairshare),
-					Weights: sched.FairshareOnly(),
-				}
+				mf := &slurm.Multifactor{FS: fsFunc(h.Fairshare)}
 				var comp []slurm.JobCompHandler
 				if h.JobCompleted != nil {
 					comp = append(comp, jobCompFunc(h.JobCompleted))
@@ -106,7 +103,6 @@ func Substrates() []Substrate {
 				}
 				s := maui.New(maui.Config{
 					Cluster: cl,
-					Weights: maui.Weights{Fairshare: 1},
 					Callouts: maui.Callouts{
 						FairsharePriority: h.Fairshare,
 						JobCompleted:      h.JobCompleted,

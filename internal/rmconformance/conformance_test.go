@@ -1,6 +1,7 @@
 package rmconformance
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -75,6 +76,46 @@ func TestCalloutErrorFallsBackNeutral(t *testing.T) {
 		for i := range want {
 			if order[i] != want[i] {
 				t.Fatalf("dispatch order %v, want %v (erroring user must rank neutral)", order, want)
+			}
+		}
+	})
+}
+
+// TestDispatchPriorityIsTheCallout verifies that fairshare is the only
+// priority factor: every job is dispatched at exactly the value its
+// fairshare call-out returned, Float64bits-equal, and at exactly the neutral
+// 0.5 when the call-out fails. Adding anything to the value, even +0, fails
+// here, because it turns −0 into +0.
+func TestDispatchPriorityIsTheCallout(t *testing.T) {
+	values := map[string]float64{
+		"negzero": math.Copysign(0, -1),
+		"third":   1.0 / 3,
+		"tiny":    math.SmallestNonzeroFloat64,
+		"one":     1,
+	}
+	users := []string{"negzero", "third", "tiny", "one", "ghost"} // ghost's call-out fails
+	forEach(t, func(t *testing.T, sub Substrate) {
+		rec := &Recorder{}
+		env := sub.Build(t, len(users), rec.Hooks(values))
+		for i, u := range users {
+			env.RM.Submit(Job(int64(i+1), u, 1, time.Minute, epoch))
+		}
+		env.RM.Schedule(epoch)
+		env.Kernel.Run(epoch.Add(time.Hour))
+
+		starts := rec.Starts()
+		if len(starts) != len(users) {
+			t.Fatalf("observed %d starts, want %d", len(starts), len(users))
+		}
+		for _, st := range starts {
+			u := users[st.JobID-1]
+			want, ok := values[u]
+			if !ok {
+				want = 0.5
+			}
+			if math.Float64bits(st.Priority) != math.Float64bits(want) {
+				t.Errorf("%s dispatched at %v (bits %#x), want the call-out's %v (bits %#x)",
+					u, st.Priority, math.Float64bits(st.Priority), want, math.Float64bits(want))
 			}
 		}
 	})

@@ -22,7 +22,6 @@ import (
 	"repro/internal/maui"
 	"repro/internal/metrics"
 	"repro/internal/policy"
-	"repro/internal/resilience"
 	"repro/internal/sched"
 	"repro/internal/services/irs"
 	"repro/internal/services/uss"
@@ -284,10 +283,6 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}
-	// Reseed the package-default retry jitter so even code paths that fall
-	// back to it are covered by the scenario's seed.
-	resilience.SeedJitter(spec.Seed)
-
 	decay := spec.Decay
 	if decay == nil {
 		decay = usage.ExponentialHalfLife{HalfLife: spec.Duration / 6}
@@ -400,11 +395,8 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 		switch spec.RM {
 		case RMSlurm:
 			h.RMs = append(h.RMs, slurm.New(slurm.Config{
-				Cluster: cl,
-				Priority: &slurm.Multifactor{
-					FS:      siteFairshare{h: h, i: i},
-					Weights: sched.FairshareOnly(),
-				},
+				Cluster:              cl,
+				Priority:             &slurm.Multifactor{FS: siteFairshare{h: h, i: i}},
 				JobComp:              []slurm.JobCompHandler{siteJobComp{h: h, i: i}},
 				ReprioritizeInterval: spec.ReprioInterval,
 				StrictOrder:          spec.StrictOrder,
@@ -413,7 +405,6 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 		case RMMaui:
 			h.RMs = append(h.RMs, maui.New(maui.Config{
 				Cluster: cl,
-				Weights: maui.Weights{Fairshare: 1},
 				Callouts: maui.Callouts{
 					FairsharePriority: func(localUser string) (float64, error) {
 						return h.Sites[i].Lib.PriorityForLocalUser(localUser)

@@ -1,6 +1,6 @@
 // Package sched defines the job model and priority machinery shared by the
-// SLURM- and Maui-like resource-manager substrates: job records, multifactor
-// priority weights, and the pending-job queue ordered by combined priority.
+// SLURM- and Maui-like resource-manager substrates: job records and the
+// pending-job queue ordered by priority.
 package sched
 
 import (
@@ -48,8 +48,6 @@ type Job struct {
 	Procs int
 	// Duration is the job's actual runtime.
 	Duration time.Duration
-	// QoS is an optional quality-of-service factor in [0,1].
-	QoS float64
 	// Submit, Start and End are lifecycle timestamps.
 	Submit, Start, End time.Time
 	// Site is the cluster the job was dispatched to.
@@ -67,34 +65,7 @@ func (j *Job) WaitTime(now time.Time) time.Duration {
 	return j.Start.Sub(j.Submit)
 }
 
-// Factors are the per-job priority components, each in [0,1], mirroring the
-// linear factor combination both SLURM and Maui employ.
-type Factors struct {
-	// Fairshare is the (global or local) fairshare factor.
-	Fairshare float64
-	// Age is the normalized queue-wait factor.
-	Age float64
-	// QoS is the quality-of-service factor.
-	QoS float64
-	// JobSize is the normalized size factor.
-	JobSize float64
-}
-
-// Weights are the configurable multipliers applied to each factor.
-type Weights struct {
-	Fairshare, Age, QoS, JobSize float64
-}
-
-// FairshareOnly returns the weight configuration the paper's tests use:
-// "Fairshare is the only scheduling factor used during these tests."
-func FairshareOnly() Weights { return Weights{Fairshare: 1} }
-
-// Combine computes the weighted linear combination of the factors.
-func (w Weights) Combine(f Factors) float64 {
-	return w.Fairshare*f.Fairshare + w.Age*f.Age + w.QoS*f.QoS + w.JobSize*f.JobSize
-}
-
-// QueuedJob pairs a job with its current combined priority.
+// QueuedJob pairs a job with its current priority.
 type QueuedJob struct {
 	Job      *Job
 	Priority float64

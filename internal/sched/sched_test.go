@@ -30,17 +30,6 @@ func TestWaitTime(t *testing.T) {
 	}
 }
 
-func TestWeightsCombine(t *testing.T) {
-	w := Weights{Fairshare: 2, Age: 1, QoS: 0.5, JobSize: 0.25}
-	f := Factors{Fairshare: 0.5, Age: 1, QoS: 1, JobSize: 0}
-	if got := w.Combine(f); got != 2*0.5+1+0.5 {
-		t.Errorf("Combine = %g", got)
-	}
-	if got := FairshareOnly().Combine(Factors{Fairshare: 0.7, Age: 1}); got != 0.7 {
-		t.Errorf("FairshareOnly = %g", got)
-	}
-}
-
 func TestSortQueueByPriorityThenSubmitThenID(t *testing.T) {
 	q := []QueuedJob{
 		{Job: &Job{ID: 3, Submit: t0}, Priority: 0.5},

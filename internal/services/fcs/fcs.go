@@ -213,7 +213,6 @@ type Service struct {
 	// (0 before the first). Guarded by refreshMu.
 	usageVersion uint64
 
-	mRecalcs     *telemetry.Counter
 	mIncr        *telemetry.Counter
 	mFull        *telemetry.Counter
 	mRecalcDur   *telemetry.Histogram
@@ -251,8 +250,6 @@ func New(cfg Config, pds PolicySource, ums UsageSource) *Service {
 	reg := telemetry.OrDefault(cfg.Metrics)
 	return &Service{
 		cfg: cfg, ttl: ttl, pds: pds, ums: ums,
-		mRecalcs: reg.Counter("aequus_fcs_recalcs_total",
-			"Fairshare tree pre-calculations performed."),
 		mIncr: reg.Counter("aequus_fcs_refresh_incremental_total",
 			"Snapshot refreshes served by the incremental recalc engine."),
 		mFull: reg.Counter("aequus_fcs_refresh_full_total",
@@ -433,7 +430,6 @@ func (s *Service) rebuildLocked() error {
 		UsageReference:       ds.Reference,
 	})
 	s.lastErr.Store(&refreshOutcome{nil})
-	s.mRecalcs.Inc()
 	if incremental {
 		s.mIncr.Inc()
 		s.mPhaseDur.With("fold").Observe(stats.FoldDuration.Seconds())

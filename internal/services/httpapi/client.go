@@ -161,13 +161,8 @@ func (c *Client) call(ctx context.Context, idempotent bool, method, path, conten
 		return attempt(ctx)
 	}
 	p := c.Retry
-	orig := p.OnRetry
-	p.OnRetry = func(n int, err error) {
-		if orig != nil {
-			orig(n, err)
-		} else {
-			c.metrics.Retry(target)
-		}
+	p.OnRetry = func(n int, _ error) {
+		c.metrics.Retry(target)
 		// The span on ctx (e.g. the USS's per-peer pull span) carries the
 		// retry count; SetAttr replaces, so the last attempt number wins.
 		span.Current(ctx).SetAttrInt("retries", int64(n))
@@ -296,23 +291,23 @@ func (c *Client) ReportJob(gridUser string, start time.Time, dur time.Duration, 
 	_ = c.ReportJobErr(gridUser, start, dur, procs)
 }
 
-// ReportJobErr reports usage and returns any transport error. Usage reports
-// accumulate on the remote USS, so the call is not idempotent and is never
-// retried: a report lost to a transient failure is recovered by the
-// idempotent exchange protocol, not by resending it (which could double
-// count).
+// ReportJobErr reports usage as a one-report batch and returns any
+// transport error. Usage reports accumulate on the remote USS, so the call
+// is not idempotent and is never retried: a report lost to a transient
+// failure is recovered by the idempotent exchange protocol, not by resending
+// it (which could double count).
 func (c *Client) ReportJobErr(gridUser string, start time.Time, dur time.Duration, procs int) error {
-	return c.post(context.Background(), false, "/usage", wire.UsageReport{
+	return c.ReportJobBatch([]wire.UsageReport{{
 		User:            gridUser,
 		Start:           start,
 		DurationSeconds: dur.Seconds(),
 		Procs:           procs,
-	}, nil)
+	}})
 }
 
-// ReportJobBatch reports many completed jobs in one request. Like single
-// reports, batches accumulate and are therefore never retried; the
-// idempotent exchange protocol recovers anything lost in transit.
+// ReportJobBatch reports completed jobs in one POST /usage/batch. Batches
+// accumulate and are therefore never retried; the idempotent exchange
+// protocol recovers anything lost in transit.
 func (c *Client) ReportJobBatch(reports []wire.UsageReport) error {
 	return c.post(context.Background(), false, "/usage/batch", wire.UsageBatchRequest{Reports: reports}, nil)
 }

@@ -54,7 +54,7 @@ func fastRetry(attempts int) resilience.RetryPolicy {
 		MaxAttempts: attempts,
 		BaseDelay:   time.Millisecond,
 		MaxDelay:    2 * time.Millisecond,
-		Jitter:      -1,
+		Rand:        func() float64 { return 0.5 }, // exact delays
 	}
 }
 

@@ -338,7 +338,7 @@ func TestProjectionSwitchEndpoint(t *testing.T) {
 func TestMethodNotAllowed(t *testing.T) {
 	clock := simclock.NewSim(t0)
 	s := newSite(t, "s", clock, map[string]float64{"a": 1})
-	for _, ep := range []string{"/policy/mount", "/usage", "/fairshare/refresh", "/identity/mapping"} {
+	for _, ep := range []string{"/policy/mount", "/usage/batch", "/fairshare/refresh", "/identity/mapping"} {
 		resp, err := http.Get(s.server.URL + ep)
 		if err != nil {
 			t.Fatal(err)
@@ -369,13 +369,13 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
-	if code := post("/usage", `{bad json`); code != http.StatusBadRequest {
+	if code := post("/usage/batch", `{bad json`); code != http.StatusBadRequest {
 		t.Errorf("malformed usage = %d", code)
 	}
-	if code := post("/usage", `{"user":"","durationSeconds":5}`); code != http.StatusBadRequest {
+	if code := post("/usage/batch", `{"reports":[{"user":"","durationSeconds":5}]}`); code != http.StatusBadRequest {
 		t.Errorf("empty user = %d", code)
 	}
-	if code := post("/usage", `{"user":"u","durationSeconds":-1}`); code != http.StatusBadRequest {
+	if code := post("/usage/batch", `{"reports":[{"user":"u","durationSeconds":-1}]}`); code != http.StatusBadRequest {
 		t.Errorf("negative duration = %d", code)
 	}
 	if code := post("/identity/mapping", `{"gridId":"","site":"s","localUser":"l"}`); code != http.StatusBadRequest {

@@ -139,7 +139,6 @@ func NewServerWith(p *pds.Service, u *uss.Service, m *ums.Service, f *fcs.Servic
 		handle(post, "/policy/refresh", s.handlePolicyRefresh)
 	}
 	if u != nil {
-		handle(post, "/usage", s.handleUsageReport)
 		handle(post, "/usage/batch", s.handleUsageBatch)
 		handle(get, "/usage/records", s.handleUsageRecords)
 		handle(post, "/usage/exchange", s.handleUsageExchange)
@@ -278,21 +277,8 @@ func (s *Server) handlePolicyRefresh(w http.ResponseWriter, r *http.Request) {
 	wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (s *Server) handleUsageReport(w http.ResponseWriter, r *http.Request) {
-	var rep wire.UsageReport
-	if !readBody(w, r, &rep) {
-		return
-	}
-	if rep.User == "" || rep.DurationSeconds < 0 {
-		wire.WriteError(w, http.StatusBadRequest, "invalid usage report")
-		return
-	}
-	s.USS.ReportJob(rep.User, rep.Start,
-		time.Duration(rep.DurationSeconds*float64(time.Second)), rep.Procs)
-	wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// handleUsageBatch ingests many job completions in one request. The whole
+// handleUsageBatch ingests job completions, one or many per request (the
+// only ingest route). The whole
 // batch is validated before any report lands, so a malformed entry rejects
 // the request instead of half-applying it.
 func (s *Server) handleUsageBatch(w http.ResponseWriter, r *http.Request) {

@@ -111,8 +111,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`aequus_lib_cache_misses_total{cache="fairshare"} 1`,
 		`aequus_lib_cache_hits_total{cache="identity"} 1`,
 		`aequus_lib_cache_misses_total{cache="identity"} 1`,
-		`aequus_fcs_recalcs_total`,
-		`aequus_ums_recomputes_total`,
+		`aequus_fcs_recalc_duration_seconds_count `,
+		`aequus_ums_recompute_duration_seconds_count `,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("/metrics missing %q", want)

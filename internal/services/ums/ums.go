@@ -107,7 +107,6 @@ type Service struct {
 	// invalid. ComputedAt and Invalidate never take mu.
 	stamp atomic.Pointer[time.Time]
 
-	mRecomputes   *telemetry.Counter
 	mRecomputeDur *telemetry.Histogram
 }
 
@@ -122,8 +121,6 @@ func New(cfg Config, src Source) *Service {
 	reg := telemetry.OrDefault(cfg.Metrics)
 	s := &Service{
 		cfg: cfg, src: src,
-		mRecomputes: reg.Counter("aequus_ums_recomputes_total",
-			"Decayed usage-tree recomputations performed."),
 		mRecomputeDur: reg.Histogram("aequus_ums_recompute_duration_seconds",
 			"Wall-clock duration of one pass over the usage source.",
 			telemetry.DefBuckets()),
@@ -252,7 +249,6 @@ func (s *Service) passLocked(now time.Time) error {
 	// source's cursor has moved past those changes — but then the cache
 	// stays invalid and the next reader runs another pass.
 	s.stamp.CompareAndSwap(stamp, &now)
-	s.mRecomputes.Inc()
 	s.mRecomputeDur.Observe(time.Since(started).Seconds())
 	return nil
 }

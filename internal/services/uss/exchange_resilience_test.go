@@ -12,6 +12,7 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/span"
 	"repro/internal/usage"
 )
 
@@ -191,6 +192,50 @@ func TestExchangeBreakerSkipsDeadPeerThenRecovers(t *testing.T) {
 	}
 	if st[0].LastSuccess.IsZero() {
 		t.Error("LastSuccess not recorded")
+	}
+}
+
+// TestPullSpanRecordsBreakerAfterAllow: each uss.pull span records the
+// breaker state the pull ran under. The pull that trips the breaker runs
+// closed, the next one is skipped open, and after the cooldown the probe
+// that really dials is recorded half-open.
+func TestPullSpanRecordsBreakerAfterAllow(t *testing.T) {
+	clock := simclock.NewSim(t0)
+	rec := span.NewRecorder(span.Config{Capacity: 64, Clock: clock})
+	s := New(Config{
+		Site:       "local",
+		BinWidth:   time.Hour,
+		Contribute: true,
+		Clock:      clock,
+		Metrics:    telemetry.NewRegistry(),
+		Spans:      rec,
+		Breaker:    resilience.BreakerConfig{Threshold: 1, Cooldown: time.Minute},
+	})
+	dead := &errPeer{site: "dead"}
+	s.AddPeer(dead)
+
+	_, _ = s.Exchange(context.Background()) // trips the breaker
+	_, _ = s.Exchange(context.Background()) // skipped
+	clock.Advance(time.Minute)
+	_, _ = s.Exchange(context.Background()) // the half-open probe
+	if got := dead.callCount(); got != 2 {
+		t.Fatalf("peer dialed %d times, want 2 (the trip and the probe)", got)
+	}
+
+	var states []string
+	for _, sp := range rec.Snapshot() {
+		if sp.Name != "uss.pull" {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == "breaker" {
+				states = append(states, a.Value)
+			}
+		}
+	}
+	want := []string{"closed", "open", "half-open"}
+	if strings.Join(states, ",") != strings.Join(want, ",") {
+		t.Errorf("uss.pull breaker attributes = %v, want %v", states, want)
 	}
 }
 

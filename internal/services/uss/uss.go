@@ -304,14 +304,17 @@ func (s *Service) pullPeer(ctx context.Context, p Peer) (int, error) {
 
 	ctx, sp := span.Start(ctx, "uss.pull")
 	sp.SetAttr("peer", site)
+	defer sp.End()
+
+	// The state is read after Allow, which is what moves an open breaker
+	// whose cooldown has passed to half-open: a probe is recorded as one.
+	allowed := br.Allow()
 	if br != nil {
 		sp.SetAttr("breaker", br.State().String())
 	} else {
 		sp.SetAttr("breaker", "disabled")
 	}
-	defer sp.End()
-
-	if !br.Allow() {
+	if !allowed {
 		s.mExchangeSkips.With(site).Inc()
 		sp.SetAttr("skipped", "breaker-open")
 		s.updateWatermarkAge(site)

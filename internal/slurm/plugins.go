@@ -1,5 +1,5 @@
 // Package slurm implements a SLURM-like local resource manager: a
-// multifactor priority plug-in system, job-completion plug-ins, and a
+// fairshare priority plug-in, job-completion plug-ins, and a
 // periodic scheduling loop. The Aequus integration mirrors Section III-A:
 // "the priority plug-in is based on the existing multifactor priority
 // plugin, with the normal fairshare priority calculation code replaced with
@@ -8,7 +8,6 @@
 package slurm
 
 import (
-	"context"
 	"math"
 	"sync"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/libaequus"
 	"repro/internal/sched"
 	"repro/internal/simclock"
-	"repro/internal/telemetry/span"
 	"repro/internal/usage"
 )
 
@@ -35,12 +33,9 @@ type JobCompHandler interface {
 }
 
 // AequusFairshare is the Aequus priority plug-in: the fairshare factor is a
-// libaequus call-out.
+// libaequus call-out (libaequus traces a cache miss as "lib.fairshare_fetch").
 type AequusFairshare struct {
 	Lib *libaequus.Client
-	// Spans receives one "rm.fairshare_callout" span per call-out (nil
-	// disables tracing).
-	Spans *span.Recorder
 }
 
 // Name implements FairshareProvider.
@@ -48,14 +43,7 @@ func (AequusFairshare) Name() string { return "aequus" }
 
 // Fairshare implements FairshareProvider.
 func (a AequusFairshare) Fairshare(localUser string) (float64, error) {
-	_, sp := span.Start(span.WithRecorder(context.Background(), a.Spans),
-		"rm.fairshare_callout")
-	sp.SetAttr("rm", "slurm")
-	sp.SetAttr("user", localUser)
-	v, err := a.Lib.PriorityForLocalUser(localUser)
-	sp.SetErr(err)
-	sp.End()
-	return v, err
+	return a.Lib.PriorityForLocalUser(localUser)
 }
 
 // AequusJobComp is the Aequus job-completion plug-in.
@@ -138,46 +126,30 @@ func (l *LocalFairshare) Fairshare(localUser string) (float64, error) {
 	return math.Exp2(-u / share), nil
 }
 
-// Multifactor is the multifactor priority plug-in: a weighted linear
-// combination of fairshare, age, QoS and size factors, each in [0,1].
+// Multifactor is the multifactor priority plug-in with fairshare as its
+// only factor, as in the paper's tests: "Fairshare is the only scheduling
+// factor used during these tests." A job's priority is the fairshare
+// call-out's value, bit for bit.
 type Multifactor struct {
-	// FS supplies the fairshare factor (Aequus or local).
+	// FS supplies the fairshare factor (Aequus or local; required).
 	FS FairshareProvider
-	// Weights are the factor multipliers.
-	Weights sched.Weights
-	// MaxAge normalizes the age factor: age = min(1, wait/MaxAge).
-	// Zero disables the age factor.
-	MaxAge time.Duration
-	// Cores normalizes the size factor (smaller jobs score higher).
-	Cores int
 
 	mu     sync.Mutex
 	errors int
 }
 
-// Priority computes the combined priority of a job at `now`. Fairshare
-// provider failures fall back to a neutral 0.5 so a temporarily unreachable
-// Aequus never wedges the scheduler; failures are counted.
-func (m *Multifactor) Priority(j *sched.Job, now time.Time) float64 {
-	var f sched.Factors
-	if m.FS != nil {
-		fs, err := m.FS.Fairshare(j.LocalUser)
-		if err != nil {
-			m.mu.Lock()
-			m.errors++
-			m.mu.Unlock()
-			fs = 0.5
-		}
-		f.Fairshare = fs
+// Priority computes a job's priority. A fairshare provider failure falls
+// back to a neutral 0.5 so a temporarily unreachable Aequus never wedges the
+// scheduler; failures are counted.
+func (m *Multifactor) Priority(j *sched.Job) float64 {
+	fs, err := m.FS.Fairshare(j.LocalUser)
+	if err != nil {
+		m.mu.Lock()
+		m.errors++
+		m.mu.Unlock()
+		return 0.5
 	}
-	if m.MaxAge > 0 {
-		f.Age = math.Min(1, float64(j.WaitTime(now))/float64(m.MaxAge))
-	}
-	f.QoS = j.QoS
-	if m.Cores > 0 && j.Procs >= 1 {
-		f.JobSize = 1 - float64(j.Procs-1)/float64(m.Cores)
-	}
-	return m.Weights.Combine(f)
+	return fs
 }
 
 // Errors reports how many fairshare call-outs have failed.

@@ -65,7 +65,7 @@ func (s *Scheduler) Submit(j *sched.Job) {
 	j.State = sched.Pending
 	p := 0.0
 	if s.cfg.Priority != nil {
-		p = s.cfg.Priority.Priority(j, j.Submit)
+		p = s.cfg.Priority.Priority(j)
 	}
 	s.queue.Push(j, p)
 	s.submitted++
@@ -109,9 +109,7 @@ func (s *Scheduler) Schedule(now time.Time) {
 	if s.cfg.Priority != nil &&
 		(!s.hasPrios || s.cfg.ReprioritizeInterval <= 0 ||
 			now.Sub(s.lastPrios) >= s.cfg.ReprioritizeInterval) {
-		s.queue.Reprioritize(func(j *sched.Job) float64 {
-			return s.cfg.Priority.Priority(j, now)
-		})
+		s.queue.Reprioritize(s.cfg.Priority.Priority)
 		s.lastPrios = now
 		s.hasPrios = true
 	}

@@ -39,7 +39,7 @@ func newSched(t *testing.T, k *eventsim.Kernel, cores int, fs FairshareProvider,
 	}
 	cfg := Config{
 		Cluster:  c,
-		Priority: &Multifactor{FS: fs, Weights: sched.FairshareOnly()},
+		Priority: &Multifactor{FS: fs},
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -144,7 +144,7 @@ func TestStrictOrderBlocksLowerJobs(t *testing.T) {
 		c, _ := cluster.New("c", 2, k)
 		s := New(Config{
 			Cluster:     c,
-			Priority:    &Multifactor{FS: fs, Weights: sched.FairshareOnly()},
+			Priority:    &Multifactor{FS: fs},
 			StrictOrder: strict,
 		})
 		s.Submit(&sched.Job{ID: 1, LocalUser: "small", Procs: 1, Duration: time.Hour, Submit: t0})
@@ -165,7 +165,7 @@ func TestStrictOrderBlocksLowerJobs(t *testing.T) {
 func TestProviderFailureFallsBackToNeutral(t *testing.T) {
 	k := eventsim.New(t0)
 	fs := &staticFS{err: errors.New("aequus down")}
-	mf := &Multifactor{FS: fs, Weights: sched.FairshareOnly()}
+	mf := &Multifactor{FS: fs}
 	s, _ := newSched(t, k, 1, fs, func(cfg *Config) { cfg.Priority = mf })
 	j := job(1, "u", time.Minute, t0)
 	s.Submit(j)
@@ -175,31 +175,6 @@ func TestProviderFailureFallsBackToNeutral(t *testing.T) {
 	}
 	if mf.Errors() == 0 {
 		t.Error("errors not counted")
-	}
-}
-
-func TestMultifactorAgeAndSizeFactors(t *testing.T) {
-	mf := &Multifactor{
-		Weights: sched.Weights{Age: 1, JobSize: 1},
-		MaxAge:  time.Hour,
-		Cores:   10,
-	}
-	j := &sched.Job{Submit: t0, Procs: 1, State: sched.Pending}
-	p := mf.Priority(j, t0.Add(30*time.Minute))
-	// age 0.5 + size 1.0
-	if math.Abs(p-1.5) > 1e-12 {
-		t.Errorf("priority = %g, want 1.5", p)
-	}
-	// Age clamps at 1.
-	p = mf.Priority(j, t0.Add(10*time.Hour))
-	if math.Abs(p-2.0) > 1e-12 {
-		t.Errorf("priority = %g, want 2.0", p)
-	}
-	big := &sched.Job{Submit: t0, Procs: 10, State: sched.Pending}
-	p = mf.Priority(big, t0)
-	// size factor = 1 - 9/10 = 0.1
-	if math.Abs(p-0.1) > 1e-12 {
-		t.Errorf("big job priority = %g, want 0.1", p)
 	}
 }
 

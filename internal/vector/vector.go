@@ -86,8 +86,9 @@ type Entry struct {
 	PathUsage []float64
 }
 
-// Projection collapses fairshare vectors into single values in [0,1], to be
-// linearly combined with other factors (job age, QoS, ...) by SLURM or Maui.
+// Projection collapses fairshare vectors into single values in [0,1]: the
+// scalar a SLURM or Maui priority can weigh like any other factor (the RM
+// substrates here use it alone).
 type Projection interface {
 	// Name identifies the algorithm.
 	Name() string

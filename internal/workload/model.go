@@ -81,10 +81,10 @@ type GenerateOptions struct {
 	Span time.Duration
 	// Seed seeds the deterministic generator.
 	Seed int64
-	// MinDuration / MaxDuration clamp sampled durations (zero = no clamp,
-	// but durations are always forced positive: a 1-second floor avoids the
-	// zero-duration outliers the paper removes).
-	MinDuration, MaxDuration time.Duration
+	// MaxDuration clamps sampled durations (zero = no clamp). Durations
+	// are always at least one second, which avoids the zero-duration
+	// outliers the paper removes.
+	MaxDuration time.Duration
 	// CalibrateUsage rescales each user's durations so per-user usage
 	// shares match UsageFraction exactly (keeping total usage unchanged).
 	CalibrateUsage bool
@@ -104,10 +104,7 @@ func (m Model) Generate(opts GenerateOptions) (*trace.Trace, error) {
 	}
 	rng := rand.New(rand.NewSource(opts.Seed))
 	spanSec := opts.Span.Seconds()
-	minDur := opts.MinDuration.Seconds()
-	if minDur < 1 {
-		minDur = 1
-	}
+	const minDur = 1.0 // seconds
 	maxDur := opts.MaxDuration.Seconds()
 
 	// Apportion job counts; the largest-fraction user absorbs rounding.
