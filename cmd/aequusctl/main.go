@@ -330,10 +330,7 @@ func cmdFcs(c *httpapi.Client) error {
 	fmt.Fprintf(tw, "dirty users\t%d\n", s.FCSDirtyUsers)
 	fmt.Fprintf(tw, "refresh duration\t%.3fms\n", s.FCSRefreshSeconds*1000)
 	if s.FCSRefreshMode == "incremental" {
-		fmt.Fprintf(tw, "  fold/materialize\t%.3f / %.3fms\n",
-			s.FCSFoldSeconds*1000, s.FCSMaterializeSeconds*1000)
-		fmt.Fprintf(tw, "  segments rebuilt/shared\t%d / %d\n",
-			s.FCSMaterializedSegments, s.FCSSharedSegments)
+		fmt.Fprintf(tw, "  fold\t%.3fms\n", s.FCSFoldSeconds*1000)
 	}
 	fmt.Fprintf(tw, "  publish\t%.3fms\n", s.FCSPublishSeconds*1000)
 	if s.FCSUsageReference != nil {

@@ -147,7 +147,6 @@ func BenchmarkRecalcApply(b *testing.B) {
 						k = 1
 					}
 					delta := make(map[string]float64, k)
-					var matSegs, sharedSegs int
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
@@ -162,14 +161,10 @@ func BenchmarkRecalcApply(b *testing.B) {
 						if st.DirtyLeaves != len(delta) {
 							b.Fatalf("dirty leaves = %d, want %d", st.DirtyLeaves, len(delta))
 						}
-						matSegs += st.MaterializedSegments
-						sharedSegs += st.SharedSegments
 						for u := range delta {
 							delete(delta, u)
 						}
 					}
-					b.ReportMetric(float64(matSegs)/float64(b.N), "dirtysegs/op")
-					b.ReportMetric(float64(sharedSegs)/float64(b.N), "sharedsegs/op")
 				})
 			}
 		})

@@ -190,8 +190,8 @@ func (g *group) subAt(i int) *group {
 	return g.sub[i]
 }
 
-// member returns member i with its scores. Every value the package publishes
-// is read through here. cfg must be normalized.
+// member returns member i with its scores, for the tree walks. cfg must be
+// normalized.
 func (g *group) member(cfg Config, i int) Member {
 	pc := g.pol.Children[i]
 	m := Member{Name: pc.Name, Leaf: g.subAt(i) == nil, Share: pc.Share, Usage: g.usage[i]}
@@ -206,22 +206,44 @@ func (g *group) member(cfg Config, i int) Member {
 // sibling group's usage, the blend k·rel + (1−k)·abs of its two distances
 // from its target share (see the package comment), and that priority mapped
 // linearly from [−1, 1] into [0, Resolution) with 0 on the balance point.
-// The full index build, Recalc.Apply and every tree walk score through it
-// (by way of group.member), which is what makes their results the same bits.
-// cfg must be normalized.
-func score(cfg Config, share, usage, groupUsage float64) (usageShare, priority, value float64) {
-	if groupUsage > 0 {
-		usageShare = usage / groupUsage
-	}
-	abs := share - usageShare
+// Every tree walk (by way of group.member) and the index's entry composition
+// score through it, which is what makes their results the same bits. cfg
+// must be normalized.
+func score(cfg Config, share, usage, groupUsage float64) (us, priority, value float64) {
+	us = usageShare(usage, groupUsage)
+	abs := share - us
 	rel := 0.0
 	if share > 0 {
-		rel = math.Max(0, math.Min(1, abs/share))
+		rel = clamp(abs/share, 1)
 	}
 	k := cfg.DistanceWeight
 	priority = k*rel + (1-k)*abs
 	v := cfg.Resolution / 2 * (1 + priority)
-	return usageShare, priority, math.Max(0, math.Min(cfg.Resolution-1e-9, v))
+	return us, priority, clamp(v, cfg.Resolution-1e-9)
+}
+
+// clamp is math.Max(0, math.Min(hi, x)) for a positive hi, bit for bit (−0
+// becomes +0, a NaN becomes math.NaN()), without those two calls: they are
+// not inlined, and cost more than the rest of a score.
+func clamp(x, hi float64) float64 {
+	switch {
+	case x > hi:
+		return hi
+	case x > 0:
+		return x
+	case x == x:
+		return 0
+	}
+	return math.NaN()
+}
+
+// usageShare is a node's fraction of its sibling group's usage, score's first
+// output: the publish pass folds it alone.
+func usageShare(usage, groupUsage float64) float64 {
+	if groupUsage > 0 {
+		return usage / groupUsage
+	}
+	return 0
 }
 
 // Walk calls fn on every group of the tree, parents before their children

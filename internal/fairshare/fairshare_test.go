@@ -125,6 +125,25 @@ func TestRelativeComponentClamped(t *testing.T) {
 	}
 }
 
+// TestClampIsMathMaxMin pins score's clamp to the math.Max/math.Min pair it
+// replaced, bit for bit: signed zeros, infinities, NaN payloads and both
+// bounds.
+func TestClampIsMathMaxMin(t *testing.T) {
+	for _, hi := range []float64{1, 10000 - 1e-9} {
+		for _, x := range []float64{
+			math.NaN(), math.Float64frombits(0x7ff8000000000123), math.Inf(1), math.Inf(-1),
+			0, math.Copysign(0, -1), -1e-300, math.SmallestNonzeroFloat64, 0.5,
+			1, hi, math.Nextafter(hi, 0), math.Nextafter(hi, 2*hi), -5, math.MaxFloat64,
+		} {
+			got, want := clamp(x, hi), math.Max(0, math.Min(hi, x))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("clamp(%v, %v) = %v (bits %x), math.Max/Min give %v (bits %x)",
+					x, hi, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
 func TestSubgroupIsolationInTree(t *testing.T) {
 	// A node's value depends only on its sibling group: u1 vs u2 inside
 	// projA must be unaffected by how much projB consumes.

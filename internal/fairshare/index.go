@@ -11,9 +11,9 @@ import (
 
 // IndexEntry is one user's fully resolved serving record: the projection
 // entry (vector, per-level target and usage shares) plus the raw leaf
-// priority. Entries are composed on the fly from the index's arenas; the
-// embedded slices alias immutable index storage, so they can be handed out
-// without copying but must not be mutated.
+// priority. Entries are composed from the tree on first use and cached per
+// snapshot; the embedded slices alias that immutable storage, so they can be
+// handed out without copying but must not be mutated.
 type IndexEntry struct {
 	vector.Entry
 	// LeafPriority is the raw (unprojected) priority of the user's leaf.
@@ -36,76 +36,53 @@ type segMeta struct {
 	lo, hi int32
 }
 
-// segTail holds one segment's per-snapshot suffix values: for every leaf of
-// the segment in DFS order, the vector and usage-share elements BELOW the
-// interned level-0 head (levels 1..depth-1, flattened back to back), plus
-// the raw leaf priorities. A tail is immutable once published; incremental
-// rebuilds share untouched segments' tails by pointer.
-type segTail struct {
-	vec      []float64
-	usage    []float64
-	leafPrio []float64
-}
+// composeRun is how many consecutive entries share one composed-run slot and
+// its buffer: the buffer is allocated when the first of them is asked for,
+// and each entry is composed into it when it is itself asked for. At most
+// 32, the bits of composedRun.done.
+const composeRun = 16
 
-// composeRun is how many consecutive leaves one cold At() composes: a lookup
-// pays for a few KB of full-depth values whatever the tree shape, not for a
-// whole top-level subtree.
-const composeRun = 64
-
-// composedRun is the lazily materialized full-depth (head ⊕ tail) arena pair
-// of one run of composeRun consecutive entries, built on first At() access
-// and cached for the life of the snapshot. done uses acquire/release
-// semantics: it is stored only after base, vec and usage are fully written,
-// so lock-free readers that observe done==true see complete arenas. The
-// struct fills one cache line, so a warm lookup finds everything about its
-// run in one place. Never copy a composedRun (it embeds a Mutex); access
-// elements of Index.comp by pointer only.
+// composedRun caches the composed full-depth values of the entries of one
+// run of composeRun consecutive entries that At has been asked for, for the
+// life of the snapshot. done has bit k set once the run's k-th entry is
+// composed; it is stored only after the entry's values (and, the first time,
+// base and buf) are written, so a lock-free reader that observes its bit
+// sees them. A composed entry is never written again. Never copy a
+// composedRun (it embeds a Mutex); access elements of Index.comp by pointer
+// only.
 type composedRun struct {
 	mu   sync.Mutex
-	done atomic.Bool
-	// base is the run's first entry's offset in full-depth arena
-	// coordinates (Index.offs); the arenas are indexed relative to it.
+	done atomic.Uint32
+	// base is the run's first entry's offset in full-depth coordinates
+	// (Index.offs).
 	base int32
-	vec  []float64
-	// usage is the composed per-level usage-share arena.
-	usage []float64
+	// buf holds each entry of the run in turn: its vector, its per-level
+	// usage shares and its raw leaf priority, so a warm lookup reads one
+	// contiguous stretch (see runOffset).
+	buf []float64
 }
 
 // Index is an immutable O(1) lookup table over a fairshare tree's leaves.
-// It is what lets the FCS serve `Priority()` without walking the tree: "no
+// It is what lets the FCS serve `Priority()` without searching the tree: "no
 // real-time calculations need to take place when new jobs arrive". An Index
 // is safe for concurrent use by any number of readers because construction
 // publishes only immutable state (the lazy composed-run and projection
 // views are built under their own synchronization).
 //
-// Storage is split in two along the incremental-recalc seam:
-//
-//   - The identity half — user names, per-entry arena offsets, target
-//     shares and their per-leaf product, child-index paths, the segment
-//     table, the striped user→position tables and the duplicate table —
-//     depends only on the policy topology, so incremental rebuilds (see
-//     Recalc) share it wholesale with the previous index (withValues).
-//   - The value half — what a usage delta changes — is segmented along
-//     top-level subtrees: each segment interns its single level-0
-//     (vector, usage) prefix in headVec/headUsage and keeps only the deeper
-//     levels in a per-segment tail. A refresh that leaves a subtree's
-//     leaves untouched re-publishes that segment as one pointer copy plus
-//     two interned floats instead of re-writing depth floats per leaf —
-//     the mechanism that takes phase 5 of an incremental recalc from
-//     O(users·depth) to O(dirty + segments).
-//
-// Every leaf under one top-level child shares that child's scored values as
-// its level-0 prefix (fillSegment's walk starts its path stacks at the child), so
-// interning loses nothing: composing head ⊕ tail yields bit-identical floats
-// to the flat arenas the index used to hold.
+// The index stores no scores. It holds the identity half of the leaves —
+// user names, per-entry offsets, target shares and their per-leaf product,
+// child-index paths, the segment table, the striped user→position tables and
+// the duplicate table — which depends only on the policy topology, so an
+// incremental rebuild (see Recalc) shares it wholesale with the previous
+// index (withRoot). The scores are computed from the tree's usage columns
+// where they are read: At composes the entries asked for, SegmentShares
+// folds a segment's usage products for the publish pass.
 type Index struct {
 	// users[i] is the leaf name at entry position i (DFS order).
 	users []string
 	// offs[i] is the start of entry i's per-level values in full-depth
-	// arena coordinates (level 0 included); entry i spans
-	// [offs[i], offs[i+1]) and its depth is the difference.
-	// len(offs) == len(users)+1. Tail arenas use the same coordinates minus
-	// one slot per leaf — see tailSpan.
+	// coordinates (level 0 included); entry i spans [offs[i], offs[i+1])
+	// and its depth is the difference. len(offs) == len(users)+1.
 	offs []int32
 	// shares holds every entry's normalized target shares, flattened per
 	// offs. Target shares change only with the policy, never with usage.
@@ -116,23 +93,21 @@ type Index struct {
 	target []float64
 	// path holds every entry's child indexes from the root down to its leaf,
 	// flattened per offs like shares (level 0 is the entry's segment): how
-	// Recalc finds a leaf's group and column entry in whatever tree has this
-	// shape.
+	// the readers and Recalc find a leaf's groups and column entry in the
+	// tree.
 	path []int32
 	// segs[s] is segment s's leaf range.
 	segs []segMeta
 
-	// headVec/headUsage intern each segment's level-0 vector element and
-	// usage share (the root member's Value/UsageShare); tails hold the
-	// deeper levels. Together they are the per-snapshot value half.
-	headVec   []float64
-	headUsage []float64
-	tails     []*segTail
+	// root and cfg are the tree the scores are read from: its groups hold
+	// the usage columns, and cfg is its normalized Config.
+	root *group
+	cfg  Config
 
-	// comp caches composed full-depth arenas for At(), one slot per run of
-	// composeRun entries. Built lazily so the refresh path (SegmentShares)
-	// never pays for composition; serving-path Table/At callers build each
-	// run at most once per snapshot.
+	// comp caches composed full-depth values for At(), one slot per run of
+	// composeRun entries. Filled lazily so the refresh path never pays for
+	// composition; serving-path Table/At callers compose each entry at most
+	// once per snapshot.
 	comp []composedRun
 
 	// stripes[stripeOf(slot.Hash(user))] finds a user name's first entry
@@ -145,22 +120,22 @@ type Index struct {
 	// (including the first) in ascending DFS order. Nil when all names are
 	// unique — the common case.
 	dups map[string][]int32
-	// projEntries is a lazily built []vector.Entry view over the arenas,
-	// sharing their storage, so projections run without re-walking or
+	// projEntries is a lazily built []vector.Entry view over the composed
+	// runs, sharing their storage, so projections run without re-walking or
 	// re-copying. Lazy because pointwise projections never need it.
 	projOnce    sync.Once
 	projEntries []vector.Entry
 }
 
-// NewIndex builds the segmented index for a computed tree: one segment per
-// top-level child, with the child's scored values interned as the segment
-// head. Every tree size runs the same code — the segments are filled through
-// par.For (their arena ranges are disjoint, and the per-group leaf counts
+// NewIndex builds the index of a computed tree, one segment per top-level
+// child. Every tree size runs the same code — the segments are filled
+// through par.For (their ranges are disjoint, and the per-group leaf counts
 // cached at build time give exact offsets), then the stripe tables are built
-// from the filled name column — so the result cannot depend on the core count.
+// from the filled name column — so the result cannot depend on the core
+// count.
 func NewIndex(t *Tree) *Index {
 	n := int(t.root.leaves)
-	ix := &Index{}
+	ix := &Index{root: t.root, cfg: t.Config, comp: newComposed(n)}
 	bases := ix.initLayout(t.root, n)
 	stripe := make([]uint8, n) // stripe[i] = stripeOf(slot.Hash(users[i]))
 	par.For(n, len(t.root.usage), func(_, s int) {
@@ -170,23 +145,17 @@ func NewIndex(t *Tree) *Index {
 	return ix
 }
 
-// initLayout sizes the identity and value halves from an integer-only
-// pre-pass over the root's children: segment boundaries, arena extents and
-// head/tail allocations, everything except the values themselves. It
-// returns each segment's full-depth arena base (len S+1, last element the
-// total arena size) — passed around explicitly rather than read back out of
-// offs, so parallel segment fills never read a boundary offset another
-// goroutine is writing.
+// initLayout sizes the identity columns from an integer-only pre-pass over
+// the root's children: segment boundaries and column extents. It returns each
+// segment's full-depth base (len S+1, last element the total size) — passed
+// around explicitly rather than read back out of offs, so parallel segment
+// fills never read a boundary offset another goroutine is writing.
 func (ix *Index) initLayout(root *group, n int) []int32 {
 	S := len(root.usage)
 	ix.users = make([]string, n)
 	ix.offs = make([]int32, n+1)
 	ix.target = make([]float64, n)
 	ix.segs = make([]segMeta, S)
-	ix.headVec = make([]float64, S)
-	ix.headUsage = make([]float64, S)
-	ix.tails = make([]*segTail, S)
-	ix.comp = newComposed(n)
 	bases := make([]int32, S+1)
 	lo := int32(0)
 	for s := range root.usage {
@@ -204,27 +173,14 @@ func (ix *Index) initLayout(root *group, n int) []int32 {
 }
 
 // fillSegment walks the root's s-th subtree and writes segment s's slice of
-// the identity arenas (users, offs, shares, target, path) plus its
-// head and a freshly allocated tail, and each leaf's stripe id into stripe.
-// The scores come from the walk, which computes them as it goes.
+// the identity columns (users, offs, shares, target, path), and each leaf's
+// stripe id into stripe.
 func (ix *Index) fillSegment(t *Tree, s int, bases []int32, stripe []uint8) {
-	m := ix.segs[s]
-	nLeaves := int(m.hi - m.lo)
-	ai := int(bases[s]) // full-depth arena cursor
-	full := int(bases[s+1] - bases[s])
-	tail := &segTail{
-		vec:      make([]float64, full-nLeaves),
-		usage:    make([]float64, full-nLeaves),
-		leafPrio: make([]float64, nLeaves),
-	}
-	ix.tails[s] = tail
-	head := t.root.member(t.Config, s)
-	ix.headVec[s], ix.headUsage[s] = head.Value, head.UsageShare
-	pos := int(m.lo)
-	ti := 0
+	ai := int(bases[s]) // full-depth cursor
+	pos := int(ix.segs[s].lo)
 	w := leafWalk{cfg: t.Config}
 	w.descend(t.root, s, func(leaf Member, w *leafWalk) bool {
-		d := len(w.vec)
+		d := len(w.shares)
 		copy(ix.shares[ai:ai+d], w.shares)
 		copy(ix.path[ai:ai+d], w.path)
 		target := 1.0
@@ -232,13 +188,9 @@ func (ix *Index) fillSegment(t *Tree, s int, bases []int32, stripe []uint8) {
 			target *= sh
 		}
 		ix.target[pos] = target
-		copy(tail.vec[ti:ti+d-1], w.vec[1:])
-		copy(tail.usage[ti:ti+d-1], w.usages[1:])
-		ti += d - 1
 		ai += d
 		ix.users[pos] = leaf.Name
 		stripe[pos] = uint8(stripeOf(slot.Hash(leaf.Name)))
-		tail.leafPrio[pos-int(m.lo)] = leaf.Priority
 		ix.offs[pos+1] = int32(ai)
 		pos++
 		return false
@@ -292,8 +244,8 @@ func (ix *Index) buildStripes(stripe []uint8) {
 }
 
 // depthSum returns the summed root-to-leaf path length over every leaf
-// below g, with g's members at the given level — the arena space the
-// subtree's entries occupy.
+// below g, with g's members at the given level — the column space the
+// subtree's entries occupy in shares and path.
 func depthSum(g *group, level int) int {
 	sum := 0
 	for i := range g.usage {
@@ -324,22 +276,21 @@ func (ix *Index) leafGroup(root *group, pos int32) (*group, int) {
 	return nil, 0
 }
 
-// withValues returns the index of a tree of the same shape with other values:
-// it shares ix's identity half by pointer and holds the given value half.
-func (ix *Index) withValues(headVec, headUsage []float64, tails []*segTail) *Index {
+// withRoot returns the index of a tree of the same shape with other usage,
+// rooted at root: it shares ix's identity half by pointer.
+func (ix *Index) withRoot(root *group) *Index {
 	return &Index{
-		users:     ix.users,
-		offs:      ix.offs,
-		shares:    ix.shares,
-		target:    ix.target,
-		path:      ix.path,
-		segs:      ix.segs,
-		stripes:   ix.stripes,
-		dups:      ix.dups,
-		headVec:   headVec,
-		headUsage: headUsage,
-		tails:     tails,
-		comp:      newComposed(len(ix.users)),
+		users:   ix.users,
+		offs:    ix.offs,
+		shares:  ix.shares,
+		target:  ix.target,
+		path:    ix.path,
+		segs:    ix.segs,
+		root:    root,
+		cfg:     ix.cfg,
+		comp:    newComposed(len(ix.users)),
+		stripes: ix.stripes,
+		dups:    ix.dups,
 	}
 }
 
@@ -351,90 +302,79 @@ func (ix *Index) Pos(user string) (int, bool) {
 	return int(p), ok
 }
 
-// seg returns the segment of entry i: a binary search over segs, whose
-// ranges ascend and tile the positions. segs is small enough to stay in
-// cache, where a per-entry segment column would cost a miss per lookup.
-func (ix *Index) seg(i int) int32 {
-	lo, hi := 0, len(ix.segs)
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if int(ix.segs[m].hi) <= i {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	return int32(lo)
-}
-
 // newComposed returns the empty composed-run cache of an n-entry snapshot.
 func newComposed(n int) []composedRun {
 	return make([]composedRun, (n+composeRun-1)/composeRun)
 }
 
-// composed returns the full-depth arenas of the run entry i belongs to,
-// materializing them on first use. The double-checked atomic keeps the hot
-// path allocation- and lock-free once a run is built.
+// composed returns the run entry i belongs to, with entry i composed. The
+// double-checked atomic keeps the hot path allocation- and lock-free once the
+// entry is.
 func (ix *Index) composed(i int) *composedRun {
 	c := &ix.comp[i/composeRun]
-	if c.done.Load() {
+	bit := uint32(1) << (i % composeRun)
+	if c.done.Load()&bit != 0 {
 		return c
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.done.Load() {
-		return c
+	if done := c.done.Load(); done&bit == 0 {
+		ix.compose(c, i)
+		c.done.Store(done | bit)
 	}
-	lo := i - i%composeRun
-	hi := min(lo+composeRun, len(ix.users))
-	base := int(ix.offs[lo])
-	size := int(ix.offs[hi]) - base
-	buf := make([]float64, 2*size)
-	vec, pu := buf[:size:size], buf[size:]
-	s := ix.seg(lo)
-	for j := lo; j < hi; j++ {
-		for int(ix.segs[s].hi) <= j {
-			s++
-		}
-		t := ix.tails[s]
-		to, tl := ix.tailSpan(j, ix.segs[s])
-		off := int(ix.offs[j]) - base
-		vec[off], pu[off] = ix.headVec[s], ix.headUsage[s]
-		copy(vec[off+1:off+1+tl], t.vec[to:to+tl])
-		copy(pu[off+1:off+1+tl], t.usage[to:to+tl])
-	}
-	c.base, c.vec, c.usage = int32(base), vec, pu
-	c.done.Store(true)
 	return c
 }
 
-// tailSpan returns entry i's offset and length within its segment's tail
-// arenas: full-depth coordinates rebased to the segment, minus the one
-// interned level-0 slot per preceding leaf.
-func (ix *Index) tailSpan(i int, m segMeta) (off, length int) {
-	off = int(ix.offs[i]) - int(ix.offs[m.lo]) - (i - int(m.lo))
-	length = int(ix.offs[i+1]-ix.offs[i]) - 1
-	return off, length
+// compose writes entry i into its run's buffer, allocating the buffer first
+// if the run has none: it walks the entry's path down the tree and scores
+// the member it takes at every level. The caller holds c.mu.
+func (ix *Index) compose(c *composedRun, i int) {
+	lo := i - i%composeRun
+	if c.buf == nil {
+		hi := min(lo+composeRun, len(ix.users))
+		c.base = ix.offs[lo]
+		c.buf = make([]float64, runOffset(hi-lo, int(ix.offs[hi]-c.base)))
+	}
+	o, end := ix.offs[i], ix.offs[i+1]
+	d := int(end - o)
+	at := runOffset(i-lo, int(o-c.base))
+	e := c.buf[at : at+2*d+1]
+	shares := ix.shares[o:end]
+	g := ix.root
+	for l, ci := range ix.path[o:end] {
+		var prio float64
+		e[d+l], prio, e[l] = score(ix.cfg, shares[l], g.usage[ci], g.total)
+		if l < d-1 {
+			g = g.sub[ci]
+		} else {
+			e[2*d] = prio
+		}
+	}
 }
 
-// At returns the entry at position i, composed from the index's arenas.
-// The entry's slices alias immutable per-snapshot storage (the lazily built
-// composed arenas of the entry's run); callers must not mutate them.
+// At returns the entry at position i, composed from the tree. The entry's
+// slices alias immutable per-snapshot storage (the entry's stretch of its
+// run's buffer); callers must not mutate them.
 func (ix *Index) At(i int) IndexEntry {
 	c := ix.composed(i)
-	off, end := ix.offs[i]-c.base, ix.offs[i+1]-c.base
-	goff, gend := ix.offs[i], ix.offs[i+1]
-	s := ix.seg(i)
+	o, end := ix.offs[i], ix.offs[i+1]
+	d := int(end - o)
+	at := runOffset(i%composeRun, int(o-c.base))
 	return IndexEntry{
 		Entry: vector.Entry{
 			User:       ix.users[i],
-			Vec:        vector.Vector(c.vec[off:end:end]),
-			PathShares: ix.shares[goff:gend:gend],
-			PathUsage:  c.usage[off:end:end],
+			Vec:        vector.Vector(c.buf[at : at+d : at+d]),
+			PathShares: ix.shares[o:end:end],
+			PathUsage:  c.buf[at+d : at+2*d : at+2*d],
 		},
-		LeafPriority: ix.tails[s].leafPrio[i-int(ix.segs[s].lo)],
+		LeafPriority: c.buf[at+2*d],
 	}
 }
+
+// runOffset is where the k-th entry of a run starts in the run's buffer,
+// given how far its levels start past the run's first entry's (offs): each
+// entry before it takes two values per level and one leaf priority.
+func runOffset(k, levels int) int { return 2*levels + k }
 
 // User returns the leaf name at position i.
 func (ix *Index) User(i int) string { return ix.users[i] }
@@ -446,29 +386,41 @@ func (ix *Index) SegmentRange(s int) (lo, hi int) {
 }
 
 // SegmentShares streams segment s's flat share columns without touching (or
-// building) the composed arenas: it returns each leaf's target-share product
+// building) the composed runs: it returns each leaf's target-share product
 // (identity storage, read-only) and writes each leaf's usage-share product
 // into actual, which must hold one value per leaf of the segment. The usage
-// product folds the interned head then the tail left to right — 1·head·t1·t2…,
-// the float sequence a fold over At(i).PathUsage multiplies (1·x is exact) —
-// so a publish pass over these columns is bit-identical to one over entries.
+// product is folded down the segment's subtree in the tree, left to right —
+// 1·us₀·us₁·us₂…, the float sequence a fold over At(i).PathUsage multiplies
+// (1·x is exact) — so a publish pass over these columns is bit-identical to
+// one over entries.
 func (ix *Index) SegmentShares(s int, actual []float64) (target []float64) {
 	m := ix.segs[s]
-	tail := ix.tails[s].usage
-	head := ix.headUsage[s]
-	ti := 0
-	for i := int(m.lo); i < int(m.hi); i++ {
-		a := head
-		for end := ti + int(ix.offs[i+1]-ix.offs[i]) - 1; ti < end; ti++ {
-			a *= tail[ti]
-		}
-		actual[i-int(m.lo)] = a
+	head := usageShare(ix.root.usage[s], ix.root.total)
+	if g := ix.root.subAt(s); g != nil {
+		foldUsage(g, head, actual)
+	} else {
+		actual[0] = head
 	}
 	return ix.target[m.lo:m.hi:m.hi]
 }
 
-// Segments returns the number of top-level-subtree segments the value half
-// is partitioned into.
+// foldUsage writes the usage-share product of every leaf below g, in DFS
+// order, into out, with prefix the product down to g, and returns what of
+// out is left.
+func foldUsage(g *group, prefix float64, out []float64) []float64 {
+	for i, u := range g.usage {
+		a := prefix * usageShare(u, g.total)
+		if s := g.subAt(i); s != nil {
+			out = foldUsage(s, a, out)
+		} else {
+			out[0] = a
+			out = out[1:]
+		}
+	}
+	return out
+}
+
+// Segments returns the number of top-level-subtree segments.
 func (ix *Index) Segments() int { return len(ix.segs) }
 
 // positions returns every leaf position carrying the user's name (ascending

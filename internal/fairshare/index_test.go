@@ -6,7 +6,10 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/par"
 	"repro/internal/policy"
@@ -251,7 +254,8 @@ func buildAwkward(groups, perGroup int) (*policy.Tree, map[string]float64) {
 // TestIndexBuildIndependentOfCores pins the single build path: whatever
 // GOMAXPROCS is, and on both sides of par.Threshold, Compute yields the same
 // tree bit for bit (GOMAXPROCS 1 is the plain serial loop) and NewIndex the
-// same index — identity half reflect.DeepEqual, value half Float64bits-equal.
+// same index — identity half reflect.DeepEqual, every entry and segment
+// column Float64bits-equal.
 // The stripe tables and the duplicate table are also checked against a plain
 // scan of the name column: the first position wins a name, repeats ascend.
 func TestIndexBuildIndependentOfCores(t *testing.T) {
@@ -284,13 +288,7 @@ func TestIndexBuildIndependentOfCores(t *testing.T) {
 						size.groups, size.perGroup, c.name, procs)
 				}
 			}
-			compareFloatSlices(t, "headVec", ix.headVec, ref.headVec)
-			compareFloatSlices(t, "headUsage", ix.headUsage, ref.headUsage)
-			for s := range ref.tails {
-				compareFloatSlices(t, "tail vec", ix.tails[s].vec, ref.tails[s].vec)
-				compareFloatSlices(t, "tail usage", ix.tails[s].usage, ref.tails[s].usage)
-				compareFloatSlices(t, "tail leafPrio", ix.tails[s].leafPrio, ref.tails[s].leafPrio)
-			}
+			compareIndexes(t, ix, ref)
 		}
 		if above := ref.Len() >= par.Threshold; above != (size.groups == 90) {
 			t.Fatalf("%dx%d has %d leaves: on the wrong side of the threshold", size.groups, size.perGroup, ref.Len())
@@ -298,9 +296,8 @@ func TestIndexBuildIndependentOfCores(t *testing.T) {
 		where := map[string][]int32{}
 		for i, u := range ref.users {
 			where[u] = append(where[u], int32(i))
-			if lo, hi := ref.SegmentRange(int(ref.seg(i))); i < lo || i >= hi || ref.seg(i) != ref.path[ref.offs[i]] {
-				t.Fatalf("entry %d reads segment %d, which spans [%d, %d); its path starts at child %d",
-					i, ref.seg(i), lo, hi, ref.path[ref.offs[i]])
+			if s := ref.path[ref.offs[i]]; i < int(ref.segs[s].lo) || i >= int(ref.segs[s].hi) {
+				t.Fatalf("entry %d's path starts at child %d, whose segment spans %v", i, s, ref.segs[s])
 			}
 		}
 		repeated, stripesUsed := 0, map[int]bool{}
@@ -365,10 +362,15 @@ func TestIndexPathReachesLeaf(t *testing.T) {
 	}
 }
 
-// TestColdAtComposesOneRun pins the cost of a cold lookup to the run of
-// composeRun entries around it, not the top-level subtree it sits in, and
-// the composed values to the tree walk's across run and segment boundaries.
+// TestColdAtComposesOneRun pins the cost of a cold lookup to one run buffer
+// of composeRun entries, not the top-level subtree it sits in, and the
+// composed values to the tree walk's across run and segment boundaries. A
+// run's cache slot stays at 40 B: an index holds one per composeRun entries,
+// and every Apply allocates them afresh.
 func TestColdAtComposesOneRun(t *testing.T) {
+	if size := unsafe.Sizeof(composedRun{}); size > 40 {
+		t.Errorf("a composed-run slot takes %d B, want ≤ 40", size)
+	}
 	p, usage := buildWide(2, 10000)
 	tree := Compute(p, usage, DefaultConfig())
 	ix := NewIndex(tree)
@@ -415,10 +417,110 @@ func TestColdAtComposesOneRun(t *testing.T) {
 	}
 }
 
+// TestColdAtAcrossRunBoundaries pins composition where a run's shared buffer
+// could go wrong: a run that starts mid-group, ends mid-group or spans
+// segments, a leaf directly under the root, duplicate leaf names, and leaves
+// of different depths side by side. Each index is read cold in a random
+// order, so a run's buffer is first allocated for whichever of its entries
+// is asked for, and every entry must equal the tree walk's bit for bit, leaf
+// priority included — on fresh builds and on indexes an Apply derived.
+func TestColdAtAcrossRunBoundaries(t *testing.T) {
+	type leafRef struct {
+		vector.Entry
+		prio float64
+	}
+	walk := func(tr *Tree) []leafRef {
+		var out []leafRef
+		tr.walkLeaves(func(m Member, w *leafWalk) bool {
+			out = append(out, leafRef{vector.Entry{User: m.Name,
+				Vec:        w.vec.Clone(),
+				PathShares: append([]float64(nil), w.shares...),
+				PathUsage:  append([]float64(nil), w.usages...),
+			}, m.Priority})
+			return false
+		})
+		return out
+	}
+	check := func(what string, rng *rand.Rand, tr *Tree, ix *Index) {
+		t.Helper()
+		want := walk(tr)
+		if len(want) != ix.Len() {
+			t.Fatalf("%s: index holds %d entries, the walk %d", what, ix.Len(), len(want))
+		}
+		for _, i := range rng.Perm(len(want)) {
+			got, w := ix.At(i), want[i]
+			if got.User != w.User {
+				t.Fatalf("%s entry %d: user %q, walk %q", what, i, got.User, w.User)
+			}
+			compareFloatSlices(t, fmt.Sprintf("%s entry %d Vec", what, i), got.Vec, w.Vec)
+			compareFloatSlices(t, fmt.Sprintf("%s entry %d PathShares", what, i), got.PathShares, w.PathShares)
+			compareFloatSlices(t, fmt.Sprintf("%s entry %d PathUsage", what, i), got.PathUsage, w.PathUsage)
+			compareFloatSlices(t, fmt.Sprintf("%s entry %d LeafPriority", what, i), []float64{got.LeafPriority}, []float64{w.prio})
+		}
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p, usage := buildAwkward(4+rng.Intn(10), 8+rng.Intn(32))
+		if seed%2 == 1 {
+			var leaves []string
+			p, leaves = randomPolicy(rng)
+			p.Root.Children = append(p.Root.Children, &policy.Node{Name: leaves[0], Share: 2}) // a root leaf, and a duplicate
+			usage = map[string]float64{}
+			for _, u := range leaves {
+				usage[u] = rng.Float64() * 100
+			}
+		}
+		tree := Compute(p, usage, DefaultConfig())
+		ix := NewIndex(tree)
+		if ix.Len() <= composeRun && seed%2 == 0 {
+			t.Fatalf("seed %d: %d entries fill one run only", seed, ix.Len())
+		}
+		check(fmt.Sprintf("seed %d", seed), rng, tree, ix)
+		delta := map[string]float64{ix.User(rng.Intn(ix.Len())): 1e5, ix.User(ix.Len() - 1): 0.5}
+		tree2, ix2, _, err := NewRecalc(tree, ix).Apply(delta)
+		if err != nil {
+			t.Fatalf("seed %d: Apply: %v", seed, err)
+		}
+		check(fmt.Sprintf("seed %d after Apply", seed), rng, tree2, ix2)
+	}
+}
+
+// TestConcurrentColdAt has several goroutines ask a cold index for the same
+// runs' entries in different orders, so entries of one run are composed
+// while other entries of it are read. Run it under -race: every reader must
+// see its entry whole and equal to a single-goroutine read of a twin index.
+func TestConcurrentColdAt(t *testing.T) {
+	p, usage := buildAwkward(9, 40)
+	tree := Compute(p, usage, DefaultConfig())
+	twin, ix := NewIndex(tree), NewIndex(tree)
+	want := make([]IndexEntry, twin.Len())
+	for i := range want {
+		want[i] = twin.At(i)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		order := rand.New(rand.NewSource(int64(w))).Perm(ix.Len())
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, i := range order {
+				got := ix.At(i)
+				if math.Float64bits(got.LeafPriority) != math.Float64bits(want[i].LeafPriority) ||
+					!slices.Equal(got.Vec, want[i].Vec) || !slices.Equal(got.PathUsage, want[i].PathUsage) {
+					t.Errorf("entry %d read concurrently: %+v, alone %+v", i, got, want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestIndexBytesPerLeaf pins what NewIndex holds per leaf in use, measured
-// after runtime.GC() over 1,000 groups × 100 leaves: the arenas plus 8–16 B
-// of slot table per name (≈92 B in all), against ≈120 B when each build
-// stripe was a map[string]int32 and a segment column sat beside the paths.
+// after runtime.GC() over 1,000 groups × 100 leaves: the identity columns
+// plus 8–16 B of slot table per name (≈65 B in all), against ≈92 B when the
+// index also held every leaf's scores below level 0, and ≈120 B before that,
+// when each build stripe was a map[string]int32.
 func TestIndexBytesPerLeaf(t *testing.T) {
 	const groups, perGroup = 1000, 100
 	p, usage, _ := buildWideDirect(groups, perGroup)
@@ -432,8 +534,8 @@ func TestIndexBytesPerLeaf(t *testing.T) {
 	perLeaf := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (groups * perGroup)
 	runtime.KeepAlive(ix)
 	runtime.KeepAlive(tree)
-	if perLeaf > 101 {
-		t.Errorf("the index holds %.1f bytes per leaf in use, want ≤ 101", perLeaf)
+	if perLeaf > 72 {
+		t.Errorf("the index holds %.1f bytes per leaf in use, want ≤ 72", perLeaf)
 	}
 	t.Logf("%.1f bytes per leaf in use", perLeaf)
 }

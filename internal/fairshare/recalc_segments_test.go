@@ -10,11 +10,11 @@ import (
 	"repro/internal/policy"
 )
 
-// TestSegmentSharesMatchAt pins the prefix-interning invariant on the flat
-// columns the publish pass streams: each leaf's target product and usage
-// product (interned head ⊕ segment tail) must equal, bitwise, the
-// left-to-right fold of the full-depth slices At() serves, over random trees
-// and after incremental Applies.
+// TestSegmentSharesMatchAt pins the publish pass's flat columns to the
+// entries At serves: each leaf's target product and usage product (folded
+// down the tree) must equal, bitwise, the left-to-right fold of the
+// full-depth slices At() serves, over random trees and after incremental
+// Applies.
 func TestSegmentSharesMatchAt(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -27,8 +27,8 @@ func TestSegmentSharesMatchAt(t *testing.T) {
 		tree := Compute(p, usage, cfg)
 		ix := NewIndex(tree)
 		eng := NewRecalc(tree, ix)
-		// Also check an incrementally derived index, whose clean segments
-		// are pointer-shared with the previous snapshot's.
+		// Also check an incrementally derived index, which reads a tree
+		// that shares its clean subtrees with the previous snapshot's.
 		_, ix2, _, err := eng.Apply(map[string]float64{leaves[0]: 1234.5})
 		if err != nil {
 			t.Fatalf("seed %d: Apply: %v", seed, err)
@@ -60,49 +60,49 @@ func TestSegmentSharesMatchAt(t *testing.T) {
 	}
 }
 
-// TestRecalcSharesCleanSegmentTails verifies the segment-sharing claim at
-// the index layer: after a single-user delta, every segment without a dirty
-// leaf re-publishes its tail by pointer, and only the dirty segment's tail
-// is a fresh arena.
-func TestRecalcSharesCleanSegmentTails(t *testing.T) {
+// TestRecalcSharesIdentityHalf verifies the sharing claim at the index
+// layer: an Apply'd index holds its parent's identity columns by pointer —
+// an Apply copies nothing per leaf — and still serves what a fresh build
+// serves.
+func TestRecalcSharesIdentityHalf(t *testing.T) {
 	p, usage := buildWide(6, 8)
 	cfg := DefaultConfig()
 	tree := Compute(p, usage, cfg)
 	ix := NewIndex(tree)
 	eng := NewRecalc(tree, ix)
 
-	_, gotIx, st, err := eng.Apply(map[string]float64{"u002_003": usage["u002_003"] + 7})
+	usage["u002_003"] += 7
+	gotTree, gotIx, st, err := eng.Apply(map[string]float64{"u002_003": usage["u002_003"]})
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	if st.MaterializedSegments != 1 || st.SharedSegments != 5 {
-		t.Fatalf("segments materialized/shared = %d/%d, want 1/5", st.MaterializedSegments, st.SharedSegments)
+	if st.DirtyLeaves != 1 {
+		t.Fatalf("DirtyLeaves = %d, want 1", st.DirtyLeaves)
 	}
-	shared, rebuilt := 0, 0
-	for s := range gotIx.tails {
-		if gotIx.tails[s] == ix.tails[s] {
-			shared++
-		} else {
-			rebuilt++
+	for _, c := range []struct {
+		name      string
+		got, want *float64
+	}{
+		{"shares", &gotIx.shares[0], &ix.shares[0]},
+		{"target", &gotIx.target[0], &ix.target[0]},
+	} {
+		if c.got != c.want {
+			t.Errorf("Apply copied the %s column instead of sharing it", c.name)
 		}
 	}
-	if shared != 5 || rebuilt != 1 {
-		t.Fatalf("tail pointers shared/rebuilt = %d/%d, want 5/1", shared, rebuilt)
+	if &gotIx.path[0] != &ix.path[0] || &gotIx.offs[0] != &ix.offs[0] || &gotIx.users[0] != &ix.users[0] {
+		t.Error("Apply copied a path, offset or name column instead of sharing it")
 	}
-	// The dirty segment is the one holding u002_003.
-	pos, ok := gotIx.Pos("u002_003")
-	if !ok {
-		t.Fatal("dirty user missing from index")
+	if gotIx.root != gotTree.root {
+		t.Error("the Apply'd index does not read the Apply'd tree")
 	}
-	if s := gotIx.seg(pos); gotIx.tails[s] == ix.tails[s] {
-		t.Fatalf("dirty segment %d still shares its tail", s)
-	}
+	compareIndexes(t, gotIx, NewIndex(Compute(p, usage, cfg)))
 }
 
 // TestRecalcTopLevelLeafSegments covers the degenerate segment shape: users
-// attached directly to the root form one-leaf segments with empty tails,
-// and a shift in the root group's usage must refresh their interned leaf
-// priority even when their own usage never changed.
+// attached directly to the root form one-leaf segments, and a shift in the
+// root group's usage must move their leaf priority even when their own
+// usage never changed.
 func TestRecalcTopLevelLeafSegments(t *testing.T) {
 	p := policy.NewTree()
 	if _, err := p.Add("", "solo", 2); err != nil { // top-level user leaf
@@ -142,11 +142,11 @@ func TestRecalcTopLevelLeafSegments(t *testing.T) {
 	}
 }
 
-// TestRecalcDetectsShapeCorruption is the phase-5 walk-failure regression
-// test: when the engine's tree shape no longer matches the index layout
-// (here: a leaf removed behind the engine's back), Apply must return an
-// error instead of publishing a torn snapshot, and must leave the engine
-// unchanged so the caller can fall back to a full rebuild.
+// TestRecalcDetectsShapeCorruption: when the engine's tree no longer has
+// the shape its index describes (here: a leaf removed behind the engine's
+// back, or the pair handed to Reset built from different trees), Apply must
+// return an error instead of publishing a torn snapshot, and must leave the
+// engine unchanged so the caller can fall back to a full rebuild.
 func TestRecalcDetectsShapeCorruption(t *testing.T) {
 	p, usage := buildWide(4, 6)
 	cfg := DefaultConfig()
@@ -154,28 +154,35 @@ func TestRecalcDetectsShapeCorruption(t *testing.T) {
 	ix := NewIndex(tree)
 	eng := NewRecalc(tree, ix)
 
-	// Corrupt the cloned tree shape: drop the last leaf of group g001, then
-	// dirty another leaf of the same group so the walk visits it.
+	// Corrupt the tree shape: drop the last leaf of group g001, then dirty
+	// another leaf of the same group so the fold counts its leaves again.
 	g := tree.root.sub[1]
 	g.usage = g.usage[:len(g.usage)-1]
 
 	_, _, _, err := eng.Apply(map[string]float64{"u001_000": usage["u001_000"] + 1})
 	if err == nil {
-		t.Fatal("Apply on a corrupted tree shape succeeded, want walk-failure error")
+		t.Fatal("Apply on a corrupted tree shape succeeded, want fold error")
 	}
-	if !strings.Contains(err.Error(), "incremental walk") {
-		t.Fatalf("error %q does not name the incremental walk", err)
+	if !strings.Contains(err.Error(), "incremental fold") {
+		t.Fatalf("error %q does not name the incremental fold", err)
 	}
 	if eng.tree != tree || eng.index != ix {
 		t.Fatal("engine adopted state from a failed Apply")
 	}
 
-	// A disappearing top-level subtree must fail the segment-count check.
+	// A disappearing top-level subtree fails the same check.
 	tree2 := Compute(p, usage, cfg)
 	eng2 := NewRecalc(tree2, NewIndex(tree2))
 	tree2.root.usage = tree2.root.usage[:len(tree2.root.usage)-1]
 	if _, _, _, err := eng2.Apply(map[string]float64{"u000_000": 1.25}); err == nil {
-		t.Fatal("Apply with a missing top-level subtree succeeded, want segment-count error")
+		t.Fatal("Apply with a missing top-level subtree succeeded, want fold error")
+	}
+
+	// An index of another tree, even one of the same shape, is refused.
+	other := Compute(p, usage, cfg)
+	eng2.Reset(other, ix)
+	if _, _, _, err := eng2.Apply(map[string]float64{"u000_000": 1.25}); err == nil || !strings.Contains(err.Error(), "mismatch") {
+		t.Fatalf("Apply over a tree and another tree's index: %v, want mismatch error", err)
 	}
 
 	// The fallback path works: re-anchoring on a fresh full rebuild makes
@@ -194,13 +201,12 @@ func TestRecalcDetectsShapeCorruption(t *testing.T) {
 	compareIndexes(t, gotIx, NewIndex(wantTree))
 }
 
-// TestRecalcParallelMaterialization drives Apply with enough dirty leaves
-// spread over enough segments to cross par.Threshold, with
-// GOMAXPROCS pinned above one so the worker pool actually fans out (the
-// suite otherwise runs serial on single-core machines). Bit-identity against
-// the full recompute proves the parallel and serial materialization paths
-// produce the same arenas.
-func TestRecalcParallelMaterialization(t *testing.T) {
+// TestRecalcManyDirtySegments drives Apply with dirty leaves in 70 of 80
+// top-level subtrees, with GOMAXPROCS pinned above one so the parallel
+// builds of the twin fan out, and checks the result against the full
+// recompute bit for bit; a shape corruption in one of the subtrees still
+// surfaces as an error.
+func TestRecalcManyDirtySegments(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
@@ -210,8 +216,6 @@ func TestRecalcParallelMaterialization(t *testing.T) {
 	ix := NewIndex(tree)
 	eng := NewRecalc(tree, ix)
 
-	// One dirty user in each of 70 segments: 70·80 = 5600 dirty-segment
-	// leaves ≥ par.Threshold.
 	delta := map[string]float64{}
 	for g := 0; g < 70; g++ {
 		u := fmt.Sprintf("u%03d_%03d", g, g%80)
@@ -222,15 +226,14 @@ func TestRecalcParallelMaterialization(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	if st.MaterializedSegments != 70 || st.SharedSegments != 10 {
-		t.Fatalf("segments materialized/shared = %d/%d, want 70/10",
-			st.MaterializedSegments, st.SharedSegments)
+	if st.DirtyLeaves != 70 || st.ClonedNodes != 71 {
+		t.Fatalf("dirty leaves/cloned groups = %d/%d, want 70/71", st.DirtyLeaves, st.ClonedNodes)
 	}
 	wantTree := Compute(p, usage, cfg)
 	compareTrees(t, gotTree, wantTree)
 	compareIndexes(t, gotIx, NewIndex(wantTree))
 
-	// A shape corruption surfaces as an error through the worker pool too.
+	// A shape corruption surfaces as an error.
 	gotTree.root.sub[5].usage = gotTree.root.sub[5].usage[:40]
 	delta2 := map[string]float64{}
 	for g := 0; g < 70; g++ {
@@ -238,14 +241,57 @@ func TestRecalcParallelMaterialization(t *testing.T) {
 		delta2[u] = 7777.5 + float64(g)
 	}
 	if _, _, _, err := eng.Apply(delta2); err == nil {
-		t.Fatal("Apply on a corrupted tree shape succeeded under parallel materialization")
+		t.Fatal("Apply on a corrupted tree shape succeeded")
 	}
 }
 
+// TestApplyBytesFollowDirtyGroups pins the cost model of an Apply: it
+// allocates the groups it clones and one composed-run cache slot per
+// composeRun entries, not anything per leaf of the subtrees it touches. One
+// top-level subtree of 100 × 1000 leaves is the shape where a per-leaf copy
+// of the dirty subtree would cost megabytes.
+func TestApplyBytesFollowDirtyGroups(t *testing.T) {
+	root := &policy.Node{Share: 1}
+	vo := &policy.Node{Name: "vo", Share: 1}
+	usage := map[string]float64{}
+	for p := 0; p < 100; p++ {
+		pn := &policy.Node{Name: fmt.Sprintf("p%03d", p), Share: 1 + float64(p%7)}
+		for u := 0; u < 1000; u++ {
+			name := fmt.Sprintf("u%03d_%04d", p, u)
+			pn.Children = append(pn.Children, &policy.Node{Name: name, Share: 1 + float64(u%5)})
+			usage[name] = float64(p*1000 + u)
+		}
+		vo.Children = append(vo.Children, pn)
+	}
+	root.Children = []*policy.Node{vo}
+	tree := Compute(&policy.Tree{Root: root}, usage, DefaultConfig())
+	eng := NewRecalc(tree, NewIndex(tree))
+	seq := 0.0
+	apply := func() {
+		seq++
+		if _, _, _, err := eng.Apply(map[string]float64{"u042_0123": 1e6 + seq}); err != nil {
+			t.Fatalf("Apply: %v", err)
+		}
+	}
+	apply() // warm the scratch buffers
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		apply()
+	}
+	runtime.ReadMemStats(&after)
+	perApply := (after.TotalAlloc - before.TotalAlloc) / runs
+	if perApply >= 1<<20 {
+		t.Errorf("a one-user Apply over a 100,000-leaf subtree allocates %d bytes, want < 1 MB", perApply)
+	}
+	t.Logf("%d bytes per one-user Apply", perApply)
+}
+
 // TestRecalcApplySteadyStateAllocs pins the steady-state allocation cost of
-// one Apply: scratch (dirty list, spine, segment marks) is reused across
-// calls, so a warmed engine allocates only what the immutable snapshot
-// itself needs (cloned nodes, heads, one rebuilt tail, the index shell).
+// one Apply: scratch (dirty list, spine) is reused across calls, so a warmed
+// engine allocates only what the immutable snapshot itself needs (cloned
+// groups, the index shell and its composed-run cache).
 func TestRecalcApplySteadyStateAllocs(t *testing.T) {
 	p, usage := buildWide(8, 16)
 	cfg := DefaultConfig()
@@ -263,8 +309,8 @@ func TestRecalcApplySteadyStateAllocs(t *testing.T) {
 	apply() // warm the scratch buffers
 	allocs := testing.AllocsPerRun(20, apply)
 	// One single-user Apply on this tree clones one spine of groups (each
-	// with its usage column), rebuilds one segment tail and assembles the
-	// index shell — comfortably under 40 allocations. The bound is loose enough
+	// with its usage column) and assembles the index shell with an empty
+	// composed-run cache — comfortably under 40 allocations. The bound is loose enough
 	// to absorb map-iteration noise but fails if per-refresh scratch reuse
 	// regresses (the sort.Slice closure alone used to add several).
 	if allocs > 40 {

@@ -121,6 +121,20 @@ func compareIndexes(t *testing.T, got, want *Index) {
 		compareFloatSlices(t, fmt.Sprintf("entry %d (%s) PathShares", i, g.User), g.PathShares, w.PathShares)
 		compareFloatSlices(t, fmt.Sprintf("entry %d (%s) PathUsage", i, g.User), g.PathUsage, w.PathUsage)
 	}
+	// The publish pass's columns, segment by segment.
+	if got.Segments() != want.Segments() {
+		t.Fatalf("segment counts differ: %d vs %d", got.Segments(), want.Segments())
+	}
+	for s := 0; s < want.Segments(); s++ {
+		glo, ghi := got.SegmentRange(s)
+		wlo, whi := want.SegmentRange(s)
+		if glo != wlo || ghi != whi {
+			t.Fatalf("segment %d spans [%d, %d), want [%d, %d)", s, glo, ghi, wlo, whi)
+		}
+		ga, wa := make([]float64, ghi-glo), make([]float64, whi-wlo)
+		compareFloatSlices(t, fmt.Sprintf("segment %d target", s), got.SegmentShares(s, ga), want.SegmentShares(s, wa))
+		compareFloatSlices(t, fmt.Sprintf("segment %d actual", s), ga, wa)
+	}
 	// Lookup agreement for every user present in the reference.
 	for i := 0; i < want.Len(); i++ {
 		u := want.At(i).User

@@ -160,17 +160,9 @@ type RefreshInfo struct {
 	DirtyUsers int
 	// Duration is the wall-clock cost of the refresh.
 	Duration time.Duration
-	// FoldDuration/MaterializeDuration break an incremental refresh's
-	// engine cost into its recalc phases (zero on a full refresh): delta
-	// resolution + spine cloning + usage re-folds, and scoring the dirty
-	// groups into re-materialized segments.
-	FoldDuration        time.Duration
-	MaterializeDuration time.Duration
-	// MaterializedSegments/SharedSegments report how many top-level-subtree
-	// segments the incremental engine rebuilt vs re-published as pointer
-	// copies (zero on a full refresh).
-	MaterializedSegments int
-	SharedSegments       int
+	// FoldDuration is an incremental refresh's engine cost (zero on a full
+	// refresh): delta resolution, spine cloning and usage re-folds.
+	FoldDuration time.Duration
 	// PublishDuration is the cost of the publish pass, which projects every
 	// entry to a priority and computes the drift summary (zero when a no-op
 	// delta republished the previous snapshot).
@@ -216,7 +208,6 @@ type Service struct {
 	mIncr        *telemetry.Counter
 	mFull        *telemetry.Counter
 	mRecalcDur   *telemetry.Histogram
-	mPhaseDur    *telemetry.HistogramVec
 	mDirty       *telemetry.Gauge
 	mSnapAge     *telemetry.Gauge
 	mStaleServes *telemetry.Counter
@@ -257,9 +248,6 @@ func New(cfg Config, pds PolicySource, ums UsageSource) *Service {
 		mRecalcDur: reg.Histogram("aequus_fcs_recalc_duration_seconds",
 			"Wall-clock duration of one fairshare tree pre-calculation.",
 			telemetry.DefBuckets()),
-		mPhaseDur: reg.HistogramVec("aequus_fcs_recalc_phase_seconds",
-			"Wall-clock duration of one incremental-recalc phase (fold, materialize).",
-			telemetry.DefBuckets(), "phase"),
 		mDirty: reg.Gauge("aequus_fcs_dirty_users",
 			"Leaves recomputed by the last refresh (whole population on a full refresh)."),
 		mSnapAge: reg.Gauge("aequus_fcs_snapshot_age_seconds",
@@ -353,10 +341,7 @@ func (s *Service) rebuildLocked() error {
 			comp.SetAttrInt("dirty_leaves", int64(stats.DirtyLeaves))
 			comp.SetAttrInt("cloned_nodes", int64(stats.ClonedNodes))
 			comp.SetAttrInt("shared_nodes", int64(stats.SharedNodes))
-			comp.SetAttrInt("materialized_segments", int64(stats.MaterializedSegments))
-			comp.SetAttrInt("shared_segments", int64(stats.SharedSegments))
 			comp.SetAttrInt("fold_us", stats.FoldDuration.Microseconds())
-			comp.SetAttrInt("materialize_us", stats.MaterializeDuration.Microseconds())
 		} else {
 			// The engine refused the delta (anchor mismatch); refetch the
 			// complete values and rebuild from scratch.
@@ -421,19 +406,14 @@ func (s *Service) rebuildLocked() error {
 	dur := time.Since(started)
 	s.lastRefresh.Store(&RefreshInfo{
 		Mode: mode, DirtyUsers: dirty, Duration: dur, At: now,
-		FoldDuration:         stats.FoldDuration,
-		MaterializeDuration:  stats.MaterializeDuration,
-		MaterializedSegments: stats.MaterializedSegments,
-		SharedSegments:       stats.SharedSegments,
-		PublishDuration:      publishDur,
-		UsageScale:           scale,
-		UsageReference:       ds.Reference,
+		FoldDuration:    stats.FoldDuration,
+		PublishDuration: publishDur,
+		UsageScale:      scale,
+		UsageReference:  ds.Reference,
 	})
 	s.lastErr.Store(&refreshOutcome{nil})
 	if incremental {
 		s.mIncr.Inc()
-		s.mPhaseDur.With("fold").Observe(stats.FoldDuration.Seconds())
-		s.mPhaseDur.With("materialize").Observe(stats.MaterializeDuration.Seconds())
 	} else {
 		s.mFull.Inc()
 	}

@@ -110,16 +110,13 @@ func testEngineErrorFallback(t *testing.T, ums UsageSource, bump func(user strin
 	if mode := svc.LastRefresh().Mode; mode != RefreshIncremental {
 		t.Fatalf("pre-corruption refresh mode = %q, want incremental", mode)
 	}
-	// One dirty user in one of the two top-level groups: the engine rebuilt
-	// that group's segment and re-published the other by pointer.
-	if ri := svc.LastRefresh(); ri.MaterializedSegments != 1 || ri.SharedSegments != 1 {
-		t.Fatalf("segments materialized/shared = %d/%d, want 1/1",
-			ri.MaterializedSegments, ri.SharedSegments)
+	if ri := svc.LastRefresh(); ri.DirtyUsers != 1 {
+		t.Fatalf("incremental refresh recomputed %d users, want 1", ri.DirtyUsers)
 	}
 
 	// Re-anchor the engine on a tree whose shape its index does not
-	// describe: leaf "b" moved from g0 to g1, so the next Apply's phase-5
-	// walk of g0 produces too few entries.
+	// describe: leaf "b" moved from g0 to g1, and the index was built from
+	// another tree, so the next Apply refuses the pair.
 	moved := fairshare.Compute(twoGroups([]string{"a"}, []string{"c", "d", "b"}), nil, svc.cfg.Fairshare)
 	svc.refreshMu.Lock()
 	svc.engine.Reset(moved, svc.snap.Load().index)

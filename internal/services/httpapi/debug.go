@@ -58,9 +58,6 @@ func (s *Server) handleDebugSummary(w http.ResponseWriter, r *http.Request) {
 		out.FCSDirtyUsers = ri.DirtyUsers
 		out.FCSRefreshSeconds = ri.Duration.Seconds()
 		out.FCSFoldSeconds = ri.FoldDuration.Seconds()
-		out.FCSMaterializeSeconds = ri.MaterializeDuration.Seconds()
-		out.FCSMaterializedSegments = ri.MaterializedSegments
-		out.FCSSharedSegments = ri.SharedSegments
 		out.FCSPublishSeconds = ri.PublishDuration.Seconds()
 		out.FCSUsageScale = ri.UsageScale
 		if !ri.UsageReference.IsZero() {

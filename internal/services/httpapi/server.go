@@ -278,9 +278,11 @@ func (s *Server) handlePolicyRefresh(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleUsageBatch ingests job completions, one or many per request (the
-// only ingest route). The whole
-// batch is validated before any report lands, so a malformed entry rejects
-// the request instead of half-applying it.
+// only ingest route). The whole batch is validated before any report lands,
+// so a malformed entry rejects the request instead of half-applying it. A
+// report needs a user and a duration that is neither negative nor past what
+// a time.Duration holds (≈292 years): converting a larger one is
+// implementation-defined.
 func (s *Server) handleUsageBatch(w http.ResponseWriter, r *http.Request) {
 	var req wire.UsageBatchRequest
 	if !readBody(w, r, &req) {
@@ -288,14 +290,15 @@ func (s *Server) handleUsageBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	jobs := make([]uss.JobReport, len(req.Reports))
 	for i, rep := range req.Reports {
-		if rep.User == "" || rep.DurationSeconds < 0 {
+		ns := rep.DurationSeconds * float64(time.Second)
+		if rep.User == "" || !(ns >= 0 && ns < 1<<63) {
 			wire.WriteError(w, http.StatusBadRequest, "invalid usage report at index %d", i)
 			return
 		}
 		jobs[i] = uss.JobReport{
 			User:     rep.User,
 			Start:    rep.Start,
-			Duration: time.Duration(rep.DurationSeconds * float64(time.Second)),
+			Duration: time.Duration(ns),
 			Procs:    rep.Procs,
 		}
 	}

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/services/uss"
 	"repro/internal/simclock"
 	"repro/internal/usage"
 	"repro/internal/wire"
@@ -69,6 +71,97 @@ func TestUsageBatchRejectsInvalid(t *testing.T) {
 	if totals := s.uss.GlobalTotals(clock.Now(), usage.None{}); len(totals) != 0 {
 		t.Errorf("rejected batches still ingested usage: %v", totals)
 	}
+}
+
+// TestUsageBatchRejectsUnrepresentableDuration: a duration past what a
+// time.Duration holds is a 400 for the whole batch, before any report lands.
+// Converting it would give an implementation-defined result (MinInt64 on
+// amd64, which the ingest skipped while the 200 still counted the report).
+// The largest durations that fit are still booked.
+func TestUsageBatchRejectsUnrepresentableDuration(t *testing.T) {
+	clock := simclock.NewSim(t0)
+	s := newSite(t, "siteA", clock, map[string]float64{"alice": 1})
+	post := func(seconds string) int {
+		t.Helper()
+		body := `{"reports":[{"user":"alice","start":"2026-01-01T00:00:00Z","durationSeconds":60,"procs":1},` +
+			`{"user":"alice","start":"2026-01-01T00:00:00Z","durationSeconds":` + seconds + `,"procs":1}]}`
+		resp, err := http.Post(s.server.URL+"/usage/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, seconds := range []string{"9.3e9", "1e10", "1e300", "9.3e18"} {
+		if code := post(seconds); code != http.StatusBadRequest {
+			t.Errorf("durationSeconds %s: status %d, want 400", seconds, code)
+		}
+		if recs := s.uss.LocalRecords(); len(recs) != 0 {
+			t.Fatalf("durationSeconds %s: a refused batch booked %v", seconds, recs)
+		}
+	}
+	if code := post("9.2e9"); code != http.StatusOK {
+		t.Fatalf("durationSeconds 9.2e9 (fits a time.Duration): status %d, want 200", code)
+	}
+	var booked float64
+	for _, r := range s.uss.LocalRecords() {
+		booked += r.CoreSeconds
+	}
+	if want := 60 + 9.2e9; booked != want {
+		t.Errorf("booked %v core-seconds, want %v", booked, want)
+	}
+}
+
+// FuzzUsageBatch drives the ingest route's own handler, body cap included,
+// with arbitrary bodies. Nothing may panic; the answer is 200, 400 or 413; a
+// refused body books nothing; and an accepted one books, per user and bin,
+// exactly the sum over its valid reports of seconds × max(procs, 1), in
+// report order — the arithmetic of uss.ReportJobBatch. The seed corpus under
+// testdata/fuzz/FuzzUsageBatch holds a valid two-report body, an empty
+// batch, and a batch with an invalid report at index 1.
+func FuzzUsageBatch(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		u := uss.New(uss.Config{Site: "siteA", BinWidth: time.Minute, Contribute: true, Clock: simclock.NewSim(t0)})
+		srv := NewServer(nil, u, nil, nil, nil)
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/usage/batch", bytes.NewReader(body)))
+		got := u.LocalRecords()
+		switch w.Code {
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			if len(got) != 0 {
+				t.Fatalf("a %d booked %v", w.Code, got)
+			}
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		var req wire.UsageBatchRequest
+		if err := wire.ReadJSON(bytes.NewReader(body), &req); err != nil {
+			t.Fatalf("a 200 for a body that does not decode: %v", err)
+		}
+		type bin struct {
+			user  string
+			start int64 // unix seconds
+		}
+		want := map[bin]float64{}
+		for _, rep := range req.Reports {
+			d := time.Duration(rep.DurationSeconds * float64(time.Second))
+			if d <= 0 {
+				continue
+			}
+			k := bin{rep.User, u.LocalHistogram().AlignStart(rep.Start.Add(d))}
+			want[k] += d.Seconds() * float64(max(rep.Procs, 1))
+		}
+		if len(got) != len(want) {
+			t.Fatalf("booked %d bins, want %d: %v", len(got), len(want), got)
+		}
+		for _, r := range got {
+			if w := want[bin{r.User, r.IntervalStart.Unix()}]; r.CoreSeconds != w {
+				t.Fatalf("%s at %v: booked %v core-seconds, want %v", r.User, r.IntervalStart, r.CoreSeconds, w)
+			}
+		}
+	})
 }
 
 func TestUsageBatchMethodAndBody(t *testing.T) {

@@ -55,11 +55,12 @@ type DeltaSet struct {
 // as a rebuild from complete totals. Measured with BenchmarkRecalcApply
 // against BenchmarkRecalcFullBaseline (2 cores, groups×users trees, ms per
 // op, Apply at 25 % / 50 % / 100 % dirty vs Compute+NewIndex): 100k
-// 28 / 30 / 52 vs 24; 1M 312 / 441 / 782 vs 374 (at 10k both sides are
-// 4–6 ms and within each other's noise). By those numbers alone the curves
-// cross near a third of the population at 1M — but a Full generation also
-// costs the UMS one O(users) materialisation (≈270 ms at 1M), which puts
-// the crossing back at about half. It is a constant, not a knob.
+// 18–23 / 35 / 67–73 vs 23–44; 1M 267–286 / 597–689 / 1221–1334 vs
+// 358–414 (at 10k both sides are 1–3 ms and within each other's noise).
+// By those numbers alone the curves cross near a third of the population
+// at 1M — but a Full generation also costs the UMS one O(users)
+// materialisation (≈270 ms at 1M), which puts the crossing back at about
+// half. It is a constant, not a knob.
 const fullShare = 0.5
 
 // DeltaPays reports whether a change set of `changed` out of `users` users

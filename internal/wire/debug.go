@@ -70,15 +70,9 @@ type DebugSummary struct {
 	FCSDirtyUsers int `json:"fcs_dirty_users"`
 	// FCSRefreshSeconds is the duration of the last refresh.
 	FCSRefreshSeconds float64 `json:"fcs_refresh_seconds"`
-	// FCSFoldSeconds/FCSMaterializeSeconds break an incremental refresh's
-	// engine cost into its recalc phases (zero on a full refresh).
-	FCSFoldSeconds        float64 `json:"fcs_fold_seconds"`
-	FCSMaterializeSeconds float64 `json:"fcs_materialize_seconds"`
-	// FCSMaterializedSegments/FCSSharedSegments report how many
-	// top-level-subtree segments the last incremental refresh rebuilt vs
-	// re-published as pointer copies.
-	FCSMaterializedSegments int `json:"fcs_materialized_segments"`
-	FCSSharedSegments       int `json:"fcs_shared_segments"`
+	// FCSFoldSeconds is an incremental refresh's engine cost (zero on a
+	// full refresh).
+	FCSFoldSeconds float64 `json:"fcs_fold_seconds"`
 	// FCSPublishSeconds is the cost of the last refresh's publish pass
 	// (projection and drift summary).
 	FCSPublishSeconds float64 `json:"fcs_publish_seconds"`
