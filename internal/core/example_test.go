@@ -1,18 +1,8 @@
-// Multicluster: two Aequus sites exchanging usage over HTTP.
-//
-// Each site runs the full five-service stack behind a real HTTP listener,
-// exactly like two aequusd instances. A user burns compute on site B; after
-// a usage exchange, site A's fairshare values reflect the *global* history,
-// which is the whole point of decentralized grid-wide fairshare.
-//
-// Run with: go run ./examples/multicluster
-package main
+package core_test
 
 import (
 	"fmt"
-	"log"
-	"net"
-	"net/http"
+	"net/http/httptest"
 	"time"
 
 	"repro/internal/core"
@@ -23,38 +13,43 @@ import (
 	"repro/internal/usage"
 )
 
-func main() {
+// Example_multicluster runs two Aequus sites that exchange usage over HTTP.
+// Each site serves the full five-service stack, exactly like an aequusd
+// instance. A user burns compute on site B; after a usage exchange, site A's
+// fairshare values reflect the global history, which is the whole point of
+// decentralized grid-wide fairshare.
+func Example_multicluster() {
 	pol, err := policy.FromShares(map[string]float64{"alice": 0.5, "bob": 0.5})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 
-	siteA := mustSite("site-a", pol)
-	siteB := mustSite("site-b", pol)
-
-	urlA := serve(siteA)
-	urlB := serve(siteB)
-	fmt.Printf("site-a serving on %s\nsite-b serving on %s\n\n", urlA, urlB)
+	siteA := newExampleSite("site-a", pol)
+	siteB := newExampleSite("site-b", pol)
+	srvA := httptest.NewServer(httpapi.NewServer(siteA.PDS, siteA.USS, siteA.UMS, siteA.FCS, siteA.IRS))
+	defer srvA.Close()
+	srvB := httptest.NewServer(httpapi.NewServer(siteB.PDS, siteB.USS, siteB.UMS, siteB.FCS, siteB.IRS))
+	defer srvB.Close()
 
 	// Peer the sites over HTTP: each pulls the other's compact usage
 	// records.
-	siteA.ConnectPeer(httpapi.NewClient(urlB, "site-b"))
-	siteB.ConnectPeer(httpapi.NewClient(urlA, "site-a"))
+	siteA.ConnectPeer(httpapi.NewClient(srvB.URL, "site-b"))
+	siteB.ConnectPeer(httpapi.NewClient(srvA.URL, "site-a"))
 
 	// A libaequus client for a scheduler co-located with site A, talking
 	// HTTP like the real C library's web-service clients.
-	clientA := httpapi.NewClient(urlA, "site-a")
+	clientA := httpapi.NewClient(srvA.URL, "site-a")
 	lib := libaequus.New(libaequus.Config{Site: "site-a", CacheTTL: 0},
 		clientA, clientA, clientA)
 
 	show := func(label string) {
 		pa, err := lib.PriorityForLocalUser("alice")
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		pb, err := lib.PriorityForLocalUser("bob")
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		fmt.Printf("%-38s alice=%.4f bob=%.4f\n", label, pa, pb)
 	}
@@ -63,29 +58,36 @@ func main() {
 
 	// bob consumes an hour of compute on site B — reported to site B's USS
 	// through its HTTP API, as a job-completion plug-in would.
-	clientB := httpapi.NewClient(urlB, "site-b")
+	clientB := httpapi.NewClient(srvB.URL, "site-b")
 	if err := clientB.ReportJobErr("bob", time.Now().Add(-time.Hour), time.Hour, 4); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	if err := siteA.Refresh(); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	show("after bob ran on site B (no exchange):")
 
 	// Exchange usage, refresh the pre-calculated fairshare tree.
 	if err := siteA.Exchange(); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	if err := siteA.Refresh(); err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	show("after usage exchange B -> A:")
 
 	fmt.Println("\nsite A now discounts bob for compute he consumed on site B —")
 	fmt.Println("the same job is prioritized comparably wherever it is submitted.")
+	// Output:
+	// initial (no usage anywhere):           alice=0.7500 bob=0.7500
+	// after bob ran on site B (no exchange): alice=0.7500 bob=0.7500
+	// after usage exchange B -> A:           alice=0.7500 bob=0.2500
+	//
+	// site A now discounts bob for compute he consumed on site B —
+	// the same job is prioritized comparably wherever it is submitted.
 }
 
-func mustSite(name string, pol *policy.Tree) *core.Site {
+func newExampleSite(name string, pol *policy.Tree) *core.Site {
 	s, err := core.NewSite(core.SiteConfig{
 		Name:       name,
 		Policy:     pol,
@@ -98,22 +100,7 @@ func mustSite(name string, pol *policy.Tree) *core.Site {
 		}),
 	})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 	return s
-}
-
-// serve starts an HTTP listener for the site and returns its base URL.
-func serve(s *core.Site) string {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	srv := httpapi.NewServer(s.PDS, s.USS, s.UMS, s.FCS, s.IRS)
-	go func() {
-		if err := http.Serve(ln, srv); err != nil {
-			log.Print(err)
-		}
-	}()
-	return "http://" + ln.Addr().String()
 }

@@ -1,20 +1,7 @@
-// SLURM integration: the Aequus priority and job-completion plug-ins inside
-// a SLURM-like scheduler, compared against the classic local-fairshare
-// baseline (Section III-A).
-//
-// Two clusters run the same workload on a simulated clock. In the Aequus
-// configuration the multifactor priority plug-in calls libaequus for a
-// global fairshare factor and the job-completion plug-in reports usage back;
-// in the baseline each cluster sees only its own history. A user who hogs
-// cluster 1 keeps winning on cluster 2 under local fairshare — and stops
-// winning under Aequus.
-//
-// Run with: go run ./examples/slurm-integration
-package main
+package slurm_test
 
 import (
 	"fmt"
-	"log"
 	"time"
 
 	"repro/internal/cluster"
@@ -27,29 +14,50 @@ import (
 	"repro/internal/usage"
 )
 
-func main() {
+// Example_slurmIntegration puts the Aequus priority and job-completion
+// plug-ins inside a SLURM-like scheduler and compares them against the
+// classic local-fairshare baseline (Section III-A).
+//
+// Two clusters run the same workload on a simulated clock. In the Aequus
+// configuration the multifactor priority plug-in calls libaequus for a
+// global fairshare factor and the job-completion plug-in reports usage back;
+// in the baseline each cluster sees only its own history. A user who hogs
+// cluster 1 keeps winning on cluster 2 under local fairshare — and stops
+// winning under Aequus.
+func Example_slurmIntegration() {
 	fmt.Println("=== Aequus plug-ins (global fairshare) ===")
-	run(true)
+	runTwoClusters(true)
 	fmt.Println("\n=== local fairshare baseline ===")
-	run(false)
+	runTwoClusters(false)
 	fmt.Println("\nWith Aequus, greedy's history on cluster-1 follows him to cluster-2,")
 	fmt.Println("so modest's jobs run first there. The local baseline forgets at the")
 	fmt.Println("cluster boundary and lets greedy win on cluster-2 again.")
+	// Output:
+	// === Aequus plug-ins (global fairshare) ===
+	// cluster-2 completion order: [greedy modest modest modest greedy greedy]
+	//
+	// === local fairshare baseline ===
+	// cluster-2 completion order: [greedy modest greedy modest greedy modest]
+	//
+	// With Aequus, greedy's history on cluster-1 follows him to cluster-2,
+	// so modest's jobs run first there. The local baseline forgets at the
+	// cluster boundary and lets greedy win on cluster-2 again.
 }
 
-func run(aequus bool) {
+func runTwoClusters(aequus bool) {
 	start := time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC)
 	kernel := eventsim.New(start)
 	pol, err := policy.FromShares(map[string]float64{"greedy": 0.5, "modest": 0.5})
 	if err != nil {
-		log.Fatal(err)
+		panic(err)
 	}
 
 	// Two single-core clusters so priority order fully determines who runs.
+	var sites []*core.Site
 	mkSched := func(name string) (*slurm.Scheduler, *cluster.Cluster) {
 		cl, err := cluster.New(name, 1, kernel)
 		if err != nil {
-			log.Fatal(err)
+			panic(err)
 		}
 		var fs slurm.FairshareProvider
 		var jobcomp []slurm.JobCompHandler
@@ -63,7 +71,7 @@ func run(aequus bool) {
 				}),
 			})
 			if err != nil {
-				log.Fatal(err)
+				panic(err)
 			}
 			sites = append(sites, site)
 			fs = slurm.AequusFairshare{Lib: site.Lib}
@@ -82,7 +90,6 @@ func run(aequus bool) {
 		return s, cl
 	}
 
-	sites = nil
 	s1, _ := mkSched("cluster-1")
 	s2, c2 := mkSched("cluster-2")
 	if aequus {
@@ -119,6 +126,3 @@ func run(aequus bool) {
 
 	fmt.Printf("cluster-2 completion order: %v\n", order)
 }
-
-// sites collects the Aequus stacks of the current run so they can be meshed.
-var sites []*core.Site
