@@ -332,7 +332,7 @@ func cmdFcs(c *httpapi.Client) error {
 	if s.FCSRefreshMode == "incremental" {
 		fmt.Fprintf(tw, "  fold\t%.3fms\n", s.FCSFoldSeconds*1000)
 	}
-	fmt.Fprintf(tw, "  publish\t%.3fms\n", s.FCSPublishSeconds*1000)
+	fmt.Fprintf(tw, "  publish\t%.3fms (snapshot assembly)\n", s.FCSPublishSeconds*1000)
 	if s.FCSUsageReference != nil {
 		fmt.Fprintf(tw, "usage scale\t%.9g (sums at %s)\n", s.FCSUsageScale, s.FCSUsageReference.Format(time.RFC3339))
 	}

@@ -113,8 +113,18 @@ var guardRows = []struct {
 		want:    1,
 		fixture: "internal/services/fcs/fixture.go", src: `func f(k, rel, abs float64) float64 { return k * rel + (1-k)*abs }`,
 	}, {
+		// A refresh does no per-leaf work beyond the dirty paths (DESIGN
+		// "Drift is measured when asked"): the drift pass has one caller,
+		// the snapshot's sync.Once.
+		name:    "one drift pass",
+		pattern: `driftPass\(`,
+		reads:   []nodeText{calls},
+		in:      nonTest("internal/services/fcs"),
+		want:    1,
+		fixture: "internal/services/fcs/fixture.go", src: `func f(ix *fairshare.Index) { _, _, _ = driftPass(ix, DefaultDriftTopK) }`,
+	}, {
 		name:    "retired names",
-		pattern: `buildParallel|walkSubtree|materializeParallelThreshold|projectParallelThreshold|leafUsage|pathOff|scoreGroupCOW|segOf|rebuildSeg|segTail|tailHolds|headVec|withValues|MaterializedSegments|recalc_phase_seconds`,
+		pattern: `buildParallel|walkSubtree|materializeParallelThreshold|projectParallelThreshold|leafUsage|pathOff|scoreGroupCOW|segOf|rebuildSeg|segTail|tailHolds|headVec|withValues|MaterializedSegments|recalc_phase_seconds|publishPass`,
 		reads:   []nodeText{names},
 		in:      nonTest("internal"),
 		fixture: "internal/services/fcs/fixture.go", src: `var h = reg.Histogram("aequus_fcs_recalc_phase_seconds", "", nil)`,

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"io"
 	"testing"
 	"time"
 
@@ -19,7 +20,9 @@ import (
 // site0→site1 link must drive the drift-max gauge up (alice's local usage
 // keeps growing while bob's ingested share freezes) and age out the peer
 // watermark; two clean rounds after the fault window lapses — the breaker's
-// recovery bound — both gauges must return to healthy levels.
+// recovery bound — both gauges must return to healthy levels. The drift
+// gauges are read off the current snapshot when the registry is scraped,
+// so each reading follows a scrape, as an operator's does.
 func TestDriftGaugesTrackPartition(t *testing.T) {
 	t0 := time.Date(2013, 1, 1, 0, 0, 0, 0, time.UTC)
 	clock := simclock.NewSim(t0)
@@ -71,7 +74,13 @@ func TestDriftGaugesTrackPartition(t *testing.T) {
 			}
 		}
 	}
+	scrape := func() {
+		if err := regs[0].WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
 	driftMax := func() float64 {
+		scrape()
 		return regs[0].Gauge("aequus_fcs_drift_max_ratio", "").Value()
 	}
 	wmAge := func() float64 {
@@ -111,6 +120,7 @@ func TestDriftGaugesTrackPartition(t *testing.T) {
 	if age := wmAge(); age < 5*chaosRound.Seconds() {
 		t.Errorf("watermark age = %vs during partition, want > %vs", age, 5*chaosRound.Seconds())
 	}
+	scrape()
 	if mean := regs[0].Gauge("aequus_fcs_drift_mean_ratio", "").Value(); mean <= 0 {
 		t.Errorf("drift mean = %v during partition, want > 0", mean)
 	}

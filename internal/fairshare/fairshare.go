@@ -238,7 +238,7 @@ func clamp(x, hi float64) float64 {
 }
 
 // usageShare is a node's fraction of its sibling group's usage, score's first
-// output: the publish pass folds it alone.
+// output: the drift pass folds it alone.
 func usageShare(usage, groupUsage float64) float64 {
 	if groupUsage > 0 {
 		return usage / groupUsage

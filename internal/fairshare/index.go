@@ -11,13 +11,19 @@ import (
 
 // IndexEntry is one user's fully resolved serving record: the projection
 // entry (vector, per-level target and usage shares) plus the raw leaf
-// priority. Entries are composed from the tree on first use and cached per
-// snapshot; the embedded slices alias that immutable storage, so they can be
-// handed out without copying but must not be mutated.
+// priority and the two path products. Entries are composed from the tree on
+// first use and cached per snapshot; the embedded slices alias that
+// immutable storage, so they can be handed out without copying but must not
+// be mutated.
 type IndexEntry struct {
 	vector.Entry
 	// LeafPriority is the raw (unprojected) priority of the user's leaf.
 	LeafPriority float64
+	// Target and Actual are the products of PathShares and of PathUsage,
+	// folded left to right from 1 — the leaf's absolute slice of the grid
+	// under the policy and under usage, with the bits the percental
+	// projection and the drift pass compute from them.
+	Target, Actual float64
 }
 
 // indexStripes is the number of hash stripes the user→position table is
@@ -57,8 +63,9 @@ type composedRun struct {
 	// (Index.offs).
 	base int32
 	// buf holds each entry of the run in turn: its vector, its per-level
-	// usage shares and its raw leaf priority, so a warm lookup reads one
-	// contiguous stretch (see runOffset).
+	// usage shares, its raw leaf priority and its target and usage
+	// products, so a warm lookup reads one contiguous stretch (see
+	// runOffset).
 	buf []float64
 }
 
@@ -76,7 +83,7 @@ type composedRun struct {
 // incremental rebuild (see Recalc) shares it wholesale with the previous
 // index (withRoot). The scores are computed from the tree's usage columns
 // where they are read: At composes the entries asked for, SegmentShares
-// folds a segment's usage products for the publish pass.
+// folds a segment's usage products for the FCS's drift pass.
 type Index struct {
 	// users[i] is the leaf name at entry position i (DFS order).
 	users []string
@@ -89,7 +96,7 @@ type Index struct {
 	shares []float64
 	// target[i] is the product of entry i's target shares, folded left to
 	// right from 1 — the leaf's absolute slice of the grid under the policy,
-	// which the publish pass reads instead of re-multiplying the path.
+	// which the drift pass reads instead of re-multiplying the path.
 	target []float64
 	// path holds every entry's child indexes from the root down to its leaf,
 	// flattened per offs like shares (level 0 is the entry's segment): how
@@ -326,8 +333,10 @@ func (ix *Index) composed(i int) *composedRun {
 }
 
 // compose writes entry i into its run's buffer, allocating the buffer first
-// if the run has none: it walks the entry's path down the tree and scores
-// the member it takes at every level. The caller holds c.mu.
+// if the run has none: it walks the entry's path down the tree, scores the
+// member it takes at every level and folds the two path products as it goes
+// (1·s₀·s₁…, 1·us₀·us₁…: the float sequence of a fold over the entry's
+// PathShares and PathUsage, and of SegmentShares). The caller holds c.mu.
 func (ix *Index) compose(c *composedRun, i int) {
 	lo := i - i%composeRun
 	if c.buf == nil {
@@ -338,18 +347,22 @@ func (ix *Index) compose(c *composedRun, i int) {
 	o, end := ix.offs[i], ix.offs[i+1]
 	d := int(end - o)
 	at := runOffset(i-lo, int(o-c.base))
-	e := c.buf[at : at+2*d+1]
+	e := c.buf[at : at+2*d+3]
 	shares := ix.shares[o:end]
 	g := ix.root
+	target, actual := 1.0, 1.0
 	for l, ci := range ix.path[o:end] {
 		var prio float64
 		e[d+l], prio, e[l] = score(ix.cfg, shares[l], g.usage[ci], g.total)
+		target *= shares[l]
+		actual *= e[d+l]
 		if l < d-1 {
 			g = g.sub[ci]
 		} else {
 			e[2*d] = prio
 		}
 	}
+	e[2*d+1], e[2*d+2] = target, actual
 }
 
 // At returns the entry at position i, composed from the tree. The entry's
@@ -368,13 +381,16 @@ func (ix *Index) At(i int) IndexEntry {
 			PathUsage:  c.buf[at+d : at+2*d : at+2*d],
 		},
 		LeafPriority: c.buf[at+2*d],
+		Target:       c.buf[at+2*d+1],
+		Actual:       c.buf[at+2*d+2],
 	}
 }
 
 // runOffset is where the k-th entry of a run starts in the run's buffer,
 // given how far its levels start past the run's first entry's (offs): each
-// entry before it takes two values per level and one leaf priority.
-func runOffset(k, levels int) int { return 2*levels + k }
+// entry before it takes two values per level, its leaf priority and its two
+// path products.
+func runOffset(k, levels int) int { return 2*levels + 3*k }
 
 // User returns the leaf name at position i.
 func (ix *Index) User(i int) string { return ix.users[i] }
@@ -391,8 +407,8 @@ func (ix *Index) SegmentRange(s int) (lo, hi int) {
 // into actual, which must hold one value per leaf of the segment. The usage
 // product is folded down the segment's subtree in the tree, left to right —
 // 1·us₀·us₁·us₂…, the float sequence a fold over At(i).PathUsage multiplies
-// (1·x is exact) — so a publish pass over these columns is bit-identical to
-// one over entries.
+// (1·x is exact), and the one compose folds into IndexEntry.Actual — so a
+// drift pass over these columns is bit-identical to one over entries.
 func (ix *Index) SegmentShares(s int, actual []float64) (target []float64) {
 	m := ix.segs[s]
 	head := usageShare(ix.root.usage[s], ix.root.total)

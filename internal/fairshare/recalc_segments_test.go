@@ -10,11 +10,12 @@ import (
 	"repro/internal/policy"
 )
 
-// TestSegmentSharesMatchAt pins the publish pass's flat columns to the
-// entries At serves: each leaf's target product and usage product (folded
-// down the tree) must equal, bitwise, the left-to-right fold of the
-// full-depth slices At() serves, over random trees and after incremental
-// Applies.
+// TestSegmentSharesMatchAt pins the drift pass's flat columns and the
+// products a composed entry carries to the entries At serves: each leaf's
+// target product and usage product (folded down the tree, and folded by
+// compose into Target and Actual) must equal, bitwise, the left-to-right
+// fold of the full-depth slices At() serves, over random trees and after
+// incremental Applies.
 func TestSegmentSharesMatchAt(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -50,6 +51,7 @@ func TestSegmentSharesMatchAt(t *testing.T) {
 						wantA *= at.PathUsage[l]
 					}
 					compareFloatSlices(t, "target/actual", []float64{target[i-lo], actual[i-lo]}, []float64{wantT, wantA})
+					compareFloatSlices(t, "entry Target/Actual", []float64{at.Target, at.Actual}, []float64{wantT, wantA})
 					seen++
 				}
 			}

@@ -120,8 +120,9 @@ func compareIndexes(t *testing.T, got, want *Index) {
 		compareFloatSlices(t, fmt.Sprintf("entry %d (%s) Vec", i, g.User), g.Vec, w.Vec)
 		compareFloatSlices(t, fmt.Sprintf("entry %d (%s) PathShares", i, g.User), g.PathShares, w.PathShares)
 		compareFloatSlices(t, fmt.Sprintf("entry %d (%s) PathUsage", i, g.User), g.PathUsage, w.PathUsage)
+		compareFloatSlices(t, fmt.Sprintf("entry %d (%s) Target/Actual", i, g.User), []float64{g.Target, g.Actual}, []float64{w.Target, w.Actual})
 	}
-	// The publish pass's columns, segment by segment.
+	// The drift pass's columns, segment by segment.
 	if got.Segments() != want.Segments() {
 		t.Fatalf("segment counts differ: %d vs %d", got.Segments(), want.Segments())
 	}

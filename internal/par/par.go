@@ -1,5 +1,5 @@
 // Package par is the one worker pool of the fairshare engine and the FCS
-// publish pass: a parallel for-loop with one threshold below which it is an
+// drift pass: a parallel for-loop with one threshold below which it is an
 // ordinary loop. It also holds the one string hash that shards user-keyed
 // state into stripes.
 package par

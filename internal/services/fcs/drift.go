@@ -2,12 +2,15 @@ package fcs
 
 import (
 	"container/heap"
+	"context"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/fairshare"
-	"repro/internal/vector"
+	"repro/internal/par"
+	"repro/internal/telemetry/span"
 )
 
 // DriftEntry is one user's fairness drift: how far their effective usage
@@ -67,7 +70,7 @@ func (h driftHeap) better(err float64, pos int) bool {
 	return pos < h[0].pos
 }
 
-// driftPart is one publish worker's share of the drift summary: the largest
+// driftPart is one drift-pass worker's share of the drift summary: the largest
 // error it saw and its own k worst offenders, kept in a size-k min-heap so
 // the pass costs O(n + m·log k) and only those k entries are materialized.
 type driftPart struct {
@@ -79,9 +82,8 @@ type driftPart struct {
 // add folds one segment's share columns (its first leaf at position lo) into
 // the part and returns the segment's error sum. Target and actual are the
 // leaves' absolute slices of the grid under the policy and under usage, so
-// Error is directly comparable across tree shapes. With percental set, each
-// actual is replaced by the leaf's percental priority once it has been read.
-func (p *driftPart) add(ix *fairshare.Index, lo int, target, actual []float64, percental bool) float64 {
+// Error is directly comparable across tree shapes.
+func (p *driftPart) add(ix *fairshare.Index, lo int, target, actual []float64) float64 {
 	var sum float64
 	worst, floor := p.max, p.floor()
 	for j, a := range actual {
@@ -103,9 +105,6 @@ func (p *driftPart) add(ix *fairshare.Index, lo int, target, actual []float64, p
 				heap.Fix(&p.top, 0)
 			}
 			floor = p.floor()
-		}
-		if percental {
-			actual[j] = vector.Percental{}.Value(t, a)
 		}
 	}
 	p.max = worst
@@ -149,18 +148,73 @@ func mergeDrift(parts []driftPart, sums []float64, k, n int) (drift []DriftEntry
 	return drift, driftMax, mean
 }
 
+// lazyDrift is a snapshot's fairness-drift summary: the k worst-drift
+// entries and the population's max and mean error. It is computed by the
+// drift pass at most once, on the first Drift(), and shared by every
+// snapshot over the same index — a no-op republish and a projection change
+// reuse it, since drift depends on neither the timestamp nor the projection.
+type lazyDrift struct {
+	once      sync.Once
+	entries   []DriftEntry
+	max, mean float64
+}
+
+// get returns the summary of the index ix, running the drift pass on the
+// first call; the pass records an fcs.drift span into rec.
+func (d *lazyDrift) get(ix *fairshare.Index, rec *span.Recorder) *lazyDrift {
+	d.once.Do(func() {
+		_, sp := span.Start(span.WithRecorder(context.Background(), rec), "fcs.drift")
+		sp.SetAttrInt("users", int64(ix.Len()))
+		d.entries, d.max, d.mean = driftPass(ix, DefaultDriftTopK)
+		sp.End()
+	})
+	return d
+}
+
+// driftPass is the one population walk of the drift summary. Segment by
+// segment it streams the index's flat share columns
+// (fairshare.Index.SegmentShares) and folds each leaf's error
+// |actual − target|. It returns the k worst-drift entries (all of them when
+// k < 0), worst first, and the population's max and mean error.
+//
+// Segments fan out over cores for large populations (par.For). The result
+// does not depend on which worker gets which: the error sum is kept per
+// segment and the partial sums are added in segment order, and (Error desc,
+// pos asc) is a total order, so the k best of the workers' own k best are
+// the k best.
+func driftPass(ix *fairshare.Index, k int) (drift []DriftEntry, driftMax, driftMean float64) {
+	n, segs := ix.Len(), ix.Segments()
+	if k < 0 || k > n {
+		k = n
+	}
+	actual := make([]float64, n)
+	sums := make([]float64, segs)
+	parts := make([]driftPart, par.Workers(n, segs))
+	for w := range parts {
+		parts[w].k = k
+	}
+	par.For(n, segs, func(w, s int) {
+		lo, hi := ix.SegmentRange(s)
+		target := ix.SegmentShares(s, actual[lo:hi])
+		sums[s] = parts[w].add(ix, lo, target, actual[lo:hi])
+	})
+	return mergeDrift(parts, sums, k, n)
+}
+
 // Drift returns the fairness-drift table of the currently published snapshot
-// without triggering a refresh (zero table before the first computation).
-// The entries are shared with the snapshot and must be treated as read-only.
+// without triggering a refresh (zero table before the first computation),
+// running the drift pass if no snapshot over its index has yet. The entries
+// are shared with the snapshot and must be treated as read-only.
 func (s *Service) Drift() DriftTable {
 	sn := s.snap.Load()
 	if sn == nil {
 		return DriftTable{}
 	}
+	d := sn.drift.get(sn.index, s.cfg.Spans)
 	return DriftTable{
 		ComputedAt: sn.computedAt,
-		MaxError:   sn.driftMax,
-		MeanError:  sn.driftMean,
-		Entries:    sn.drift,
+		MaxError:   d.max,
+		MeanError:  d.mean,
+		Entries:    d.entries,
 	}
 }

@@ -4,9 +4,12 @@
 // way, no real-time calculations need to take place when new jobs arrive".
 //
 // The serving path is lock-free: every pre-calculation publishes an
-// immutable snapshot (tree + per-user index + projected priorities) through
-// an atomic pointer, so Priority/Table/Tree are O(1) pointer loads and map
-// lookups with no mutex and no tree walks. Staleness is handled with
+// immutable snapshot (tree + per-user index) through an atomic pointer, so
+// Priority/Table/Tree are O(1) pointer loads and table lookups with no mutex
+// and no tree walks; a pointwise projection's priority is projected from
+// the one entry a lookup reads. A refresh does no per-leaf work beyond the
+// dirty paths: the fairness-drift summary is computed on the first Drift()
+// of a snapshot, not on publication. Staleness is handled with
 // single-flight stale-while-revalidate: the first reader past the TTL kicks
 // one asynchronous recomputation while every reader (including itself) keeps
 // serving the previous snapshot; errors from the background refresh are
@@ -32,9 +35,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"weak"
 
 	"repro/internal/fairshare"
-	"repro/internal/par"
 	"repro/internal/policy"
 	"repro/internal/resilience"
 	"repro/internal/simclock"
@@ -129,9 +132,12 @@ type snapshot struct {
 	// VerifySnapshot can rebuild the full-recompute twin and so the next
 	// refresh can tell an unchanged policy by its pointer.
 	pol *policy.Tree
-	// prior[i] is the projected priority of index entry i.
+	// proj is the projection the snapshot serves. A pointwise one
+	// (percental, bitwise) is applied to the entry a reader looks up; only a
+	// global one (dictionary), whose ranks couple every entry, is projected
+	// at publication, into prior[i] for index entry i (nil otherwise).
+	proj       vector.Projection
 	prior      []float64
-	projName   string
 	computedAt time.Time
 	// usageScale turns the tree's Usage fields into decayed core-seconds at
 	// computedAt: a delta-capable usage source hands over sums at a
@@ -142,12 +148,10 @@ type snapshot struct {
 	// table is the wire view, assembled on first Table() call.
 	tableOnce sync.Once
 	table     wire.FairshareTableResponse
-	// drift is the fairness-drift table (per-leaf |usage − target| share
-	// error, worst offenders first) computed once at publication time, so
-	// serving it is free on the read path.
-	drift     []DriftEntry
-	driftMax  float64
-	driftMean float64
+	// drift is the fairness-drift summary (per-leaf |usage − target| share
+	// error, worst offenders first), computed on the first Drift() and
+	// shared with every snapshot over the same index.
+	drift *lazyDrift
 }
 
 // RefreshInfo describes the most recent successful snapshot refresh — the
@@ -163,9 +167,11 @@ type RefreshInfo struct {
 	// FoldDuration is an incremental refresh's engine cost (zero on a full
 	// refresh): delta resolution, spine cloning and usage re-folds.
 	FoldDuration time.Duration
-	// PublishDuration is the cost of the publish pass, which projects every
-	// entry to a priority and computes the drift summary (zero when a no-op
-	// delta republished the previous snapshot).
+	// PublishDuration is the cost of assembling the snapshot, which under
+	// the dictionary projection includes projecting every entry (zero when a
+	// no-op delta republished the previous snapshot). Pointwise priorities
+	// are projected where they are read and drift when it is asked for, so
+	// neither is in it.
 	PublishDuration time.Duration
 	// UsageScale is what the snapshot tree's Usage fields must be
 	// multiplied by to read as decayed core-seconds at At; UsageReference
@@ -239,7 +245,7 @@ func New(cfg Config, pds PolicySource, ums UsageSource) *Service {
 		ttl = DefaultCacheTTL
 	}
 	reg := telemetry.OrDefault(cfg.Metrics)
-	return &Service{
+	s := &Service{
 		cfg: cfg, ttl: ttl, pds: pds, ums: ums,
 		mIncr: reg.Counter("aequus_fcs_refresh_incremental_total",
 			"Snapshot refreshes served by the incremental recalc engine."),
@@ -265,6 +271,18 @@ func New(cfg Config, pds PolicySource, ums UsageSource) *Service {
 		mDriftMean: reg.Gauge("aequus_fcs_drift_mean_ratio",
 			"Mean per-user |usage share - target share| in the last snapshot."),
 	}
+	// The drift gauges are read off the current snapshot at scrape time. The
+	// hook holds the service weakly: a registry (the process-wide default
+	// one) may outlive it, and must not keep it and its snapshot alive.
+	wp := weak.Make(s)
+	reg.OnScrape(func() {
+		if s := wp.Value(); s != nil {
+			d := s.Drift()
+			s.mDriftMax.Set(d.MaxError)
+			s.mDriftMean.Set(d.MeanError)
+		}
+	})
+	return s
 }
 
 // LastRefresh reports the mode, dirty-user count, and wall-clock cost of the
@@ -278,8 +296,9 @@ func (s *Service) LastRefresh() RefreshInfo {
 
 // SetProjection switches the projection algorithm at run time (the paper:
 // "the approach to use is configurable and can be changed during
-// run-time"). The current tree is re-projected immediately — no UMS
-// round trip — and published as a new snapshot with the same ComputedAt.
+// run-time"). The current tree is republished at once under the new
+// projection — no UMS round trip — as a new snapshot with the same
+// ComputedAt and drift; only a global projection projects every entry here.
 func (s *Service) SetProjection(p vector.Projection) {
 	if p == nil {
 		return
@@ -291,7 +310,7 @@ func (s *Service) SetProjection(p vector.Projection) {
 	if sn == nil {
 		return
 	}
-	next, _ := s.buildSnapshot(sn.tree, sn.index, sn.pol, sn.computedAt)
+	next, _ := s.buildSnapshot(sn.tree, sn.index, sn.pol, sn.computedAt, sn.drift)
 	next.usageScale, next.usageRef = sn.usageScale, sn.usageRef
 	s.snap.Store(next)
 }
@@ -367,15 +386,15 @@ func (s *Service) rebuildLocked() error {
 	var publishDur time.Duration
 	if incremental && dirty == 0 && prev != nil {
 		// Bitwise no-op delta: the engine handed back the previous
-		// tree/index, so republish the previous snapshot's projections and
+		// tree/index, so republish the previous snapshot's projection and
 		// drift wholesale under a fresh timestamp.
 		sn = &snapshot{
 			tree: prev.tree, index: prev.index, pol: prev.pol,
-			prior: prev.prior, projName: prev.projName, computedAt: now,
-			drift: prev.drift, driftMax: prev.driftMax, driftMean: prev.driftMean,
+			proj: prev.proj, prior: prev.prior, computedAt: now,
+			drift: prev.drift,
 		}
 	} else {
-		sn, publishDur = s.buildSnapshot(tree, ix, pol, now)
+		sn, publishDur = s.buildSnapshot(tree, ix, pol, now, nil)
 	}
 	scale := ds.Scale
 	if scale == 0 {
@@ -451,69 +470,41 @@ func (s *Service) failLocked(root *span.Span, err error) error {
 	return err
 }
 
-// buildSnapshot projects the tree into a per-position priority slice and
-// computes the drift summary, and reports what that cost; refreshMu must be
-// held (it reads cfg.Projection). The wire table is deferred to the first
-// Table() call.
-func (s *Service) buildSnapshot(tree *fairshare.Tree, ix *fairshare.Index, pol *policy.Tree, at time.Time) (*snapshot, time.Duration) {
+// buildSnapshot assembles a snapshot of tree and its index under the
+// configured projection, and reports what that cost; refreshMu must be held
+// (it reads cfg.Projection). drift is the summary of a snapshot over the
+// same index, or nil for a fresh one. Only a global projection is projected
+// here; the wire table and the drift summary wait for their first reader.
+func (s *Service) buildSnapshot(tree *fairshare.Tree, ix *fairshare.Index, pol *policy.Tree, at time.Time, drift *lazyDrift) (*snapshot, time.Duration) {
 	started := time.Now()
-	prior, drift, driftMax, driftMean := publishPass(s.cfg.Projection, ix, tree.Config.Resolution, DefaultDriftTopK)
-	s.mDriftMax.Set(driftMax)
-	s.mDriftMean.Set(driftMean)
-	return &snapshot{
-		tree: tree, index: ix, pol: pol, prior: prior,
-		projName: s.cfg.Projection.Name(), computedAt: at,
-		drift: drift, driftMax: driftMax, driftMean: driftMean,
-	}, time.Since(started)
+	if drift == nil {
+		drift = &lazyDrift{}
+	}
+	p := s.cfg.Projection
+	sn := &snapshot{tree: tree, index: ix, pol: pol, proj: p, computedAt: at, drift: drift}
+	if _, pointwise := p.(vector.PointwiseProjection); !pointwise {
+		// The map indirection collapses duplicate names to one value.
+		m := p.Project(ix.Entries(), tree.Config.Resolution)
+		sn.prior = make([]float64, ix.Len())
+		for i := range sn.prior {
+			sn.prior[i] = m[ix.User(i)]
+		}
+	}
+	return sn, time.Since(started)
 }
 
-// publishPass is the one population walk of a publish. Segment by segment it
-// streams the index's flat share columns (fairshare.Index.SegmentShares) and
-// produces, per leaf and together, the drift error |actual − target| and —
-// under the percental projection, which reads the same two products — the
-// priority. Any other pointwise projection (bitwise) still calls
-// ProjectEntry per leaf, on the composed entry, and a global one (dictionary
-// order couples every entry through one sort) stays eager after the pass. It
-// returns the priority of every entry, the k worst-drift entries (all of
-// them when k < 0), worst first, and the population's max and mean error.
-//
-// Segments fan out over cores for large populations (par.For). The result
-// does not depend on which worker gets which: the error sum is kept per
-// segment and the partial sums are added in segment order, and (Error desc,
-// pos asc) is a total order, so the k best of the workers' own k best are
-// the k best.
-func publishPass(p vector.Projection, ix *fairshare.Index, resolution float64, k int) (prior []float64, drift []DriftEntry, driftMax, driftMean float64) {
-	n, segs := ix.Len(), ix.Segments()
-	if k < 0 || k > n {
-		k = n
+// value is the projected priority of index entry i, e. Percental reads the
+// two path products the entry carries, which hold the bits its ProjectEntry
+// folds from the paths; any other pointwise projection projects the entry,
+// and a global one was projected when the snapshot was assembled.
+func (sn *snapshot) value(i int, e fairshare.IndexEntry) float64 {
+	switch p := sn.proj.(type) {
+	case vector.Percental:
+		return p.Value(e.Target, e.Actual)
+	case vector.PointwiseProjection:
+		return p.ProjectEntry(e.Entry, sn.tree.Config.Resolution)
 	}
-	_, percental := p.(vector.Percental)
-	pointwise, _ := p.(vector.PointwiseProjection)
-	perEntry := pointwise != nil && !percental
-	prior = make([]float64, n)
-	sums := make([]float64, segs)
-	parts := make([]driftPart, par.Workers(n, segs))
-	for w := range parts {
-		parts[w].k = k
-	}
-	par.For(n, segs, func(w, s int) {
-		lo, hi := ix.SegmentRange(s)
-		actual := prior[lo:hi] // read, then overwritten by the projection
-		target := ix.SegmentShares(s, actual)
-		sums[s] = parts[w].add(ix, lo, target, actual, percental)
-		for i := lo; perEntry && i < hi; i++ {
-			prior[i] = pointwise.ProjectEntry(ix.At(i).Entry, resolution)
-		}
-	})
-	if pointwise == nil {
-		// The map indirection collapses duplicate names to one value.
-		m := p.Project(ix.Entries(), resolution)
-		for i := range prior {
-			prior[i] = m[ix.User(i)]
-		}
-	}
-	drift, driftMax, driftMean = mergeDrift(parts, sums, k, n)
-	return prior, drift, driftMax, driftMean
+	return sn.prior[i]
 }
 
 // ComputedAt reports when the current snapshot was pre-calculated (zero if
@@ -609,8 +600,9 @@ func (s *Service) kickRefresh() {
 }
 
 // Priority returns the pre-calculated projected priority of a grid user.
-// The hot path is lock-free: one snapshot load and one striped-map lookup,
-// zero tree walks, zero allocations. The returned Vector shares the
+// The hot path is lock-free: one snapshot load, one slot-table lookup and
+// the projection of the one entry it finds, zero tree walks, zero
+// allocations. The returned Vector shares the
 // snapshot's immutable backing array and must not be mutated.
 func (s *Service) Priority(user string) (wire.FairshareResponse, error) {
 	sn, err := s.current()
@@ -624,7 +616,7 @@ func (s *Service) Priority(user string) (wire.FairshareResponse, error) {
 	e := sn.index.At(pos)
 	return wire.FairshareResponse{
 		User:       user,
-		Value:      sn.prior[pos],
+		Value:      sn.value(pos, e),
 		Vector:     e.Vec,
 		Priority:   e.LeafPriority,
 		ComputedAt: sn.computedAt,
@@ -641,7 +633,7 @@ func (s *Service) PriorityBatch(users []string) (wire.FairshareBatchResponse, er
 		return wire.FairshareBatchResponse{}, err
 	}
 	out := wire.FairshareBatchResponse{
-		Projection: sn.projName,
+		Projection: sn.proj.Name(),
 		ComputedAt: sn.computedAt,
 		Entries:    make([]wire.FairshareResponse, 0, len(users)),
 	}
@@ -654,7 +646,7 @@ func (s *Service) PriorityBatch(users []string) (wire.FairshareBatchResponse, er
 		e := sn.index.At(pos)
 		out.Entries = append(out.Entries, wire.FairshareResponse{
 			User:       u,
-			Value:      sn.prior[pos],
+			Value:      sn.value(pos, e),
 			Vector:     e.Vec,
 			Priority:   e.LeafPriority,
 			ComputedAt: sn.computedAt,
@@ -679,7 +671,7 @@ func (s *Service) Table() (wire.FairshareTableResponse, error) {
 func buildTable(sn *snapshot) wire.FairshareTableResponse {
 	n := sn.index.Len()
 	t := wire.FairshareTableResponse{
-		Projection: sn.projName,
+		Projection: sn.proj.Name(),
 		ComputedAt: sn.computedAt,
 		Entries:    make([]wire.FairshareResponse, n),
 	}
@@ -687,7 +679,7 @@ func buildTable(sn *snapshot) wire.FairshareTableResponse {
 		e := sn.index.At(i)
 		t.Entries[i] = wire.FairshareResponse{
 			User:       e.User,
-			Value:      sn.prior[i],
+			Value:      sn.value(i, e),
 			Vector:     e.Vec,
 			Priority:   e.LeafPriority,
 			ComputedAt: sn.computedAt,

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fairshare"
 	"repro/internal/par"
 	"repro/internal/policy"
+	"repro/internal/telemetry"
 	"repro/internal/vector"
 )
 
@@ -74,11 +75,11 @@ func publishPolicy(rng *rand.Rand, groups, maxUsers int, allFlat bool) (t *polic
 	return t, leaves, tied
 }
 
-// oracleSnapshot is the per-entry publish the fused pass replaced: every
-// value is folded from the composed entry At(i) serves, the projection runs
-// through ProjectEntry (or Project, for a global one), the error sum is
-// sequential within a segment and over the segments in order, and the table
-// is a stable full sort cut at k.
+// oracleSnapshot is the per-entry publish the drift pass and the read-path
+// projection replaced: every value is folded from the composed entry At(i)
+// serves, the projection runs through ProjectEntry (or Project, for a global
+// one), the error sum is sequential within a segment and over the segments
+// in order, and the table is a stable full sort cut at k.
 func oracleSnapshot(p vector.Projection, ix *fairshare.Index, resolution float64, k int) (prior []float64, drift []DriftEntry, driftMax, driftMean float64) {
 	n := ix.Len()
 	prior = make([]float64, n)
@@ -125,12 +126,47 @@ func oracleSnapshot(p vector.Projection, ix *fairshare.Index, resolution float64
 	return prior, all, driftMax, driftMean
 }
 
-// TestPublishPassMatchesPerEntryOracle pins the fused publish pass to the
-// per-entry computation it replaced, bit for bit, over random trees, every
-// projection, drift-table sizes from none through negative (everyone) to
-// above the population, both sides of the fan-out
-// threshold, on a full build and on an incrementally applied index.
-// VerifySnapshot cannot catch an error here: its twin runs the same pass.
+// servedValues publishes tree and its index ix under p on a fresh service
+// and returns, per entry position, the value Priority, PriorityBatch and
+// Table serve for it: a lookup by name answers for the name's first
+// position.
+func servedValues(t *testing.T, p vector.Projection, pol *policy.Tree, tree *fairshare.Tree, ix *fairshare.Index) (priority, batch, table []float64) {
+	t.Helper()
+	svc := New(Config{Projection: p, CacheTTL: -1, Metrics: telemetry.NewRegistry()}, nil, nil)
+	sn, _ := svc.buildSnapshot(tree, ix, pol, t0, nil)
+	svc.snap.Store(sn)
+	n := ix.Len()
+	users := make([]string, n)
+	priority = make([]float64, n)
+	for i := range users {
+		users[i] = ix.User(i)
+		r, err := svc.Priority(users[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		priority[i] = r.Value
+	}
+	br, err := svc.PriorityBatch(users)
+	if err != nil || len(br.Entries) != n {
+		t.Fatalf("PriorityBatch: %d entries, %v", len(br.Entries), err)
+	}
+	tab, err := svc.Table()
+	if err != nil || len(tab.Entries) != n {
+		t.Fatalf("Table: %d entries, %v", len(tab.Entries), err)
+	}
+	batch, table = make([]float64, n), make([]float64, n)
+	for i := range batch {
+		batch[i], table[i] = br.Entries[i].Value, tab.Entries[i].Value
+	}
+	return priority, batch, table
+}
+
+// TestPublishPassMatchesPerEntryOracle pins the drift pass and the values
+// the read path projects to the per-entry computation they replaced, bit
+// for bit, over random trees, every projection, drift-table sizes from none
+// through negative (everyone) to above the population, both sides of the
+// fan-out threshold, on a full build and on an incrementally applied index.
+// VerifySnapshot cannot catch an error here: its twin runs the same code.
 func TestPublishPassMatchesPerEntryOracle(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	shapes := []struct {
@@ -158,7 +194,7 @@ func TestPublishPassMatchesPerEntryOracle(t *testing.T) {
 		for i := 0; i < 1+len(leaves)/50; i++ {
 			delta[leaves[rng.Intn(len(leaves))]] = rng.Float64() * 2000
 		}
-		_, applied, _, err := fairshare.NewRecalc(tree, full).Apply(delta)
+		appliedTree, applied, _, err := fairshare.NewRecalc(tree, full).Apply(delta)
 		if err != nil {
 			t.Fatalf("shape %d: Apply: %v", seed, err)
 		}
@@ -166,31 +202,51 @@ func TestPublishPassMatchesPerEntryOracle(t *testing.T) {
 		if seed == len(shapes)-1 && n < par.Threshold {
 			t.Fatalf("largest shape has %d leaves, below the fan-out threshold", n)
 		}
+		trees := []*fairshare.Tree{tree, appliedTree}
+		res := tree.Config.Resolution
+		for which, ix := range []*fairshare.Index{full, applied} {
+			for i := 0; i < n; i++ {
+				e := ix.At(i)
+				got, want := vector.Percental{}.Value(e.Target, e.Actual), vector.Percental{}.ProjectEntry(e.Entry, res)
+				if !oneBitsEqual(got, want) {
+					t.Fatalf("shape %d index %d entry %d: percental of the entry's products %v, of its paths %v", seed, which, i, got, want)
+				}
+			}
+		}
 		for _, proj := range vector.Projections() {
-			for _, k := range []int{0, 1, DefaultDriftTopK, -1, n + 7} {
-				for which, ix := range []*fairshare.Index{full, applied} {
-					wantPrior, wantDrift, wantMax, wantMean := oracleSnapshot(proj, ix, tree.Config.Resolution, k)
-					for _, procs := range []int{1, 4} {
-						runtime.GOMAXPROCS(procs)
-						prior, drift, driftMax, driftMean := publishPass(proj, ix, tree.Config.Resolution, k)
-						where := fmt.Sprintf("shape %d (%d leaves) %s k=%d index %d procs=%d",
-							seed, n, proj.Name(), k, which, procs)
-						if !bitsEqual(prior, wantPrior) {
-							t.Fatalf("%s: priorities diverge from the per-entry oracle", where)
-						}
-						if !oneBitsEqual(driftMax, wantMax) || !oneBitsEqual(driftMean, wantMean) {
-							t.Fatalf("%s: drift max/mean %v/%v, oracle %v/%v", where, driftMax, driftMean, wantMax, wantMean)
-						}
-						if len(drift) != len(wantDrift) {
-							t.Fatalf("%s: drift table has %d entries, oracle %d", where, len(drift), len(wantDrift))
-						}
-						for i := range wantDrift {
-							g, w := drift[i], wantDrift[i]
-							if g.User != w.User || !bitsEqual(
-								[]float64{g.Target, g.Actual, g.Error},
-								[]float64{w.Target, w.Actual, w.Error}) {
-								t.Fatalf("%s: drift entry %d = %+v, oracle %+v", where, i, g, w)
-							}
+			for which, ix := range []*fairshare.Index{full, applied} {
+				wantPrior, _, _, _ := oracleSnapshot(proj, ix, res, 0)
+				priority, batch, table := servedValues(t, proj, pol, trees[which], ix)
+				for i := 0; i < n; i++ {
+					first, _ := ix.Pos(ix.User(i))
+					if !bitsEqual([]float64{priority[i], batch[i], table[i]}, []float64{wantPrior[first], wantPrior[first], wantPrior[i]}) {
+						t.Fatalf("shape %d %s index %d entry %d: Priority/PriorityBatch/Table serve %v/%v/%v, oracle %v/%v",
+							seed, proj.Name(), which, i, priority[i], batch[i], table[i], wantPrior[first], wantPrior[i])
+					}
+				}
+			}
+		}
+		// The drift pass reads no projection.
+		for _, k := range []int{0, 1, DefaultDriftTopK, -1, n + 7} {
+			for which, ix := range []*fairshare.Index{full, applied} {
+				_, wantDrift, wantMax, wantMean := oracleSnapshot(vector.Percental{}, ix, res, k)
+				for _, procs := range []int{1, 4} {
+					runtime.GOMAXPROCS(procs)
+					drift, driftMax, driftMean := driftPass(ix, k)
+					where := fmt.Sprintf("shape %d (%d leaves) k=%d index %d procs=%d",
+						seed, n, k, which, procs)
+					if !oneBitsEqual(driftMax, wantMax) || !oneBitsEqual(driftMean, wantMean) {
+						t.Fatalf("%s: drift max/mean %v/%v, oracle %v/%v", where, driftMax, driftMean, wantMax, wantMean)
+					}
+					if len(drift) != len(wantDrift) {
+						t.Fatalf("%s: drift table has %d entries, oracle %d", where, len(drift), len(wantDrift))
+					}
+					for i := range wantDrift {
+						g, w := drift[i], wantDrift[i]
+						if g.User != w.User || !bitsEqual(
+							[]float64{g.Target, g.Actual, g.Error},
+							[]float64{w.Target, w.Actual, w.Error}) {
+							t.Fatalf("%s: drift entry %d = %+v, oracle %+v", where, i, g, w)
 						}
 					}
 				}

@@ -5,13 +5,15 @@ import (
 	"math"
 
 	"repro/internal/fairshare"
+	"repro/internal/telemetry/span"
 )
 
 // VerifySnapshot proves the published snapshot is bit-identical to a full
 // recomputation over the same inputs: it re-derives the usage totals from
-// the snapshot's own tree, rebuilds the tree, index, projections, and drift
-// from scratch with Compute+NewIndex, and compares every field bitwise. It
-// returns nil when they match and a first-divergence error otherwise.
+// the snapshot's own tree, rebuilds the tree and index from scratch with
+// Compute+NewIndex, and compares every field bitwise — the projected values
+// through the read path, and the drift summaries, which it forces on both.
+// It returns nil when they match and a first-divergence error otherwise.
 //
 // This is the incremental engine's ground truth — the scenario harness runs
 // it after every published snapshot so any structural-sharing bug that lets
@@ -28,13 +30,14 @@ func (s *Service) VerifySnapshot() error {
 	totals := sn.tree.UsageByLeaf()
 	twinTree := fairshare.Compute(sn.pol, totals, s.cfg.Fairshare)
 	twinIx := fairshare.NewIndex(twinTree)
-	twin, _ := s.buildSnapshot(twinTree, twinIx, sn.pol, sn.computedAt)
-	return compareSnapshots(sn, twin)
+	twin, _ := s.buildSnapshot(twinTree, twinIx, sn.pol, sn.computedAt, nil)
+	return compareSnapshots(sn, twin, s.cfg.Spans)
 }
 
 // compareSnapshots reports the first bitwise divergence between a published
-// snapshot and its full-recompute twin.
-func compareSnapshots(got, want *snapshot) error {
+// snapshot and its full-recompute twin. The published snapshot's drift pass,
+// if this is its first, records its span into rec.
+func compareSnapshots(got, want *snapshot, rec *span.Recorder) error {
 	if err := compareTrees(got.tree, want.tree); err != nil {
 		return err
 	}
@@ -56,23 +59,24 @@ func compareSnapshots(got, want *snapshot) error {
 		if !bitsEqual(g.PathUsage, w.PathUsage) {
 			return fmt.Errorf("fcs: entry %d (%s) path usage %v, twin %v", i, g.User, g.PathUsage, w.PathUsage)
 		}
-		if !oneBitsEqual(g.LeafPriority, w.LeafPriority) {
-			return fmt.Errorf("fcs: entry %d (%s) leaf priority %v, twin %v", i, g.User, g.LeafPriority, w.LeafPriority)
+		if !bitsEqual([]float64{g.LeafPriority, g.Target, g.Actual}, []float64{w.LeafPriority, w.Target, w.Actual}) {
+			return fmt.Errorf("fcs: entry %d (%s) leaf priority, target, actual %v/%v/%v, twin %v/%v/%v",
+				i, g.User, g.LeafPriority, g.Target, g.Actual, w.LeafPriority, w.Target, w.Actual)
 		}
-		if !oneBitsEqual(got.prior[i], want.prior[i]) {
-			return fmt.Errorf("fcs: entry %d (%s) projected value %v, twin %v", i, g.User, got.prior[i], want.prior[i])
+		if gv, wv := got.value(i, g), want.value(i, w); !oneBitsEqual(gv, wv) {
+			return fmt.Errorf("fcs: entry %d (%s) projected value %v, twin %v", i, g.User, gv, wv)
 		}
 	}
-	if !oneBitsEqual(got.driftMax, want.driftMax) || !oneBitsEqual(got.driftMean, want.driftMean) {
-		return fmt.Errorf("fcs: drift max/mean %v/%v, twin %v/%v",
-			got.driftMax, got.driftMean, want.driftMax, want.driftMean)
+	gd, wd := got.drift.get(got.index, rec), want.drift.get(want.index, nil)
+	if !oneBitsEqual(gd.max, wd.max) || !oneBitsEqual(gd.mean, wd.mean) {
+		return fmt.Errorf("fcs: drift max/mean %v/%v, twin %v/%v", gd.max, gd.mean, wd.max, wd.mean)
 	}
-	if len(got.drift) != len(want.drift) {
-		return fmt.Errorf("fcs: drift table has %d entries, twin %d", len(got.drift), len(want.drift))
+	if len(gd.entries) != len(wd.entries) {
+		return fmt.Errorf("fcs: drift table has %d entries, twin %d", len(gd.entries), len(wd.entries))
 	}
-	for i := range got.drift {
-		if got.drift[i] != want.drift[i] {
-			return fmt.Errorf("fcs: drift entry %d = %+v, twin %+v", i, got.drift[i], want.drift[i])
+	for i := range gd.entries {
+		if gd.entries[i] != wd.entries[i] {
+			return fmt.Errorf("fcs: drift entry %d = %+v, twin %+v", i, gd.entries[i], wd.entries[i])
 		}
 	}
 	return nil

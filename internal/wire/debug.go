@@ -73,8 +73,10 @@ type DebugSummary struct {
 	// FCSFoldSeconds is an incremental refresh's engine cost (zero on a
 	// full refresh).
 	FCSFoldSeconds float64 `json:"fcs_fold_seconds"`
-	// FCSPublishSeconds is the cost of the last refresh's publish pass
-	// (projection and drift summary).
+	// FCSPublishSeconds is the cost of the last refresh's snapshot
+	// assembly, which includes projecting every entry only under the
+	// dictionary projection: pointwise priorities are projected where they
+	// are read, and drift on the first Drift() of a snapshot.
 	FCSPublishSeconds float64 `json:"fcs_publish_seconds"`
 	// FCSUsageScale is what the usage values in the fairshare tree must be
 	// multiplied by to read as decayed core-seconds; FCSUsageReference is
