@@ -239,7 +239,7 @@ func main() {
 			ctx, cancel = context.WithTimeout(ctx, *exchDeadline)
 			defer cancel()
 		}
-		if err := s.ExchangeContext(ctx); err != nil {
+		if err := s.Exchange(ctx); err != nil {
 			logger.Warn("exchange failed", "err", err)
 		}
 	})

@@ -7,6 +7,7 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"regexp"
@@ -14,11 +15,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unicode"
 )
 
-// The guards keep each retired second mechanism of DESIGN.md's "one
-// mechanism per job" decisions out of the module. Each row names the
-// decision it keeps; each guard is one pattern matched, unanchored, against
+// The guards keep each retired second mechanism of DESIGN.md's decision
+// index out of the module. Each row names the decision it keeps; each guard is one pattern matched, unanchored, against
 // the rendered form of one or more kinds of syntax node in a scope of files.
 // Comments are never read. A guard holds when the scope has exactly want
 // matches: 0 for a retired name, 1 for the one place a mechanism lives.
@@ -328,8 +329,8 @@ var (
 	parseErr    error
 )
 
-// moduleFiles parses every Go file of the module once, for every test in
-// this file.
+// moduleFiles parses every Go file of the module once, comments included,
+// for every test in this file.
 func moduleFiles(t *testing.T) []goFile {
 	t.Helper()
 	parseOnce.Do(func() {
@@ -343,7 +344,7 @@ func moduleFiles(t *testing.T) []goFile {
 			if d.IsDir() || !strings.HasSuffix(p, ".go") {
 				return nil
 			}
-			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution|parser.ParseComments)
 			if err != nil {
 				return err
 			}
@@ -397,6 +398,323 @@ func TestGuards(t *testing.T) {
 			}
 		})
 	}
+	t.Run("Docs name live code", func(t *testing.T) { docsNameLiveCode(t, files) })
+}
+
+// docChecks are the "Docs name live code" row of TestGuards: a name the
+// documents give in backticks exists in the module, and a citation of a
+// DESIGN title names one of its headings or bold paragraph leads, which
+// include every decision index entry. A restore point (`git show
+// <sha>:<path>`) names code that is gone on purpose and is not read.
+var docChecks = []struct {
+	name string
+	// reads lists the documents checked; "*.go" is every Go comment.
+	reads []string
+	find  func(l *liveCode, d docText) []string
+	// fixture is a document whose text (src) must trip the check; a .go
+	// fixture is parsed and its comments read.
+	fixture, src string
+}{
+	{"paths", []string{"DESIGN.md", "README.md"}, (*liveCode).deadPaths,
+		"DESIGN.md", "its live deploy helper, `internal/loadgen`"},
+	{"Go references", []string{"DESIGN.md", "README.md"}, (*liveCode).deadRefs,
+		"README.md", "a leaf was a `fairshare.Node` and `USS.Watermarks()` listed"},
+	{"title citations", []string{"README.md", ".claude/skills/verify/SKILL.md", "*.go"}, (*liveCode).deadCitations,
+		"internal/core/fixture.go", "// See DESIGN \"No such\n// section\".\npackage fixture"},
+}
+
+// A docText is a document, or one Go comment, from the line it starts on.
+type docText struct {
+	where string
+	line  int
+	text  string
+}
+
+// docTexts reads one entry of a check's reads.
+func docTexts(t *testing.T, name string, files []goFile) []docText {
+	t.Helper()
+	if name != "*.go" {
+		b, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []docText{{name, 1, string(b)}}
+	}
+	var out []docText
+	for _, f := range files {
+		for _, cg := range f.file.Comments {
+			out = append(out, docText{f.path, fset.Position(cg.Pos()).Line, cg.Text()})
+		}
+	}
+	return out
+}
+
+func docsNameLiveCode(t *testing.T, files []goFile) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := newLiveCode(files, string(design))
+	for _, c := range docChecks {
+		t.Run(c.name, func(t *testing.T) {
+			var hits []string
+			for _, r := range c.reads {
+				for _, d := range docTexts(t, r, files) {
+					hits = append(hits, c.find(live, d)...)
+				}
+			}
+			if len(hits) != 0 {
+				t.Errorf("%d names that are not live:\n%s", len(hits), strings.Join(hits, "\n"))
+			}
+			fixture := []docText{{c.fixture, 1, c.src}}
+			if strings.HasSuffix(c.fixture, ".go") {
+				f, err := parser.ParseFile(fset, c.fixture, c.src, parser.ParseComments)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fixture = docTexts(t, "*.go", []goFile{{c.fixture, f}})
+			}
+			if len(c.find(live, fixture[0])) == 0 {
+				t.Errorf("fixture %s does not trip the check: %s", c.fixture, c.src)
+			}
+		})
+	}
+}
+
+// liveCode is what the module declares, as the doc checks look it up.
+type liveCode struct {
+	files   []string                   // every Go file's module-relative path
+	decls   map[string]map[string]bool // package name → its top-level names
+	members map[string]map[string]bool // "pkg.Type" → its fields and methods
+	embeds  map[string][]string        // "pkg.Type" → the types it embeds
+	types   map[string][]string        // type name → every "pkg.Type" so named
+	fields  map[string][]string        // field name → the "pkg.Type" of each field so named
+	imports map[string]bool            // names of packages from outside the module
+	titles  map[string]bool            // DESIGN.md's headings and bold paragraph leads
+}
+
+var (
+	designTitle = regexp.MustCompile(`^(?:#+ |(?:- )?\*\*)([^*]+)`)
+	codeSpan    = regexp.MustCompile("`([^`]+)`")
+	goRef       = regexp.MustCompile(`^([A-Za-z_]\w*)\.([A-Za-z_]\w*)(?:\.([A-Za-z_]\w*))?(?:\(.*\))?$`)
+	citation    = regexp.MustCompile(`DESIGN(?:\.md's)?\s+"([^"]+)"`)
+)
+
+func newLiveCode(files []goFile, design string) *liveCode {
+	l := &liveCode{
+		decls: map[string]map[string]bool{}, members: map[string]map[string]bool{},
+		embeds: map[string][]string{}, types: map[string][]string{}, fields: map[string][]string{},
+		imports: map[string]bool{}, titles: map[string]bool{},
+	}
+	add := func(m map[string]map[string]bool, k, name string) {
+		if m[k] == nil {
+			m[k] = map[string]bool{}
+		}
+		m[k][name] = true
+	}
+	for _, f := range files {
+		l.files = append(l.files, f.path)
+		pkg := strings.TrimSuffix(f.file.Name.Name, "_test")
+		for _, imp := range f.file.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			if p != "repro" && !strings.HasPrefix(p, "repro/") {
+				l.imports[path.Base(p)] = true
+			}
+		}
+		for _, d := range f.file.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok {
+				if fd.Recv == nil {
+					add(l.decls, pkg, fd.Name.Name)
+				} else if k := typeKey(pkg, fd.Recv.List[0].Type); k != "" {
+					add(l.members, k, fd.Name.Name)
+				}
+				continue
+			}
+			for _, spec := range d.(*ast.GenDecl).Specs {
+				switch spec := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range spec.Names {
+						add(l.decls, pkg, n.Name)
+					}
+				case *ast.TypeSpec:
+					add(l.decls, pkg, spec.Name.Name)
+					k := pkg + "." + spec.Name.Name
+					l.types[spec.Name.Name] = append(l.types[spec.Name.Name], k)
+					var list *ast.FieldList
+					switch st := spec.Type.(type) {
+					case *ast.StructType:
+						list = st.Fields
+					case *ast.InterfaceType:
+						list = st.Methods
+					default:
+						continue
+					}
+					for _, fl := range list.List {
+						ft := typeKey(pkg, fl.Type)
+						if len(fl.Names) == 0 && ft != "" {
+							add(l.members, k, ft[strings.LastIndex(ft, ".")+1:])
+							l.embeds[k] = append(l.embeds[k], ft)
+						}
+						for _, n := range fl.Names {
+							add(l.members, k, n.Name)
+							if ft != "" {
+								l.fields[n.Name] = append(l.fields[n.Name], ft)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, line := range strings.Split(design, "\n") {
+		if m := designTitle.FindStringSubmatch(line); m != nil {
+			l.titles[strings.TrimSuffix(strings.Join(strings.Fields(m[1]), " "), ".")] = true
+		}
+	}
+	return l
+}
+
+// typeKey names the type an expression denotes as "pkg.Type", through
+// pointers and type arguments, and "" for any other expression.
+func typeKey(pkg string, e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return pkg + "." + e.Name
+	case *ast.StarExpr:
+		return typeKey(pkg, e.X)
+	case *ast.IndexExpr:
+		return typeKey(pkg, e.X)
+	case *ast.IndexListExpr:
+		return typeKey(pkg, e.X)
+	case *ast.SelectorExpr:
+		if x, ok := e.X.(*ast.Ident); ok {
+			return x.Name + "." + e.Sel.Name
+		}
+	}
+	return ""
+}
+
+// hasMember reports whether a type of keys, or a type it embeds, has the
+// field or method m.
+func (l *liveCode) hasMember(keys []string, m string, depth int) bool {
+	for _, k := range keys {
+		if l.members[k][m] || depth < 3 && l.hasMember(l.embeds[k], m, depth+1) {
+			return true
+		}
+	}
+	return false
+}
+
+// spans lists each inline code span of a markdown text outside fenced
+// blocks, its whitespace collapsed, with the line it starts on. A restore
+// point is left out.
+func spans(d docText) (lines []int, texts []string) {
+	rows := strings.Split(d.text, "\n")
+	fenced := false
+	for i, r := range rows {
+		fence := strings.HasPrefix(strings.TrimSpace(r), "```")
+		fenced = fenced != fence
+		if fence || fenced {
+			rows[i] = ""
+		}
+	}
+	text := strings.Join(rows, "\n")
+	for _, m := range codeSpan.FindAllStringSubmatchIndex(text, -1) {
+		s := strings.Join(strings.Fields(text[m[2]:m[3]]), " ")
+		if strings.HasPrefix(s, "git ") {
+			continue
+		}
+		lines = append(lines, d.line+strings.Count(text[:m[0]], "\n"))
+		texts = append(texts, s)
+	}
+	return lines, texts
+}
+
+// deadPaths lists the backticked internal/…, cmd/… and .go paths that do
+// not exist; a .go path may be given relative to any directory.
+func (l *liveCode) deadPaths(d docText) []string {
+	var hits []string
+	lines, texts := spans(d)
+	for i, s := range texts {
+		for _, w := range strings.Fields(s) {
+			w = strings.TrimPrefix(w, "./")
+			if strings.ContainsAny(w, "{*<") || !strings.HasPrefix(w, "internal/") && !strings.HasPrefix(w, "cmd/") && !strings.HasSuffix(w, ".go") {
+				continue
+			}
+			if _, err := os.Stat(w); err != nil && !l.hasGoFile(w) {
+				hits = append(hits, fmt.Sprintf("%s:%d: %s", d.where, lines[i], w))
+			}
+		}
+	}
+	return hits
+}
+
+// hasGoFile reports whether the module has a Go file at path p relative to
+// some directory of it.
+func (l *liveCode) hasGoFile(p string) bool {
+	for _, f := range l.files {
+		if strings.HasSuffix("/"+f, "/"+p) {
+			return true
+		}
+	}
+	return false
+}
+
+// deadRefs lists the backticked pkg.Name, Type.Member and pkg.Type.Member
+// references, with a capitalized last part, that name nothing the module
+// declares. A first part that names a field stands for the field's type;
+// a package from outside the module is not looked into.
+func (l *liveCode) deadRefs(d docText) []string {
+	var hits []string
+	lines, texts := spans(d)
+	for i, s := range texts {
+		m := goRef.FindStringSubmatch(s)
+		if m == nil {
+			continue
+		}
+		a, b, c := m[1], m[2], m[3]
+		last := b
+		if c != "" {
+			last = c
+		}
+		if !unicode.IsUpper(rune(last[0])) || l.resolves(a, b, c) {
+			continue
+		}
+		hits = append(hits, fmt.Sprintf("%s:%d: %s", d.where, lines[i], s))
+	}
+	return hits
+}
+
+// resolves reports whether a.b, or a.b.c when c is set, names a declaration.
+func (l *liveCode) resolves(a, b, c string) bool {
+	if names, ok := l.decls[a]; ok {
+		if c == "" {
+			return names[b]
+		}
+		return l.hasMember([]string{a + "." + b}, c, 0)
+	}
+	if l.imports[a] {
+		return true
+	}
+	owners := append(append([]string(nil), l.types[a]...), l.fields[a]...)
+	if c == "" {
+		return l.hasMember(owners, b, 0)
+	}
+	return l.hasMember(owners, b, 0) && l.hasMember(l.fields[b], c, 0)
+}
+
+// deadCitations lists the citations of a DESIGN title (the word DESIGN, or
+// DESIGN.md's, then the title in double quotes), joined across lines, that
+// name no DESIGN.md heading or index entry.
+func (l *liveCode) deadCitations(d docText) []string {
+	var hits []string
+	for _, m := range citation.FindAllStringSubmatchIndex(d.text, -1) {
+		title := strings.Join(strings.Fields(d.text[m[2]:m[3]]), " ")
+		if !l.titles[title] {
+			hits = append(hits, fmt.Sprintf("%s:%d: %q", d.where, d.line+strings.Count(d.text[:m[0]], "\n"), title))
+		}
+	}
+	return hits
 }
 
 // TestMetricNameLint checks each metric name a non-test Go file of the

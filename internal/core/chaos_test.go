@@ -88,7 +88,7 @@ func (f *chaosFederation) round(t *testing.T, deadline time.Duration) []error {
 	errs := make([]error, len(f.sites))
 	for i, s := range f.sites {
 		ctx, cancel := context.WithTimeout(context.Background(), deadline)
-		errs[i] = s.ExchangeContext(ctx)
+		errs[i] = s.Exchange(ctx)
 		// A per-peer timeout legitimately surfaces as DeadlineExceeded in the
 		// round's error; only the round context expiring means an overrun.
 		overran := ctx.Err() != nil

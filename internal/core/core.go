@@ -231,15 +231,10 @@ func (s *Site) SnapshotDurable() error {
 // ConnectPeer registers a remote USS to pull usage from.
 func (s *Site) ConnectPeer(p uss.Peer) { s.USS.AddPeer(p) }
 
-// Exchange pulls usage from all connected peers.
-func (s *Site) Exchange() error {
-	return s.ExchangeContext(context.Background())
-}
-
-// ExchangeContext pulls usage from all connected peers under ctx's deadline
-// — how a periodic driver bounds a whole round even when individual peers
+// Exchange pulls usage from all connected peers under ctx's deadline —
+// how a periodic driver bounds a whole round even when individual peers
 // hang.
-func (s *Site) ExchangeContext(ctx context.Context) error {
+func (s *Site) Exchange(ctx context.Context) error {
 	_, err := s.USS.Exchange(ctx)
 	return err
 }

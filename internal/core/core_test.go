@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
@@ -92,7 +93,7 @@ func TestGlobalVsLocalPrioritization(t *testing.T) {
 	remote.USS.ReportJob("bob", t0, 10*time.Hour, 4)
 	clock.Advance(time.Hour)
 	for _, s := range []*Site{global, localOnly, remote} {
-		if err := s.Exchange(); err != nil {
+		if err := s.Exchange(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Refresh(); err != nil {
@@ -125,7 +126,7 @@ func TestFullMeshExchange(t *testing.T) {
 	sites[0].USS.ReportJob("alice", t0, time.Hour, 1)
 	clock.Advance(2 * time.Hour)
 	for _, s := range sites {
-		if err := s.Exchange(); err != nil {
+		if err := s.Exchange(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -192,7 +193,7 @@ func TestSitesAgreeAcrossReferenceInstants(t *testing.T) {
 	round := func(refresh ...*Site) {
 		for pass := 0; pass < 2; pass++ {
 			for _, s := range sites {
-				if err := s.Exchange(); err != nil {
+				if err := s.Exchange(context.Background()); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"io"
 	"testing"
 	"time"
@@ -68,7 +69,7 @@ func TestDriftGaugesTrackPartition(t *testing.T) {
 		report(clock.Now())
 		clock.Advance(chaosRound)
 		for _, s := range sites {
-			_ = s.Exchange() // pull errors during the fault window are the point
+			_ = s.Exchange(context.Background()) // pull errors during the fault window are the point
 			if err := s.Refresh(); err != nil {
 				t.Fatalf("refresh: %v", err)
 			}

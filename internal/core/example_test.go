@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"net/http/httptest"
 	"time"
@@ -68,7 +69,7 @@ func Example_multicluster() {
 	show("after bob ran on site B (no exchange):")
 
 	// Exchange usage, refresh the pre-calculated fairshare tree.
-	if err := siteA.Exchange(); err != nil {
+	if err := siteA.Exchange(context.Background()); err != nil {
 		panic(err)
 	}
 	if err := siteA.Refresh(); err != nil {

@@ -533,7 +533,7 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 			skew = spec.ExchangeSkew[i]
 		}
 		scheduleEvery(kernel, start.Add(skew).Add(spec.ExchangeInterval), spec.ExchangeInterval,
-			func(time.Time) { _ = h.Sites[i].Exchange() }, done)
+			func(time.Time) { _ = h.Sites[i].Exchange(context.Background()) }, done)
 	}
 	kernel.Every(spec.RefreshInterval, func(time.Time) {
 		for _, s := range h.Sites {

@@ -1,6 +1,7 @@
 package slurm_test
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -96,7 +97,7 @@ func runTwoClusters(aequus bool) {
 		core.FullMesh(sites)
 		kernel.Every(time.Minute, func(time.Time) {
 			for _, s := range sites {
-				_ = s.Exchange()
+				_ = s.Exchange(context.Background())
 				_ = s.Refresh()
 			}
 		}, nil)
