@@ -125,7 +125,7 @@ var guardRows = []struct {
 		fixture: "internal/services/fcs/fixture.go", src: `func f(ix *fairshare.Index) { _, _, _ = driftPass(ix, DefaultDriftTopK) }`,
 	}, {
 		name:    "retired names",
-		pattern: `buildParallel|walkSubtree|materializeParallelThreshold|projectParallelThreshold|leafUsage|pathOff|scoreGroupCOW|segOf|rebuildSeg|segTail|tailHolds|headVec|withValues|MaterializedSegments|recalc_phase_seconds|publishPass`,
+		pattern: `buildParallel|walkSubtree|materializeParallelThreshold|projectParallelThreshold|leafUsage|pathOff|scoreGroupCOW|segOf|rebuildSeg|segTail|tailHolds|headVec|withValues|MaterializedSegments|recalc_phase_seconds|publishPass|initLayout|fillSegment|depthSum|segMeta`,
 		reads:   []nodeText{names},
 		in:      nonTest("internal"),
 		fixture: "internal/services/fcs/fixture.go", src: `var h = reg.Histogram("aequus_fcs_recalc_phase_seconds", "", nil)`,
@@ -399,6 +399,202 @@ func TestGuards(t *testing.T) {
 		})
 	}
 	t.Run("Docs name live code", func(t *testing.T) { docsNameLiveCode(t, files) })
+	t.Run("CI selects live tests", func(t *testing.T) { ciSelectsLiveTests(t, files) })
+}
+
+// ciSelectsLiveTests is the "CI selects live tests" row of TestGuards: in
+// every go test command of the CI workflow, each alternative of the -run
+// pattern (but ^$, which selects nothing on purpose) matches a Test, Fuzz or
+// Example function of the command's packages, and the -fuzz pattern a Fuzz
+// function. Without it a renamed test drops out of its gauntlet silently.
+func ciSelectsLiveTests(t *testing.T, files []goFile) {
+	workflow, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := testFuncs(files)
+	if dead := deadSelections(string(workflow), tests); len(dead) != 0 {
+		t.Errorf("%d selections match no test:\n%s", len(dead), strings.Join(dead, "\n"))
+	}
+	const fixture = "run: |\n  go test ./internal/fairshare -run 'Recalc|PathReachesLeaf' \\\n    -race\n" +
+		"  go test ./internal/usage -run '^$' -fuzz FuzzNoSuchTarget -fuzztime 10s\n"
+	if dead := deadSelections(fixture, tests); len(dead) != 2 {
+		t.Errorf("the fixture trips the check %d times, want 2 (a -run alternative and a -fuzz target): %q", len(dead), dead)
+	}
+}
+
+// testFuncs lists the Test, Fuzz and Example functions of every package
+// directory ("" for the module root).
+func testFuncs(files []goFile) map[string][]string {
+	out := map[string][]string{}
+	for _, f := range files {
+		if !strings.HasSuffix(f.path, "_test.go") {
+			continue
+		}
+		dir := path.Dir(f.path)
+		if dir == "." {
+			dir = ""
+		}
+		for _, d := range f.file.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Recv != nil {
+				continue
+			}
+			for _, prefix := range []string{"Test", "Fuzz", "Example"} {
+				if strings.HasPrefix(fd.Name.Name, prefix) {
+					out[dir] = append(out[dir], fd.Name.Name)
+				}
+			}
+		}
+	}
+	return out
+}
+
+// deadSelections lists the -run alternatives and -fuzz patterns of the go
+// test commands in a workflow's text that match no function of tests, each
+// as "pattern (command)". YAML comments are skipped; a line ending in a
+// backslash continues on the next.
+func deadSelections(workflow string, tests map[string][]string) []string {
+	var dead []string
+	text := strings.ReplaceAll(workflow, "\\\n", " ")
+	for _, line := range strings.Split(text, "\n") {
+		at := strings.Index(line, "go test ")
+		if at < 0 || strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		var pkgs []string
+		var run, fuzz string
+		args := shellWords(line[at+len("go test "):])
+		for i := 0; i < len(args); i++ {
+			a := args[i]
+			if a == "|" || a == "&&" || a == ";" {
+				break
+			}
+			for _, flag := range []struct {
+				name string
+				into *string
+			}{{"-run", &run}, {"-fuzz", &fuzz}} {
+				switch {
+				case a == flag.name && i+1 < len(args):
+					i++
+					*flag.into = args[i]
+				case strings.HasPrefix(a, flag.name+"="):
+					*flag.into = strings.TrimPrefix(a, flag.name+"=")
+				}
+			}
+			if a == "." || strings.HasPrefix(a, "./") {
+				pkgs = append(pkgs, a)
+			}
+		}
+		var names, fuzzers []string
+		for dir, fns := range tests {
+			if selected(pkgs, dir) {
+				names = append(names, fns...)
+			}
+		}
+		for _, n := range names {
+			if strings.HasPrefix(n, "Fuzz") {
+				fuzzers = append(fuzzers, n)
+			}
+		}
+		cmd := strings.TrimSpace(line[at:])
+		// A -run pattern's first slash-separated element selects the
+		// top-level tests; the rest select subtests.
+		for _, alt := range alternatives(strings.SplitN(run, "/", 2)[0]) {
+			if alt != "^$" && !anyMatch(alt, names) {
+				dead = append(dead, fmt.Sprintf("-run %s (%s)", alt, cmd))
+			}
+		}
+		if fuzz != "" && !anyMatch(fuzz, fuzzers) {
+			dead = append(dead, fmt.Sprintf("-fuzz %s (%s)", fuzz, cmd))
+		}
+	}
+	return dead
+}
+
+// selected reports whether a package pattern of a go test command
+// ("./internal/x", "./internal/...", ".") names the package directory dir.
+func selected(pkgs []string, dir string) bool {
+	for _, p := range pkgs {
+		p = strings.TrimPrefix(strings.TrimPrefix(p, "."), "/")
+		if rest, ok := strings.CutSuffix(p, "..."); ok {
+			if rest == "" || dir+"/" == rest || strings.HasPrefix(dir, rest) {
+				return true
+			}
+		} else if p == dir {
+			return true
+		}
+	}
+	return false
+}
+
+// alternatives splits a regular expression at its top-level bars.
+func alternatives(re string) []string {
+	if re == "" {
+		return nil
+	}
+	var out []string
+	depth, from := 0, 0
+	for i, r := range re {
+		switch r {
+		case '(', '[':
+			depth++
+		case ')', ']':
+			depth--
+		case '|':
+			if depth == 0 {
+				out = append(out, re[from:i])
+				from = i + 1
+			}
+		}
+	}
+	return append(out, re[from:])
+}
+
+// anyMatch reports whether the regular expression re compiles and matches
+// one of names.
+func anyMatch(re string, names []string) bool {
+	r, err := regexp.Compile(re)
+	if err != nil {
+		return false
+	}
+	for _, n := range names {
+		if r.MatchString(n) {
+			return true
+		}
+	}
+	return false
+}
+
+// shellWords splits a command line into words as a shell would for the
+// quoting CI uses: blanks separate, and single or double quotes group.
+func shellWords(line string) []string {
+	var words []string
+	var w strings.Builder
+	quote, in := rune(0), false
+	for _, r := range line {
+		switch {
+		case quote != 0 && r == quote:
+			quote = 0
+		case quote != 0:
+			w.WriteRune(r)
+		case r == '\'' || r == '"':
+			quote, in = r, true
+		case unicode.IsSpace(r):
+			if in {
+				words = append(words, w.String())
+				w.Reset()
+			}
+			in = false
+		default:
+			w.WriteRune(r)
+			in = true
+		}
+	}
+	if in {
+		words = append(words, w.String())
+	}
+	return words
 }
 
 // docChecks are the "Docs name live code" row of TestGuards: a name the

@@ -76,14 +76,24 @@ type group struct {
 	// total is usage folded left to right: the group's own subtree usage,
 	// its members' usage-share denominator.
 	total float64
-	// shareSum is the members' raw shares summed left to right. A member's
-	// normalized share is its raw share divided by shareSum iff that is
-	// positive — policy.Normalize's arithmetic, without the policy clone.
-	shareSum float64
+	// shares[i] is member i's normalized target share: its raw share
+	// divided by the members' raw shares summed left to right, iff that sum
+	// is positive — policy.Normalize's arithmetic, without the policy clone.
+	// Every reader of a target share (the tree walks, the index's entries,
+	// the drift pass) reads it here, so all see the same bits, and a cold
+	// lookup reads a leaf's share in one load rather than through its policy
+	// node. Compute writes it once; Recalc's clones share it.
+	shares []float64
 	// leaves counts the leaves below the group and groups the groups of its
 	// subtree, itself included, so index construction and the incremental
 	// Recalc engine can partition entry ranges without re-walking the tree.
 	leaves, groups int32
+	// prefix[i] counts the leaves below the members before member i, with
+	// len(usage)+1 entries (the last is leaves): how the index finds which
+	// member holds a leaf position (see descend). Nil when every member is a
+	// leaf, where the position is the member index. Compute writes it once;
+	// Recalc's clones share it, since an Apply changes no leaf count.
+	prefix []int32
 	// gen tags groups cloned by one Recalc.Apply pass (generation numbers
 	// are process-unique), letting the engine tell this pass's mutable
 	// clones from immutable shared groups without a map. Zero on groups
@@ -132,17 +142,25 @@ func Compute(p *policy.Tree, usage map[string]float64, cfg Config) *Tree {
 		root.build(i, usage)
 	})
 	root.fold()
+	root.prefixLeaves()
 	return &Tree{root: root, Config: cfg.normalized()}
 }
 
 // newGroup returns the unbuilt group of a policy node: its columns sized and
-// its raw shares summed.
+// its members' shares normalized.
 func newGroup(pn *policy.Node) *group {
-	g := &group{pol: pn, usage: make([]float64, len(pn.Children))}
+	g := &group{pol: pn, usage: make([]float64, len(pn.Children)), shares: make([]float64, len(pn.Children))}
+	sum := 0.0
 	for _, pc := range pn.Children {
-		g.shareSum += pc.Share
+		sum += pc.Share
 		if len(pc.Children) > 0 && g.sub == nil {
 			g.sub = make([]*group, len(pn.Children))
+		}
+	}
+	for i, pc := range pn.Children {
+		g.shares[i] = pc.Share
+		if sum > 0 {
+			g.shares[i] = pc.Share / sum
 		}
 	}
 	return g
@@ -161,6 +179,7 @@ func (g *group) build(i int, usage map[string]float64) {
 		s.build(j, usage)
 	}
 	s.fold()
+	s.prefixLeaves()
 	g.sub[i] = s
 }
 
@@ -182,6 +201,22 @@ func (g *group) fold() {
 	}
 }
 
+// prefixLeaves writes the leaf-count prefix of a folded group that has
+// sub-groups.
+func (g *group) prefixLeaves() {
+	if g.sub == nil {
+		return
+	}
+	g.prefix = make([]int32, len(g.usage)+1)
+	for i := range g.usage {
+		n := int32(1)
+		if s := g.sub[i]; s != nil {
+			n = s.leaves
+		}
+		g.prefix[i+1] = g.prefix[i] + n
+	}
+}
+
 // subAt returns the group of member i, nil when the member is a leaf.
 func (g *group) subAt(i int) *group {
 	if g.sub == nil {
@@ -193,11 +228,7 @@ func (g *group) subAt(i int) *group {
 // member returns member i with its scores, for the tree walks. cfg must be
 // normalized.
 func (g *group) member(cfg Config, i int) Member {
-	pc := g.pol.Children[i]
-	m := Member{Name: pc.Name, Leaf: g.subAt(i) == nil, Share: pc.Share, Usage: g.usage[i]}
-	if g.shareSum > 0 {
-		m.Share = pc.Share / g.shareSum
-	}
+	m := Member{Name: g.pol.Children[i].Name, Leaf: g.subAt(i) == nil, Share: g.shares[i], Usage: g.usage[i]}
 	m.UsageShare, m.Priority, m.Value = score(cfg, m.Share, m.Usage, g.total)
 	return m
 }
@@ -312,16 +343,14 @@ func (t *Tree) Entries() []vector.Entry {
 
 // leafWalk is the path state of a depth-first walk over a tree's leaves: the
 // values, target shares and usage shares from the first level below the root
-// down to the current member, and the child index taken at each of those
-// levels. The slices are scratch stacks reused across leaves — a visitor must
-// copy anything it retains — and one explicit push/pop stack per quantity is
-// what keeps the walk safe by construction (a per-call `append(vec, …)`
-// shares backing arrays across sibling iterations).
+// down to the current member. The slices are scratch stacks reused across
+// leaves — a visitor must copy anything it retains — and one explicit
+// push/pop stack per quantity is what keeps the walk safe by construction (a
+// per-call `append(vec, …)` shares backing arrays across sibling iterations).
 type leafWalk struct {
 	cfg            Config
 	vec            vector.Vector
 	shares, usages []float64
-	path           []int32
 }
 
 // descend steps into g's i-th member and calls fn on every leaf below it (on
@@ -333,7 +362,6 @@ func (w *leafWalk) descend(g *group, i int, fn func(leaf Member, w *leafWalk) bo
 	w.vec = append(w.vec, m.Value)
 	w.shares = append(w.shares, m.Share)
 	w.usages = append(w.usages, m.UsageShare)
-	w.path = append(w.path, int32(i))
 	if s := g.subAt(i); s == nil {
 		if fn(m, w) {
 			return true
@@ -346,13 +374,12 @@ func (w *leafWalk) descend(g *group, i int, fn func(leaf Member, w *leafWalk) bo
 		}
 	}
 	d := len(w.vec) - 1
-	w.vec, w.shares, w.usages, w.path = w.vec[:d], w.shares[:d], w.usages[:d], w.path[:d]
+	w.vec, w.shares, w.usages = w.vec[:d], w.shares[:d], w.usages[:d]
 	return false
 }
 
 // walkLeaves visits every leaf below the root in DFS order (a childless root
-// has none) until fn returns true. The index fills each top-level subtree
-// with its own leafWalk.
+// has none) until fn returns true.
 func (t *Tree) walkLeaves(fn func(leaf Member, w *leafWalk) bool) {
 	w := leafWalk{cfg: t.Config}
 	for i := range t.root.usage {

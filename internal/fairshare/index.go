@@ -1,6 +1,8 @@
 package fairshare
 
 import (
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -12,17 +14,18 @@ import (
 // IndexEntry is one user's fully resolved serving record: the projection
 // entry (vector, per-level target and usage shares) plus the raw leaf
 // priority and the two path products. Entries are composed from the tree on
-// first use and cached per snapshot; the embedded slices alias that
-// immutable storage, so they can be handed out without copying but must not
-// be mutated.
+// first use and cached per snapshot; the embedded slices alias that cache
+// (the entry's stretch of its composed run's buffer, where vector, target
+// shares and usage shares lie side by side), so they can be handed out
+// without copying but must not be mutated.
 type IndexEntry struct {
 	vector.Entry
 	// LeafPriority is the raw (unprojected) priority of the user's leaf.
 	LeafPriority float64
 	// Target and Actual are the products of PathShares and of PathUsage,
-	// folded left to right from 1 — the leaf's absolute slice of the grid
-	// under the policy and under usage, with the bits the percental
-	// projection and the drift pass compute from them.
+	// folded left to right from 1 by At on every read — the leaf's absolute
+	// slice of the grid under the policy and under usage, with the bits the
+	// percental projection and the drift pass compute from them.
 	Target, Actual float64
 }
 
@@ -35,13 +38,6 @@ const indexStripes = 16
 // stripeOf returns the build stripe of a name with slot hash h.
 func stripeOf(h uint64) int { return int(h >> 60) }
 
-// segMeta is one segment's contiguous leaf range [lo, hi) in entry-position
-// order. Segment s covers exactly the leaves of the root's s-th child, so
-// segment ids double as top-level child indexes.
-type segMeta struct {
-	lo, hi int32
-}
-
 // composeRun is how many consecutive entries share one composed-run slot and
 // its buffer: the buffer is allocated when the first of them is asked for,
 // and each entry is composed into it when it is itself asked for. At most
@@ -52,20 +48,16 @@ const composeRun = 16
 // run of composeRun consecutive entries that At has been asked for, for the
 // life of the snapshot. done has bit k set once the run's k-th entry is
 // composed; it is stored only after the entry's values (and, the first time,
-// base and buf) are written, so a lock-free reader that observes its bit
-// sees them. A composed entry is never written again. Never copy a
-// composedRun (it embeds a Mutex); access elements of Index.comp by pointer
-// only.
+// buf) are written, so a lock-free reader that observes its bit sees them. A
+// composed entry is never written again. Never copy a composedRun (it embeds
+// a Mutex); access elements of Index.comp by pointer only.
 type composedRun struct {
 	mu   sync.Mutex
 	done atomic.Uint32
-	// base is the run's first entry's offset in full-depth coordinates
-	// (Index.offs).
-	base int32
-	// buf holds each entry of the run in turn: its vector, its per-level
-	// usage shares, its raw leaf priority and its target and usage
-	// products, so a warm lookup reads one contiguous stretch (see
-	// runOffset).
+	// buf holds the run's entries in turn, Index.stride values each (see
+	// Index.span): an entry of depth d opens with its vector, its per-level
+	// target and usage shares and its raw leaf priority, 3d+1 values, so a
+	// warm lookup reads one contiguous stretch.
 	buf []float64
 }
 
@@ -76,38 +68,21 @@ type composedRun struct {
 // publishes only immutable state (the lazy composed-run and projection
 // views are built under their own synchronization).
 //
-// The index stores no scores. It holds the identity half of the leaves —
-// user names, per-entry offsets, target shares and their per-leaf product,
-// child-index paths, the segment table, the striped user→position tables and
-// the duplicate table — which depends only on the policy topology, so an
-// incremental rebuild (see Recalc) shares it wholesale with the previous
-// index (withRoot). The scores are computed from the tree's usage columns
-// where they are read: At composes the entries asked for, SegmentShares
-// folds a segment's usage products for the FCS's drift pass.
+// The index stores names only. Per leaf it holds the user name at each entry
+// position and the striped user→position tables (and the duplicate table)
+// that find it, which depend only on the policy topology, so an incremental
+// rebuild (see Recalc) shares them wholesale with the previous index
+// (withRoot). Everything else is read from the tree where it is needed: a
+// position is located by the groups' leaf-count prefixes (descend), At
+// composes the entries asked for, and SegmentShares folds a segment's target
+// and usage products for the FCS's drift pass.
 type Index struct {
 	// users[i] is the leaf name at entry position i (DFS order).
 	users []string
-	// offs[i] is the start of entry i's per-level values in full-depth
-	// coordinates (level 0 included); entry i spans [offs[i], offs[i+1])
-	// and its depth is the difference. len(offs) == len(users)+1.
-	offs []int32
-	// shares holds every entry's normalized target shares, flattened per
-	// offs. Target shares change only with the policy, never with usage.
-	shares []float64
-	// target[i] is the product of entry i's target shares, folded left to
-	// right from 1 — the leaf's absolute slice of the grid under the policy,
-	// which the drift pass reads instead of re-multiplying the path.
-	target []float64
-	// path holds every entry's child indexes from the root down to its leaf,
-	// flattened per offs like shares (level 0 is the entry's segment): how
-	// the readers and Recalc find a leaf's groups and column entry in the
-	// tree.
-	path []int32
-	// segs[s] is segment s's leaf range.
-	segs []segMeta
 
-	// root and cfg are the tree the scores are read from: its groups hold
-	// the usage columns, and cfg is its normalized Config.
+	// root and cfg are the tree the entries are read from: its groups hold
+	// the usage columns and the leaf-count prefixes, and cfg is its
+	// normalized Config.
 	root *group
 	cfg  Config
 
@@ -116,6 +91,11 @@ type Index struct {
 	// composition; serving-path Table/At callers compose each entry at most
 	// once per snapshot.
 	comp []composedRun
+	// depth is the depth of the tree's deepest leaf, and stride the values
+	// an entry takes in its run's buffer: 3·depth+1 when every leaf is that
+	// deep, and one more when depths differ, the last value then holding the
+	// entry's own depth.
+	depth, stride int
 
 	// stripes[stripeOf(slot.Hash(user))] finds a user name's first entry
 	// position in DFS order (matching Tree.Vector / Tree.LeafPriority, which
@@ -134,74 +114,46 @@ type Index struct {
 	projEntries []vector.Entry
 }
 
-// NewIndex builds the index of a computed tree, one segment per top-level
-// child. Every tree size runs the same code — the segments are filled
-// through par.For (their ranges are disjoint, and the per-group leaf counts
-// cached at build time give exact offsets), then the stripe tables are built
-// from the filled name column — so the result cannot depend on the core
+// NewIndex builds the index of a computed tree: the name column, filled one
+// top-level subtree at a time through par.For (the root's leaf-count prefix
+// gives each its disjoint range), then the stripe tables built from it. Every
+// tree size runs the same code, so the result cannot depend on the core
 // count.
 func NewIndex(t *Tree) *Index {
 	n := int(t.root.leaves)
-	ix := &Index{root: t.root, cfg: t.Config, comp: newComposed(n)}
-	bases := ix.initLayout(t.root, n)
+	ix := &Index{users: make([]string, n), root: t.root, cfg: t.Config, comp: newComposed(n)}
+	if n > 0 {
+		lo, hi := t.root.leafDepths()
+		ix.depth, ix.stride = hi, 3*hi+1
+		if lo < hi {
+			ix.stride++
+		}
+	}
 	stripe := make([]uint8, n) // stripe[i] = stripeOf(slot.Hash(users[i]))
 	par.For(n, len(t.root.usage), func(_, s int) {
-		ix.fillSegment(t, s, bases, stripe)
+		lo, _ := ix.SegmentRange(s)
+		ix.fillNames(t.root, s, lo, stripe)
 	})
 	ix.buildStripes(stripe)
 	return ix
 }
 
-// initLayout sizes the identity columns from an integer-only pre-pass over
-// the root's children: segment boundaries and column extents. It returns each
-// segment's full-depth base (len S+1, last element the total size) — passed
-// around explicitly rather than read back out of offs, so parallel segment
-// fills never read a boundary offset another goroutine is writing.
-func (ix *Index) initLayout(root *group, n int) []int32 {
-	S := len(root.usage)
-	ix.users = make([]string, n)
-	ix.offs = make([]int32, n+1)
-	ix.target = make([]float64, n)
-	ix.segs = make([]segMeta, S)
-	bases := make([]int32, S+1)
-	lo := int32(0)
-	for s := range root.usage {
-		leaves, span := int32(1), int32(1) // a leaf member: one entry, one level deep
-		if c := root.subAt(s); c != nil {
-			leaves, span = c.leaves, int32(depthSum(c, 2))
-		}
-		bases[s+1] = bases[s] + span
-		ix.segs[s] = segMeta{lo: lo, hi: lo + leaves}
-		lo += leaves
+// fillNames writes the names of the leaves below g's i-th member (the member
+// itself when it is a leaf) into the name column from position pos on, in
+// DFS order, and each one's stripe id into stripe. It returns the position
+// after them.
+func (ix *Index) fillNames(g *group, i, pos int, stripe []uint8) int {
+	s := g.subAt(i)
+	if s == nil {
+		name := g.pol.Children[i].Name
+		ix.users[pos] = name
+		stripe[pos] = uint8(stripeOf(slot.Hash(name)))
+		return pos + 1
 	}
-	ix.shares = make([]float64, bases[S])
-	ix.path = make([]int32, bases[S])
-	return bases
-}
-
-// fillSegment walks the root's s-th subtree and writes segment s's slice of
-// the identity columns (users, offs, shares, target, path), and each leaf's
-// stripe id into stripe.
-func (ix *Index) fillSegment(t *Tree, s int, bases []int32, stripe []uint8) {
-	ai := int(bases[s]) // full-depth cursor
-	pos := int(ix.segs[s].lo)
-	w := leafWalk{cfg: t.Config}
-	w.descend(t.root, s, func(leaf Member, w *leafWalk) bool {
-		d := len(w.shares)
-		copy(ix.shares[ai:ai+d], w.shares)
-		copy(ix.path[ai:ai+d], w.path)
-		target := 1.0
-		for _, sh := range w.shares {
-			target *= sh
-		}
-		ix.target[pos] = target
-		ai += d
-		ix.users[pos] = leaf.Name
-		stripe[pos] = uint8(stripeOf(slot.Hash(leaf.Name)))
-		ix.offs[pos+1] = int32(ai)
-		pos++
-		return false
-	})
+	for j := range s.usage {
+		pos = ix.fillNames(s, j, pos, stripe)
+	}
+	return pos
 }
 
 // buildStripes builds the user→position tables and the duplicate table from
@@ -250,52 +202,77 @@ func (ix *Index) buildStripes(stripe []uint8) {
 	}
 }
 
-// depthSum returns the summed root-to-leaf path length over every leaf
-// below g, with g's members at the given level — the column space the
-// subtree's entries occupy in shares and path.
-func depthSum(g *group, level int) int {
-	sum := 0
+// leafDepths returns the least and the greatest depth of a leaf below g (1
+// for a member of g itself). g must have a leaf.
+func (g *group) leafDepths() (lo, hi int) {
+	lo = math.MaxInt
 	for i := range g.usage {
+		l, h := 1, 1
 		if s := g.subAt(i); s != nil {
-			sum += depthSum(s, level+1)
-		} else {
-			sum += level
+			if s.leaves == 0 {
+				continue
+			}
+			l, h = s.leafDepths()
+			l, h = l+1, h+1
 		}
+		lo, hi = min(lo, l), max(hi, h)
 	}
-	return sum
+	return lo, hi
 }
 
-// leafGroup returns the group holding index entry pos in the tree rooted at
-// root and the entry's member index there. The tree must have the shape the
-// index was built from; where it does not, leafGroup returns nil.
-func (ix *Index) leafGroup(root *group, pos int32) (*group, int) {
-	g := root
-	path := ix.path[ix.offs[pos]:ix.offs[pos+1]]
-	for _, ci := range path[:len(path)-1] {
-		if int(ci) >= len(g.usage) || g.subAt(int(ci)) == nil {
-			return nil, 0
+// memberOf returns the member of g that holds g's pos-th leaf (counted from
+// 0 in DFS order) and the leaf's position among that member's leaves: a
+// binary search of the leaf-count prefix, or pos itself in a group of leaves
+// only. The member is out of range when g has no pos-th leaf.
+func (g *group) memberOf(pos int32) (int, int32) {
+	p := g.prefix
+	if p == nil {
+		return int(pos), 0
+	}
+	i, found := slices.BinarySearch(p, pos)
+	if !found {
+		i-- // the last member starting at or before pos: prefix[0] is 0
+	}
+	return i, pos - p[i]
+}
+
+// step is one level of a descent through the tree: member i of group g.
+type step struct {
+	g *group
+	i int
+}
+
+// descend appends to path the member taken at each level on the way from g
+// down to g's pos-th leaf in DFS order, g's own first and the leaf last. It
+// descends the groups' leaf-count prefixes, O(depth·log fanout), and is how
+// every reader finds an index position's leaf in the tree. The tree must
+// have the shape the index was built from; where it has no such leaf,
+// descend returns nil.
+func (g *group) descend(pos int32, path []step) []step {
+	for {
+		i, rest := g.memberOf(pos)
+		if uint(i) >= uint(len(g.usage)) {
+			return nil
 		}
-		g = g.sub[ci]
+		path = append(path, step{g, i})
+		s := g.subAt(i)
+		if s == nil {
+			return path
+		}
+		g, pos = s, rest
 	}
-	if ci := int(path[len(path)-1]); ci < len(g.usage) && g.subAt(ci) == nil {
-		return g, ci
-	}
-	return nil, 0
 }
 
 // withRoot returns the index of a tree of the same shape with other usage,
-// rooted at root: it shares ix's identity half by pointer.
+// rooted at root: it shares ix's names and lookup tables by pointer.
 func (ix *Index) withRoot(root *group) *Index {
 	return &Index{
 		users:   ix.users,
-		offs:    ix.offs,
-		shares:  ix.shares,
-		target:  ix.target,
-		path:    ix.path,
-		segs:    ix.segs,
 		root:    root,
 		cfg:     ix.cfg,
 		comp:    newComposed(len(ix.users)),
+		depth:   ix.depth,
+		stride:  ix.stride,
 		stripes: ix.stripes,
 		dups:    ix.dups,
 	}
@@ -333,111 +310,112 @@ func (ix *Index) composed(i int) *composedRun {
 }
 
 // compose writes entry i into its run's buffer, allocating the buffer first
-// if the run has none: it walks the entry's path down the tree, scores the
-// member it takes at every level and folds the two path products as it goes
-// (1·s₀·s₁…, 1·us₀·us₁…: the float sequence of a fold over the entry's
-// PathShares and PathUsage, and of SegmentShares). The caller holds c.mu.
+// if the run has none: it descends to the entry's leaf and scores the member
+// taken at every level. The caller holds c.mu.
 func (ix *Index) compose(c *composedRun, i int) {
-	lo := i - i%composeRun
+	var buf [8]step // more levels allocate
+	path := ix.root.descend(int32(i), buf[:0])
 	if c.buf == nil {
-		hi := min(lo+composeRun, len(ix.users))
-		c.base = ix.offs[lo]
-		c.buf = make([]float64, runOffset(hi-lo, int(ix.offs[hi]-c.base)))
+		lo := i - i%composeRun
+		c.buf = make([]float64, min(composeRun, len(ix.users)-lo)*ix.stride)
 	}
-	o, end := ix.offs[i], ix.offs[i+1]
-	d := int(end - o)
-	at := runOffset(i-lo, int(o-c.base))
-	e := c.buf[at : at+2*d+3]
-	shares := ix.shares[o:end]
-	g := ix.root
-	target, actual := 1.0, 1.0
-	for l, ci := range ix.path[o:end] {
-		var prio float64
-		e[d+l], prio, e[l] = score(ix.cfg, shares[l], g.usage[ci], g.total)
-		target *= shares[l]
-		actual *= e[d+l]
-		if l < d-1 {
-			g = g.sub[ci]
-		} else {
-			e[2*d] = prio
-		}
+	at := i % composeRun * ix.stride
+	e, d := c.buf[at:at+ix.stride], len(path)
+	var prio float64
+	for l, st := range path {
+		share := st.g.shares[st.i]
+		var us, v float64
+		us, prio, v = score(ix.cfg, share, st.g.usage[st.i], st.g.total)
+		e[l], e[d+l], e[2*d+l] = v, share, us
 	}
-	e[2*d+1], e[2*d+2] = target, actual
+	e[3*d] = prio
+	if ix.stride > 3*ix.depth+1 {
+		e[ix.stride-1] = float64(d)
+	}
 }
 
-// At returns the entry at position i, composed from the tree. The entry's
-// slices alias immutable per-snapshot storage (the entry's stretch of its
-// run's buffer); callers must not mutate them.
+// span returns the stretch of c's buffer that holds the run's k-th entry,
+// and the entry's depth.
+func (ix *Index) span(c *composedRun, k int) ([]float64, int) {
+	at, d := k*ix.stride, ix.depth
+	if ix.stride > 3*d+1 {
+		d = int(c.buf[at+ix.stride-1])
+	}
+	return c.buf[at : at+3*d+1 : at+3*d+1], d
+}
+
+// At returns the entry at position i, composed from the tree, with its two
+// path products folded from its shares (1·s₀·s₁…, 1·us₀·us₁…, the float
+// sequences SegmentShares multiplies). The entry's slices alias immutable
+// per-snapshot storage (the entry's stretch of its run's buffer); callers
+// must not mutate them.
 func (ix *Index) At(i int) IndexEntry {
-	c := ix.composed(i)
-	o, end := ix.offs[i], ix.offs[i+1]
-	d := int(end - o)
-	at := runOffset(i%composeRun, int(o-c.base))
+	e, d := ix.span(ix.composed(i), i%composeRun)
+	target, actual := 1.0, 1.0
+	for l := range d {
+		target *= e[d+l]
+		actual *= e[2*d+l]
+	}
 	return IndexEntry{
 		Entry: vector.Entry{
 			User:       ix.users[i],
-			Vec:        vector.Vector(c.buf[at : at+d : at+d]),
-			PathShares: ix.shares[o:end:end],
-			PathUsage:  c.buf[at+d : at+2*d : at+2*d],
+			Vec:        vector.Vector(e[:d:d]),
+			PathShares: e[d : 2*d : 2*d],
+			PathUsage:  e[2*d : 3*d : 3*d],
 		},
-		LeafPriority: c.buf[at+2*d],
-		Target:       c.buf[at+2*d+1],
-		Actual:       c.buf[at+2*d+2],
+		LeafPriority: e[3*d],
+		Target:       target,
+		Actual:       actual,
 	}
 }
-
-// runOffset is where the k-th entry of a run starts in the run's buffer,
-// given how far its levels start past the run's first entry's (offs): each
-// entry before it takes two values per level, its leaf priority and its two
-// path products.
-func runOffset(k, levels int) int { return 2*levels + 3*k }
 
 // User returns the leaf name at position i.
 func (ix *Index) User(i int) string { return ix.users[i] }
 
-// SegmentRange returns segment s's entry positions [lo, hi).
+// SegmentRange returns segment s's entry positions [lo, hi): the leaves
+// below the root's s-th member, as the root's leaf-count prefix counts them.
 func (ix *Index) SegmentRange(s int) (lo, hi int) {
-	m := ix.segs[s]
-	return int(m.lo), int(m.hi)
-}
-
-// SegmentShares streams segment s's flat share columns without touching (or
-// building) the composed runs: it returns each leaf's target-share product
-// (identity storage, read-only) and writes each leaf's usage-share product
-// into actual, which must hold one value per leaf of the segment. The usage
-// product is folded down the segment's subtree in the tree, left to right —
-// 1·us₀·us₁·us₂…, the float sequence a fold over At(i).PathUsage multiplies
-// (1·x is exact), and the one compose folds into IndexEntry.Actual — so a
-// drift pass over these columns is bit-identical to one over entries.
-func (ix *Index) SegmentShares(s int, actual []float64) (target []float64) {
-	m := ix.segs[s]
-	head := usageShare(ix.root.usage[s], ix.root.total)
-	if g := ix.root.subAt(s); g != nil {
-		foldUsage(g, head, actual)
-	} else {
-		actual[0] = head
+	if p := ix.root.prefix; p != nil {
+		return int(p[s]), int(p[s+1])
 	}
-	return ix.target[m.lo:m.hi:m.hi]
+	return s, s + 1
 }
 
-// foldUsage writes the usage-share product of every leaf below g, in DFS
-// order, into out, with prefix the product down to g, and returns what of
-// out is left.
-func foldUsage(g *group, prefix float64, out []float64) []float64 {
+// Segments returns the number of segments: the root's members.
+func (ix *Index) Segments() int { return len(ix.root.usage) }
+
+// SegmentShares writes the target-share and the usage-share product of each
+// of segment s's leaves, in DFS order, into target and actual, which must
+// hold one value per leaf of the segment, without touching (or building) the
+// composed runs. Both products are folded down the segment's subtree in the
+// tree, left to right — 1·s₀·s₁·s₂… and 1·us₀·us₁·us₂…, the float sequences
+// At folds into IndexEntry.Target and Actual (1·x is exact) — so a drift
+// pass over these columns is bit-identical to one over entries.
+func (ix *Index) SegmentShares(s int, target, actual []float64) {
+	root := ix.root
+	share, us := root.shares[s], usageShare(root.usage[s], root.total)
+	if g := root.subAt(s); g != nil {
+		foldShares(g, share, us, target, actual)
+	} else {
+		target[0], actual[0] = share, us
+	}
+}
+
+// foldShares writes the target-share and usage-share products of every leaf
+// below g, in DFS order, into target and actual, with t and a the products
+// down to g, and returns what of them is left.
+func foldShares(g *group, t, a float64, target, actual []float64) ([]float64, []float64) {
 	for i, u := range g.usage {
-		a := prefix * usageShare(u, g.total)
+		ti, ai := t*g.shares[i], a*usageShare(u, g.total)
 		if s := g.subAt(i); s != nil {
-			out = foldUsage(s, a, out)
+			target, actual = foldShares(s, ti, ai, target, actual)
 		} else {
-			out[0] = a
-			out = out[1:]
+			target[0], actual[0] = ti, ai
+			target, actual = target[1:], actual[1:]
 		}
 	}
-	return out
+	return target, actual
 }
-
-// Segments returns the number of top-level-subtree segments.
-func (ix *Index) Segments() int { return len(ix.segs) }
 
 // positions returns every leaf position carrying the user's name (ascending
 // DFS order), appending into buf to avoid allocation in the unique case.

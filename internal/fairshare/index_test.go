@@ -4,9 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -253,9 +257,10 @@ func buildAwkward(groups, perGroup int) (*policy.Tree, map[string]float64) {
 
 // TestIndexBuildIndependentOfCores pins the single build path: whatever
 // GOMAXPROCS is, and on both sides of par.Threshold, Compute yields the same
-// tree bit for bit (GOMAXPROCS 1 is the plain serial loop) and NewIndex the
-// same index — identity half reflect.DeepEqual, every entry and segment
-// column Float64bits-equal.
+// tree bit for bit (GOMAXPROCS 1 is the plain serial loop), with the same
+// leaf-count prefixes, and NewIndex the same index — name column, stripe and
+// duplicate tables reflect.DeepEqual, every entry and segment column
+// Float64bits-equal, and the segments tiling the positions in order.
 // The stripe tables and the duplicate table are also checked against a plain
 // scan of the name column: the first position wins a name, repeats ascend.
 func TestIndexBuildIndependentOfCores(t *testing.T) {
@@ -277,9 +282,8 @@ func TestIndexBuildIndependentOfCores(t *testing.T) {
 				name      string
 				got, want any
 			}{
-				{"users", ix.users, ref.users}, {"offs", ix.offs, ref.offs},
-				{"shares", ix.shares, ref.shares}, {"target", ix.target, ref.target},
-				{"path", ix.path, ref.path}, {"segs", ix.segs, ref.segs},
+				{"users", ix.users, ref.users},
+				{"prefixes", prefixes(tree.root), prefixes(refTree.root)},
 				{"stripes", ix.stripes, ref.stripes},
 				{"dups", ix.dups, ref.dups},
 			} {
@@ -293,12 +297,20 @@ func TestIndexBuildIndependentOfCores(t *testing.T) {
 		if above := ref.Len() >= par.Threshold; above != (size.groups == 90) {
 			t.Fatalf("%dx%d has %d leaves: on the wrong side of the threshold", size.groups, size.perGroup, ref.Len())
 		}
+		next := 0
+		for s := 0; s < ref.Segments(); s++ {
+			lo, hi := ref.SegmentRange(s)
+			if lo != next || hi <= lo {
+				t.Fatalf("%dx%d: segment %d spans [%d, %d), want a non-empty range from %d", size.groups, size.perGroup, s, lo, hi, next)
+			}
+			next = hi
+		}
+		if next != ref.Len() {
+			t.Fatalf("%dx%d: segments cover %d of %d entries", size.groups, size.perGroup, next, ref.Len())
+		}
 		where := map[string][]int32{}
 		for i, u := range ref.users {
 			where[u] = append(where[u], int32(i))
-			if s := ref.path[ref.offs[i]]; i < int(ref.segs[s].lo) || i >= int(ref.segs[s].hi) {
-				t.Fatalf("entry %d's path starts at child %d, whose segment spans %v", i, s, ref.segs[s])
-			}
 		}
 		repeated, stripesUsed := 0, map[int]bool{}
 		for u, ps := range where {
@@ -324,40 +336,101 @@ func TestIndexBuildIndependentOfCores(t *testing.T) {
 	}
 }
 
-// TestIndexPathReachesLeaf pins the path column: descending from the root by
-// the child indexes of entry i reaches the leaf named User(i), with the usage
-// UsageByLeaf reports — in the tree the index was built from, and in the
-// tree an Apply derived, which shares the column by pointer.
-func TestIndexPathReachesLeaf(t *testing.T) {
+// TestIndexLocateReachesLeaf pins the locator: descending from the root by
+// the groups' leaf-count prefixes, position i reaches the leaf named User(i),
+// with the usage UsageByLeaf reports and as deep as At(i)'s vector, which
+// with the leaf priority is the tree walk's, and the position past the last
+// leaf reaches none — in the tree the index was built from and in the tree an
+// Apply derived. The shapes are buildAwkward's and fuzzPolicy's: the
+// FuzzRecalcTwin seed corpus (mixed leaf and group siblings, a leaf directly
+// under the root, duplicate names, a zero-share group, usage zero
+// throughout), a root with only leaves, and leaves eleven levels deep.
+func TestIndexLocateReachesLeaf(t *testing.T) {
+	type shape struct {
+		name  string
+		p     *policy.Tree
+		usage map[string]float64
+	}
 	p, usage := buildAwkward(9, 12)
-	tree := Compute(p, usage, DefaultConfig())
-	ix := NewIndex(tree)
-	delta := map[string]float64{"in0": 77.5, "across6": 0, "solo3": 1e4, "u2_0": 12}
-	tree2, ix2, st, err := NewRecalc(tree, ix).Apply(delta)
-	if err != nil || st.DirtyLeaves <= len(delta) {
-		t.Fatalf("Apply: %v (%d dirty leaves)", err, st.DirtyLeaves)
+	shapes := []shape{{"awkward", p, usage}}
+	seeds := map[string][]byte{"root-leaves-only": []byte("\x00\x01\x00\x05\x00\x09\x00\x0d")}
+	var chain []byte // ten nested groups, two leaves at the bottom, one under the root
+	for k := byte(0); k < 10; k++ {
+		chain = append(chain, k<<1|1, 1)
 	}
-	if &ix2.path[0] != &ix.path[0] {
-		t.Fatal("Apply copied the path column instead of sharing it")
+	seeds["deep-chain"] = append(chain, 20, 5, 20, 9, 0, 13)
+	files, err := filepath.Glob("testdata/fuzz/FuzzRecalcTwin/*")
+	if err != nil || len(files) < 5 {
+		t.Fatalf("seed corpus: %d files, %v", len(files), err)
 	}
-	for _, c := range []struct {
-		tree *Tree
-		ix   *Index
-	}{{tree, ix}, {tree2, ix2}} {
-		want := c.tree.UsageByLeaf()
-		for i := 0; i < c.ix.Len(); i++ {
-			g, ci := c.ix.leafGroup(c.tree.root, int32(i))
-			if g == nil || g.pol.Children[ci].Name != c.ix.User(i) {
-				t.Fatalf("entry %d (%s): path leads to %+v member %d", i, c.ix.User(i), g, ci)
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n") // header, shape, deltas
+		arg := strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")")
+		b, err := strconv.Unquote(arg)
+		if err != nil {
+			t.Fatalf("%s: shape %s: %v", f, lines[1], err)
+		}
+		seeds[filepath.Base(f)] = []byte(b)
+	}
+	for name, b := range seeds {
+		fp, names := fuzzPolicy(b)
+		fu := map[string]float64{}
+		for i, u := range names {
+			fu[u] = float64(i % 3)
+		}
+		shapes = append(shapes, shape{name, fp, fu})
+	}
+	for _, sh := range shapes {
+		tree := Compute(sh.p, sh.usage, DefaultConfig())
+		ix := NewIndex(tree)
+		if ix.Len() == 0 {
+			t.Fatalf("%s: no leaves", sh.name)
+		}
+		delta := map[string]float64{ix.User(0): 77.5, ix.User(ix.Len() - 1): 1e4}
+		tree2, ix2, st, err := NewRecalc(tree, ix).Apply(delta)
+		if err != nil || st.DirtyLeaves == 0 {
+			t.Fatalf("%s: Apply: %v (%d dirty leaves)", sh.name, err, st.DirtyLeaves)
+		}
+		for _, c := range []struct {
+			tree *Tree
+			ix   *Index
+		}{{tree, ix}, {tree2, ix2}} {
+			want := c.tree.UsageByLeaf()
+			for i := 0; i < c.ix.Len(); i++ {
+				u := c.ix.User(i)
+				path := c.tree.root.descend(int32(i), nil)
+				if path == nil {
+					t.Fatalf("%s entry %d (%s): located no leaf", sh.name, i, u)
+				}
+				g, ci, depth := path[len(path)-1].g, path[len(path)-1].i, len(path)
+				if g.subAt(ci) != nil || g.pol.Children[ci].Name != u {
+					t.Fatalf("%s entry %d (%s): located %+v member %d", sh.name, i, u, g, ci)
+				}
+				if math.Float64bits(g.usage[ci]) != math.Float64bits(want[u]) {
+					t.Fatalf("%s entry %d (%s): usage %v, UsageByLeaf %v", sh.name, i, u, g.usage[ci], want[u])
+				}
+				e := c.ix.At(i)
+				if len(e.Vec) != depth {
+					t.Fatalf("%s entry %d (%s): located at depth %d, vector of %d", sh.name, i, u, depth, len(e.Vec))
+				}
+				if first, _ := c.ix.Pos(u); first == i {
+					vec, prio, _ := c.tree.Lookup(u)
+					compareFloatSlices(t, fmt.Sprintf("%s entry %d (%s) Vec", sh.name, i, u), e.Vec, vec)
+					compareFloatSlices(t, fmt.Sprintf("%s entry %d (%s) LeafPriority", sh.name, i, u), []float64{e.LeafPriority}, []float64{prio})
+				}
 			}
-			if math.Float64bits(g.usage[ci]) != math.Float64bits(want[c.ix.User(i)]) {
-				t.Fatalf("entry %d (%s): usage %v, UsageByLeaf %v", i, c.ix.User(i), g.usage[ci], want[c.ix.User(i)])
+			if path := c.tree.root.descend(int32(c.ix.Len()), nil); path != nil {
+				t.Fatalf("%s: position %d, past the last leaf, located a group", sh.name, c.ix.Len())
 			}
 		}
-	}
-	for u, v := range delta {
-		if got := tree2.UsageByLeaf()[u]; got != v {
-			t.Fatalf("after Apply %s has usage %v, want %v", u, got, v)
+		for u, v := range delta {
+			if got := tree2.UsageByLeaf()[u]; got != v {
+				t.Fatalf("%s: after Apply %s has usage %v, want %v", sh.name, u, got, v)
+			}
 		}
 	}
 }
@@ -517,25 +590,53 @@ func TestConcurrentColdAt(t *testing.T) {
 }
 
 // TestIndexBytesPerLeaf pins what NewIndex holds per leaf in use, measured
-// after runtime.GC() over 1,000 groups × 100 leaves: the identity columns
-// plus 8–16 B of slot table per name (≈65 B in all), against ≈92 B when the
-// index also held every leaf's scores below level 0, and ≈120 B before that,
-// when each build stripe was a map[string]int32.
+// after runtime.GC(): the name column, 8–16 B of slot table per name and the
+// empty composed-run cache (≈30 B in all). That was ≈65 B two levels deep and
+// ≈75 B three levels deep while the index also held each leaf's target
+// shares, their product, its child-index path and its offsets into them; ≈92
+// B when it also held every leaf's scores below level 0; and ≈120 B before
+// that, when each build stripe was a map[string]int32. Two shapes: 1,000
+// groups × 100 leaves, and 100 × 10 × 100, three levels deep, where a
+// per-level column would cost the most.
 func TestIndexBytesPerLeaf(t *testing.T) {
-	const groups, perGroup = 1000, 100
-	p, usage, _ := buildWideDirect(groups, perGroup)
-	tree := Compute(p, usage, DefaultConfig())
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	ix := NewIndex(tree)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	perLeaf := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (groups * perGroup)
-	runtime.KeepAlive(ix)
-	runtime.KeepAlive(tree)
-	if perLeaf > 72 {
-		t.Errorf("the index holds %.1f bytes per leaf in use, want ≤ 72", perLeaf)
+	for _, fanout := range [][]int{{1000, 100}, {100, 10, 100}} {
+		p, usage := buildGrid(fanout...)
+		tree := Compute(p, usage, DefaultConfig())
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ix := NewIndex(tree)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		perLeaf := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(ix.Len())
+		runtime.KeepAlive(ix)
+		runtime.KeepAlive(tree)
+		if perLeaf > 36 {
+			t.Errorf("%v: the index holds %.1f bytes per leaf in use, want ≤ 36", fanout, perLeaf)
+		}
+		t.Logf("%v: %.1f bytes per leaf in use", fanout, perLeaf)
 	}
-	t.Logf("%.1f bytes per leaf in use", perLeaf)
+}
+
+// buildGrid builds a policy len(fanout) levels deep, each group at level l
+// with fanout[l] members, distinct leaf names, and random shares and usage.
+func buildGrid(fanout ...int) (*policy.Tree, map[string]float64) {
+	rng := rand.New(rand.NewSource(1))
+	usage := map[string]float64{}
+	var fill func(n *policy.Node, name string, level int)
+	fill = func(n *policy.Node, name string, level int) {
+		n.Children = make([]*policy.Node, fanout[level])
+		for i := range n.Children {
+			c := &policy.Node{Name: fmt.Sprintf("%s_%d", name, i), Share: rng.Float64() + 0.1}
+			if level+1 < len(fanout) {
+				fill(c, c.Name, level+1)
+			} else {
+				usage[c.Name] = rng.Float64() * 1e6
+			}
+			n.Children[i] = c
+		}
+	}
+	root := &policy.Node{Share: 1}
+	fill(root, "n", 0)
+	return &policy.Tree{Root: root}, usage
 }

@@ -17,18 +17,19 @@ var recalcGen atomic.Uint64
 // Recalc is a persistent incremental recomputation engine: it keeps the
 // previously computed Tree/Index pair and turns a usage delta set into a new
 // snapshot in O(dirty·depth) tree work instead of a full O(users) rebuild.
-// It owns no per-leaf table of its own: a leaf's position and root-to-leaf
-// path are read from the index, and its usage from its group's column in the
-// tree, the one holder of usage.
+// It owns no per-leaf table of its own: a leaf's position is read from the
+// index, its group is located in the tree by the groups' leaf-count prefixes,
+// and its usage is read from that group's column, the one holder of usage.
 //
 // The produced snapshots are immutable and structurally share everything a
-// delta does not touch: groups off the dirty paths, and the index's whole
-// identity half (names, offsets, shares, paths, stripe and duplicate
+// delta does not touch: groups off the dirty paths, every group's share
+// column and leaf-count prefix (a clone keeps its original's), and the
+// index's names and lookup tables (name column, stripe and duplicate
 // tables). Only the groups on dirty root-to-leaf paths are cloned
 // (copy-on-write, with their usage columns) and re-folded. Neither the tree
 // nor the index stores a score, so nothing else is written: the new index is
-// the old one's identity half over the new root, and its readers compute the
-// scores a delta changed where they read them.
+// the old one's names over the new root, and its readers compute the scores
+// a delta changed where they read them.
 //
 // All outputs are bit-identical to a from-scratch Compute+NewIndex over the
 // merged usage map: usage sums are re-folded left-to-right by the build's own
@@ -139,11 +140,11 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 
 	// Phase 2: drop bitwise no-ops and clone, copy-on-write, the groups on
 	// the root-to-leaf path of every leaf that is left, then write the
-	// leaf's usage into its (cloned) group's column. The no-op test reads
-	// that column entry, reached by the pointers the cloning follows a
-	// moment later, so a listed leaf costs one descent. Clones are tagged
-	// with this pass's generation number so later phases can tell them from
-	// immutable shared groups without a map.
+	// leaf's usage into its (cloned) group's column. One descent per leaf
+	// records its path; the no-op test reads the leaf's column entry at the
+	// path's end, and a dirty leaf's path is then cloned from the root down.
+	// Clones are tagged with this pass's generation number so later phases
+	// can tell them from immutable shared groups without a map.
 	r.gen = recalcGen.Add(1)
 	cfg := r.tree.Config
 	newRoot := oldRoot // this pass's clone of it from the first dirty leaf on
@@ -160,12 +161,14 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 		clear(spine)
 		r.spineBuf = spine[:0]
 	}()
+	var pathBuf [8]step
 	for _, d := range listed {
-		g, ci := old.leafGroup(newRoot, d.pos)
-		if g == nil {
+		path := newRoot.descend(d.pos, pathBuf[:0])
+		if path == nil {
 			return nil, nil, st, fmt.Errorf("fairshare: entry %d (%s) has no leaf in the tree", d.pos, old.users[d.pos])
 		}
-		if sameBits(g.usage[ci], d.val) {
+		leaf := path[len(path)-1]
+		if sameBits(leaf.g.usage[leaf.i], d.val) {
 			continue
 		}
 		dirty = append(dirty, d)
@@ -174,19 +177,18 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 			spine = append(spine, spineGroup{newRoot, 0})
 			st.ClonedNodes++
 		}
-		g = newRoot
-		path := old.path[old.offs[d.pos]:old.offs[d.pos+1]]
-		for k, ci := range path[:len(path)-1] {
-			s := g.sub[ci]
+		g := newRoot
+		for l := 1; l < len(path); l++ {
+			s := path[l].g
 			if s.gen != r.gen {
 				s = r.clone(s)
-				spine = append(spine, spineGroup{s, int32(k + 1)})
-				g.sub[ci] = s
+				spine = append(spine, spineGroup{s, int32(l)})
+				g.sub[path[l-1].i] = s
 				st.ClonedNodes++
 			}
 			g = s
 		}
-		g.usage[ci] = d.val // g is the leaf's cloned group
+		g.usage[leaf.i] = d.val // g is the leaf's cloned group
 	}
 	r.dirtyBuf = dirty
 	if len(dirty) == 0 {
@@ -202,9 +204,9 @@ func (r *Recalc) Apply(deltas map[string]float64) (*Tree, *Index, RecalcStats, e
 	for _, sg := range spine {
 		sg.g.fold()
 	}
-	// The new index's readers follow its paths down this tree, so a tree
-	// that lost or gained a leaf behind the engine's back is refused here
-	// rather than published.
+	// The new index's readers locate its positions in this tree by the
+	// leaf-count prefixes the clones share, so a tree that lost or gained a
+	// leaf behind the engine's back is refused here rather than published.
 	if leaves := int(newRoot.leaves); leaves != old.Len() {
 		return nil, nil, st, fmt.Errorf("fairshare: incremental fold gives %d leaves, the index holds %d entries",
 			leaves, old.Len())

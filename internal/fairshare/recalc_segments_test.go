@@ -3,6 +3,7 @@ package fairshare
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,12 +11,12 @@ import (
 	"repro/internal/policy"
 )
 
-// TestSegmentSharesMatchAt pins the drift pass's flat columns and the
-// products a composed entry carries to the entries At serves: each leaf's
-// target product and usage product (folded down the tree, and folded by
-// compose into Target and Actual) must equal, bitwise, the left-to-right
-// fold of the full-depth slices At() serves, over random trees and after
-// incremental Applies.
+// TestSegmentSharesMatchAt pins the drift pass's products and the ones an
+// entry carries to the entries At serves: each leaf's target product and
+// usage product (folded down the tree by SegmentShares, and by At into
+// Target and Actual) must equal, bitwise, the left-to-right fold of the
+// full-depth slices At() serves, over random trees and after incremental
+// Applies.
 func TestSegmentSharesMatchAt(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -38,8 +39,8 @@ func TestSegmentSharesMatchAt(t *testing.T) {
 			seen := 0
 			for s := 0; s < index.Segments(); s++ {
 				lo, hi := index.SegmentRange(s)
-				actual := make([]float64, hi-lo)
-				target := index.SegmentShares(s, actual)
+				target, actual := make([]float64, hi-lo), make([]float64, hi-lo)
+				index.SegmentShares(s, target, actual)
 				for i := lo; i < hi; i++ {
 					at := index.At(i)
 					if index.User(i) != at.User {
@@ -63,42 +64,68 @@ func TestSegmentSharesMatchAt(t *testing.T) {
 }
 
 // TestRecalcSharesIdentityHalf verifies the sharing claim at the index
-// layer: an Apply'd index holds its parent's identity columns by pointer —
+// layer: an Apply'd index holds its parent's name column, stripe tables and
+// duplicate table by pointer, and the Apply'd tree's groups hold the
+// leaf-count prefixes and share columns of the groups they were cloned from —
 // an Apply copies nothing per leaf — and still serves what a fresh build
 // serves.
 func TestRecalcSharesIdentityHalf(t *testing.T) {
-	p, usage := buildWide(6, 8)
+	p, usage := buildAwkward(9, 12)
 	cfg := DefaultConfig()
 	tree := Compute(p, usage, cfg)
 	ix := NewIndex(tree)
 	eng := NewRecalc(tree, ix)
 
-	usage["u002_003"] += 7
-	gotTree, gotIx, st, err := eng.Apply(map[string]float64{"u002_003": usage["u002_003"]})
+	usage["u2_2"] += 7
+	gotTree, gotIx, st, err := eng.Apply(map[string]float64{"u2_2": usage["u2_2"]})
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	if st.DirtyLeaves != 1 {
-		t.Fatalf("DirtyLeaves = %d, want 1", st.DirtyLeaves)
+	if st.DirtyLeaves != 1 || st.ClonedNodes < 3 {
+		t.Fatalf("DirtyLeaves = %d, ClonedNodes = %d, want 1 and a spine of 3 or more", st.DirtyLeaves, st.ClonedNodes)
 	}
-	for _, c := range []struct {
-		name      string
-		got, want *float64
-	}{
-		{"shares", &gotIx.shares[0], &ix.shares[0]},
-		{"target", &gotIx.target[0], &ix.target[0]},
-	} {
-		if c.got != c.want {
-			t.Errorf("Apply copied the %s column instead of sharing it", c.name)
+	if &gotIx.users[0] != &ix.users[0] {
+		t.Error("Apply copied the name column instead of sharing it")
+	}
+	for s := range gotIx.stripes {
+		if reflect.ValueOf(gotIx.stripes[s]).Field(0).Pointer() != reflect.ValueOf(ix.stripes[s]).Field(0).Pointer() {
+			t.Errorf("Apply copied stripe table %d instead of sharing it", s)
 		}
 	}
-	if &gotIx.path[0] != &ix.path[0] || &gotIx.offs[0] != &ix.offs[0] || &gotIx.users[0] != &ix.users[0] {
-		t.Error("Apply copied a path, offset or name column instead of sharing it")
+	if ix.dups == nil || reflect.ValueOf(gotIx.dups).Pointer() != reflect.ValueOf(ix.dups).Pointer() {
+		t.Error("Apply copied the duplicate table instead of sharing it")
 	}
-	if gotIx.root != gotTree.root {
+	got, want := prefixes(gotTree.root), prefixes(tree.root)
+	if len(got) != len(want) || len(want) < 2 {
+		t.Fatalf("%d prefixes after Apply, %d before, want the same, and several", len(got), len(want))
+	}
+	for i := range want {
+		if &got[i][0] != &want[i][0] {
+			t.Errorf("Apply copied leaf-count prefix %d instead of sharing it", i)
+		}
+	}
+	if &gotTree.root.shares[0] != &tree.root.shares[0] {
+		t.Error("the root's clone copied its share column instead of sharing it")
+	}
+	if gotIx.root != gotTree.root || gotTree.root == tree.root {
 		t.Error("the Apply'd index does not read the Apply'd tree")
 	}
 	compareIndexes(t, gotIx, NewIndex(Compute(p, usage, cfg)))
+}
+
+// prefixes returns the leaf-count prefixes of the groups below g, g
+// included, that have one, in DFS order.
+func prefixes(g *group) [][]int32 {
+	var out [][]int32
+	if g.prefix != nil {
+		out = append(out, g.prefix)
+	}
+	for _, s := range g.sub {
+		if s != nil {
+			out = append(out, prefixes(s)...)
+		}
+	}
+	return out
 }
 
 // TestRecalcTopLevelLeafSegments covers the degenerate segment shape: users

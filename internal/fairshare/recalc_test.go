@@ -132,8 +132,11 @@ func compareIndexes(t *testing.T, got, want *Index) {
 		if glo != wlo || ghi != whi {
 			t.Fatalf("segment %d spans [%d, %d), want [%d, %d)", s, glo, ghi, wlo, whi)
 		}
-		ga, wa := make([]float64, ghi-glo), make([]float64, whi-wlo)
-		compareFloatSlices(t, fmt.Sprintf("segment %d target", s), got.SegmentShares(s, ga), want.SegmentShares(s, wa))
+		gt, ga := make([]float64, ghi-glo), make([]float64, ghi-glo)
+		wt, wa := make([]float64, whi-wlo), make([]float64, whi-wlo)
+		got.SegmentShares(s, gt, ga)
+		want.SegmentShares(s, wt, wa)
+		compareFloatSlices(t, fmt.Sprintf("segment %d target", s), gt, wt)
 		compareFloatSlices(t, fmt.Sprintf("segment %d actual", s), ga, wa)
 	}
 	// Lookup agreement for every user present in the reference.
@@ -415,8 +418,9 @@ func TestRecalcOwnsNoPerLeafTable(t *testing.T) {
 
 // TestComputeHoldsGroupsOnly pins what the tree costs: Compute allocates per
 // group, not per leaf, and a leaf holds one float of its group's usage
-// column. A node per leaf would cost at least one allocation and ≈100 bytes
-// per leaf.
+// column and one of its share column, ≈20 bytes per leaf in use at 1,000
+// groups × 100 leaves (≈10 before the share column). A node per leaf would
+// cost at least one allocation and ≈100 bytes per leaf.
 func TestComputeHoldsGroupsOnly(t *testing.T) {
 	const groups, perGroup = 1000, 100
 	p, usage, _ := buildWideDirect(groups, perGroup)

@@ -172,8 +172,8 @@ func (d *lazyDrift) get(ix *fairshare.Index, rec *span.Recorder) *lazyDrift {
 }
 
 // driftPass is the one population walk of the drift summary. Segment by
-// segment it streams the index's flat share columns
-// (fairshare.Index.SegmentShares) and folds each leaf's error
+// segment it has the index fold each leaf's target and usage products down
+// the tree (fairshare.Index.SegmentShares) and folds each leaf's error
 // |actual − target|. It returns the k worst-drift entries (all of them when
 // k < 0), worst first, and the population's max and mean error.
 //
@@ -187,7 +187,10 @@ func driftPass(ix *fairshare.Index, k int) (drift []DriftEntry, driftMax, driftM
 	if k < 0 || k > n {
 		k = n
 	}
-	actual := make([]float64, n)
+	// One scratch allocation holds both products: every leaf's target
+	// product, then every leaf's usage product.
+	shares := make([]float64, 2*n)
+	target, actual := shares[:n:n], shares[n:]
 	sums := make([]float64, segs)
 	parts := make([]driftPart, par.Workers(n, segs))
 	for w := range parts {
@@ -195,8 +198,8 @@ func driftPass(ix *fairshare.Index, k int) (drift []DriftEntry, driftMax, driftM
 	}
 	par.For(n, segs, func(w, s int) {
 		lo, hi := ix.SegmentRange(s)
-		target := ix.SegmentShares(s, actual[lo:hi])
-		sums[s] = parts[w].add(ix, lo, target, actual[lo:hi])
+		ix.SegmentShares(s, target[lo:hi], actual[lo:hi])
+		sums[s] = parts[w].add(ix, lo, target[lo:hi], actual[lo:hi])
 	})
 	return mergeDrift(parts, sums, k, n)
 }
