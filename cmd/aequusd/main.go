@@ -27,9 +27,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/durability"
-	"repro/internal/fairshare"
 	"repro/internal/policy"
-	"repro/internal/resilience"
 	"repro/internal/services/httpapi"
 	"repro/internal/telemetry"
 	"repro/internal/telemetry/span"
@@ -59,135 +57,143 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
+// options are aequusd's settings: cfg, the site's configuration, which
+// every flag that is a core.SiteConfig field binds straight into, and the
+// process settings around it.
+type options struct {
+	cfg core.SiteConfig
+	// halfLife and projection become cfg.Decay and cfg.Projection.
+	halfLife   time.Duration
+	projection string
+
+	listen, policyFile, peers, pprofAddr string
+	logFormat, logLevel                  string
+	exchangeEvery, exchDeadline          time.Duration
+
+	dataDir, walSync string
+	snapInterval     time.Duration
+
+	traceBuffer, traceSample int
+}
+
+// bindFlags registers aequusd's flags on fs. A flag that sets the site's
+// configuration takes its default from core.Defaults, the one place the
+// deployed values are written.
+func bindFlags(fs *flag.FlagSet) *options {
+	o := &options{cfg: core.Defaults("local")}
+	c := &o.cfg
+	fs.StringVar(&c.Name, "site", c.Name, "site name")
+	fs.StringVar(&o.listen, "listen", ":7470", "HTTP listen address")
+	fs.StringVar(&o.policyFile, "policy", "", "policy file (text format: 'path share' lines)")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated base URLs of peer aequusd instances")
+	fs.BoolVar(&c.Contribute, "contribute", c.Contribute, "serve usage records to peers")
+	fs.BoolVar(&c.UseGlobal, "use-global", c.UseGlobal, "consider global usage for prioritization")
+	fs.StringVar(&o.projection, "projection", c.Projection.Name(), "vector projection: dictionary|bitwise|percental")
+	exp, _ := c.Decay.(usage.ExponentialHalfLife)
+	fs.DurationVar(&o.halfLife, "half-life", exp.HalfLife, "usage decay half-life (0 disables decay)")
+	fs.DurationVar(&c.BinWidth, "bin-width", c.BinWidth, "usage histogram interval")
+	fs.DurationVar(&o.exchangeEvery, "exchange-interval", time.Minute, "peer usage exchange period")
+	// The refresh period is both cache TTLs: main copies it to the UMS's.
+	fs.DurationVar(&c.FCSCacheTTL, "refresh-interval", c.FCSCacheTTL, "fairshare pre-calculation period")
+	fs.Float64Var(&c.Fairshare.DistanceWeight, "distance-weight", c.Fairshare.DistanceWeight, "fairshare distance weight k")
+	fs.Float64Var(&c.Fairshare.Resolution, "resolution", c.Fairshare.Resolution, "fairshare value resolution")
+	fs.StringVar(&o.logFormat, "log-format", "text", "log output format: text|json")
+	fs.StringVar(&o.logLevel, "log-level", "info", "log level: debug|info|warn|error")
+	fs.StringVar(&o.pprofAddr, "pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
+
+	fs.StringVar(&o.dataDir, "data-dir", "", "directory for the usage WAL and snapshots (empty = in-memory only; state is lost on restart)")
+	fs.StringVar(&o.walSync, "wal-sync", "always", "WAL fsync policy: always (one fsync per commit, one per batch) | none (page cache only)")
+	fs.DurationVar(&o.snapInterval, "snapshot-interval", 15*time.Minute, "how often to compact the WAL into a snapshot (0 disables periodic snapshots)")
+
+	fs.IntVar(&c.FCSSourceRetry.MaxAttempts, "retry-max", c.FCSSourceRetry.MaxAttempts, "max attempts for idempotent remote calls (1 disables retries)")
+	fs.IntVar(&c.PeerBreaker.Threshold, "breaker-threshold", c.PeerBreaker.Threshold, "consecutive failures that open a peer's circuit (0 disables breaking)")
+	fs.DurationVar(&c.PeerBreaker.Cooldown, "breaker-cooldown", c.PeerBreaker.Cooldown, "how long an open circuit waits before a half-open probe")
+	fs.DurationVar(&c.PeerTimeout, "peer-timeout", c.PeerTimeout, "per-peer pull timeout inside an exchange round")
+	fs.DurationVar(&o.exchDeadline, "exchange-deadline", 30*time.Second, "deadline for a whole exchange round (0 = unbounded)")
+
+	fs.IntVar(&o.traceBuffer, "trace-buffer", 4096, "span recorder ring-buffer capacity (0 disables tracing and /debug/aequus)")
+	fs.IntVar(&o.traceSample, "trace-sample", 1, "record every Nth trace (1 = all)")
+	return o
+}
+
 func main() {
-	var (
-		site          = flag.String("site", "local", "site name")
-		listen        = flag.String("listen", ":7470", "HTTP listen address")
-		policyFile    = flag.String("policy", "", "policy file (text format: 'path share' lines)")
-		peers         = flag.String("peers", "", "comma-separated base URLs of peer aequusd instances")
-		contribute    = flag.Bool("contribute", true, "serve usage records to peers")
-		useGlobal     = flag.Bool("use-global", true, "consider global usage for prioritization")
-		projection    = flag.String("projection", "percental", "vector projection: dictionary|bitwise|percental")
-		halfLife      = flag.Duration("half-life", 7*24*time.Hour, "usage decay half-life (0 disables decay)")
-		binWidth      = flag.Duration("bin-width", time.Hour, "usage histogram interval")
-		exchangeEvery = flag.Duration("exchange-interval", time.Minute, "peer usage exchange period")
-		refreshEvery  = flag.Duration("refresh-interval", time.Minute, "fairshare pre-calculation period")
-		k             = flag.Float64("distance-weight", 0.5, "fairshare distance weight k")
-		resolution    = flag.Float64("resolution", 10000, "fairshare value resolution")
-		logFormat     = flag.String("log-format", "text", "log output format: text|json")
-		logLevel      = flag.String("log-level", "info", "log level: debug|info|warn|error")
-		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060); empty disables")
-
-		dataDir      = flag.String("data-dir", "", "directory for the usage WAL and snapshots (empty = in-memory only; state is lost on restart)")
-		walSync      = flag.String("wal-sync", "always", "WAL fsync policy: always (one fsync per commit, one per batch) | none (page cache only)")
-		snapInterval = flag.Duration("snapshot-interval", 15*time.Minute, "how often to compact the WAL into a snapshot (0 disables periodic snapshots)")
-
-		retryMax      = flag.Int("retry-max", 3, "max attempts for idempotent remote calls (1 disables retries)")
-		breakThresh   = flag.Int("breaker-threshold", 5, "consecutive failures that open a peer's circuit (0 disables breaking)")
-		breakCooldown = flag.Duration("breaker-cooldown", 30*time.Second, "how long an open circuit waits before a half-open probe")
-		peerTimeout   = flag.Duration("peer-timeout", 5*time.Second, "per-peer pull timeout inside an exchange round")
-		exchDeadline  = flag.Duration("exchange-deadline", 30*time.Second, "deadline for a whole exchange round (0 = unbounded)")
-
-		traceBuffer = flag.Int("trace-buffer", 4096, "span recorder ring-buffer capacity (0 disables tracing and /debug/aequus)")
-		traceSample = flag.Int("trace-sample", 1, "record every Nth trace (1 = all)")
-	)
+	o := bindFlags(flag.CommandLine)
 	flag.Parse()
+	cfg := o.cfg
 
-	logger, err := telemetry.NewLogger(os.Stderr, *logFormat, *logLevel)
+	logger, err := telemetry.NewLogger(os.Stderr, o.logFormat, o.logLevel)
 	if err != nil {
 		slog.Error("aequusd: bad logging flags", "err", err)
 		os.Exit(1)
 	}
-	logger = logger.With(slog.String("site", *site))
+	logger = logger.With(slog.String("site", cfg.Name))
 	slog.SetDefault(logger)
 	fatal := func(msg string, err error) {
 		logger.Error(msg, "err", err)
 		os.Exit(1)
 	}
 
-	pol := policy.NewTree()
-	if *policyFile != "" {
-		f, err := os.Open(*policyFile)
+	cfg.Policy = policy.NewTree()
+	if o.policyFile != "" {
+		f, err := os.Open(o.policyFile)
 		if err != nil {
 			fatal("opening policy", err)
 		}
-		pol, err = policy.ReadText(f)
+		cfg.Policy, err = policy.ReadText(f)
 		f.Close()
 		if err != nil {
 			fatal("parsing policy", err)
 		}
 	}
+	cfg.PolicyFetcher = httpapi.PolicyFetcher(nil)
 
-	proj, ok := vector.ByName(*projection)
+	proj, ok := vector.ByName(o.projection)
 	if !ok {
-		fatal("unknown projection", errors.New(*projection))
+		fatal("unknown projection", errors.New(o.projection))
 	}
-
-	// Backoff starts at resilience.DefaultBaseDelay and doubles up to
-	// resilience.DefaultMaxDelay: one value in use everywhere, so not flags.
-	retry := resilience.RetryPolicy{MaxAttempts: *retryMax}
-	telemetry.RegisterRuntimeMetrics(nil)
-	var spans *span.Recorder
-	if *traceBuffer > 0 {
-		spans = span.NewRecorder(span.Config{Capacity: *traceBuffer, SampleEvery: *traceSample})
-	}
+	cfg.Projection = proj
 	// Half-life 0 means no decay at all. (Either way steady-state refreshes
 	// are incremental: the pipeline carries usage sums at a reference
 	// instant, which only move when a user's usage does.)
-	var decay usage.Decay = usage.ExponentialHalfLife{HalfLife: *halfLife}
-	if *halfLife <= 0 {
-		decay = usage.None{}
+	cfg.Decay = usage.ExponentialHalfLife{HalfLife: o.halfLife}
+	if o.halfLife <= 0 {
+		cfg.Decay = usage.None{}
+	}
+	cfg.UMSCacheTTL = cfg.FCSCacheTTL
+
+	telemetry.RegisterRuntimeMetrics(nil)
+	if o.traceBuffer > 0 {
+		cfg.Spans = span.NewRecorder(span.Config{Capacity: o.traceBuffer, SampleEvery: o.traceSample})
 	}
 
-	var durable *durability.Log
-	if *dataDir != "" {
-		syncPolicy, err := durability.ParseSyncPolicy(*walSync)
+	if o.dataDir != "" {
+		syncPolicy, err := durability.ParseSyncPolicy(o.walSync)
 		if err != nil {
 			fatal("parsing -wal-sync", err)
 		}
-		durable, err = durability.Open(durability.Options{
-			Dir:   *dataDir,
+		cfg.Durable, err = durability.Open(durability.Options{
+			Dir:   o.dataDir,
 			Sync:  syncPolicy,
-			Spans: spans,
+			Spans: cfg.Spans,
 		})
 		if err != nil {
 			fatal("opening durable state", err)
 		}
-		defer durable.Close()
-		_, total := durable.ReplayProgress()
+		defer cfg.Durable.Close()
+		_, total := cfg.Durable.ReplayProgress()
 		logger.Info("durable state opened",
-			slog.String("dir", *dataDir),
-			slog.String("wal_sync", *walSync),
+			slog.String("dir", o.dataDir),
+			slog.String("wal_sync", o.walSync),
 			slog.Int64("replay_records", total)) // snapshot frames + WAL tail
 	}
 
 	// No Lib* field: the daemon never calls Site.Lib. A resource manager
 	// links its own libaequus against this site's HTTP API.
-	s, err := core.NewSite(core.SiteConfig{
-		Name:          *site,
-		Policy:        pol,
-		BinWidth:      *binWidth,
-		Decay:         decay,
-		Contribute:    *contribute,
-		UseGlobal:     *useGlobal,
-		Projection:    proj,
-		Fairshare:     fairshare.Config{DistanceWeight: *k, Resolution: *resolution},
-		UMSCacheTTL:   *refreshEvery,
-		FCSCacheTTL:   *refreshEvery,
-		PolicyFetcher: httpapi.PolicyFetcher(nil),
-		PeerTimeout:   *peerTimeout,
-		PeerBreaker: resilience.BreakerConfig{
-			Threshold: *breakThresh,
-			Cooldown:  *breakCooldown,
-		},
-		FCSSourceRetry: retry,
-		Spans:          spans,
-		Durable:        durable,
-	})
+	s, err := core.NewSite(cfg)
 	if err != nil {
 		fatal("assembling site", err)
 	}
-	if durable != nil {
+	if durable := cfg.Durable; durable != nil {
 		// Replay the snapshot and the WAL tail in the background: the HTTP
 		// server comes up immediately and peer pulls are served the
 		// snapshot's local image (the pre-crash watermark), while /readyz
@@ -204,7 +210,7 @@ func main() {
 			durable.MarkReady()
 			logger.Info("recovery complete", slog.Duration("took", time.Since(t0)))
 		}()
-		go periodic(*snapInterval, func() {
+		go periodic(o.snapInterval, func() {
 			if err := s.SnapshotDurable(); err != nil {
 				logger.Warn("snapshot failed", "err", err)
 			}
@@ -214,36 +220,37 @@ func main() {
 		logger.Info("service started", slog.String("service", name))
 	}
 
-	for _, peer := range splitList(*peers) {
-		// Peer pulls are idempotent (watermark-based), so they retry; the
-		// per-peer breaker lives in the USS, keyed by site, not here.
-		s.ConnectPeer(httpapi.NewClientWith(peer, peer, httpapi.ClientOptions{Retry: retry}))
+	for _, peer := range splitList(o.peers) {
+		// Peer pulls are idempotent (watermark-based), so they retry under
+		// the site's retry policy; the per-peer breaker lives in the USS,
+		// keyed by site, not here.
+		s.ConnectPeer(httpapi.NewClientWith(peer, peer, httpapi.ClientOptions{Retry: cfg.FCSSourceRetry}))
 		logger.Info("peering", slog.String("peer", peer))
 	}
 
-	if *pprofAddr != "" {
+	if o.pprofAddr != "" {
 		// The pprof handlers live on the DefaultServeMux; the service API
 		// runs on its own mux, so profiling stays off the public port.
 		go func() {
-			logger.Info("pprof listening", slog.String("addr", *pprofAddr))
-			if err := newHTTPServer(*pprofAddr, nil).ListenAndServe(); err != nil {
+			logger.Info("pprof listening", slog.String("addr", o.pprofAddr))
+			if err := newHTTPServer(o.pprofAddr, nil).ListenAndServe(); err != nil {
 				logger.Warn("pprof server", "err", err)
 			}
 		}()
 	}
 
-	go periodic(*exchangeEvery, func() {
+	go periodic(o.exchangeEvery, func() {
 		ctx := context.Background()
-		if *exchDeadline > 0 {
+		if o.exchDeadline > 0 {
 			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, *exchDeadline)
+			ctx, cancel = context.WithTimeout(ctx, o.exchDeadline)
 			defer cancel()
 		}
 		if err := s.Exchange(ctx); err != nil {
 			logger.Warn("exchange failed", "err", err)
 		}
 	})
-	go periodic(*refreshEvery, func() {
+	go periodic(cfg.FCSCacheTTL, func() {
 		if err := s.Refresh(); err != nil {
 			logger.Warn("refresh failed", "err", err)
 		}
@@ -251,21 +258,21 @@ func main() {
 
 	// A pre-computation three refresh periods old means two ticks were
 	// missed: /readyz reports 503 from there.
-	maxStale := 3 * *refreshEvery
+	maxStale := 3 * cfg.FCSCacheTTL
 	srv := httpapi.NewServerWith(s.PDS, s.USS, s.UMS, s.FCS, s.IRS, httpapi.ServerOptions{
 		Log:           logger,
 		ReadyMaxStale: maxStale,
-		Spans:         spans,
-		Durability:    durable,
+		Spans:         cfg.Spans,
+		Durability:    cfg.Durable,
 	})
 	logger.Info("serving",
-		slog.String("listen", *listen),
-		slog.Bool("contribute", *contribute),
-		slog.Bool("use_global", *useGlobal),
+		slog.String("listen", o.listen),
+		slog.Bool("contribute", cfg.Contribute),
+		slog.Bool("use_global", cfg.UseGlobal),
 		slog.String("projection", proj.Name()),
 		slog.Duration("ready_max_stale", maxStale))
 
-	hs := newHTTPServer(*listen, srv)
+	hs := newHTTPServer(o.listen, srv)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	go func() {

@@ -142,6 +142,9 @@ var guardRows = []struct {
 	{"One simulation driver", []guard{{
 		// Every simulated run goes through scenario.Run (DESIGN "One
 		// simulation driver"): one submit host, one site-stack literal.
+		// aequusd starts from core.Defaults (DESIGN "Defaults are written
+		// once"), so the scenario's literal is the only one in internal/
+		// and cmd/.
 		name:    "one submit host",
 		pattern: `grid\.NewSubmitHost\(`,
 		reads:   []nodeText{calls},
@@ -152,9 +155,9 @@ var guardRows = []struct {
 		name:    "one site-stack literal",
 		pattern: `core\.SiteConfig\{`,
 		reads:   []nodeText{literals},
-		in:      nonTest("internal"),
+		in:      nonTest("internal", "cmd"),
 		want:    1,
-		fixture: "internal/experiments/fixture.go", src: `var c = &core.SiteConfig{Name: "a"}`,
+		fixture: "cmd/aequusd/fixture.go", src: `var c = core.SiteConfig{Name: "a"}`,
 	}}},
 	{"One mechanism per job", []guard{{
 		// One test of fit, one phase detector, one identity fallback and one

@@ -36,7 +36,7 @@ type SiteConfig struct {
 	Policy *policy.Tree
 	// Clock provides time for every service (default wall clock).
 	Clock simclock.Clock
-	// BinWidth is the USS histogram interval (default 1h).
+	// BinWidth is the USS histogram interval (zero = uss.DefaultBinWidth).
 	BinWidth time.Duration
 	// Decay is the usage decay function (default none).
 	Decay usage.Decay
@@ -47,7 +47,7 @@ type SiteConfig struct {
 	UseGlobal bool
 	// Projection selects the vector projection (default percental).
 	Projection vector.Projection
-	// Fairshare parameterizes the calculation (default k=0.5, res=10000).
+	// Fairshare parameterizes the calculation (zero = fairshare.DefaultConfig).
 	Fairshare fairshare.Config
 	// UMSCacheTTL / FCSCacheTTL / LibCacheTTL are the update-delay
 	// components (II) and (III).
@@ -91,6 +91,29 @@ type SiteConfig struct {
 	// snapshot and WAL tail (commits block until then), then MarkReady on
 	// the log after the first fairshare refresh.
 	Durable *durability.Log
+}
+
+// Defaults returns the configuration a site is deployed with: aequusd's
+// flag defaults, each written here or in the package default it composes,
+// and nothing else. It sets no wiring (policy, policy fetcher, clock, spans,
+// durable log) and no Lib* field: the daemon never uses Site.Lib.
+func Defaults(site string) SiteConfig {
+	return SiteConfig{
+		Name:        site,
+		BinWidth:    uss.DefaultBinWidth,
+		Decay:       usage.ExponentialHalfLife{HalfLife: 7 * 24 * time.Hour},
+		Contribute:  true,
+		UseGlobal:   true,
+		Projection:  vector.Percental{},
+		Fairshare:   fairshare.DefaultConfig(),
+		UMSCacheTTL: fcs.DefaultCacheTTL,
+		FCSCacheTTL: fcs.DefaultCacheTTL,
+		PeerTimeout: 5 * time.Second,
+		PeerBreaker: resilience.BreakerConfig{Threshold: 5, Cooldown: resilience.DefaultBreakerCooldown},
+		// Backoff starts at resilience.DefaultBaseDelay and doubles up to
+		// resilience.DefaultMaxDelay.
+		FCSSourceRetry: resilience.RetryPolicy{MaxAttempts: 3},
+	}
 }
 
 // Site is a complete Aequus installation.

@@ -45,7 +45,7 @@ func DefaultConfig() Config {
 
 func (c Config) normalized() Config {
 	if c.Resolution <= 0 {
-		c.Resolution = 10000
+		c.Resolution = DefaultConfig().Resolution
 	}
 	c.DistanceWeight = math.Max(0, math.Min(1, c.DistanceWeight))
 	return c

@@ -669,7 +669,7 @@ func (h *Harness) buildSite(i int) (*core.Site, error) {
 		Contribute:  mode.Contribute,
 		UseGlobal:   mode.UseGlobal,
 		Projection:  h.Spec.Projection,
-		Fairshare:   fairshare.Config{DistanceWeight: h.Spec.DistanceWeight, Resolution: 10000},
+		Fairshare:   fairshare.Config{DistanceWeight: h.Spec.DistanceWeight, Resolution: fairshare.DefaultConfig().Resolution},
 		UMSCacheTTL: h.Spec.RefreshInterval,
 		FCSCacheTTL: h.Spec.RefreshInterval,
 		// Synchronous refresh keeps every recomputation on the event

@@ -90,7 +90,8 @@ const (
 
 // Config configures an FCS instance.
 type Config struct {
-	// Fairshare parameterizes the calculation (distance weight, resolution).
+	// Fairshare parameterizes the calculation (distance weight, resolution;
+	// the zero value means fairshare.DefaultConfig).
 	Fairshare fairshare.Config
 	// Projection collapses vectors to [0,1] priorities (default percental,
 	// "the configuration currently used in production").
@@ -237,7 +238,9 @@ func New(cfg Config, pds PolicySource, ums UsageSource) *Service {
 	if cfg.Projection == nil {
 		cfg.Projection = vector.Percental{}
 	}
-	if cfg.Fairshare.Resolution <= 0 {
+	if cfg.Fairshare == (fairshare.Config{}) {
+		// Only an unset config takes the defaults whole: a k set without a
+		// resolution keeps its k, and Compute fills in the resolution.
 		cfg.Fairshare = fairshare.DefaultConfig()
 	}
 	ttl := cfg.CacheTTL

@@ -277,6 +277,40 @@ func TestDefaultConfigApplied(t *testing.T) {
 	}
 }
 
+// TestDistanceWeightWithoutResolutionKept: a config that sets k but no
+// resolution keeps its k and gets the default resolution, instead of being
+// replaced whole by DefaultConfig (which ran -distance-weight 0.25
+// -resolution 0 at k = 0.5).
+func TestDistanceWeightWithoutResolutionKept(t *testing.T) {
+	shares := map[string]float64{"a": 0.7, "b": 0.3}
+	totals := map[string]float64{"a": 1, "b": 3}
+	p, err := policy.FromShares(shares)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{Fairshare: fairshare.Config{DistanceWeight: 0.25}, Clock: simclock.NewSim(t0),
+		SynchronousRefresh: true, Metrics: telemetry.NewRegistry()}, staticPDS{p}, &staticUMS{totals: totals})
+	got, err := svc.Tree()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fairshare.Compute(p, totals, fairshare.Config{DistanceWeight: 0.25, Resolution: fairshare.DefaultConfig().Resolution})
+	if got.Config != want.Config {
+		t.Fatalf("tree config = %+v, want %+v", got.Config, want.Config)
+	}
+	other := fairshare.Compute(p, totals, fairshare.DefaultConfig())
+	for _, user := range []string{"a", "b"} {
+		g, _ := got.LeafPriority(user)
+		w, _ := want.LeafPriority(user)
+		if g != w {
+			t.Errorf("%s: priority %g, want the k = 0.25 tree's %g", user, g, w)
+		}
+		if o, _ := other.LeafPriority(user); o == w {
+			t.Errorf("%s: k = 0.25 and k = 0.5 give the same priority %g; the case shows nothing", user, w)
+		}
+	}
+}
+
 // TestCacheTTLZeroDefaults pins the fix for the zero-TTL footgun: a zero
 // CacheTTL used to recompute the whole tree on every Priority call; now it
 // means DefaultCacheTTL.

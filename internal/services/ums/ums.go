@@ -65,7 +65,8 @@ type Config struct {
 	// recomputation — one of the update-delay components (II) the paper's
 	// delay experiment varies.
 	CacheTTL time.Duration
-	// Clock provides time (default wall clock).
+	// Clock provides time (required: every caller passes its own, a site
+	// its site clock).
 	Clock simclock.Clock
 	// Metrics receives the service's instruments (default registry if nil).
 	Metrics *telemetry.Registry
@@ -112,9 +113,6 @@ type Service struct {
 
 // New creates a UMS following src.
 func New(cfg Config, src Source) *Service {
-	if cfg.Clock == nil {
-		cfg.Clock = simclock.Real{}
-	}
 	if cfg.Decay == nil {
 		cfg.Decay = usage.None{}
 	}

@@ -35,11 +35,15 @@ type Peer interface {
 	RecordsSince(ctx context.Context, t time.Time) ([]usage.Record, error)
 }
 
+// DefaultBinWidth is the histogram interval used when Config.BinWidth is
+// zero, and the one a deployed site runs with (core.Defaults).
+const DefaultBinWidth = time.Hour
+
 // Config configures a USS instance.
 type Config struct {
 	// Site is this installation's site name.
 	Site string
-	// BinWidth is the histogram interval width (default 1h).
+	// BinWidth is the histogram interval width (default DefaultBinWidth).
 	BinWidth time.Duration
 	// Contribute controls whether this site serves its records to peers.
 	// A non-contributing site is invisible to the rest of the grid.
@@ -116,7 +120,7 @@ func New(cfg Config) *Service {
 		cfg.Clock = simclock.Real{}
 	}
 	if cfg.BinWidth <= 0 {
-		cfg.BinWidth = time.Hour
+		cfg.BinWidth = DefaultBinWidth
 	}
 	if cfg.Breaker.Clock == nil {
 		cfg.Breaker.Clock = cfg.Clock
