@@ -159,6 +159,22 @@ var guardRows = []struct {
 		want:    1,
 		fixture: "cmd/aequusd/fixture.go", src: `var c = core.SiteConfig{Name: "a"}`,
 	}}},
+	{"One fault layer", []guard{{
+		// Faults are injected on the wire by faultinject.RoundTripper, and
+		// the scenario's peer pulls cross httpapi (DESIGN "Fault
+		// injection"): no uss.Peer wrapper, no in-process pull.
+		name:    "retired names",
+		pattern: `FaultyPeer|sitePeer`,
+		reads:   []nodeText{names},
+		in:      nonTest("."),
+		fixture: "internal/faultinject/fixture.go", src: `type FaultyPeer struct{ Inj *Injector }`,
+	}, {
+		name:    "no in-process pull in the scenario",
+		pattern: `\.RecordsSince\(`,
+		reads:   []nodeText{calls},
+		in:      nonTest("internal/scenario"),
+		fixture: "internal/scenario/fixture.go", src: `func f(h *Harness, t time.Time) { h.Sites[0].USS.RecordsSince(nil, t) }`,
+	}}},
 	{"One mechanism per job", []guard{{
 		// One test of fit, one phase detector, one identity fallback and one
 		// way for a job's usage into the USS (DESIGN "One mechanism per

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/policy"
 	"repro/internal/resilience"
+	"repro/internal/services/httpapi"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
 	"repro/internal/usage"
@@ -69,6 +71,21 @@ func newChaosFederation(t *testing.T, clock simclock.Clock) *chaosFederation {
 		f.regs = append(f.regs, reg)
 	}
 	return f
+}
+
+// wirePeer serves site's stack over HTTP and returns a client that reaches
+// it through inj's faults, the way aequusd's peer clients reach a remote
+// site. The server and the client's idle connections close with the test.
+func wirePeer(t *testing.T, site *core.Site, inj *faultinject.Injector) *httpapi.Client {
+	t.Helper()
+	srv := httptest.NewServer(httpapi.NewServer(site.PDS, site.USS, site.UMS, site.FCS, site.IRS))
+	hc := httpapi.NewHTTPClient(0)
+	hc.Transport = &faultinject.RoundTripper{Base: hc.Transport, Injector: inj}
+	t.Cleanup(func() {
+		hc.CloseIdleConnections()
+		srv.Close()
+	})
+	return httpapi.NewClientWith(srv.URL, site.Name, httpapi.ClientOptions{HTTP: hc})
 }
 
 // report feeds one deterministic round of usage: each site completes one job
@@ -141,10 +158,11 @@ func TestChaosConvergenceAfterFaultsClear(t *testing.T) {
 		From: t0, Until: tClear, Kind: faultinject.Flap, Rate: 0.3,
 	})
 
-	// Faulty federation: site 0 reaches its peers through the injectors;
-	// every other link is clean. The healthy twin is a full clean mesh.
-	faulty.sites[0].ConnectPeer(&faultinject.FaultyPeer{Peer: faulty.sites[1].USS, Inj: injDead})
-	faulty.sites[0].ConnectPeer(&faultinject.FaultyPeer{Peer: faulty.sites[2].USS, Inj: injFlap})
+	// Faulty federation: site 0 reaches its peers over HTTP through the
+	// injectors; every other link is clean. The healthy twin is a full clean
+	// in-process mesh.
+	faulty.sites[0].ConnectPeer(wirePeer(t, faulty.sites[1], injDead))
+	faulty.sites[0].ConnectPeer(wirePeer(t, faulty.sites[2], injFlap))
 	for i := 1; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if i != j {
@@ -232,8 +250,8 @@ func TestChaosDeadPeerNeverBlocksLocalServing(t *testing.T) {
 	clock := simclock.NewSim(t0)
 	f := newChaosFederation(t, clock)
 	inj := faultinject.New(clock, 7, faultinject.Window{Kind: faultinject.Timeout})
-	f.sites[0].ConnectPeer(&faultinject.FaultyPeer{Peer: f.sites[1].USS, Inj: inj})
-	f.sites[0].ConnectPeer(&faultinject.FaultyPeer{Peer: f.sites[2].USS, Inj: inj})
+	f.sites[0].ConnectPeer(wirePeer(t, f.sites[1], inj))
+	f.sites[0].ConnectPeer(wirePeer(t, f.sites[2], inj))
 
 	for r := 0; r < 4; r++ {
 		f.report(clock.Now())

@@ -98,7 +98,7 @@ func TestDriftGaugesTrackPartition(t *testing.T) {
 		From: fStart, Until: fStart.Add(faultRounds * chaosRound),
 		Kind: faultinject.Error,
 	})
-	sites[0].ConnectPeer(&faultinject.FaultyPeer{Peer: sites[1].USS, Inj: inj})
+	sites[0].ConnectPeer(wirePeer(t, sites[1], inj))
 	sites[1].ConnectPeer(sites[0].USS)
 
 	// Healthy baseline: both users visible, drift negligible.

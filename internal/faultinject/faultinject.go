@@ -1,14 +1,13 @@
 // Package faultinject is the deterministic fault-injection harness behind
 // the chaos tests: an Injector evaluates a schedule of fault windows against
-// a (usually simulated) clock and a seeded PRNG, and proxies — an
-// http.RoundTripper and a USS peer wrapper — consult it on every
-// call to decide whether to inject latency, an error, a timeout, a
-// connection reset, or probabilistic flapping.
+// a (usually simulated) clock and a seeded PRNG, and an http.RoundTripper
+// consults it on every request to decide whether to fail it with an error,
+// a timeout, a connection reset, or probabilistic flapping.
 //
 // Everything is deterministic given the same clock readings and seed, which
 // is what lets CI assert exact convergence behaviour ("priorities equal the
 // fault-free fixture two rounds after the faults clear") instead of eyeball
-// flakiness.
+// flakiness. No fault waits on the wall clock.
 package faultinject
 
 import (
@@ -21,9 +20,7 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/services/uss"
 	"repro/internal/simclock"
-	"repro/internal/usage"
 )
 
 // Kind is a category of injected fault.
@@ -35,13 +32,11 @@ const (
 	None Kind = iota
 	// Error: the call fails immediately with an injected error.
 	Error
-	// Timeout: the call hangs until its context deadline and fails with
-	// the context's error — the hung-peer scenario.
+	// Timeout: the call fails at once with the error of a call that hung
+	// until its deadline — the hung-peer scenario without the wait.
 	Timeout
 	// Reset: the call fails with a connection-reset network error.
 	Reset
-	// Latency: the call is delayed by Window.Latency, then passes through.
-	Latency
 	// Flap: the call fails with probability Window.Rate, else passes — the
 	// flaky-peer scenario.
 	Flap
@@ -57,8 +52,6 @@ func (k Kind) String() string {
 		return "timeout"
 	case Reset:
 		return "reset"
-	case Latency:
-		return "latency"
 	case Flap:
 		return "flap"
 	default:
@@ -77,10 +70,6 @@ type Window struct {
 	Kind Kind
 	// Rate is the per-call fault probability for Flap (clamped to [0,1]).
 	Rate float64
-	// Latency is the injected delay for Latency faults.
-	Latency time.Duration
-	// Err overrides the synthesized error for Error/Flap faults.
-	Err error
 }
 
 func (w Window) active(now time.Time) bool {
@@ -92,9 +81,8 @@ func (w Window) active(now time.Time) bool {
 
 // Fault is one decided injection.
 type Fault struct {
-	Kind    Kind
-	Latency time.Duration
-	Err     error
+	Kind Kind
+	Err  error
 }
 
 // Injector decides, per call, which fault (if any) to inject right now. It
@@ -141,7 +129,7 @@ func (in *Injector) Decide() Fault {
 		if !w.active(now) {
 			continue
 		}
-		f := Fault{Kind: w.Kind, Latency: w.Latency, Err: w.Err}
+		f := Fault{Kind: w.Kind}
 		switch w.Kind {
 		case None:
 			return Fault{}
@@ -150,13 +138,9 @@ func (in *Injector) Decide() Fault {
 				return Fault{}
 			}
 			f.Kind = Error // a flap that fires is an error fault
-			if f.Err == nil {
-				f.Err = fmt.Errorf("faultinject: flapping peer (window %v–%v)", w.From, w.Until)
-			}
+			f.Err = fmt.Errorf("faultinject: flapping peer (window %v–%v)", w.From, w.Until)
 		case Error:
-			if f.Err == nil {
-				f.Err = fmt.Errorf("faultinject: injected error (window %v–%v)", w.From, w.Until)
-			}
+			f.Err = fmt.Errorf("faultinject: injected error (window %v–%v)", w.From, w.Until)
 		case Reset:
 			f.Err = &net.OpError{Op: "read", Net: "tcp", Err: syscall.ECONNRESET}
 		}
@@ -178,10 +162,9 @@ func (in *Injector) Counts() map[Kind]int {
 	return out
 }
 
-// Resolve turns a decided fault into the error a sim-clock (non-sleeping)
-// proxy should return: Timeout becomes context.DeadlineExceeded (the call
-// "hung" until its deadline), Latency passes through when the remaining
-// context budget covers it and times out otherwise, and None returns nil.
+// Resolve turns a decided fault into the error the call returns: Timeout
+// becomes ctx's error, or context.DeadlineExceeded while ctx is live (the
+// call "hung" until its deadline), and None returns nil.
 func (f Fault) Resolve(ctx context.Context) error {
 	switch f.Kind {
 	case None:
@@ -191,11 +174,6 @@ func (f Fault) Resolve(ctx context.Context) error {
 			return err
 		}
 		return context.DeadlineExceeded
-	case Latency:
-		if dl, ok := ctx.Deadline(); ok && time.Until(dl) < f.Latency {
-			return context.DeadlineExceeded
-		}
-		return nil
 	default:
 		return f.Err
 	}
@@ -211,33 +189,13 @@ type RoundTripper struct {
 	Injector *Injector
 }
 
-// RoundTrip implements http.RoundTripper. Timeout faults genuinely block
-// until the request's context ends; Latency faults sleep (honoring the
-// context) before forwarding.
+// RoundTrip implements http.RoundTripper: a faulted request fails with
+// Resolve's error before it reaches Base.
 func (rt *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
-	base := rt.Base
-	if base == nil {
-		base = http.DefaultTransport
+	if err := rt.Injector.Decide().Resolve(req.Context()); err != nil {
+		return nil, err
 	}
-	f := rt.Injector.Decide()
-	switch f.Kind {
-	case None:
-		return base.RoundTrip(req)
-	case Timeout:
-		<-req.Context().Done()
-		return nil, req.Context().Err()
-	case Latency:
-		t := time.NewTimer(f.Latency)
-		defer t.Stop()
-		select {
-		case <-req.Context().Done():
-			return nil, req.Context().Err()
-		case <-t.C:
-		}
-		return base.RoundTrip(req)
-	default:
-		return nil, f.Err
-	}
+	return rt.base().RoundTrip(req)
 }
 
 // CloseIdleConnections forwards to Base so http.Client.CloseIdleConnections
@@ -245,31 +203,14 @@ func (rt *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 // wrapped client can never drain its keep-alive connections (and their
 // per-connection goroutines) on shutdown.
 func (rt *RoundTripper) CloseIdleConnections() {
-	base := rt.Base
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	if c, ok := base.(interface{ CloseIdleConnections() }); ok {
+	if c, ok := rt.base().(interface{ CloseIdleConnections() }); ok {
 		c.CloseIdleConnections()
 	}
 }
 
-// FaultyPeer wraps a uss.Peer with a fault injector: every pull first asks
-// the injector for a verdict, so exchange traffic to this peer fails, hangs
-// (to the pull's deadline) or slows per the configured windows while the
-// underlying peer stays healthy.
-type FaultyPeer struct {
-	Peer uss.Peer
-	Inj  *Injector
-}
-
-// Site implements uss.Peer.
-func (p *FaultyPeer) Site() string { return p.Peer.Site() }
-
-// RecordsSince implements uss.Peer, subject to injected faults.
-func (p *FaultyPeer) RecordsSince(ctx context.Context, t time.Time) ([]usage.Record, error) {
-	if err := p.Inj.Decide().Resolve(ctx); err != nil {
-		return nil, err
+func (rt *RoundTripper) base() http.RoundTripper {
+	if rt.Base == nil {
+		return http.DefaultTransport
 	}
-	return p.Peer.RecordsSince(ctx, t)
+	return rt.Base
 }

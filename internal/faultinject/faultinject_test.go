@@ -78,15 +78,6 @@ func TestFaultErrSimSemantics(t *testing.T) {
 	if err := (Fault{Kind: Timeout}).Resolve(context.Background()); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("Timeout.Err = %v", err)
 	}
-	// Latency under the remaining budget passes; over it, times out.
-	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
-	defer cancel()
-	if err := (Fault{Kind: Latency, Latency: time.Second}).Resolve(ctx); err != nil {
-		t.Errorf("short latency = %v", err)
-	}
-	if err := (Fault{Kind: Latency, Latency: 2 * time.Hour}).Resolve(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("long latency = %v", err)
-	}
 }
 
 func TestSetWindowsClearsFaults(t *testing.T) {
@@ -152,34 +143,25 @@ func TestRoundTripperInjectsAndForwards(t *testing.T) {
 	}
 }
 
+// TestRoundTripperTimeoutHonorsContext: a Timeout fault fails the request
+// with context.DeadlineExceeded at once, as if it had hung to a deadline an
+// hour away, and never reaches the base transport.
 func TestRoundTripperTimeoutHonorsContext(t *testing.T) {
-	in := New(nil, 1, Window{Kind: Timeout})
-	c := &http.Client{Transport: &RoundTripper{Injector: in}}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	in := New(simclock.NewSim(t0), 1, Window{Kind: Timeout})
+	base := &countingBase{Transport: &http.Transport{}}
+	c := &http.Client{Transport: &RoundTripper{Base: base, Injector: in}}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Hour)
 	defer cancel()
 	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, "http://injected.invalid/", nil)
 	start := time.Now()
 	_, err := c.Do(req)
-	if err == nil {
-		t.Fatal("timeout fault succeeded")
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("timeout fault returned %v, want context.DeadlineExceeded", err)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("timeout fault hung %v past the context deadline", elapsed)
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("timeout fault waited %v instead of failing at once", elapsed)
 	}
-}
-
-func TestRoundTripperLatencyDelays(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {}))
-	defer srv.Close()
-	in := New(nil, 1, Window{Kind: Latency, Latency: 30 * time.Millisecond})
-	c := &http.Client{Transport: &RoundTripper{Injector: in}}
-	start := time.Now()
-	resp, err := c.Get(srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if elapsed := time.Since(start); elapsed < 30*time.Millisecond {
-		t.Errorf("latency fault took only %v", elapsed)
+	if base.trips != 0 {
+		t.Errorf("a timeout fault reached the base transport %d times", base.trips)
 	}
 }

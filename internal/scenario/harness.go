@@ -7,6 +7,8 @@ import (
 	"hash"
 	"hash/fnv"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"sort"
 	"strings"
@@ -23,6 +25,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/policy"
 	"repro/internal/sched"
+	"repro/internal/services/httpapi"
 	"repro/internal/services/irs"
 	"repro/internal/services/uss"
 	"repro/internal/slurm"
@@ -157,25 +160,32 @@ type Harness struct {
 	durables []*durability.Log
 	// dataDirs holds the WAL directories of durable sites ("" otherwise).
 	dataDirs []string
-	// peers holds each site's outgoing peer handles (late-binding proxies,
-	// fault injectors already spliced in), so a rebuilt site reconnects to
+	// handlers holds each site's HTTP API, rebuilt with the site by a
+	// restart event.
+	handlers []http.Handler
+	// peers holds each site's outgoing peer clients (fault injectors already
+	// spliced into their transports), so a rebuilt site reconnects to
 	// exactly the mesh it had.
 	peers [][]uss.Peer
 }
 
-// sitePeer is a late-binding peer handle: it resolves the target site's USS
-// at call time, so a service stack rebuilt by a restart event is immediately
-// what its peers talk to. A captured *uss.Service would go stale the moment
-// its site restarts.
-type sitePeer struct {
+// siteTransport carries a peer pull to site j's HTTP API. It looks the
+// handler up at call time, so a stack rebuilt by a restart event is
+// immediately what its peers talk to, and serves the request in the calling
+// goroutine: no socket, no goroutine, nothing that waits on the wall clock.
+type siteTransport struct {
 	h *Harness
 	j int
 }
 
-func (p sitePeer) Site() string { return p.h.Sites[p.j].USS.Site() }
-
-func (p sitePeer) RecordsSince(ctx context.Context, t time.Time) ([]usage.Record, error) {
-	return p.h.Sites[p.j].USS.RecordsSince(ctx, t)
+func (t siteTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	// The server side starts from its own context, as across a socket: the
+	// request ID and the span parent cross in the headers only.
+	t.h.handlers[t.j].ServeHTTP(rec, req.WithContext(context.Background()))
+	resp := rec.Result()
+	resp.Request = req
+	return resp, nil
 }
 
 // siteFairshare and siteJobComp are the same late binding for the RM
@@ -377,6 +387,7 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 			h.durables[i].MarkReady()
 		}
 		h.Sites = append(h.Sites, site)
+		h.handlers = append(h.handlers, h.serve(site))
 
 		cl, err := cluster.New(site.Name, spec.CoresPerSite, kernel)
 		if err != nil {
@@ -418,9 +429,11 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 		}
 	}
 
-	// Peer mesh, with fault injectors spliced into the faulted pull paths.
-	// Each (site, peer) pair gets its own injector so concurrent pulls
-	// within one exchange round cannot race for a shared PRNG.
+	// Peer mesh: every pull crosses the site's HTTP API through an
+	// httpapi.Client, with fault injectors spliced into the faulted pull
+	// paths' transports. Each (site, peer) pair gets its own injector so
+	// concurrent pulls within one exchange round cannot race for a shared
+	// PRNG.
 	windows := map[[2]int][]faultinject.Window{}
 	for _, f := range spec.Faults {
 		windows[[2]int{f.Site, f.Peer}] = append(windows[[2]int{f.Site, f.Peer}], faultinject.Window{
@@ -430,20 +443,19 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 			Rate:  f.Rate,
 		})
 	}
-	injectors := map[[2]int]*faultinject.Injector{}
-	for key, ws := range windows {
-		injectors[key] = faultinject.New(kernel.Clock(), spec.Seed^int64(key[0]*131+key[1]*31+7), ws...)
-	}
 	h.peers = make([][]uss.Peer, spec.Sites)
 	for i := 0; i < spec.Sites; i++ {
 		for j := 0; j < spec.Sites; j++ {
 			if i == j {
 				continue
 			}
-			var peer uss.Peer = sitePeer{h: h, j: j}
-			if inj := injectors[[2]int{i, j}]; inj != nil {
-				peer = &faultinject.FaultyPeer{Peer: peer, Inj: inj}
+			var rt http.RoundTripper = siteTransport{h: h, j: j}
+			if ws := windows[[2]int{i, j}]; ws != nil {
+				inj := faultinject.New(kernel.Clock(), spec.Seed^int64(i*131+j*31+7), ws...)
+				rt = &faultinject.RoundTripper{Base: rt, Injector: inj}
 			}
+			name := h.Sites[j].Name
+			peer := httpapi.NewClientWith("http://"+name, name, httpapi.ClientOptions{HTTP: &http.Client{Transport: rt}})
 			h.peers[i] = append(h.peers[i], peer)
 			h.Sites[i].ConnectPeer(peer)
 		}
@@ -688,6 +700,12 @@ func (h *Harness) buildSite(i int) (*core.Site, error) {
 	})
 }
 
+// serve builds site's HTTP API, the one its peers pull through.
+func (h *Harness) serve(site *core.Site) http.Handler {
+	return httpapi.NewServerWith(site.PDS, site.USS, site.UMS, site.FCS, site.IRS,
+		httpapi.ServerOptions{Clock: h.Kernel.Clock(), Spans: h.Spans})
+}
+
 // restartSite kills site i's service stack and rebuilds it from the durable
 // log, then proves recovery bit-exact against the pre-kill twin: local
 // records, remote mirrors, peer watermarks and the published fairshare
@@ -731,6 +749,7 @@ func (h *Harness) restartSite(i int, now time.Time) {
 	// Expose the new stack and its peer mesh before replay — peers pulling
 	// mid-recovery would be served the frozen snapshot image through it.
 	h.Sites[i] = site
+	h.handlers[i] = h.serve(site)
 	for _, p := range h.peers[i] {
 		site.ConnectPeer(p)
 	}

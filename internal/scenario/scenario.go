@@ -95,14 +95,13 @@ type ShareEdit struct {
 }
 
 // FaultSpec schedules one fault window on the exchange path from one
-// site's USS to a peer's.
+// site's USS to a peer's: the pulling client's transport fails the request.
 type FaultSpec struct {
 	// Site is the pulling site, Peer the remote site index.
 	Site, Peer int
 	// From/Until bound the window as offsets from Start.
 	From, Until time.Duration
-	// Kind is the injected fault (Error, Timeout, Reset or Flap; Latency
-	// is a no-op under the deadline-free sim resolve and is not generated).
+	// Kind is the injected fault: Error, Timeout, Reset or Flap.
 	Kind faultinject.Kind
 	// Rate is the Flap probability.
 	Rate float64

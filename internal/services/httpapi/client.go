@@ -27,7 +27,8 @@ import (
 // carries no tighter deadline.
 const DefaultRequestTimeout = 10 * time.Second
 
-// NewHTTPClient is the one place Aequus constructs *http.Client values: a
+// NewHTTPClient is the one place Aequus constructs an *http.Client that
+// dials (the scenario harness's clients call a handler in process): a
 // per-attempt timeout (DefaultRequestTimeout when timeout <= 0) on top of a
 // transport with bounded dial/TLS handshake times and enough idle keep-alive
 // connections per host that exchange rounds and batch priority calls reuse
@@ -330,7 +331,7 @@ func (c *Client) Site() string { return c.SiteName }
 func (c *Client) RecordsSince(ctx context.Context, t time.Time) ([]usage.Record, error) {
 	path := "/usage/records"
 	if !t.IsZero() {
-		path += "?since=" + url.QueryEscape(t.Format(time.RFC3339))
+		path += "?since=" + url.QueryEscape(t.Format(time.RFC3339Nano))
 	}
 	var mut *usage.Mutation
 	err := c.call(ctx, true, http.MethodGet, path, "", nil, c.bodyAnswer(wire.RecordsContentType, wire.ReadBody, func(body []byte) (err error) {

@@ -52,7 +52,7 @@ func pullsMatchInProcess(t *testing.T, label string, s *site, sinces ...time.Tim
 
 		url := s.server.URL + "/usage/records"
 		if !since.IsZero() {
-			url += "?since=" + since.Format(time.RFC3339)
+			url += "?since=" + since.Format(time.RFC3339Nano)
 		}
 		resp, err := http.Get(url)
 		if err != nil {
@@ -96,6 +96,16 @@ func TestPeerPullMatchesInProcess(t *testing.T) {
 	s1.uss.ReportJob("änne", base.Add(-400*24*time.Hour), time.Hour, 3) // long before the rest
 	mid := base.Add(20 * time.Hour)
 	pullsMatchInProcess(t, "live", s1, time.Time{}, mid, base.Add(1000*time.Hour))
+	// With 250 ms bins, the watermark less one bin width falls between whole
+	// seconds, and it crosses the wire as it is: a pull from 1.75 s returns
+	// the bin at 2 s, not also the one at 1 s.
+	fine := uss.New(uss.Config{Site: "site-q", BinWidth: 250 * time.Millisecond, Contribute: true, Clock: clock})
+	fine.ReportJob("alice", base.Add(time.Second), 100*time.Millisecond, 1)
+	fine.ReportJob("bob", base.Add(2*time.Second), 100*time.Millisecond, 1)
+	fineSrv := httptest.NewServer(NewServer(nil, fine, nil, nil, nil))
+	t.Cleanup(fineSrv.Close)
+	pullsMatchInProcess(t, "sub-second", &site{name: "site-q", uss: fine, server: fineSrv}, base.Add(1750*time.Millisecond))
+
 	// aequusd labels a peer with its address; the records carry the name the
 	// site gave itself.
 	got, err := NewClient(s1.server.URL, s1.server.URL).RecordsSince(context.Background(), mid)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -43,6 +44,29 @@ func TestUsageBatchIngest(t *testing.T) {
 	if got, want := totals["bob"], 1800.0; got != want {
 		t.Errorf("bob core-seconds = %v, want %v", got, want)
 	}
+}
+
+// TestUsageBatchKeepsNanoseconds: a report sent over HTTP books what the
+// same report books in process, bit for bit, although its duration travels
+// as float seconds: 1.000000015 s, or 19h18m54.598140041s, times 1e9 falls
+// just short of the whole nanoseconds it stands for, which truncating would
+// book 1 ns short.
+func TestUsageBatchKeepsNanoseconds(t *testing.T) {
+	clock := simclock.NewSim(t0)
+	s := newSite(t, "siteA", clock, map[string]float64{"alice": 0.5, "bob": 0.5})
+	twin := uss.New(uss.Config{Site: "siteA", BinWidth: time.Minute, Contribute: true, Clock: clock})
+	c := NewClient(s.server.URL, "siteA")
+	start := t0.Add(-20 * time.Hour)
+	for user, dur := range map[string]time.Duration{
+		"alice": time.Second + 15*time.Nanosecond,
+		"bob":   19*time.Hour + 18*time.Minute + 54598140041*time.Nanosecond,
+	} {
+		if err := c.ReportJobErr(user, start, dur, 3); err != nil {
+			t.Fatal(err)
+		}
+		twin.ReportJob(user, start, dur, 3)
+	}
+	sameRecords(t, "over HTTP vs in process", twin.LocalRecords(), s.uss.LocalRecords())
 }
 
 // TestUsageBatchRejectsInvalid: one bad report poisons the whole batch with
@@ -146,7 +170,7 @@ func FuzzUsageBatch(f *testing.F) {
 		}
 		want := map[bin]float64{}
 		for _, rep := range req.Reports {
-			d := time.Duration(rep.DurationSeconds * float64(time.Second))
+			d := time.Duration(math.Round(rep.DurationSeconds * float64(time.Second)))
 			if d <= 0 {
 				continue
 			}

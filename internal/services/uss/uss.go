@@ -24,8 +24,9 @@ import (
 	"repro/internal/usage"
 )
 
-// Peer is a remote USS this instance pulls records from. Implementations
-// live in httpapi; the testbed wires services directly.
+// Peer is a remote USS this instance pulls records from: an httpapi.Client
+// in aequusd, the bench and the scenario harness, or a *Service wired
+// directly (core.FullMesh).
 type Peer interface {
 	// Site identifies the remote site.
 	Site() string
