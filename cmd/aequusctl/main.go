@@ -153,8 +153,11 @@ func cmdReport(c *httpapi.Client, args []string) error {
 			return fmt.Errorf("bad procs %q", args[2])
 		}
 	}
+	// The seconds travel as parsed: the server rounds them to the nearest
+	// nanosecond once, where truncating here first would book 1.001 s as
+	// 1.000999999 s.
 	start := time.Now().Add(-time.Duration(dur * float64(time.Second)))
-	return c.ReportJobErr(args[0], start, time.Duration(dur*float64(time.Second)), procs)
+	return c.ReportJobBatch([]wire.UsageReport{{User: args[0], Start: start, DurationSeconds: dur, Procs: procs}})
 }
 
 // cmdMetrics fetches /metrics and pretty-prints it: one aligned

@@ -175,6 +175,17 @@ var guardRows = []struct {
 		in:      nonTest("internal/scenario"),
 		fixture: "internal/scenario/fixture.go", src: `func f(h *Harness, t time.Time) { h.Sites[0].USS.RecordsSince(nil, t) }`,
 	}}},
+	{"One miss path in libaequus", []guard{{
+		// A fairshare lookup, one user's or a queue's, misses through one
+		// batch fill (DESIGN "One miss path in libaequus"): no single-user
+		// fetch with its own stale fallback and span, no uncalled queue
+		// call-out, no report helper that truncated its duration.
+		name:    "retired names",
+		pattern: `staleFairshare|PrioritiesForLocalUsers|ReportJobErr|lib\.fairshare_fetch`,
+		reads:   []nodeText{names},
+		in:      nonTest("."),
+		fixture: "internal/libaequus/fixture.go", src: `func (c *Client) f() { span.Start(ctx, "lib.fairshare_fetch") }`,
+	}}},
 	{"One mechanism per job", []guard{{
 		// One test of fit, one phase detector, one identity fallback and one
 		// way for a job's usage into the USS (DESIGN "One mechanism per

@@ -12,6 +12,7 @@ import (
 	"repro/internal/services/httpapi"
 	"repro/internal/services/irs"
 	"repro/internal/usage"
+	"repro/internal/wire"
 )
 
 // Example_multicluster runs two Aequus sites that exchange usage over HTTP.
@@ -60,7 +61,7 @@ func Example_multicluster() {
 	// bob consumes an hour of compute on site B — reported to site B's USS
 	// through its HTTP API, as a job-completion plug-in would.
 	clientB := httpapi.NewClient(srvB.URL, "site-b")
-	if err := clientB.ReportJobErr("bob", time.Now().Add(-time.Hour), time.Hour, 4); err != nil {
+	if err := clientB.ReportJobBatch([]wire.UsageReport{{User: "bob", Start: time.Now().Add(-time.Hour), DurationSeconds: 3600, Procs: 4}}); err != nil {
 		panic(err)
 	}
 	if err := siteA.Refresh(); err != nil {

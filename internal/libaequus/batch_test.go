@@ -9,26 +9,16 @@ import (
 	"repro/internal/wire"
 )
 
-// fakeFCS serves fixed values, one user or a batch at a time.
+// fakeFCS serves fixed values and counts its round trips.
 type fakeFCS struct {
-	values     map[string]float64
-	calls      int
-	batchCalls int
-	lastBatch  []string
-	batchErr   error
-}
-
-func (f *fakeFCS) Priority(user string) (wire.FairshareResponse, error) {
-	f.calls++
-	v, ok := f.values[user]
-	if !ok {
-		return wire.FairshareResponse{}, errors.New("unknown user")
-	}
-	return wire.FairshareResponse{User: user, Value: v, ComputedAt: t0}, nil
+	values    map[string]float64
+	calls     int
+	lastBatch []string
+	batchErr  error
 }
 
 func (f *fakeFCS) PriorityBatch(users []string) (wire.FairshareBatchResponse, error) {
-	f.batchCalls++
+	f.calls++
 	f.lastBatch = append([]string(nil), users...)
 	if f.batchErr != nil {
 		return wire.FairshareBatchResponse{}, f.batchErr
@@ -61,8 +51,8 @@ func TestFairshareBatchSingleRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fcs.batchCalls != 1 || fcs.calls != 0 {
-		t.Errorf("calls = batch %d, single %d; want one batch, zero singles", fcs.batchCalls, fcs.calls)
+	if fcs.calls != 1 {
+		t.Errorf("FCS calls = %d, want one batch", fcs.calls)
 	}
 	if len(fcs.lastBatch) != 3 {
 		t.Errorf("batch request = %v, want 3 deduped users", fcs.lastBatch)
@@ -77,8 +67,8 @@ func TestFairshareBatchSingleRoundTrip(t *testing.T) {
 	if _, err := c.Fairshare("grid-a@s"); err != nil {
 		t.Fatal(err)
 	}
-	if fcs.calls != 0 {
-		t.Errorf("single call after batch fill = %d, want 0", fcs.calls)
+	if fcs.calls != 1 {
+		t.Errorf("FCS calls after batch fill = %d, want still 1", fcs.calls)
 	}
 	if st := c.Stats(); st.FairshareHits != 1 || st.FairshareMisses != 3 {
 		t.Errorf("stats = %+v", st)
@@ -99,8 +89,8 @@ func TestFairshareBatchServesCachedEntries(t *testing.T) {
 		t.Fatalf("result = %v", got)
 	}
 	// Only the miss goes over the wire.
-	if fcs.batchCalls != 1 || len(fcs.lastBatch) != 1 || fcs.lastBatch[0] != "grid-c@s" {
-		t.Errorf("batch request = %v (%d calls), want just grid-c@s", fcs.lastBatch, fcs.batchCalls)
+	if fcs.calls != 1 || len(fcs.lastBatch) != 1 || fcs.lastBatch[0] != "grid-c@s" {
+		t.Errorf("batch request = %v (%d calls), want just grid-c@s", fcs.lastBatch, fcs.calls)
 	}
 }
 
@@ -109,12 +99,12 @@ func TestFairshareBatchAllCachedSkipsFetch(t *testing.T) {
 	if _, err := c.FairshareBatch([]string{"grid-a@s", "grid-b@s"}); err != nil {
 		t.Fatal(err)
 	}
-	fcs.batchCalls = 0
+	fcs.calls = 0
 	if _, err := c.FairshareBatch([]string{"grid-a@s", "grid-b@s"}); err != nil {
 		t.Fatal(err)
 	}
-	if fcs.batchCalls != 0 || fcs.calls != 0 {
-		t.Errorf("fully cached batch still fetched: batch %d, single %d", fcs.batchCalls, fcs.calls)
+	if fcs.calls != 0 {
+		t.Errorf("fully cached batch still fetched: %d calls", fcs.calls)
 	}
 }
 
@@ -123,43 +113,5 @@ func TestFairshareBatchErrorPropagates(t *testing.T) {
 	fcs.batchErr = errors.New("fcs down")
 	if _, err := c.FairshareBatch([]string{"grid-a@s"}); err == nil {
 		t.Error("batch source failure swallowed")
-	}
-}
-
-func TestPrioritiesForLocalUsers(t *testing.T) {
-	c, fcs, irs := newBatchClient(simclock.NewSim(t0), time.Minute)
-	got, err := c.PrioritiesForLocalUsers([]string{"a", "b", "c", "a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]float64{"a": 0.8, "b": 0.5, "c": 0.2}
-	if len(got) != len(want) {
-		t.Fatalf("priorities = %v, want %v", got, want)
-	}
-	for lu, v := range want {
-		if got[lu] != v {
-			t.Errorf("priority[%s] = %g, want %g", lu, got[lu], v)
-		}
-	}
-	// One resolution per distinct local user, one fairshare round trip total.
-	if irs.calls != 3 {
-		t.Errorf("IRS calls = %d, want 3", irs.calls)
-	}
-	if fcs.batchCalls != 1 || fcs.calls != 0 {
-		t.Errorf("FCS calls = batch %d, single %d; want one batch", fcs.batchCalls, fcs.calls)
-	}
-}
-
-func TestPrioritiesForLocalUsersSkipsUnresolvable(t *testing.T) {
-	clock := simclock.NewSim(t0)
-	fcs := &fakeFCS{values: map[string]float64{"grid-a@s": 0.8}}
-	irs := &fakeIRS{fail: true}
-	c := New(Config{Site: "s", CacheTTL: time.Minute, Clock: clock}, fcs, irs, nil)
-	got, err := c.PrioritiesForLocalUsers([]string{"a"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("unresolvable user produced priorities: %v", got)
 	}
 }

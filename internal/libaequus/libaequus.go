@@ -5,11 +5,14 @@
 // and identities for a configurable time — "which considerably reduces the
 // amount of network traffic and computations required when batches of jobs
 // are submitted and processed at the same time". The cache TTL is update
-// delay component (III) in the paper's delay analysis.
+// delay component (III) in the paper's delay analysis. Every fairshare miss,
+// a single call-out's or a whole queue's, takes one path: one batch round
+// trip to the FCS, traced as "lib.cache_fill".
 package libaequus
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"time"
 
@@ -21,14 +24,16 @@ import (
 )
 
 // FairshareSource provides pre-calculated fairshare values (the FCS, either
-// in-process or over HTTP): one user at a time, or many at once.
+// in-process or over HTTP): one user at a time, or many at once. libaequus
+// asks only the batch half.
 type FairshareSource interface {
 	Priority(gridUser string) (wire.FairshareResponse, error)
 	BatchFairshareSource
 }
 
 // BatchFairshareSource resolves many users against one fairshare snapshot
-// in one round trip. fcs.Service and httpapi.Client implement it.
+// in one round trip: libaequus's one way to the FCS. fcs.Service and
+// httpapi.Client implement it.
 type BatchFairshareSource interface {
 	PriorityBatch(gridUsers []string) (wire.FairshareBatchResponse, error)
 }
@@ -74,7 +79,7 @@ type Config struct {
 // multi-threaded scheduler.
 type Client struct {
 	cfg Config
-	fcs FairshareSource
+	fcs BatchFairshareSource
 	irs IdentitySource
 	uss UsageSink
 
@@ -113,7 +118,7 @@ type Stats struct {
 
 // New creates a client. Any source may be nil if unused (e.g. a pure
 // reporting integration needs only the USS).
-func New(cfg Config, fcs FairshareSource, irs IdentitySource, uss UsageSink) *Client {
+func New(cfg Config, fcs BatchFairshareSource, irs IdentitySource, uss UsageSink) *Client {
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real{}
 	}
@@ -149,24 +154,6 @@ func (c *Client) noteSnapshotAge(computedAt time.Time) {
 // exactly one attempt).
 func (c *Client) retry(fn func() error) error {
 	return c.cfg.Retry.Do(context.Background(), func(context.Context) error { return fn() })
-}
-
-// staleFairshare serves an expired cache entry after a source failure when
-// StaleIfError allows it.
-func (c *Client) staleFairshare(gridUser string) (wire.FairshareResponse, bool) {
-	if !c.cfg.StaleIfError {
-		return wire.FairshareResponse{}, false
-	}
-	c.mu.Lock()
-	e, ok := c.fairshare[gridUser]
-	if ok {
-		c.stats.FairshareStale++
-	}
-	c.mu.Unlock()
-	if ok {
-		c.mStale.With("fairshare").Inc()
-	}
-	return e.resp, ok
 }
 
 // ResolveGridID maps a local system user to its grid identity, caching the
@@ -212,45 +199,28 @@ func (c *Client) ResolveGridID(localUser string) (string, error) {
 	return grid, nil
 }
 
+// ErrUnknownUser is returned for a grid user the policy does not know.
+var ErrUnknownUser = errors.New("libaequus: user not in policy")
+
 // Fairshare returns the global fairshare response for a grid user, cached.
+// A miss is a one-user batch: it takes the one miss path, fill.
 func (c *Client) Fairshare(gridUser string) (wire.FairshareResponse, error) {
 	now := c.cfg.Clock.Now()
 	c.mu.Lock()
-	e, ok := c.fairshare[gridUser]
-	if ok && now.Sub(e.at) < c.cfg.CacheTTL {
-		c.stats.FairshareHits++
-		c.mu.Unlock()
-		c.mHits.With("fairshare").Inc()
-		return e.resp, nil
-	}
-	if ok {
-		c.stats.FairshareExpiries++
-	}
-	c.stats.FairshareMisses++
+	resp, hit := c.cachedLocked(now, gridUser)
 	c.mu.Unlock()
-	c.mMisses.With("fairshare").Inc()
-
-	_, sp := span.Start(span.WithRecorder(context.Background(), c.cfg.Spans),
-		"lib.fairshare_fetch")
-	sp.SetAttr("user", gridUser)
-	var resp wire.FairshareResponse
-	err := c.retry(func() error {
-		r, err := c.fcs.Priority(gridUser)
-		resp = r
-		return err
-	})
-	sp.SetErr(err)
-	sp.End()
-	if err != nil {
-		if stale, ok := c.staleFairshare(gridUser); ok {
-			return stale, nil
-		}
+	if hit {
+		c.mHits.With("fairshare").Inc()
+		return resp, nil
+	}
+	out := make(map[string]wire.FairshareResponse, 1)
+	if err := c.fill(now, out, []string{gridUser}, 0); err != nil {
 		return wire.FairshareResponse{}, err
 	}
-	c.noteSnapshotAge(resp.ComputedAt)
-	c.mu.Lock()
-	c.fairshare[gridUser] = cachedValue{resp: resp, at: now}
-	c.mu.Unlock()
+	resp, ok := out[gridUser]
+	if !ok {
+		return wire.FairshareResponse{}, ErrUnknownUser
+	}
 	return resp, nil
 }
 
@@ -270,26 +240,48 @@ func (c *Client) FairshareBatch(gridUsers []string) (map[string]wire.FairshareRe
 		if _, done := out[u]; done || queued[u] {
 			continue
 		}
-		e, ok := c.fairshare[u]
-		if ok && now.Sub(e.at) < c.cfg.CacheTTL {
-			c.stats.FairshareHits++
+		if resp, hit := c.cachedLocked(now, u); hit {
 			hits++
-			out[u] = e.resp
+			out[u] = resp
 			continue
 		}
-		if ok {
-			c.stats.FairshareExpiries++
-		}
-		c.stats.FairshareMisses++
 		queued[u] = true
 		misses = append(misses, u)
 	}
 	c.mu.Unlock()
 	c.mHits.With("fairshare").Add(float64(hits))
-	c.mMisses.With("fairshare").Add(float64(len(misses)))
 	if len(misses) == 0 {
 		return out, nil
 	}
+	if err := c.fill(now, out, misses, hits); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// cachedLocked serves a grid user's entry if it is younger than the TTL at
+// now, counting the hit; otherwise it counts a miss, and an expiry if the
+// entry outlived the TTL. Callers hold c.mu.
+func (c *Client) cachedLocked(now time.Time, gridUser string) (wire.FairshareResponse, bool) {
+	e, ok := c.fairshare[gridUser]
+	if ok && now.Sub(e.at) < c.cfg.CacheTTL {
+		c.stats.FairshareHits++
+		return e.resp, true
+	}
+	if ok {
+		c.stats.FairshareExpiries++
+	}
+	c.stats.FairshareMisses++
+	return wire.FairshareResponse{}, false
+}
+
+// fill is the one miss path: it fetches misses (distinct users, none of them
+// in out) in one retried PriorityBatch, caches every answer as of now and
+// adds it to out. A user the policy does not know is absent from the answer
+// and so from out. When the source fails, staleBatch may complete out from
+// expired entries instead. hits only labels the span.
+func (c *Client) fill(now time.Time, out map[string]wire.FairshareResponse, misses []string, hits int) error {
+	c.mMisses.With("fairshare").Add(float64(len(misses)))
 	_, sp := span.Start(span.WithRecorder(context.Background(), c.cfg.Spans),
 		"lib.cache_fill")
 	sp.SetAttr("cache", "fairshare")
@@ -313,71 +305,30 @@ func (c *Client) FairshareBatch(gridUsers []string) (map[string]wire.FairshareRe
 		out[e.User] = e
 	}
 	c.mu.Unlock()
-	return out, nil
+	return nil
 }
 
-// staleBatch completes a failed batch fetch from expired cache entries. The
-// fallback only succeeds when every outstanding user has some cached value —
-// a partially answerable batch still fails, so a caller never mistakes a
+// staleBatch completes a failed fill from expired cache entries. The
+// fallback only succeeds when every missed user has some cached value — a
+// partially answerable batch still fails, so a caller never mistakes a
 // half-empty map for "those users are unknown to the policy".
-func (c *Client) staleBatch(out map[string]wire.FairshareResponse, misses []string, err error) (map[string]wire.FairshareResponse, error) {
+func (c *Client) staleBatch(out map[string]wire.FairshareResponse, misses []string, err error) error {
 	if !c.cfg.StaleIfError {
-		return nil, err
+		return err
 	}
 	c.mu.Lock()
-	served := 0
 	for _, u := range misses {
-		if _, done := out[u]; done {
-			continue
-		}
 		e, ok := c.fairshare[u]
 		if !ok {
 			c.mu.Unlock()
-			return nil, err
+			return err
 		}
 		out[u] = e.resp
-		served++
 	}
-	c.stats.FairshareStale += served
+	c.stats.FairshareStale += len(misses)
 	c.mu.Unlock()
-	c.mStale.With("fairshare").Add(float64(served))
-	return out, nil
-}
-
-// PrioritiesForLocalUsers is the batch scheduler call-out: it resolves each
-// local account to a grid identity (cached) and fetches all fairshare
-// values in one batch, returning projected priorities keyed by local user.
-// Accounts that fail identity resolution or are unknown to the policy are
-// absent from the result.
-func (c *Client) PrioritiesForLocalUsers(localUsers []string) (map[string]float64, error) {
-	grid := make(map[string]string, len(localUsers)) // local -> grid
-	var gridUsers []string
-	seen := map[string]bool{}
-	for _, lu := range localUsers {
-		if _, done := grid[lu]; done {
-			continue
-		}
-		g, err := c.ResolveGridID(lu)
-		if err != nil {
-			continue
-		}
-		grid[lu] = g
-		if !seen[g] {
-			seen[g] = true
-			gridUsers = append(gridUsers, g)
-		}
-	}
-	vals, err := c.FairshareBatch(gridUsers)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]float64, len(grid))
-	for lu, g := range grid {
-		if resp, ok := vals[g]; ok {
-			out[lu] = resp.Value
-		}
-	}
-	return out, nil
+	c.mStale.With("fairshare").Add(float64(len(misses)))
+	return nil
 }
 
 // PriorityForLocalUser is the scheduler call-out: it resolves the local

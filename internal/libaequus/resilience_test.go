@@ -18,18 +18,6 @@ type downableFCS struct {
 	calls  int
 }
 
-func (f *downableFCS) Priority(user string) (wire.FairshareResponse, error) {
-	f.calls++
-	if f.down {
-		return wire.FairshareResponse{}, errors.New("fcs unreachable")
-	}
-	v, ok := f.values[user]
-	if !ok {
-		return wire.FairshareResponse{}, errors.New("unknown user")
-	}
-	return wire.FairshareResponse{User: user, Value: v, ComputedAt: t0}, nil
-}
-
 func (f *downableFCS) PriorityBatch(users []string) (wire.FairshareBatchResponse, error) {
 	f.calls++
 	if f.down {
@@ -92,6 +80,7 @@ func TestLibStaleFallbackServesExpiredEntries(t *testing.T) {
 		CacheTTL:     time.Minute,
 		Clock:        clock,
 		Metrics:      telemetry.NewRegistry(),
+		Retry:        immediateRetry(3),
 		StaleIfError: true,
 	}, fcs, &flakyIRS{}, nil)
 
@@ -124,6 +113,23 @@ func TestLibStaleFallbackServesExpiredEntries(t *testing.T) {
 	}
 	if got := c.Stats().FairshareStale; got != 1 {
 		t.Errorf("FairshareStale after recovery = %d, want still 1", got)
+	}
+
+	// A user the policy drops is unknown, not stale: each lookup is one
+	// answered round trip, not retried, and their last value is not served.
+	delete(fcs.values, "grid-alice@hpc2n")
+	for i := 1; i <= 3; i++ {
+		clock.Advance(time.Hour)
+		calls := fcs.calls
+		if v, err := c.Fairshare("grid-alice@hpc2n"); !errors.Is(err, ErrUnknownUser) {
+			t.Errorf("lookup %d of a dropped user = %g, %v; want ErrUnknownUser", i, v.Value, err)
+		}
+		if got := fcs.calls - calls; got != 1 {
+			t.Errorf("lookup %d of a dropped user made %d source calls, want 1", i, got)
+		}
+	}
+	if got := c.Stats().FairshareStale; got != 1 {
+		t.Errorf("FairshareStale after the drop = %d, want still 1", got)
 	}
 }
 

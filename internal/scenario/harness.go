@@ -188,10 +188,11 @@ func (t siteTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// siteFairshare and siteJobComp are the same late binding for the RM
-// plug-ins: the resource manager outlives a site restart (it is a separate
-// process from aequusd), so its call-outs must reach whatever service stack
-// currently backs the site.
+// siteFairshare and siteJobComp are the same late binding for both RMs'
+// call-outs (SLURM's plug-ins, Maui's patch points as method values): the
+// resource manager outlives a site restart (it is a separate process from
+// aequusd), so its call-outs must reach whatever service stack currently
+// backs the site.
 type siteFairshare struct {
 	h *Harness
 	i int
@@ -417,12 +418,8 @@ func Run(spec *Spec, opts Options) (*Result, error) {
 			h.RMs = append(h.RMs, maui.New(maui.Config{
 				Cluster: cl,
 				Callouts: maui.Callouts{
-					FairsharePriority: func(localUser string) (float64, error) {
-						return h.Sites[i].Lib.PriorityForLocalUser(localUser)
-					},
-					JobCompleted: func(j *sched.Job) {
-						_ = h.Sites[i].Lib.JobComplete(j.LocalUser, j.Start, j.End.Sub(j.Start), j.Procs)
-					},
+					FairsharePriority: siteFairshare{h: h, i: i}.Fairshare,
+					JobCompleted:      siteJobComp{h: h, i: i}.JobCompleted,
 				},
 				OnStart: onStart,
 			}))

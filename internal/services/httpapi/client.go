@@ -285,20 +285,12 @@ func (c *Client) StoreMapping(gridID, site, localUser string) error {
 		wire.MappingRequest{GridID: gridID, Site: site, LocalUser: localUser}, nil)
 }
 
-// ReportJob implements libaequus.UsageSink against the remote USS. Errors
-// are retained in Err (the sink interface is fire-and-forget, matching the
-// asynchronous job-completion plug-ins).
+// ReportJob implements libaequus.UsageSink against the remote USS as a
+// one-report batch. The sink interface is fire-and-forget, matching the
+// asynchronous job-completion plug-ins, so a transport error is dropped: it
+// is never retried (see ReportJobBatch).
 func (c *Client) ReportJob(gridUser string, start time.Time, dur time.Duration, procs int) {
-	_ = c.ReportJobErr(gridUser, start, dur, procs)
-}
-
-// ReportJobErr reports usage as a one-report batch and returns any
-// transport error. Usage reports accumulate on the remote USS, so the call
-// is not idempotent and is never retried: a report lost to a transient
-// failure is recovered by the idempotent exchange protocol, not by resending
-// it (which could double count).
-func (c *Client) ReportJobErr(gridUser string, start time.Time, dur time.Duration, procs int) error {
-	return c.ReportJobBatch([]wire.UsageReport{{
+	_ = c.ReportJobBatch([]wire.UsageReport{{
 		User:            gridUser,
 		Start:           start,
 		DurationSeconds: dur.Seconds(),

@@ -117,7 +117,7 @@ func TestClientNeverRetriesUsageReports(t *testing.T) {
 		Retry:   fastRetry(5),
 		Metrics: telemetry.NewRegistry(),
 	})
-	if err := c.ReportJobErr("alice", time.Now(), time.Hour, 4); err == nil {
+	if err := c.ReportJobBatch([]wire.UsageReport{{User: "alice", Start: time.Now(), DurationSeconds: 3600, Procs: 4}}); err == nil {
 		t.Fatal("failing usage report returned no error")
 	}
 	if n := atomic.LoadInt64(&h.calls); n != 1 {

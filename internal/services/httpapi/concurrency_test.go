@@ -3,9 +3,9 @@ package httpapi
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/simclock"
+	"repro/internal/wire"
 )
 
 // TestConcurrentClients hammers one site with parallel priority queries,
@@ -39,7 +39,7 @@ func TestConcurrentClients(t *testing.T) {
 						return
 					}
 				case 1:
-					if err := cli.ReportJobErr("bob", t0, time.Minute, 1); err != nil {
+					if err := cli.ReportJobBatch([]wire.UsageReport{{User: "bob", Start: t0, DurationSeconds: 60, Procs: 1}}); err != nil {
 						errs <- err
 						return
 					}

@@ -39,8 +39,8 @@ func TestClientAgainstDeadServer(t *testing.T) {
 	if _, err := c.Resolve("s", "l"); err == nil {
 		t.Error("Resolve against dead server succeeded")
 	}
-	if err := c.ReportJobErr("u", time.Now(), time.Minute, 1); err == nil {
-		t.Error("ReportJobErr against dead server succeeded")
+	if err := c.ReportJobBatch([]wire.UsageReport{{User: "u", Start: time.Now(), DurationSeconds: 60, Procs: 1}}); err == nil {
+		t.Error("ReportJobBatch against dead server succeeded")
 	}
 	if _, err := c.RecordsSince(context.Background(), time.Time{}); err == nil {
 		t.Error("RecordsSince against dead server succeeded")
@@ -120,7 +120,7 @@ func TestChaosServingThroughPeerOutage(t *testing.T) {
 
 	// bob's hour at B predates the outage; A's clients only ever ingest for
 	// carol, so alice and bob differ at A exactly when B's usage arrived.
-	if err := NewClient(b.server.URL, "siteB").ReportJobErr("bob", t0, time.Hour, 1); err != nil {
+	if err := NewClient(b.server.URL, "siteB").ReportJobBatch([]wire.UsageReport{{User: "bob", Start: t0, DurationSeconds: 3600, Procs: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(2 * time.Hour)

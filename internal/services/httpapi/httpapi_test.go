@@ -5,6 +5,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -85,7 +86,7 @@ func TestFullStackOverHTTP(t *testing.T) {
 	// bob burns an hour of compute on site B; the usage flows B → A via
 	// exchange and shifts priorities on A.
 	cb := NewClient(b.server.URL, "siteB")
-	if err := cb.ReportJobErr("bob", t0, time.Hour, 1); err != nil {
+	if err := cb.ReportJobBatch([]wire.UsageReport{{User: "bob", Start: t0, DurationSeconds: 3600, Procs: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(2 * time.Hour)
@@ -169,16 +170,16 @@ func TestFairshareBatchEndpoint(t *testing.T) {
 		}
 	}
 
-	// libaequus over HTTP takes the batch path transparently: local "la"
-	// maps to grid user "a", local "nobody" fails resolution and is skipped.
-	if _, ok := interface{}(c).(libaequus.BatchFairshareSource); !ok {
-		t.Fatal("httpapi.Client does not implement BatchFairshareSource")
-	}
+	// A libaequus call-out over HTTP misses through the batch route: one
+	// POST /fairshare/batch, never the single-user GET /fairshare. Local
+	// "la" maps to grid user "a"; local "nobody" fails resolution.
 	if err := c.StoreMapping("a", "s", "la"); err != nil {
 		t.Fatal(err)
 	}
-	lib := libaequus.New(libaequus.Config{Site: "s", CacheTTL: time.Minute, Clock: clock}, c, c, c)
-	got, err := lib.PrioritiesForLocalUsers([]string{"la", "nobody"})
+	routes := &routeLog{base: s.server.Client().Transport}
+	lc := NewClientWith(s.server.URL, "s", ClientOptions{HTTP: &http.Client{Transport: routes}})
+	lib := libaequus.New(libaequus.Config{Site: "s", CacheTTL: time.Minute, Clock: clock}, lc, lc, lc)
+	got, err := lib.PriorityForLocalUser("la")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +187,14 @@ func TestFairshareBatchEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got["la"] != wantA.Value {
-		t.Errorf("priorities = %v, want la=%g only", got, wantA.Value)
+	if got != wantA.Value {
+		t.Errorf("priority of la = %g, want %g", got, wantA.Value)
+	}
+	if want := []string{"POST /identity/resolve", "POST /fairshare/batch"}; !slices.Equal(routes.seen, want) {
+		t.Errorf("a call-out's miss sent %v, want %v", routes.seen, want)
+	}
+	if _, err := lib.PriorityForLocalUser("nobody"); err == nil {
+		t.Error("unresolvable local user got a priority")
 	}
 
 	// Method discipline: GET is rejected.
@@ -453,4 +460,15 @@ func TestUsageTreeServesDecayedTotals(t *testing.T) {
 			t.Fatalf("step %d: refresh %+v, want incremental over sums at %v", step, ri, t0)
 		}
 	}
+}
+
+// routeLog records the method and path of every request it carries.
+type routeLog struct {
+	base http.RoundTripper
+	seen []string
+}
+
+func (l *routeLog) RoundTrip(r *http.Request) (*http.Response, error) {
+	l.seen = append(l.seen, r.Method+" "+r.URL.Path)
+	return l.base.RoundTrip(r)
 }

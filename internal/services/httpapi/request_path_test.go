@@ -239,7 +239,7 @@ func TestFairshareRefreshRouteSeesNewUsage(t *testing.T) {
 	defer srv.Close()
 	c := NewClient(srv.URL, "s")
 
-	if err := c.ReportJobErr("bob", t0, time.Hour, 1); err != nil {
+	if err := c.ReportJobBatch([]wire.UsageReport{{User: "bob", Start: t0, DurationSeconds: 3600, Procs: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(2 * time.Hour)
@@ -250,7 +250,7 @@ func TestFairshareRefreshRouteSeesNewUsage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ReportJobErr("alice", clock.Now().Add(-time.Hour), time.Hour, 8); err != nil {
+	if err := c.ReportJobBatch([]wire.UsageReport{{User: "alice", Start: clock.Now().Add(-time.Hour), DurationSeconds: 3600, Procs: 8}}); err != nil {
 		t.Fatal(err)
 	}
 	clock.Advance(10 * time.Second)

@@ -104,7 +104,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	out := buf.String()
 
 	for _, want := range []string{
-		`aequus_http_request_duration_seconds_bucket{route="/fairshare"`,
+		`aequus_http_request_duration_seconds_bucket{route="/fairshare/batch"`,
 		`aequus_http_request_duration_seconds_bucket{route="/usage/exchange"`,
 		`aequus_http_request_duration_seconds_bucket{route="/identity/resolve"`,
 		`aequus_lib_cache_hits_total{cache="fairshare"} 1`,

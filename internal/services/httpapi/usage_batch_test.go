@@ -61,7 +61,7 @@ func TestUsageBatchKeepsNanoseconds(t *testing.T) {
 		"alice": time.Second + 15*time.Nanosecond,
 		"bob":   19*time.Hour + 18*time.Minute + 54598140041*time.Nanosecond,
 	} {
-		if err := c.ReportJobErr(user, start, dur, 3); err != nil {
+		if err := c.ReportJobBatch([]wire.UsageReport{{User: user, Start: start, DurationSeconds: dur.Seconds(), Procs: 3}}); err != nil {
 			t.Fatal(err)
 		}
 		twin.ReportJob(user, start, dur, 3)

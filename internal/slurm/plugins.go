@@ -33,7 +33,7 @@ type JobCompHandler interface {
 }
 
 // AequusFairshare is the Aequus priority plug-in: the fairshare factor is a
-// libaequus call-out (libaequus traces a cache miss as "lib.fairshare_fetch").
+// libaequus call-out (libaequus traces a cache miss as "lib.cache_fill").
 type AequusFairshare struct {
 	Lib *libaequus.Client
 }
