@@ -164,11 +164,13 @@ func (h *Histogram) drainChanged(halfLife time.Duration, ref, now time.Time) (ch
 	}
 	h.tracker = tr
 	nowNs := now.UnixNano()
-	reset = reset || !h.cursorOn || nowNs < h.cursorNow
+	first := !h.cursorOn
+	reset = reset || first || nowNs < h.cursorNow
 	h.cursorOn, h.cursorNow = true, nowNs
 
 	for i := range h.stripes {
 		st := &h.stripes[i]
+		st.settleArena(first)
 		// Both lists are rebuilt from nothing each pass, so a burst does
 		// not leave its capacity behind in every stripe.
 		listed, wasClamped := st.changed, st.clamped
@@ -225,19 +227,18 @@ func (h *Histogram) settle(st *stripe, pos int, tr *expTracker, nowNs int64) {
 // pass never leaves behind), the tracker's sum otherwise. Any stripe lock
 // held.
 func (h *Histogram) refValue(st *stripe, pos int, now time.Time, scale float64) float64 {
-	u := &st.users[pos]
 	tr := h.tracker
 	if tr == nil {
 		var sum float64
-		for _, b := range u.bins {
+		for _, b := range st.binsAt(pos) {
 			sum += b.v
 		}
 		return sum
 	}
 	if st.flags[pos]&dirty == 0 && !st.future(pos, now.UnixNano()) {
-		return u.sum
+		return st.users[pos].sum
 	}
-	return h.clampedSum(u, now, float64(tr.halfLife)) / scale
+	return h.clampedSum(st.binsAt(pos), now, float64(tr.halfLife)) / scale
 }
 
 // refSum returns one user's canonical sum (0 when unknown).

@@ -358,7 +358,7 @@ func TestCursorOpenBinUserIsEmittedOnce(t *testing.T) {
 		if want := map[bool]int{true: 1, false: 0}[i == 0]; ds.Full || len(ds.Changed) != want {
 			t.Fatalf("minute %d: full=%v changed=%v, want %d listed", min, ds.Full, ds.Changed, want)
 		}
-		if got, sum := f.acc["open"], h.stripeFor("open").get("open").sum; math.Float64bits(got) != math.Float64bits(sum) {
+		if got, sum := f.acc["open"], h.stripeFor("open").sumOf("open"); math.Float64bits(got) != math.Float64bits(sum) {
 			t.Fatalf("minute %d: follower holds %v, tracker sum %v", min, got, sum)
 		}
 		f.check(t, fmt.Sprintf("minute %d", min), hists, now, d)

@@ -1,6 +1,7 @@
 package usage
 
 import (
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -37,13 +38,15 @@ type bin struct {
 }
 
 // userBins is one user's accounting state: an element of its stripe's slab,
-// guarded by that stripe's lock. A *userBins into the slab is good until the
-// next insert into or removal from the stripe, which may move the slab or
-// the user; no caller holds one across either.
+// guarded by that stripe's lock, 16 B and pointer-free. A *userBins into the
+// slab is good until the next insert into or removal from the stripe, which
+// may move the slab or the user; no caller holds one across either.
 type userBins struct {
-	// bins is sorted ascending by start. Usage arrives roughly in time
-	// order, so inserts are append-mostly; out-of-order inserts shift.
-	bins []bin
+	// The user's bins are arena[off:off+n] of its stripe, sorted ascending by
+	// start. Usage arrives roughly in time order, so inserts are
+	// append-mostly; out-of-order inserts shift. The extent at off holds
+	// room(n) bins: its size is derived from n, never stored.
+	off, n uint32
 	// sum is the incremental decayed state under the histogram's tracker
 	// (see incremental.go): Σ v·2^(-(ref-mid)/H), valid unless the user's
 	// flags say dirty.
@@ -51,7 +54,7 @@ type userBins struct {
 }
 
 // A user's flags, one byte in its stripe's flags column (beside the slab,
-// where they would pad a userBins from 32 B to 40).
+// where they would pad a userBins from 16 B to 24).
 const (
 	// dirty: sum is unreliable; the next cursor pass recomputes it from the
 	// bins.
@@ -61,13 +64,26 @@ const (
 	marked
 )
 
-// lastStart returns the newest bin start (only valid when bins is non-empty).
-func (u *userBins) lastStart() int64 { return u.bins[len(u.bins)-1].start }
+// room returns the size of the extent that holds n bins: n itself up to 4,
+// then n rounded up to the next of 6, 8, 12, 16, 24, 32, …, two sizes per
+// doubling, so that a user growing one bin at a time moves O(log n) times
+// and wastes at most a third of its extent.
+func room(n uint32) uint32 {
+	if n <= 4 {
+		return n
+	}
+	b := bits.Len32(n - 1)
+	if mid := uint32(3) << (b - 2); n <= mid {
+		return mid
+	}
+	return 1 << b
+}
 
 // stripe is one lock shard: a mutex plus the users hashed onto it, kept in
 // a dense slab of parallel columns (position j is one user) that a
-// slot.Table indexes by name. A user whose last bin is removed leaves the
-// slab by swap-remove: the last user takes its position.
+// slot.Table indexes by name, and one pointer-free arena that holds every
+// user's bins. A user whose last bin is removed leaves the slab by
+// swap-remove: the last user takes its position.
 type stripe struct {
 	mu    sync.RWMutex
 	names []string
@@ -78,6 +94,15 @@ type stripe struct {
 	// flags[j] holds user j's dirty and marked bits.
 	flags []uint8
 	slots slot.Table
+	// arena holds the users' extents. An extent that outgrows its room moves
+	// to the arena's end and leaves its old place dead; held is Σ room(n)
+	// over the users, so len(arena)-held bins are dead, and took counts the
+	// bins appended at the arena's end since the last cursor pass. A full
+	// arena is compacted into a larger one, which drops the dead bins; a
+	// cursor pass trims the arena of a stripe that has stopped growing.
+	arena []bin
+	held  int
+	took  int
 	// changed lists the users whose bins really changed since the change
 	// cursor last passed; clamped lists those whose newest bin started after
 	// that pass's `now` (see cursor.go). Both stay empty until a cursor
@@ -93,11 +118,19 @@ func (st *stripe) find(user string) (pos int32, h uint64, ok bool) {
 	return pos, h, ok
 }
 
-// get returns user's state, nil when the user has none. Any lock on st held;
-// the pointer is good until the next insert or removal.
-func (st *stripe) get(user string) *userBins {
+// binsAt returns the bins of the user at pos, capped at their count so an
+// append cannot run into the next extent. Any lock on st held; the slice is
+// good until the stripe's next mutation.
+func (st *stripe) binsAt(pos int) []bin {
+	u := &st.users[pos]
+	return st.arena[u.off : u.off+u.n : u.off+u.n]
+}
+
+// get returns user's bins, nil when the user has none. Any lock on st held;
+// the slice is good until the stripe's next mutation.
+func (st *stripe) get(user string) []bin {
 	if pos, _, ok := st.find(user); ok {
-		return &st.users[pos]
+		return st.binsAt(int(pos))
 	}
 	return nil
 }
@@ -112,7 +145,7 @@ func (st *stripe) insert(user string, h uint64) int32 {
 		st.names, st.users, st.newest, st.flags = regrow(st.names, n), regrow(st.users, n), regrow(st.newest, n), regrow(st.flags, n)
 	}
 	st.names = append(st.names, user)
-	st.users = append(st.users, userBins{})
+	st.users = append(st.users, userBins{off: uint32(len(st.arena))})
 	st.newest = append(st.newest, 0)
 	st.flags = append(st.flags, 0)
 	st.slots.Add(h, pos)
@@ -122,15 +155,16 @@ func (st *stripe) insert(user string, h uint64) int32 {
 // regrow returns s copied into a capacity of n. The slab's columns grow by a
 // quarter at a time rather than by append's doubling below 256 elements: a
 // stripe holds hundreds to tens of thousands of users, and columns left half
-// empty by a doubling would hold up to 57 B of growth room per user.
+// empty by a doubling would hold up to 41 B of growth room per user.
 func regrow[T any](s []T, n int) []T {
 	out := make([]T, len(s), n)
 	copy(out, s)
 	return out
 }
 
-// remove swap-removes the user at pos, whose slot hash is h: the slab's last
-// user takes its position. The stripe's write lock must be held.
+// remove swap-removes the user at pos, whose slot hash is h and whose bins
+// are all removed: the slab's last user takes its position. The stripe's
+// write lock must be held.
 func (st *stripe) remove(pos int32, h uint64) {
 	st.slots.Delete(st.names, h, pos)
 	last := int32(len(st.names) - 1)
@@ -138,8 +172,37 @@ func (st *stripe) remove(pos int32, h uint64) {
 		st.slots.Move(slot.Hash(st.names[last]), last, pos)
 		st.names[pos], st.users[pos], st.newest[pos], st.flags[pos] = st.names[last], st.users[last], st.newest[last], st.flags[last]
 	}
-	st.names[last], st.users[last] = "", userBins{}
+	st.names[last] = ""
 	st.names, st.users, st.newest, st.flags = st.names[:last], st.users[:last], st.newest[:last], st.flags[:last]
+}
+
+// compact copies the live extents, in slab position order, into a new arena
+// of capacity size, which drops the dead bins. The stripe's write lock must
+// be held.
+func (st *stripe) compact(size int) {
+	arena := make([]bin, 0, size)
+	for j := range st.users {
+		u := &st.users[j]
+		off := len(arena)
+		arena = append(arena, st.arena[u.off:u.off+u.n]...)
+		arena = arena[:off+int(room(u.n))]
+		u.off = uint32(off)
+	}
+	st.arena = arena
+}
+
+// settleArena is a cursor pass's look at the stripe's arena; first says the
+// histogram had no pass before. A stripe that took at most a sixteenth of
+// its held bins since the previous pass is quiet, and the pass compacts a
+// quiet one whose dead and spare bins pass an eighth of its held bins (and
+// 64) to a sixteenth of spare room (and 64). A stripe still growing is left
+// to its inserts: trimming it would only have them regrow it by the next
+// pass. The stripe's write lock must be held.
+func (st *stripe) settleArena(first bool) {
+	if (first || st.took <= st.held/16) && cap(st.arena)-st.held > st.held/8+64 {
+		st.compact(st.held + st.held/16 + 64)
+	}
+	st.took = 0
 }
 
 // Histogram accumulates per-user usage into fixed-width time bins. It is
@@ -147,9 +210,10 @@ func (st *stripe) remove(pos int32, h uint64) {
 // while the UMS reads totals.
 //
 // Internally the histogram is striped: users hash onto numStripes shards,
-// each a dense slab of users (name, sorted bins, incremental sum, newest bin
-// start) that a pointer-free slot.Table finds a name in — no map and no heap
-// object per user. Mutations (IngestOps, SetRecords, Merge, AddSpread)
+// each a dense slab of users (name, 16 B userBins entry, newest bin start,
+// flags) that a pointer-free slot.Table finds a name in, and one
+// pointer-free arena of every user's sorted bins — no map and no heap object
+// per user. Mutations (IngestOps, SetRecords, Merge, AddSpread)
 // take each touched stripe once per call; whole-histogram reads (Records,
 // RecordsSince, DecayedTotals/AccumulateDecayed) acquire every stripe in
 // index order, so they observe a state that existed at one single instant.
@@ -244,29 +308,67 @@ func (h *Histogram) runlockAll() {
 	}
 }
 
-// findBin locates start in u.bins: it returns the index where start is or
+// findBin locates start in bins: it returns the index where start is or
 // would be inserted, and whether it is present.
-func (u *userBins) findBin(start int64) (int, bool) {
-	n := len(u.bins)
+func findBin(bins []bin, start int64) (int, bool) {
+	n := len(bins)
 	// Append-mostly fast path: new bin at or past the end.
-	if n == 0 || start > u.bins[n-1].start {
+	if n == 0 || start > bins[n-1].start {
 		return n, false
 	}
-	if start == u.bins[n-1].start {
+	if start == bins[n-1].start {
 		return n - 1, true
 	}
-	i := sort.Search(n, func(i int) bool { return u.bins[i].start >= start })
-	return i, i < n && u.bins[i].start == start
+	i := sort.Search(n, func(i int) bool { return bins[i].start >= start })
+	return i, i < n && bins[i].start == start
 }
 
 // insertBin inserts the bin (start, v) at index i of user pos's bins and
-// keeps the user's newest start current.
+// keeps the user's newest start current. A full extent first grows: in place
+// when it is the arena's last and the arena has room, else by moving to the
+// arena's end, past a regrowth when the arena is full.
 func (st *stripe) insertBin(pos int32, i int, start int64, v float64) {
 	u := &st.users[pos]
-	u.bins = append(u.bins, bin{})
-	copy(u.bins[i+1:], u.bins[i:])
-	u.bins[i] = bin{start, v}
-	st.newest[pos] = u.lastStart()
+	if have := room(u.n); u.n == have {
+		want := room(u.n + 1)
+		if int(u.off+have) != len(st.arena) || len(st.arena)+int(want-have) > cap(st.arena) {
+			// A full arena grows by an eighth of its held bins, or by what
+			// the stripe took since the last cursor pass if that is more:
+			// a stripe filled with no pass between (a load, a replay)
+			// grows geometrically with its moves, not by a fixed step.
+			if len(st.arena)+int(want) > cap(st.arena) {
+				n := st.held + int(want)
+				st.compact(n + max(n/8, st.took) + 64)
+			}
+			off := len(st.arena)
+			st.arena = append(st.arena, st.arena[u.off:u.off+u.n]...)
+			u.off = uint32(off)
+			st.took += int(have)
+		}
+		st.arena = st.arena[:u.off+want]
+		st.held += int(want - have)
+		st.took += int(want - have)
+	}
+	bins := st.arena[u.off : u.off+u.n+1]
+	copy(bins[i+1:], bins[i:])
+	bins[i] = bin{start, v}
+	u.n++
+	st.newest[pos] = bins[u.n-1].start
+}
+
+// removeBin removes bin i of user pos, whose slot hash is h, and the user
+// with its last bin. An extent whose room shrinks leaves its tail dead.
+func (st *stripe) removeBin(pos int32, h uint64, i int) {
+	u := &st.users[pos]
+	bins := st.arena[u.off : u.off+u.n]
+	copy(bins[i:], bins[i+1:])
+	u.n--
+	st.held -= int(room(u.n+1) - room(u.n))
+	if u.n == 0 {
+		st.remove(pos, h)
+		return
+	}
+	st.newest[pos] = bins[u.n-1].start
 }
 
 // addBinLocked accumulates v into user's bin at start; hash is the user's
@@ -276,57 +378,49 @@ func (h *Histogram) addBinLocked(st *stripe, user string, hash uint64, start int
 	if !ok {
 		pos = st.insert(user, hash)
 	}
-	u := &st.users[pos]
-	if i, ok := u.findBin(start); ok {
-		u.bins[i].v += v
+	bins := st.binsAt(int(pos))
+	if i, ok := findBin(bins, start); ok {
+		bins[i].v += v
 	} else {
 		st.insertBin(pos, i, start, v)
 	}
 	h.trackerAdd(st, pos, start, v)
 }
 
-// setTarget locates the bin that a set of (start, v) addresses in u — nil for
-// a user without bins — and reports whether the set changes anything. It does
-// not when it removes (v ≤ 0) a bin that is not there, or stores the value
-// already stored: every exchange re-pulls the open and the previous bin, and
-// an overwrite with the same bits is not a change.
-func (u *userBins) setTarget(start int64, v float64) (i int, ok, changes bool) {
-	if u == nil {
-		return 0, false, v > 0
-	}
-	i, ok = u.findBin(start)
+// setTarget locates the bin that a set of (start, v) addresses in bins —
+// empty for a user without bins — and reports whether the set changes
+// anything. It does not when it removes (v ≤ 0) a bin that is not there, or
+// stores the value already stored: every exchange re-pulls the open and the
+// previous bin, and an overwrite with the same bits is not a change.
+func setTarget(bins []bin, start int64, v float64) (i int, ok, changes bool) {
+	i, ok = findBin(bins, start)
 	if v <= 0 {
 		return i, ok, ok
 	}
-	return i, ok, !ok || v-u.bins[i].v != 0
+	return i, ok, !ok || v-bins[i].v != 0
 }
 
 // setBinLocked replaces user's bin at start with v (≤0 removes the bin).
 // The stripe's write lock must be held.
 func (h *Histogram) setBinLocked(st *stripe, user string, start int64, v float64) {
 	pos, hash, found := st.find(user)
-	var u *userBins
+	var bins []bin
 	if found {
-		u = &st.users[pos]
+		bins = st.binsAt(int(pos))
 	}
-	i, ok, changes := u.setTarget(start, v)
+	i, ok, changes := setTarget(bins, start, v)
 	if !changes {
 		return
 	}
 	if v <= 0 {
-		old := u.bins[i].v
-		u.bins = append(u.bins[:i], u.bins[i+1:]...)
+		old := bins[i].v
 		h.trackerAdd(st, pos, start, -old)
-		if len(u.bins) == 0 {
-			st.remove(pos, hash)
-		} else {
-			st.newest[pos] = u.lastStart()
-		}
+		st.removeBin(pos, hash, i)
 		return
 	}
 	if ok {
-		delta := v - u.bins[i].v
-		u.bins[i].v = v
+		delta := v - bins[i].v
+		bins[i].v = v
 		h.trackerAdd(st, pos, start, delta)
 		return
 	}
@@ -504,8 +598,8 @@ func (h *Histogram) Changing(records []Record) []Record {
 		if r.User == "" {
 			continue
 		}
-		u := h.stripeFor(r.User).get(r.User)
-		if _, _, changes := u.setTarget(start, r.CoreSeconds); changes {
+		bins := h.stripeFor(r.User).get(r.User)
+		if _, _, changes := setTarget(bins, start, r.CoreSeconds); changes {
 			out = append(out, r)
 		}
 	}
@@ -522,14 +616,10 @@ func (h *Histogram) DecayedTotal(user string, now time.Time, d Decay) float64 {
 	st := h.stripeFor(user)
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	u := st.get(user)
-	if u == nil {
-		return 0
-	}
 	// Bins are kept sorted, so summing in slice order reproduces the
 	// deterministic key-ordered float sums of the map-based implementation.
 	var sum float64
-	for _, b := range u.bins {
+	for _, b := range st.get(user) {
 		sum += b.v * d.Weight(BinAge(now, time.Unix(b.start, 0), h.binWidth))
 	}
 	return sum
@@ -583,7 +673,7 @@ func (h *Histogram) accumPlain(dst map[string]float64) {
 		st := &h.stripes[i]
 		for j := range st.users {
 			var sum float64
-			for _, b := range st.users[j].bins {
+			for _, b := range st.binsAt(j) {
 				sum += b.v
 			}
 			dst[st.names[j]] += sum
@@ -637,7 +727,7 @@ func (h *Histogram) RecordsSince(site string, t time.Time) []Record {
 			if newest < from {
 				continue
 			}
-			bins := st.users[j].bins
+			bins := st.binsAt(j)
 			k := sort.Search(len(bins), func(k int) bool { return bins[k].start >= from })
 			tails = append(tails, userTail{st.names[j], bins[k:]})
 		}
@@ -658,7 +748,7 @@ func exportRecords(site string, stripes []stripe) []Record {
 	for i := range stripes {
 		st := &stripes[i]
 		for j := range st.users {
-			tails = append(tails, userTail{st.names[j], st.users[j].bins})
+			tails = append(tails, userTail{st.names[j], st.binsAt(j)})
 		}
 	}
 	return emitTails(site, tails)
@@ -688,8 +778,9 @@ func emitTails(site string, tails []userTail) []Record {
 
 // Merge folds other's bins into h; both must have the same bin width (it
 // panics otherwise). Each of other's stripes maps onto the same stripe of h,
-// so the merge runs as one sorted bin-slice merge per stripe pair with a
-// single lock acquisition on each side and no intermediate cell records.
+// so the merge copies a source stripe's names, bin counts and live bins into
+// one slice each under its read lock, then adds them under one write lock
+// of the destination stripe.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil {
 		return
@@ -700,25 +791,32 @@ func (h *Histogram) Merge(other *Histogram) {
 	for i := range other.stripes {
 		src := &other.stripes[i]
 		src.mu.RLock()
-		type uc struct {
-			name string
-			bins []bin
-		}
-		cells := make([]uc, 0, len(src.users))
+		held := src.held
+		names := slices.Clone(src.names)
+		counts := make([]uint32, len(src.users))
+		bins := make([]bin, 0, held)
 		for j := range src.users {
-			cells = append(cells, uc{src.names[j], slices.Clone(src.users[j].bins)})
+			counts[j] = src.users[j].n
+			bins = append(bins, src.binsAt(j)...)
 		}
 		src.mu.RUnlock()
-		if len(cells) == 0 {
+		if len(names) == 0 {
 			continue
 		}
 		dst := &h.stripes[i]
 		dst.mu.Lock()
-		for _, c := range cells {
-			hash := slot.Hash(c.name)
-			for _, b := range c.bins {
-				h.addBinLocked(dst, c.name, hash, b.start, b.v)
+		// Into an empty stripe (a Clone) every user is new and its extent
+		// the arena's last, so held more bins take them all; the copy
+		// keeps the eighth of spare room an insert's regrowth leaves.
+		if n := dst.held + held; len(dst.arena)+held > cap(dst.arena) {
+			dst.compact(n + n/8 + 64)
+		}
+		for j, name := range names {
+			hash := slot.Hash(name)
+			for _, b := range bins[:counts[j]] {
+				h.addBinLocked(dst, name, hash, b.start, b.v)
 			}
+			bins = bins[counts[j]:]
 		}
 		dst.mu.Unlock()
 	}

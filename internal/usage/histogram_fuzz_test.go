@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/par"
 )
@@ -159,7 +160,8 @@ func (r *twinReader) records() []Record {
 // probe instant (odd probes a nanosecond past a 20-minute mark). After every
 // op every stripe's slab must hold its users whole (checkColumn: one length
 // for every column, each user's kept newest start at its last bin, the slot
-// table finding each name at its position and nothing else). At a check,
+// table finding each name at its position and nothing else, every extent
+// inside the arena and apart from the others). At a check,
 // and after the last op, RecordsSince, Records, the user count and the
 // undecayed totals must equal the twin's bit for bit, the half-life totals
 // within 1e-9 (the cursor's tracker serves them from incremental sums), and
@@ -169,8 +171,9 @@ func (r *twinReader) records() []Record {
 //
 // The seed corpus under testdata/fuzz/FuzzHistogramTwin removes the last
 // and a middle user of one stripe's slab, grows one stripe's slot table from
-// 8 to 128 slots, and fills one par.Stripe stripe with 64 names and empties
-// it again.
+// 8 to 128 slots, fills one par.Stripe stripe with 64 names and empties it
+// again, moves extents, regrows an arena and compacts one at a check's
+// cursor pass (TestHistogramTwinCorpusCovers).
 func FuzzHistogramTwin(f *testing.F) {
 	hl := ExponentialHalfLife{HalfLife: 3 * time.Hour}
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -267,17 +270,20 @@ const maxTwinOps = 128
 
 // TestHistogramTwinCorpusCovers checks that the committed corpus does what
 // FuzzHistogramTwin's doc says, so it cannot rot into inputs that stop short:
-// it replays each seed with the fuzzer's decoder, one record at a time, and
-// requires, somewhere in the corpus, a removal of a stripe's last user and of
-// a middle one, and 64 names in one stripe (whose slot table has then grown
-// from 8 slots to 128).
+// it replays each seed with the fuzzer's decoder, one record at a time and a
+// cursor pass at each check, and requires, somewhere in the corpus, a removal
+// of a stripe's last user and of a middle one, 64 names in one stripe (whose
+// slot table has then grown from 8 slots to 128), an extent that moves to its
+// arena's end, an arena regrown with live extents in it, and a cursor pass
+// that compacts an arena.
 func TestHistogramTwinCorpusCovers(t *testing.T) {
 	dir := filepath.Join("testdata", "fuzz", "FuzzHistogramTwin")
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lastOut, middleOut, full bool
+	hl := ExponentialHalfLife{HalfLife: 3 * time.Hour}
+	var lastOut, middleOut, full, moved, regrown, compacted bool
 	for _, file := range files {
 		raw, err := os.ReadFile(filepath.Join(dir, file.Name()))
 		if err != nil {
@@ -293,6 +299,7 @@ func TestHistogramTwinCorpusCovers(t *testing.T) {
 			t.Fatalf("%s: %v", file.Name(), err)
 		}
 		h := NewHistogram(time.Hour)
+		var c Cursor
 		r := &twinReader{data: []byte(data)}
 		for {
 			op, ok := r.next()
@@ -300,27 +307,49 @@ func TestHistogramTwinCorpusCovers(t *testing.T) {
 				break
 			}
 			if op%4 == 3 {
-				r.next()
+				b, _ := r.next()
+				probe := twinInstant(b)
+				if b%2 == 1 {
+					probe = probe.Add(time.Nanosecond)
+				}
+				var arenas [numStripes]*bin
+				for i := range h.stripes {
+					if st := &h.stripes[i]; len(st.arena) > st.held {
+						arenas[i] = unsafe.SliceData(st.arena)
+					}
+				}
+				c.Advance([]*Histogram{h}, probe, hl)
+				for i := range h.stripes {
+					compacted = compacted || arenas[i] != nil && arenas[i] != unsafe.SliceData(h.stripes[i].arena)
+				}
 				continue
 			}
 			for _, rec := range r.records() {
+				st := h.stripeFor(rec.User)
+				arena, held := unsafe.SliceData(st.arena), st.held
+				pos, _, found := st.find(rec.User)
+				var before userBins
+				if found {
+					before = st.users[pos]
+				}
 				if op%4 != 1 {
 					h.IngestBatch([]Record{rec})
-					continue
+				} else {
+					if found && rec.CoreSeconds <= 0 && before.n == 1 && st.binsAt(int(pos))[0].start == h.AlignStart(rec.IntervalStart) {
+						lastOut = lastOut || int(pos) == len(st.names)-1
+						middleOut = middleOut || int(pos) < len(st.names)-1
+					}
+					h.SetRecords([]Record{rec})
 				}
-				st := h.stripeFor(rec.User)
-				if pos, _, ok := st.find(rec.User); ok && rec.CoreSeconds <= 0 && len(st.users[pos].bins) == 1 &&
-					st.users[pos].bins[0].start == h.AlignStart(rec.IntervalStart) {
-					lastOut = lastOut || int(pos) == len(st.names)-1
-					middleOut = middleOut || int(pos) < len(st.names)-1
-				}
-				h.SetRecords([]Record{rec})
+				regrown = regrown || held > 0 && arena != unsafe.SliceData(st.arena)
+				moved = moved || found && rec.CoreSeconds > 0 && arena == unsafe.SliceData(st.arena) && st.users[pos].off != before.off
 			}
 			full = full || len(h.stripes[0].names) >= 64
 		}
 	}
-	if !lastOut || !middleOut || !full {
-		t.Fatalf("corpus covers: last user removed %v, middle user removed %v, 64 names in one stripe %v",
-			lastOut, middleOut, full)
+	if !lastOut || !middleOut || !full || !moved || !regrown || !compacted {
+		t.Fatalf("corpus covers: last user removed %v, middle user removed %v, 64 names in one stripe %v, "+
+			"an extent moved %v, an arena regrown %v, a pass compacted %v",
+			lastOut, middleOut, full, moved, regrown, compacted)
 	}
 }

@@ -126,7 +126,7 @@ func (h *Histogram) reseed(st *stripe, pos int, tr *expTracker) {
 	u := &st.users[pos]
 	u.sum = 0
 	st.flags[pos] &^= dirty
-	for _, b := range u.bins {
+	for _, b := range st.binsAt(pos) {
 		w, ok := tr.weightAtRef(h.midTime(b.start))
 		if !ok {
 			st.flags[pos] |= dirty
@@ -160,11 +160,11 @@ func (st *stripe) future(pos int, nowNs int64) bool {
 	return st.newest[pos]*int64(time.Second) > nowNs
 }
 
-// clampedSum is the exact per-bin half-life total of u at `now`; hl is the
-// half-life in nanoseconds.
-func (h *Histogram) clampedSum(u *userBins, now time.Time, hl float64) float64 {
+// clampedSum is the exact per-bin half-life total of bins at `now`; hl is
+// the half-life in nanoseconds.
+func (h *Histogram) clampedSum(bins []bin, now time.Time, hl float64) float64 {
 	var sum float64
-	for _, b := range u.bins {
+	for _, b := range bins {
 		sum += b.v * math.Exp2(-float64(BinAge(now, time.Unix(b.start, 0), h.binWidth))/hl)
 	}
 	return sum
@@ -189,12 +189,11 @@ func (h *Histogram) accumExp(dst map[string]float64, now time.Time, halfLife tim
 	for i := range h.stripes {
 		st := &h.stripes[i]
 		for j := range st.users {
-			u := &st.users[j]
 			if tr == nil || st.flags[j]&dirty != 0 || st.future(j, nowNs) {
-				dst[st.names[j]] += h.clampedSum(u, now, hl)
+				dst[st.names[j]] += h.clampedSum(st.binsAt(j), now, hl)
 				continue
 			}
-			dst[st.names[j]] += u.sum * factor
+			dst[st.names[j]] += st.users[j].sum * factor
 		}
 	}
 }

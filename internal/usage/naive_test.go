@@ -22,12 +22,12 @@ func seedDecayedTotals(h *Histogram, now time.Time, d Decay) map[string]float64 
 	for i := range h.stripes {
 		st := &h.stripes[i]
 		for j, name := range st.names {
-			u := &st.users[j]
+			bins := st.binsAt(j)
 			// Mirror the seed's map-of-bins shape: rebuild the key set,
 			// sort it, then weigh bin by bin.
-			keys := make([]int64, 0, len(u.bins))
-			vals := make(map[int64]float64, len(u.bins))
-			for _, b := range u.bins {
+			keys := make([]int64, 0, len(bins))
+			vals := make(map[int64]float64, len(bins))
+			for _, b := range bins {
 				keys = append(keys, b.start)
 				vals[b.start] = b.v
 			}

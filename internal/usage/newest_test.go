@@ -24,8 +24,9 @@ func filterSince(h *Histogram, t time.Time) []Record {
 
 // checkColumn verifies every stripe's slab: parallel columns of one length,
 // every user in its own stripe with at least one bin, its newest start kept
-// at its last bin, and the slot table finding each name at its position and
-// holding nothing else.
+// at its last bin, the slot table finding each name at its position and
+// holding nothing else; and its arena: every extent inside it, no two
+// overlapping, and held counting the room of every extent.
 func checkColumn(t *testing.T, h *Histogram) {
 	t.Helper()
 	for i := range h.stripes {
@@ -34,19 +35,35 @@ func checkColumn(t *testing.T, h *Histogram) {
 			t.Fatalf("stripe %d: %d names, %d users, %d newest starts, %d flags, %d slots",
 				i, n, len(st.users), len(st.newest), len(st.flags), st.slots.Len())
 		}
+		held := 0
+		extents := make([]userBins, len(st.users))
 		for j, name := range st.names {
-			u := &st.users[j]
-			if len(u.bins) == 0 {
+			u := st.users[j]
+			if u.n == 0 {
 				t.Fatalf("stripe %d: %s at %d has no bins", i, name, j)
 			}
-			if st.newest[j] != u.lastStart() {
-				t.Fatalf("stripe %d: %s at %d keeps newest start %d, last bin starts %d", i, name, j, st.newest[j], u.lastStart())
+			if end := int(u.off) + int(room(u.n)); end > len(st.arena) {
+				t.Fatalf("stripe %d: %s at %d holds arena[%d:%d], past its %d bins", i, name, j, u.off, end, len(st.arena))
+			}
+			held += int(room(u.n))
+			extents[j] = u
+			if last := st.binsAt(j)[u.n-1].start; st.newest[j] != last {
+				t.Fatalf("stripe %d: %s at %d keeps newest start %d, last bin starts %d", i, name, j, st.newest[j], last)
 			}
 			if pos, _, ok := st.find(name); !ok || int(pos) != j {
 				t.Fatalf("stripe %d: %s at %d is found at %d (%v)", i, name, j, pos, ok)
 			}
 			if h.stripeFor(name) != st {
 				t.Fatalf("%s sits in stripe %d, hashes elsewhere", name, i)
+			}
+		}
+		if held != st.held {
+			t.Fatalf("stripe %d: extents hold %d bins, the stripe counts %d", i, held, st.held)
+		}
+		slices.SortFunc(extents, func(a, b userBins) int { return int(a.off) - int(b.off) })
+		for j := 1; j < len(extents); j++ {
+			if prev := extents[j-1]; prev.off+room(prev.n) > extents[j].off {
+				t.Fatalf("stripe %d: extent [%d,+%d) overlaps the one at %d", i, prev.off, room(prev.n), extents[j].off)
 			}
 		}
 	}
@@ -79,15 +96,15 @@ func TestNewestColumnMatchesFilter(t *testing.T) {
 		at := func() time.Time { return time.Unix(int64(rng.Intn(12*3600))-6*3600, 0) }
 		// existing picks one of user's bins, its newest half of the time.
 		existing := func(name string) (time.Time, bool) {
-			u := h.stripeFor(name).get(name)
-			if u == nil {
+			bins := h.stripeFor(name).get(name)
+			if bins == nil {
 				return time.Time{}, false
 			}
-			k := len(u.bins) - 1
+			k := len(bins) - 1
 			if rng.Intn(2) == 0 {
-				k = rng.Intn(len(u.bins))
+				k = rng.Intn(len(bins))
 			}
-			return time.Unix(u.bins[k].start, 0), true
+			return time.Unix(bins[k].start, 0), true
 		}
 		for step := 0; step < 80; step++ {
 			switch rng.Intn(6) {
@@ -119,10 +136,8 @@ func TestNewestColumnMatchesFilter(t *testing.T) {
 				// in the same batch.
 				name := user()
 				var recs []Record
-				if u := h.stripeFor(name).get(name); u != nil {
-					for _, b := range u.bins {
-						recs = append(recs, Record{User: name, IntervalStart: time.Unix(b.start, 0)})
-					}
+				for _, b := range h.stripeFor(name).get(name) {
+					recs = append(recs, Record{User: name, IntervalStart: time.Unix(b.start, 0)})
 				}
 				if rng.Intn(2) == 0 {
 					recs = append(recs, Record{User: name, IntervalStart: at(), CoreSeconds: 1})
