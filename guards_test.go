@@ -186,6 +186,17 @@ var guardRows = []struct {
 		in:      nonTest("."),
 		fixture: "internal/libaequus/fixture.go", src: `func (c *Client) f() { span.Start(ctx, "lib.fairshare_fetch") }`,
 	}}},
+	{"One request wrapper", []guard{{
+		// Every instrumented route is one httpapi route value, and a
+		// request's ID rides in its span context (DESIGN "One request
+		// wrapper"): no middleware or client-metrics bundle in telemetry, no
+		// second request-ID key, no error counter derived from the requests.
+		name:    "retired names",
+		pattern: `HTTPMetrics|ClientMetrics|WithRequestID|aequus_http_request_errors_total|\bInstrument\(`,
+		reads:   []nodeText{names, calls},
+		in:      nonTest("."),
+		fixture: "internal/telemetry/fixture.go", src: `func f(m *HTTPMetrics, h http.Handler) http.Handler { return m.Instrument("/x", h) }`,
+	}}},
 	{"One mechanism per job", []guard{{
 		// One test of fit, one phase detector, one identity fallback and one
 		// way for a job's usage into the USS (DESIGN "One mechanism per

@@ -72,7 +72,9 @@ type Client struct {
 	// client layer: the USS keeps one breaker per peer (uss.Config.Breaker).
 	Retry resilience.RetryPolicy
 
-	metrics *telemetry.ClientMetrics
+	// ok, failed and retries are the target's series of
+	// aequus_client_requests_total and aequus_retry_attempts_total.
+	ok, failed, retries *telemetry.Counter
 }
 
 // ClientOptions tunes a Client's resilience and observability wiring.
@@ -92,18 +94,28 @@ func NewClient(baseURL, siteName string) *Client {
 	return NewClientWith(baseURL, siteName, ClientOptions{})
 }
 
-// NewClientWith creates a client with explicit resilience options.
+// NewClientWith creates a client with explicit resilience options. It
+// resolves the client's outgoing-call counters for its target (SiteName, or
+// BaseURL when that is empty) here, once.
 func NewClientWith(baseURL, siteName string, o ClientOptions) *Client {
 	if o.HTTP == nil {
 		o.HTTP = NewHTTPClient(0)
 	}
-	return &Client{
+	c := &Client{
 		BaseURL:  strings.TrimRight(baseURL, "/"),
 		HTTP:     o.HTTP,
 		SiteName: siteName,
 		Retry:    o.Retry,
-		metrics:  telemetry.NewClientMetrics(o.Metrics),
 	}
+	reg, target := telemetry.OrDefault(o.Metrics), c.target()
+	requests := reg.CounterVec("aequus_client_requests_total",
+		"Outgoing HTTP calls, by target site and outcome (ok or error).",
+		"target", "outcome")
+	c.ok, c.failed = requests.With(target, "ok"), requests.With(target, "error")
+	c.retries = reg.CounterVec("aequus_retry_attempts_total",
+		"Outgoing-call retry attempts scheduled after a transient failure, by target site.",
+		"target").With(target)
+	return c
 }
 
 // target labels this client's outgoing-call metrics.
@@ -118,16 +130,26 @@ func (c *Client) target() string {
 // closes the body after it.
 type answer func(resp *http.Response) error
 
-// call is the one way a request leaves a Client. Each attempt builds the
-// request with body (nil: none) of contentType, the request ID carried by
-// ctx — e.g. from the instrumented handler that triggered this call — or a
-// fresh one, and the span on ctx as remote parent; sends it; hands the
-// response to ans, then drains and closes the body so the keep-alive
-// connection is reused; and counts the attempt in the client metrics. Only
-// an idempotent call is retried, per c.Retry with exponential backoff, and
-// never after an error classifyStatus or ans marks Permanent.
+// call is the one way a request leaves a Client. The call's request ID is
+// the one ctx carries — e.g. from the instrumented handler that triggered
+// this call — or a fresh one, the same on every attempt, and the span on
+// ctx is the remote parent. Each attempt builds the request with body (nil:
+// none) of contentType and both IDs; sends it; hands the response to ans,
+// then drains and closes the body so the keep-alive connection is reused;
+// and counts the attempt in the client metrics. Only an idempotent call is
+// retried, per c.Retry with exponential backoff, and never after an error
+// classifyStatus or ans marks Permanent.
 func (c *Client) call(ctx context.Context, idempotent bool, method, path, contentType string, body []byte, ans answer) error {
-	target := c.target()
+	id := span.RequestID(ctx)
+	if id == "" {
+		id = span.NewRequestID()
+	}
+	// A span on ctx becomes the remote parent: the receiving site's
+	// "http.server" span links under it, stitching the cross-site trace.
+	var parent string
+	if sp := span.Current(ctx); sp != nil {
+		parent = span.FormatID(sp.ID)
+	}
 	attempt := func(ctx context.Context) error {
 		var r io.Reader
 		if body != nil {
@@ -140,22 +162,20 @@ func (c *Client) call(ctx context.Context, idempotent bool, method, path, conten
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
 		}
-		id := telemetry.RequestID(ctx)
-		if id == "" {
-			id = telemetry.NewRequestID()
-		}
-		req.Header.Set(telemetry.RequestIDHeader, id)
-		// A span on ctx becomes the remote parent: the receiving site's
-		// "http.server" span links under it, stitching the cross-site trace.
-		if sp := span.Current(ctx); sp != nil {
-			req.Header.Set(span.ParentHeader, span.FormatID(sp.ID))
+		req.Header.Set(idKey, id)
+		if parent != "" {
+			req.Header.Set(span.ParentHeader, parent)
 		}
 		resp, err := c.HTTP.Do(req)
 		if err == nil {
 			err = classifyStatus(resp.StatusCode, ans(resp))
 			wire.DrainClose(resp.Body)
 		} // else a transport error (refused, reset, timeout): retryable
-		c.metrics.Observe(target, err)
+		if err != nil {
+			c.failed.Inc()
+		} else {
+			c.ok.Inc()
+		}
 		return err
 	}
 	if !idempotent {
@@ -163,7 +183,7 @@ func (c *Client) call(ctx context.Context, idempotent bool, method, path, conten
 	}
 	p := c.Retry
 	p.OnRetry = func(n int, _ error) {
-		c.metrics.Retry(target)
+		c.retries.Inc()
 		// The span on ctx (e.g. the USS's per-peer pull span) carries the
 		// retry count; SetAttr replaces, so the last attempt number wins.
 		span.Current(ctx).SetAttrInt("retries", int64(n))

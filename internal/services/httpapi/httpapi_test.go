@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -342,26 +343,34 @@ func TestProjectionSwitchEndpoint(t *testing.T) {
 	}
 }
 
+// TestMethodNotAllowed: every route refuses a method it does not take with
+// the same JSON 405, the two-method /policy and /identity/resolve included.
 func TestMethodNotAllowed(t *testing.T) {
 	clock := simclock.NewSim(t0)
 	s := newSite(t, "s", clock, map[string]float64{"a": 1})
-	for _, ep := range []string{"/policy/mount", "/usage/batch", "/fairshare/refresh", "/identity/mapping"} {
-		resp, err := http.Get(s.server.URL + ep)
+	for _, tc := range []struct{ method, path string }{
+		{"GET", "/policy/mount"},
+		{"GET", "/usage/batch"},
+		{"GET", "/fairshare/refresh"},
+		{"GET", "/identity/mapping"},
+		{"POST", "/usage/records"},
+		{"DELETE", "/policy"},
+		{"PUT", "/identity/resolve"},
+	} {
+		req, err := http.NewRequest(tc.method, s.server.URL+tc.path, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusMethodNotAllowed {
-			t.Errorf("GET %s = %d, want 405", ep, resp.StatusCode)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	resp, err := http.Post(s.server.URL+"/usage/records", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /usage/records = %d", resp.StatusCode)
+		var body wire.ErrorResponse
+		decodeErr := json.NewDecoder(resp.Body).Decode(&body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusMethodNotAllowed || decodeErr != nil || body.Error != "method "+tc.method {
+			t.Errorf("%s %s = %d %+v (%v), want 405 with a JSON error naming the method", tc.method, tc.path, resp.StatusCode, body, decodeErr)
+		}
 	}
 }
 

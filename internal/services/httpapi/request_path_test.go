@@ -20,13 +20,14 @@ import (
 	"repro/internal/services/uss"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/span"
 	"repro/internal/usage"
 	"repro/internal/wire"
 )
 
 // pathRecorder is one test server for every request of the client: it
 // counts the calls of each route ("METHOD /path"), keeps the request ID of
-// the last one, answers a route's first fail[route].n calls with
+// every one, answers a route's first fail[route].n calls with
 // fail[route].status, and otherwise answers as an Aequus site would.
 type pathRecorder struct {
 	*httptest.Server
@@ -34,7 +35,7 @@ type pathRecorder struct {
 
 	mu    sync.Mutex
 	calls map[string]int
-	ids   map[string]string
+	ids   map[string][]string
 	fail  map[string]induced
 }
 
@@ -50,7 +51,7 @@ func newPathRecorder(t *testing.T) *pathRecorder {
 	rec := &pathRecorder{
 		tree:  tree,
 		calls: map[string]int{},
-		ids:   map[string]string{},
+		ids:   map[string][]string{},
 		fail:  map[string]induced{},
 	}
 	rec.Server = httptest.NewServer(rec)
@@ -63,7 +64,7 @@ func (rec *pathRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rec.mu.Lock()
 	rec.calls[route]++
 	n := rec.calls[route]
-	rec.ids[route] = r.Header.Get(telemetry.RequestIDHeader)
+	rec.ids[route] = append(rec.ids[route], r.Header.Get(span.RequestIDHeader))
 	f := rec.fail[route]
 	rec.mu.Unlock()
 	if n <= f.n {
@@ -92,7 +93,7 @@ func (rec *pathRecorder) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (rec *pathRecorder) seen(route string) (calls int, id string) {
+func (rec *pathRecorder) seen(route string) (calls int, ids []string) {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
 	return rec.calls[route], rec.ids[route]
@@ -173,9 +174,9 @@ func TestEveryCallTakesTheOnePath(t *testing.T) {
 			if err := tc.call(); err != nil {
 				t.Fatal(err)
 			}
-			calls, id := rec.seen(tc.route)
-			if calls != 1 || id == "" {
-				t.Errorf("%s: %d calls, request ID %q; want 1 call with an ID", tc.route, calls, id)
+			calls, ids := rec.seen(tc.route)
+			if calls != 1 || ids[0] == "" {
+				t.Errorf("%s: %d calls, request IDs %q; want 1 call with an ID", tc.route, calls, ids)
 			}
 			if got := clientRequests(t, tc.reg, tc.target, "ok") - before; got != 1 {
 				t.Errorf("aequus_client_requests_total{target=%q,outcome=\"ok\"} moved by %g, want 1", tc.target, got)
@@ -192,8 +193,9 @@ func TestClientRetriesIdempotentGetAfter502(t *testing.T) {
 	if _, err := c.Table(); err != nil {
 		t.Fatalf("Table after one 502: %v", err)
 	}
-	if calls, _ := rec.seen("GET /fairshare"); calls != 2 {
-		t.Errorf("server saw %d calls, want 2 (502 + success)", calls)
+	// The retry is the same call: one request ID on both attempts.
+	if calls, ids := rec.seen("GET /fairshare"); calls != 2 || ids[0] == "" || ids[1] != ids[0] {
+		t.Errorf("server saw %d calls with request IDs %q, want 2 (502 + success) under one ID", calls, ids)
 	}
 	text := metricsText(t, reg)
 	for _, want := range []string{

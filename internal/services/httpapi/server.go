@@ -13,8 +13,10 @@ import (
 	"math"
 	"mime"
 	"net/http"
+	"net/textproto"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/durability"
@@ -65,10 +67,10 @@ type ServerOptions struct {
 	Durability *durability.Log
 }
 
-// Server serves a site's Aequus services over HTTP. Every route is
-// instrumented with request/error counters, an in-flight gauge and a
-// latency histogram labeled by route, exposed at /metrics; request IDs are
-// propagated per telemetry.RequestIDHeader.
+// Server serves a site's Aequus services over HTTP. Every route but
+// /metrics and /healthz is a route value: counted by status code, with an
+// in-flight gauge and a latency histogram labeled by route, exposed at
+// /metrics, and request IDs propagated per span.RequestIDHeader.
 type Server struct {
 	PDS *pds.Service
 	USS *uss.Service
@@ -112,84 +114,155 @@ func NewServerWith(p *pds.Service, u *uss.Service, m *ums.Service, f *fcs.Servic
 		durable:       o.Durability,
 		mux:           http.NewServeMux(),
 	}
-	httpm := telemetry.NewHTTPMetrics(s.registry, s.log)
-	// handle registers an instrumented route. A non-empty method is the only
-	// one the route accepts, anything else gets the JSON 405 here (inside the
-	// instrumentation, so it counts as a request error of the route); the
-	// routes that accept two methods pass "" and switch on it themselves.
-	handle := func(method, route string, h http.HandlerFunc) {
-		if method != "" {
-			only := h
-			h = func(w http.ResponseWriter, r *http.Request) {
-				if r.Method != method {
-					wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
-					return
-				}
-				only(w, r)
-			}
-		}
-		// Instrument runs outermost so the request ID is already on the
-		// context when the span middleware resolves its trace ID.
-		s.mux.Handle(route, httpm.Instrument(route, s.traced(route, h)))
+	requests := s.registry.CounterVec("aequus_http_requests_total",
+		"HTTP requests served, by route and status code.", "route", "code")
+	inflight := s.registry.GaugeVec("aequus_http_in_flight_requests",
+		"HTTP requests currently being served, by route.", "route")
+	latency := s.registry.HistogramVec("aequus_http_request_duration_seconds",
+		"HTTP request latency in seconds, by route.", telemetry.DefBuckets(), "route")
+	// handle registers the route at path that answers GET with get and POST
+	// with post; any other method, or one whose handler is nil, gets the
+	// route's JSON 405.
+	handle := func(path string, get, post http.HandlerFunc) {
+		s.mux.Handle(path, &route{
+			path: path, get: get, post: post, spans: s.spans, log: s.log,
+			inflight: inflight.With(path), latency: latency.With(path),
+			requests: requests, codes: map[int]*telemetry.Counter{},
+		})
 	}
-	const get, post = http.MethodGet, http.MethodPost
 	if p != nil {
-		handle("", "/policy", s.handlePolicy)
-		handle(get, "/policy/subtree", s.handlePolicySubtree)
-		handle(post, "/policy/mount", s.handlePolicyMount)
-		handle(post, "/policy/refresh", s.handlePolicyRefresh)
+		handle("/policy", s.handlePolicy, s.handleSetPolicy)
+		handle("/policy/subtree", s.handlePolicySubtree, nil)
+		handle("/policy/mount", nil, s.handlePolicyMount)
+		handle("/policy/refresh", nil, s.handlePolicyRefresh)
 	}
 	if u != nil {
-		handle(post, "/usage/batch", s.handleUsageBatch)
-		handle(get, "/usage/records", s.handleUsageRecords)
-		handle(post, "/usage/exchange", s.handleUsageExchange)
+		handle("/usage/batch", nil, s.handleUsageBatch)
+		handle("/usage/records", s.handleUsageRecords, nil)
+		handle("/usage/exchange", nil, s.handleUsageExchange)
 	}
 	if m != nil {
-		handle(get, "/usage/tree", s.handleUsageTree)
+		handle("/usage/tree", s.handleUsageTree, nil)
 	}
 	if f != nil {
-		handle(get, "/fairshare", s.handleFairshare)
-		handle(post, "/fairshare/batch", s.handleFairshareBatch)
-		handle(post, "/fairshare/refresh", s.handleFairshareRefresh)
-		handle(post, "/fairshare/projection", s.handleProjection)
+		handle("/fairshare", s.handleFairshare, nil)
+		handle("/fairshare/batch", nil, s.handleFairshareBatch)
+		handle("/fairshare/refresh", nil, s.handleFairshareRefresh)
+		handle("/fairshare/projection", nil, s.handleProjection)
 	}
 	if i != nil {
-		handle(post, "/identity/mapping", s.handleMapping)
-		handle("", "/identity/resolve", s.handleResolve)
+		handle("/identity/mapping", nil, s.handleMapping)
+		handle("/identity/resolve", s.handleResolve, s.handleResolveJSON)
 	}
 	s.mux.Handle("/metrics", s.registry.Handler())
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 	})
-	handle(get, "/readyz", s.handleReadyz)
+	handle("/readyz", s.handleReadyz, nil)
 	if s.spans != nil {
-		handle(get, "/debug/aequus", s.handleDebugSummary)
-		handle(get, "/debug/aequus/traces", s.handleDebugTraces)
-		handle(get, "/debug/aequus/spans", s.handleDebugSpans)
-		handle(get, "/debug/aequus/drift", s.handleDebugDrift)
+		handle("/debug/aequus", s.handleDebugSummary, nil)
+		handle("/debug/aequus/traces", s.handleDebugTraces, nil)
+		handle("/debug/aequus/spans", s.handleDebugSpans, nil)
+		handle("/debug/aequus/drift", s.handleDebugDrift, nil)
 	}
 	return s
 }
 
-// traced wraps a handler in an "http.server" span: the trace ID comes from
-// the request ID the Instrument middleware put on the context, and a
-// span.ParentHeader sent by the calling site links this span under the
-// caller's span, making one exchange traceable across the federation.
-func (s *Server) traced(route string, h http.HandlerFunc) http.HandlerFunc {
-	if s.spans == nil {
-		return h
+// idKey is span.RequestIDHeader in the canonical form net/http keys
+// headers by, so that reading and writing it canonicalizes nothing per
+// request. The wire carries the same header either way.
+var idKey = textproto.CanonicalMIMEHeaderKey(span.RequestIDHeader)
+
+// route serves one instrumented route. It is built when the route is
+// registered, with its in-flight gauge and latency histogram resolved, and
+// its ServeHTTP is all the instrumentation a request gets: the method
+// check, whose JSON 405 is counted and traced like any other answer of the
+// route; the request ID, an incoming span.RequestIDHeader or a fresh one,
+// echoed in the response; the request's tracing state on the context as
+// one value (span.WithRequest), under an "http.server" span linked to the
+// caller's span.ParentHeader; requests{route,code}; and, when debug logging
+// is enabled, one access-log record.
+type route struct {
+	path      string
+	get, post http.HandlerFunc // nil: the method gets a 405
+	spans     *span.Recorder
+	log       *slog.Logger
+	inflight  *telemetry.Gauge
+	latency   *telemetry.Histogram
+	requests  *telemetry.CounterVec
+
+	mu    sync.RWMutex
+	codes map[int]*telemetry.Counter // requests{path,code}, by code once answered
+}
+
+func (rt *route) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	id := r.Header.Get(idKey)
+	if id == "" {
+		id = span.NewRequestID()
 	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		ctx := span.WithRecorder(r.Context(), s.spans)
-		if pid := span.ParseID(r.Header.Get(span.ParentHeader)); pid != 0 {
-			ctx = span.WithRemoteParent(ctx, pid)
-		}
-		ctx, sp := span.Start(ctx, "http.server")
-		sp.SetAttr("route", route)
-		sp.SetAttr("method", r.Method)
-		defer sp.End()
-		h(w, r.WithContext(ctx))
+	w.Header().Set(idKey, id)
+	ctx := span.WithRequest(r.Context(), id, rt.spans, span.ParseID(r.Header.Get(span.ParentHeader)))
+	ctx, sp := span.Start(ctx, "http.server")
+	sp.SetAttr("route", rt.path)
+	sp.SetAttr("method", r.Method)
+	defer sp.End()
+	r = r.WithContext(ctx)
+
+	rt.inflight.Inc()
+	defer rt.inflight.Dec()
+	sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+	start := time.Now()
+	var h http.HandlerFunc
+	switch r.Method {
+	case http.MethodGet:
+		h = rt.get
+	case http.MethodPost:
+		h = rt.post
 	}
+	if h == nil {
+		wire.WriteError(sw, http.StatusMethodNotAllowed, "method %s", r.Method)
+	} else {
+		h(sw, r)
+	}
+	dur := time.Since(start)
+
+	rt.latency.Observe(dur.Seconds())
+	rt.counter(sw.code).Inc()
+	if rt.log.Enabled(ctx, slog.LevelDebug) {
+		rt.log.LogAttrs(ctx, slog.LevelDebug, "http request",
+			slog.String("route", rt.path),
+			slog.String("method", r.Method),
+			slog.Int("code", sw.code),
+			slog.Duration("duration", dur),
+			slog.String("request_id", id))
+	}
+}
+
+// counter returns the route's requests{route,code} series for code. The
+// registry's get-or-create makes a race between two first answers of a
+// code harmless: both resolve the same counter.
+func (rt *route) counter(code int) *telemetry.Counter {
+	rt.mu.RLock()
+	c := rt.codes[code]
+	rt.mu.RUnlock()
+	if c == nil {
+		c = rt.requests.With(rt.path, strconv.Itoa(code))
+		rt.mu.Lock()
+		rt.codes[code] = c
+		rt.mu.Unlock()
+	}
+	return c
+}
+
+// statusWriter captures the response status code.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
 }
 
 // readBody decodes a JSON request body into v and reports whether it could;
@@ -218,34 +291,31 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handlePolicy(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		data, err := policy.ToJSON(s.PDS.Policy())
-		if err != nil {
-			wire.WriteError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(data)
-	case http.MethodPost:
-		var body json.RawMessage
-		if !readBody(w, r, &body) {
-			return
-		}
-		t, err := policy.FromJSON(body)
-		if err != nil {
-			wire.WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		if err := s.PDS.SetPolicy(t); err != nil {
-			wire.WriteError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-	default:
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+	data, err := policy.ToJSON(s.PDS.Policy())
+	if err != nil {
+		wire.WriteError(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(data)
+}
+
+func (s *Server) handleSetPolicy(w http.ResponseWriter, r *http.Request) {
+	var body json.RawMessage
+	if !readBody(w, r, &body) {
+		return
+	}
+	t, err := policy.FromJSON(body)
+	if err != nil {
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if err := s.PDS.SetPolicy(t); err != nil {
+		wire.WriteError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	wire.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 func (s *Server) handlePolicySubtree(w http.ResponseWriter, r *http.Request) {
@@ -587,29 +657,24 @@ func (s *Server) handleMapping(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		site := r.URL.Query().Get("site")
-		local := r.URL.Query().Get("local")
-		g, err := s.IRS.Resolve(site, local)
-		if err != nil {
-			wire.WriteError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-		wire.WriteJSON(w, http.StatusOK, wire.ResolveResponse{GridID: g})
-	case http.MethodPost:
-		// The minimalist JSON protocol shared with custom endpoints.
-		var req wire.ResolveRequest
-		if !readBody(w, r, &req) {
-			return
-		}
-		g, err := s.IRS.Resolve(req.Site, req.LocalUser)
-		if err != nil {
-			wire.WriteError(w, http.StatusNotFound, "%v", err)
-			return
-		}
-		wire.WriteJSON(w, http.StatusOK, wire.ResolveResponse{GridID: g})
-	default:
-		wire.WriteError(w, http.StatusMethodNotAllowed, "method %s", r.Method)
+	s.resolve(w, r.URL.Query().Get("site"), r.URL.Query().Get("local"))
+}
+
+// handleResolveJSON is the minimalist JSON protocol shared with custom
+// endpoints.
+func (s *Server) handleResolveJSON(w http.ResponseWriter, r *http.Request) {
+	var req wire.ResolveRequest
+	if !readBody(w, r, &req) {
+		return
 	}
+	s.resolve(w, req.Site, req.LocalUser)
+}
+
+func (s *Server) resolve(w http.ResponseWriter, site, local string) {
+	g, err := s.IRS.Resolve(site, local)
+	if err != nil {
+		wire.WriteError(w, http.StatusNotFound, "%v", err)
+		return
+	}
+	wire.WriteJSON(w, http.StatusOK, wire.ResolveResponse{GridID: g})
 }

@@ -23,6 +23,7 @@ import (
 	"repro/internal/services/uss"
 	"repro/internal/simclock"
 	"repro/internal/telemetry"
+	"repro/internal/telemetry/span"
 	"repro/internal/usage"
 )
 
@@ -159,7 +160,7 @@ func TestRequestIDPropagationAcrossSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(telemetry.RequestIDHeader, traceID)
+	req.Header.Set(span.RequestIDHeader, traceID)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +169,7 @@ func TestRequestIDPropagationAcrossSites(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("exchange = %d", resp.StatusCode)
 	}
-	if got := resp.Header.Get(telemetry.RequestIDHeader); got != traceID {
+	if got := resp.Header.Get(span.RequestIDHeader); got != traceID {
 		t.Errorf("originating response ID = %q, want %q", got, traceID)
 	}
 

@@ -50,7 +50,7 @@ func TestSpanParentPropagationAcrossSites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set(telemetry.RequestIDHeader, traceID)
+	req.Header.Set(span.RequestIDHeader, traceID)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestSpanParentPropagationAcrossSites(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("exchange = %d", resp.StatusCode)
 	}
-	if got := resp.Header.Get(telemetry.RequestIDHeader); got != traceID {
+	if got := resp.Header.Get(span.RequestIDHeader); got != traceID {
 		t.Errorf("response request ID = %q, want %q", got, traceID)
 	}
 

@@ -65,7 +65,7 @@ type Config struct {
 	Breaker resilience.BreakerConfig
 	// Spans receives exchange-round trace spans (nil disables tracing). A
 	// recorder already present on the exchange context — e.g. attached by the
-	// HTTP server middleware — takes precedence, so spans of a triggered
+	// HTTP server's route — takes precedence, so spans of a triggered
 	// exchange land in the trace of the request that triggered it.
 	Spans *span.Recorder
 	// Durable, when set, write-ahead-logs every usage mutation before it is

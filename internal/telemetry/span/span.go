@@ -1,7 +1,9 @@
 // Package span provides lightweight, dependency-free distributed tracing
-// for the Aequus stack: context-propagated spans whose trace ID reuses the
+// for the Aequus stack: context-propagated spans whose trace ID is the
 // X-Aequus-Request-ID correlation ID, recorded into a lock-free ring buffer
-// (see Recorder) with deterministic trace-level sampling.
+// (see Recorder) with deterministic trace-level sampling. It owns a
+// request's tracing state on the context, the request ID included, and the
+// two headers that carry it across a site hop.
 //
 // The design goals mirror the rest of the telemetry layer: zero cost when
 // disabled (a nil *Recorder yields nil *Span values, and every Span method
@@ -19,16 +21,23 @@ package span
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/hex"
 	"hash/fnv"
 	"strconv"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
+// RequestIDHeader is the HTTP header that carries the cross-site request
+// correlation ID, which is also the trace ID. A priority query entering a
+// site through libaequus keeps one ID through FCS/UMS/IRS handling and
+// across site-to-site /usage/exchange hops, so a single submission burst
+// can be traced through the whole federation's logs and spans.
+const RequestIDHeader = "X-Aequus-Request-ID"
+
 // ParentHeader is the HTTP header carrying the calling span's ID across a
-// site hop, complementing telemetry.RequestIDHeader (which carries the
-// trace ID). The value is the span ID in lowercase hexadecimal.
+// site hop, complementing RequestIDHeader (which carries the trace ID). The
+// value is the span ID in lowercase hexadecimal.
 const ParentHeader = "X-Aequus-Parent-Span"
 
 // Attr is one key-value annotation on a span.
@@ -68,8 +77,9 @@ type Span struct {
 	rec *Recorder
 }
 
-// ctxData is the per-context tracing state: the recorder, the current span
-// (for child linkage and Current), and the trace's sampling decision.
+// ctxData is the per-context tracing state: the request ID (the trace ID),
+// the recorder, the current span (for child linkage and Current), and the
+// trace's sampling decision.
 type ctxData struct {
 	rec      *Recorder
 	span     *Span
@@ -118,21 +128,26 @@ func EnsureRecorder(ctx context.Context, rec *Recorder) context.Context {
 	return WithRecorder(ctx, rec)
 }
 
-// WithRemoteParent marks ctx as continuing a trace whose enclosing span
-// lives on another site: spans started under the returned context become
-// children of parentID. The trace ID itself travels in the request ID (see
-// telemetry.WithRequestID); a zero parentID returns ctx unchanged.
-func WithRemoteParent(ctx context.Context, parentID uint64) context.Context {
-	if parentID == 0 {
-		return ctx
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	d := dataFrom(ctx)
-	d.parentID = parentID
-	d.span = nil
-	return context.WithValue(ctx, ctxKey{}, d)
+// WithRequest returns ctx carrying one served request's tracing state as
+// one value: its request ID, which spans started under it take as their
+// trace ID and outgoing calls forward; the recorder (nil: none); and the ID
+// of the calling site's span (0: none), which becomes the parent of the
+// first span started under it. Any tracing state ctx already carried is
+// replaced.
+func WithRequest(ctx context.Context, requestID string, rec *Recorder, parentID uint64) context.Context {
+	return context.WithValue(ctx, ctxKey{}, ctxData{rec: rec, traceID: requestID, parentID: parentID})
+}
+
+// RequestID returns the request ID carried by ctx, or "".
+func RequestID(ctx context.Context) string { return dataFrom(ctx).traceID }
+
+// NewRequestID generates a fresh 16-hex-digit request ID.
+func NewRequestID() string {
+	var b [8]byte
+	var h [16]byte
+	_, _ = rand.Read(b[:]) // crypto/rand.Read never returns an error
+	hex.Encode(h[:], b[:])
+	return string(h[:])
 }
 
 // Start begins a span named name under ctx's recorder and current span,
@@ -140,9 +155,9 @@ func WithRemoteParent(ctx context.Context, parentID uint64) context.Context {
 // the span itself. Without a recorder — or when the trace is sampled out —
 // the span is nil, and every method on it is a no-op.
 //
-// The trace ID is ctx's request ID; a context with neither inherits a
-// freshly generated ID, which is also stored as the request ID in the
-// returned context so outgoing HTTP hops propagate it.
+// The trace ID is ctx's request ID; a context without one gets a freshly
+// generated ID, which the returned context carries as its request ID so
+// outgoing HTTP hops propagate it.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -153,11 +168,7 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	}
 	if !d.decided {
 		if d.traceID == "" {
-			d.traceID = telemetry.RequestID(ctx)
-		}
-		if d.traceID == "" {
-			d.traceID = telemetry.NewRequestID()
-			ctx = telemetry.WithRequestID(ctx, d.traceID)
+			d.traceID = NewRequestID()
 		}
 		d.sampled = d.rec.sampleTrace(d.traceID)
 		d.decided = true

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/simclock"
-	"repro/internal/telemetry"
 )
 
 func TestNilSafety(t *testing.T) {
@@ -34,11 +33,28 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
+func TestRequestIDContext(t *testing.T) {
+	if RequestID(context.Background()) != "" {
+		t.Error("empty context carries a request ID")
+	}
+	// The request ID rides with the tracing state, recorder or not.
+	ctx := WithRequest(context.Background(), "abc", nil, 0)
+	if RequestID(ctx) != "abc" {
+		t.Errorf("RequestID = %q, want abc", RequestID(ctx))
+	}
+	if RequestID(WithRecorder(ctx, NewRecorder(Config{}))) != "abc" {
+		t.Error("attaching a recorder dropped the request ID")
+	}
+	a, b := NewRequestID(), NewRequestID()
+	if a == b || len(a) != 16 || strings.Trim(a, "0123456789abcdef") != "" {
+		t.Errorf("NewRequestID not unique/16-hex: %q %q", a, b)
+	}
+}
+
 func TestParentChildLinkageAndRecording(t *testing.T) {
 	clock := simclock.NewSim(time.Date(2014, 1, 1, 0, 0, 0, 0, time.UTC))
 	rec := NewRecorder(Config{Capacity: 16, Clock: clock})
-	ctx := WithRecorder(context.Background(), rec)
-	ctx = telemetry.WithRequestID(ctx, "trace-1")
+	ctx := WithRequest(context.Background(), "trace-1", rec, 0)
 
 	ctx, root := Start(ctx, "root")
 	if root == nil {
@@ -91,16 +107,14 @@ func TestStartGeneratesAndInjectsTraceID(t *testing.T) {
 	}
 	// The generated ID must be visible as the context's request ID so
 	// outgoing HTTP hops propagate it.
-	if telemetry.RequestID(ctx) != s.TraceID {
-		t.Errorf("request ID %q != trace ID %q", telemetry.RequestID(ctx), s.TraceID)
+	if RequestID(ctx) != s.TraceID {
+		t.Errorf("request ID %q != trace ID %q", RequestID(ctx), s.TraceID)
 	}
 }
 
 func TestRemoteParent(t *testing.T) {
 	rec := NewRecorder(Config{})
-	ctx := WithRecorder(context.Background(), rec)
-	ctx = telemetry.WithRequestID(ctx, "shared-trace")
-	ctx = WithRemoteParent(ctx, 77)
+	ctx := WithRequest(context.Background(), "shared-trace", rec, 77)
 	_, s := Start(ctx, "server")
 	if s.ParentID != 77 || s.TraceID != "shared-trace" {
 		t.Fatalf("span = %+v", s)
@@ -139,7 +153,7 @@ func TestDeterministicSampling(t *testing.T) {
 	b := NewRecorder(Config{SampleEvery: 4})
 	kept := 0
 	for i := 0; i < 256; i++ {
-		id := telemetry.NewRequestID()
+		id := NewRequestID()
 		av, bv := a.sampleTrace(id), b.sampleTrace(id)
 		if av != bv {
 			t.Fatalf("sampling disagrees across recorders for %q", id)
@@ -153,8 +167,7 @@ func TestDeterministicSampling(t *testing.T) {
 	}
 	// A sampled-out trace yields nil spans for the whole subtree.
 	rec := NewRecorder(Config{SampleEvery: 1 << 30})
-	ctx := WithRecorder(context.Background(), rec)
-	ctx = telemetry.WithRequestID(ctx, "drop-me")
+	ctx := WithRequest(context.Background(), "drop-me", rec, 0)
 	if !rec.sampleTrace("drop-me") {
 		ctx, root := Start(ctx, "root")
 		_, child := Start(ctx, "child")
@@ -168,7 +181,7 @@ func TestTracesAndSlowest(t *testing.T) {
 	clock := simclock.NewSim(time.Unix(0, 0))
 	rec := NewRecorder(Config{Clock: clock})
 	for i, id := range []string{"t1", "t2"} {
-		ctx := telemetry.WithRequestID(WithRecorder(context.Background(), rec), id)
+		ctx := WithRequest(context.Background(), id, rec, 0)
 		ctx, root := Start(ctx, "root")
 		_, child := Start(ctx, "pull")
 		clock.Advance(time.Duration(i+1) * time.Second)

@@ -1,8 +1,9 @@
 // Package telemetry provides the dependency-free observability layer shared
 // by every Aequus service: a concurrent metrics registry (counters, gauges,
-// fixed-bucket histograms) with Prometheus text exposition, HTTP middleware
-// that instruments handlers and propagates X-Aequus-Request-ID across
-// service and site hops, and structured-logging helpers built on log/slog.
+// fixed-bucket histograms) with Prometheus text exposition, the Go runtime
+// metrics, and structured-logging helpers built on log/slog. The HTTP layer
+// instruments itself (internal/services/httpapi), and a request's ID and
+// tracing state live in internal/telemetry/span.
 //
 // The paper's evaluation (Section V) measures priority-query latency under
 // batched submission, inter-site exchange traffic and libaequus cache
