@@ -74,25 +74,115 @@ func ReadText(r io.Reader) (*Tree, error) {
 	return t, nil
 }
 
-// MarshalJSON / UnmarshalJSON give trees a stable wire representation for
-// the Policy Distribution Service.
+// The JSON form is the tree as encoding/json spells a Node, with a mount
+// point's origin as its "mountedFrom" beside its children:
+//
+//	{"root":{"name":"","share":1,"children":[{"name":"grid","share":60,
+//	 "children":[{"name":"va","share":1}],"mountedFrom":"pds://national"}]}}
+//
+// GET /policy/subtree serves one node in the same form.
+
+// jsonNode is a Node as the JSON form spells it.
+type jsonNode struct {
+	Name        string      `json:"name"`
+	Share       float64     `json:"share"`
+	Children    []*jsonNode `json:"children,omitempty"`
+	MountedFrom string      `json:"mountedFrom,omitempty"`
+}
+
+// jsonRoot is what encoding/json writes for t's root: the node itself when
+// nothing is mounted (Node's tags spell the same bytes), else a mirror that
+// carries each mount point's origin.
+func (t *Tree) jsonRoot() any {
+	if len(t.origins) == 0 {
+		return t.Root
+	}
+	var mirror func(n *Node, parts []string) *jsonNode
+	mirror = func(n *Node, parts []string) *jsonNode {
+		if n == nil {
+			return nil
+		}
+		j := &jsonNode{Name: n.Name, Share: n.Share, MountedFrom: t.origins[JoinPath(parts)]}
+		if n.Children != nil {
+			j.Children = make([]*jsonNode, len(n.Children))
+			for i, c := range n.Children {
+				if c != nil {
+					j.Children[i] = mirror(c, append(parts, c.Name))
+				}
+			}
+		}
+		return j
+	}
+	return mirror(t.Root, nil)
+}
+
+// adopt builds the tree j spells, its root at j, without validating it.
+func adopt(j *jsonNode) *Tree {
+	t := &Tree{}
+	var build func(j *jsonNode, parts []string) *Node
+	build = func(j *jsonNode, parts []string) *Node {
+		if j == nil {
+			return nil
+		}
+		if j.MountedFrom != "" {
+			if t.origins == nil {
+				t.origins = map[string]string{}
+			}
+			t.origins[JoinPath(parts)] = j.MountedFrom
+		}
+		n := &Node{Name: j.Name, Share: j.Share}
+		if j.Children != nil {
+			n.Children = make([]*Node, len(j.Children))
+			for i, c := range j.Children {
+				if c != nil {
+					n.Children[i] = build(c, append(parts, c.Name))
+				}
+			}
+		}
+		return n
+	}
+	t.Root = build(j, nil)
+	return t
+}
 
 // ToJSON serializes the tree as JSON.
-func ToJSON(t *Tree) ([]byte, error) { return json.Marshal(t) }
+func ToJSON(t *Tree) ([]byte, error) {
+	return json.Marshal(struct {
+		Root any `json:"root"`
+	}{t.jsonRoot()})
+}
 
 // FromJSON parses a JSON tree and validates it.
 func FromJSON(data []byte) (*Tree, error) {
-	var t Tree
-	if err := json.Unmarshal(data, &t); err != nil {
+	var in struct {
+		Root *jsonNode `json:"root"`
+	}
+	if err := json.Unmarshal(data, &in); err != nil {
 		return nil, err
 	}
+	t := adopt(in.Root)
 	if t.Root == nil {
 		t.Root = &Node{Name: "", Share: 1}
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	return &t, nil
+	return t, nil
+}
+
+// SubtreeToJSON serializes t's root node, the form GET /policy/subtree
+// serves.
+func SubtreeToJSON(t *Tree) ([]byte, error) { return json.Marshal(t.jsonRoot()) }
+
+// SubtreeFromJSON parses one node in the form GET /policy/subtree serves
+// into a tree rooted at it. It does not validate: Mount and RefreshMount
+// validate what they graft.
+func SubtreeFromJSON(data []byte) (*Tree, error) {
+	var j jsonNode
+	if err := json.Unmarshal(data, &j); err != nil {
+		return nil, err
+	}
+	return adopt(&j), nil
 }
 
 // FlatShares returns user -> normalized total target share (the product of

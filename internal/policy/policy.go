@@ -5,7 +5,7 @@
 // root node — letting a site assign part of its resources to a grid without
 // managing the grid's internal subdivision.
 //
-// Add and Remove build a tree in place. A tree handed to a PDS (pds.New,
+// Add builds a tree in place. A tree handed to a PDS (pds.New,
 // SetPolicy, core.SiteConfig.Policy) must never be mutated again: the PDS,
 // the FCS's snapshots and GET /policy share it without a copy, and the FCS
 // takes an unchanged pointer for an unchanged policy. Mount and
@@ -16,6 +16,7 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -25,7 +26,8 @@ import (
 const Separator = "/"
 
 // Node is one entry of a policy tree. Shares are relative weights among
-// siblings; Normalize rescales every sibling group to sum to one.
+// siblings; Normalize rescales every sibling group to sum to one. A node is
+// 48 B, a Go size class: the origin of a mount point lives on its Tree.
 type Node struct {
 	// Name is the node's identifier, unique among its siblings.
 	Name string `json:"name"`
@@ -33,15 +35,17 @@ type Node struct {
 	Share float64 `json:"share"`
 	// Children are the sub-allocations of this node's share.
 	Children []*Node `json:"children,omitempty"`
-	// MountedFrom records the origin of a dynamically mounted subtree
-	// (empty for locally administered nodes).
-	MountedFrom string `json:"mountedFrom,omitempty"`
 }
 
 // Tree is a complete usage policy rooted at a virtual root node whose share
 // is the whole resource.
 type Tree struct {
 	Root *Node `json:"root"`
+	// origins maps each mount point's canonical path ("/grid") to the
+	// origin it was mounted from; nil when nothing is mounted. Paths, not
+	// node pointers, key it, so the copies that edit, Clone and Normalize
+	// make need no re-keying. No map is written once its tree is built.
+	origins map[string]string
 }
 
 // NewTree returns a policy tree with an empty root.
@@ -70,6 +74,27 @@ func SplitPath(path string) []string {
 // JoinPath joins components into a canonical "/a/b/c" path.
 func JoinPath(parts []string) string {
 	return Separator + strings.Join(parts, Separator)
+}
+
+// Origin returns the origin the node at path was mounted from, or "" for a
+// locally administered node.
+func (t *Tree) Origin(path string) string {
+	if len(t.origins) == 0 {
+		return ""
+	}
+	return t.origins[JoinPath(SplitPath(path))]
+}
+
+// below reports whether the canonical path key lies strictly below the
+// canonical path p, and key's path relative to p ("/x" for p+"/x").
+func below(p, key string) (string, bool) {
+	if p == Separator {
+		return key, key != Separator
+	}
+	if len(key) > len(p) && key[len(p)] == '/' && key[:len(p)] == p {
+		return key[len(p):], true
+	}
+	return "", false
 }
 
 // find walks to the node at path; parent is the node above it (nil for root).
@@ -101,6 +126,32 @@ func (t *Tree) Lookup(path string) (*Node, error) {
 	return n, nil
 }
 
+// Subtree returns the node at path as a tree of its own, the form a PDS
+// serves to the PDSs that mount it. It shares the node; its table holds the
+// node's own origin (at "/") and those of the mounts below it.
+func (t *Tree) Subtree(path string) (*Tree, error) {
+	n, err := t.Lookup(path)
+	if err != nil {
+		return nil, err
+	}
+	p := JoinPath(SplitPath(path))
+	sub := &Tree{Root: n}
+	for k, o := range t.origins {
+		rel, ok := below(p, k)
+		if k == p {
+			rel, ok = Separator, true
+		}
+		if !ok {
+			continue
+		}
+		if sub.origins == nil {
+			sub.origins = map[string]string{}
+		}
+		sub.origins[rel] = o
+	}
+	return sub, nil
+}
+
 // Add inserts a node with the given share under parentPath. It returns the
 // new node's full path.
 func (t *Tree) Add(parentPath, name string, share float64) (string, error) {
@@ -123,45 +174,103 @@ func (t *Tree) Add(parentPath, name string, share float64) (string, error) {
 	return JoinPath(append(SplitPath(parentPath), name)), nil
 }
 
-// Mount returns a tree in which a copy of sub's children hangs under a new
-// node name (the given local share, origin recorded) below parentPath,
-// whose subtree it validates; t is unchanged. This is the PDS operation
-// that lets "local administrators assign parts of the resources to one or
-// more grids while retaining full control over the infrastructure".
-func (t *Tree) Mount(parentPath, name string, share float64, sub *Node, origin string) (*Tree, error) {
-	if sub == nil {
+// Mount returns a tree in which a copy of sub's root's children hangs
+// under a new node name (the given local share, origin recorded) below
+// parentPath, whose subtree it validates; t is unchanged. The mounts inside
+// sub keep their origins. This is the PDS operation that lets "local
+// administrators assign parts of the resources to one or more grids while
+// retaining full control over the infrastructure".
+func (t *Tree) Mount(parentPath, name string, share float64, sub *Tree, origin string) (*Tree, error) {
+	if sub == nil || sub.Root == nil {
 		return nil, fmt.Errorf("%w: nil subtree", ErrBadPath)
 	}
-	return t.edit(parentPath, func(p *Node) error {
+	next, err := t.edit(parentPath, func(p *Node) error {
 		p.Children = append(slices.Clip(p.Children), // a new array, not t's
-			&Node{Name: name, Share: share, Children: cloneNodes(sub.Children), MountedFrom: origin})
+			&Node{Name: name, Share: share, Children: cloneNodes(sub.Root.Children)})
 		return validateNode(p, parentPath)
 	})
+	if err != nil {
+		return nil, err
+	}
+	next.origins = t.graft(JoinPath(append(SplitPath(parentPath), name)), origin, sub)
+	return next, nil
 }
 
 // RefreshMount returns a tree in which the mount point at path holds a copy
-// of sub's children (policy updates propagate on PDS refresh); t is
-// unchanged. When sub's children equal the mounted ones it returns t
-// itself, so an idle refresh leaves the tree, and everything derived from
-// it, as it was.
-func (t *Tree) RefreshMount(path string, sub *Node) (*Tree, error) {
+// of sub's root's children and the origins of the mounts among them
+// (policy updates propagate on PDS refresh); t is unchanged. When those
+// equal the mounted ones it returns t itself, so an idle refresh leaves the
+// tree, and everything derived from it, as it was.
+func (t *Tree) RefreshMount(path string, sub *Tree) (*Tree, error) {
 	node, err := t.Lookup(path)
 	if err != nil {
 		return nil, err
 	}
-	if node.MountedFrom == "" {
+	p := JoinPath(SplitPath(path))
+	origin := t.origins[p]
+	if origin == "" {
 		return nil, fmt.Errorf("%w: %s", ErrNotMounted, path)
 	}
-	if sub == nil {
+	if sub == nil || sub.Root == nil {
 		return nil, fmt.Errorf("%w: nil subtree", ErrBadPath)
 	}
-	if equalNodes(node.Children, sub.Children) {
+	if equalNodes(node.Children, sub.Root.Children) && t.sameOriginsBelow(p, sub) {
 		return t, nil
 	}
-	return t.edit(path, func(n *Node) error {
-		n.Children = cloneNodes(sub.Children)
+	next, err := t.edit(path, func(n *Node) error {
+		n.Children = cloneNodes(sub.Root.Children)
 		return validateNode(n, path)
 	})
+	if err != nil {
+		return nil, err
+	}
+	next.origins = t.graft(p, origin, sub)
+	return next, nil
+}
+
+// graft returns t's origin table with the canonical path p mounted from
+// origin and every entry below p replaced by the entries below sub's root,
+// re-keyed under p.
+func (t *Tree) graft(p, origin string, sub *Tree) map[string]string {
+	out := make(map[string]string, len(t.origins)+len(sub.origins)+1)
+	for k, o := range t.origins {
+		if _, ok := below(p, k); !ok {
+			out[k] = o
+		}
+	}
+	for k, o := range sub.origins {
+		if k == Separator {
+			continue // sub's own root is the mount point, mounted from origin
+		}
+		if p != Separator {
+			k = p + k
+		}
+		out[k] = o
+	}
+	if origin != "" {
+		out[p] = origin
+	}
+	return out
+}
+
+// sameOriginsBelow reports whether the mounts strictly below the canonical
+// path p of t are those below sub's root, from the same origins. It holds
+// for sibling lists that equalNodes finds equal exactly when every node in
+// them has the same origin in both tables.
+func (t *Tree) sameOriginsBelow(p string, sub *Tree) bool {
+	n := 0
+	for k, o := range t.origins {
+		if rel, ok := below(p, k); ok {
+			if sub.origins[rel] != o {
+				return false
+			}
+			n++
+		}
+	}
+	if _, ok := sub.origins[Separator]; ok {
+		n++
+	}
+	return n == len(sub.origins)
 }
 
 // edit returns a tree in which fn has changed a copy of the node at path.
@@ -186,12 +295,12 @@ func (t *Tree) edit(path string, fn func(*Node) error) (*Tree, error) {
 	return &Tree{Root: &root}, nil
 }
 
-// equalNodes reports whether two sibling lists hold the same names, shares
-// and origins, recursively; a holds no nil node, b may (it is fetched).
+// equalNodes reports whether two sibling lists hold the same names and
+// shares, recursively; a holds no nil node, b may (it is fetched). Their
+// origins are their trees' tables' to compare (sameOriginsBelow).
 func equalNodes(a, b []*Node) bool {
 	return slices.EqualFunc(a, b, func(x, y *Node) bool {
-		return y != nil && x.Name == y.Name && x.Share == y.Share && x.MountedFrom == y.MountedFrom &&
-			equalNodes(x.Children, y.Children)
+		return y != nil && x.Name == y.Name && x.Share == y.Share && equalNodes(x.Children, y.Children)
 	})
 }
 
@@ -257,16 +366,16 @@ func normalizeNode(n *Node) {
 	}
 }
 
-// Clone deep-copies the tree.
+// Clone deep-copies the tree, origins included.
 func (t *Tree) Clone() *Tree {
-	return &Tree{Root: cloneNode(t.Root)}
+	return &Tree{Root: cloneNode(t.Root), origins: maps.Clone(t.origins)}
 }
 
 func cloneNode(n *Node) *Node {
 	if n == nil {
 		return nil
 	}
-	out := &Node{Name: n.Name, Share: n.Share, MountedFrom: n.MountedFrom}
+	out := &Node{Name: n.Name, Share: n.Share}
 	out.Children = cloneNodes(n.Children)
 	return out
 }

@@ -126,7 +126,7 @@ func TestMountAndRefresh(t *testing.T) {
 	remote.Add("", "va", 1)
 	remote.Add("", "vb", 3)
 
-	mounted, err := local.Mount("", "grid", 60, remote.Root, "pds://national")
+	mounted, err := local.Mount("", "grid", 60, remote, "pds://national")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +143,8 @@ func TestMountAndRefresh(t *testing.T) {
 	if n.Share != 3 {
 		t.Errorf("mounted share = %g", n.Share)
 	}
-	mp, _ := mounted.Lookup("/grid")
-	if mp.MountedFrom != "pds://national" {
-		t.Errorf("MountedFrom = %q", mp.MountedFrom)
+	if o := mounted.Origin("/grid"); o != "pds://national" {
+		t.Errorf("Origin(/grid) = %q", o)
 	}
 
 	// Mutating the remote tree must not affect the mounted copy.
@@ -159,14 +158,14 @@ func TestMountAndRefresh(t *testing.T) {
 	same := NewTree()
 	same.Add("", "va", 1)
 	same.Add("", "vb", 3)
-	if got, err := mounted.RefreshMount("/grid", same.Root); err != nil || got != mounted {
+	if got, err := mounted.RefreshMount("/grid", same); err != nil || got != mounted {
 		t.Errorf("idle refresh = %p, %v; want the tree itself %p", got, err, mounted)
 	}
 
 	// Refresh propagates policy updates.
 	remote2 := NewTree()
 	remote2.Add("", "vc", 5)
-	refreshed, err := mounted.RefreshMount("/grid", remote2.Root)
+	refreshed, err := mounted.RefreshMount("/grid", remote2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,23 +180,23 @@ func TestMountAndRefresh(t *testing.T) {
 	}
 
 	// Refreshing a non-mount fails.
-	if _, err := refreshed.RefreshMount("/local", remote2.Root); !errors.Is(err, ErrNotMounted) {
+	if _, err := refreshed.RefreshMount("/local", remote2); !errors.Is(err, ErrNotMounted) {
 		t.Errorf("refresh non-mount err = %v", err)
 	}
 	if _, err := local.Mount("", "grid2", 1, nil, "x"); !errors.Is(err, ErrBadPath) {
 		t.Errorf("nil subtree err = %v", err)
 	}
-	if _, err := mounted.Mount("", "grid", 1, remote2.Root, "x"); !errors.Is(err, ErrDuplicate) {
+	if _, err := mounted.Mount("", "grid", 1, remote2, "x"); !errors.Is(err, ErrDuplicate) {
 		t.Errorf("duplicate mount err = %v", err)
 	}
-	bad := &Node{Children: []*Node{{Name: "x", Share: math.Inf(1)}}}
+	bad := &Tree{Root: &Node{Children: []*Node{{Name: "x", Share: math.Inf(1)}}}}
 	if _, err := local.Mount("", "grid", 1, bad, "x"); !errors.Is(err, ErrBadShare) {
 		t.Errorf("mount of an invalid subtree err = %v", err)
 	}
 	if _, err := mounted.RefreshMount("/grid", bad); !errors.Is(err, ErrBadShare) {
 		t.Errorf("refresh to an invalid subtree err = %v", err)
 	}
-	holey := &Node{Children: []*Node{{Name: "va", Share: 1}, nil}}
+	holey := &Tree{Root: &Node{Children: []*Node{{Name: "va", Share: 1}, nil}}}
 	if _, err := mounted.RefreshMount("/grid", holey); !errors.Is(err, ErrBadPath) {
 		t.Errorf("refresh to a subtree with a nil child err = %v", err)
 	}

@@ -14,8 +14,8 @@ import (
 )
 
 // grid is the national subtree a site mounts: users a and b.
-func grid(shareA float64) *policy.Node {
-	return &policy.Node{Children: []*policy.Node{{Name: "a", Share: shareA}, {Name: "b", Share: 1}}}
+func grid(shareA float64) *policy.Tree {
+	return &policy.Tree{Root: &policy.Node{Children: []*policy.Node{{Name: "a", Share: shareA}, {Name: "b", Share: 1}}}}
 }
 
 // TestIdleMountRefreshStaysIncremental: a mount refresh that fetches the
@@ -28,7 +28,7 @@ func TestIdleMountRefreshStaysIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := pds.New(local, func(string) (*policy.Node, error) { return grid(shareA), nil })
+	p := pds.New(local, func(string) (*policy.Tree, error) { return grid(shareA), nil })
 	if err := p.Mount("", "grid", 1, "national"); err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestRefreshBesideConcurrentPolicyEdits(t *testing.T) {
 	}
 	var shareA atomic.Int64
 	shareA.Store(1)
-	p := pds.New(base, func(string) (*policy.Node, error) { return grid(float64(shareA.Load())), nil })
+	p := pds.New(base, func(string) (*policy.Tree, error) { return grid(float64(shareA.Load())), nil })
 	ums := newDeltaUMS(map[string]float64{"a": 10, "b": 20, "c": 30, "d": 40})
 	svc := New(Config{Clock: simclock.NewSim(t0), CacheTTL: -1, SynchronousRefresh: true,
 		Metrics: telemetry.NewRegistry()}, p, ums)

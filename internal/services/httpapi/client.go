@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime"
 	"net"
 	"net/http"
 	"net/url"
@@ -220,8 +219,7 @@ func (c *Client) bodyAnswer(want string, read func(io.Reader) ([]byte, error), d
 		if resp.StatusCode/100 != 2 {
 			return wire.DecodeResponse(resp, nil)
 		}
-		ct := resp.Header.Get("Content-Type")
-		if mt, _, _ := mime.ParseMediaType(ct); want != "" && mt != want {
+		if ct := resp.Header.Get("Content-Type"); want != "" && !wire.IsMediaType(ct, want) {
 			return resilience.Permanent(fmt.Errorf("httpapi: %s answered %s with content type %q, want %q",
 				c.target(), resp.Request.URL.Path, ct, want))
 		}
@@ -440,13 +438,14 @@ func (c *Client) SetPolicy(t *policy.Tree) error {
 	return c.call(context.Background(), false, http.MethodPost, "/policy", "application/json", data, jsonAnswer(nil))
 }
 
-// Subtree fetches a policy subtree by path.
-func (c *Client) Subtree(path string) (*policy.Node, error) {
-	var out policy.Node
-	if err := c.get(context.Background(), "/policy/subtree?path="+url.QueryEscape(path), &out); err != nil {
-		return nil, err
-	}
-	return &out, nil
+// Subtree fetches a policy subtree by path, with the origins of the mounts
+// in it, as a tree rooted at its node.
+func (c *Client) Subtree(path string) (t *policy.Tree, err error) {
+	err = c.call(context.Background(), true, http.MethodGet, "/policy/subtree?path="+url.QueryEscape(path), "", nil, c.bodyAnswer("", wire.ReadBody, func(b []byte) (err error) {
+		t, err = policy.SubtreeFromJSON(b)
+		return err
+	}))
+	return t, err
 }
 
 // Mount asks the remote PDS to mount a subtree from origin.
@@ -464,7 +463,7 @@ func PolicyFetcher(httpClient *http.Client) pds.Fetcher {
 	if httpClient == nil {
 		httpClient = NewHTTPClient(0)
 	}
-	return func(origin string) (*policy.Node, error) {
+	return func(origin string) (*policy.Tree, error) {
 		base, path := origin, ""
 		if i := strings.LastIndex(origin, "|"); i >= 0 {
 			base, path = origin[:i], origin[i+1:]

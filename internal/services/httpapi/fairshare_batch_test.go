@@ -188,6 +188,35 @@ func TestFairshareBatchClientRefusesBadAnswers(t *testing.T) {
 	}
 }
 
+// TestFairshareBatchMediaTypeIgnoresCaseAndParameters: both sides read a
+// content type's media type as mime.ParseMediaType does, case-insensitive
+// and without its parameters, so a request and an answer spelled
+// "Application/VND.…; charset=binary" are still taken.
+func TestFairshareBatchMediaTypeIgnoresCaseAndParameters(t *testing.T) {
+	s := newSite(t, "s", simclock.NewSim(t0), map[string]float64{"a": 1})
+	resp, err := http.Post(s.server.URL+"/fairshare/batch", " Application/VND.Aequus.Users ; charset=binary",
+		bytes.NewReader(wire.AppendUsers(nil, []string{"a"})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wire.DrainClose(resp.Body)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("request in a mixed-case content type with a parameter: %d, want 200", resp.StatusCode)
+	}
+
+	queue := []string{"a"}
+	body := appendBatch(t, queue, wire.FairshareBatchResponse{Projection: "percental", ComputedAt: t0,
+		Entries: []wire.FairshareResponse{{User: "a", Value: 0.5}}})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "Application/Vnd.Aequus.Fairshare-Batch; v=1")
+		_, _ = w.Write(body)
+	}))
+	defer srv.Close()
+	if got, err := NewClient(srv.URL, "s").PriorityBatch(queue); err != nil || len(got.Entries) != 1 {
+		t.Errorf("answer in a mixed-case content type with a parameter: %+v, %v", got, err)
+	}
+}
+
 // BenchmarkFairshareBatch is a resource manager's cold re-prioritization
 // pass over loopback HTTP: 2000 users of a 20k-user site per request, request
 // encoding, serving and answer decoding included.

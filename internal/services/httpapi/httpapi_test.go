@@ -244,7 +244,7 @@ func TestPolicyEndpoints(t *testing.T) {
 
 	// Subtree fetch.
 	sub, err := c.Subtree("/x")
-	if err != nil || sub.Name != "x" {
+	if err != nil || sub.Root.Name != "x" {
 		t.Errorf("subtree = %+v, %v", sub, err)
 	}
 	if _, err := c.Subtree("/nope"); err == nil {

@@ -86,8 +86,8 @@ func TestInProcessLookupAllocs(t *testing.T) {
 		spans *span.Recorder
 		want  float64
 	}{
-		{"no recorder", nil, 52},
-		{"with recorder", span.NewRecorder(span.Config{Capacity: 64}), 57},
+		{"no recorder", nil, 47},
+		{"with recorder", span.NewRecorder(span.Config{Capacity: 64}), 52},
 	} {
 		lookup := inProcessLookup(t, tc.spans)
 		if got := testing.AllocsPerRun(200, lookup); got > tc.want {

@@ -163,8 +163,8 @@ func TestEveryCallTakesTheOnePath(t *testing.T) {
 		}},
 		{"PolicyFetcher", "GET /policy/subtree", telemetry.OrDefault(nil), rec.URL, func() error {
 			n, err := PolicyFetcher(nil)(rec.URL + "|/alice")
-			if err == nil && n.Name != "alice" {
-				err = fmt.Errorf("subtree = %+v", n)
+			if err == nil && n.Root.Name != "alice" {
+				err = fmt.Errorf("subtree = %+v", n.Root)
 			}
 			return err
 		}},

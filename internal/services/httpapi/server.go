@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"mime"
 	"net/http"
 	"net/textproto"
 	"strconv"
@@ -325,7 +324,12 @@ func (s *Server) handlePolicySubtree(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	wire.WriteJSON(w, http.StatusOK, sub)
+	data, err := policy.SubtreeToJSON(sub)
+	if err != nil {
+		wire.WriteError(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
+	wire.WriteJSON(w, http.StatusOK, json.RawMessage(data))
 }
 
 func (s *Server) handlePolicyMount(w http.ResponseWriter, r *http.Request) {
@@ -456,7 +460,7 @@ func (s *Server) handleFairshare(w http.ResponseWriter, r *http.Request) {
 // bodies are binary and the answer is in request order (wire/batch.go); a
 // request in any other content type, JSON included, is refused with 415.
 func (s *Server) handleFairshareBatch(w http.ResponseWriter, r *http.Request) {
-	if mt, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type")); mt != wire.UsersContentType {
+	if !wire.IsMediaType(r.Header.Get("Content-Type"), wire.UsersContentType) {
 		wire.WriteError(w, http.StatusUnsupportedMediaType, "content type %q, want %q",
 			r.Header.Get("Content-Type"), wire.UsersContentType)
 		return

@@ -16,9 +16,10 @@ import (
 )
 
 // Fetcher retrieves a remote policy subtree by origin reference (typically a
-// URL of another PDS). Implementations live in the httpapi package; tests
-// may use in-process fetchers.
-type Fetcher func(origin string) (*policy.Node, error)
+// URL of another PDS), as a tree rooted at the subtree's node that carries
+// the origins of the mounts inside it. Implementations live in the httpapi
+// package; tests may use in-process fetchers.
+type Fetcher func(origin string) (*policy.Tree, error)
 
 // Service is a Policy Distribution Service instance.
 type Service struct {
@@ -83,9 +84,10 @@ func (s *Service) OnChange(fn func(*policy.Tree)) {
 	s.onChange = fn
 }
 
-// Subtree returns the policy's own node at path (for serving other PDSs).
-func (s *Service) Subtree(path string) (*policy.Node, error) {
-	return s.Policy().Lookup(path)
+// Subtree returns the policy's own node at path, with the origins of the
+// mounts in it, as a tree rooted there (for serving other PDSs).
+func (s *Service) Subtree(path string) (*policy.Tree, error) {
+	return s.Policy().Subtree(path)
 }
 
 // Mount fetches the subtree served by origin and grafts it under parentPath

@@ -17,11 +17,11 @@ func localPolicy(t *testing.T) *policy.Tree {
 	return p
 }
 
-func remoteSubtree(shareA, shareB float64) *policy.Node {
-	return &policy.Node{Name: "", Share: 1, Children: []*policy.Node{
+func remoteSubtree(shareA, shareB float64) *policy.Tree {
+	return &policy.Tree{Root: &policy.Node{Name: "", Share: 1, Children: []*policy.Node{
 		{Name: "projA", Share: shareA},
 		{Name: "projB", Share: shareB},
-	}}
+	}}}
 }
 
 // TestPolicySnapshotIsolation: Policy hands out the one tree the service
@@ -31,7 +31,7 @@ func remoteSubtree(shareA, shareB float64) *policy.Node {
 // never sees a tree change under it.
 func TestPolicySnapshotIsolation(t *testing.T) {
 	shareA := 3.0
-	fetch := func(string) (*policy.Node, error) { return remoteSubtree(shareA, 1), nil }
+	fetch := func(string) (*policy.Tree, error) { return remoteSubtree(shareA, 1), nil }
 	s := New(localPolicy(t), fetch)
 	if s.Policy() != s.Policy() {
 		t.Fatal("two Policy() reads with no edit between them returned different trees")
@@ -79,7 +79,7 @@ func TestSetPolicyValidates(t *testing.T) {
 
 func TestMountFetchesAndRefreshes(t *testing.T) {
 	version := 1
-	fetch := func(origin string) (*policy.Node, error) {
+	fetch := func(origin string) (*policy.Tree, error) {
 		if origin != "pds://national" {
 			return nil, errors.New("unknown origin")
 		}
@@ -112,7 +112,7 @@ func TestMountErrors(t *testing.T) {
 	if err := s.Mount("", "g", 1, "x"); err == nil {
 		t.Error("mount without fetcher accepted")
 	}
-	s2 := New(localPolicy(t), func(string) (*policy.Node, error) {
+	s2 := New(localPolicy(t), func(string) (*policy.Tree, error) {
 		return nil, errors.New("boom")
 	})
 	if err := s2.Mount("", "g", 1, "x"); err == nil {
@@ -122,7 +122,7 @@ func TestMountErrors(t *testing.T) {
 
 func TestRefreshMountsToleratesFailures(t *testing.T) {
 	calls := 0
-	fetch := func(origin string) (*policy.Node, error) {
+	fetch := func(origin string) (*policy.Tree, error) {
 		calls++
 		if origin == "bad" {
 			return nil, errors.New("down")
@@ -151,11 +151,11 @@ func TestRefreshMountsToleratesFailures(t *testing.T) {
 func TestSubtree(t *testing.T) {
 	s := New(localPolicy(t), nil)
 	sub, err := s.Subtree("/local")
-	if err != nil || sub.Name != "local" {
+	if err != nil || sub.Root.Name != "local" {
 		t.Fatalf("Subtree = %+v, %v", sub, err)
 	}
 	// The node is the policy's own, not a copy (both are read-only).
-	if n, _ := s.Policy().Lookup("/local"); n != sub {
+	if n, _ := s.Policy().Lookup("/local"); n != sub.Root {
 		t.Error("Subtree returned a copy of the policy's node")
 	}
 	if _, err := s.Subtree("/missing"); err == nil {

@@ -2,11 +2,16 @@ package uss
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/durability"
+	"repro/internal/simclock"
 	"repro/internal/telemetry"
 	"repro/internal/usage"
 )
@@ -307,4 +312,82 @@ func TestCaptureStateMatchesRecords(t *testing.T) {
 	s.ReportJobBatch(batch)
 	st := s.CaptureState()
 	recordsBitEqual(t, "capture vs export", s.LocalRecords(), st.Local)
+}
+
+// sortRecords orders records by user then interval start, the canonical
+// export order: the reference CaptureState's merge of the stripe exports is
+// held to.
+func sortRecords(recs []usage.Record) {
+	slices.SortFunc(recs, func(a, b usage.Record) int {
+		if c := strings.Compare(a.User, b.User); c != 0 {
+			return c
+		}
+		return a.IntervalStart.Compare(b.IntervalStart)
+	})
+}
+
+// capturedUSS is an in-memory site holding 4 × users jobs of random users
+// (of users names, so every stripe holds some) and 4 × users records pulled
+// from each of peers peers, their users and hours random too.
+func capturedUSS(tb testing.TB, rng *rand.Rand, users, peers int) *Service {
+	tb.Helper()
+	base := time.Date(2014, 2, 1, 0, 0, 0, 0, time.UTC)
+	s := New(Config{Site: "s00", BinWidth: time.Hour, Contribute: true,
+		Clock: simclock.NewSim(base.Add(1000 * time.Hour)), Metrics: telemetry.NewRegistry()})
+	batch := make([]JobReport, 4*users)
+	for i := range batch {
+		batch[i] = JobReport{
+			User:     fmt.Sprintf("user%d", rng.Intn(users)),
+			Start:    base.Add(time.Duration(rng.Intn(900)) * time.Hour),
+			Duration: time.Duration(1+rng.Intn(180)) * time.Minute,
+			Procs:    1 + rng.Intn(4),
+		}
+	}
+	s.ReportJobBatch(batch)
+	for p := 0; p < peers; p++ {
+		site := fmt.Sprintf("peer%d", p)
+		recs := make([]usage.Record, 4*users)
+		for i := range recs {
+			recs[i] = usage.Record{User: fmt.Sprintf("user%d", rng.Intn(users)), Site: site,
+				IntervalStart: base.Add(time.Duration(rng.Intn(900)) * time.Hour), CoreSeconds: rng.Float64() * 3600}
+		}
+		s.AddPeer(&okPeer{site: site, recs: recs})
+	}
+	if _, err := s.Exchange(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// TestCaptureStateMatchesSortedStripes: CaptureState merges the stripes'
+// sorted exports into the list that sorting their concatenation gives, for
+// the local histogram and for every peer's.
+func TestCaptureStateMatchesSortedStripes(t *testing.T) {
+	s := capturedUSS(t, rand.New(rand.NewSource(1)), 3000, 3)
+	sorted := func(h *usage.Histogram, site string) []usage.Record {
+		var recs []usage.Record
+		for i := 0; i < h.NumStripes(); i++ {
+			recs = append(recs, h.StripeRecords(site, i)...)
+		}
+		sortRecords(recs)
+		return recs
+	}
+	st := s.CaptureState()
+	recordsBitEqual(t, "local", sorted(s.local, "s00"), st.Local)
+	if len(st.Remote) != 3 {
+		t.Fatalf("captured %d peers, want 3", len(st.Remote))
+	}
+	for peer, h := range s.remote {
+		recordsBitEqual(t, peer, sorted(h, peer), st.Remote[peer])
+	}
+}
+
+// BenchmarkCaptureState is the USS's part of a snapshot: the capture of a
+// 20k-user site that has pulled two 20k-user peers.
+func BenchmarkCaptureState(b *testing.B) {
+	s := capturedUSS(b, rand.New(rand.NewSource(1)), 20000, 2)
+	b.ReportAllocs()
+	for b.Loop() {
+		s.CaptureState()
+	}
 }

@@ -7,12 +7,11 @@
 package uss
 
 import (
+	"container/heap"
 	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -641,11 +640,7 @@ func (s *Service) ApplyMutation(m *usage.Mutation) error {
 // whole-histogram readers (GlobalTotals, exchange serving) never stall
 // behind the export.
 func (s *Service) CaptureState() *durability.SnapshotState {
-	st := &durability.SnapshotState{}
-	for i := 0; i < s.local.NumStripes(); i++ {
-		st.Local = append(st.Local, s.local.StripeRecords(s.cfg.Site, i)...)
-	}
-	sortRecords(st.Local)
+	st := &durability.SnapshotState{Local: captureRecords(s.local, s.cfg.Site)}
 	s.mu.Lock()
 	remotes := make(map[string]*usage.Histogram, len(s.remote))
 	for peer, h := range s.remote {
@@ -658,28 +653,63 @@ func (s *Service) CaptureState() *durability.SnapshotState {
 	s.mu.Unlock()
 	st.Remote = make(map[string][]usage.Record, len(remotes))
 	for peer, h := range remotes {
-		var recs []usage.Record
-		for i := 0; i < h.NumStripes(); i++ {
-			recs = append(recs, h.StripeRecords(peer, i)...)
-		}
-		sortRecords(recs)
-		st.Remote[peer] = recs
+		st.Remote[peer] = captureRecords(h, peer)
 	}
 	return st
+}
+
+// captureRecords exports h as site's records, one stripe lock at a time, in
+// the canonical order: by user, then interval (nil for none). Each stripe's
+// export is in that order already and a user lives in one stripe, so a merge
+// of the stripes' runs gives it at one string compare per user and heap
+// step, where sorting the whole list compared every record.
+func captureRecords(h *usage.Histogram, site string) []usage.Record {
+	runs := make(recordRuns, 0, h.NumStripes())
+	n := 0
+	for i := 0; i < h.NumStripes(); i++ {
+		if r := h.StripeRecords(site, i); len(r) > 0 {
+			runs = append(runs, r)
+			n += len(r)
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	heap.Init(&runs)
+	out := make([]usage.Record, 0, n)
+	for len(runs) > 0 {
+		r := runs[0]
+		k := 1
+		for k < len(r) && r[k].User == r[0].User {
+			k++
+		}
+		out = append(out, r[:k]...)
+		if k == len(r) {
+			heap.Pop(&runs)
+		} else {
+			runs[0] = r[k:]
+			heap.Fix(&runs, 0)
+		}
+	}
+	return out
+}
+
+// recordRuns is a heap of non-empty record runs ordered by their first
+// record's user.
+type recordRuns [][]usage.Record
+
+func (h recordRuns) Len() int           { return len(h) }
+func (h recordRuns) Less(i, j int) bool { return h[i][0].User < h[j][0].User }
+func (h recordRuns) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *recordRuns) Push(x any)        { *h = append(*h, x.([]usage.Record)) }
+func (h *recordRuns) Pop() any {
+	old := *h
+	x := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return x
 }
 
 // LocalRecords exports the local histogram sorted by user then interval.
 func (s *Service) LocalRecords() []usage.Record {
 	return s.local.Records(s.cfg.Site)
-}
-
-// sortRecords orders records by user then interval start — the canonical
-// export order shared with Histogram.Records.
-func sortRecords(recs []usage.Record) {
-	slices.SortFunc(recs, func(a, b usage.Record) int {
-		if c := strings.Compare(a.User, b.User); c != 0 {
-			return c
-		}
-		return a.IntervalStart.Compare(b.IntervalStart)
-	})
 }

@@ -13,6 +13,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
+	"sync"
 	"time"
 )
 
@@ -181,13 +183,26 @@ const maxBody = 8 << 20
 var ErrBodyTooLarge = errors.New("wire: body exceeds 8 MiB")
 
 // ReadBody returns a whole body of at most maxBody bytes, and ErrBodyTooLarge
-// for a longer one.
+// for a longer one. It reads into one buffer, never more than one byte past
+// the cap.
 func ReadBody(r io.Reader) ([]byte, error) {
-	b, err := io.ReadAll(io.LimitReader(r, maxBody+1))
-	if err == nil && len(b) > maxBody {
-		return nil, ErrBodyTooLarge
+	b := make([]byte, 0, 512)
+	for {
+		n, err := r.Read(b[len(b):min(cap(b), maxBody+1)])
+		b = b[:len(b)+n]
+		if len(b) > maxBody {
+			return nil, ErrBodyTooLarge
+		}
+		if err == io.EOF {
+			return b, nil
+		}
+		if err != nil {
+			return b, err
+		}
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
 	}
-	return b, err
 }
 
 // ReadJSON decodes a request or response body into v. It reads at most one
@@ -221,10 +236,31 @@ func DecodeResponse(resp *http.Response, v interface{}) error {
 	return ReadJSON(resp.Body, v)
 }
 
-// DrainClose consumes any unread remainder of body (bounded, so a huge or
-// malicious response cannot stall the client) and closes it. Fully reading
-// the body is what lets net/http reuse the connection.
+// drainBufs holds the scratch buffers DrainClose reads into.
+var drainBufs = sync.Pool{New: func() any { return new([8 << 10]byte) }}
+
+// DrainClose consumes any unread remainder of body (at most 4 MiB, so a huge
+// or malicious response cannot stall the client) and closes it. Fully
+// reading the body is what lets net/http reuse the connection.
 func DrainClose(body io.ReadCloser) {
-	_, _ = io.Copy(io.Discard, io.LimitReader(body, 4<<20))
+	buf := drainBufs.Get().(*[8 << 10]byte)
+	for left := 4 << 20; left > 0; {
+		n, err := body.Read(buf[:min(len(buf), left)])
+		left -= n
+		if err != nil {
+			break
+		}
+	}
+	drainBufs.Put(buf)
 	_ = body.Close()
+}
+
+// IsMediaType reports whether the Content-Type value ct names the media
+// type want, read as mime.ParseMediaType reads it: the part before any ';',
+// trimmed and case-insensitive. The parameters are not parsed.
+func IsMediaType(ct, want string) bool {
+	if i := strings.IndexByte(ct, ';'); i >= 0 {
+		ct = ct[:i]
+	}
+	return strings.EqualFold(strings.TrimSpace(ct), want)
 }

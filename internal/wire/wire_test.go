@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -76,6 +77,42 @@ func TestReadJSON(t *testing.T) {
 	}
 	if _, err := ReadBody(strings.NewReader("x" + atCap)); err != ErrBodyTooLarge {
 		t.Errorf("raw body one byte over the cap: %v, want ErrBodyTooLarge", err)
+	}
+}
+
+// TestDrainCloseStopsAt4MiB: DrainClose reads what is left of a body up to
+// 4 MiB, no further, and closes it.
+func TestDrainCloseStopsAt4MiB(t *testing.T) {
+	r := strings.NewReader(strings.Repeat("x", 5<<20))
+	closed := false
+	DrainClose(readCloser{r, func() { closed = true }})
+	if left := r.Len(); left != 1<<20 || !closed {
+		t.Errorf("after DrainClose %d bytes are left (want %d), closed %t", left, 1<<20, closed)
+	}
+}
+
+type readCloser struct {
+	io.Reader
+	close func()
+}
+
+func (r readCloser) Close() error { r.close(); return nil }
+
+// TestIsMediaType: the media type is the part before any ';', trimmed and
+// case-insensitive, as mime.ParseMediaType reads it.
+func TestIsMediaType(t *testing.T) {
+	for ct, want := range map[string]bool{
+		UsersContentType: true,
+		" Application/VND.Aequus.Users ; charset=binary": true,
+		UsersContentType + ";":                           true,
+		"application/json":                               false,
+		"":                                               false,
+		UsersContentType + "x":                           false,
+		"x" + UsersContentType:                           false,
+	} {
+		if got := IsMediaType(ct, UsersContentType); got != want {
+			t.Errorf("IsMediaType(%q) = %t, want %t", ct, got, want)
+		}
 	}
 }
 
