@@ -90,30 +90,30 @@ type jsonNode struct {
 	MountedFrom string      `json:"mountedFrom,omitempty"`
 }
 
-// jsonRoot is what encoding/json writes for t's root: the node itself when
-// nothing is mounted (Node's tags spell the same bytes), else a mirror that
-// carries each mount point's origin.
-func (t *Tree) jsonRoot() any {
-	if len(t.origins) == 0 {
-		return t.Root
-	}
-	var mirror func(n *Node, parts []string) *jsonNode
-	mirror = func(n *Node, parts []string) *jsonNode {
+// mirror is t's root as the JSON form spells it, each mount point's origin
+// beside its children. Both directions go through it: ToJSON encodes the
+// mirror and FromJSON decodes into one.
+func (t *Tree) mirror() *jsonNode {
+	var walk func(n *Node, parts []string) *jsonNode
+	walk = func(n *Node, parts []string) *jsonNode {
 		if n == nil {
 			return nil
 		}
-		j := &jsonNode{Name: n.Name, Share: n.Share, MountedFrom: t.origins[JoinPath(parts)]}
+		j := &jsonNode{Name: n.Name, Share: n.Share}
+		if len(t.origins) > 0 {
+			j.MountedFrom = t.origins[JoinPath(parts)]
+		}
 		if n.Children != nil {
 			j.Children = make([]*jsonNode, len(n.Children))
 			for i, c := range n.Children {
 				if c != nil {
-					j.Children[i] = mirror(c, append(parts, c.Name))
+					j.Children[i] = walk(c, append(parts, c.Name))
 				}
 			}
 		}
 		return j
 	}
-	return mirror(t.Root, nil)
+	return walk(t.Root, make([]string, 0, 16))
 }
 
 // adopt builds the tree j spells, its root at j, without validating it.
@@ -141,15 +141,15 @@ func adopt(j *jsonNode) *Tree {
 		}
 		return n
 	}
-	t.Root = build(j, nil)
+	t.Root = build(j, make([]string, 0, 16))
 	return t
 }
 
 // ToJSON serializes the tree as JSON.
 func ToJSON(t *Tree) ([]byte, error) {
 	return json.Marshal(struct {
-		Root any `json:"root"`
-	}{t.jsonRoot()})
+		Root *jsonNode `json:"root"`
+	}{t.mirror()})
 }
 
 // FromJSON parses a JSON tree and validates it.
@@ -172,7 +172,7 @@ func FromJSON(data []byte) (*Tree, error) {
 
 // SubtreeToJSON serializes t's root node, the form GET /policy/subtree
 // serves.
-func SubtreeToJSON(t *Tree) ([]byte, error) { return json.Marshal(t.jsonRoot()) }
+func SubtreeToJSON(t *Tree) ([]byte, error) { return json.Marshal(t.mirror()) }
 
 // SubtreeFromJSON parses one node in the form GET /policy/subtree serves
 // into a tree rooted at it. It does not validate: Mount and RefreshMount

@@ -315,7 +315,7 @@ func TestCaptureStateMatchesRecords(t *testing.T) {
 }
 
 // sortRecords orders records by user then interval start, the canonical
-// export order: the reference CaptureState's merge of the stripe exports is
+// export order: the reference CaptureState's order of the stripe exports is
 // held to.
 func sortRecords(recs []usage.Record) {
 	slices.SortFunc(recs, func(a, b usage.Record) int {
@@ -359,9 +359,9 @@ func capturedUSS(tb testing.TB, rng *rand.Rand, users, peers int) *Service {
 	return s
 }
 
-// TestCaptureStateMatchesSortedStripes: CaptureState merges the stripes'
-// sorted exports into the list that sorting their concatenation gives, for
-// the local histogram and for every peer's.
+// TestCaptureStateMatchesSortedStripes: CaptureState orders the stripes'
+// sorted exports by user into the list that sorting their concatenation
+// gives, for the local histogram and for every peer's.
 func TestCaptureStateMatchesSortedStripes(t *testing.T) {
 	s := capturedUSS(t, rand.New(rand.NewSource(1)), 3000, 3)
 	sorted := func(h *usage.Histogram, site string) []usage.Record {

@@ -7,11 +7,12 @@
 package uss
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -660,53 +661,37 @@ func (s *Service) CaptureState() *durability.SnapshotState {
 
 // captureRecords exports h as site's records, one stripe lock at a time, in
 // the canonical order: by user, then interval (nil for none). Each stripe's
-// export is in that order already and a user lives in one stripe, so a merge
-// of the stripes' runs gives it at one string compare per user and heap
-// step, where sorting the whole list compared every record.
+// export is in that order already and a user lives in one stripe, so it
+// sorts the users' runs by name, the name kept beside each run: it compares
+// users, where sorting the whole list compared records.
 func captureRecords(h *usage.Histogram, site string) []usage.Record {
-	runs := make(recordRuns, 0, h.NumStripes())
+	type run struct {
+		user string
+		recs []usage.Record
+	}
+	runs := make([]run, 0, h.UserCount())
 	n := 0
 	for i := 0; i < h.NumStripes(); i++ {
-		if r := h.StripeRecords(site, i); len(r) > 0 {
-			runs = append(runs, r)
-			n += len(r)
+		r := h.StripeRecords(site, i)
+		n += len(r)
+		for len(r) > 0 {
+			k := 1
+			for k < len(r) && r[k].User == r[0].User {
+				k++
+			}
+			runs = append(runs, run{r[0].User, r[:k]})
+			r = r[k:]
 		}
 	}
 	if n == 0 {
 		return nil
 	}
-	heap.Init(&runs)
+	slices.SortFunc(runs, func(a, b run) int { return strings.Compare(a.user, b.user) })
 	out := make([]usage.Record, 0, n)
-	for len(runs) > 0 {
-		r := runs[0]
-		k := 1
-		for k < len(r) && r[k].User == r[0].User {
-			k++
-		}
-		out = append(out, r[:k]...)
-		if k == len(r) {
-			heap.Pop(&runs)
-		} else {
-			runs[0] = r[k:]
-			heap.Fix(&runs, 0)
-		}
+	for _, r := range runs {
+		out = append(out, r.recs...)
 	}
 	return out
-}
-
-// recordRuns is a heap of non-empty record runs ordered by their first
-// record's user.
-type recordRuns [][]usage.Record
-
-func (h recordRuns) Len() int           { return len(h) }
-func (h recordRuns) Less(i, j int) bool { return h[i][0].User < h[j][0].User }
-func (h recordRuns) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *recordRuns) Push(x any)        { *h = append(*h, x.([]usage.Record)) }
-func (h *recordRuns) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
 }
 
 // LocalRecords exports the local histogram sorted by user then interval.
