@@ -13,11 +13,12 @@ import (
 
 // IndexEntry is one user's fully resolved serving record: the projection
 // entry (vector, per-level target and usage shares) plus the raw leaf
-// priority and the two path products. Entries are composed from the tree on
-// first use and cached per snapshot; the embedded slices alias that cache
-// (the entry's stretch of its composed run's buffer, where vector, target
-// shares and usage shares lie side by side), so they can be handed out
-// without copying but must not be mutated.
+// priority and the two path products. Entries are composed from the tree:
+// At caches them per snapshot and ComposeInto writes one into a caller's
+// buffer. The embedded slices alias that storage (the entry's stretch of its
+// composed run's buffer, or of the caller's, where vector, target shares and
+// usage shares lie side by side), so they can be handed out without copying
+// but must not be mutated.
 type IndexEntry struct {
 	vector.Entry
 	// LeafPriority is the raw (unprojected) priority of the user's leaf.
@@ -87,10 +88,11 @@ type Index struct {
 	cfg  Config
 
 	// comp caches composed full-depth values for At(), one slot per run of
-	// composeRun entries. Filled lazily so the refresh path never pays for
-	// composition; serving-path Table/At callers compose each entry at most
-	// once per snapshot.
-	comp []composedRun
+	// composeRun entries. It is allocated on the snapshot's first At and
+	// filled lazily, so the refresh path never pays for it; serving-path
+	// Table/At callers compose each entry at most once per snapshot.
+	compOnce sync.Once
+	comp     []composedRun
 	// depth is the depth of the tree's deepest leaf, and stride the values
 	// an entry takes in its run's buffer: 3·depth+1 when every leaf is that
 	// deep, and one more when depths differ, the last value then holding the
@@ -121,7 +123,7 @@ type Index struct {
 // count.
 func NewIndex(t *Tree) *Index {
 	n := int(t.root.leaves)
-	ix := &Index{users: make([]string, n), root: t.root, cfg: t.Config, comp: newComposed(n)}
+	ix := &Index{users: make([]string, n), root: t.root, cfg: t.Config}
 	if n > 0 {
 		lo, hi := t.root.leafDepths()
 		ix.depth, ix.stride = hi, 3*hi+1
@@ -270,7 +272,6 @@ func (ix *Index) withRoot(root *group) *Index {
 		users:   ix.users,
 		root:    root,
 		cfg:     ix.cfg,
-		comp:    newComposed(len(ix.users)),
 		depth:   ix.depth,
 		stride:  ix.stride,
 		stripes: ix.stripes,
@@ -286,15 +287,12 @@ func (ix *Index) Pos(user string) (int, bool) {
 	return int(p), ok
 }
 
-// newComposed returns the empty composed-run cache of an n-entry snapshot.
-func newComposed(n int) []composedRun {
-	return make([]composedRun, (n+composeRun-1)/composeRun)
-}
-
-// composed returns the run entry i belongs to, with entry i composed. The
-// double-checked atomic keeps the hot path allocation- and lock-free once the
-// entry is.
+// composed returns the run entry i belongs to, with entry i composed,
+// allocating the cache empty, one slot per composeRun entries, on the first
+// call. The double-checked atomic keeps the hot path allocation- and
+// lock-free once the entry is.
 func (ix *Index) composed(i int) *composedRun {
+	ix.compOnce.Do(func() { ix.comp = make([]composedRun, (len(ix.users)+composeRun-1)/composeRun) })
 	c := &ix.comp[i/composeRun]
 	bit := uint32(1) << (i % composeRun)
 	if c.done.Load()&bit != 0 {
@@ -310,8 +308,8 @@ func (ix *Index) composed(i int) *composedRun {
 }
 
 // compose writes entry i into its run's buffer, allocating the buffer first
-// if the run has none: it descends to the entry's leaf and scores the member
-// taken at every level. The caller holds c.mu.
+// if the run has none: it descends to the entry's leaf and scores its path.
+// The caller holds c.mu.
 func (ix *Index) compose(c *composedRun, i int) {
 	var buf [8]step // more levels allocate
 	path := ix.root.descend(int32(i), buf[:0])
@@ -320,18 +318,28 @@ func (ix *Index) compose(c *composedRun, i int) {
 		c.buf = make([]float64, min(composeRun, len(ix.users)-lo)*ix.stride)
 	}
 	at := i % composeRun * ix.stride
-	e, d := c.buf[at:at+ix.stride], len(path)
+	e := c.buf[at : at+ix.stride]
+	scorePath(ix.cfg, path, e)
+	if ix.stride > 3*ix.depth+1 {
+		e[ix.stride-1] = float64(len(path))
+	}
+}
+
+// scorePath writes the composed values of the entry whose leaf is reached by
+// path into e, scoring the member taken at every level: the entry's vector,
+// its per-level target and usage shares and its raw leaf priority, 3d+1
+// values for a path of d levels. At and ComposeInto both compose through it,
+// so their entries are bit-identical.
+func scorePath(cfg Config, path []step, e []float64) {
+	d := len(path)
 	var prio float64
 	for l, st := range path {
 		share := st.g.shares[st.i]
 		var us, v float64
-		us, prio, v = score(ix.cfg, share, st.g.usage[st.i], st.g.total)
+		us, prio, v = score(cfg, share, st.g.usage[st.i], st.g.total)
 		e[l], e[d+l], e[2*d+l] = v, share, us
 	}
 	e[3*d] = prio
-	if ix.stride > 3*ix.depth+1 {
-		e[ix.stride-1] = float64(d)
-	}
 }
 
 // span returns the stretch of c's buffer that holds the run's k-th entry,
@@ -351,6 +359,28 @@ func (ix *Index) span(c *composedRun, k int) ([]float64, int) {
 // must not mutate them.
 func (ix *Index) At(i int) IndexEntry {
 	e, d := ix.span(ix.composed(i), i%composeRun)
+	return ix.entry(i, e, d)
+}
+
+// ComposeInto composes entry i into e without reading or building the
+// composed-run cache, and returns it as At does, its slices aliasing e. e
+// must hold 3·Depth()+1 values. The entry's vector takes e's first values
+// and the rest follow it, so a caller composing many entries into one buffer
+// can start the next one where this one's vector ends, once it is done with
+// this one's other fields.
+func (ix *Index) ComposeInto(i int, e []float64) IndexEntry {
+	var buf [8]step // more levels allocate
+	path := ix.root.descend(int32(i), buf[:0])
+	scorePath(ix.cfg, path, e)
+	return ix.entry(i, e, len(path))
+}
+
+// Depth returns the depth of the index's deepest leaf: the most values an
+// entry's vector holds.
+func (ix *Index) Depth() int { return ix.depth }
+
+// entry returns entry i over its composed values e, for a leaf d levels deep.
+func (ix *Index) entry(i int, e []float64, d int) IndexEntry {
 	target, actual := 1.0, 1.0
 	for l := range d {
 		target *= e[d+l]

@@ -438,8 +438,9 @@ func TestIndexLocateReachesLeaf(t *testing.T) {
 // TestColdAtComposesOneRun pins the cost of a cold lookup to one run buffer
 // of composeRun entries, not the top-level subtree it sits in, and the
 // composed values to the tree walk's across run and segment boundaries. A
-// run's cache slot stays at 40 B: an index holds one per composeRun entries,
-// and every Apply allocates them afresh.
+// fresh index and an Apply hold no composed-run slot: the first At
+// allocates the cache, 40 B at most per composeRun entries, and ComposeInto
+// never builds it.
 func TestColdAtComposesOneRun(t *testing.T) {
 	if size := unsafe.Sizeof(composedRun{}); size > 40 {
 		t.Errorf("a composed-run slot takes %d B, want ≤ 40", size)
@@ -447,13 +448,39 @@ func TestColdAtComposesOneRun(t *testing.T) {
 	p, usage := buildWide(2, 10000)
 	tree := Compute(p, usage, DefaultConfig())
 	ix := NewIndex(tree)
+	if ix.comp != nil {
+		t.Fatalf("a fresh index holds %d composed-run slots, want none", len(ix.comp))
+	}
+	_, applied, _, err := NewRecalc(tree, ix).Apply(map[string]float64{ix.User(3): 1e5})
+	if err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	if applied.comp != nil {
+		t.Fatalf("an applied index holds %d composed-run slots, want none", len(applied.comp))
+	}
 	const pos = 12345
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	e := ix.At(pos)
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
-		t.Errorf("one cold At on a 10000-leaf segment allocated %d bytes, want < 64 KB", got)
+	e := applied.ComposeInto(pos, make([]float64, 3*applied.Depth()+1))
+	if applied.comp != nil || e.User != applied.User(pos) {
+		t.Fatalf("ComposeInto(%d) read %q and built %d composed-run slots, want %q and none",
+			pos, e.User, len(applied.comp), applied.User(pos))
+	}
+
+	// A cold At allocates the cache, then one run's buffer: each run reads a
+	// fresh index.
+	const runs = 3
+	cold := make([]*Index, runs)
+	for i := range cold {
+		cold[i] = NewIndex(tree)
+	}
+	next := 0
+	cost := measureMem(runs, func() any {
+		e = cold[next].At(pos)
+		next++
+		return nil
+	})
+	cache := uint64(len(cold[0].comp)) * uint64(unsafe.Sizeof(composedRun{}))
+	if cost.bytes >= cache+64<<10 {
+		t.Errorf("one cold At on a 10000-leaf segment allocated %d bytes, want < %d (the cache) + 64 KB", cost.bytes, cache)
 	}
 	if e.User != ix.User(pos) {
 		t.Fatalf("At(%d) is %q, want %q", pos, e.User, ix.User(pos))
@@ -461,7 +488,7 @@ func TestColdAtComposesOneRun(t *testing.T) {
 	if pos/composeRun != (pos^1)/composeRun {
 		t.Fatal("test positions are not in one run")
 	}
-	if allocs := testing.AllocsPerRun(10, func() { _ = ix.At(pos ^ 1) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(10, func() { _ = cold[0].At(pos ^ 1) }); allocs != 0 {
 		t.Errorf("a second At in the same run allocates %v times, want 0", allocs)
 	}
 
@@ -590,29 +617,23 @@ func TestConcurrentColdAt(t *testing.T) {
 }
 
 // TestIndexBytesPerLeaf pins what NewIndex holds per leaf in use, measured
-// after runtime.GC(): the name column, 8–16 B of slot table per name and the
-// empty composed-run cache (≈30 B in all). That was ≈65 B two levels deep and
-// ≈75 B three levels deep while the index also held each leaf's target
-// shares, their product, its child-index path and its offsets into them; ≈92
-// B when it also held every leaf's scores below level 0; and ≈120 B before
-// that, when each build stripe was a map[string]int32. Two shapes: 1,000
-// groups × 100 leaves, and 100 × 10 × 100, three levels deep, where a
-// per-level column would cost the most.
+// after runtime.GC(): the name column and 8–16 B of slot table per name,
+// ≈27 B in all; the composed-run cache waits for the first At. That was ≈30
+// B while every index built the empty cache; ≈65 B two levels deep and ≈75
+// B three levels deep while the index also held each leaf's target shares,
+// their product, its child-index path and its offsets into them; ≈92 B when
+// it also held every leaf's scores below level 0; and ≈120 B before that,
+// when each build stripe was a map[string]int32. Two shapes: 1,000 groups ×
+// 100 leaves, and 100 × 10 × 100, three levels deep, where a per-level
+// column would cost the most.
 func TestIndexBytesPerLeaf(t *testing.T) {
 	for _, fanout := range [][]int{{1000, 100}, {100, 10, 100}} {
 		p, usage := buildGrid(fanout...)
 		tree := Compute(p, usage, DefaultConfig())
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		ix := NewIndex(tree)
-		runtime.GC()
-		runtime.ReadMemStats(&after)
-		perLeaf := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / float64(ix.Len())
-		runtime.KeepAlive(ix)
-		runtime.KeepAlive(tree)
-		if perLeaf > 36 {
-			t.Errorf("%v: the index holds %.1f bytes per leaf in use, want ≤ 36", fanout, perLeaf)
+		n := tree.root.leaves
+		perLeaf := float64(measureMem(3, func() any { return NewIndex(tree) }).live) / float64(n)
+		if perLeaf > 32 {
+			t.Errorf("%v: the index holds %.1f bytes per leaf in use, want ≤ 32", fanout, perLeaf)
 		}
 		t.Logf("%v: %.1f bytes per leaf in use", fanout, perLeaf)
 	}

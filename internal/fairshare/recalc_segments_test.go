@@ -275,10 +275,11 @@ func TestRecalcManyDirtySegments(t *testing.T) {
 }
 
 // TestApplyBytesFollowDirtyGroups pins the cost model of an Apply: it
-// allocates the groups it clones and one composed-run cache slot per
-// composeRun entries, not anything per leaf of the subtrees it touches. One
-// top-level subtree of 100 × 1000 leaves is the shape where a per-leaf copy
-// of the dirty subtree would cost megabytes.
+// allocates the groups it clones and the index shell, not anything per leaf
+// of the subtrees it touches, nor the composed-run cache, which waits for
+// the snapshot's first At. One top-level subtree of 100 × 1000 leaves is the
+// shape where a per-leaf copy of the dirty subtree would cost megabytes, and
+// an eagerly built cache 250 KB.
 func TestApplyBytesFollowDirtyGroups(t *testing.T) {
 	root := &policy.Node{Share: 1}
 	vo := &policy.Node{Name: "vo", Share: 1}
@@ -303,16 +304,9 @@ func TestApplyBytesFollowDirtyGroups(t *testing.T) {
 		}
 	}
 	apply() // warm the scratch buffers
-	const runs = 5
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		apply()
-	}
-	runtime.ReadMemStats(&after)
-	perApply := (after.TotalAlloc - before.TotalAlloc) / runs
-	if perApply >= 1<<20 {
-		t.Errorf("a one-user Apply over a 100,000-leaf subtree allocates %d bytes, want < 1 MB", perApply)
+	perApply := measureMem(5, func() any { apply(); return nil }).bytes
+	if perApply >= 32<<10 {
+		t.Errorf("a one-user Apply over a 100,000-leaf subtree allocates %d bytes, want < 32 KB", perApply)
 	}
 	t.Logf("%d bytes per one-user Apply", perApply)
 }
@@ -320,7 +314,8 @@ func TestApplyBytesFollowDirtyGroups(t *testing.T) {
 // TestRecalcApplySteadyStateAllocs pins the steady-state allocation cost of
 // one Apply: scratch (dirty list, spine) is reused across calls, so a warmed
 // engine allocates only what the immutable snapshot itself needs (cloned
-// groups, the index shell and its composed-run cache).
+// groups and the index shell; the composed-run cache waits for the first
+// At).
 func TestRecalcApplySteadyStateAllocs(t *testing.T) {
 	p, usage := buildWide(8, 16)
 	cfg := DefaultConfig()
@@ -336,14 +331,14 @@ func TestRecalcApplySteadyStateAllocs(t *testing.T) {
 		}
 	}
 	apply() // warm the scratch buffers
-	allocs := testing.AllocsPerRun(20, apply)
-	// One single-user Apply on this tree clones one spine of groups (each
-	// with its usage column) and assembles the index shell with an empty
-	// composed-run cache — comfortably under 40 allocations. The bound is loose enough
-	// to absorb map-iteration noise but fails if per-refresh scratch reuse
-	// regresses (the sort.Slice closure alone used to add several).
-	if allocs > 40 {
-		t.Fatalf("steady-state Apply allocates %.0f objects per op, want <= 40", allocs)
+	allocs := measureMem(20, func() any { apply(); return nil }).objects
+	// One single-user Apply on this tree allocates 7 objects: the root's
+	// clone with its usage column and sub-group slice, the leaf's group's
+	// clone with its usage column, the tree and the index shell. A
+	// composed-run cache would be an eighth, and scratch that is not reused
+	// (the dirty list, the spine) or a sort.Slice closure more again.
+	if allocs > 7 {
+		t.Fatalf("steady-state Apply allocates %d objects per op, want <= 7", allocs)
 	}
-	t.Logf("steady-state Apply: %.1f allocs/op", allocs)
+	t.Logf("steady-state Apply: %d allocs/op", allocs)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/policy"
@@ -397,22 +396,14 @@ func TestRecalcScratchKeepsNoNodes(t *testing.T) {
 // it is handed, so anchoring it costs nothing that grows with the population
 // (positions, paths and leaf usage are read from the pair). Both measures
 // count the whole process, so neither may read one run alone: NewRecalc's
-// bytes are the least of five runs, each after a GC, and Reset's
-// allocations are testing.AllocsPerRun's mean, at GOMAXPROCS 1.
+// bytes are measureMem's least of five runs, and Reset's allocations are
+// testing.AllocsPerRun's mean, at GOMAXPROCS 1.
 func TestRecalcOwnsNoPerLeafTable(t *testing.T) {
 	p, usage, _ := buildWideDirect(320, 320)
 	tree := Compute(p, usage, DefaultConfig())
 	ix := NewIndex(tree)
 	var r *Recalc
-	least := uint64(math.MaxUint64)
-	for i := 0; i < 5; i++ {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		r = NewRecalc(tree, ix)
-		runtime.ReadMemStats(&after)
-		least = min(least, after.TotalAlloc-before.TotalAlloc)
-	}
+	least := measureMem(5, func() any { r = NewRecalc(tree, ix); return r }).bytes
 	if least >= 4<<10 {
 		t.Errorf("NewRecalc over %d leaves allocated %d bytes, want < 4 KB", ix.Len(), least)
 	}
@@ -434,16 +425,7 @@ func TestComputeHoldsGroupsOnly(t *testing.T) {
 	if allocs > 4*groups {
 		t.Errorf("Compute over %d groups × %d leaves allocates %.0f objects, want ≤ %d", groups, perGroup, allocs, 4*groups)
 	}
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	tree := Compute(p, usage, cfg)
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-	perLeaf := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / (groups * perGroup)
-	runtime.KeepAlive(tree)
-	runtime.KeepAlive(p)
-	runtime.KeepAlive(usage)
+	perLeaf := float64(measureMem(3, func() any { return Compute(p, usage, cfg) }).live) / (groups * perGroup)
 	if perLeaf > 24 {
 		t.Errorf("the tree holds %.1f bytes per leaf in use, want ≤ 24", perLeaf)
 	}

@@ -232,8 +232,8 @@ func (c *Client) Fairshare(gridUser string) (wire.FairshareResponse, error) {
 func (c *Client) FairshareBatch(gridUsers []string) (map[string]wire.FairshareResponse, error) {
 	now := c.cfg.Clock.Now()
 	out := make(map[string]wire.FairshareResponse, len(gridUsers))
-	var misses []string
-	queued := map[string]bool{}
+	misses := make([]string, 0, len(gridUsers))
+	queued := make(map[string]bool, len(gridUsers))
 	var hits int
 	c.mu.Lock()
 	for _, u := range gridUsers {

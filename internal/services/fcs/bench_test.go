@@ -140,7 +140,7 @@ func BenchmarkPriorityLookupSeedStyle(b *testing.B) {
 }
 
 // BenchmarkPriorityBatch1000 resolves a 1000-user queue in one call — one
-// snapshot load, 1000 map lookups.
+// snapshot load, 1000 slot lookups, each entry composed into the answer.
 func BenchmarkPriorityBatch1000(b *testing.B) {
 	svc, users := benchService(b, 320, 320)
 	batch := users[:1000]

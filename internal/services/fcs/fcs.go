@@ -629,7 +629,10 @@ func (s *Service) Priority(user string) (wire.FairshareResponse, error) {
 // PriorityBatch resolves many users against one snapshot load — the single
 // round trip a resource manager uses to reprioritize a whole queue. Users
 // absent from the policy are reported in Missing instead of failing the
-// batch.
+// batch. Each entry is composed into the answer, not into the snapshot's
+// run cache, which it neither reads nor builds: the answer's vectors share
+// one buffer the answer owns, and a batch repeated on one snapshot composes
+// again.
 func (s *Service) PriorityBatch(users []string) (wire.FairshareBatchResponse, error) {
 	sn, err := s.current()
 	if err != nil {
@@ -640,13 +643,18 @@ func (s *Service) PriorityBatch(users []string) (wire.FairshareBatchResponse, er
 		ComputedAt: sn.computedAt,
 		Entries:    make([]wire.FairshareResponse, 0, len(users)),
 	}
+	// An entry's shares and leaf priority follow its vector in vals, where
+	// the next entry's vector starts once this one's value is projected.
+	d := sn.index.Depth()
+	vals := make([]float64, len(users)*d+2*d+1)
 	for _, u := range users {
 		pos, ok := sn.index.Pos(u)
 		if !ok {
 			out.Missing = append(out.Missing, u)
 			continue
 		}
-		e := sn.index.At(pos)
+		e := sn.index.ComposeInto(pos, vals)
+		vals = vals[len(e.Vec):]
 		out.Entries = append(out.Entries, wire.FairshareResponse{
 			User:       u,
 			Value:      sn.value(pos, e),

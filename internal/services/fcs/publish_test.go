@@ -11,7 +11,6 @@ import (
 	"repro/internal/fairshare"
 	"repro/internal/par"
 	"repro/internal/policy"
-	"repro/internal/telemetry"
 	"repro/internal/vector"
 )
 
@@ -132,9 +131,7 @@ func oracleSnapshot(p vector.Projection, ix *fairshare.Index, resolution float64
 // position.
 func servedValues(t *testing.T, p vector.Projection, pol *policy.Tree, tree *fairshare.Tree, ix *fairshare.Index) (priority, batch, table []float64) {
 	t.Helper()
-	svc := New(Config{Projection: p, CacheTTL: -1, Metrics: telemetry.NewRegistry()}, nil, nil)
-	sn, _ := svc.buildSnapshot(tree, ix, pol, t0, nil)
-	svc.snap.Store(sn)
+	svc := publishedService(p, pol, tree, ix)
 	n := ix.Len()
 	users := make([]string, n)
 	priority = make([]float64, n)

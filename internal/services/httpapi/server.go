@@ -402,12 +402,20 @@ func (s *Server) handleUsageRecords(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	mut := usage.Mutation{Kind: usage.MutRemoteSet, Site: s.USS.Site(), Ops: usage.BinOps(recs)}
-	writeBinary(w, wire.RecordsContentType, mut.AppendBinary(nil))
+	writeBinary(w, recordsType, mut.AppendBinary(nil))
 }
 
-// writeBinary answers 200 with a binary body of content type ct.
-func writeBinary(w http.ResponseWriter, ct string, body []byte) {
-	w.Header().Set("Content-Type", ct)
+// The Content-Type values of the binary answers, built once: writeBinary
+// assigns one to the header map, where Header().Set would allocate a value
+// slice per response. Nothing writes into them.
+var (
+	recordsType = []string{wire.RecordsContentType}
+	batchType   = []string{wire.FairshareBatchContentType}
+)
+
+// writeBinary answers 200 with a binary body whose Content-Type value is ct.
+func writeBinary(w http.ResponseWriter, ct []string, body []byte) {
+	w.Header()["Content-Type"] = ct
 	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	_, _ = w.Write(body)
 }
@@ -483,7 +491,7 @@ func (s *Server) handleFairshareBatch(w http.ResponseWriter, r *http.Request) {
 		wire.WriteError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	writeBinary(w, wire.FairshareBatchContentType, ans)
+	writeBinary(w, batchType, ans)
 }
 
 // handleFairshareRefresh recomputes the published priorities now. It drops
