@@ -45,13 +45,22 @@ func stripeOf(h uint64) int { return int(h >> 60) }
 // 32, the bits of composedRun.done.
 const composeRun = 16
 
+// composeChunk is how many composed-run slots are allocated together: a
+// snapshot's cache is allocated one chunk at a time, when an entry of it is
+// first asked for, so no single lookup pays for the whole population. 64
+// slots hold 1,024 entries in 2,560 B.
+const composeChunk = 64
+
+// composedChunk is one allocation of the composed-run cache.
+type composedChunk [composeChunk]composedRun
+
 // composedRun caches the composed full-depth values of the entries of one
 // run of composeRun consecutive entries that At has been asked for, for the
 // life of the snapshot. done has bit k set once the run's k-th entry is
 // composed; it is stored only after the entry's values (and, the first time,
 // buf) are written, so a lock-free reader that observes its bit sees them. A
 // composed entry is never written again. Never copy a composedRun (it embeds
-// a Mutex); access elements of Index.comp by pointer only.
+// a Mutex); access the elements of a composedChunk by pointer only.
 type composedRun struct {
 	mu   sync.Mutex
 	done atomic.Uint32
@@ -88,11 +97,13 @@ type Index struct {
 	cfg  Config
 
 	// comp caches composed full-depth values for At(), one slot per run of
-	// composeRun entries. It is allocated on the snapshot's first At and
-	// filled lazily, so the refresh path never pays for it; serving-path
-	// Table/At callers compose each entry at most once per snapshot.
+	// composeRun entries, in chunks of composeChunk slots. The chunk table is
+	// allocated on the snapshot's first At and each chunk when At first asks
+	// for one of its entries, so the refresh path never pays for the cache
+	// and a lookup pays for one chunk at most; serving-path Table/At callers
+	// compose each entry at most once per snapshot.
 	compOnce sync.Once
-	comp     []composedRun
+	comp     []atomic.Pointer[composedChunk]
 	// depth is the depth of the tree's deepest leaf, and stride the values
 	// an entry takes in its run's buffer: 3·depth+1 when every leaf is that
 	// deep, and one more when depths differ, the last value then holding the
@@ -287,13 +298,11 @@ func (ix *Index) Pos(user string) (int, bool) {
 	return int(p), ok
 }
 
-// composed returns the run entry i belongs to, with entry i composed,
-// allocating the cache empty, one slot per composeRun entries, on the first
-// call. The double-checked atomic keeps the hot path allocation- and
-// lock-free once the entry is.
+// composed returns the run entry i belongs to, with entry i composed. The
+// double-checked atomic keeps the hot path allocation- and lock-free once the
+// entry is.
 func (ix *Index) composed(i int) *composedRun {
-	ix.compOnce.Do(func() { ix.comp = make([]composedRun, (len(ix.users)+composeRun-1)/composeRun) })
-	c := &ix.comp[i/composeRun]
+	c := ix.run(i / composeRun)
 	bit := uint32(1) << (i % composeRun)
 	if c.done.Load()&bit != 0 {
 		return c
@@ -305,6 +314,24 @@ func (ix *Index) composed(i int) *composedRun {
 		c.done.Store(done | bit)
 	}
 	return c
+}
+
+// run returns the composed-run slot of run r, allocating the chunk table on
+// the first call and r's chunk, empty, on the first call for a run of it. Of
+// two goroutines that race to allocate a chunk, the one whose chunk is not
+// stored drops it before writing to it.
+func (ix *Index) run(r int) *composedRun {
+	ix.compOnce.Do(func() {
+		runs := (len(ix.users) + composeRun - 1) / composeRun
+		ix.comp = make([]atomic.Pointer[composedChunk], (runs+composeChunk-1)/composeChunk)
+	})
+	p := &ix.comp[r/composeChunk]
+	ch := p.Load()
+	if ch == nil {
+		p.CompareAndSwap(nil, new(composedChunk))
+		ch = p.Load()
+	}
+	return &ch[r%composeChunk]
 }
 
 // compose writes entry i into its run's buffer, allocating the buffer first
@@ -362,22 +389,24 @@ func (ix *Index) At(i int) IndexEntry {
 	return ix.entry(i, e, d)
 }
 
-// ComposeInto composes entry i into e without reading or building the
-// composed-run cache, and returns it as At does, its slices aliasing e. e
-// must hold 3·Depth()+1 values. The entry's vector takes e's first values
-// and the rest follow it, so a caller composing many entries into one buffer
-// can start the next one where this one's vector ends, once it is done with
-// this one's other fields.
-func (ix *Index) ComposeInto(i int, e []float64) IndexEntry {
-	var buf [8]step // more levels allocate
-	path := ix.root.descend(int32(i), buf[:0])
-	scorePath(ix.cfg, path, e)
-	return ix.entry(i, e, len(path))
+// ComposeBuffer returns a buffer that ComposeInto can compose n entries into,
+// one after another.
+func (ix *Index) ComposeBuffer(n int) []float64 {
+	return make([]float64, n*ix.depth+2*ix.depth+1)
 }
 
-// Depth returns the depth of the index's deepest leaf: the most values an
-// entry's vector holds.
-func (ix *Index) Depth() int { return ix.depth }
+// ComposeInto composes entry i at the start of buf without reading or
+// building the composed-run cache, and returns it as At does, its slices
+// aliasing buf, with the rest of buf: where the next entry is composed. That
+// entry overwrites this one's shares and leaf priority, so read them first;
+// its vector stays. buf comes from ComposeBuffer, or is the rest of an
+// earlier ComposeInto.
+func (ix *Index) ComposeInto(i int, buf []float64) (IndexEntry, []float64) {
+	var steps [8]step // more levels allocate
+	path := ix.root.descend(int32(i), steps[:0])
+	scorePath(ix.cfg, path, buf)
+	return ix.entry(i, buf, len(path)), buf[len(path):]
+}
 
 // entry returns entry i over its composed values e, for a leaf d levels deep.
 func (ix *Index) entry(i int, e []float64, d int) IndexEntry {

@@ -439,8 +439,9 @@ func TestIndexLocateReachesLeaf(t *testing.T) {
 // of composeRun entries, not the top-level subtree it sits in, and the
 // composed values to the tree walk's across run and segment boundaries. A
 // fresh index and an Apply hold no composed-run slot: the first At
-// allocates the cache, 40 B at most per composeRun entries, and ComposeInto
-// never builds it.
+// allocates the chunk table and the chunk of composeChunk slots it reads,
+// 40 B at most per composeRun entries, and no other; ComposeInto never
+// builds any of it.
 func TestColdAtComposesOneRun(t *testing.T) {
 	if size := unsafe.Sizeof(composedRun{}); size > 40 {
 		t.Errorf("a composed-run slot takes %d B, want ≤ 40", size)
@@ -449,24 +450,24 @@ func TestColdAtComposesOneRun(t *testing.T) {
 	tree := Compute(p, usage, DefaultConfig())
 	ix := NewIndex(tree)
 	if ix.comp != nil {
-		t.Fatalf("a fresh index holds %d composed-run slots, want none", len(ix.comp))
+		t.Fatalf("a fresh index holds a chunk table of %d, want none", len(ix.comp))
 	}
 	_, applied, _, err := NewRecalc(tree, ix).Apply(map[string]float64{ix.User(3): 1e5})
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
 	if applied.comp != nil {
-		t.Fatalf("an applied index holds %d composed-run slots, want none", len(applied.comp))
+		t.Fatalf("an applied index holds a chunk table of %d, want none", len(applied.comp))
 	}
 	const pos = 12345
-	e := applied.ComposeInto(pos, make([]float64, 3*applied.Depth()+1))
+	e, _ := applied.ComposeInto(pos, applied.ComposeBuffer(1))
 	if applied.comp != nil || e.User != applied.User(pos) {
-		t.Fatalf("ComposeInto(%d) read %q and built %d composed-run slots, want %q and none",
+		t.Fatalf("ComposeInto(%d) read %q and built a chunk table of %d, want %q and none",
 			pos, e.User, len(applied.comp), applied.User(pos))
 	}
 
-	// A cold At allocates the cache, then one run's buffer: each run reads a
-	// fresh index.
+	// A cold At allocates the chunk table, its chunk, then one run's buffer:
+	// each run reads a fresh index.
 	const runs = 3
 	cold := make([]*Index, runs)
 	for i := range cold {
@@ -478,9 +479,18 @@ func TestColdAtComposesOneRun(t *testing.T) {
 		next++
 		return nil
 	})
-	cache := uint64(len(cold[0].comp)) * uint64(unsafe.Sizeof(composedRun{}))
+	chunks := 0
+	for i := range cold[0].comp {
+		if cold[0].comp[i].Load() != nil {
+			chunks++
+		}
+	}
+	if chunks != 1 {
+		t.Errorf("one cold At allocated %d chunks, want 1", chunks)
+	}
+	cache := uint64(len(cold[0].comp))*uint64(unsafe.Sizeof(cold[0].comp[0])) + uint64(unsafe.Sizeof(composedChunk{}))
 	if cost.bytes >= cache+64<<10 {
-		t.Errorf("one cold At on a 10000-leaf segment allocated %d bytes, want < %d (the cache) + 64 KB", cost.bytes, cache)
+		t.Errorf("one cold At on a 10000-leaf segment allocated %d bytes, want < %d (the chunk table and one chunk) + 64 KB", cost.bytes, cache)
 	}
 	if e.User != ix.User(pos) {
 		t.Fatalf("At(%d) is %q, want %q", pos, e.User, ix.User(pos))

@@ -39,3 +39,18 @@ func measureMem(runs int, f func() any) memCost {
 	}
 	return least
 }
+
+// meanAllocs calls f runs times at GOMAXPROCS 1 and returns the objects it
+// allocated per call: testing.AllocsPerRun's mean without its rounding down,
+// so an allocation that only one call in several makes still shows, where
+// measureMem's least and AllocsPerRun's truncation both hide it.
+func meanAllocs(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}

@@ -2,6 +2,7 @@ package libaequus
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -105,6 +106,37 @@ func TestFairshareBatchAllCachedSkipsFetch(t *testing.T) {
 	}
 	if fcs.calls != 0 {
 		t.Errorf("fully cached batch still fetched: %d calls", fcs.calls)
+	}
+}
+
+// TestFairshareBatchWarmAllocatesItsAnswer pins an all-hit batch to the
+// allocations of its answer map: the miss list and the queued set wait for a
+// miss.
+func TestFairshareBatchWarmAllocatesItsAnswer(t *testing.T) {
+	c, fcs, _ := newBatchClient(simclock.NewSim(t0), time.Minute)
+	users := make([]string, 200)
+	for i := range users {
+		users[i] = fmt.Sprintf("grid-%03d@s", i)
+		fcs.values[users[i]] = float64(i)
+	}
+	if _, err := c.FairshareBatch(users); err != nil {
+		t.Fatal(err)
+	}
+	var sink map[string]wire.FairshareResponse
+	answer := testing.AllocsPerRun(20, func() {
+		sink = make(map[string]wire.FairshareResponse, len(users))
+		for _, u := range users {
+			sink[u] = wire.FairshareResponse{User: u}
+		}
+	})
+	warm := testing.AllocsPerRun(20, func() {
+		sink, _ = c.FairshareBatch(users)
+	})
+	if fcs.calls != 1 || len(sink) != len(users) {
+		t.Fatalf("warm batches made %d FCS calls and answered %d users, want 1 and %d", fcs.calls, len(sink), len(users))
+	}
+	if warm > answer {
+		t.Errorf("a warm %d-user batch allocates %.0f objects, want at most its answer map's %.0f", len(users), warm, answer)
 	}
 }
 

@@ -232,11 +232,11 @@ func (c *Client) Fairshare(gridUser string) (wire.FairshareResponse, error) {
 func (c *Client) FairshareBatch(gridUsers []string) (map[string]wire.FairshareResponse, error) {
 	now := c.cfg.Clock.Now()
 	out := make(map[string]wire.FairshareResponse, len(gridUsers))
-	misses := make([]string, 0, len(gridUsers))
-	queued := make(map[string]bool, len(gridUsers))
+	var misses []string
+	var queued map[string]bool // a warm batch allocates neither
 	var hits int
 	c.mu.Lock()
-	for _, u := range gridUsers {
+	for i, u := range gridUsers {
 		if _, done := out[u]; done || queued[u] {
 			continue
 		}
@@ -244,6 +244,11 @@ func (c *Client) FairshareBatch(gridUsers []string) (map[string]wire.FairshareRe
 			hits++
 			out[u] = resp
 			continue
+		}
+		if queued == nil {
+			// Sized once, for every user still to scan missing.
+			misses = make([]string, 0, len(gridUsers)-i)
+			queued = make(map[string]bool, len(gridUsers)-i)
 		}
 		queued[u] = true
 		misses = append(misses, u)

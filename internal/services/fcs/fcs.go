@@ -643,18 +643,17 @@ func (s *Service) PriorityBatch(users []string) (wire.FairshareBatchResponse, er
 		ComputedAt: sn.computedAt,
 		Entries:    make([]wire.FairshareResponse, 0, len(users)),
 	}
-	// An entry's shares and leaf priority follow its vector in vals, where
-	// the next entry's vector starts once this one's value is projected.
-	d := sn.index.Depth()
-	vals := make([]float64, len(users)*d+2*d+1)
+	// The next entry overwrites all of this one but its vector, so the value
+	// is projected before it is composed.
+	vals := sn.index.ComposeBuffer(len(users))
 	for _, u := range users {
 		pos, ok := sn.index.Pos(u)
 		if !ok {
 			out.Missing = append(out.Missing, u)
 			continue
 		}
-		e := sn.index.ComposeInto(pos, vals)
-		vals = vals[len(e.Vec):]
+		var e fairshare.IndexEntry
+		e, vals = sn.index.ComposeInto(pos, vals)
 		out.Entries = append(out.Entries, wire.FairshareResponse{
 			User:       u,
 			Value:      sn.value(pos, e),
